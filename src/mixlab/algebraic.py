@@ -19,7 +19,7 @@ span and the restriction group) at a fraction of the elimination cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
 
@@ -382,11 +382,12 @@ class TorusKernel:
         return m
 
 
-def transfer_matrix(pattern: RelationPattern, w: int) -> BitMatrix:
-    """Row-to-row transfer map on `depth` stacked rows of width w.
+def _row_taps(pattern: RelationPattern, w: int) -> tuple[int, list[tuple[int, int]]]:
+    """Depth and (block, shift) taps of the row step on width w.
 
-    State (r[y-depth], ..., r[y-1]) maps to (r[y-depth+1], ..., r[y]); the
-    new row is solved from the unique topmost stencil cell.
+    The new row r[y] is the XOR over taps of rotr(r[y-depth+block], shift),
+    where rotr(x, s) has bit i equal to bit (i + s) mod w of x: one tap per
+    stencil cell other than the unique topmost one.
     """
     if not pattern.is_propagating():
         raise UnsupportedPatternError(
@@ -397,88 +398,57 @@ def transfer_matrix(pattern: RelationPattern, w: int) -> BitMatrix:
     depth = j_hi - j_lo
     if depth == 0:
         raise UnsupportedPatternError("pattern must span at least two rows")
-    n = depth * w
-    rows = []
-    for b in range(depth - 1):
-        for i in range(w):
-            rows.append(1 << ((b + 1) * w + i))
+    taps = [(pj - j_lo, (pi - ti) % w)
+            for pi, pj in pattern.support if (pi, pj) != (ti, tj)]
+    return depth, taps
+
+
+def transfer_matrix(pattern: RelationPattern, w: int) -> BitMatrix:
+    """Row-to-row transfer map on `depth` stacked rows of width w.
+
+    State (r[y-depth], ..., r[y-1]) maps to (r[y-depth+1], ..., r[y]); the
+    new row is solved from the unique topmost stencil cell.
+    """
+    depth, taps = _row_taps(pattern, w)
+    rows = [1 << (w + k) for k in range((depth - 1) * w)]
     for i in range(w):
         acc = 0
-        for pi, pj in pattern.support:
-            if (pi, pj) == (ti, tj):
-                continue
-            block = pj - j_lo
-            col = (i - ti + pi) % w
-            acc ^= 1 << (block * w + col)
+        for block, shift in taps:
+            acc ^= 1 << (block * w + (i + shift) % w)
         rows.append(acc)
-    return BitMatrix(n, n, tuple(rows))
-
-
-def _next_row_bits(pattern: RelationPattern, w: int,
-                   history: Sequence[int]) -> int:
-    """New row from the last `depth` rows, each a w-bit int."""
-    ti, tj = pattern.top_offset()
-    j_lo, _ = pattern.j_range
-    out = 0
-    for i in range(w):
-        v = 0
-        for pi, pj in pattern.support:
-            if (pi, pj) == (ti, tj):
-                continue
-            row = history[pj - j_lo]
-            v ^= (row >> ((i - ti + pi) % w)) & 1
-        out |= v << i
-    return out
+    return BitMatrix(depth * w, depth * w, tuple(rows))
 
 
 def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
     """Harmonic configurations of the w x h torus via the transfer matrix.
 
     Configurations correspond to fixed points of the h-th transfer power.
+    Each fixed state is expanded into h lattice rows, every row a w-bit int;
+    one row step is the XOR over the stencil taps of a whole earlier row
+    rotated by the tap's shift (see `_row_taps`), masked to w bits once.
     """
     if w < 3 or h < 3:
         raise ValueError("torus dimensions must be at least 3")
     pattern = system.pattern
+    depth, taps = _row_taps(pattern, w)
     t = transfer_matrix(pattern, w)
-    depth = t.rows // w
     fixed = gf2.nullspace(gf2.mat_add(gf2.mat_pow(t, h), BitMatrix.identity(t.rows)))
-    basis = []
     wmask = (1 << w) - 1
+    basis = []
     for state in fixed:
         history = [(state.bits >> (b * w)) & wmask for b in range(depth)]
-        grid_rows = []
-        for _ in range(h):
-            new = _next_row_bits(pattern, w, history)
-            grid_rows.append(new)
-            history = history[1:] + [new]
         bits = 0
-        for j, row in enumerate(grid_rows):
-            bits |= row << (j * w)
+        for j in range(h):
+            new = 0
+            for block, shift in taps:
+                row = history[block]
+                new ^= (row >> shift) | (row << (w - shift))
+            new &= wmask
+            bits |= new << (j * w)
+            history = history[1:]
+            history.append(new)
         basis.append(BitVector(w * h, bits))
     return TorusKernel(w, h, tuple(basis), pattern)
-
-
-def kernel_dimension_bruteforce(system: AlgebraicSystem, w: int, h: int) -> int:
-    """Exhaustive kernel dimension for tiny tori (2^(w*h) enumeration)."""
-    if w * h > 20:
-        raise ValueError("brute force limited to w*h <= 20")
-    support = sorted(system.pattern.support)
-    count = 0
-    for cfg in range(1 << (w * h)):
-        ok = True
-        for j in range(h):
-            for i in range(w):
-                s = 0
-                for pi, pj in support:
-                    s ^= (cfg >> (((j + pj) % h) * w + ((i + pi) % w))) & 1
-                if s:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count.bit_length() - 1  # count is a power of two
 
 
 def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
@@ -676,25 +646,6 @@ class BernoulliOracle:
                     raise TypeError(f"Bernoulli events live on Z sites, got {s!r}")
                 pairs.append((s + sh, b))
         return bernoulli_cylinder_measure(pairs)
-
-
-class TorusMonteCarloOracle:
-    """Estimated oracle backed by torus-kernel sampling."""
-
-    def __init__(self, kernel: TorusKernel, samples: int, seed: int):
-        self.kernel = kernel
-        self.samples = samples
-        self.seed = seed
-
-    def event_measure(self, event: CylinderConstraint) -> MeasureValue:
-        return mc_cylinder_measure(self.kernel, event, self.samples, self.seed)
-
-    def intersection_measure(self, shifts: Sequence[Site],
-                             events: Sequence[CylinderConstraint]) -> MeasureValue:
-        merged = merge_events(events, shifts)
-        if merged is None:
-            return MeasureValue.of_exact(0, contradiction=True)
-        return mc_cylinder_measure(self.kernel, merged, self.samples, self.seed)
 
 
 # ---------------------------------------------------------------------------

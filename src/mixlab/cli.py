@@ -28,7 +28,6 @@ from .algebraic import (
     CylinderConstraint,
     LedrappierOracle,
     RelationPattern,
-    TorusMonteCarloOracle,
     UnsupportedPatternError,
     WindowCapError,
     cylinder_measure,
@@ -297,8 +296,7 @@ def cmd_percolate(params: dict) -> int:
     config = _emit_config(outdir, "percolate", params)
     system = _make_system(params)
     rows = percolation_sweep(system, params["sizes"], params.get("samples", 20),
-                             params.get("connectivity", 4), params.get("seed", 0),
-                             workers=params.get("workers", 1))
+                             params.get("connectivity", 4), params.get("seed", 0))
     _write_text(outdir, "percolation.csv", sweep_to_csv(rows))
     _write_json(outdir, "percolation.json", {
         "config": config,
@@ -416,7 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser, out_required: bool = True):
         p.add_argument("--out", required=out_required, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-        p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
         p.add_argument("--pattern", help="JSON file with a custom relation pattern")
 
     p = sub.add_parser("measure", help="exact or Monte-Carlo cylinder measure")

@@ -26,15 +26,14 @@ constants, never to a configuration group.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .correlations import Constellation, CorrelationOracle, kfold_correlation
-from .measure import MeasureValue, format_fraction, parse_fraction
+from .measure import format_fraction, parse_fraction
 
 Number = Union[Fraction, float]
 

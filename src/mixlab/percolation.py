@@ -12,13 +12,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .algebraic import AlgebraicSystem, grid_satisfies_pattern, sample_configuration, torus_kernel
+from .algebraic import (AlgebraicSystem, TorusKernel, grid_satisfies_pattern,
+                        sample_configuration, torus_kernel)
 from .rng import mix
 
 
@@ -194,14 +194,12 @@ class SweepRow:
 
 
 def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
-                      samples_per_size: int, connectivity: int, seed: int,
-                      workers: int = 1) -> list[SweepRow]:
+                      samples_per_size: int, connectivity: int, seed: int) -> list[SweepRow]:
     """Wrap fractions and largest-cluster fractions over sampled kernel
     configurations, per lattice size and bit value.
 
     Fully seed-deterministic: sample s of size n uses the substream keyed by
-    (seed, n, s); per-size aggregation runs in fixed sample order, so worker
-    count never changes the output.
+    (seed, n, s), and per-size aggregation runs in fixed sample order.
     """
     if any(s < 8 for s in sizes):
         raise ValueError("lattice sizes must be at least 8")
@@ -209,10 +207,8 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
         raise ValueError("need at least one sample per size")
     rows: list[SweepRow] = []
 
-    def analyze(args: tuple[int, int]) -> tuple[dict, dict]:
-        size, s_idx = args
-        kernel = kernels[size]
-        config = sample_configuration(kernel, mix(seed, "sweep", size, s_idx))
+    def analyze(kernel: TorusKernel, s_idx: int) -> tuple[dict, dict]:
+        config = sample_configuration(kernel, mix(seed, "sweep", kernel.width, s_idx))
         if not grid_satisfies_pattern(system.pattern, config):
             raise AssertionError("sampled configuration violates the defining relation")
         out = {}
@@ -225,14 +221,9 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
             }
         return out[0], out[1]
 
-    kernels = {size: torus_kernel(system, size, size) for size in sizes}
     for size in sizes:
-        tasks = [(size, s) for s in range(samples_per_size)]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(analyze, tasks))
-        else:
-            results = [analyze(t) for t in tasks]
+        kernel = torus_kernel(system, size, size)
+        results = [analyze(kernel, s) for s in range(samples_per_size)]
         for bit in (0, 1):
             wraps = [res[bit]["wrap"] for res in results]
             fracs = [res[bit]["largest_fraction"] for res in results]

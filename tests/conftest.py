@@ -1,8 +1,9 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's fast paths: measures come from raw
-enumeration of window configurations, cluster structure from breadth-first
-search in the universal cover.
+enumeration of window configurations, torus kernels from a per-bit row step
+and from exhaustive enumeration, cluster structure from breadth-first search
+in the universal cover.
 """
 
 from __future__ import annotations
@@ -12,6 +13,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+
+from mixlab import gf2
+from mixlab.gf2 import BitMatrix, BitVector
 
 
 def enumerate_window_group(support, i0, i1, j0, j1):
@@ -73,6 +77,80 @@ def enumeration_relations(support, sites):
         if ok:
             rels.append(coeffs)
     return rels
+
+
+def reference_next_row(pattern, w, history):
+    """New torus row from the last `depth` rows (each a w-bit int), one bit
+    at a time: bit i solves the stencil translate whose topmost cell sits
+    at column i of the new row."""
+    ti, tj = pattern.top_offset()
+    j_lo, _ = pattern.j_range
+    out = 0
+    for i in range(w):
+        v = 0
+        for pi, pj in pattern.support:
+            if (pi, pj) == (ti, tj):
+                continue
+            v ^= (history[pj - j_lo] >> ((i - ti + pi) % w)) & 1
+        out |= v << i
+    return out
+
+
+def reference_transfer_matrix(pattern, w):
+    """Transfer matrix built column by column from `reference_next_row`:
+    column k is the image of the k-th unit state."""
+    j_lo, j_hi = pattern.j_range
+    depth = j_hi - j_lo
+    n = depth * w
+    wmask = (1 << w) - 1
+    cols = []
+    for k in range(n):
+        history = [((1 << k) >> (b * w)) & wmask for b in range(depth)]
+        new = reference_next_row(pattern, w, history)
+        cols.append(((1 << k) >> w) | (new << ((depth - 1) * w)))
+    return gf2.transpose(BitMatrix(n, n, tuple(cols)))
+
+
+def reference_torus_basis(pattern, w, h):
+    """Torus kernel basis from the fixed states of the reference transfer
+    matrix's h-th power, expanded row by row with the per-bit step."""
+    t = reference_transfer_matrix(pattern, w)
+    depth = t.rows // w
+    fixed = gf2.nullspace(gf2.mat_add(gf2.mat_pow(t, h), BitMatrix.identity(t.rows)))
+    wmask = (1 << w) - 1
+    basis = []
+    for state in fixed:
+        history = [(state.bits >> (b * w)) & wmask for b in range(depth)]
+        bits = 0
+        for j in range(h):
+            new = reference_next_row(pattern, w, history)
+            bits |= new << (j * w)
+            history = history[1:] + [new]
+        basis.append(BitVector(w * h, bits))
+    return tuple(basis)
+
+
+def kernel_dimension_bruteforce(system, w, h):
+    """Exhaustive kernel dimension for tiny tori (2^(w*h) enumeration)."""
+    if w * h > 20:
+        raise ValueError("brute force limited to w*h <= 20")
+    support = sorted(system.pattern.support)
+    count = 0
+    for cfg in range(1 << (w * h)):
+        ok = True
+        for j in range(h):
+            for i in range(w):
+                s = 0
+                for pi, pj in support:
+                    s ^= (cfg >> (((j + pj) % h) * w + ((i + pi) % w))) & 1
+                if s:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            count += 1
+    return count.bit_length() - 1  # count is a power of two
 
 
 def bfs_cover_clusters(grid: np.ndarray, connectivity: int, target_bit: int):

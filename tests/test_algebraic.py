@@ -21,7 +21,6 @@ from mixlab.algebraic import (
     grid_to_json,
     grid_to_pbm,
     homoclinic_decay,
-    kernel_dimension_bruteforce,
     ledrappier_system,
     mc_cylinder_measure,
     merge_site_bits,
@@ -32,7 +31,13 @@ from mixlab.algebraic import (
 )
 from mixlab.rng import substream
 
-from conftest import enumeration_measure, enumeration_relations
+from conftest import (
+    enumeration_measure,
+    enumeration_relations,
+    kernel_dimension_bruteforce,
+    reference_torus_basis,
+    reference_transfer_matrix,
+)
 
 SYS = ledrappier_system()
 FIVE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
@@ -143,21 +148,55 @@ class TestRelationSpace:
             assert [v.to_list() for v in via_window] == [v.to_list() for v in via_reduction]
 
 
+CORNER = RelationPattern(frozenset({(0, 0), (1, 0), (0, 1)}))
+KERNEL_PATTERNS = [
+    LEDRAPPIER_PATTERN,
+    CORNER,
+    RelationPattern(frozenset({(0, 0), (2, 0), (-1, 1)})),
+    RelationPattern(frozenset({(0, -2), (-2, 0), (1, 0), (0, 1)})),
+]
+
+
+def _basis_grid(kernel, vec):
+    """(height, width) 0/1 array of one flattened basis configuration."""
+    n = kernel.width * kernel.height
+    raw = vec.bits.to_bytes((n + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
+                         bitorder="little")[:n].reshape(kernel.height, kernel.width)
+
+
 class TestTorusKernel:
     @pytest.mark.parametrize("w,h", [(3, 3), (3, 4), (4, 4), (3, 5), (4, 3), (5, 3)])
     def test_dimension_matches_enumeration(self, w, h):
         assert torus_kernel(SYS, w, h).dim == kernel_dimension_bruteforce(SYS, w, h)
+
+    @pytest.mark.parametrize("w,h", [(3, 3), (3, 4), (4, 3), (3, 5)])
+    def test_asymmetric_dimension_matches_enumeration(self, w, h):
+        system = AlgebraicSystem(CORNER)
+        assert torus_kernel(system, w, h).dim == kernel_dimension_bruteforce(system, w, h)
 
     def test_zero_configuration_always_present(self):
         k = torus_kernel(SYS, 6, 9)
         # The zero combination is in the span by construction; basis elements
         # must each satisfy the wrapped relations.
         for vec in k.basis:
-            n = k.width * k.height
-            raw = vec.bits.to_bytes((n + 7) // 8, "little")
-            grid = np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                                 bitorder="little")[:n].reshape(k.height, k.width)
-            assert grid_satisfies_pattern(SYS.pattern, grid)
+            assert grid_satisfies_pattern(SYS.pattern, _basis_grid(k, vec))
+
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    @pytest.mark.parametrize("w,h", [(9, 9), (12, 12), (6, 9), (15, 6)])
+    def test_basis_matches_per_bit_expansion(self, pattern, w, h):
+        # Asymmetric taps make a rotation in the wrong direction, or a row
+        # read from the wrong depth, show up as a different basis.
+        k = torus_kernel(AlgebraicSystem(pattern), w, h)
+        assert k.dim > 0
+        assert k.basis == reference_torus_basis(pattern, w, h)
+        for vec in k.basis:
+            assert grid_satisfies_pattern(pattern, _basis_grid(k, vec))
+
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    @pytest.mark.parametrize("w", [5, 8])
+    def test_transfer_matrix_matches_per_bit_step(self, pattern, w):
+        assert transfer_matrix(pattern, w) == reference_transfer_matrix(pattern, w)
 
     def test_transfer_matrix_size(self):
         t = transfer_matrix(LEDRAPPIER_PATTERN, 7)
