@@ -8,12 +8,15 @@ everywhere.  The Haar measure of a cylinder event is 2^(-r) where r is the
 rank of the constrained coordinate functionals on the group, or 0 when the
 prescribed bits violate a linear relation.
 
-Exact measures are computed by the window method: all relations among a site
-set are spanned by stencil translates supported in the dilated bounding box
-of the sites.  The implementation parameterizes the window restriction group
-by free boundary cells and propagates generator masks across the window,
-which yields the same relation space (finite duality between the translate
-span and the restriction group) at a fraction of the elimination cost.
+Exact measures come from one row-transfer kernel.  For a pattern with a
+single topmost cell, a configuration's rows obey a linear recurrence over
+GF(2)[x, x^-1] (characteristic polynomial chi(t) from the stencil taps), so
+Haar measure projects onto `depth` consecutive free rows as the uniform
+measure and the functional at site (a, b0+n) is x^a t^n mod chi(t), computed
+by square-and-multiply (Laurent-polynomial view of Ledrappier 1978 and of
+Schmidt, Dynamical Systems of Algebraic Origin, 1995).  Other patterns are
+sheared first so that one cell is topmost.  Relations among the sites come
+from one elimination of these masks, with no window and no scale limit.
 """
 
 from __future__ import annotations
@@ -32,12 +35,10 @@ from .rng import random_bits, substream
 
 Site = Union[int, tuple[int, int]]
 
-DEFAULT_WINDOW_CAP_CELLS = 512 * 512
-
-
-class WindowCapError(RuntimeError):
-    """Constellation exceeds the exact window; use Monte Carlo instead."""
-
+# Exact plane masks grow with the extent of a constellation, not with its
+# site count; past this many generator cells (8 MB per mask) it is refused
+# before any memory is taken.
+MAX_GENERATORS = 1 << 26
 
 class UnsupportedPatternError(RuntimeError):
     """The relation pattern does not admit the requested kernel algorithm."""
@@ -88,11 +89,10 @@ class AlgebraicSystem:
     """The Z^2 shift action on the group of pattern-harmonic configurations."""
 
     pattern: RelationPattern = LEDRAPPIER_PATTERN
-    window_cap_cells: int = DEFAULT_WINDOW_CAP_CELLS
 
 
-def ledrappier_system(window_cap_cells: int = DEFAULT_WINDOW_CAP_CELLS) -> AlgebraicSystem:
-    return AlgebraicSystem(LEDRAPPIER_PATTERN, window_cap_cells)
+def ledrappier_system() -> AlgebraicSystem:
+    return AlgebraicSystem(LEDRAPPIER_PATTERN)
 
 
 def site_add(site: Site, shift: Site) -> Site:
@@ -186,96 +186,107 @@ def merge_events(events: Sequence[CylinderConstraint],
 
 
 # ---------------------------------------------------------------------------
-# Window method
+# Exact plane functionals: the row-transfer kernel
+
+# _SPREAD[b] has bit 2i set for every bit i set in the byte b.
+_SPREAD = np.array([sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)],
+                   dtype="<u2")
+
+
+def _frobenius(p: int) -> int:
+    """p(x)^2 = p(x^2) over GF(2): coefficient bit i moves to bit 2i."""
+    raw = np.frombuffer(p.to_bytes((p.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return int.from_bytes(_SPREAD[raw].tobytes(), "little")
+
+
+def _u_power(n: int, depth: int, taps: Sequence[tuple[int, int]]) -> list[int]:
+    """Coefficients of u^0 .. u^(depth-1) in u^n mod chi, by square-and-multiply:
+    squaring is Frobenius, and reducing u^d, d >= depth, XORs one shifted
+    coefficient per tap (m, s) of u^depth = sum of x^s u^(depth-m)."""
+    def reduce(poly: list[int]) -> list[int]:
+        for d in range(len(poly) - 1, depth - 1, -1):
+            for m, s in taps:
+                poly[d - m] ^= poly[d] << s
+        return poly[:depth]
+
+    acc = reduce([1] + [0] * (depth - 1))
+    for bit in bin(n)[2:]:
+        square = [0] * max(2 * depth - 1, 0)
+        square[::2] = map(_frobenius, acc)
+        acc = reduce(square)
+        if bit == "1":
+            acc = reduce([0] + acc)
+    return acc
+
 
 def _window_masks(pattern: RelationPattern,
-                  sites: Sequence[tuple[int, int]],
-                  cap_cells: int) -> tuple[list[int], int]:
+                  sites: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
     """Generator masks of the coordinate functionals at `sites`.
 
-    The restriction of the configuration group to the dilated bounding box
-    is parameterized by free cells; every box cell carries the GF(2) mask of
-    free generators it depends on.  Returns (mask per site, generator count).
+    A pattern without a single topmost cell is sheared first by
+    (i, j) -> (i, j + m*i), m = row span + 1, an automorphism of Z^2 after
+    which the highest of its rightmost cells is the only topmost one.  The
+    generators are the cells of the `depth` free rows from the lowest site
+    row b0 up.  The functional at (a, b0+n) is x^a t^n mod chi(t), with
+    chi(t) = t^depth - sum of x^(pi-ti) t^(depth-tj+pj) over the stencil
+    cells other than the topmost (ti, tj); its t^k coefficient is free row
+    k's polynomial.  In u = x^e t every coefficient of chi is a polynomial,
+    and t^n = x^(-e n) u^n.  Block k of a mask holds row k, all sites'
+    row-k polynomials shifted alike to nonnegative exponents.  Returns
+    (mask per site, generator count).
     """
-    i_lo, i_hi = pattern.i_range
-    j_lo, j_hi = pattern.j_range
-    pad_i = i_hi - i_lo
-    pad_j = j_hi - j_lo
-    xs = [s[0] for s in sites]
-    ys = [s[1] for s in sites]
-    i0, i1 = min(xs) - pad_i, max(xs) + pad_i
-    j0, j1 = min(ys) - pad_j, max(ys) + pad_j
-    w = i1 - i0 + 1
-    h = j1 - j0 + 1
-    if w * h > cap_cells:
-        raise WindowCapError(
-            f"window {w}x{h} exceeds the cap of {cap_cells} cells; "
-            "use Monte Carlo (mc_cylinder_measure) or a dyadic constellation"
-        )
+    if not pattern.is_propagating():
+        j_lo, j_hi = pattern.j_range
+        shear = j_hi - j_lo + 1
+        pattern = RelationPattern(frozenset((i, j + shear * i) for i, j in pattern.support))
+        sites = [(i, j + shear * i) for i, j in sites]
     ti, tj = pattern.top_offset()
-    rest = sorted(self_p for self_p in pattern.support if self_p != (ti, tj))
-    sites_by_row: dict[int, list[tuple[int, int]]] = {}
-    for idx, (x, y) in enumerate(sites):
-        sites_by_row.setdefault(y, []).append((x, idx))
-    site_masks: list[int] = [0] * len(sites)
-    ledrappier = pattern == LEDRAPPIER_PATTERN
-
-    rows: dict[int, list[int]] = {}
-    gen = 0
-    depth = pad_j  # rows of look-back the stencil needs
-    for y in range(j0, j1 + 1):
-        if ledrappier and y >= j0 + 2 and w >= 3:
-            prev = rows[y - 1]
-            prev2 = rows[y - 2]
-            mid = [a ^ b ^ c ^ d for a, b, c, d in
-                   zip(prev2[1:-1], prev[:-2], prev[1:-1], prev[2:])]
-            row = [1 << gen] + mid + [1 << (gen + 1)]
-            gen += 2
-        else:
-            row = [0] * w
-            for x in range(i0, i1 + 1):
-                cells = [(x + pi - ti, y + pj - tj) for pi, pj in rest]
-                inside = all(i0 <= cx <= i1 and j0 <= cy <= j1 for cx, cy in cells)
-                if inside:
-                    m = 0
-                    for cx, cy in cells:
-                        m ^= row[cx - i0] if cy == y else rows[cy][cx - i0]
-                    row[x - i0] = m
-                else:
-                    row[x - i0] = 1 << gen
-                    gen += 1
-        rows[y] = row
-        for x, idx in sites_by_row.get(y, ()):
-            site_masks[idx] = row[x - i0]
-        stale = y - depth
-        if stale in rows:
-            del rows[stale]
-    return site_masks, gen
+    depth = tj - pattern.j_range[0]
+    rest = [(pi - ti, tj - pj) for pi, pj in pattern.support if (pi, pj) != (ti, tj)]
+    e = max([0] + [-(d // m) for d, m in rest])
+    taps = [(m, d + e * m) for d, m in rest]
+    a0 = min(a for a, _ in sites)
+    b0 = min(b for _, b in sites)
+    top = max(b for _, b in sites) - b0
+    # u^n has coefficients of degree at most n times the largest tap shift.
+    stride = max(a for a, _ in sites) - a0 + top * (e + max([0] + [s for _, s in taps])) + 1
+    if depth * stride > MAX_GENERATORS:
+        raise ValueError(f"constellation spans {depth * stride} generator cells, "
+                         f"more than {MAX_GENERATORS}")
+    powers: dict[int, list[int]] = {}
+    masks = []
+    for a, b in sites:
+        n = b - b0
+        if n not in powers:
+            powers[n] = _u_power(n, depth, taps)
+        base = a - a0 + e * (top - n)
+        masks.append(sum(c << (base + k * stride) for k, c in enumerate(powers[n])))
+    return masks, depth * stride
 
 
-def _site_matrix(masks: Sequence[int], n_gens: int) -> BitMatrix:
-    return BitMatrix(len(masks), n_gens, tuple(masks))
+def _relations(masks: Sequence[int]) -> list[int]:
+    """Basis of the site dependencies {v : XOR of masks[s] over v is 0}.
 
-
-def _mask_transpose(masks: Sequence[int], n_gens: int) -> BitMatrix:
-    cols = [0] * n_gens
+    Each mask is reduced against row pivots keyed by their lowest set bit,
+    carrying a tag of the sites it combines; a mask that reduces to 0 leaves
+    its tag.  That tag is its own site plus earlier independent sites, so
+    the basis is the reduced echelon form by highest bit, ascending: what
+    `gf2.nullspace` returns for the site matrix.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    found = []
     for s, m in enumerate(masks):
+        tag = 1 << s
         while m:
-            low = m & -m
-            cols[low.bit_length() - 1] |= 1 << s
-            m ^= low
-    return BitMatrix(n_gens, len(masks), tuple(cols))
-
-
-def _dyadic_scale(sites: Sequence[tuple[int, int]]) -> int:
-    """Largest k with all pairwise site differences divisible by 2^k."""
-    x0, y0 = sites[0]
-    k = 63
-    for x, y in sites[1:]:
-        for d in (x - x0, y - y0):
-            if d:
-                k = min(k, (d & -d).bit_length() - 1)
-    return 0 if len(sites) < 2 else k
+            low = (m & -m).bit_length()
+            if low not in pivots:
+                pivots[low] = (m, tag)
+                break
+            m ^= pivots[low][0]
+            tag ^= pivots[low][1]
+        else:
+            found.append(tag)
+    return found
 
 
 def _normalized_2d_sites(c: CylinderConstraint) -> list[tuple[int, int]]:
@@ -288,65 +299,39 @@ def _normalized_2d_sites(c: CylinderConstraint) -> list[tuple[int, int]]:
 
 
 def relation_space(system: AlgebraicSystem,
-                   sites: Sequence[tuple[int, int]],
-                   allow_dyadic: bool = False) -> list[BitVector]:
+                   sites: Sequence[tuple[int, int]]) -> list[BitVector]:
     """Basis of GF(2) dependencies among the coordinate functionals at
     `sites` that hold identically on the configuration group.
 
-    Vectors are indexed by the order of `sites`.
+    Vectors are indexed by the order of `sites`.  The basis is the reduced
+    echelon form by highest bit, ascending, of the dependencies among the
+    row-transfer masks (`_window_masks`), found in one elimination.
     """
     sites = [tuple(s) for s in sites]
     if len(set(sites)) != len(sites):
         raise ValueError("sites must be distinct")
     if not sites:
         return []
-    try:
-        masks, n_gens = _window_masks(system.pattern, sites, system.window_cap_cells)
-    except WindowCapError:
-        if not allow_dyadic:
-            raise
-        k = _dyadic_scale(sites)
-        if k < 1:
-            raise
-        x0, y0 = sites[0]
-        reduced = [((x - x0) >> k, (y - y0) >> k) for x, y in sites]
-        masks, n_gens = _window_masks(system.pattern, reduced, system.window_cap_cells)
-    return gf2.nullspace(_mask_transpose(masks, n_gens))
+    masks, _ = _window_masks(system.pattern, sites)
+    return [BitVector(len(sites), v) for v in _relations(masks)]
 
 
-def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint,
-                     allow_dyadic: bool = True) -> MeasureValue:
+def _measure_from_relations(relations: Sequence[BitVector], bits: Sequence[int]) -> MeasureValue:
+    b = BitVector.from_bits(bits).bits
+    if any((v.bits & b).bit_count() & 1 for v in relations):
+        return MeasureValue.of_exact(0, method="window")
+    return MeasureValue.of_exact(Fraction(1, 1 << (len(bits) - len(relations))), method="window")
+
+
+def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint) -> MeasureValue:
     """Exact Haar measure of the cylinder event prescribed by `c`.
 
-    Returns 2^(-r) with r the rank of the constrained coordinate functionals
-    on the group, or exactly 0 when the bits violate a relation.  Large
-    constellations whose pairwise differences share a power of two are
-    rescaled first (the stencil replicates at all dyadic scales); the result
-    is then flagged with meta["method"] == "dyadic".
+    With R the relations among the site functionals (`relation_space`), the
+    measure is 0 when some relation has odd parity on the bits and
+    2^-(k - |R|) otherwise, k the number of sites.  Exact at every scale;
+    meta["method"] is "window".
     """
-    sites = _normalized_2d_sites(c)
-    if not sites:
-        return MeasureValue.of_exact(1, method="window")
-    meta: dict = {"method": "window"}
-    try:
-        masks, n_gens = _window_masks(system.pattern, sites, system.window_cap_cells)
-    except WindowCapError:
-        if not allow_dyadic:
-            raise
-        k = _dyadic_scale(sites)
-        if k < 1:
-            raise
-        x0, y0 = sites[0]
-        reduced = [((x - x0) >> k, (y - y0) >> k) for x, y in sites]
-        masks, n_gens = _window_masks(system.pattern, reduced, system.window_cap_cells)
-        meta = {"method": "dyadic", "scale": 1 << k}
-    m = _site_matrix(masks, n_gens)
-    b = BitVector.from_bits(c.bits)
-    solution = gf2.solve_affine(m, b)
-    if solution is None:
-        return MeasureValue(exact=Fraction(0), meta=meta)
-    r = gf2.rank(m)
-    return MeasureValue(exact=Fraction(1, 1 << r), meta=meta)
+    return _measure_from_relations(relation_space(system, _normalized_2d_sites(c)), c.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -483,8 +468,7 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
     """Monte-Carlo estimate of the cylinder probability on the torus.
 
     Deterministic for a given seed: samples are drawn in fixed-size chunks
-    from substreams keyed by (seed, chunk index) and reduced in order, so
-    the result does not depend on worker count.
+    from substreams keyed by (seed, chunk index) and reduced in order.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -539,8 +523,7 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint,
     else:
         diam = 1
     size = max(min_size, 4 * diam)
-    masks, n_gens = _window_masks(system.pattern, sites or [(0, 0)], system.window_cap_cells)
-    plane_rank = gf2.rank(_site_matrix(masks, n_gens))
+    plane_rank = len(sites) - len(relation_space(system, sites))
     last = None
     for _ in range(max_tries):
         if size & (size - 1) == 0:  # pure power of two
@@ -599,21 +582,35 @@ def homoclinic_decay(b: CylinderConstraint, flip_site: int, n: int) -> MeasureVa
 # Correlation oracles
 
 class LedrappierOracle:
-    """Exact k-fold correlation oracle for an algebraic plane system."""
+    """Exact k-fold correlation oracle for an algebraic plane system.
 
-    def __init__(self, system: Optional[AlgebraicSystem] = None, allow_dyadic: bool = True):
+    Relations are kept per merged site tuple for the oracle's lifetime: a
+    joining tensor asks for the same sites once per cell combination.
+    """
+
+    def __init__(self, system: Optional[AlgebraicSystem] = None):
         self.system = system or ledrappier_system()
-        self.allow_dyadic = allow_dyadic
+        self._by_sites: dict[tuple, list[BitVector]] = {}
+
+    def _relation_space(self, sites: list[tuple[int, int]]) -> list[BitVector]:
+        key = tuple(sites)
+        rels = self._by_sites.get(key)
+        if rels is None:
+            rels = self._by_sites[key] = relation_space(self.system, sites)
+        return rels
+
+    def _measure(self, c: CylinderConstraint) -> MeasureValue:
+        return _measure_from_relations(self._relation_space(_normalized_2d_sites(c)), c.bits)
 
     def event_measure(self, event: CylinderConstraint) -> MeasureValue:
-        return cylinder_measure(self.system, event, self.allow_dyadic)
+        return self._measure(event)
 
     def intersection_measure(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> MeasureValue:
         merged = merge_events(events, shifts)
         if merged is None:
             return MeasureValue.of_exact(0, contradiction=True)
-        return cylinder_measure(self.system, merged, self.allow_dyadic)
+        return self._measure(merged)
 
     def relation_certificate(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> dict:
@@ -622,7 +619,7 @@ class LedrappierOracle:
         if merged is None:
             return {"sites": [], "relations": [], "contradiction": True}
         sites = _normalized_2d_sites(merged)
-        rels = relation_space(self.system, sites, allow_dyadic=True)
+        rels = self._relation_space(sites)
         return {
             "sites": [list(s) for s in sites],
             "relations": [v.to_list() for v in rels],

@@ -6,8 +6,8 @@ JSON artifacts), and derives all randomness from one explicit 64-bit seed.
 Re-running a command from its embedded config reproduces every artifact
 byte for byte (`mixlab replay`).
 
-Exit codes: 0 success, 2 validation error, 3 capability error (window cap
-exceeded, unsupported oracle request).
+Exit codes: 0 success, 2 validation error, 3 capability error (a pattern
+the torus kernel cannot step, an oracle that cannot evaluate a request).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .algebraic import (
     LedrappierOracle,
     RelationPattern,
     UnsupportedPatternError,
-    WindowCapError,
     cylinder_measure,
     default_torus_for,
     grid_to_json,
@@ -54,10 +53,10 @@ from .joinings import (
     Partition,
     chain_check,
     classify,
-    compose_P3,
     limit_joining,
     lower_order,
     markov_from_joining,
+    pair_compose,
     raise_order,
     uniform_partition,
 )
@@ -280,7 +279,7 @@ def cmd_joining(params: dict) -> int:
                 raise ValidationError("chain/raise need a 2-cell parity pipeline")
             p2 = markov_from_joining(base)
             if params.get("raise_order"):
-                raised, report = raise_order(compose_P3(p2))
+                raised, report = raise_order(pair_compose(p2))
                 artifacts["raised"] = raised.to_json()
                 artifacts["raised_report"] = report
             if params.get("chain"):
@@ -506,7 +505,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (WindowCapError, OracleCapabilityError, UnsupportedPatternError) as exc:
+    except (OracleCapabilityError, UnsupportedPatternError) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

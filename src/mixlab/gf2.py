@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-# Dimension cap: protects window-based measure algorithms from accidental
-# blowup.  Matrices this library is asked to build should stay far below it.
+# Dimension cap: protects the torus transfer matrices, whose size follows
+# the torus sizes given on the command line, from accidental blowup.
 MAX_DIM = 1 << 16
 
 

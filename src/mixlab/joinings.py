@@ -381,6 +381,7 @@ def averaging_operator(partition: Partition, source_order: int) -> MarkovOperato
 def pair_compose(p: LinearOperator) -> LinearOperator:
     """Operator of source order 2k-1 defined by pairing two copies of p:
     <P'(A_1 ... A_{2k-1}), A_{2k}> = <P(A_1...A_k), P(A_{k+1}...A_{2k})>.
+    It takes P2 to P3 and P3 to P5.
 
     The result need not be Markov: its rows sum to 1 only when the adjoint
     of p fixes the constants, as it does for an operator that comes from a
@@ -402,18 +403,6 @@ def pair_compose(p: LinearOperator) -> LinearOperator:
             row.append(acc / w[out_cell])
         rows.append(tuple(row))
     return LinearOperator(out_order, w, tuple(rows), exact=p.exact, tol=p.tol)
-
-
-def compose_P3(p2: LinearOperator) -> LinearOperator:
-    if p2.source_order != 2:
-        raise ValueError("compose_P3 needs a source-order-2 operator")
-    return pair_compose(p2)
-
-
-def compose_P5(p3: LinearOperator) -> LinearOperator:
-    if p3.source_order != 3:
-        raise ValueError("compose_P5 needs a source-order-3 operator")
-    return pair_compose(p3)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Deterministic seeded substreams.
 
 Every random quantity in the package is derived from one explicit 64-bit
-seed.  Parallel work uses independent substreams keyed by (seed, labels...)
-so results are reproducible bit-for-bit regardless of worker count.
+seed.  Independent pieces of work draw from substreams keyed by
+(seed, labels...), so results are reproducible bit for bit.
 """
 
 from __future__ import annotations

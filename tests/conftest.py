@@ -1,9 +1,10 @@
 """Shared independent oracles for the test suite.
 
 These deliberately avoid the library's fast paths: measures come from raw
-enumeration of window configurations, torus kernels from a per-bit row step
-and from exhaustive enumeration, cluster structure from breadth-first search
-in the universal cover.
+enumeration of window configurations, plane site functionals from the window
+method, torus kernels from a per-bit row step and from exhaustive
+enumeration, cluster structure from breadth-first search in the universal
+cover.
 """
 
 from __future__ import annotations
@@ -77,6 +78,42 @@ def enumeration_relations(support, sites):
         if ok:
             rels.append(coeffs)
     return rels
+
+
+def reference_window_masks(pattern, sites):
+    """Generator masks of the site functionals by the window method.
+
+    The restriction of the configuration group to the bounding box of the
+    sites, dilated by the pattern's extent, is parameterized by free cells:
+    in scan order (row by row, left to right) a cell whose stencil translate
+    with that cell on top fits in the box is solved from the translate, any
+    other cell is a new generator.  Returns (mask per site, generator count).
+    """
+    i_lo, i_hi = pattern.i_range
+    j_lo, j_hi = pattern.j_range
+    xs = [s[0] for s in sites]
+    ys = [s[1] for s in sites]
+    i0, i1 = min(xs) - (i_hi - i_lo), max(xs) + (i_hi - i_lo)
+    j0, j1 = min(ys) - (j_hi - j_lo), max(ys) + (j_hi - j_lo)
+    w = i1 - i0 + 1
+    ti, tj = pattern.top_offset()
+    rest = sorted(p for p in pattern.support if p != (ti, tj))
+    rows = {}
+    gen = 0
+    for y in range(j0, j1 + 1):
+        row = [0] * w
+        for x in range(i0, i1 + 1):
+            cells = [(x + pi - ti, y + pj - tj) for pi, pj in rest]
+            if all(i0 <= cx <= i1 and j0 <= cy <= j1 for cx, cy in cells):
+                m = 0
+                for cx, cy in cells:
+                    m ^= row[cx - i0] if cy == y else rows[cy][cx - i0]
+                row[x - i0] = m
+            else:
+                row[x - i0] = 1 << gen
+                gen += 1
+        rows[y] = row
+    return [rows[y][x - i0] for x, y in sites], gen
 
 
 def reference_next_row(pattern, w, history):

@@ -10,8 +10,8 @@ from mixlab.algebraic import (
     AlgebraicSystem,
     CylinderConstraint,
     LEDRAPPIER_PATTERN,
+    LedrappierOracle,
     RelationPattern,
-    WindowCapError,
     bernoulli_cylinder_measure,
     cylinder_measure,
     default_torus_for,
@@ -37,6 +37,7 @@ from conftest import (
     kernel_dimension_bruteforce,
     reference_torus_basis,
     reference_transfer_matrix,
+    reference_window_masks,
 )
 
 SYS = ledrappier_system()
@@ -73,17 +74,42 @@ class TestCylinderMeasure:
             assert mv.exact == Fraction(1, 16)
             assert mv.meta["method"] == "window"
 
-    def test_dyadic_path_beyond_cap(self):
-        s = 1 << 8
+    def test_non_dyadic_scale_3_to_9_exact(self):
+        s = 3 ** 9
         sites = ((0, 0), (s, 0), (-s, 0), (0, s), (0, -s))
+        assert relation_space(SYS, sites) == []  # rank 5
         mv = cylinder_measure(SYS, CylinderConstraint(sites, (0,) * 5))
-        assert mv.exact == Fraction(1, 16)
-        assert mv.meta == {"method": "dyadic", "scale": 256}
+        assert mv.exact == Fraction(1, 32)
+        assert mv.meta == {"method": "window"}
 
-    def test_window_cap_error_mentions_monte_carlo(self):
-        sites = ((0, 0), (600, 0), (0, 601))
-        with pytest.raises(WindowCapError, match="Monte Carlo"):
-            cylinder_measure(SYS, CylinderConstraint(sites, (0, 0, 0)))
+    def test_scale_10_to_5_exact(self):
+        s = 10 ** 5
+        sites = ((0, 0), (s, 0), (-s, 0), (0, s), (0, -s))
+        for bits in [(0,) * 5, (1, 0, 0, 0, 0)]:
+            mv = cylinder_measure(SYS, CylinderConstraint(sites, bits))
+            assert mv.is_exact and mv.exact == Fraction(1, 32)
+
+    def test_scale_2_to_20_single_relation(self):
+        s = 1 << 20
+        sites = ((0, 0), (s, 0), (-s, 0), (0, s), (0, -s))
+        assert [v.to_list() for v in relation_space(SYS, sites)] == [[1, 1, 1, 1, 1]]
+        assert cylinder_measure(SYS, CylinderConstraint(sites, (1, 0, 0, 0, 0))).exact == 0
+
+    def test_extent_past_generator_cap_refused(self):
+        s = 1 << 40
+        sites = ((0, 0), (s, 0), (-s, 0), (0, s), (0, -s))
+        with pytest.raises(ValueError, match="generator cells"):
+            cylinder_measure(SYS, CylinderConstraint(sites, (0,) * 5))
+
+    @pytest.mark.parametrize("s", [2, 256, 512, 4096])
+    def test_squared_pattern_has_no_dyadic_relation(self, s):
+        # (1+x+y)^2 = 1+x^2+y^2 replicates at every scale s = 2^k, k >= 1, so
+        # the three sites carry one relation.  Rescaling them to (0,0), (1,0),
+        # (0,1), where they are free (1/8), is valid only for square-free
+        # patterns.
+        system = AlgebraicSystem(RelationPattern(frozenset({(0, 0), (2, 0), (0, 2)})))
+        mv = cylinder_measure(system, CylinderConstraint(((0, 0), (s, 0), (0, s)), (0, 0, 0)))
+        assert mv.exact == Fraction(1, 4)
 
     def test_empty_constraint_has_full_measure(self):
         assert cylinder_measure(SYS, CylinderConstraint((), ())).exact == 1
@@ -148,6 +174,18 @@ class TestRelationSpace:
             assert [v.to_list() for v in via_window] == [v.to_list() for v in via_reduction]
 
 
+class TestLedrappierOracle:
+    def test_cached_relations_follow_site_order(self):
+        # The oracle keeps relations per site tuple; the same sites in another
+        # order must not reuse relations indexed by the first order.
+        oracle = LedrappierOracle()
+        sites = FIVE + ((5, 7),)
+        for order in (sites, sites[::-1]):
+            for bits in [(1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 0, 1)]:
+                c = CylinderConstraint(order, bits)
+                assert oracle.event_measure(c) == cylinder_measure(SYS, c)
+
+
 CORNER = RelationPattern(frozenset({(0, 0), (1, 0), (0, 1)}))
 KERNEL_PATTERNS = [
     LEDRAPPIER_PATTERN,
@@ -155,6 +193,67 @@ KERNEL_PATTERNS = [
     RelationPattern(frozenset({(0, 0), (2, 0), (-1, 1)})),
     RelationPattern(frozenset({(0, -2), (-2, 0), (1, 0), (0, 1)})),
 ]
+
+
+# Patterns without a single topmost cell, which the kernel shears first, and
+# the one-cell pattern, on which every coordinate functional is 0.
+CROSS_PATTERNS = KERNEL_PATTERNS + [
+    RelationPattern(frozenset({(0, 0), (1, 0), (0, -1)})),
+    RelationPattern(frozenset({(0, 0), (1, 0)})),
+    RelationPattern(frozenset({(0, 0), (2, 0), (1, 1), (0, 1)})),
+    RelationPattern(frozenset({(0, 0)})),
+]
+
+
+def _cross_sites(pattern, gen, trial):
+    """1-7 distinct sites in a box of side up to 40.  Two trials in three
+    start from a set that carries a relation: the support of q*P for a
+    random two-term q, or of the pattern dilated by 2^j (its 2^j-th power);
+    random sites fill up the rest."""
+    box = int(gen.integers(1, 41))
+    k = min(int(gen.integers(1, 8)), (box + 1) ** 2)
+    support = sorted(pattern.support)
+    if trial % 3 == 0:
+        seed_cells = []
+    elif trial % 3 == 1:
+        counts = {}
+        for _ in range(2):
+            qi, qj = (int(v) for v in gen.integers(-3, 4, size=2))
+            for pi, pj in support:
+                counts[(qi + pi, qj + pj)] = counts.get((qi + pi, qj + pj), 0) ^ 1
+        seed_cells = [c for c, odd in counts.items() if odd]
+    else:
+        scale = 1 << int(gen.integers(0, 4))
+        seed_cells = [(scale * pi, scale * pj) for pi, pj in support]
+    seed_cells = seed_cells[:7]
+    dx, dy = (int(v) for v in gen.integers(-20, 21, size=2))
+    sites = {(dx + i, dy + j) for i, j in seed_cells}
+    k = max(k, len(sites))
+    while len(sites) < k:
+        sites.add((dx + int(gen.integers(0, box + 1)), dy + int(gen.integers(0, box + 1))))
+    return sorted(sites, key=lambda _: float(gen.random()))
+
+
+class TestWindowMethodCrossCheck:
+    @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    def test_matches_window_method(self, pattern):
+        # Rank, consistency and the relation basis, bit for bit, against the
+        # window method.
+        system = AlgebraicSystem(pattern)
+        gen = substream(404, "window-cross", str(sorted(pattern.support)))
+        for trial in range(60):
+            sites = _cross_sites(pattern, gen, trial)
+            k = len(sites)
+            masks, n_gens = reference_window_masks(pattern, sites)
+            m = gf2.BitMatrix(k, n_gens, tuple(masks))
+            rels = relation_space(system, sites)
+            assert rels == gf2.nullspace(gf2.transpose(m))
+            assert k - len(rels) == gf2.rank(m)
+            for bits in [(0,) * k, tuple(int(b) for b in gen.integers(0, 2, size=k))]:
+                solvable = gf2.solve_affine(m, gf2.BitVector.from_bits(bits)) is not None
+                expected = Fraction(1, 1 << gf2.rank(m)) if solvable else 0
+                c = CylinderConstraint(tuple(sites), bits)
+                assert cylinder_measure(system, c).exact == expected
 
 
 def _basis_grid(kernel, vec):

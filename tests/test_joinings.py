@@ -21,8 +21,6 @@ from mixlab.joinings import (
     averaging_operator,
     chain_check,
     classify,
-    compose_P3,
-    compose_P5,
     diagonal_tensor,
     group_sum_tensor,
     intertwining_residual,
@@ -185,19 +183,19 @@ class TestMarkovFromJoining:
 class TestPairings:
     def test_averaging_composes_to_averaging(self):
         avg = averaging_operator(U2, 2)
-        p3 = compose_P3(avg)
+        p3 = pair_compose(avg)
         assert p3.matrix == averaging_operator(U2, 3).matrix
-        p5 = compose_P5(p3)
+        p5 = pair_compose(p3)
         assert p5.matrix == averaging_operator(U2, 5).matrix
 
     def test_parity_p3_nonzero_on_mean_zero(self):
-        p3 = compose_P3(markov_from_joining(parity_tensor(3)))
+        p3 = pair_compose(markov_from_joining(parity_tensor(3)))
         f = [SIGN[a] * SIGN[b] * SIGN[c] for a, b, c in _tensor_indices(2, 3)]
         assert p3.apply(f) == SIGN
 
     def test_p3_pairing_identity_100_random_quadruples(self):
         p2 = markov_from_joining(parity_tensor(3))
-        p3 = compose_P3(p2)
+        p3 = pair_compose(p2)
         gen = substream(41, "quadruples")
         for _ in range(100):
             a1, a2, a3, a4 = (int(x) for x in gen.integers(0, 2, size=4))
@@ -210,8 +208,8 @@ class TestPairings:
     def test_p3_p5_pairing_exhaustive_d3(self):
         q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
         p2 = markov_from_joining(group_sum_tensor(3, q))
-        p3 = compose_P3(p2)
-        p5 = compose_P5(p3)
+        p3 = pair_compose(p2)
+        p5 = pair_compose(p3)
         d = 3
         for cells in _tensor_indices(d, 4):
             lhs = p3.pair(_indicator(d, cells[3]), _tensor_indicator(d, cells[:3]))
@@ -285,7 +283,7 @@ class TestRaiseLower:
         assert report["normalized"] and report["nonnegative"]
 
     def test_parity_raises_to_order6_parity(self):
-        p3 = compose_P3(markov_from_joining(parity_tensor(3)))
+        p3 = pair_compose(markov_from_joining(parity_tensor(3)))
         t, report = raise_order(p3)
         assert t.entries == parity_tensor(6).entries
         assert report["class"] == "M(5,6)"
