@@ -19,8 +19,6 @@ import sys
 from fractions import Fraction
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import __version__, svg as svgmod
 from .algebraic import (
     AlgebraicSystem,
@@ -50,13 +48,13 @@ from .correlations import (
 )
 from .joinings import (
     JoiningTensor,
-    Partition,
     chain_check,
     classify,
     limit_joining,
     lower_order,
     markov_from_joining,
     pair_compose,
+    parity_tensor,
     raise_order,
     uniform_partition,
 )
@@ -66,12 +64,10 @@ from .rankone import (
     PRESETS,
     RankOneSpec,
     WordOracle,
-    full_level_set,
     generate_word,
     preset_spec,
     tower_heights,
 )
-from .rng import mix
 
 
 class ValidationError(ValueError):
@@ -273,7 +269,6 @@ def cmd_joining(params: dict) -> int:
             artifacts["lowered"] = lowered.to_json()
             artifacts["lowered_report"] = report
         if params.get("chain") or params.get("raise_order"):
-            from .joinings import parity_tensor
             base = parity_tensor(3) if tensor.dims == 2 else None
             if base is None:
                 raise ValidationError("chain/raise need a 2-cell parity pipeline")

@@ -59,14 +59,6 @@ class BitVector:
     def to_list(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
 
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if self.length != other.length:
-            raise ValueError("length mismatch")
-        return BitVector(self.length, self.bits ^ other.bits)
-
     def __str__(self) -> str:
         return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 

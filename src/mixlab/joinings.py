@@ -14,6 +14,10 @@ the top operator vanishes.  Order-raising builds an order-6 tensor from a
 source-3 operator; order-lowering contracts an order-(p+2) tensor with
 product (p+1)-marginals down to order 4.
 
+Every operation works on one numpy view, `array`: shape (d,)*order for a
+tensor and d x d**k for an operator, of dtype object holding Fractions when
+exact and float otherwise, so a single reduction or contraction serves both.
+
 Function spaces here are finite-dimensional cell-indicator spaces; only
 tensor-level properties (marginals, independence classes) are claimed for
 infinite systems, while full diagonal invariance is asserted only on finite
@@ -28,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -37,7 +42,13 @@ from .measure import format_fraction, parse_fraction
 
 Number = Union[Fraction, float]
 
-DEFAULT_FLOAT_TOL = 1e-9
+# Slack for estimated (float) tensors and operators; validation scales it by
+# the number of entries summed.
+FLOAT_TOL = 1e-9
+# Consecutive equal members after which a correlation family has stabilized.
+STABLE_MEMBERS = 3
+# Additive slack in the chain inequalities, for the float singular values.
+CHAIN_DELTA = 1e-9
 
 
 class JoiningError(ValueError):
@@ -83,18 +94,43 @@ def _indices(d: int, order: int):
     return itertools.product(range(d), repeat=order)
 
 
-def _ravel(idx: Sequence[int], d: int) -> int:
-    r = 0
-    for i in idx:
-        r = r * d + i
-    return r
+def _as_array(values, exact: bool) -> np.ndarray:
+    return np.array(values, dtype=object if exact else float)
 
 
-def _wprod(weights: Sequence[Fraction], idx: Sequence[int]) -> Fraction:
-    p = Fraction(1)
-    for i in idx:
-        p *= weights[i]
-    return p
+def _masses(x: Union["JoiningTensor", "LinearOperator"]) -> np.ndarray:
+    return _as_array(x.weights, x.exact)
+
+
+def _mass_grid(masses: np.ndarray, order: int) -> np.ndarray:
+    """Product masses w[i1] * ... * w[i_order] as a (d,)*order array."""
+    grid = masses
+    for _ in range(order - 1):
+        grid = np.multiply.outer(grid, masses)
+    return grid
+
+
+def _sum_to(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Sum out every axis not in `axes`; the kept axes come first, in the
+    order given."""
+    m = len(axes)
+    kept = np.moveaxis(a, list(axes), list(range(m)))
+    return kept.reshape(kept.shape[:m] + (-1,)).sum(axis=-1)
+
+
+def _differs(a, b, exact: bool, slack: float):
+    """Entrywise a != b: exactly, or by more than `slack` for estimates."""
+    return a != b if exact else abs(a - b) > slack
+
+
+def _close(a: np.ndarray, b: np.ndarray) -> bool:
+    """No entry differs: exactly when both are exact, within FLOAT_TOL
+    otherwise."""
+    return not _differs(a, b, a.dtype == object and b.dtype == object, FLOAT_TOL).any()
+
+
+def _rows(a: np.ndarray) -> tuple[tuple[Number, ...], ...]:
+    return tuple(map(tuple, a.tolist()))
 
 
 @dataclass(frozen=True)
@@ -107,41 +143,38 @@ class JoiningTensor:
     weights: tuple[Fraction, ...]
     entries: tuple[Number, ...]
     exact: bool = True
-    tol: float = DEFAULT_FLOAT_TOL
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The entries as a (dims,)*order array."""
+        return _as_array(self.entries, self.exact).reshape((self.dims,) * self.order)
 
     def __post_init__(self):
         if self.order < 1:
             raise JoiningError("tensor order must be at least 1")
-        if len(self.entries) != self.dims ** self.order:
+        if len(self.weights) != self.dims:
+            raise JoiningError("need one cell mass per cell")
+        n = len(self.entries)
+        if n != self.dims ** self.order:
             raise JoiningError("entry count does not match dims**order")
-        zero = 0 if self.exact else -self.tol
-        if any(e < zero for e in self.entries):
+        a = self.array
+        if (a < (0 if self.exact else -FLOAT_TOL)).any():
             raise JoiningError("tensor entries must be nonnegative")
-        total = sum(self.entries)
-        if self.exact:
-            if total != 1:
-                raise JoiningError(f"tensor mass is {total}, not 1")
-        elif abs(total - 1.0) > self.tol * len(self.entries):
-            raise JoiningError(f"tensor mass {total} deviates from 1")
+        total = a.sum()
+        if _differs(total, 1, self.exact, FLOAT_TOL * n):
+            raise JoiningError(f"tensor mass is {total}, not 1")
+        w = _masses(self)
         for axis in range(self.order):
-            marg = self.axis_marginal(axis)
-            for cell in range(self.dims):
-                if self.exact:
-                    if marg[cell] != self.weights[cell]:
-                        raise JoiningError(
-                            f"axis {axis} marginal {marg[cell]} != weight {self.weights[cell]}"
-                        )
-                elif abs(float(marg[cell]) - float(self.weights[cell])) > self.tol * len(self.entries):
-                    raise JoiningError("estimated marginal deviates from the cell masses")
+            marg = _sum_to(a, (axis,))
+            bad = np.flatnonzero(_differs(marg, w, self.exact, FLOAT_TOL * n))
+            if bad.size:
+                cell = bad[0]
+                raise JoiningError(
+                    f"axis {axis} marginal {marg[cell]} != weight {self.weights[cell]}"
+                )
 
     def entry(self, idx: Sequence[int]) -> Number:
-        return self.entries[_ravel(idx, self.dims)]
-
-    def axis_marginal(self, axis: int) -> list[Number]:
-        out = [Fraction(0) if self.exact else 0.0] * self.dims
-        for idx in _indices(self.dims, self.order):
-            out[idx[axis]] += self.entries[_ravel(idx, self.dims)]
-        return out
+        return self.array[tuple(idx)]
 
     def to_json(self) -> dict:
         if self.exact:
@@ -173,9 +206,8 @@ class JoiningTensor:
 
 
 def product_tensor(partition: Partition, order: int) -> JoiningTensor:
-    d = partition.cells
-    entries = tuple(_wprod(partition.weights, idx) for idx in _indices(d, order))
-    return JoiningTensor(order, d, partition.weights, entries)
+    grid = _mass_grid(_as_array(partition.weights, True), order)
+    return JoiningTensor(order, partition.cells, partition.weights, tuple(grid.ravel().tolist()))
 
 
 def parity_tensor(order: int) -> JoiningTensor:
@@ -207,7 +239,8 @@ def group_sum_tensor(d: int, q: Sequence[Fraction], order: int = 3) -> JoiningTe
 
 
 def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list[Number]]:
-    """Sum out the complementary axes; order = len(axes).
+    """Sum out the complementary axes; order = len(axes), axes kept in the
+    order given.
 
     A single kept axis returns the cell masses as a plain list.
     """
@@ -216,16 +249,11 @@ def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list
         raise ValueError("axes must be a nonempty proper subset")
     if len(set(axes)) != len(axes) or any(not 0 <= a < t.order for a in axes):
         raise ValueError("axes must be distinct and in range")
-    d = t.dims
-    m = len(axes)
-    zero = Fraction(0) if t.exact else 0.0
-    out = [zero] * (d ** m)
-    for idx in _indices(d, t.order):
-        sub = tuple(idx[a] for a in axes)
-        out[_ravel(sub, d)] += t.entries[_ravel(idx, d)]
-    if m == 1:
-        return out
-    return JoiningTensor(m, d, t.weights, tuple(out), exact=t.exact, tol=t.tol)
+    out = _sum_to(t.array, axes)
+    if len(axes) == 1:
+        return out.tolist()
+    return JoiningTensor(len(axes), t.dims, t.weights, tuple(out.ravel().tolist()),
+                         exact=t.exact)
 
 
 @dataclass(frozen=True)
@@ -249,34 +277,20 @@ class Classification:
         }
 
 
-def _tensors_close(a: JoiningTensor, b: JoiningTensor, tol: float) -> bool:
-    if a.exact and b.exact:
-        return a.entries == b.entries
-    return all(abs(float(x) - float(y)) <= tol for x, y in zip(a.entries, b.entries))
-
-
 def classify(t: JoiningTensor) -> Classification:
     """is_product plus the largest m with every m-marginal product."""
-    part = Partition(t.weights)
-    prod_full = product_tensor(part, t.order)
-    is_product = _tensors_close(t, prod_full, t.tol)
-    max_m = 1
+    Partition(t.weights)  # product masses need a genuine partition
+    a, w = t.array, _masses(t)
+    if _close(a, _mass_grid(w, t.order)):
+        return Classification(t.order, is_product=True, max_product_marginal_order=t.order)
+    max_m, grid = 1, w
     for m in range(2, t.order):
-        prod_m = product_tensor(part, m)
-        ok = True
-        for axes in itertools.combinations(range(t.order), m):
-            sub = marginal(t, axes)
-            if not _tensors_close(sub, prod_m, t.tol):
-                ok = False
-                break
-        if ok:
-            max_m = m
-        else:
+        grid = np.multiply.outer(grid, w)
+        if not all(_close(_sum_to(a, axes), grid)
+                   for axes in itertools.combinations(range(t.order), m)):
             break
-    if is_product:
-        max_m = t.order
-    return Classification(order=t.order, is_product=is_product,
-                          max_product_marginal_order=max_m)
+        max_m = m
+    return Classification(t.order, is_product=False, max_product_marginal_order=max_m)
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +305,15 @@ class LinearOperator:
     weights: tuple[Fraction, ...]
     matrix: tuple[tuple[Number, ...], ...]  # d rows, d**source_order columns
     exact: bool = True
-    tol: float = DEFAULT_FLOAT_TOL
 
     @property
     def dims(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        """The matrix as a d x d**source_order array."""
+        return _as_array(self.matrix, self.exact)
 
     def apply(self, tensor_function: Sequence[Number]) -> list[Number]:
         support = [(pos, f) for pos, f in enumerate(tensor_function) if f]
@@ -314,17 +332,10 @@ class LinearOperator:
         img = self.apply(tensor_function)
         return sum(w * g * y for w, g, y in zip(self.weights, out_function, img))
 
-    def adjoint_of(self, g: Sequence[Number]) -> list[Number]:
-        """P* g as a tensor function over d**source_order cells."""
-        d = self.dims
-        out = []
-        for pos, idx in enumerate(_indices(d, self.source_order)):
-            wj = _wprod(self.weights, idx)
-            out.append(sum(self.weights[i] * self.matrix[i][pos] * g[i] for i in range(d)) / wj)
-        return out
-
-    def dense(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.matrix], dtype=float)
+    def adjoint_of(self, g: Sequence[Number]) -> np.ndarray:
+        """P* g as a flat tensor function over d**source_order cells."""
+        w = _masses(self)
+        return (w * np.asarray(g)) @ self.array / _mass_grid(w, self.source_order).ravel()
 
 
 @dataclass(frozen=True)
@@ -336,18 +347,13 @@ class MarkovOperator(LinearOperator):
         if len(self.matrix) != d:
             raise ValueError("operator must have one row per cell")
         width = d ** self.source_order
-        zero = 0 if self.exact else -self.tol
-        for row in self.matrix:
-            if len(row) != width:
-                raise ValueError("row width must be dims**source_order")
-            if any(x < zero for x in row):
-                raise ValueError("operator entries must be nonnegative")
-            total = sum(row)
-            if self.exact:
-                if total != 1:
-                    raise ValueError("operator must preserve constants")
-            elif abs(total - 1.0) > self.tol * width:
-                raise ValueError("operator must preserve constants")
+        if any(len(row) != width for row in self.matrix):
+            raise ValueError("row width must be dims**source_order")
+        a = self.array
+        if (a < (0 if self.exact else -FLOAT_TOL)).any():
+            raise ValueError("operator entries must be nonnegative")
+        if _differs(a.sum(axis=1), 1, self.exact, FLOAT_TOL * width).any():
+            raise ValueError("operator must preserve constants")
 
 
 def markov_from_joining(t: JoiningTensor) -> MarkovOperator:
@@ -356,26 +362,22 @@ def markov_from_joining(t: JoiningTensor) -> MarkovOperator:
         raise ValueError("need a tensor of order at least 2")
     if any(w == 0 for w in t.weights):
         raise ValueError("degenerate cell masses")
-    d = t.dims
-    k = t.order - 1
-    rows = []
-    for i in range(d):
-        row = []
-        for idx in _indices(d, k):
-            row.append(t.entry((i,) + idx) / t.weights[i])
-        rows.append(tuple(row))
-    return MarkovOperator(source_order=k, weights=t.weights, matrix=tuple(rows),
-                          exact=t.exact, tol=t.tol)
+    rows = t.array.reshape(t.dims, -1) / _masses(t)[:, None]
+    return MarkovOperator(source_order=t.order - 1, weights=t.weights, matrix=_rows(rows),
+                          exact=t.exact)
 
 
 def averaging_operator(partition: Partition, source_order: int) -> MarkovOperator:
     """P(f1 x ... x fk) = (integral f1)...(integral fk) * constant."""
-    d = partition.cells
-    rows = []
-    for _ in range(d):
-        rows.append(tuple(_wprod(partition.weights, idx)
-                          for idx in _indices(d, source_order)))
-    return MarkovOperator(source_order, partition.weights, tuple(rows))
+    row = tuple(_mass_grid(_as_array(partition.weights, True), source_order).ravel().tolist())
+    return MarkovOperator(source_order, partition.weights, (row,) * partition.cells)
+
+
+def _pairing(p: LinearOperator) -> np.ndarray:
+    """<P(e_a), P(e_b)> for every pair of source cell tuples a, b:
+    a d**k x d**k array."""
+    m = p.array
+    return (_masses(p)[:, None] * m).T @ m
 
 
 def pair_compose(p: LinearOperator) -> LinearOperator:
@@ -386,23 +388,12 @@ def pair_compose(p: LinearOperator) -> LinearOperator:
     The result need not be Markov: its rows sum to 1 only when the adjoint
     of p fixes the constants, as it does for an operator that comes from a
     joining.  Nothing is validated; the pairing identity is algebraic."""
-    d = p.dims
-    k = p.source_order
-    w = p.weights
-    out_order = 2 * k - 1
-    columns = list(_indices(d, k))
-    col_pos = {idx: pos for pos, idx in enumerate(columns)}
-    rows = []
-    for out_cell in range(d):
-        row = []
-        for idx in _indices(d, out_order):
-            left = idx[:k]
-            right = idx[k:] + (out_cell,)
-            acc = sum(w[i] * p.matrix[i][col_pos[left]] * p.matrix[i][col_pos[right]]
-                      for i in range(d))
-            row.append(acc / w[out_cell])
-        rows.append(tuple(row))
-    return LinearOperator(out_order, w, tuple(rows), exact=p.exact, tol=p.tol)
+    d, k = p.dims, p.source_order
+    # Split the right-hand tuple into A_{k+1}...A_{2k-1} and the output cell
+    # A_{2k}, which becomes the row.
+    paired = _pairing(p).reshape(d ** k, d ** (k - 1), d)
+    rows = np.moveaxis(paired, 2, 0).reshape(d, -1) / _masses(p)[:, None]
+    return LinearOperator(2 * k - 1, p.weights, _rows(rows), exact=p.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +422,12 @@ def _mean_zero_onb(weights: Sequence[Fraction]) -> np.ndarray:
 
 def mean_zero_restricted_norm(p: LinearOperator) -> float:
     """Operator norm of p restricted to the mean-zero tensor subspace."""
-    d = p.dims
     u1 = _mean_zero_onb(p.weights)
     u = u1
     for _ in range(p.source_order - 1):
         u = np.kron(u, u1)
     w_out = np.sqrt(np.array([float(x) for x in p.weights]))
-    m = (w_out[:, None] * p.dense()) @ u
+    m = (w_out[:, None] * p.array.astype(float)) @ u
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -446,24 +436,15 @@ def mean_zero_restricted_norm(p: LinearOperator) -> float:
 def adjoint_maps_mean_zero(p: LinearOperator) -> bool:
     """Exact check that P* sends mean-zero functions into tensors all of
     whose one-axis partial integrals vanish."""
-    d = p.dims
-    k = p.source_order
+    d, k = p.dims, p.source_order
+    w = _masses(p)
     for m in range(d - 1):
-        g = [Fraction(0)] * d
-        g[m] = Fraction(1)
-        mean = sum(p.weights[i] * g[i] for i in range(d))
-        g = [x - mean for x in g]
-        img = p.adjoint_of(g)
+        g = [int(i == m) - p.weights[m] for i in range(d)]  # e_m minus its integral
+        img = p.adjoint_of(g).reshape((d,) * k)
         for axis in range(k):
-            for rest in _indices(d, k - 1):
-                total = Fraction(0) if p.exact else 0.0
-                for ja in range(d):
-                    idx = rest[:axis] + (ja,) + rest[axis:]
-                    total += p.weights[ja] * img[_ravel(idx, d)]
-                if p.exact and total != 0:
-                    return False
-                if not p.exact and abs(float(total)) > p.tol * d ** k:
-                    return False
+            partial = np.moveaxis(img, axis, -1) @ w
+            if _differs(partial, 0, p.exact, FLOAT_TOL * d ** k).any():
+                return False
     return True
 
 
@@ -477,7 +458,6 @@ class ChainReport:
     norm_p5: float
     constant_p2: float
     constant_p3: float
-    delta: float
 
     def to_json(self) -> dict:
         return {
@@ -488,17 +468,17 @@ class ChainReport:
                 "p2_sq_le_c_p3": self.holds_p2(),
                 "p3_sq_le_c_p5": self.holds_p3(),
             },
-            "delta": self.delta,
+            "delta": CHAIN_DELTA,
         }
 
     def holds_p2(self) -> bool:
-        return self.norm_p2 ** 2 <= self.constant_p2 * self.norm_p3 + self.delta
+        return self.norm_p2 ** 2 <= self.constant_p2 * self.norm_p3 + CHAIN_DELTA
 
     def holds_p3(self) -> bool:
-        return self.norm_p3 ** 2 <= self.constant_p3 * self.norm_p5 + self.delta
+        return self.norm_p3 ** 2 <= self.constant_p3 * self.norm_p5 + CHAIN_DELTA
 
 
-def chain_check(p2: LinearOperator, delta: float = 1e-9) -> ChainReport:
+def chain_check(p2: LinearOperator) -> ChainReport:
     """Norms of P5, P3, P2 on mean-zero tensor subspaces and the chain
     ||P3|H3||^2 <= c3 ||P5|H5|| and ||P2|H2||^2 <= c2 ||P3|H3||.
 
@@ -517,7 +497,7 @@ def chain_check(p2: LinearOperator, delta: float = 1e-9) -> ChainReport:
     n5 = mean_zero_restricted_norm(p5)
     return ChainReport(dims=d, norm_p2=n2, norm_p3=n3, norm_p5=n5,
                        constant_p2=float((d - 1) ** 2),
-                       constant_p3=float((d - 1) ** 3), delta=delta)
+                       constant_p3=float((d - 1) ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -536,16 +516,16 @@ def tensor_report(t: JoiningTensor, product_marginal_order: int) -> dict:
     }
 
 
-def _build_joining(order: int, d: int, weights, entries, exact: bool, tol: float,
+def _build_joining(order: int, weights, values: np.ndarray, exact: bool,
                    what: str) -> JoiningTensor:
-    zero = 0 if exact else -tol
-    bad = [i for i, e in enumerate(entries) if e < zero]
-    if bad:
+    bad = np.flatnonzero(values < (0 if exact else -FLOAT_TOL))
+    if bad.size:
         raise JoiningDiagnosticError(
-            f"{what} produced negative entries at positions {bad[:5]}; "
+            f"{what} produced negative entries at positions {bad[:5].tolist()}; "
             "the source operator does not come from a joining"
         )
-    return JoiningTensor(order, d, weights, tuple(entries), exact=exact, tol=tol)
+    return JoiningTensor(order, len(weights), weights, tuple(values.ravel().tolist()),
+                         exact=exact)
 
 
 def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
@@ -557,17 +537,7 @@ def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
     """
     if p3.source_order != 3:
         raise ValueError("raise_order needs a source-order-3 operator")
-    d = p3.dims
-    w = p3.weights
-    columns = list(_indices(d, 3))
-    col_pos = {idx: pos for pos, idx in enumerate(columns)}
-    entries = []
-    for idx in _indices(d, 6):
-        left = idx[:3]
-        right = idx[3:]
-        entries.append(sum(w[i] * p3.matrix[i][col_pos[left]] * p3.matrix[i][col_pos[right]]
-                           for i in range(d)))
-    t = _build_joining(6, d, w, entries, p3.exact, p3.tol, "raise_order")
+    t = _build_joining(6, p3.weights, _pairing(p3), p3.exact, "raise_order")
     return t, tensor_report(t, 5)
 
 
@@ -586,13 +556,9 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
             f"tensor of class {cls.label} lacks product {p + 1}-marginals"
         )
     d = t.dims
-    entries = []
-    for a1, a2, b1, b2 in _indices(d, 4):
-        acc = Fraction(0) if t.exact else 0.0
-        for rest in _indices(d, p):
-            acc += t.entry((a1, a2) + rest) * t.entry((b1, b2) + rest) / _wprod(t.weights, rest)
-        entries.append(acc)
-    out = _build_joining(4, d, t.weights, entries, t.exact, t.tol, "lower_order")
+    flat = t.array.reshape(d * d, d ** p)
+    paired = (flat / _mass_grid(_masses(t), p).ravel()) @ flat.T
+    out = _build_joining(4, t.weights, paired, t.exact, "lower_order")
     return out, tensor_report(out, 3)
 
 
@@ -660,24 +626,15 @@ def intertwining_residual(system: FinitePermutationSystem, p2: LinearOperator) -
     part = system.partition()
     if part.weights != p2.weights:
         raise ValueError("operator masses do not match the partition")
-    tmat = system.koopman_cell_matrix()
-    d = part.cells
-    columns = list(_indices(d, 2))
-    col_pos = {idx: pos for pos, idx in enumerate(columns)}
-    # T P2
-    left = [[sum(tmat[i][m] * p2.matrix[m][c] for m in range(d))
-             for c in range(d * d)] for i in range(d)]
-    # P2 (T x T)
-    right = [[sum(p2.matrix[i][col_pos[(m1, m2)]] * tmat[m1][j1] * tmat[m2][j2]
-                  for m1 in range(d) for m2 in range(d))
-              for (j1, j2) in columns] for i in range(d)]
-    residual = [[left[i][c] - right[i][c] for c in range(d * d)] for i in range(d)]
-    if all(x == 0 for row in residual for x in row):
+    tmat = np.array(system.koopman_cell_matrix(), dtype=object)
+    m = p2.array
+    residual = tmat @ m - m @ np.kron(tmat, tmat)
+    if (residual == 0).all():
         return 0.0
-    w_out = np.sqrt(np.array([float(x) for x in part.weights]))
-    w_in = np.sqrt(np.array([float(_wprod(part.weights, idx)) for idx in columns]))
-    dense = np.array([[float(x) for x in row] for row in residual])
-    scaled = w_out[:, None] * dense / w_in[None, :]
+    w = _as_array(part.weights, True)
+    w_out = np.sqrt(w.astype(float))
+    w_in = np.sqrt(_mass_grid(w, 2).ravel().astype(float))
+    scaled = w_out[:, None] * residual.astype(float) / w_in[None, :]
     return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
@@ -686,12 +643,12 @@ def intertwining_residual(system: FinitePermutationSystem, p2: LinearOperator) -
 
 def limit_joining(oracle: CorrelationOracle, partition: Partition,
                   cell_events: Sequence, family: Iterable[Sequence],
-                  order: int, stable: int = 3, tol: float = DEFAULT_FLOAT_TOL) -> JoiningTensor:
+                  order: int) -> JoiningTensor:
     """Tensor of limiting intersection measures over all cell combinations.
 
     Walks the shift family, recomputing the full tensor per member; returns
-    once `stable` consecutive members agree (exactly for exact oracles,
-    within `tol` otherwise).  Every member is validated as a joining, since
+    once `STABLE_MEMBERS` consecutive members agree (exactly for exact
+    oracles, within `FLOAT_TOL` otherwise).  Every member is validated as a joining, since
     the correlations of a partition at any fixed shifts form one; an oracle
     that yields anything else raises `JoiningError` at that member.
     `NonStabilizingError`, carrying the observed trace, is raised only when
@@ -718,15 +675,14 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
             else:
                 exact = False
                 entries.append(mv.as_float())
-        tensor = JoiningTensor(order, d, partition.weights, tuple(entries),
-                               exact=exact, tol=tol)
-        if trace and _tensors_close(trace[-1], tensor, tol):
+        tensor = JoiningTensor(order, d, partition.weights, tuple(entries), exact=exact)
+        if trace and _close(trace[-1].array, tensor.array):
             run += 1
         else:
             run = 1
         trace.append(tensor)
-        if run >= stable:
+        if run >= STABLE_MEMBERS:
             return tensor
     raise NonStabilizingError(
         f"correlation family did not stabilize ({run} consecutive matches, "
-        f"needed {stable})", trace)
+        f"needed {STABLE_MEMBERS})", trace)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
+from typing import Sequence
 
 import numpy as np
 
@@ -114,10 +114,6 @@ class SymbolicWord:
     def length(self) -> int:
         return int(self.symbols.shape[0])
 
-    def level_counts(self) -> dict[int, int]:
-        vals, counts = np.unique(self.symbols, return_counts=True)
-        return {int(v): int(c) for v, c in zip(vals, counts)}
-
     def to_rle_json(self) -> dict:
         runs: list[list[int]] = []
         sym = self.symbols
@@ -160,25 +156,17 @@ def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWor
     return SymbolicWord(stage=stage, height=h_k, symbols=block[:max_length].copy())
 
 
-LevelSet = frozenset
-
-def full_level_set(word: SymbolicWord) -> frozenset:
-    return frozenset(range(word.height)) | {SPACER}
-
-
 def _indicator(word: SymbolicWord, levels: frozenset) -> np.ndarray:
     return np.isin(word.symbols, np.array(sorted(levels), dtype=np.int32))
 
 
-def _block_bootstrap_stderr(ind: np.ndarray, seed: int, replicates: int = 64,
-                            block: Optional[int] = None) -> float:
-    """Moving-block bootstrap standard error of the mean of a 0/1 series."""
+def _block_bootstrap_stderr(ind: np.ndarray, seed: int) -> float:
+    """Moving-block bootstrap standard error of the mean of a 0/1 series:
+    64 replicates of blocks of max(32, sqrt(m)) symbols."""
     m = ind.shape[0]
     if m < 4:
         return 0.5
-    if block is None:
-        block = max(32, int(math.isqrt(m)))
-    block = min(block, m)
+    block = min(max(32, int(math.isqrt(m))), m)
     nblocks = m // block
     if nblocks < 2:
         return float(ind.std() / math.sqrt(m))
@@ -186,40 +174,12 @@ def _block_bootstrap_stderr(ind: np.ndarray, seed: int, replicates: int = 64,
     csum = np.concatenate([[0], np.cumsum(ind, dtype=np.int64)])
     starts_max = m - block
     gen = substream(seed, "bootstrap", m, block)
-    means = np.empty(replicates)
-    for r in range(replicates):
+    means = np.empty(64)
+    for r in range(len(means)):
         starts = gen.integers(0, starts_max + 1, size=nblocks)
         total = int(np.sum(csum[starts + block] - csum[starts]))
         means[r] = total / (nblocks * block)
     return float(means.std(ddof=1))
-
-
-def word_correlation(word: SymbolicWord, a: frozenset, b: frozenset, c: frozenset,
-                     z: int, w: int, seed: int = 0) -> MeasureValue:
-    """Birkhoff frequency of positions i with word[i] in A, word[i+z] in B,
-    word[i+w] in C; standard error via moving-block bootstrap."""
-    if z < 0 or w < 0:
-        raise ValueError("shifts must be nonnegative")
-    n = word.length
-    m = n - max(z, w)
-    if m < 1:
-        raise ValueError(f"shifts ({z}, {w}) too large for word length {n}")
-    conj = (_indicator(word, a)[:m]
-            & _indicator(word, b)[z:z + m]
-            & _indicator(word, c)[w:w + m])
-    count = int(np.count_nonzero(conj))
-    p = count / m
-    if count == 0 or count == m:
-        stderr = 0.0
-    else:
-        stderr = _block_bootstrap_stderr(conj, seed)
-    return MeasureValue.of_estimate(p, stderr, m, z=z, w=w)
-
-
-def pair_correlation(word: SymbolicWord, a: frozenset, b: frozenset, z: int,
-                     seed: int = 0) -> MeasureValue:
-    """Pair correlation as the degenerate triple with the full third event."""
-    return word_correlation(word, a, b, full_level_set(word), z, z, seed=seed)
 
 
 class WordOracle:

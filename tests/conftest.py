@@ -4,11 +4,12 @@ These deliberately avoid the library's fast paths: measures come from raw
 enumeration of window configurations, plane site functionals from the window
 method, torus kernels from a per-bit row step and from exhaustive
 enumeration, cluster structure from breadth-first search in the universal
-cover.
+cover, and the joining calculus from explicit index loops over Fractions.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from fractions import Fraction
 
@@ -242,6 +243,77 @@ def partitions_equal(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
         if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
             return False
     return True
+
+
+def _ravel(idx, d):
+    r = 0
+    for i in idx:
+        r = r * d + i
+    return r
+
+
+def _wprod(weights, idx):
+    p = Fraction(1)
+    for i in idx:
+        p *= weights[i]
+    return p
+
+
+def reference_marginal(t, axes):
+    """Flat entries of the marginal of joining tensor `t` on `axes`, kept in
+    the order given, one tensor entry at a time."""
+    d = t.dims
+    out = [Fraction(0) if t.exact else 0.0] * (d ** len(axes))
+    for idx in itertools.product(range(d), repeat=t.order):
+        out[_ravel([idx[a] for a in axes], d)] += t.entries[_ravel(idx, d)]
+    return out
+
+
+def reference_pair_compose(p):
+    """Matrix of the operator of source order 2k-1 that pairs two copies of
+    `p`, one entry at a time: row `out`, column A_1..A_{2k-1} holds
+    sum_i w_i p[i][A_1..A_k] p[i][A_{k+1}..A_{2k-1} out] / w_out."""
+    d = p.dims
+    k = p.source_order
+    w = p.weights
+    rows = []
+    for out_cell in range(d):
+        row = []
+        for idx in itertools.product(range(d), repeat=2 * k - 1):
+            left = _ravel(idx[:k], d)
+            right = _ravel(idx[k:] + (out_cell,), d)
+            acc = sum(w[i] * p.matrix[i][left] * p.matrix[i][right] for i in range(d))
+            row.append(acc / w[out_cell])
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def reference_raise_order(p3):
+    """Flat entries of nu(A1..A6) = <P3(A1 A2 A3), P3(A4 A5 A6)>."""
+    d = p3.dims
+    w = p3.weights
+    entries = []
+    for idx in itertools.product(range(d), repeat=6):
+        left = _ravel(idx[:3], d)
+        right = _ravel(idx[3:], d)
+        entries.append(sum(w[i] * p3.matrix[i][left] * p3.matrix[i][right]
+                           for i in range(d)))
+    return entries
+
+
+def reference_lower_order(t):
+    """Flat entries of nu2(a1, a2, b1, b2) = sum over the remaining p cells B
+    of nu(a1, a2, B) nu(b1, b2, B) / w_B."""
+    d = t.dims
+    p = t.order - 2
+    entries = []
+    for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
+        acc = Fraction(0) if t.exact else 0.0
+        for rest in itertools.product(range(d), repeat=p):
+            acc += (t.entries[_ravel((a1, a2) + rest, d)]
+                    * t.entries[_ravel((b1, b2) + rest, d)] / _wprod(t.weights, rest))
+        entries.append(acc)
+    return entries
 
 
 @pytest.fixture(scope="session")

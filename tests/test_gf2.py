@@ -164,5 +164,5 @@ def test_bitvector_validation():
         BitVector(2, 0b100)
     with pytest.raises(ValueError):
         BitVector(-1, 0)
-    assert BitVector.from_bits([1, 0, 1]).weight() == 2
+    assert BitVector.from_bits([1, 0, 1]).bits == 0b101
     assert str(BitVector.from_bits([1, 1, 0, 1])) == "1101"

@@ -1,13 +1,22 @@
 """Joining tensors and the Markov operator calculus."""
 
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
+from conftest import (
+    reference_lower_order,
+    reference_marginal,
+    reference_pair_compose,
+    reference_raise_order,
+)
 
 from mixlab.algebraic import CylinderConstraint, LedrappierOracle
 from mixlab.correlations import dyadic_family
 from mixlab.joinings import (
+    FLOAT_TOL,
+    STABLE_MEMBERS,
     ChainReport,
     Classification,
     FinitePermutationSystem,
@@ -76,6 +85,9 @@ class TestTensors:
         # wrong mass
         with pytest.raises(JoiningError):
             JoiningTensor(2, 2, U2.weights, (Fraction(1, 4),) * 3 + (Fraction(1, 2),))
+        # one cell mass for two cells
+        with pytest.raises(JoiningError, match="one cell mass per cell"):
+            JoiningTensor(2, 2, (Fraction(1),), (Fraction(1, 4),) * 4)
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
@@ -175,7 +187,6 @@ class TestMarkovFromJoining:
         object.__setattr__(broken, "weights", (Fraction(0), Fraction(1)))
         object.__setattr__(broken, "entries", t.entries)
         object.__setattr__(broken, "exact", True)
-        object.__setattr__(broken, "tol", 1e-9)
         with pytest.raises(ValueError):
             markov_from_joining(broken)
 
@@ -434,3 +445,166 @@ class TestLimitJoining:
         with pytest.raises(JoiningError, match="mass is 5/4"):
             limit_joining(MassiveOracle(), U2, cells,
                           [(0, s, 2 * s) for s in range(1, 8)], order=3)
+
+
+def _random_q(gen, d):
+    raw = [int(x) for x in gen.integers(1, 13, size=d)]
+    return [Fraction(r, sum(raw)) for r in raw]
+
+
+def _twisted_group_sum(gen, d, order):
+    """nu(i) = q[(c . i) mod d] / d^(order-1) for a random probability vector
+    q and random units c mod d: every (order-1)-marginal is uniform, and for
+    d > 2 the axes are not interchangeable."""
+    q = _random_q(gen, d)
+    units = [c for c in range(1, d) if math.gcd(c, d) == 1]
+    coeffs = [units[int(x)] for x in gen.integers(0, len(units), size=order)]
+    entries = tuple(q[sum(c * i for c, i in zip(coeffs, idx)) % d] / d ** (order - 1)
+                    for idx in _tensor_indices(d, order))
+    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
+
+
+def _graph_mixture(gen, d, order):
+    """Convex combination of a twisted group-sum tensor and two graph
+    joinings {(i, s_1(i), ..., s_{order-1}(i))} of random permutations s:
+    uniform marginals, and marginals that depend on the order of the axes."""
+    parts = [_twisted_group_sum(gen, d, order).entries]
+    for _ in range(2):
+        perms = [list(range(d))] + [[int(x) for x in gen.permutation(d)]
+                                    for _ in range(order - 1)]
+        parts.append(tuple(Fraction(1, d) if all(i == s[idx[0]] for i, s in zip(idx, perms))
+                           else Fraction(0) for idx in _tensor_indices(d, order)))
+    c1, c2 = (Fraction(int(x), 16) for x in gen.integers(1, 8, size=2))
+    entries = tuple((1 - c1 - c2) * a + c1 * b + c2 * c for a, b, c in zip(*parts))
+    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
+
+
+def _random_stochastic(gen, d):
+    """Row-stochastic source-order-2 operator with random cell masses."""
+    raw = gen.integers(1, 9, size=(d, d * d))
+    rows = tuple(tuple(Fraction(int(x), int(row.sum())) for x in row) for row in raw)
+    masses = [int(x) for x in gen.integers(1, 5, size=d)]
+    return MarkovOperator(2, tuple(Fraction(m, sum(masses)) for m in masses), rows)
+
+
+SHAPES = [(d, order) for d in (2, 3, 4) for order in (3, 4, 5, 6)]
+
+
+class TestContractionsMatchLoops:
+    """Each contraction equals its index-loop oracle exactly."""
+
+    @pytest.mark.parametrize("d,order", SHAPES)
+    def test_marginal_every_axes_tuple(self, d, order):
+        t = _graph_mixture(substream(d * 10 + order, "marginal"), d, order)
+        if order < 6:
+            tuples = [axes for m in range(1, order)
+                      for axes in itertools.permutations(range(order), m)]
+        else:
+            # every axes set, ascending and descending, keeps order 6 fast
+            combos = [c for m in range(1, order) for c in itertools.combinations(range(order), m)]
+            tuples = combos + [c[::-1] for c in combos if len(c) > 1]
+        for axes in tuples:
+            got = marginal(t, axes)
+            assert (got if len(axes) == 1 else list(got.entries)) == reference_marginal(t, axes), axes
+
+    @pytest.mark.parametrize("d,order", SHAPES)
+    def test_lower_order_group_sum(self, d, order):
+        t = _twisted_group_sum(substream(d * 10 + order, "lower"), d, order)
+        lowered, _ = lower_order(t)
+        assert lowered.entries == tuple(reference_lower_order(t))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_pair_compose_random_stochastic(self, d):
+        gen = substream(d, "pair-compose")
+        for _ in range(3):
+            p2 = _random_stochastic(gen, d)
+            p3 = pair_compose(p2)
+            assert p3.matrix == reference_pair_compose(p2)
+            assert pair_compose(p3).matrix == reference_pair_compose(p3)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_raise_order_from_joining(self, d):
+        p3 = pair_compose(markov_from_joining(_graph_mixture(substream(d, "raise"), d, 3)))
+        raised, _ = raise_order(p3)
+        assert raised.entries == tuple(reference_raise_order(p3))
+
+
+def _estimated(t):
+    """`t` read back from JSON as an estimated (float) tensor."""
+    obj = t.to_json()
+    obj.update(exact=False, entries=[float(e) for e in t.entries])
+    return JoiningTensor.from_json(obj)
+
+
+def _assert_near(floats, exact):
+    assert len(floats) == len(exact)
+    assert all(abs(x - float(y)) <= FLOAT_TOL for x, y in zip(floats, exact))
+
+
+class TestFloatPath:
+    """Estimated tensors give the exact path's results as floats."""
+
+    def test_json_estimate_matches_exact(self):
+        t = _twisted_group_sum(substream(7, "float"), 3, 5)
+        f = _estimated(t)
+        assert not f.exact and f.array.dtype == float
+        assert classify(f) == classify(t)
+        for axes in [(1,), (2, 0), (4, 1, 3), (0, 1, 2, 3)]:
+            got, want = marginal(f, axes), marginal(t, axes)
+            if len(axes) == 1:
+                _assert_near(got, want)
+            else:
+                assert not got.exact
+                _assert_near(got.entries, want.entries)
+        (lf, rf), (lt, rt) = lower_order(f), lower_order(t)
+        assert not lf.exact
+        _assert_near(lf.entries, lt.entries)
+        assert rf == rt
+
+    @pytest.mark.parametrize("t", [parity_tensor(3),
+                                   group_sum_tensor(3, (Fraction(1, 2), Fraction(1, 3),
+                                                        Fraction(1, 6)))])
+    def test_chain_on_estimate_matches_exact(self, t):
+        pf = markov_from_joining(_estimated(t))
+        assert not pf.exact and pf.array.dtype == float
+        rf, rt = chain_check(pf), chain_check(markov_from_joining(t))
+        for key in ("norm_p2", "norm_p3", "norm_p5"):
+            assert abs(getattr(rf, key) - getattr(rt, key)) <= FLOAT_TOL
+        assert rf.to_json()["inequalities"] == rt.to_json()["inequalities"]
+        assert adjoint_maps_mean_zero(pf)
+
+    def test_limit_joining_with_estimate_oracle(self):
+        target = parity_tensor(4)
+
+        class EstimateOracle:
+            def event_measure(self, event):
+                return MeasureValue.of_estimate(0.5, 0.0, 1000)
+
+            def intersection_measure(self, shifts, events):
+                # jitter far below the tolerance: members still agree
+                value = float(target.entry(tuple(events))) + 1e-12 * shifts[1]
+                return MeasureValue.of_estimate(value, 0.0, 1000)
+
+        t = limit_joining(EstimateOracle(), U2, [0, 1],
+                          [(0, s, 2 * s, 3 * s) for s in range(1, STABLE_MEMBERS + 1)],
+                          order=4)
+        assert not t.exact and t.array.dtype == float
+        _assert_near(t.entries, target.entries)
+        assert classify(t) == classify(target)
+        _assert_near(marginal(t, (3, 1)).entries, marginal(target, (3, 1)).entries)
+        _assert_near(lower_order(t)[0].entries, lower_order(target)[0].entries)
+
+    def test_out_of_tolerance_marginal_rejected(self):
+        # moving mass from (0, 1, 1) to (0, 0, 0) keeps the total and the
+        # axis-0 marginal but shifts the axis-1 and axis-2 marginals
+        obj = _estimated(parity_tensor(3)).to_json()
+        for shift, ok in [(1e-12, True), (1e-3, False)]:
+            entries = list(obj["entries"])
+            entries[0] += shift
+            entries[3] -= shift
+            candidate = dict(obj, entries=entries)
+            if ok:
+                JoiningTensor.from_json(candidate)
+            else:
+                with pytest.raises(JoiningError, match="marginal"):
+                    JoiningTensor.from_json(candidate)
