@@ -59,11 +59,6 @@ class RelationPattern:
                 raise ValueError("pattern offsets must be (i, j) pairs")
 
     @property
-    def i_range(self) -> tuple[int, int]:
-        xs = [p[0] for p in self.support]
-        return min(xs), max(xs)
-
-    @property
     def j_range(self) -> tuple[int, int]:
         ys = [p[1] for p in self.support]
         return min(ys), max(ys)
@@ -133,15 +128,6 @@ class CylinderConstraint:
                 raise ValueError(f"site {s!r} is neither an int nor an (i, j) pair")
         if len(dims) > 1:
             raise ValueError("sites must share one dimension")
-
-    @classmethod
-    def of(cls, pairs: Iterable[tuple[Site, int]]) -> "CylinderConstraint":
-        pairs = list(pairs)
-        sites = tuple(tuple(s) if isinstance(s, (list, tuple)) else s for s, _ in pairs)
-        return cls(sites, tuple(b for _, b in pairs))
-
-    def translated(self, shift: Site) -> "CylinderConstraint":
-        return CylinderConstraint(tuple(site_add(s, shift) for s in self.sites), self.bits)
 
     def to_json(self) -> dict:
         sites = [list(s) if isinstance(s, tuple) else s for s in self.sites]
@@ -506,8 +492,12 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
     return MeasureValue.of_estimate(p, stderr, n, torus=[kernel.width, kernel.height], seed=seed)
 
 
-def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint,
-                      min_size: int = 12, max_tries: int = 24) -> TorusKernel:
+# default_torus_for starts at this size and tries this many sizes.
+_TORUS_MIN_SIZE = 12
+_TORUS_TRIES = 24
+
+
+def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKernel:
     """Pick a torus suitable for Monte-Carlo estimation of `c`.
 
     Power-of-two sizes carry extra wrapped relations, so the default has an
@@ -522,10 +512,10 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint,
         diam = max(max(xs) - min(xs), max(ys) - min(ys))
     else:
         diam = 1
-    size = max(min_size, 4 * diam)
+    size = max(_TORUS_MIN_SIZE, 4 * diam)
     plane_rank = len(sites) - len(relation_space(system, sites))
     last = None
-    for _ in range(max_tries):
+    for _ in range(_TORUS_TRIES):
         if size & (size - 1) == 0:  # pure power of two
             size += 1
             continue
@@ -559,23 +549,6 @@ def bernoulli_cylinder_measure(
     if merged is None:
         return MeasureValue.of_exact(0)
     return MeasureValue.of_exact(Fraction(1, 1 << len(merged.sites)))
-
-
-def homoclinic_decay(b: CylinderConstraint, flip_site: int, n: int) -> MeasureValue:
-    """mu(T^-n S T^n B symm-diff B) for S the flip of one coordinate and T
-    the Bernoulli shift (events translate by +1 per application of T).
-
-    The conjugated flip acts on coordinate flip_site - n; once that leaves
-    the support of B the difference is exactly empty.
-    """
-    for s in b.sites:
-        if not isinstance(s, int):
-            raise ValueError("homoclinic check needs a constraint on Z sites")
-    moved = flip_site - n
-    if moved in b.sites:
-        # B and its flipped copy demand opposite bits at the moved site.
-        return MeasureValue.of_exact(Fraction(2, 1 << len(b.sites)))
-    return MeasureValue.of_exact(0)
 
 
 # ---------------------------------------------------------------------------
@@ -646,20 +619,12 @@ class BernoulliOracle:
 
 
 # ---------------------------------------------------------------------------
-# Grid import/export
+# Grid export
 
 def grid_to_json(grid: np.ndarray) -> dict:
     h, w = grid.shape
     rows = ["".join("1" if v else "0" for v in grid[j]) for j in range(h)]
     return {"width": int(w), "height": int(h), "rows": rows}
-
-
-def grid_from_json(obj: dict) -> np.ndarray:
-    w, h = int(obj["width"]), int(obj["height"])
-    rows = obj["rows"]
-    if len(rows) != h or any(len(r) != w for r in rows):
-        raise ValueError("grid JSON rows do not match declared dimensions")
-    return np.array([[1 if ch == "1" else 0 for ch in r] for r in rows], dtype=np.uint8)
 
 
 def grid_to_pbm(grid: np.ndarray) -> str:
@@ -669,19 +634,3 @@ def grid_to_pbm(grid: np.ndarray) -> str:
     for j in range(h):
         lines.append(" ".join("0" if v else "1" for v in grid[j]))
     return "\n".join(lines) + "\n"
-
-
-def grid_from_pbm(text: str) -> np.ndarray:
-    tokens: list[str] = []
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if line:
-            tokens.extend(line.split())
-    if not tokens or tokens[0] != "P1":
-        raise ValueError("only plain PBM (P1) is supported")
-    w, h = int(tokens[1]), int(tokens[2])
-    vals = [int(t) for t in tokens[3:]]
-    if len(vals) != w * h:
-        raise ValueError("PBM payload does not match dimensions")
-    arr = 1 - np.array(vals, dtype=np.uint8).reshape(h, w)
-    return arr

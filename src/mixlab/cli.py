@@ -98,35 +98,39 @@ def _load_json(path: str) -> dict:
         )
 
 
-def _load_constellation(path: str) -> CylinderConstraint:
-    try:
-        return CylinderConstraint.from_json(_load_json(path))
-    except ValueError as exc:
-        raise ValidationError(f"bad constellation file {path}: {exc}")
-
-
-def _load_events(path: str, expected: Optional[int] = None) -> list[CylinderConstraint]:
+def _parse_file(path: str, what: str, parse: Callable):
+    """`parse` applied to the JSON in `path`; malformed contents exit 2."""
     obj = _load_json(path)
-    if not isinstance(obj, dict) or "events" not in obj:
-        raise ValidationError(f"{path}: events file needs an 'events' array")
     try:
-        events = [CylinderConstraint.from_json(e) for e in obj["events"]]
-    except ValueError as exc:
-        raise ValidationError(f"bad event in {path}: {exc}")
-    if expected is not None and len(events) != expected:
+        return parse(obj)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad {what} file {path}: {exc}")
+
+
+def _events_from_json(obj: dict) -> list[CylinderConstraint]:
+    if not isinstance(obj, dict) or "events" not in obj:
+        raise ValueError("events file needs an 'events' array")
+    return [CylinderConstraint.from_json(e) for e in obj["events"]]
+
+
+def _load_events(path: str, expected: int) -> list[CylinderConstraint]:
+    events = _parse_file(path, "events", _events_from_json)
+    if len(events) != expected:
         raise ValidationError(f"{path}: expected {expected} events, found {len(events)}")
     return events
+
+
+def _pattern_from_json(obj: dict) -> RelationPattern:
+    if not isinstance(obj, dict) or "support" not in obj:
+        raise ValueError("pattern file needs 'support'")
+    return RelationPattern(frozenset((int(p[0]), int(p[1])) for p in obj["support"]))
 
 
 def _make_system(params: dict) -> AlgebraicSystem:
     pattern_file = params.get("pattern")
     if not pattern_file:
         return ledrappier_system()
-    obj = _load_json(pattern_file)
-    if "support" not in obj:
-        raise ValidationError(f"{pattern_file}: pattern file needs 'support'")
-    support = frozenset((int(p[0]), int(p[1])) for p in obj["support"])
-    return AlgebraicSystem(RelationPattern(support))
+    return AlgebraicSystem(_parse_file(pattern_file, "pattern", _pattern_from_json))
 
 
 def _prepare_outdir(params: dict) -> str:
@@ -150,7 +154,8 @@ def cmd_measure(params: dict) -> int:
     outdir = _prepare_outdir(params)
     config = _emit_config(outdir, "measure", params)
     system_name = params.get("system", "ledrappier")
-    constraint = _load_constellation(params["constellation"])
+    constraint = _parse_file(params["constellation"], "constellation",
+                             CylinderConstraint.from_json)
     if system_name == "bernoulli":
         from .algebraic import bernoulli_cylinder_measure
         result = bernoulli_cylinder_measure(constraint)
@@ -227,8 +232,7 @@ def cmd_scan_mix(params: dict) -> int:
     elif family_name == "random":
         family = random_separated_shifts(seed, budget, k,
                                          params.get("min_gap", 8),
-                                         params.get("box", 128), dim=dim,
-                                         forbid_dyadic=params.get("non_dyadic", True))
+                                         params.get("box", 128), dim=dim)
     else:
         raise ValidationError(f"unknown shift family {family_name!r}")
     result = mix_defect_scan(oracle, k, events, family, budget)
@@ -250,7 +254,7 @@ def cmd_joining(params: dict) -> int:
     outdir = _prepare_outdir(params)
     config = _emit_config(outdir, "joining", params)
     if params.get("tensor"):
-        tensor = JoiningTensor.from_json(_load_json(params["tensor"]))
+        tensor = _parse_file(params["tensor"], "tensor", JoiningTensor.from_json)
     else:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
         # the 2-cell partition by the origin coordinate.
@@ -312,8 +316,7 @@ def cmd_render(params: dict) -> int:
     for f in formats:
         if f == "svg":
             if params.get("clusters"):
-                rep = clusters(grid, params.get("connectivity", 4),
-                               params.get("bit", 0), seed=seed)
+                rep = clusters(grid, params.get("connectivity", 4), params.get("bit", 0))
                 _write_text(outdir, "grid.svg",
                             svgmod.cluster_svg(grid.tolist(), rep.labels.tolist(),
                                                rep.target_bit,
@@ -335,11 +338,7 @@ def _resolve_rankone_spec(params: dict) -> RankOneSpec:
     stages = params.get("stages", 10)
     if name in PRESETS:
         return preset_spec(name, stages)
-    obj = _load_json(name)
-    try:
-        return RankOneSpec.from_json(obj)
-    except (KeyError, ValueError) as exc:
-        raise ValidationError(f"bad rank-one spec {name}: {exc}")
+    return _parse_file(name, "rank-one spec", RankOneSpec.from_json)
 
 
 def cmd_rankone(params: dict) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Protocol, Sequence, Union
 
-from .algebraic import CylinderConstraint, Site, site_add
+from .algebraic import Site
 from .measure import MeasureValue, format_fraction
 from .rng import substream
 from . import svg as svgmod
@@ -52,10 +52,6 @@ class Constellation:
             raise ValueError("shifts and events must have equal length")
         if not self.shifts:
             raise ValueError("constellation needs at least one event")
-
-    @property
-    def order(self) -> int:
-        return len(self.shifts) - 1
 
     def to_json(self) -> dict:
         return {
@@ -120,8 +116,7 @@ class MixDefect:
 
 
 def mix_defect_scan(oracle: CorrelationOracle, k: int, events: Sequence,
-                    shift_tuples: Iterable[Sequence[Site]], budget: int,
-                    keep_rows: bool = True) -> MixDefect:
+                    shift_tuples: Iterable[Sequence[Site]], budget: int) -> MixDefect:
     """Scan shift tuples, tracking max |correlation - product of measures|.
 
     `events` holds k+1 events; each tuple from the generator supplies their
@@ -158,8 +153,7 @@ def mix_defect_scan(oracle: CorrelationOracle, k: int, events: Sequence,
         row = ScanRow(c, corr, prod, d)
         if d != 0 and hasattr(oracle, "relation_certificate"):
             row.certificate = oracle.relation_certificate(c.shifts, c.events)
-        if keep_rows:
-            rows.append(row)
+        rows.append(row)
         if d > best:
             best = d
             argmax = c
@@ -183,12 +177,11 @@ def dyadic_family(scales: Iterable[int]) -> Iterable[tuple[tuple[int, int], ...]
 
 
 def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
-                            box: int, dim: int = 2,
-                            forbid_dyadic: bool = False) -> Iterable[tuple[Site, ...]]:
+                            box: int, dim: int = 2) -> Iterable[tuple[Site, ...]]:
     """Random shift tuples with pairwise Chebyshev separation >= min_gap.
 
-    With forbid_dyadic, at least one pairwise difference coordinate is odd,
-    so the tuple admits no dyadic rescaling.
+    On Z^2 at least one pairwise difference coordinate is odd, so the tuple
+    admits no dyadic rescaling.
     """
     gen = substream(seed, "separated", k, min_gap, box, dim)
     produced = 0
@@ -215,7 +208,7 @@ def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
                     ok = False
         if not ok:
             continue
-        if forbid_dyadic and dim == 2:
+        if dim == 2:
             odd = any((pts[a][0] - pts[b][0]) % 2 or (pts[a][1] - pts[b][1]) % 2
                       for a in range(len(pts)) for b in range(a + 1, len(pts)))
             if not odd:
@@ -259,8 +252,7 @@ def admissible_pairs(epsilon: float, h: int) -> list[tuple[int, int]]:
             if abs(z) > cut and abs(w) > cut and abs(z - w) > cut]
 
 
-def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int,
-             keep_rows: bool = True) -> DevScan:
+def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int) -> DevScan:
     """Count (z, w) pairs whose triple correlation strays from the product.
 
     dev = |Der| / h as printed in the defining formula; the h^2-normalized
@@ -285,111 +277,12 @@ def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int,
                   for (z, w) in pairs]
     for (z, w), corr in zip(pairs, values):
         defect = abs(corr - prod_f)
-        if keep_rows:
-            rows.append((z, w, corr, prod_f, defect))
+        rows.append((z, w, corr, prod_f, defect))
         if defect > epsilon:
             der.append((z, w))
     return DevScan(epsilon=epsilon, h=h, q_size=len(pairs), der_pairs=der,
                    dev=Fraction(len(der), h), dev_h2=Fraction(len(der), h * h),
                    rows=rows)
-
-
-def asymmetry_scan(oracle: CorrelationOracle, a,
-                   m_values: Sequence[int]) -> list[dict]:
-    """Forward and backward triple self-correlations, scaled by 4.
-
-    Per m: 4*mu(A cap T^m A cap T^3m A) next to the same quantity along
-    negative shifts.  Values are reported side by side; no convergence claim
-    is made.
-    """
-    out = []
-    for m in m_values:
-        fwd = kfold_correlation(oracle, Constellation((0, m, 3 * m), (a, a, a)))
-        bwd = kfold_correlation(oracle, Constellation((0, -m, -3 * m), (a, a, a)))
-        out.append({"m": m, "forward": _scale4(fwd), "backward": _scale4(bwd)})
-    return out
-
-
-def _scale4(v: MeasureValue) -> dict:
-    if v.is_exact:
-        return {"exact": format_fraction(4 * v.exact), "value": 4 * float(v.exact)}
-    return {"estimate": 4 * v.estimate, "stderr": 4 * (v.stderr or 0.0), "samples": v.samples}
-
-
-def empty_intersection_search(oracle: CorrelationOracle, a, b,
-                              scan_pairs: Iterable[tuple[int, int]],
-                              threshold: Union[Fraction, float] = 0) -> list[dict]:
-    """Scan (m, n) pairs for mu(A cap T^m A cap T^{m+n} B) <= threshold."""
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
-    hits = []
-    for m, n in scan_pairs:
-        corr = kfold_correlation(oracle, Constellation((0, m, m + n), (a, a, b)))
-        val = corr.exact if corr.is_exact else corr.as_float()
-        if val <= threshold:
-            hits.append({"m": m, "n": n, "measure": corr})
-    return hits
-
-
-# ---------------------------------------------------------------------------
-# Synthetic and finite-permutation oracles
-
-class SyntheticTripleOracle:
-    """Product-valued triple-correlation oracle with planted spikes.
-
-    `spikes` maps (z, w) to an additive deviation from the product; all
-    measures are floats.  Useful as ground truth for scan tests.
-    """
-
-    def __init__(self, event_values: dict, spikes: Optional[dict] = None):
-        self.event_values = dict(event_values)
-        self.spikes = dict(spikes or {})
-
-    def event_measure(self, event) -> MeasureValue:
-        return MeasureValue.of_estimate(self.event_values[event], 0.0, 1)
-
-    def intersection_measure(self, shifts, events) -> MeasureValue:
-        prod = 1.0
-        for e in events:
-            prod *= self.event_values[e]
-        if len(shifts) == 3 and shifts[0] == 0:
-            prod += self.spikes.get((shifts[1], shifts[2]), 0.0)
-        return MeasureValue.of_estimate(prod, 0.0, 1)
-
-
-class PermutationOracle:
-    """Exact oracle for a permutation of a finite set with counting measure.
-
-    Events are frozensets of points; T^m translates an event by applying the
-    permutation m times (negative m uses the inverse).
-    """
-
-    def __init__(self, perm: Sequence[int]):
-        n = len(perm)
-        if sorted(perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        self.perm = tuple(perm)
-        inv = [0] * n
-        for i, p in enumerate(perm):
-            inv[p] = i
-        self.inv = tuple(inv)
-        self.size = n
-
-    def _apply(self, event: frozenset, m: int) -> frozenset:
-        table = self.perm if m >= 0 else self.inv
-        out = set(event)
-        for _ in range(abs(m)):
-            out = {table[x] for x in out}
-        return frozenset(out)
-
-    def event_measure(self, event: frozenset) -> MeasureValue:
-        return MeasureValue.of_exact(Fraction(len(event), self.size))
-
-    def intersection_measure(self, shifts, events) -> MeasureValue:
-        acc = set(range(self.size))
-        for sh, ev in zip(shifts, events):
-            acc &= self._apply(frozenset(ev), sh)
-        return MeasureValue.of_exact(Fraction(len(acc), self.size))
 
 
 # ---------------------------------------------------------------------------

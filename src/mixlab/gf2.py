@@ -9,7 +9,7 @@ to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 # Dimension cap: protects the torus transfer matrices, whose size follows
 # the torus sizes given on the command line, from accidental blowup.
@@ -51,11 +51,6 @@ class BitVector:
             n += 1
         return cls(n, acc)
 
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.length:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
     def to_list(self) -> list[int]:
         return [(self.bits >> i) & 1 for i in range(self.length)]
 
@@ -81,47 +76,11 @@ class BitMatrix:
                 raise ValueError("row has bits set beyond declared column count")
 
     @classmethod
-    def from_rows(cls, rows: Sequence[int] | Sequence[Sequence[int]], cols: int) -> "BitMatrix":
-        packed = []
-        for row in rows:
-            if isinstance(row, int):
-                packed.append(row)
-            else:
-                acc = 0
-                for j, v in enumerate(row):
-                    if v not in (0, 1):
-                        raise ValueError("matrix entries must be 0 or 1")
-                    acc |= v << j
-                packed.append(acc)
-        return cls(len(packed), cols, tuple(packed))
-
-    @classmethod
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "BitMatrix":
-        return cls(rows, cols, (0,) * rows)
-
-    def row(self, i: int) -> int:
-        return self.data[i]
-
-    def get(self, i: int, j: int) -> int:
-        return (self.data[i] >> j) & 1
-
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-
-def transpose(m: BitMatrix) -> BitMatrix:
-    out = [0] * m.cols
-    for i, row in enumerate(m.data):
-        while row:
-            low = row & -row
-            j = low.bit_length() - 1
-            out[j] |= 1 << i
-            row ^= low
-    return BitMatrix(m.cols, m.rows, tuple(out))
 
 
 def _rref(rows: list[int], cols: int) -> tuple[int, list[int]]:
@@ -175,15 +134,6 @@ def nullspace(m: BitMatrix) -> list[BitVector]:
                 bits |= 1 << p
         basis.append(BitVector(m.cols, bits))
     return basis
-
-
-def mat_vec(m: BitMatrix, v: BitVector) -> BitVector:
-    if v.length != m.cols:
-        raise ValueError("vector length must equal column count")
-    bits = 0
-    for i, row in enumerate(m.data):
-        bits |= ((row & v.bits).bit_count() & 1) << i
-    return BitVector(m.rows, bits)
 
 
 def solve_affine(m: BitMatrix, b: BitVector) -> Optional[tuple[BitVector, list[BitVector]]]:

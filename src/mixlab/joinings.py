@@ -20,8 +20,7 @@ exact and float otherwise, so a single reduction or contraction serves both.
 
 Function spaces here are finite-dimensional cell-indicator spaces; only
 tensor-level properties (marginals, independence classes) are claimed for
-infinite systems, while full diagonal invariance is asserted only on finite
-permutation models where it is exactly checkable.
+infinite systems.
 
 Note: "mean-zero subspace" always refers to functions orthogonal to the
 constants, never to a configuration group.
@@ -53,10 +52,6 @@ CHAIN_DELTA = 1e-9
 
 class JoiningError(ValueError):
     """Tensor violates a joining invariant."""
-
-
-class JoiningDiagnosticError(RuntimeError):
-    """A constructed tensor is not a joining (flags non-joining input)."""
 
 
 class NonStabilizingError(RuntimeError):
@@ -173,9 +168,6 @@ class JoiningTensor:
                     f"axis {axis} marginal {marg[cell]} != weight {self.weights[cell]}"
                 )
 
-    def entry(self, idx: Sequence[int]) -> Number:
-        return self.array[tuple(idx)]
-
     def to_json(self) -> dict:
         if self.exact:
             entries = [format_fraction(Fraction(e)) for e in self.entries]
@@ -191,6 +183,8 @@ class JoiningTensor:
 
     @classmethod
     def from_json(cls, obj: dict) -> "JoiningTensor":
+        if not isinstance(obj, dict) or not {"order", "dims", "weights", "entries"} <= obj.keys():
+            raise JoiningError("tensor JSON needs 'order', 'dims', 'weights' and 'entries'")
         exact = bool(obj.get("exact", True))
         if exact:
             entries = tuple(parse_fraction(str(e)) for e in obj["entries"])
@@ -205,11 +199,6 @@ class JoiningTensor:
         )
 
 
-def product_tensor(partition: Partition, order: int) -> JoiningTensor:
-    grid = _mass_grid(_as_array(partition.weights, True), order)
-    return JoiningTensor(order, partition.cells, partition.weights, tuple(grid.ravel().tolist()))
-
-
 def parity_tensor(order: int) -> JoiningTensor:
     """Uniform measure on even-parity bit strings: the classical nontrivial
     self-joining whose every (order-1)-marginal is product."""
@@ -219,23 +208,6 @@ def parity_tensor(order: int) -> JoiningTensor:
     entries = tuple(mass if sum(idx) % 2 == 0 else Fraction(0)
                     for idx in _indices(2, order))
     return JoiningTensor(order, 2, (Fraction(1, 2), Fraction(1, 2)), entries)
-
-
-def diagonal_tensor(partition: Partition, order: int) -> JoiningTensor:
-    d = partition.cells
-    entries = tuple(partition.weights[idx[0]] if len(set(idx)) == 1 else Fraction(0)
-                    for idx in _indices(d, order))
-    return JoiningTensor(order, d, partition.weights, entries)
-
-
-def group_sum_tensor(d: int, q: Sequence[Fraction], order: int = 3) -> JoiningTensor:
-    """nu(i1..ik) = q[(i1+...+ik) mod d] / d^(k-1): pairwise independent for
-    uniform masses, nontrivial unless q is uniform."""
-    if len(q) != d or sum(q) != 1 or any(x < 0 for x in q):
-        raise ValueError("q must be a probability vector of length d")
-    denom = d ** (order - 1)
-    entries = tuple(Fraction(q[sum(idx) % d], denom) for idx in _indices(d, order))
-    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
 
 
 def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list[Number]]:
@@ -315,28 +287,6 @@ class LinearOperator:
         """The matrix as a d x d**source_order array."""
         return _as_array(self.matrix, self.exact)
 
-    def apply(self, tensor_function: Sequence[Number]) -> list[Number]:
-        support = [(pos, f) for pos, f in enumerate(tensor_function) if f]
-        zero = Fraction(0) if self.exact else 0.0
-        out = []
-        for row in self.matrix:
-            acc = zero
-            for pos, f in support:
-                acc += row[pos] * f
-            out.append(acc)
-        return out
-
-    def pair(self, out_function: Sequence[Number],
-             tensor_function: Sequence[Number]) -> Number:
-        """<out_function, P(tensor_function)> in the weighted inner product."""
-        img = self.apply(tensor_function)
-        return sum(w * g * y for w, g, y in zip(self.weights, out_function, img))
-
-    def adjoint_of(self, g: Sequence[Number]) -> np.ndarray:
-        """P* g as a flat tensor function over d**source_order cells."""
-        w = _masses(self)
-        return (w * np.asarray(g)) @ self.array / _mass_grid(w, self.source_order).ravel()
-
 
 @dataclass(frozen=True)
 class MarkovOperator(LinearOperator):
@@ -365,12 +315,6 @@ def markov_from_joining(t: JoiningTensor) -> MarkovOperator:
     rows = t.array.reshape(t.dims, -1) / _masses(t)[:, None]
     return MarkovOperator(source_order=t.order - 1, weights=t.weights, matrix=_rows(rows),
                           exact=t.exact)
-
-
-def averaging_operator(partition: Partition, source_order: int) -> MarkovOperator:
-    """P(f1 x ... x fk) = (integral f1)...(integral fk) * constant."""
-    row = tuple(_mass_grid(_as_array(partition.weights, True), source_order).ravel().tolist())
-    return MarkovOperator(source_order, partition.weights, (row,) * partition.cells)
 
 
 def _pairing(p: LinearOperator) -> np.ndarray:
@@ -431,21 +375,6 @@ def mean_zero_restricted_norm(p: LinearOperator) -> float:
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def adjoint_maps_mean_zero(p: LinearOperator) -> bool:
-    """Exact check that P* sends mean-zero functions into tensors all of
-    whose one-axis partial integrals vanish."""
-    d, k = p.dims, p.source_order
-    w = _masses(p)
-    for m in range(d - 1):
-        g = [int(i == m) - p.weights[m] for i in range(d)]  # e_m minus its integral
-        img = p.adjoint_of(g).reshape((d,) * k)
-        for axis in range(k):
-            partial = np.moveaxis(img, axis, -1) @ w
-            if _differs(partial, 0, p.exact, FLOAT_TOL * d ** k).any():
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -516,28 +445,17 @@ def tensor_report(t: JoiningTensor, product_marginal_order: int) -> dict:
     }
 
 
-def _build_joining(order: int, weights, values: np.ndarray, exact: bool,
-                   what: str) -> JoiningTensor:
-    bad = np.flatnonzero(values < (0 if exact else -FLOAT_TOL))
-    if bad.size:
-        raise JoiningDiagnosticError(
-            f"{what} produced negative entries at positions {bad[:5].tolist()}; "
-            "the source operator does not come from a joining"
-        )
-    return JoiningTensor(order, len(weights), weights, tuple(values.ravel().tolist()),
-                         exact=exact)
-
-
 def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
     """Order-6 tensor nu5(A1 x ... x A6) = <P3(A1 A2 A3), P3(A4 A5 A6)>.
 
-    For a genuine pairwise-independent self-joining source the result is
-    nonnegative, normalized, and has product 5-marginals; all three are
-    checked and reported.
+    For a genuine pairwise-independent self-joining source the result is a
+    joining with product 5-marginals, as reported; a source whose pairings
+    are not a joining raises `JoiningError`.
     """
     if p3.source_order != 3:
         raise ValueError("raise_order needs a source-order-3 operator")
-    t = _build_joining(6, p3.weights, _pairing(p3), p3.exact, "raise_order")
+    t = JoiningTensor(6, p3.dims, p3.weights, tuple(_pairing(p3).ravel().tolist()),
+                      exact=p3.exact)
     return t, tensor_report(t, 5)
 
 
@@ -558,84 +476,8 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
     d = t.dims
     flat = t.array.reshape(d * d, d ** p)
     paired = (flat / _mass_grid(_masses(t), p).ravel()) @ flat.T
-    out = _build_joining(4, t.weights, paired, t.exact, "lower_order")
+    out = JoiningTensor(4, d, t.weights, tuple(paired.ravel().tolist()), exact=t.exact)
     return out, tensor_report(out, 3)
-
-
-# ---------------------------------------------------------------------------
-# Finite permutation models
-
-@dataclass(frozen=True)
-class FinitePermutationSystem:
-    """Permutation of a finite set carrying a labelled partition."""
-
-    perm: tuple[int, ...]
-    cell_of: tuple[int, ...]
-
-    def __post_init__(self):
-        n = len(self.perm)
-        if sorted(self.perm) != list(range(n)):
-            raise ValueError("not a permutation")
-        if len(self.cell_of) != n:
-            raise ValueError("cell labels must cover every point")
-
-    @property
-    def size(self) -> int:
-        return len(self.perm)
-
-    @property
-    def cells(self) -> int:
-        return max(self.cell_of) + 1
-
-    def partition(self) -> Partition:
-        counts = [0] * self.cells
-        for c in self.cell_of:
-            counts[c] += 1
-        if any(c == 0 for c in counts):
-            raise ValueError("every cell must be nonempty")
-        return Partition(tuple(Fraction(c, self.size) for c in counts))
-
-    def koopman_cell_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Permutation matrix of the induced cell map.
-
-        The partition is refined enough when the map is well defined: every
-        cell is carried into a single cell.  Only a cell that the permutation
-        splits across two or more cells is rejected; the cell map need not
-        determine the permutation itself."""
-        image: dict[int, int] = {}
-        for x in range(self.size):
-            c = self.cell_of[x]
-            c2 = self.cell_of[self.perm[x]]
-            if image.setdefault(c, c2) != c2:
-                raise ValueError(
-                    "partition is not refined enough to express the permutation"
-                )
-        d = self.cells
-        rows = []
-        for out_cell in range(d):
-            rows.append(tuple(Fraction(1) if image[c] == out_cell else Fraction(0)
-                              for c in range(d)))
-        return tuple(rows)
-
-
-def intertwining_residual(system: FinitePermutationSystem, p2: LinearOperator) -> float:
-    """||T P2 - P2 (T x T)|| in the mass-weighted operator norm; exactly 0
-    for joinings invariant under the diagonal action."""
-    if p2.source_order != 2:
-        raise ValueError("intertwining check needs a source-order-2 operator")
-    part = system.partition()
-    if part.weights != p2.weights:
-        raise ValueError("operator masses do not match the partition")
-    tmat = np.array(system.koopman_cell_matrix(), dtype=object)
-    m = p2.array
-    residual = tmat @ m - m @ np.kron(tmat, tmat)
-    if (residual == 0).all():
-        return 0.0
-    w = _as_array(part.weights, True)
-    w_out = np.sqrt(w.astype(float))
-    w_in = np.sqrt(_mass_grid(w, 2).ravel().astype(float))
-    scaled = w_out[:, None] * residual.astype(float) / w_in[None, :]
-    return float(np.linalg.svd(scaled, compute_uv=False)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -82,42 +82,23 @@ class OffsetUnionFind:
 class ClusterReport:
     """Cluster statistics of one bit value on a torus grid."""
 
-    width: int
-    height: int
-    connectivity: int
     target_bit: int
     cluster_count: int
     size_histogram: dict[int, int]
     largest: int
     wraps_horizontal: bool
     wraps_vertical: bool
-    seed: Optional[int] = None
     labels: Optional[np.ndarray] = field(default=None, repr=False)
 
     def total_target_cells(self) -> int:
         return sum(size * count for size, count in self.size_histogram.items())
-
-    def to_json(self) -> dict:
-        return {
-            "width": self.width,
-            "height": self.height,
-            "connectivity": self.connectivity,
-            "target_bit": self.target_bit,
-            "cluster_count": self.cluster_count,
-            "size_histogram": {str(k): v for k, v in sorted(self.size_histogram.items())},
-            "largest": self.largest,
-            "wraps_horizontal": self.wraps_horizontal,
-            "wraps_vertical": self.wraps_vertical,
-            "seed": self.seed,
-        }
 
 
 _STEPS_4 = ((1, 0), (0, 1))
 _STEPS_8 = ((1, 0), (0, 1), (1, 1), (1, -1))
 
 
-def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0,
-             seed: Optional[int] = None) -> ClusterReport:
+def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> ClusterReport:
     """Union-find clustering of same-bit neighbours with torus wraparound.
 
     Wrap flags are true iff some cluster contains two universal-cover lifts
@@ -175,10 +156,9 @@ def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0,
             wrap_h |= flags[0]
             wrap_v |= flags[1]
     return ClusterReport(
-        width=w, height=h, connectivity=connectivity, target_bit=target_bit,
-        cluster_count=len(sizes), size_histogram=histogram,
+        target_bit=target_bit, cluster_count=len(sizes), size_histogram=histogram,
         largest=max(sizes.values()) if sizes else 0,
-        wraps_horizontal=wrap_h, wraps_vertical=wrap_v, seed=seed, labels=labels,
+        wraps_horizontal=wrap_h, wraps_vertical=wrap_v, labels=labels,
     )
 
 

@@ -6,6 +6,8 @@ from typing import Optional, Sequence
 
 DARK = "#1b1b1f"
 LIGHT = "#f4f1e8"
+# Side in pixels of one grid cell.
+CELL = 12
 
 
 def _header(width: int, height: int, title: str = "") -> list[str]:
@@ -18,19 +20,18 @@ def _header(width: int, height: int, title: str = "") -> list[str]:
     return lines
 
 
-def grid_svg(grid, cell: int = 12, colors: tuple[str, str] = (DARK, LIGHT),
-             title: str = "") -> str:
+def grid_svg(grid, title: str = "") -> str:
     """Bit grid as filled squares; bit 0 dark, bit 1 light."""
     h = len(grid)
     w = len(grid[0]) if h else 0
-    lines = _header(w * cell, h * cell, title)
-    lines.append(f'<rect width="{w * cell}" height="{h * cell}" fill="{colors[0]}"/>')
+    lines = _header(w * CELL, h * CELL, title)
+    lines.append(f'<rect width="{w * CELL}" height="{h * CELL}" fill="{DARK}"/>')
     for j in range(h):
         for i in range(w):
             if grid[j][i]:
                 lines.append(
-                    f'<rect x="{i * cell}" y="{j * cell}" width="{cell}" height="{cell}" '
-                    f'fill="{colors[1]}"/>'
+                    f'<rect x="{i * CELL}" y="{j * CELL}" width="{CELL}" height="{CELL}" '
+                    f'fill="{LIGHT}"/>'
                 )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -42,13 +43,13 @@ def _palette_color(k: int) -> str:
     return f"hsl({hue},70%,55%)"
 
 
-def cluster_svg(grid, labels, target_bit: int, cell: int = 12, title: str = "") -> str:
+def cluster_svg(grid, labels, target_bit: int, title: str = "") -> str:
     """Grid with same-bit clusters tinted by label; other cells stay flat."""
     h = len(grid)
     w = len(grid[0]) if h else 0
-    lines = _header(w * cell, h * cell, title)
+    lines = _header(w * CELL, h * CELL, title)
     base = DARK if target_bit == 1 else LIGHT
-    lines.append(f'<rect width="{w * cell}" height="{h * cell}" fill="{base}"/>')
+    lines.append(f'<rect width="{w * CELL}" height="{h * CELL}" fill="{base}"/>')
     order: dict[int, int] = {}
     for j in range(h):
         for i in range(w):
@@ -58,19 +59,19 @@ def cluster_svg(grid, labels, target_bit: int, cell: int = 12, title: str = "") 
             if lab not in order:
                 order[lab] = len(order)
             lines.append(
-                f'<rect x="{i * cell}" y="{j * cell}" width="{cell}" height="{cell}" '
+                f'<rect x="{i * CELL}" y="{j * CELL}" width="{CELL}" height="{CELL}" '
                 f'fill="{_palette_color(order[lab])}"/>'
             )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def heatmap_svg(field: Sequence[Sequence[Optional[float]]], cell: int = 6,
+def heatmap_svg(field: Sequence[Sequence[Optional[float]]],
                 x_label: str = "x", y_label: str = "y", title: str = "") -> str:
     """Scalar field as a grayscale-to-red heatmap; None cells render blank."""
     h = len(field)
     w = len(field[0]) if h else 0
-    margin = 18
+    cell, margin = 6, 18
     vals = [v for row in field for v in row if v is not None]
     vmax = max(vals) if vals else 0.0
     lines = _header(w * cell + margin, h * cell + margin, title)

@@ -1,10 +1,18 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles and fixtures for the test suite.
 
-These deliberately avoid the library's fast paths: measures come from raw
-enumeration of window configurations, plane site functionals from the window
-method, torus kernels from a per-bit row step and from exhaustive
+The oracles deliberately avoid the library's fast paths: measures come from
+raw enumeration of window configurations, plane site functionals from the
+window method, torus kernels from a per-bit row step and from exhaustive
 enumeration, cluster structure from breadth-first search in the universal
 cover, and the joining calculus from explicit index loops over Fractions.
+
+The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
+`transpose`, `mat_vec`), readers for the grid writers' round trips
+(`grid_from_json`, `grid_from_pbm`), a triple-correlation oracle with planted
+spikes (`SyntheticTripleOracle`), example joinings and operators
+(`product_tensor`, `diagonal_tensor`, `group_sum_tensor`,
+`averaging_operator`), and operator evaluation on cell functions (`apply`,
+`image`, `pair`, `adjoint_of`, `adjoint_maps_mean_zero`).
 """
 
 from __future__ import annotations
@@ -18,6 +26,51 @@ import pytest
 
 from mixlab import gf2
 from mixlab.gf2 import BitMatrix, BitVector
+from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
+from mixlab.measure import MeasureValue
+
+
+# ---------------------------------------------------------------------------
+# GF(2) matrices
+
+def bit_matrix(rows, cols):
+    """BitMatrix from rows given as ints or as 0/1 lists (bit j = column j)."""
+    packed = []
+    for row in rows:
+        if isinstance(row, int):
+            packed.append(row)
+        else:
+            acc = 0
+            for j, v in enumerate(row):
+                if v not in (0, 1):
+                    raise ValueError("matrix entries must be 0 or 1")
+                acc |= v << j
+            packed.append(acc)
+    return BitMatrix(len(packed), cols, tuple(packed))
+
+
+def transpose(m):
+    out = [0] * m.cols
+    for i, row in enumerate(m.data):
+        while row:
+            low = row & -row
+            j = low.bit_length() - 1
+            out[j] |= 1 << i
+            row ^= low
+    return BitMatrix(m.cols, m.rows, tuple(out))
+
+
+def mat_vec(m, v):
+    if v.length != m.cols:
+        raise ValueError("vector length must equal column count")
+    bits = 0
+    for i, row in enumerate(m.data):
+        bits |= ((row & v.bits).bit_count() & 1) << i
+    return BitVector(m.rows, bits)
+
+
+# ---------------------------------------------------------------------------
+# Plane and torus oracles
 
 
 def enumerate_window_group(support, i0, i1, j0, j1):
@@ -90,7 +143,8 @@ def reference_window_masks(pattern, sites):
     with that cell on top fits in the box is solved from the translate, any
     other cell is a new generator.  Returns (mask per site, generator count).
     """
-    i_lo, i_hi = pattern.i_range
+    i_lo = min(p[0] for p in pattern.support)
+    i_hi = max(p[0] for p in pattern.support)
     j_lo, j_hi = pattern.j_range
     xs = [s[0] for s in sites]
     ys = [s[1] for s in sites]
@@ -146,7 +200,7 @@ def reference_transfer_matrix(pattern, w):
         history = [((1 << k) >> (b * w)) & wmask for b in range(depth)]
         new = reference_next_row(pattern, w, history)
         cols.append(((1 << k) >> w) | (new << ((depth - 1) * w)))
-    return gf2.transpose(BitMatrix(n, n, tuple(cols)))
+    return transpose(BitMatrix(n, n, tuple(cols)))
 
 
 def reference_torus_basis(pattern, w, h):
@@ -189,6 +243,29 @@ def kernel_dimension_bruteforce(system, w, h):
         if ok:
             count += 1
     return count.bit_length() - 1  # count is a power of two
+
+
+def grid_from_json(obj: dict) -> np.ndarray:
+    w, h = int(obj["width"]), int(obj["height"])
+    rows = obj["rows"]
+    if len(rows) != h or any(len(r) != w for r in rows):
+        raise ValueError("grid JSON rows do not match declared dimensions")
+    return np.array([[1 if ch == "1" else 0 for ch in r] for r in rows], dtype=np.uint8)
+
+
+def grid_from_pbm(text: str) -> np.ndarray:
+    tokens: list[str] = []
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        if line:
+            tokens.extend(line.split())
+    if not tokens or tokens[0] != "P1":
+        raise ValueError("only plain PBM (P1) is supported")
+    w, h = int(tokens[1]), int(tokens[2])
+    vals = [int(t) for t in tokens[3:]]
+    if len(vals) != w * h:
+        raise ValueError("PBM payload does not match dimensions")
+    return 1 - np.array(vals, dtype=np.uint8).reshape(h, w)
 
 
 def bfs_cover_clusters(grid: np.ndarray, connectivity: int, target_bit: int):
@@ -244,6 +321,35 @@ def partitions_equal(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
             return False
     return True
 
+
+# ---------------------------------------------------------------------------
+# Correlation oracles
+
+class SyntheticTripleOracle:
+    """Product-valued triple-correlation oracle with planted spikes.
+
+    `spikes` maps (z, w) to an additive deviation from the product; all
+    measures are floats.  Useful as ground truth for scan tests.
+    """
+
+    def __init__(self, event_values: dict, spikes: dict | None = None):
+        self.event_values = dict(event_values)
+        self.spikes = dict(spikes or {})
+
+    def event_measure(self, event) -> MeasureValue:
+        return MeasureValue.of_estimate(self.event_values[event], 0.0, 1)
+
+    def intersection_measure(self, shifts, events) -> MeasureValue:
+        prod = 1.0
+        for e in events:
+            prod *= self.event_values[e]
+        if len(shifts) == 3 and shifts[0] == 0:
+            prod += self.spikes.get((shifts[1], shifts[2]), 0.0)
+        return MeasureValue.of_estimate(prod, 0.0, 1)
+
+
+# ---------------------------------------------------------------------------
+# Joining calculus
 
 def _ravel(idx, d):
     r = 0
@@ -314,6 +420,81 @@ def reference_lower_order(t):
                     * t.entries[_ravel((b1, b2) + rest, d)] / _wprod(t.weights, rest))
         entries.append(acc)
     return entries
+
+
+def _cell_products(weights, order):
+    """w[i1] * ... * w[i_order] for every cell tuple, in row-major order."""
+    return tuple(_wprod(weights, idx)
+                 for idx in itertools.product(range(len(weights)), repeat=order))
+
+
+def product_tensor(partition, order):
+    return JoiningTensor(order, partition.cells, partition.weights,
+                         _cell_products(partition.weights, order))
+
+
+def diagonal_tensor(partition, order):
+    d = partition.cells
+    entries = tuple(partition.weights[idx[0]] if len(set(idx)) == 1 else Fraction(0)
+                    for idx in itertools.product(range(d), repeat=order))
+    return JoiningTensor(order, d, partition.weights, entries)
+
+
+def group_sum_tensor(d, q, order=3):
+    """nu(i1..ik) = q[(i1+...+ik) mod d] / d^(k-1): pairwise independent for
+    uniform masses, nontrivial unless q is uniform."""
+    if len(q) != d or sum(q) != 1 or any(x < 0 for x in q):
+        raise ValueError("q must be a probability vector of length d")
+    denom = d ** (order - 1)
+    entries = tuple(Fraction(q[sum(idx) % d], denom)
+                    for idx in itertools.product(range(d), repeat=order))
+    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
+
+
+def averaging_operator(partition, source_order):
+    """P(f1 x ... x fk) = (integral f1)...(integral fk) * constant."""
+    row = _cell_products(partition.weights, source_order)
+    return MarkovOperator(source_order, partition.weights, (row,) * partition.cells)
+
+
+def apply(p, f):
+    """P(f) for a tensor function f, a flat list over d**source_order cells."""
+    zero = Fraction(0) if p.exact else 0.0
+    return [sum((row[pos] * x for pos, x in enumerate(f) if x), zero) for row in p.matrix]
+
+
+def image(p, cells):
+    """P(e_cells) for the indicator of one cell tuple: one column of the matrix."""
+    col = _ravel(cells, p.dims)
+    return [row[col] for row in p.matrix]
+
+
+def pair(p, out_cell, cells):
+    """<e_out_cell, P(e_cells)> in the mass-weighted inner product."""
+    return p.weights[out_cell] * p.matrix[out_cell][_ravel(cells, p.dims)]
+
+
+def adjoint_of(p, g):
+    """P* g as a flat tensor function over d**source_order cells."""
+    dtype = object if p.exact else float
+    w = np.array(p.weights, dtype=dtype)
+    grid = np.array(_cell_products(p.weights, p.source_order), dtype=dtype)
+    return (w * np.asarray(g)) @ p.array / grid
+
+
+def adjoint_maps_mean_zero(p):
+    """Exact check that P* sends mean-zero functions into tensors all of
+    whose one-axis partial integrals vanish."""
+    d, k = p.dims, p.source_order
+    w = np.array(p.weights, dtype=object if p.exact else float)
+    slack = 0 if p.exact else FLOAT_TOL * d ** k
+    for m in range(d - 1):
+        g = [int(i == m) - p.weights[m] for i in range(d)]  # e_m minus its integral
+        img = adjoint_of(p, g).reshape((d,) * k)
+        for axis in range(k):
+            if (abs(np.moveaxis(img, axis, -1) @ w) > slack).any():
+                return False
+    return True
 
 
 @pytest.fixture(scope="session")

@@ -15,12 +15,9 @@ from mixlab.algebraic import (
     bernoulli_cylinder_measure,
     cylinder_measure,
     default_torus_for,
-    grid_from_json,
-    grid_from_pbm,
     grid_satisfies_pattern,
     grid_to_json,
     grid_to_pbm,
-    homoclinic_decay,
     ledrappier_system,
     mc_cylinder_measure,
     merge_site_bits,
@@ -34,10 +31,13 @@ from mixlab.rng import substream
 from conftest import (
     enumeration_measure,
     enumeration_relations,
+    grid_from_json,
+    grid_from_pbm,
     kernel_dimension_bruteforce,
     reference_torus_basis,
     reference_transfer_matrix,
     reference_window_masks,
+    transpose,
 )
 
 SYS = ledrappier_system()
@@ -124,7 +124,7 @@ class TestCylinderMeasure:
             bits = tuple(int(b) for b in gen.integers(0, 2, size=4))
             base = cylinder_measure(SYS, CylinderConstraint(sites, bits)).exact
             dv = (int(gen.integers(-50, 51)), int(gen.integers(-50, 51)))
-            moved = CylinderConstraint(sites, bits).translated(dv)
+            moved = CylinderConstraint(tuple((i + dv[0], j + dv[1]) for i, j in sites), bits)
             assert cylinder_measure(SYS, moved).exact == base
 
     def test_monotone_under_refinement(self):
@@ -247,7 +247,7 @@ class TestWindowMethodCrossCheck:
             masks, n_gens = reference_window_masks(pattern, sites)
             m = gf2.BitMatrix(k, n_gens, tuple(masks))
             rels = relation_space(system, sites)
-            assert rels == gf2.nullspace(gf2.transpose(m))
+            assert rels == gf2.nullspace(transpose(m))
             assert k - len(rels) == gf2.rank(m)
             for bits in [(0,) * k, tuple(int(b) for b in gen.integers(0, 2, size=k))]:
                 solvable = gf2.solve_affine(m, gf2.BitVector.from_bits(bits)) is not None
@@ -373,49 +373,6 @@ class TestBernoulli:
 
     def test_duplicate_consistent_bits_merge(self):
         assert bernoulli_cylinder_measure([(3, 1), (3, 1), (7, 0)]).exact == Fraction(1, 4)
-
-
-class TestHomoclinic:
-    def _direct(self, sites, bits, flip, n):
-        # enumerate bits on the union of B's sites and the conjugated flip
-        moved = flip - n
-        window = sorted(set(sites) | {moved})
-        total = 0
-        hits = 0
-        for cfg in range(1 << len(window)):
-            val = {s: (cfg >> i) & 1 for i, s in enumerate(window)}
-            in_b = all(val[s] == b for s, b in zip(sites, bits))
-            flipped = dict(val)
-            flipped[moved] ^= 1
-            in_b_flip = all(flipped[s] == b for s, b in zip(sites, bits))
-            total += 1
-            if in_b != in_b_flip:
-                hits += 1
-        return Fraction(hits, total)
-
-    def test_flip_complements_event(self):
-        b = CylinderConstraint((0,), (0,))
-        assert homoclinic_decay(b, 0, 0).exact == 1
-
-    def test_decay_after_one_step(self):
-        b = CylinderConstraint((0,), (0,))
-        for n in range(1, 6):
-            assert homoclinic_decay(b, 0, n).exact == 0
-
-    def test_window_event_decay(self):
-        b = CylinderConstraint((0, 1, 2), (0, 1, 0))
-        assert homoclinic_decay(b, 0, 5).exact == 0
-
-    def test_matches_direct_set_calculus(self):
-        gen = substream(77, "homoclinic")
-        for _ in range(20):
-            k = int(gen.integers(1, 5))
-            sites = tuple(sorted(int(s) for s in gen.choice(20, size=k, replace=False)))
-            bits = tuple(int(b) for b in gen.integers(0, 2, size=k))
-            flip = int(gen.integers(-3, 10))
-            n = int(gen.integers(0, 8))
-            got = homoclinic_decay(CylinderConstraint(sites, bits), flip, n).exact
-            assert got == self._direct(sites, bits, flip, n)
 
 
 class TestGridIO:

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mixlab import cli
 
 NON_PROPAGATING = {"support": [[0, 0], [1, 0], [0, -1]]}
@@ -56,3 +58,16 @@ def test_render_with_non_propagating_pattern_exits_3(tmp_path, capsys):
     assert cli.main(["render", "--pattern", p, "--size", "9",
                      "--out", str(tmp_path / "out")]) == 3
     assert "capability error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,name,contents", [
+    (["joining", "--tensor"], "t.json", {}),
+    (["joining", "--tensor"], "t.json", [1, 2]),
+    (["render", "--size", "9", "--pattern"], "p.json", {"support": [1, 2]}),
+    (["rankone", "--spec"], "s.json", [[2, 3]]),
+])
+def test_malformed_input_file_exits_2(tmp_path, capsys, argv, name, contents):
+    path = _write(tmp_path / name, contents)
+    assert cli.main(argv + [path, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") for line in err.splitlines()), err

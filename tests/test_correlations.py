@@ -3,20 +3,17 @@
 from fractions import Fraction
 
 import pytest
+from conftest import SyntheticTripleOracle
 
 from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOracle
 from mixlab.correlations import (
     Constellation,
     DevScan,
     OracleCapabilityError,
-    PermutationOracle,
-    SyntheticTripleOracle,
     admissible_pairs,
-    asymmetry_scan,
     dev_scan,
     dev_heatmap_svg,
     dyadic_family,
-    empty_intersection_search,
     kfold_correlation,
     ledrappier_dyadic_shifts,
     mix_defect_scan,
@@ -85,8 +82,8 @@ class TestMixDefectScan:
     def test_ledrappier_order3_separated_zero(self):
         res = mix_defect_scan(
             LED, 3, [L0] * 4,
-            random_separated_shifts(7, 60, 3, 8, 128, dim=2, forbid_dyadic=True),
-            budget=60, keep_rows=False)
+            random_separated_shifts(7, 60, 3, 8, 128, dim=2),
+            budget=60)
         assert res.max_abs_defect == 0
 
     def test_validation(self):
@@ -114,7 +111,7 @@ class TestDevScan:
         assert scan.dev == Fraction(1, h)
 
     def test_bernoulli_dev_zero(self):
-        scan = dev_scan(BERN, B0, B0, B0, 0.05, 100, keep_rows=False)
+        scan = dev_scan(BERN, B0, B0, B0, 0.05, 100)
         assert scan.dev == 0
 
     def test_q_membership_by_recomputation(self):
@@ -150,63 +147,6 @@ class TestDevScan:
         assert len(csv_text.splitlines()) == scan.q_size + 1
         svg = dev_heatmap_svg(scan)
         assert svg.startswith("<svg") and "</svg>" in svg
-
-
-class TestAsymmetry:
-    def test_bernoulli_symmetric(self):
-        rows = asymmetry_scan(BERN, B0, [1, 4, 9])
-        for row in rows:
-            assert row["forward"]["exact"] == "1/2"
-            assert row["backward"]["exact"] == "1/2"
-
-    def test_zero_shift_gives_four_times_measure(self):
-        rows = asymmetry_scan(BERN, B0, [0])
-        assert rows[0]["forward"]["exact"] == "2"  # 4 * (1/2)
-        assert rows[0]["backward"]["exact"] == "2"
-
-    def test_rankone_estimates_recorded(self):
-        from mixlab.rankone import WordOracle, generate_word, staircase_spec, tower_heights
-        spec = staircase_spec(8)
-        word = generate_word(spec, 1, 200000)
-        oracle = WordOracle(word, seed=3)
-        heights = tower_heights(spec)
-        rows = asymmetry_scan(oracle, frozenset({0}), heights[1:4])
-        for row in rows:
-            assert 0.0 <= row["forward"]["estimate"] <= 4.0
-            assert "stderr" in row["forward"] and "stderr" in row["backward"]
-
-
-class TestEmptyIntersection:
-    def test_bernoulli_none_below_zero_threshold(self):
-        pairs = [(m, n) for m in range(1, 6) for n in range(1, 6)]
-        assert empty_intersection_search(BERN, B0, B0, pairs, 0) == []
-
-    def test_permutation_with_known_empty_triple(self):
-        # rotation by 1 on 6 points: A={0,1}, B={0}; A cap T^m A cap T^{m+n} B
-        oracle = PermutationOracle([(i + 1) % 6 for i in range(6)])
-        a = frozenset({0, 1})
-        b = frozenset({0})
-        pairs = [(m, n) for m in range(1, 4) for n in range(1, 4)]
-        hits = empty_intersection_search(oracle, a, b, pairs, 0)
-        found = {(h["m"], h["n"]) for h in hits}
-        # direct set computation oracle
-        expected = set()
-        for m, n in pairs:
-            ta = {(x + m) % 6 for x in a}
-            tb = {(x + m + n) % 6 for x in b}
-            if not (a & ta & tb):
-                expected.add((m, n))
-        assert found == expected
-        assert expected  # the instance genuinely has empty intersections
-
-    def test_threshold_one_accepts_everything(self):
-        pairs = [(1, 2), (3, 4)]
-        hits = empty_intersection_search(BERN, B0, B0, pairs, 1)
-        assert len(hits) == 2
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            empty_intersection_search(BERN, B0, B0, [(1, 1)], -0.5)
 
 
 class TestConstellationType:

@@ -4,6 +4,7 @@ import itertools
 import random
 
 import pytest
+from conftest import bit_matrix, mat_vec, transpose
 
 from mixlab import gf2
 from mixlab.gf2 import BitMatrix, BitVector, DimensionError
@@ -26,12 +27,12 @@ def test_rank_identity():
 
 
 def test_rank_zero_matrix():
-    assert gf2.rank(BitMatrix.zeros(3, 3)) == 0
+    assert gf2.rank(BitMatrix(3, 3, (0,) * 3)) == 0
 
 
 def test_rank_dependent_rows_matches_enumeration():
     rows = [0b011, 0b110, 0b101]  # {110, 011, 101} msb-first in the docs
-    m = BitMatrix.from_rows(rows, 3)
+    m = bit_matrix(rows, 3)
     assert brute_force_rank(rows, 3) == 2
     assert gf2.rank(m) == 2
 
@@ -41,13 +42,13 @@ def test_nullspace_identity_empty():
 
 
 def test_nullspace_zero_matrix_full():
-    basis = gf2.nullspace(BitMatrix.zeros(2, 2))
+    basis = gf2.nullspace(BitMatrix(2, 2, (0,) * 2))
     assert len(basis) == 2
 
 
 def test_nullspace_matches_enumeration():
     # rows {110, 011} over 3 columns: kernel {111}
-    m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1]], 3)
+    m = bit_matrix([[1, 1, 0], [0, 1, 1]], 3)
     expected = {
         v for v in range(8)
         if all((bin(row & v).count("1") % 2) == 0 for row in m.data)
@@ -65,7 +66,7 @@ def test_solve_affine_identity():
 
 def test_solve_affine_underdetermined():
     # single equation x0 + x1 = 1 over 2 unknowns: solutions {10, 01}
-    m = BitMatrix.from_rows([[1, 1]], 2)
+    m = bit_matrix([[1, 1]], 2)
     sol = gf2.solve_affine(m, BitVector.from_bits([1]))
     assert sol is not None
     x, basis = sol
@@ -75,12 +76,12 @@ def test_solve_affine_underdetermined():
 
 
 def test_solve_affine_inconsistent():
-    m = BitMatrix.from_rows([[1, 0], [1, 0]], 2)
+    m = bit_matrix([[1, 0], [1, 0]], 2)
     assert gf2.solve_affine(m, BitVector.from_bits([1, 0])) is None
 
 
 def test_mat_pow_zero_exponent_is_identity():
-    m = BitMatrix.from_rows([[0, 1], [1, 1]], 2)
+    m = bit_matrix([[0, 1], [1, 1]], 2)
     assert gf2.mat_pow(m, 0) == BitMatrix.identity(2)
 
 
@@ -89,7 +90,7 @@ def test_mat_pow_identity_huge_exponent():
 
 
 def test_mat_pow_matches_iterated_multiplication():
-    m = BitMatrix.from_rows([[0, 1], [1, 1]], 2)
+    m = bit_matrix([[0, 1], [1, 1]], 2)
     acc = BitMatrix.identity(2)
     for e in range(1, 9):
         acc = gf2.mat_mul(acc, m)
@@ -98,7 +99,7 @@ def test_mat_pow_matches_iterated_multiplication():
 
 def test_dimension_cap():
     with pytest.raises(DimensionError):
-        BitMatrix.zeros(1, gf2.MAX_DIM + 1)
+        BitMatrix(1, gf2.MAX_DIM + 1, (0,))
 
 
 def _random_matrix(rng, rows, cols):
@@ -113,14 +114,14 @@ def test_rank_nullity_and_kernel_membership():
         basis = gf2.nullspace(m)
         assert gf2.rank(m) + len(basis) == cols
         for v in basis:
-            assert gf2.mat_vec(m, v).bits == 0
+            assert mat_vec(m, v).bits == 0
 
 
 def test_rank_equals_transpose_rank():
     rng = random.Random(202)
     for _ in range(30):
         m = _random_matrix(rng, rng.randint(1, 10), rng.randint(1, 10))
-        assert gf2.rank(m) == gf2.rank(gf2.transpose(m))
+        assert gf2.rank(m) == gf2.rank(transpose(m))
 
 
 def test_mat_pow_additivity():
@@ -152,11 +153,11 @@ def test_solve_affine_random_consistency():
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         m = _random_matrix(rng, rows, cols)
         x = BitVector(cols, rng.getrandbits(cols))
-        b = gf2.mat_vec(m, x)
+        b = mat_vec(m, x)
         sol = gf2.solve_affine(m, b)
         assert sol is not None
         particular, _ = sol
-        assert gf2.mat_vec(m, particular) == b
+        assert mat_vec(m, particular) == b
 
 
 def test_bitvector_validation():

@@ -6,6 +6,14 @@ from fractions import Fraction
 
 import pytest
 from conftest import (
+    adjoint_maps_mean_zero,
+    apply,
+    averaging_operator,
+    diagonal_tensor,
+    group_sum_tensor,
+    image,
+    pair,
+    product_tensor,
     reference_lower_order,
     reference_marginal,
     reference_pair_compose,
@@ -19,20 +27,14 @@ from mixlab.joinings import (
     STABLE_MEMBERS,
     ChainReport,
     Classification,
-    FinitePermutationSystem,
-    JoiningDiagnosticError,
     JoiningError,
     JoiningTensor,
+    LinearOperator,
     MarkovOperator,
     NonStabilizingError,
     Partition,
-    adjoint_maps_mean_zero,
-    averaging_operator,
     chain_check,
     classify,
-    diagonal_tensor,
-    group_sum_tensor,
-    intertwining_residual,
     limit_joining,
     lower_order,
     markov_from_joining,
@@ -40,7 +42,6 @@ from mixlab.joinings import (
     mean_zero_restricted_norm,
     pair_compose,
     parity_tensor,
-    product_tensor,
     raise_order,
     uniform_partition,
 )
@@ -55,22 +56,11 @@ def _tensor_indices(d, order):
     return itertools.product(range(d), repeat=order)
 
 
-def _indicator(d, cell):
-    return [Fraction(1) if i == cell else Fraction(0) for i in range(d)]
-
-
-def _tensor_indicator(d, cells):
-    out = []
-    for idx in _tensor_indices(d, len(cells)):
-        out.append(Fraction(1) if idx == tuple(cells) else Fraction(0))
-    return out
-
-
 class TestTensors:
     def test_parity_entries(self):
         t = parity_tensor(5)
-        assert t.entry((0, 0, 0, 0, 0)) == Fraction(1, 16)
-        assert t.entry((1, 0, 0, 0, 0)) == 0
+        assert t.array[0, 0, 0, 0, 0] == Fraction(1, 16)
+        assert t.array[1, 0, 0, 0, 0] == 0
         assert sum(t.entries) == 1
 
     def test_invariants_enforced(self):
@@ -160,14 +150,14 @@ class TestMarkovFromJoining:
         p2 = markov_from_joining(parity_tensor(3))
         # sign x sign tensor function
         f = [SIGN[a] * SIGN[b] for a, b in _tensor_indices(2, 2)]
-        img = p2.apply(f)
+        img = apply(p2, f)
         assert img == SIGN  # the parity pairing sends sign x sign to sign
 
     def test_diagonal_acts_as_conditional_expectation(self):
         part = Partition((Fraction(1, 4), Fraction(3, 4)))
         p = markov_from_joining(diagonal_tensor(part, 2))
         f = [Fraction(5), Fraction(-2)]
-        assert p.apply(f) == f  # P(f x 1) = f on the cell algebra
+        assert apply(p, f) == f  # P(f x 1) = f on the cell algebra
 
     def test_mean_zero_adjoint_inclusion(self):
         # holds exactly for tensors with product 2-marginals
@@ -202,7 +192,7 @@ class TestPairings:
     def test_parity_p3_nonzero_on_mean_zero(self):
         p3 = pair_compose(markov_from_joining(parity_tensor(3)))
         f = [SIGN[a] * SIGN[b] * SIGN[c] for a, b, c in _tensor_indices(2, 3)]
-        assert p3.apply(f) == SIGN
+        assert apply(p3, f) == SIGN
 
     def test_p3_pairing_identity_100_random_quadruples(self):
         p2 = markov_from_joining(parity_tensor(3))
@@ -210,9 +200,9 @@ class TestPairings:
         gen = substream(41, "quadruples")
         for _ in range(100):
             a1, a2, a3, a4 = (int(x) for x in gen.integers(0, 2, size=4))
-            lhs = p3.pair(_indicator(2, a4), _tensor_indicator(2, (a1, a2, a3)))
-            left = p2.apply(_tensor_indicator(2, (a1, a2)))
-            right = p2.apply(_tensor_indicator(2, (a3, a4)))
+            lhs = pair(p3, a4, (a1, a2, a3))
+            left = image(p2, (a1, a2))
+            right = image(p2, (a3, a4))
             rhs = sum(w * x * y for w, x, y in zip(p2.weights, left, right))
             assert lhs == rhs
 
@@ -223,17 +213,17 @@ class TestPairings:
         p5 = pair_compose(p3)
         d = 3
         for cells in _tensor_indices(d, 4):
-            lhs = p3.pair(_indicator(d, cells[3]), _tensor_indicator(d, cells[:3]))
-            left = p2.apply(_tensor_indicator(d, cells[:2]))
-            right = p2.apply(_tensor_indicator(d, cells[2:]))
+            lhs = pair(p3, cells[3], cells[:3])
+            left = image(p2, cells[:2])
+            right = image(p2, cells[2:])
             rhs = sum(w * x * y for w, x, y in zip(p2.weights, left, right))
             assert lhs == rhs
         gen = substream(42, "d3-p5")
         for _ in range(200):
             cells = tuple(int(x) for x in gen.integers(0, d, size=6))
-            lhs = p5.pair(_indicator(d, cells[5]), _tensor_indicator(d, cells[:5]))
-            left = p3.apply(_tensor_indicator(d, cells[:3]))
-            right = p3.apply(_tensor_indicator(d, cells[3:]))
+            lhs = pair(p5, cells[5], cells[:5])
+            left = image(p3, cells[:3])
+            right = image(p3, cells[3:])
             rhs = sum(w * x * y for w, x, y in zip(p3.weights, left, right))
             assert lhs == rhs
 
@@ -252,9 +242,9 @@ class TestPairings:
         p5 = pair_compose(p3)
         for _ in range(1000):
             cells = tuple(int(x) for x in gen.integers(0, d, size=6))
-            lhs = p5.pair(_indicator(d, cells[5]), _tensor_indicator(d, cells[:5]))
-            left = p3.apply(_tensor_indicator(d, cells[:3]))
-            right = p3.apply(_tensor_indicator(d, cells[3:]))
+            lhs = pair(p5, cells[5], cells[:5])
+            left = image(p3, cells[:3])
+            right = image(p3, cells[3:])
             rhs = sum(w * x * y for w, x, y in zip(p3.weights, left, right))
             assert lhs == rhs
 
@@ -323,8 +313,8 @@ class TestRaiseLower:
                 wb = Fraction(1)
                 for i in rest:
                     wb *= t.weights[i]
-                acc += t.entry((a1, a2) + rest) * t.entry((b1, b2) + rest) / wb
-            assert lowered.entry((a1, a2, b1, b2)) == acc
+                acc += t.array[(a1, a2) + rest] * t.array[(b1, b2) + rest] / wb
+            assert lowered.array[a1, a2, b1, b2] == acc
 
     def test_insufficient_marginals_rejected(self):
         with pytest.raises(JoiningError):
@@ -332,52 +322,18 @@ class TestRaiseLower:
 
     def test_non_joining_source_flagged(self):
         # an operator with a negative pairing cell cannot arise from a
-        # joining; build one directly and watch raise_order flag it
+        # joining; MarkovOperator would reject its rows, so pass it
+        # unvalidated and watch raise_order flag it
         rows = (
             (Fraction(2), Fraction(-1), Fraction(0), Fraction(0),
              Fraction(0), Fraction(0), Fraction(0), Fraction(0)),
             (Fraction(0), Fraction(0), Fraction(0), Fraction(0),
              Fraction(0), Fraction(0), Fraction(0), Fraction(1)),
         )
-        with pytest.raises(ValueError):
-            MarkovOperator(3, U2.weights, rows)
-
-
-class TestIntertwining:
-    def test_identity_permutation_any_operator(self):
-        sysm = FinitePermutationSystem((0, 1, 2, 3), (0, 0, 1, 1))
-        p2 = markov_from_joining(parity_tensor(3))
-        assert intertwining_residual(sysm, p2) == 0.0
-
-    def test_cyclic_with_diagonal_joining(self):
-        sysm = FinitePermutationSystem((1, 2, 3, 0), (0, 1, 2, 3))
-        part = sysm.partition()
-        p2 = markov_from_joining(diagonal_tensor(part, 3))
-        assert intertwining_residual(sysm, p2) == 0.0
-
-    def test_shuffled_tensor_positive_residual(self):
-        # the transposition of cells 0 and 1 does not commute with the twist
-        # a -> a - 1 below; a cyclic cell map would, and leave residual 0
-        sysm = FinitePermutationSystem((1, 0, 2), (0, 1, 2))
-        part = sysm.partition()
-        d = 3
-        entries = []
-        for idx in itertools.product(range(d), repeat=3):
-            # diagonal joining twisted on one axis: the set {(a, a-1, a)}
-            entries.append(part.weights[idx[0]]
-                           if (idx[0], (idx[1] + 1) % d, idx[2]) == (idx[0], idx[0], idx[0])
-                           else Fraction(0))
-        # fix marginals: this twisted diagonal still has uniform marginals
-        t = JoiningTensor(3, d, part.weights, tuple(entries))
-        p2 = markov_from_joining(t)
-        assert intertwining_residual(sysm, p2) > 0.1
-
-    def test_unexpressible_partition_rejected(self):
-        # the permutation splits cell 0: point 0 stays in cell 0, point 1
-        # moves to cell 1, so no cell map is induced
-        sysm = FinitePermutationSystem((1, 2, 0), (0, 0, 1))
-        with pytest.raises(ValueError, match="refined"):
-            sysm.koopman_cell_matrix()
+        p3 = LinearOperator(3, U2.weights, rows)
+        # <P3(e_000), P3(e_001)> = w_0 * 2 * (-1) = -1
+        with pytest.raises(JoiningError, match="nonnegative"):
+            raise_order(p3)
 
 
 class TestLimitJoining:
@@ -404,7 +360,7 @@ class TestLimitJoining:
                 return MeasureValue.of_exact(Fraction(1, 2))
 
             def intersection_measure(self, shifts, events):
-                return MeasureValue.of_exact(target.entry(tuple(events)))
+                return MeasureValue.of_exact(target.array[tuple(events)])
 
         cells = [0, 1]
         t = limit_joining(TensorOracle(), U2, cells, [(0, 1, 2)] * 4, order=3)
@@ -582,7 +538,7 @@ class TestFloatPath:
 
             def intersection_measure(self, shifts, events):
                 # jitter far below the tolerance: members still agree
-                value = float(target.entry(tuple(events))) + 1e-12 * shifts[1]
+                value = float(target.array[tuple(events)]) + 1e-12 * shifts[1]
                 return MeasureValue.of_estimate(value, 0.0, 1000)
 
         t = limit_joining(EstimateOracle(), U2, [0, 1],

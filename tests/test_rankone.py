@@ -86,3 +86,15 @@ def test_spec_validation_and_json_round_trip():
         RankOneSpec((1,), ((0,),))
     with pytest.raises(ValueError):
         RankOneSpec((2,), ((0, -1),))
+
+
+def test_negative_shifts_match_their_nonnegative_translate():
+    spec = staircase_spec(8)
+    oracle = WordOracle(generate_word(spec, 1, 20000), seed=3)
+    events = (frozenset({0}),) * 3
+    for m in tower_heights(spec)[1:4]:
+        back = oracle.intersection_measure((0, -m, -3 * m), events)
+        ahead = oracle.intersection_measure((3 * m, 2 * m, 0), events)
+        assert (back.estimate, back.stderr, back.samples) == \
+            (ahead.estimate, ahead.stderr, ahead.samples)
+        assert 0.0 < back.estimate < 1.0 and back.stderr > 0.0

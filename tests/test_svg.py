@@ -15,8 +15,8 @@ def _parse(text):
 
 def test_grid_svg_parses():
     grid = [[0, 1, 1], [1, 0, 0]]
-    root = _parse(grid_svg(grid, cell=4, title="size=3 seed=0"))
-    assert root.get("width") == "12" and root.get("height") == "8"
+    root = _parse(grid_svg(grid, title="size=3 seed=0"))
+    assert root.get("width") == "36" and root.get("height") == "24"
     assert root.find(NS + "title").text == "size=3 seed=0"
     assert len(root.findall(NS + "rect")) == 1 + 3  # background plus the 1 bits
 
