@@ -3,8 +3,10 @@
 Every command resolves its parameters into a JSON-serializable config,
 embeds that config in the output directory (config.json, also inlined into
 JSON artifacts), and derives all randomness from one explicit 64-bit seed.
-Re-running a command from its embedded config reproduces every artifact
-byte for byte (`mixlab replay`).
+The config holds the contents of every input file in place of its path and
+leaves out the output directory, so re-running a command from its embedded
+config reproduces every artifact byte for byte from any working directory
+(`mixlab replay CONFIG --out DIR`).
 
 Exit codes: 0 success, 2 validation error, 3 capability error (a pattern
 the torus kernel cannot step, an oracle that cannot evaluate a request).
@@ -13,6 +15,7 @@ the torus kernel cannot step, an oracle that cannot evaluate a request).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -98,13 +101,28 @@ def _load_json(path: str) -> dict:
         )
 
 
-def _parse_file(path: str, what: str, parse: Callable):
-    """`parse` applied to the JSON in `path`; malformed contents exit 2."""
-    obj = _load_json(path)
+# Parameters that name an input file.  Resolving a command line replaces each
+# path by the file's JSON contents, so a config needs no other file to replay.
+INPUT_FILES = ("constellation", "events", "pattern", "spec", "tensor")
+
+
+def _inline_inputs(params: dict) -> dict:
+    """`params` with every input file path replaced by the file's JSON; a
+    rank-one preset name stays a name."""
+    resolved = dict(params)
+    for key in INPUT_FILES:
+        path = params.get(key)
+        if path is not None and not (key == "spec" and path in PRESETS):
+            resolved[key] = _load_json(path)
+    return resolved
+
+
+def _parse_input(params: dict, key: str, parse: Callable):
+    """`parse` applied to the inlined input `key`; malformed contents exit 2."""
     try:
-        return parse(obj)
+        return parse(params[key])
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad {what} file {path}: {exc}")
+        raise ValidationError(f"bad {key} input: {exc}")
 
 
 def _events_from_json(obj: dict) -> list[CylinderConstraint]:
@@ -113,10 +131,10 @@ def _events_from_json(obj: dict) -> list[CylinderConstraint]:
     return [CylinderConstraint.from_json(e) for e in obj["events"]]
 
 
-def _load_events(path: str, expected: int) -> list[CylinderConstraint]:
-    events = _parse_file(path, "events", _events_from_json)
+def _load_events(params: dict, expected: int) -> list[CylinderConstraint]:
+    events = _parse_input(params, "events", _events_from_json)
     if len(events) != expected:
-        raise ValidationError(f"{path}: expected {expected} events, found {len(events)}")
+        raise ValidationError(f"expected {expected} events, found {len(events)}")
     return events
 
 
@@ -127,10 +145,9 @@ def _pattern_from_json(obj: dict) -> RelationPattern:
 
 
 def _make_system(params: dict) -> AlgebraicSystem:
-    pattern_file = params.get("pattern")
-    if not pattern_file:
+    if params.get("pattern") is None:
         return ledrappier_system()
-    return AlgebraicSystem(_parse_file(pattern_file, "pattern", _pattern_from_json))
+    return AlgebraicSystem(_parse_input(params, "pattern", _pattern_from_json))
 
 
 def _prepare_outdir(params: dict) -> str:
@@ -142,7 +159,8 @@ def _prepare_outdir(params: dict) -> str:
 
 
 def _emit_config(outdir: str, command: str, params: dict) -> dict:
-    config = {"command": command, "params": params, "version": __version__}
+    reproducible = {k: v for k, v in params.items() if k != "out"}
+    config = {"command": command, "params": reproducible, "version": __version__}
     _write_json(outdir, "config.json", config)
     return config
 
@@ -154,8 +172,7 @@ def cmd_measure(params: dict) -> int:
     outdir = _prepare_outdir(params)
     config = _emit_config(outdir, "measure", params)
     system_name = params.get("system", "ledrappier")
-    constraint = _parse_file(params["constellation"], "constellation",
-                             CylinderConstraint.from_json)
+    constraint = _parse_input(params, "constellation", CylinderConstraint.from_json)
     if system_name == "bernoulli":
         from .algebraic import bernoulli_cylinder_measure
         result = bernoulli_cylinder_measure(constraint)
@@ -183,8 +200,8 @@ def cmd_scan_dev(params: dict) -> int:
     system = params.get("system", "bernoulli")
     if system == "bernoulli":
         oracle = BernoulliOracle()
-        if params.get("events"):
-            a, b, c = _load_events(params["events"], 3)
+        if params.get("events") is not None:
+            a, b, c = _load_events(params, 3)
         else:
             a = b = c = CylinderConstraint((0,), (0,))
     elif system == "rankone":
@@ -219,8 +236,8 @@ def cmd_scan_mix(params: dict) -> int:
         dim = 1
     else:
         raise ValidationError(f"mix scan does not support system {system!r}")
-    if params.get("events"):
-        events = _load_events(params["events"], k + 1)
+    if params.get("events") is not None:
+        events = _load_events(params, k + 1)
     else:
         events = [default_event] * (k + 1)
     family_name = params.get("family", "dyadic")
@@ -253,8 +270,8 @@ def cmd_scan_mix(params: dict) -> int:
 def cmd_joining(params: dict) -> int:
     outdir = _prepare_outdir(params)
     config = _emit_config(outdir, "joining", params)
-    if params.get("tensor"):
-        tensor = _parse_file(params["tensor"], "tensor", JoiningTensor.from_json)
+    if params.get("tensor") is not None:
+        tensor = _parse_input(params, "tensor", JoiningTensor.from_json)
     else:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
         # the 2-cell partition by the origin coordinate.
@@ -267,25 +284,24 @@ def cmd_joining(params: dict) -> int:
     cls = classify(tensor)
     artifacts = {"config": config, "tensor": tensor.to_json(),
                  "classification": cls.to_json()}
-    if params.get("chain") or params.get("raise_order") or params.get("lower_order"):
-        if params.get("lower_order"):
-            lowered, report = lower_order(tensor)
-            artifacts["lowered"] = lowered.to_json()
-            artifacts["lowered_report"] = report
-        if params.get("chain") or params.get("raise_order"):
-            base = parity_tensor(3) if tensor.dims == 2 else None
-            if base is None:
-                raise ValidationError("chain/raise need a 2-cell parity pipeline")
-            p2 = markov_from_joining(base)
-            if params.get("raise_order"):
-                raised, report = raise_order(pair_compose(p2))
-                artifacts["raised"] = raised.to_json()
-                artifacts["raised_report"] = report
-            if params.get("chain"):
-                artifacts["chain"] = chain_check(p2).to_json()
+    if params.get("lower_order"):
+        lowered, report = lower_order(tensor)
+        artifacts["lowered"] = lowered.to_json()
+        artifacts["lowered_report"] = report
+    if params.get("chain") or params.get("raise_order"):
+        base = parity_tensor(3) if tensor.dims == 2 else None
+        if base is None:
+            raise ValidationError("chain/raise need a 2-cell parity pipeline")
+        p2 = markov_from_joining(base)
+        if params.get("raise_order"):
+            raised, report = raise_order(pair_compose(p2))
+            artifacts["raised"] = raised.to_json()
+            artifacts["raised_report"] = report
+        if params.get("chain"):
+            artifacts["chain"] = chain_check(p2).to_json()
     _write_json(outdir, "joining.json", artifacts)
-    _write_json(outdir, "tensor.json", tensor.to_json())
-    _write_json(outdir, "classification.json", cls.to_json())
+    _write_json(outdir, "tensor.json", artifacts["tensor"])
+    _write_json(outdir, "classification.json", artifacts["classification"])
     return 0
 
 
@@ -334,11 +350,10 @@ def cmd_render(params: dict) -> int:
 
 
 def _resolve_rankone_spec(params: dict) -> RankOneSpec:
-    name = params.get("spec", "staircase")
-    stages = params.get("stages", 10)
-    if name in PRESETS:
-        return preset_spec(name, stages)
-    return _parse_file(name, "rank-one spec", RankOneSpec.from_json)
+    spec = params.get("spec", "staircase")
+    if isinstance(spec, str):
+        return preset_spec(spec, params.get("stages", 10))
+    return _parse_input(params, "spec", RankOneSpec.from_json)
 
 
 def cmd_rankone(params: dict) -> int:
@@ -356,15 +371,18 @@ def cmd_rankone(params: dict) -> int:
 
 
 def cmd_replay(params: dict) -> int:
+    """Re-run a config's command on its own inlined inputs, into --out."""
     config = _load_json(params["config"])
-    if "command" not in config or "params" not in config:
+    if not isinstance(config, dict) or "command" not in config or "params" not in config:
         raise ValidationError("config file lacks 'command'/'params'")
-    replay_params = dict(config["params"])
-    if params.get("out"):
-        replay_params["out"] = params["out"]
-    runner = _DISPATCH.get(config["command"])
+    command = config["command"]
+    runner = _DISPATCH.get(command) if isinstance(command, str) else None
     if runner is None:
-        raise ValidationError(f"unknown command {config['command']!r} in config")
+        raise ValidationError(f"unknown command {command!r} in config")
+    if not isinstance(config["params"], dict):
+        raise ValidationError("config 'params' must be an object")
+    replay_params = {**config["params"], "out": params["out"]}
+    _check_params(command, replay_params)
     return runner(replay_params)
 
 
@@ -396,7 +414,10 @@ def _scale_range(text: str) -> list[int]:
     return [int(parts[0]), int(parts[1])]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared after that; no
+    command may mutate the params (or argparse defaults) it is given."""
     parser = argparse.ArgumentParser(
         prog="mixlab",
         description="Computational laboratory for multiple-mixing phenomena",
@@ -474,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replay", help="re-run a command from an embedded config")
     p.add_argument("config", help="path to a config.json")
-    p.add_argument("--out", help="override the output directory")
+    p.add_argument("--out", required=True, help="output directory")
 
     return parser
 
@@ -489,13 +510,54 @@ def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     return command, params
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# JSON value check for each argparse `type` (None: a plain string option).
+_VALUE_CHECKS: dict[object, Callable[[object], bool]] = {
+    None: lambda v: isinstance(v, str),
+    int: _is_int,
+    float: lambda v: _is_int(v) or isinstance(v, float),
+    _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    _scale_range: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+}
+
+
+def _fits(action: argparse.Action, value) -> bool:
+    """`value` is one the option behind `action` could have resolved to."""
+    if action.dest in INPUT_FILES:
+        return isinstance(value, (dict, list)) or (action.dest == "spec" and value in PRESETS)
+    if action.nargs == 0:  # a store_true flag; False values are dropped
+        return action.const is True and value is True
+    return (_VALUE_CHECKS[action.type](value)
+            and (action.choices is None or value in action.choices))
+
+
+def _check_params(command: str, params: dict) -> None:
+    """Reject params that the command's own parser could not have produced:
+    unknown keys, values of the wrong type or choice, missing required
+    options."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    for word in command.split("-"):  # "scan-mix" is "scan", then "mix"
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[word]
+    actions = {a.dest: a for a in parser._actions}
+    for key, value in params.items():
+        if key not in actions or not _fits(actions[key], value):
+            raise ValidationError(f"config parameter {key!r} cannot be {value!r}")
+    missing = [a.dest for a in actions.values() if a.required and a.dest not in params]
+    if missing:
+        raise ValidationError(f"config lacks required parameter {missing[0]!r}")
+
+
+def main(argv: Optional[list[str]] = None) -> int:
+    args = build_parser().parse_args(argv)
     command, params = _params_from_args(args)
-    runner = _DISPATCH.get(command) if command != "replay" else cmd_replay
     try:
-        return runner(params)
+        if command == "replay":
+            return cmd_replay(params)
+        return _DISPATCH[command](_inline_inputs(params))
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

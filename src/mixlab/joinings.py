@@ -14,9 +14,14 @@ the top operator vanishes.  Order-raising builds an order-6 tensor from a
 source-3 operator; order-lowering contracts an order-(p+2) tensor with
 product (p+1)-marginals down to order 4.
 
-Every operation works on one numpy view, `array`: shape (d,)*order for a
-tensor and d x d**k for an operator, of dtype object holding Fractions when
-exact and float otherwise, so a single reduction or contraction serves both.
+Every operation works on one scaled view, `scaled`: a pair (num, den) with
+entry == num / den, num of shape (d,)*order for a tensor and d x d**k for an
+operator.  For exact data num holds Python ints over their least common
+denominator den, so sums and products are integer arithmetic with no gcd
+per step; estimated (float) data is the same pair with float numerators over
+den = 1.  One reduction or contraction therefore serves both, and marginals
+are compared with product masses by cross-multiplying.  Fractions are built
+only for the public `entries` and `matrix` tuples.
 
 Function spaces here are finite-dimensional cell-indicator spaces; only
 tensor-level properties (marginals, independence classes) are claimed for
@@ -29,6 +34,7 @@ constants, never to a configuration group.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -40,6 +46,9 @@ from .correlations import Constellation, CorrelationOracle, kfold_correlation
 from .measure import format_fraction, parse_fraction
 
 Number = Union[Fraction, float]
+# (num, den): values num / den, num an array of Python ints (exact) or
+# floats (estimated, den == 1).
+Scaled = tuple[np.ndarray, int]
 
 # Slack for estimated (float) tensors and operators; validation scales it by
 # the number of entries summed.
@@ -89,16 +98,47 @@ def _indices(d: int, order: int):
     return itertools.product(range(d), repeat=order)
 
 
-def _as_array(values, exact: bool) -> np.ndarray:
-    return np.array(values, dtype=object if exact else float)
+def _scaled(values: Sequence, exact: bool) -> Scaled:
+    """`values` as (num, den), flat: integer numerators over their least
+    common denominator when exact, the floats over 1 otherwise."""
+    if not exact:
+        return np.array(values, dtype=float), 1
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return np.array([p * (den // q) for p, q in ratios], dtype=object), den
 
 
-def _masses(x: Union["JoiningTensor", "LinearOperator"]) -> np.ndarray:
-    return _as_array(x.weights, x.exact)
+def _value(x, den: int, exact: bool) -> Number:
+    """x / den: a reduced Fraction when exact, a float otherwise."""
+    return Fraction(x, den) if exact else x / den
+
+
+def _values(num: np.ndarray, den: int, exact: bool) -> list[Number]:
+    return [_value(x, den, exact) for x in num.ravel().tolist()]
+
+
+def _rows(num: np.ndarray, den: int, exact: bool) -> tuple[tuple[Number, ...], ...]:
+    width = num.shape[1]
+    flat = _values(num, den, exact)
+    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
+
+
+def _masses(x: Union["JoiningTensor", "LinearOperator"]) -> Scaled:
+    return _scaled(x.weights, x.exact)
+
+
+def _inverse_masses(x: Union["JoiningTensor", "LinearOperator"]) -> Scaled:
+    """(inv, den) with 1 / w_i == inv[i] / den: over the lcm of the mass
+    numerators when exact, 1 / w over 1 otherwise."""
+    w, wden = _masses(x)
+    if not x.exact:
+        return 1 / w, 1
+    lcm = math.lcm(*w.tolist())
+    return np.array([wden * (lcm // wi) for wi in w.tolist()], dtype=object), lcm
 
 
 def _mass_grid(masses: np.ndarray, order: int) -> np.ndarray:
-    """Product masses w[i1] * ... * w[i_order] as a (d,)*order array."""
+    """Products masses[i1] * ... * masses[i_order] as a (d,)*order array."""
     grid = masses
     for _ in range(order - 1):
         grid = np.multiply.outer(grid, masses)
@@ -118,14 +158,11 @@ def _differs(a, b, exact: bool, slack: float):
     return a != b if exact else abs(a - b) > slack
 
 
-def _close(a: np.ndarray, b: np.ndarray) -> bool:
-    """No entry differs: exactly when both are exact, within FLOAT_TOL
+def _same(x: "JoiningTensor", y: "JoiningTensor") -> bool:
+    """Equal entries: exactly when both are exact, within FLOAT_TOL
     otherwise."""
-    return not _differs(a, b, a.dtype == object and b.dtype == object, FLOAT_TOL).any()
-
-
-def _rows(a: np.ndarray) -> tuple[tuple[Number, ...], ...]:
-    return tuple(map(tuple, a.tolist()))
+    (a, da), (b, db) = x.scaled, y.scaled
+    return not _differs(a * db, b * da, x.exact and y.exact, FLOAT_TOL * da * db).any()
 
 
 @dataclass(frozen=True)
@@ -140,9 +177,14 @@ class JoiningTensor:
     exact: bool = True
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The entries as a (dims,)*order array."""
-        return _as_array(self.entries, self.exact).reshape((self.dims,) * self.order)
+    def scaled(self) -> Scaled:
+        """(num, den): the entries are num / den, num a (dims,)*order array."""
+        num, den = _scaled(self.entries, self.exact)
+        return num.reshape((self.dims,) * self.order), den
+
+    @cached_property
+    def classification(self) -> "Classification":
+        return _classify(self)
 
     def __post_init__(self):
         if self.order < 1:
@@ -152,25 +194,24 @@ class JoiningTensor:
         n = len(self.entries)
         if n != self.dims ** self.order:
             raise JoiningError("entry count does not match dims**order")
-        a = self.array
+        a, den = self.scaled
         if (a < (0 if self.exact else -FLOAT_TOL)).any():
             raise JoiningError("tensor entries must be nonnegative")
         total = a.sum()
-        if _differs(total, 1, self.exact, FLOAT_TOL * n):
-            raise JoiningError(f"tensor mass is {total}, not 1")
-        w = _masses(self)
+        if _differs(total, den, self.exact, FLOAT_TOL * n):
+            raise JoiningError(f"tensor mass is {_value(total, den, self.exact)}, not 1")
+        w, wden = _masses(self)
         for axis in range(self.order):
             marg = _sum_to(a, (axis,))
-            bad = np.flatnonzero(_differs(marg, w, self.exact, FLOAT_TOL * n))
+            bad = np.flatnonzero(_differs(marg * wden, w * den, self.exact, FLOAT_TOL * n))
             if bad.size:
                 cell = bad[0]
-                raise JoiningError(
-                    f"axis {axis} marginal {marg[cell]} != weight {self.weights[cell]}"
-                )
+                raise JoiningError(f"axis {axis} marginal {_value(marg[cell], den, self.exact)}"
+                                   f" != weight {self.weights[cell]}")
 
     def to_json(self) -> dict:
         if self.exact:
-            entries = [format_fraction(Fraction(e)) for e in self.entries]
+            entries = [format_fraction(e) for e in self.entries]
         else:
             entries = [float(e) for e in self.entries]
         return {
@@ -221,11 +262,11 @@ def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list
         raise ValueError("axes must be a nonempty proper subset")
     if len(set(axes)) != len(axes) or any(not 0 <= a < t.order for a in axes):
         raise ValueError("axes must be distinct and in range")
-    out = _sum_to(t.array, axes)
+    a, den = t.scaled
+    out = _values(_sum_to(a, axes), den, t.exact)
     if len(axes) == 1:
-        return out.tolist()
-    return JoiningTensor(len(axes), t.dims, t.weights, tuple(out.ravel().tolist()),
-                         exact=t.exact)
+        return out
+    return JoiningTensor(len(axes), t.dims, t.weights, tuple(out), exact=t.exact)
 
 
 @dataclass(frozen=True)
@@ -250,19 +291,39 @@ class Classification:
 
 
 def classify(t: JoiningTensor) -> Classification:
-    """is_product plus the largest m with every m-marginal product."""
+    """is_product plus the largest m with every m-marginal product; computed
+    once per tensor."""
+    return t.classification
+
+
+def _classify(t: JoiningTensor) -> Classification:
     Partition(t.weights)  # product masses need a genuine partition
-    a, w = t.array, _masses(t)
-    if _close(a, _mass_grid(w, t.order)):
-        return Classification(t.order, is_product=True, max_product_marginal_order=t.order)
-    max_m, grid = 1, w
-    for m in range(2, t.order):
-        grid = np.multiply.outer(grid, w)
-        if not all(_close(_sum_to(a, axes), grid)
-                   for axes in itertools.combinations(range(t.order), m)):
-            break
-        max_m = m
-    return Classification(t.order, is_product=False, max_product_marginal_order=max_m)
+    n = t.order
+    a, den = t.scaled
+    w, wden = _masses(t)
+
+    def product(margs: Iterable[np.ndarray], m: int) -> bool:
+        # marg / den == grid / wden**m, cross-multiplied
+        scale, grid = wden ** m, _mass_grid(w, m) * den
+        return not any(_differs(marg * scale, grid, t.exact, FLOAT_TOL).any()
+                       for marg in margs)
+
+    if product([a], n):
+        return Classification(n, is_product=True, max_product_marginal_order=n)
+    # Marginals of a product are product, so the answer is the first level,
+    # from the top, whose marginals are all product.  Each m-marginal sums
+    # one axis of an (m+1)-marginal of the level above.
+    level = {tuple(range(n)): a}
+    for m in range(n - 1, 1, -1):
+        below = {}
+        for axes in itertools.combinations(range(n), m):
+            extra = next(x for x in range(n) if x not in axes)
+            parent = tuple(sorted(axes + (extra,)))
+            below[axes] = level[parent].sum(axis=parent.index(extra))
+        level = below
+        if product(level.values(), m):
+            return Classification(n, is_product=False, max_product_marginal_order=m)
+    return Classification(n, is_product=False, max_product_marginal_order=1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,9 +344,11 @@ class LinearOperator:
         return len(self.weights)
 
     @cached_property
-    def array(self) -> np.ndarray:
-        """The matrix as a d x d**source_order array."""
-        return _as_array(self.matrix, self.exact)
+    def scaled(self) -> Scaled:
+        """(num, den): the matrix is num / den, num a d x d**source_order
+        array."""
+        num, den = _scaled([x for row in self.matrix for x in row], self.exact)
+        return num.reshape(len(self.matrix), -1), den
 
 
 @dataclass(frozen=True)
@@ -299,10 +362,10 @@ class MarkovOperator(LinearOperator):
         width = d ** self.source_order
         if any(len(row) != width for row in self.matrix):
             raise ValueError("row width must be dims**source_order")
-        a = self.array
+        a, den = self.scaled
         if (a < (0 if self.exact else -FLOAT_TOL)).any():
             raise ValueError("operator entries must be nonnegative")
-        if _differs(a.sum(axis=1), 1, self.exact, FLOAT_TOL * width).any():
+        if _differs(a.sum(axis=1), den, self.exact, FLOAT_TOL * width).any():
             raise ValueError("operator must preserve constants")
 
 
@@ -312,16 +375,19 @@ def markov_from_joining(t: JoiningTensor) -> MarkovOperator:
         raise ValueError("need a tensor of order at least 2")
     if any(w == 0 for w in t.weights):
         raise ValueError("degenerate cell masses")
-    rows = t.array.reshape(t.dims, -1) / _masses(t)[:, None]
-    return MarkovOperator(source_order=t.order - 1, weights=t.weights, matrix=_rows(rows),
-                          exact=t.exact)
+    a, den = t.scaled
+    inv, inv_den = _inverse_masses(t)
+    rows = a.reshape(t.dims, -1) * inv[:, None]
+    return MarkovOperator(source_order=t.order - 1, weights=t.weights,
+                          matrix=_rows(rows, den * inv_den, t.exact), exact=t.exact)
 
 
-def _pairing(p: LinearOperator) -> np.ndarray:
+def _pairing(p: LinearOperator) -> Scaled:
     """<P(e_a), P(e_b)> for every pair of source cell tuples a, b:
-    a d**k x d**k array."""
-    m = p.array
-    return (_masses(p)[:, None] * m).T @ m
+    a d**k x d**k array over one denominator."""
+    m, den = p.scaled
+    w, wden = _masses(p)
+    return (w[:, None] * m).T @ m, wden * den * den
 
 
 def pair_compose(p: LinearOperator) -> LinearOperator:
@@ -335,9 +401,12 @@ def pair_compose(p: LinearOperator) -> LinearOperator:
     d, k = p.dims, p.source_order
     # Split the right-hand tuple into A_{k+1}...A_{2k-1} and the output cell
     # A_{2k}, which becomes the row.
-    paired = _pairing(p).reshape(d ** k, d ** (k - 1), d)
-    rows = np.moveaxis(paired, 2, 0).reshape(d, -1) / _masses(p)[:, None]
-    return LinearOperator(2 * k - 1, p.weights, _rows(rows), exact=p.exact)
+    paired, den = _pairing(p)
+    paired = paired.reshape(d ** k, d ** (k - 1), d)
+    inv, inv_den = _inverse_masses(p)
+    rows = np.moveaxis(paired, 2, 0).reshape(d, -1) * inv[:, None]
+    return LinearOperator(2 * k - 1, p.weights, _rows(rows, den * inv_den, p.exact),
+                          exact=p.exact)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +440,8 @@ def mean_zero_restricted_norm(p: LinearOperator) -> float:
     for _ in range(p.source_order - 1):
         u = np.kron(u, u1)
     w_out = np.sqrt(np.array([float(x) for x in p.weights]))
-    m = (w_out[:, None] * p.array.astype(float)) @ u
+    num, den = p.scaled
+    m = (w_out[:, None] * (num / den).astype(float)) @ u
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
@@ -454,7 +524,8 @@ def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
     """
     if p3.source_order != 3:
         raise ValueError("raise_order needs a source-order-3 operator")
-    t = JoiningTensor(6, p3.dims, p3.weights, tuple(_pairing(p3).ravel().tolist()),
+    paired, den = _pairing(p3)
+    t = JoiningTensor(6, p3.dims, p3.weights, tuple(_values(paired, den, p3.exact)),
                       exact=p3.exact)
     return t, tensor_report(t, 5)
 
@@ -474,9 +545,13 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
             f"tensor of class {cls.label} lacks product {p + 1}-marginals"
         )
     d = t.dims
-    flat = t.array.reshape(d * d, d ** p)
-    paired = (flat / _mass_grid(_masses(t), p).ravel()) @ flat.T
-    out = JoiningTensor(4, d, t.weights, tuple(paired.ravel().tolist()), exact=t.exact)
+    a, den = t.scaled
+    inv, inv_den = _inverse_masses(t)
+    flat = a.reshape(d * d, d ** p)
+    paired = (flat * _mass_grid(inv, p).ravel()) @ flat.T
+    out = JoiningTensor(4, d, t.weights,
+                        tuple(_values(paired, den * den * inv_den ** p, t.exact)),
+                        exact=t.exact)
     return out, tensor_report(out, 3)
 
 
@@ -518,7 +593,7 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
                 exact = False
                 entries.append(mv.as_float())
         tensor = JoiningTensor(order, d, partition.weights, tuple(entries), exact=exact)
-        if trace and _close(trace[-1].array, tensor.array):
+        if trace and _same(trace[-1], tensor):
             run += 1
         else:
             run = 1

@@ -375,6 +375,26 @@ def reference_marginal(t, axes):
     return out
 
 
+def reference_classify(t):
+    """(is_product, largest m with every m-marginal product) of exact tensor
+    `t`, from loop marginals, levels checked from m = 2 upwards."""
+    d, n = t.dims, t.order
+
+    def product(axes):
+        flat = list(t.entries) if len(axes) == n else reference_marginal(t, axes)
+        return all(v == _wprod(t.weights, idx)
+                   for v, idx in zip(flat, itertools.product(range(d), repeat=len(axes))))
+
+    if product(tuple(range(n))):
+        return True, n
+    max_m = 1
+    for m in range(2, n):
+        if not all(product(axes) for axes in itertools.combinations(range(n), m)):
+            break
+        max_m = m
+    return False, max_m
+
+
 def reference_pair_compose(p):
     """Matrix of the operator of source order 2k-1 that pairs two copies of
     `p`, one entry at a time: row `out`, column A_1..A_{2k-1} holds
@@ -474,12 +494,21 @@ def pair(p, out_cell, cells):
     return p.weights[out_cell] * p.matrix[out_cell][_ravel(cells, p.dims)]
 
 
+def as_array(x):
+    """The public entries of tensor `x` as a (dims,)*order array, or the
+    matrix of operator `x`: Fractions when exact, floats otherwise."""
+    dtype = object if x.exact else float
+    if isinstance(x, JoiningTensor):
+        return np.array(x.entries, dtype=dtype).reshape((x.dims,) * x.order)
+    return np.array(x.matrix, dtype=dtype)
+
+
 def adjoint_of(p, g):
     """P* g as a flat tensor function over d**source_order cells."""
     dtype = object if p.exact else float
     w = np.array(p.weights, dtype=dtype)
     grid = np.array(_cell_products(p.weights, p.source_order), dtype=dtype)
-    return (w * np.asarray(g)) @ p.array / grid
+    return (w * np.asarray(g)) @ as_array(p) / grid
 
 
 def adjoint_maps_mean_zero(p):

@@ -8,7 +8,6 @@ from conftest import SyntheticTripleOracle
 from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOracle
 from mixlab.correlations import (
     Constellation,
-    DevScan,
     OracleCapabilityError,
     admissible_pairs,
     dev_scan,
@@ -65,6 +64,16 @@ class TestMixDefectScan:
                               budget=60)
         assert res.max_abs_defect == 0
         assert res.scanned == 60
+
+    def test_rows_to_csv_exact_fractions(self):
+        # x0 = 0, (x1, x2) = (0, 1) shifted by s, x_t = 0: overlapping
+        # shifts tie the events, disjoint ones make them independent
+        b1 = CylinderConstraint((0, 1), (0, 1))
+        res = mix_defect_scan(BERN, 2, [B0, b1, B0], [(0, 0, 5), (0, 1, 9)], budget=2)
+        lines = mix_rows_to_csv(res).splitlines()
+        assert lines[0] == "shifts,correlation,product,defect,has_certificate"
+        assert lines[1] == '"[0, 0, 5]",1/8,1/16,1/16,0'
+        assert lines[2] == '"[0, 1, 9]",1/16,1/16,0,0'
 
     def test_bernoulli_order1_exact_zero(self):
         res = mix_defect_scan(BERN, 1, [B0] * 2,

@@ -1,6 +1,5 @@
 """GF(2) linear algebra: frozen examples plus randomized invariants."""
 
-import itertools
 import random
 
 import pytest

@@ -8,25 +8,26 @@ import pytest
 from conftest import (
     adjoint_maps_mean_zero,
     apply,
+    as_array,
     averaging_operator,
     diagonal_tensor,
     group_sum_tensor,
     image,
     pair,
     product_tensor,
+    reference_classify,
     reference_lower_order,
     reference_marginal,
     reference_pair_compose,
     reference_raise_order,
 )
 
+from mixlab import joinings
 from mixlab.algebraic import CylinderConstraint, LedrappierOracle
 from mixlab.correlations import dyadic_family
 from mixlab.joinings import (
     FLOAT_TOL,
     STABLE_MEMBERS,
-    ChainReport,
-    Classification,
     JoiningError,
     JoiningTensor,
     LinearOperator,
@@ -59,8 +60,8 @@ def _tensor_indices(d, order):
 class TestTensors:
     def test_parity_entries(self):
         t = parity_tensor(5)
-        assert t.array[0, 0, 0, 0, 0] == Fraction(1, 16)
-        assert t.array[1, 0, 0, 0, 0] == 0
+        assert as_array(t)[0, 0, 0, 0, 0] == Fraction(1, 16)
+        assert as_array(t)[1, 0, 0, 0, 0] == 0
         assert sum(t.entries) == 1
 
     def test_invariants_enforced(self):
@@ -138,6 +139,31 @@ class TestClassify:
         cls = classify(t)
         assert not cls.is_product
         assert cls.label == "M(2,3)"
+
+    def test_matches_loop_reference(self):
+        gen = substream(17, "classify")
+        # parity on three axes times a free fourth axis: class M(2,4)
+        parity_x_free = JoiningTensor(4, 2, U2.weights, tuple(
+            e * w for e in parity_tensor(3).entries for w in U2.weights))
+        tensors = [_twisted_group_sum(gen, 3, 4), _graph_mixture(gen, 3, 4),
+                   diagonal_tensor(U2, 4), parity_x_free, product_tensor(U2, 4),
+                   parity_tensor(5)]
+        labels = set()
+        for t in tensors:
+            cls = classify(t)
+            assert (cls.is_product, cls.max_product_marginal_order) == reference_classify(t)
+            labels.add(cls.label)
+        assert labels == {"M(3,4)", "M(1,4)", "M(2,4)", "product", "M(4,5)"}
+
+    def test_classified_once_per_tensor(self, monkeypatch):
+        seen = []
+        real = joinings._classify
+        monkeypatch.setattr(joinings, "_classify", lambda t: seen.append(t) or real(t))
+        t = parity_tensor(5)
+        classify(t)
+        lowered, _ = lower_order(t)
+        classify(t)
+        assert seen == [t, lowered]
 
 
 class TestMarkovFromJoining:
@@ -307,14 +333,15 @@ class TestRaiseLower:
         t = parity_tensor(5)
         lowered, _ = lower_order(t)
         d = t.dims
+        nu, nu2 = as_array(t), as_array(lowered)
         for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
             acc = Fraction(0)
             for rest in itertools.product(range(d), repeat=3):
                 wb = Fraction(1)
                 for i in rest:
                     wb *= t.weights[i]
-                acc += t.array[(a1, a2) + rest] * t.array[(b1, b2) + rest] / wb
-            assert lowered.array[a1, a2, b1, b2] == acc
+                acc += nu[(a1, a2) + rest] * nu[(b1, b2) + rest] / wb
+            assert nu2[a1, a2, b1, b2] == acc
 
     def test_insufficient_marginals_rejected(self):
         with pytest.raises(JoiningError):
@@ -360,7 +387,7 @@ class TestLimitJoining:
                 return MeasureValue.of_exact(Fraction(1, 2))
 
             def intersection_measure(self, shifts, events):
-                return MeasureValue.of_exact(target.array[tuple(events)])
+                return MeasureValue.of_exact(as_array(target)[tuple(events)])
 
         cells = [0, 1]
         t = limit_joining(TensorOracle(), U2, cells, [(0, 1, 2)] * 4, order=3)
@@ -492,6 +519,12 @@ def _estimated(t):
     return JoiningTensor.from_json(obj)
 
 
+def _float_scaled(x):
+    """`x` is held as float numerators over the denominator 1."""
+    num, den = x.scaled
+    return num.dtype == float and den == 1
+
+
 def _assert_near(floats, exact):
     assert len(floats) == len(exact)
     assert all(abs(x - float(y)) <= FLOAT_TOL for x, y in zip(floats, exact))
@@ -503,7 +536,7 @@ class TestFloatPath:
     def test_json_estimate_matches_exact(self):
         t = _twisted_group_sum(substream(7, "float"), 3, 5)
         f = _estimated(t)
-        assert not f.exact and f.array.dtype == float
+        assert not f.exact and _float_scaled(f)
         assert classify(f) == classify(t)
         for axes in [(1,), (2, 0), (4, 1, 3), (0, 1, 2, 3)]:
             got, want = marginal(f, axes), marginal(t, axes)
@@ -522,7 +555,7 @@ class TestFloatPath:
                                                         Fraction(1, 6)))])
     def test_chain_on_estimate_matches_exact(self, t):
         pf = markov_from_joining(_estimated(t))
-        assert not pf.exact and pf.array.dtype == float
+        assert not pf.exact and _float_scaled(pf)
         rf, rt = chain_check(pf), chain_check(markov_from_joining(t))
         for key in ("norm_p2", "norm_p3", "norm_p5"):
             assert abs(getattr(rf, key) - getattr(rt, key)) <= FLOAT_TOL
@@ -538,13 +571,13 @@ class TestFloatPath:
 
             def intersection_measure(self, shifts, events):
                 # jitter far below the tolerance: members still agree
-                value = float(target.array[tuple(events)]) + 1e-12 * shifts[1]
+                value = float(as_array(target)[tuple(events)]) + 1e-12 * shifts[1]
                 return MeasureValue.of_estimate(value, 0.0, 1000)
 
         t = limit_joining(EstimateOracle(), U2, [0, 1],
                           [(0, s, 2 * s, 3 * s) for s in range(1, STABLE_MEMBERS + 1)],
                           order=4)
-        assert not t.exact and t.array.dtype == float
+        assert not t.exact and _float_scaled(t)
         _assert_near(t.entries, target.entries)
         assert classify(t) == classify(target)
         _assert_near(marginal(t, (3, 1)).entries, marginal(target, (3, 1)).entries)
@@ -564,3 +597,31 @@ class TestFloatPath:
             else:
                 with pytest.raises(JoiningError, match="marginal"):
                     JoiningTensor.from_json(candidate)
+
+
+def test_reductions_make_no_fraction_additions(monkeypatch):
+    """Exact reductions and contractions run on integer numerators: the
+    calculus on a d=4, order-6 tensor adds Fractions only to validate cell
+    masses, never inside an array reduction."""
+    q = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8))
+    t = group_sum_tensor(4, q, order=6)
+    p2 = markov_from_joining(group_sum_tensor(4, q, order=3))
+    additions = 0
+
+    def counting(add):
+        def counted(a, b):
+            nonlocal additions
+            additions += 1
+            return add(a, b)
+        return counted
+
+    monkeypatch.setattr(Fraction, "__add__", counting(Fraction.__add__))
+    monkeypatch.setattr(Fraction, "__radd__", counting(Fraction.__radd__))
+    assert classify(t).label == "M(5,6)"
+    for axes in [(0,), (5, 1), (0, 2, 4), (3, 2, 1, 0), (0, 1, 2, 3, 4)]:
+        marginal(t, axes)
+    lower_order(t)
+    p3 = pair_compose(p2)
+    pair_compose(p3)
+    raise_order(p3)
+    assert additions < 100
