@@ -537,18 +537,15 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKe
 # ---------------------------------------------------------------------------
 # Bernoulli shift on Z (Haar measure on {0,1}^Z)
 
-def bernoulli_cylinder_measure(
-        c: Union[CylinderConstraint, Iterable[tuple[int, int]]]) -> MeasureValue:
-    """Exact measure of a cylinder of the full 2-shift: 2^(-#distinct sites),
-    or 0 when one site is required to take both values."""
-    if isinstance(c, CylinderConstraint):
-        pairs = list(zip(c.sites, c.bits))
-    else:
-        pairs = list(c)
-    merged = merge_site_bits(pairs)
-    if merged is None:
-        return MeasureValue.of_exact(0)
-    return MeasureValue.of_exact(Fraction(1, 1 << len(merged.sites)))
+def bernoulli_cylinder_measure(pairs: Iterable[tuple[Site, int]]) -> MeasureValue:
+    """Exact measure of the cylinder of the full 2-shift given by (site, bit)
+    requirements: 2^(-#distinct sites), or 0 when one site is required to
+    take both values."""
+    bits: dict[Site, int] = {}
+    for site, bit in pairs:
+        if bits.setdefault(site, bit) != bit:
+            return MeasureValue.of_exact(0)
+    return MeasureValue.of_exact(Fraction(1, 1 << len(bits)))
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +600,7 @@ class BernoulliOracle:
     """Exact oracle for the full 2-shift; supports negative shifts."""
 
     def event_measure(self, event: CylinderConstraint) -> MeasureValue:
-        return bernoulli_cylinder_measure(event)
+        return bernoulli_cylinder_measure(zip(event.sites, event.bits))
 
     def intersection_measure(self, shifts: Sequence[int],
                              events: Sequence[CylinderConstraint]) -> MeasureValue:

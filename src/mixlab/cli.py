@@ -1,12 +1,14 @@
 """Command-line front end: reproducible experiments with file outputs.
 
 Every command resolves its parameters into a JSON-serializable config,
-embeds that config in the output directory (config.json, also inlined into
-JSON artifacts), and derives all randomness from one explicit 64-bit seed.
-The config holds the contents of every input file in place of its path and
-leaves out the output directory, so re-running a command from its embedded
-config reproduces every artifact byte for byte from any working directory
-(`mixlab replay CONFIG --out DIR`).
+writes that config to config.json in the output directory (no other
+artifact repeats it, except measure.json), and derives all randomness from
+one explicit 64-bit seed.  The config holds the contents of every input
+file in place of its path and leaves out the output directory, so
+re-running a command from its config reproduces every artifact byte for
+byte from any working directory (`mixlab replay CONFIG --out DIR`).  Replay
+fills every option the config leaves out with the parser's default, as the
+command line does.
 
 Exit codes: 0 success, 2 validation error, 3 capability error (a pattern
 the torus kernel cannot step, an oracle that cannot evaluate a request).
@@ -30,6 +32,7 @@ from .algebraic import (
     LedrappierOracle,
     RelationPattern,
     UnsupportedPatternError,
+    bernoulli_cylinder_measure,
     cylinder_measure,
     default_torus_for,
     grid_to_json,
@@ -166,38 +169,38 @@ def _emit_config(outdir: str, command: str, params: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Commands (each takes a resolved JSON-serializable params dict)
+# Commands (each takes a resolved JSON-serializable params dict that holds
+# every parser default)
 
 def cmd_measure(params: dict) -> int:
     outdir = _prepare_outdir(params)
     config = _emit_config(outdir, "measure", params)
-    system_name = params.get("system", "ledrappier")
+    system_name = params["system"]
     constraint = _parse_input(params, "constellation", CylinderConstraint.from_json)
     if system_name == "bernoulli":
-        from .algebraic import bernoulli_cylinder_measure
-        result = bernoulli_cylinder_measure(constraint)
+        result = bernoulli_cylinder_measure(zip(constraint.sites, constraint.bits))
     elif system_name == "ledrappier":
         system = _make_system(params)
         if params.get("mc"):
             kernel = (torus_kernel(system, params["torus"], params["torus"])
                       if params.get("torus") else default_torus_for(system, constraint))
-            result = mc_cylinder_measure(kernel, constraint,
-                                         params.get("samples", 100000),
-                                         params.get("seed", 0))
+            result = mc_cylinder_measure(kernel, constraint, params["samples"], params["seed"])
         else:
             result = cylinder_measure(system, constraint)
     else:
         raise ValidationError(f"unknown system {system_name!r}")
+    # measure.json alone still repeats the config: the benchmark's own tests
+    # (mixbench/test_mixbench.py) edit it there.
     _write_json(outdir, "measure.json", {"config": config, "result": result.to_json()})
     return 0
 
 
 def cmd_scan_dev(params: dict) -> int:
     outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "scan-dev", params)
+    _emit_config(outdir, "scan-dev", params)
     epsilon = params["epsilon"]
     h = params["h"]
-    system = params.get("system", "bernoulli")
+    system = params["system"]
     if system == "bernoulli":
         oracle = BernoulliOracle()
         if params.get("events") is not None:
@@ -206,26 +209,25 @@ def cmd_scan_dev(params: dict) -> int:
             a = b = c = CylinderConstraint((0,), (0,))
     elif system == "rankone":
         spec = _resolve_rankone_spec(params)
-        word = generate_word(spec, params.get("stage", 1),
+        word = generate_word(spec, params["stage"],
                              params.get("word_length", max(100 * h, 10000)))
-        oracle = WordOracle(word, seed=params.get("seed", 0))
+        oracle = WordOracle(word, seed=params["seed"])
         a = b = c = frozenset({0})
     else:
         raise ValidationError(f"dev scan does not support system {system!r}")
     result = dev_scan(oracle, a, b, c, epsilon, h)
     _write_text(outdir, "dev.csv", scan_rows_to_csv(result.rows))
-    _write_json(outdir, "dev.json", {"config": config, "result": result.to_json()})
+    _write_json(outdir, "dev.json", {"result": result.to_json()})
     _write_text(outdir, "dev_heatmap.svg", dev_heatmap_svg(result))
     return 0
 
 
 def cmd_scan_mix(params: dict) -> int:
     outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "scan-mix", params)
+    _emit_config(outdir, "scan-mix", params)
     k = params["order"]
-    system = params.get("system", "ledrappier")
-    seed = params.get("seed", 0)
-    budget = params.get("budget", 100)
+    system = params["system"]
+    budget = params["budget"]
     if system == "ledrappier":
         oracle = LedrappierOracle(_make_system(params))
         default_event = CylinderConstraint(((0, 0),), (0,))
@@ -240,22 +242,20 @@ def cmd_scan_mix(params: dict) -> int:
         events = _load_events(params, k + 1)
     else:
         events = [default_event] * (k + 1)
-    family_name = params.get("family", "dyadic")
+    family_name = params["family"]
     if family_name == "dyadic":
-        lo, hi = params.get("scales", [1, 8])
+        lo, hi = params["scales"]
         if dim != 2 or k != 4:
             raise ValidationError("the dyadic family is the 5-point Z^2 family (order 4)")
         family = dyadic_family(range(lo, hi))
     elif family_name == "random":
-        family = random_separated_shifts(seed, budget, k,
-                                         params.get("min_gap", 8),
-                                         params.get("box", 128), dim=dim)
+        family = random_separated_shifts(params["seed"], budget, k, params["min_gap"],
+                                         params["box"], dim=dim)
     else:
         raise ValidationError(f"unknown shift family {family_name!r}")
     result = mix_defect_scan(oracle, k, events, family, budget)
     _write_text(outdir, "mix.csv", mix_rows_to_csv(result))
     summary = {
-        "config": config,
         "order": result.order,
         "scanned": result.scanned,
         "max_abs_defect": format_fraction(result.max_abs_defect)
@@ -269,21 +269,20 @@ def cmd_scan_mix(params: dict) -> int:
 
 def cmd_joining(params: dict) -> int:
     outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "joining", params)
+    _emit_config(outdir, "joining", params)
     if params.get("tensor") is not None:
         tensor = _parse_input(params, "tensor", JoiningTensor.from_json)
     else:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
         # the 2-cell partition by the origin coordinate.
         oracle = LedrappierOracle(_make_system(params))
-        lo, hi = params.get("scales", [1, 6])
+        lo, hi = params["scales"]
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
         tensor = limit_joining(oracle, uniform_partition(2), cells,
                                dyadic_family(range(lo, hi)),
-                               order=params.get("order", 5))
+                               order=params["order"])
     cls = classify(tensor)
-    artifacts = {"config": config, "tensor": tensor.to_json(),
-                 "classification": cls.to_json()}
+    artifacts = {"tensor": tensor.to_json(), "classification": cls.to_json()}
     if params.get("lower_order"):
         lowered, report = lower_order(tensor)
         artifacts["lowered"] = lowered.to_json()
@@ -307,32 +306,27 @@ def cmd_joining(params: dict) -> int:
 
 def cmd_percolate(params: dict) -> int:
     outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "percolate", params)
+    _emit_config(outdir, "percolate", params)
     system = _make_system(params)
-    rows = percolation_sweep(system, params["sizes"], params.get("samples", 20),
-                             params.get("connectivity", 4), params.get("seed", 0))
+    rows = percolation_sweep(system, params["sizes"], params["samples"],
+                             params["connectivity"], params["seed"])
     _write_text(outdir, "percolation.csv", sweep_to_csv(rows))
-    _write_json(outdir, "percolation.json", {
-        "config": config,
-        "rows": [r.__dict__ for r in rows],
-    })
+    _write_json(outdir, "percolation.json", {"rows": [r.__dict__ for r in rows]})
     return 0
 
 
 def cmd_render(params: dict) -> int:
     outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "render", params)
+    _emit_config(outdir, "render", params)
     system = _make_system(params)
-    size = params.get("size", 32)
-    seed = params.get("seed", 0)
+    size = params["size"]
+    seed = params["seed"]
     kernel = torus_kernel(system, size, size)
     grid = sample_configuration(kernel, seed)
-    fmt = params.get("format", "svg")
-    formats = fmt.split(",") if isinstance(fmt, str) else list(fmt)
-    for f in formats:
+    for f in params["format"].split(","):
         if f == "svg":
             if params.get("clusters"):
-                rep = clusters(grid, params.get("connectivity", 4), params.get("bit", 0))
+                rep = clusters(grid, params["connectivity"], params["bit"])
                 _write_text(outdir, "grid.svg",
                             svgmod.cluster_svg(grid.tolist(), rep.labels.tolist(),
                                                rep.target_bit,
@@ -343,27 +337,26 @@ def cmd_render(params: dict) -> int:
         elif f == "pbm":
             _write_text(outdir, "grid.pbm", grid_to_pbm(grid))
         elif f == "json":
-            _write_json(outdir, "grid.json", {"config": config, **grid_to_json(grid)})
+            _write_json(outdir, "grid.json", grid_to_json(grid))
         else:
             raise ValidationError(f"unknown render format {f!r}")
     return 0
 
 
 def _resolve_rankone_spec(params: dict) -> RankOneSpec:
-    spec = params.get("spec", "staircase")
+    spec = params["spec"]
     if isinstance(spec, str):
-        return preset_spec(spec, params.get("stages", 10))
+        return preset_spec(spec, params["stages"])
     return _parse_input(params, "spec", RankOneSpec.from_json)
 
 
 def cmd_rankone(params: dict) -> int:
     outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "rankone", params)
+    _emit_config(outdir, "rankone", params)
     spec = _resolve_rankone_spec(params)
-    artifacts: dict = {"config": config, "spec": spec.to_json(),
-                       "heights": tower_heights(spec)}
+    artifacts: dict = {"spec": spec.to_json(), "heights": tower_heights(spec)}
     if params.get("word_length"):
-        word = generate_word(spec, params.get("stage", 1), params["word_length"])
+        word = generate_word(spec, params["stage"], params["word_length"])
         _write_json(outdir, "word.json", word.to_rle_json())
         artifacts["word_length"] = word.length
     _write_json(outdir, "rankone.json", artifacts)
@@ -371,7 +364,8 @@ def cmd_rankone(params: dict) -> int:
 
 
 def cmd_replay(params: dict) -> int:
-    """Re-run a config's command on its own inlined inputs, into --out."""
+    """Re-run a config's command on its own inlined inputs, into --out; an
+    option the config leaves out takes the parser's default."""
     config = _load_json(params["config"])
     if not isinstance(config, dict) or "command" not in config or "params" not in config:
         raise ValidationError("config file lacks 'command'/'params'")
@@ -381,7 +375,7 @@ def cmd_replay(params: dict) -> int:
         raise ValidationError(f"unknown command {command!r} in config")
     if not isinstance(config["params"], dict):
         raise ValidationError("config 'params' must be an object")
-    replay_params = {**config["params"], "out": params["out"]}
+    replay_params = {**_parser_defaults(command), **config["params"], "out": params["out"]}
     _check_params(command, replay_params)
     return runner(replay_params)
 
@@ -534,15 +528,27 @@ def _fits(action: argparse.Action, value) -> bool:
             and (action.choices is None or value in action.choices))
 
 
-def _check_params(command: str, params: dict) -> None:
-    """Reject params that the command's own parser could not have produced:
-    unknown keys, values of the wrong type or choice, missing required
-    options."""
+def _command_parser(command: str) -> argparse.ArgumentParser:
     parser = build_parser()
     for word in command.split("-"):  # "scan-mix" is "scan", then "mix"
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parser = sub.choices[word]
-    actions = {a.dest: a for a in parser._actions}
+    return parser
+
+
+def _parser_defaults(command: str) -> dict:
+    """The defaults the command line would put in `command`'s params (the
+    ones `_params_from_args` keeps)."""
+    return {a.dest: a.default for a in _command_parser(command)._actions
+            if a.default is not None and a.default is not False
+            and a.default is not argparse.SUPPRESS}
+
+
+def _check_params(command: str, params: dict) -> None:
+    """Reject params that the command's own parser could not have produced:
+    unknown keys, values of the wrong type or choice, missing required
+    options."""
+    actions = {a.dest: a for a in _command_parser(command)._actions}
     for key, value in params.items():
         if key not in actions or not _fits(actions[key], value):
             raise ValidationError(f"config parameter {key!r} cannot be {value!r}")

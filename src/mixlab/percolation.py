@@ -1,8 +1,9 @@
 """Thread and cluster analysis of sampled lattice configurations.
 
 Connected components of a chosen bit value under 4- or 8-connectivity on the
-torus, with wraparound detection: a cluster wraps when union-find discovers
-two lifts of one cell whose universal-cover displacements disagree, the
+torus, found by one flood fill in the universal cover: each cell records the
+cover position at which the fill first reaches it, and reaching it again at
+a different position closes a cycle that winds around the torus, the
 standard finite-volume proxy for an infinite thread.  The analyzer is
 bit-symmetric; sweeps always report both bit values.
 """
@@ -13,7 +14,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -22,143 +23,79 @@ from .algebraic import (AlgebraicSystem, TorusKernel, grid_satisfies_pattern,
 from .rng import mix
 
 
-class OffsetUnionFind:
-    """Union-find tracking each node's displacement to its parent in the
-    universal cover; contradictory displacements mark winding clusters."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-        self.off = [(0, 0)] * n  # displacement of node relative to its parent
-
-    def locate(self, x: int) -> tuple[int, int, int]:
-        """Root of x and the displacement of x relative to the root,
-        compressing the path as it goes."""
-        root = x
-        ox, oy = 0, 0
-        while self.parent[root] != root:
-            dx, dy = self.off[root]
-            ox, oy = ox + dx, oy + dy
-            root = self.parent[root]
-        # Path compression with offset rewrite.
-        node = x
-        nox, noy = ox, oy
-        while self.parent[node] != node:
-            dx, dy = self.off[node]
-            nxt = self.parent[node]
-            self.off[node] = (nox, noy)
-            self.parent[node] = root
-            nox, noy = nox - dx, noy - dy
-            node = nxt
-        return root, ox, oy
-
-    def union(self, a: int, b: int, dab: tuple[int, int]) -> Optional[tuple[int, int]]:
-        """Join with the constraint pos(a) - pos(b) = dab.
-
-        Returns None on a fresh merge; on an already-joined pair returns the
-        mismatch vector (zero when consistent, nonzero when the pair closes
-        a cycle that winds around the torus).
-        """
-        ra, xa, ya = self.locate(a)
-        rb, xb, yb = self.locate(b)
-        if ra == rb:
-            mx = xa - xb - dab[0]
-            my = ya - yb - dab[1]
-            return (mx, my)
-        # pos(a) = root_a + (xa, ya); want root_b expressed under root_a.
-        if self.rank[ra] < self.rank[rb]:
-            # attach ra under rb: off[ra] = pos(ra) - pos(rb)
-            self.parent[ra] = rb
-            self.off[ra] = (dab[0] + xb - xa, dab[1] + yb - ya)
-        else:
-            self.parent[rb] = ra
-            self.off[rb] = (-dab[0] + xa - xb, -dab[1] + ya - yb)
-            if self.rank[ra] == self.rank[rb]:
-                self.rank[ra] += 1
-        return None
-
-
 @dataclass
 class ClusterReport:
-    """Cluster statistics of one bit value on a torus grid."""
+    """Cluster statistics of one bit value on a torus grid.
+
+    `labels` numbers the clusters 0, 1, ... in the order the fill discovers
+    them (row-major order of each cluster's first cell); other cells are -1.
+    """
 
     target_bit: int
     cluster_count: int
-    size_histogram: dict[int, int]
+    target_cells: int
     largest: int
     wraps_horizontal: bool
     wraps_vertical: bool
-    labels: Optional[np.ndarray] = field(default=None, repr=False)
-
-    def total_target_cells(self) -> int:
-        return sum(size * count for size, count in self.size_histogram.items())
+    labels: np.ndarray = field(repr=False)
 
 
-_STEPS_4 = ((1, 0), (0, 1))
-_STEPS_8 = ((1, 0), (0, 1), (1, 1), (1, -1))
+# Cover steps to every neighbour, both directions, per connectivity.
+_STEPS = {
+    4: ((1, 0), (-1, 0), (0, 1), (0, -1)),
+    8: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)),
+}
 
 
 def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> ClusterReport:
-    """Union-find clustering of same-bit neighbours with torus wraparound.
+    """Clusters of `target_bit` cells with torus wraparound, by flood fill.
 
-    Wrap flags are true iff some cluster contains two universal-cover lifts
-    of one cell separated horizontally / vertically.
+    Each cell keeps the universal-cover position (x, y) at which the fill
+    first reached it.  Reaching it again from a neighbour at another cover
+    position closes a winding cycle; the horizontal / vertical wrap flag is
+    set when the two positions differ in x / y.
     """
-    if connectivity not in (4, 8):
+    if connectivity not in _STEPS:
         raise ValueError("connectivity must be 4 or 8")
     if target_bit not in (0, 1):
         raise ValueError("target bit must be 0 or 1")
     h, w = grid.shape
-    steps = _STEPS_4 if connectivity == 4 else _STEPS_8
-    uf = OffsetUnionFind(w * h)
-    target = grid == target_bit
-    wraps: dict[int, list[bool]] = {}
-    for j in range(h):
-        for i in range(w):
-            if not target[j, i]:
-                continue
-            a = j * w + i
-            for di, dj in steps:
-                ni, nj = (i + di) % w, (j + dj) % h
-                if not target[nj, ni]:
-                    continue
-                b = nj * w + ni
-                # displacement of b minus a in the cover is the raw step
-                mismatch = uf.union(b, a, (di, dj))
-                if mismatch and mismatch != (0, 0):
-                    root, _, _ = uf.locate(a)
-                    flags = wraps.setdefault(root, [False, False])
-                    if mismatch[0]:
-                        flags[0] = True
-                    if mismatch[1]:
-                        flags[1] = True
-    sizes: dict[int, int] = {}
-    labels = np.full((h, w), -1, dtype=np.int64)
+    steps = _STEPS[connectivity]
+    target = (grid == target_bit).ravel().tolist()
+    labels = [-1] * (w * h)
+    cover_x = [0] * (w * h)
+    cover_y = [0] * (w * h)
+    sizes: list[int] = []
     wrap_h = wrap_v = False
-    final_flags: dict[int, list[bool]] = {}
-    for old_root, flags in wraps.items():
-        root, _, _ = uf.locate(old_root)
-        acc = final_flags.setdefault(root, [False, False])
-        acc[0] |= flags[0]
-        acc[1] |= flags[1]
-    for j in range(h):
-        for i in range(w):
-            if not target[j, i]:
-                continue
-            root, _, _ = uf.locate(j * w + i)
-            labels[j, i] = root
-            sizes[root] = sizes.get(root, 0) + 1
-    histogram: dict[int, int] = {}
-    for root, size in sizes.items():
-        histogram[size] = histogram.get(size, 0) + 1
-        flags = final_flags.get(root)
-        if flags:
-            wrap_h |= flags[0]
-            wrap_v |= flags[1]
+    for start, is_target in enumerate(target):
+        if not is_target or labels[start] >= 0:
+            continue
+        label = len(sizes)
+        labels[start] = label
+        cover_y[start], cover_x[start] = divmod(start, w)
+        stack = [start]
+        size = 0
+        while stack:
+            cell = stack.pop()
+            size += 1
+            x, y = cover_x[cell], cover_y[cell]
+            for dx, dy in steps:
+                nx, ny = x + dx, y + dy
+                n = (ny % h) * w + nx % w
+                if not target[n]:
+                    continue
+                if labels[n] < 0:
+                    labels[n] = label
+                    cover_x[n], cover_y[n] = nx, ny
+                    stack.append(n)
+                else:
+                    wrap_h = wrap_h or cover_x[n] != nx
+                    wrap_v = wrap_v or cover_y[n] != ny
+        sizes.append(size)
     return ClusterReport(
-        target_bit=target_bit, cluster_count=len(sizes), size_histogram=histogram,
-        largest=max(sizes.values()) if sizes else 0,
-        wraps_horizontal=wrap_h, wraps_vertical=wrap_v, labels=labels,
+        target_bit=target_bit, cluster_count=len(sizes), target_cells=sum(sizes),
+        largest=max(sizes, default=0), wraps_horizontal=wrap_h, wraps_vertical=wrap_v,
+        labels=np.array(labels, dtype=np.int64).reshape(h, w),
     )
 
 
@@ -194,7 +131,7 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
         out = {}
         for bit in (0, 1):
             rep = clusters(config, connectivity, bit)
-            total = rep.total_target_cells()
+            total = rep.target_cells
             out[bit] = {
                 "wrap": rep.wraps_horizontal or rep.wraps_vertical,
                 "largest_fraction": rep.largest / total if total else 0.0,

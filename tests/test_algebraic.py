@@ -362,11 +362,11 @@ class TestMonteCarlo:
 
 class TestBernoulli:
     def test_single_site(self):
-        assert bernoulli_cylinder_measure(CylinderConstraint((0,), (0,))).exact == Fraction(1, 2)
+        assert bernoulli_cylinder_measure([(0, 0)]).exact == Fraction(1, 2)
 
     def test_three_distinct_sites(self):
         c = CylinderConstraint((0, 5, 9), (0, 1, 0))
-        assert bernoulli_cylinder_measure(c).exact == Fraction(1, 8)
+        assert bernoulli_cylinder_measure(zip(c.sites, c.bits)).exact == Fraction(1, 8)
 
     def test_conflicting_bits_zero(self):
         assert bernoulli_cylinder_measure([(3, 0), (3, 1)]).exact == 0

@@ -114,7 +114,12 @@ def _artifacts(out):
 ])
 def test_command_writes_its_artifacts(tmp_path, argv, names):
     out = _run(tmp_path, argv)
-    assert set(_artifacts(out)) == names | {"config.json"}
+    artifacts = _artifacts(out)
+    assert set(artifacts) == names | {"config.json"}
+    # config.json is the one copy of the config; no other artifact repeats it
+    for name in names:
+        if name.endswith(".json"):
+            assert "config" not in json.loads(artifacts[name]), name
 
 
 def _joining(tmp_path, tensor, *flags):
@@ -202,6 +207,17 @@ def test_replay_elsewhere_without_inputs(tmp_path, monkeypatch, argv, inputs):
     monkeypatch.chdir(other)
     assert cli.main(["replay", str(run_dir / "first" / "config.json"), "--out", "again"]) == 0
     assert _artifacts(other / "again") == _artifacts(run_dir / "first")
+
+
+def test_replay_fills_parser_defaults(tmp_path, monkeypatch):
+    # A config without "family" scans the parser's default family (random),
+    # exactly as the command line without --family does.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["scan", "mix", "--order", "4", "--budget", "2", "--out", "cli"]) == 0
+    _write(tmp_path / "config.json",
+           {"command": "scan-mix", "params": {"order": 4, "budget": 2}})
+    assert cli.main(["replay", "config.json", "--out", "replayed"]) == 0
+    assert _artifacts(tmp_path / "replayed") == _artifacts(tmp_path / "cli")
 
 
 @pytest.mark.parametrize("config", [

@@ -1,4 +1,5 @@
-"""Percolation: union-find clusters vs universal-cover BFS, sweep determinism."""
+"""Percolation: flood-fill clusters vs universal-cover BFS, winding cases
+with known answers, sweep determinism."""
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ def _assert_matches_bfs(grid, connectivity, bit):
     sizes = np.unique(labels[labels >= 0], return_counts=True)[1]
     assert rep.cluster_count == len(sizes)
     assert rep.largest == (int(sizes.max()) if len(sizes) else 0)
-    assert rep.total_target_cells() == int((grid == bit).sum())
+    assert rep.target_cells == int((grid == bit).sum())
 
 
 class TestClustersMatchBFS:
@@ -62,6 +63,49 @@ class TestClustersMatchBFS:
             clusters(grid, 4, 2)
 
 
+def _summary(cells, h, w, connectivity):
+    """(cluster count, largest, target cells, wrap h, wrap v) of the bit-0
+    cells at (x, y) in `cells` on an h x w grid of ones."""
+    grid = np.ones((h, w), dtype=np.uint8)
+    for x, y in cells:
+        grid[y, x] = 0
+    rep = clusters(grid, connectivity, 0)
+    return (rep.cluster_count, rep.largest, rep.target_cells,
+            rep.wraps_horizontal, rep.wraps_vertical)
+
+
+class TestWindingCases:
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_row_stripe_wraps_horizontally_only(self, connectivity):
+        row = [(x, 2) for x in range(8)]
+        assert _summary(row, 6, 8, connectivity) == (1, 8, 8, True, False)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_column_stripe_wraps_vertically_only(self, connectivity):
+        column = [(3, y) for y in range(6)]
+        assert _summary(column, 6, 8, connectivity) == (1, 6, 6, False, True)
+
+    def test_diagonal(self):
+        diagonal = [(i, i) for i in range(7)]
+        assert _summary(diagonal, 7, 7, 4) == (7, 1, 7, False, False)
+        assert _summary(diagonal, 7, 7, 8) == (1, 7, 7, True, True)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_block_across_both_seams_does_not_wrap(self, connectivity):
+        corners = [(0, 0), (7, 0), (0, 5), (7, 5)]
+        assert _summary(corners, 6, 8, connectivity) == (1, 4, 4, False, False)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_ring_does_not_wrap(self, connectivity):
+        ring = [(x, y) for x in range(2, 5) for y in range(2, 5) if (x, y) != (3, 3)]
+        assert _summary(ring, 7, 7, connectivity) == (1, 8, 8, False, False)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_band_of_class_2_1_wraps_both_ways(self, connectivity):
+        band = [((2 * y + t) % 9, y) for y in range(9) for t in range(3)]
+        assert _summary(band, 9, 9, connectivity) == (1, 27, 27, True, True)
+
+
 class TestSweep:
     def test_same_seed_same_rows(self):
         a = percolation_sweep(SYS, [9, 12], 3, 4, seed=11)
@@ -79,7 +123,7 @@ class TestSweep:
         grid = sample_configuration(kernel, mix(5, "sweep", 9, 0))
         for row in rows:
             rep = clusters(grid, 8, row.bit)
-            total = rep.total_target_cells()
+            total = rep.target_cells
             assert row.wrap_fraction == float(rep.wraps_horizontal or rep.wraps_vertical)
             assert row.largest_fraction_mean == (rep.largest / total if total else 0.0)
             assert row.stderr == 0.0

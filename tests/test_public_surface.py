@@ -1,4 +1,5 @@
-"""Every public function, class and method in `src/mixlab` is used there.
+"""Every public function, class and method in `src/mixlab` is used there,
+and every function the benchmark's tracer wraps by name exists.
 
 A name counts as used when `src/mixlab` mentions it as a name, as an
 attribute, or as an identifier-shaped string (as in `getattr(oracle,
@@ -6,9 +7,13 @@ attribute, or as an identifier-shaped string (as in `getattr(oracle,
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "mixlab"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "mixlab"
 
 ALLOWED = {
     "main": "console-script entry point, called from outside the package",
@@ -48,3 +53,22 @@ def test_every_public_name_is_used_in_src():
 def test_allowlist_names_exist():
     defined, _ = _surface()
     assert set(ALLOWED) <= {q.rpartition(".")[2] for q in defined}
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # mixbench/tracing.py rebinds each target by module and name; a renamed
+    # target would only fail a traced benchmark run.
+    spec = importlib.util.spec_from_file_location("mixbench_tracing",
+                                                  ROOT / "mixbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for target in tracing.TARGETS:
+        module = importlib.import_module(target.module)
+        cls_name, _, attr = target.attr.rpartition(".")
+        found = (attr in vars(getattr(module, cls_name, object)) if cls_name
+                 else callable(getattr(module, attr, None)))
+        if not found:
+            missing.append(target.name)
+    assert tracing.TARGETS and missing == []
