@@ -596,6 +596,13 @@ class LedrappierOracle:
         }
 
 
+def _z_sites(event: CylinderConstraint) -> tuple[int, ...]:
+    for s in event.sites:
+        if not isinstance(s, int):
+            raise TypeError(f"Bernoulli events live on Z sites, got {s!r}")
+    return event.sites
+
+
 class BernoulliOracle:
     """Exact oracle for the full 2-shift; supports negative shifts."""
 
@@ -608,11 +615,41 @@ class BernoulliOracle:
         for ev, sh in zip(events, shifts):
             if not isinstance(sh, int):
                 raise TypeError(f"Bernoulli shifts are integers, got {sh!r}")
-            for s, b in zip(ev.sites, ev.bits):
-                if not isinstance(s, int):
-                    raise TypeError(f"Bernoulli events live on Z sites, got {s!r}")
-                pairs.append((s + sh, b))
+            pairs.extend((s + sh, b) for s, b in zip(_z_sites(ev), ev.bits))
         return bernoulli_cylinder_measure(pairs)
+
+    def correlation_grid(self, events: Sequence[CylinderConstraint],
+                         pairs: np.ndarray) -> np.ndarray:
+        """Measures of the intersections of events[0], events[1] shifted by
+        z and events[2] shifted by w, for an (N, 2) array of (z, w) pairs;
+        each float equals `intersection_measure((0, z, w), events)`.
+
+        A requirement (site s, bit v) of an event shifted by t is the key
+        2 (s + t) + v.  Sorted per pair, keys of one site sit side by side:
+        a site with two different keys must take both bits (measure 0);
+        otherwise the measure is 2^(-number of distinct sites).  Sites are
+        renumbered first, in order, with every gap wider than the span of
+        the shifts cut to span + 1: shifted sites coincide exactly as before,
+        and sites of any size give keys that fit in int64.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        shifts = (np.zeros(len(pairs), dtype=np.int64), pairs[:, 0], pairs[:, 1])
+        span = int(pairs.max(initial=0)) - int(pairs.min(initial=0))
+        rank: dict[int, int] = {}
+        pos, last = 0, None
+        for s in sorted({s for ev in events for s in _z_sites(ev)}):
+            if last is not None:
+                pos += min(s - last, span + 1)
+            rank[s], last = pos, s
+        keys = [2 * (rank[s] + t) + v
+                for ev, t in zip(events, shifts) for s, v in zip(ev.sites, ev.bits)]
+        if not keys:
+            return np.ones(len(pairs))
+        keys = np.sort(np.stack(keys, axis=1), axis=1)
+        new_site = (keys[:, 1:] >> 1) != (keys[:, :-1] >> 1)
+        clash = (~new_site & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
+        distinct = 1 + np.count_nonzero(new_site, axis=1)
+        return np.where(clash, 0.0, np.ldexp(1.0, -distinct))
 
 
 # ---------------------------------------------------------------------------

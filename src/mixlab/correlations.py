@@ -5,7 +5,11 @@ events, exactly (rational) or as an estimate with a standard error.  The
 scans in this module sample shift families, compare intersection measures
 against products of single-event measures, and collect the deviation
 statistics dev(h) = |Der| / h over the admissible grid
-Q = {(z, w) in [0,h]^2 : |z|, |w|, |z-w| > eps*h}.
+Q = {(z, w) in [0,h]^2 : |z|, |w|, |z-w| > eps*h}.  A deviation scan runs
+on arrays: Q is a boolean mask, the oracle's `correlation_grid` returns the
+correlation of every pair of Q in one call, and `DevScan` keeps the pairs,
+correlations and defects as aligned arrays that the CSV and heatmap
+exports read.
 
 Scans provide evidence and exact witnesses only; no scan proves a mixing
 property.
@@ -19,6 +23,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Protocol, Sequence, Union
+
+import numpy as np
 
 from .algebraic import Site
 from .measure import MeasureValue, format_fraction
@@ -223,7 +229,12 @@ def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
 
 @dataclass
 class DevScan:
-    """Outcome of a deviation scan over the admissible (z, w) grid."""
+    """Outcome of a deviation scan over the admissible (z, w) grid.
+
+    `pairs` is the (q_size, 2) int array of admissible (z, w) in row-major
+    order; `correlation` and `defect` are float arrays aligned with it, and
+    `product` is the product of the three event measures.
+    """
 
     epsilon: float
     h: int
@@ -231,7 +242,10 @@ class DevScan:
     der_pairs: list[tuple[int, int]]
     dev: Fraction
     dev_h2: Fraction
-    rows: list[tuple[int, int, float, float, float]] = field(default_factory=list)
+    pairs: np.ndarray
+    correlation: np.ndarray
+    product: float
+    defect: np.ndarray
 
     def to_json(self) -> dict:
         return {
@@ -245,11 +259,12 @@ class DevScan:
         }
 
 
-def admissible_pairs(epsilon: float, h: int) -> list[tuple[int, int]]:
-    """Integer pairs of [0,h]^2 with |z|, |w|, |z-w| all above eps*h."""
+def admissible_mask(epsilon: float, h: int) -> np.ndarray:
+    """Boolean (h+1, h+1) array indexed [z, w]: True where |z|, |w| and
+    |z-w| all exceed eps*h."""
+    z, w = np.indices((h + 1, h + 1))
     cut = epsilon * h
-    return [(z, w) for z in range(h + 1) for w in range(h + 1)
-            if abs(z) > cut and abs(w) > cut and abs(z - w) > cut]
+    return (z > cut) & (w > cut) & (np.abs(z - w) > cut)
 
 
 def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int) -> DevScan:
@@ -257,44 +272,48 @@ def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int) -> DevS
 
     dev = |Der| / h as printed in the defining formula; the h^2-normalized
     variant is reported alongside since the intended normalization is
-    ambiguous.  Membership is decided purely by the oracle's point values.
+    ambiguous.  Membership is decided purely by the oracle's point values,
+    which its `correlation_grid(events, pairs)` returns for the whole
+    admissible grid at once; each distinct event is measured once.
     """
     if not 0 < epsilon < Fraction(1, 3):
         raise ValueError("epsilon must lie in (0, 1/3)")
     if h < 1:
         raise ValueError("h must be at least 1")
-    pairs = admissible_pairs(epsilon, h)
-    singles = [oracle.event_measure(e) for e in (a, b, c)]
-    prod = product_of_measures(singles)
-    prod_f = prod.as_float()
-    der: list[tuple[int, int]] = []
-    rows: list[tuple[int, int, float, float, float]] = []
-    grid = getattr(oracle, "correlation_grid", None)
-    if grid is not None:
-        values = grid((a, b, c), pairs)
-    else:
-        values = [kfold_correlation(oracle, Constellation((0, z, w), (a, b, c))).as_float()
-                  for (z, w) in pairs]
-    for (z, w), corr in zip(pairs, values):
-        defect = abs(corr - prod_f)
-        rows.append((z, w, corr, prod_f, defect))
-        if defect > epsilon:
-            der.append((z, w))
+    pairs = np.argwhere(admissible_mask(epsilon, h))
+    singles = {e: oracle.event_measure(e) for e in dict.fromkeys((a, b, c))}
+    prod_f = product_of_measures([singles[e] for e in (a, b, c)]).as_float()
+    try:
+        values = np.asarray(oracle.correlation_grid((a, b, c), pairs), dtype=float)
+    except TypeError as exc:
+        raise OracleCapabilityError(f"oracle cannot evaluate constellation: {exc}") from exc
+    defects = np.abs(values - prod_f)
+    der = list(map(tuple, pairs[defects > epsilon].tolist()))
     return DevScan(epsilon=epsilon, h=h, q_size=len(pairs), der_pairs=der,
                    dev=Fraction(len(der), h), dev_h2=Fraction(len(der), h * h),
-                   rows=rows)
+                   pairs=pairs, correlation=values, product=prod_f, defect=defects)
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
-def scan_rows_to_csv(rows: Iterable[tuple[int, int, float, float, float]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["z", "w", "correlation", "product", "defect"])
-    for z, w, corr, prod, defect in rows:
-        writer.writerow([z, w, f"{corr:.12g}", f"{prod:.12g}", f"{defect:.12g}"])
-    return buf.getvalue()
+def scan_rows_to_csv(scan: DevScan) -> str:
+    """One CSV line per admissible pair: z, w, correlation, product and
+    defect, the floats as %.12g (the bytes csv.writer writes for them).
+
+    The defect is |correlation - product|, so the line tail is formatted
+    once per distinct correlation (distinct by bit pattern, so -0.0 and 0.0
+    stay apart) and joined to the "z,w," heads as object arrays.
+    """
+    prod = f"{scan.product:.12g}"
+    corr = np.ascontiguousarray(scan.correlation, dtype=np.float64)
+    _, first, inverse = np.unique(corr.view(np.uint64), return_index=True,
+                                  return_inverse=True)
+    tails = np.array([f"{c:.12g},{prod},{d:.12g}\n" for c, d in zip(
+        corr[first].tolist(), scan.defect[first].tolist())], dtype=object)
+    labels = np.array([f"{i}," for i in range(scan.h + 1)], dtype=object)
+    lines = labels[scan.pairs[:, 0]] + labels[scan.pairs[:, 1]] + tails[inverse.ravel()]
+    return "z,w,correlation,product,defect\n" + "".join(lines.tolist())
 
 
 def mix_rows_to_csv(result: MixDefect) -> str:
@@ -317,8 +336,7 @@ def mix_rows_to_csv(result: MixDefect) -> str:
 def dev_heatmap_svg(scan: DevScan) -> str:
     """SVG heatmap of the (z, w) defect field."""
     size = scan.h + 1
-    field = [[None] * size for _ in range(size)]
-    for z, w, _, _, defect in scan.rows:
-        field[w][z] = defect
-    return svgmod.heatmap_svg(field, x_label="z", y_label="w",
+    field = np.full((size, size), None, dtype=object)
+    field[scan.pairs[:, 1], scan.pairs[:, 0]] = scan.defect.tolist()
+    return svgmod.heatmap_svg(field.tolist(), x_label="z", y_label="w",
                               title=f"defect field, eps={scan.epsilon}, h={scan.h}")

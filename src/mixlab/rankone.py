@@ -24,6 +24,10 @@ from .rng import substream
 
 SPACER = -1
 
+# Rows per float32 block of WordOracle.correlation_grid; each count it sums
+# is at most this, below 2^24, so float32 arithmetic stays exact.
+_GRAM_BLOCK = 2048
+
 
 @dataclass(frozen=True)
 class RankOneSpec:
@@ -115,13 +119,12 @@ class SymbolicWord:
         return int(self.symbols.shape[0])
 
     def to_rle_json(self) -> dict:
-        runs: list[list[int]] = []
         sym = self.symbols
-        start = 0
-        for i in range(1, len(sym) + 1):
-            if i == len(sym) or sym[i] != sym[start]:
-                runs.append([int(sym[start]), i - start])
-                start = i
+        starts = np.flatnonzero(sym[1:] != sym[:-1]) + 1
+        if sym.size:
+            starts = np.concatenate(([0], starts))
+        lengths = np.diff(np.append(starts, sym.size))
+        runs = np.stack([sym[starts], lengths], axis=1).tolist()
         return {"stage": self.stage, "height": self.height,
                 "length": self.length, "runs": runs}
 
@@ -219,21 +222,36 @@ class WordOracle:
         return MeasureValue.of_estimate(p, stderr, m)
 
     def correlation_grid(self, events: Sequence[frozenset],
-                         pairs: Sequence[tuple[int, int]]) -> list[float]:
-        """Point estimates for many (z, w) pairs; one indicator pass, then
-        sliding conjunction counts."""
-        a, b, c = (_indicator(self.word, e) for e in events)
+                         pairs: np.ndarray) -> np.ndarray:
+        """Point estimates for an (N, 2) array of (z, w) pairs with
+        0 <= z, w < n: the share of i < n - max(z, w) with a[i] b[i+z] c[i+w].
+
+        The counts for every (z, w) in [0, h]^2 form the matrix B^T C, where
+        B and C hold one row per position p with a[p] = 1: b[p..p+h] and
+        c[p..p+h], zero past the end of the word (so terms with i + z or
+        i + w >= n drop out).  The product runs in float32 over blocks of
+        _GRAM_BLOCK rows; every partial sum is an integer of at most
+        _GRAM_BLOCK < 2^24, which float32 holds exactly in any summation
+        order, and the blocks add up in int64.  Each value is then one
+        correctly rounded division, as count / m is in Python.
+        """
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         n = self.word.length
-        out = []
-        cache: dict[int, np.ndarray] = {}
-        for z, w in pairs:
-            m = n - max(z, w)
-            if m < 1:
-                raise ValueError("grid shifts too large for word length")
-            ab = cache.get(z)
-            if ab is None or ab.shape[0] < m:
-                ab = a[: n - z] & b[z:]
-                cache[z] = ab
-            count = int(np.count_nonzero(ab[:m] & c[w:w + m]))
-            out.append(count / m)
-        return out
+        if pairs.size and (pairs.min() < 0 or pairs.max() >= n):
+            raise ValueError("grid shifts must lie in [0, word length)")
+        h = int(pairs.max()) if pairs.size else 0
+        ind = {e: _indicator(self.word, e) for e in set(events)}
+        pad = np.zeros(h, dtype=np.float32)
+        win = {e: np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([ind[e].astype(np.float32), pad]), h + 1) for e in set(events[1:])}
+        b_win, c_win = win[events[1]], win[events[2]]
+        rows = np.flatnonzero(ind[events[0]])
+        counts = np.zeros((h + 1, h + 1), dtype=np.int64)
+        for lo in range(0, rows.size, _GRAM_BLOCK):
+            block = rows[lo:lo + _GRAM_BLOCK]
+            b_rows = b_win[block]
+            # With c = b, numpy runs b_rows.T @ b_rows as a symmetric update.
+            c_rows = b_rows if c_win is b_win else c_win[block]
+            counts += (b_rows.T @ c_rows).astype(np.int64)
+        z, w = pairs[:, 0], pairs[:, 1]
+        return counts[z, w] / (n - np.maximum(z, w))

@@ -13,10 +13,18 @@ spikes (`SyntheticTripleOracle`), example joinings and operators
 (`product_tensor`, `diagonal_tensor`, `group_sum_tensor`,
 `averaging_operator`), and operator evaluation on cell functions (`apply`,
 `image`, `pair`, `adjoint_of`, `adjoint_maps_mean_zero`).
+
+The array paths of the word statistics have loop references here too: the
+sliding-count correlation grid (`reference_correlation_grid`), the
+csv.writer deviation CSV (`reference_scan_rows_to_csv`), the RLE scan
+(`reference_rle_runs`) and the admissible pairs as a list
+(`admissible_pairs`).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 from collections import deque
 from fractions import Fraction
@@ -25,6 +33,7 @@ import numpy as np
 import pytest
 
 from mixlab import gf2
+from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
 from mixlab.measure import MeasureValue
@@ -346,6 +355,52 @@ class SyntheticTripleOracle:
         if len(shifts) == 3 and shifts[0] == 0:
             prod += self.spikes.get((shifts[1], shifts[2]), 0.0)
         return MeasureValue.of_estimate(prod, 0.0, 1)
+
+    def correlation_grid(self, events, pairs):
+        return [self.intersection_measure((0, z, w), events).estimate
+                for z, w in np.asarray(pairs).tolist()]
+
+
+def admissible_pairs(epsilon, h):
+    """The admissible (z, w) pairs of `admissible_mask` as a list of tuples,
+    row-major."""
+    return [tuple(p) for p in np.argwhere(admissible_mask(epsilon, h)).tolist()]
+
+
+def reference_correlation_grid(word, events, pairs):
+    """Triple correlations of a symbolic word by sliding conjunctions: for
+    each (z, w), the count of i < n - max(z, w) with a[i] b[i+z] c[i+w],
+    over n - max(z, w)."""
+    a, b, c = (np.isin(word.symbols, sorted(e)) for e in events)
+    n = word.length
+    out = []
+    for z, w in pairs:
+        m = n - max(z, w)
+        count = int(np.count_nonzero(a[:m] & b[z:z + m] & c[w:w + m]))
+        out.append(count / m)
+    return out
+
+
+def reference_scan_rows_to_csv(rows):
+    """The deviation-scan CSV written with csv.writer from (z, w,
+    correlation, product, defect) tuples."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["z", "w", "correlation", "product", "defect"])
+    for z, w, corr, prod, defect in rows:
+        writer.writerow([z, w, f"{corr:.12g}", f"{prod:.12g}", f"{defect:.12g}"])
+    return buf.getvalue()
+
+
+def reference_rle_runs(symbols):
+    """[symbol, run length] of each maximal run, scanning symbol by symbol."""
+    runs = []
+    start = 0
+    for i in range(1, len(symbols) + 1):
+        if i == len(symbols) or symbols[i] != symbols[start]:
+            runs.append([int(symbols[start]), i - start])
+            start = i
+    return runs
 
 
 # ---------------------------------------------------------------------------

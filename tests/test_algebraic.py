@@ -1,5 +1,6 @@
 """Algebraic systems: exact measures vs enumeration, kernels, sampling."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from mixlab import gf2
 from mixlab.algebraic import (
     AlgebraicSystem,
+    BernoulliOracle,
     CylinderConstraint,
     LEDRAPPIER_PATTERN,
     LedrappierOracle,
@@ -373,6 +375,44 @@ class TestBernoulli:
 
     def test_duplicate_consistent_bits_merge(self):
         assert bernoulli_cylinder_measure([(3, 1), (3, 1), (7, 0)]).exact == Fraction(1, 4)
+
+    def test_grid_matches_intersection_measure(self):
+        # 300 random triples of up to 3 requirements each, all pairs with
+        # shifts in [-5, 5]: overlapping shifts merge sites or contradict
+        rng = random.Random(9)
+        oracle = BernoulliOracle()
+        pairs = np.array([(z, w) for z in range(-5, 6) for w in range(-5, 6)])
+        zeros = contradictions = 0
+        for _ in range(300):
+            events = []
+            for _ in range(3):
+                sites = rng.sample(range(-3, 4), rng.randint(0, 3))
+                events.append(CylinderConstraint(tuple(sites),
+                                                 tuple(rng.randint(0, 1) for _ in sites)))
+            grid = oracle.correlation_grid(events, pairs)
+            expected = [oracle.intersection_measure((0, z, w), events).as_float()
+                        for z, w in pairs.tolist()]
+            assert grid.tolist() == expected
+            zeros += expected.count(0.0)
+            contradictions += any(v == 0.0 for v in expected)
+        assert zeros > 0 and contradictions > 50
+
+    def test_grid_with_sites_beyond_int64(self):
+        # shifts span 16; sites 100 and 117 sit one more than that apart
+        far = 10 ** 30
+        events = [CylinderConstraint((0, far), (0, 1)), CylinderConstraint((far - 3, 100), (0, 1)),
+                  CylinderConstraint((far - 5, 117), (1, 0))]
+        oracle = BernoulliOracle()
+        pairs = np.array([(z, w) for z in range(-8, 9) for w in range(-8, 9)])
+        expected = [oracle.intersection_measure((0, z, w), events).as_float()
+                    for z, w in pairs.tolist()]
+        assert oracle.correlation_grid(events, pairs).tolist() == expected
+        assert {0.0, 1 / 32, 1 / 64} <= set(expected)
+
+    def test_grid_rejects_plane_sites(self):
+        plane = CylinderConstraint(((0, 0),), (0,))
+        with pytest.raises(TypeError, match="Bernoulli events live on Z sites"):
+            BernoulliOracle().correlation_grid([plane] * 3, np.array([[1, 2]]))
 
 
 class TestGridIO:

@@ -73,6 +73,13 @@ def test_malformed_input_file_exits_2(tmp_path, capsys, argv, name, contents):
     assert any(line.startswith("error:") for line in err.splitlines()), err
 
 
+def test_bernoulli_dev_scan_with_plane_events_exits_3(tmp_path, capsys):
+    e = _write(tmp_path / "e.json", {"events": [{"sites": [[0, 0]], "bits": [0]}] * 3})
+    assert cli.main(["scan", "dev", "--events", e, "--h", "10", "--epsilon", "0.1",
+                     "--out", str(tmp_path / "out")]) == 3
+    assert "Bernoulli events live on Z sites" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # One in-process case per command
 
@@ -120,6 +127,12 @@ def test_command_writes_its_artifacts(tmp_path, argv, names):
     for name in names:
         if name.endswith(".json"):
             assert "config" not in json.loads(artifacts[name]), name
+    # JSON artifacts are one line with sorted keys and no indent
+    for name, data in artifacts.items():
+        if name.endswith(".json"):
+            text = data.decode("utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True,
+                                      ensure_ascii=False) + "\n", name
 
 
 def _joining(tmp_path, tensor, *flags):

@@ -2,14 +2,20 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from conftest import SyntheticTripleOracle
+from conftest import (
+    SyntheticTripleOracle,
+    admissible_pairs,
+    reference_correlation_grid,
+    reference_scan_rows_to_csv,
+)
 
 from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOracle
+from mixlab.rankone import WordOracle, generate_word, preset_spec
 from mixlab.correlations import (
     Constellation,
     OracleCapabilityError,
-    admissible_pairs,
     dev_scan,
     dev_heatmap_svg,
     dyadic_family,
@@ -151,11 +157,63 @@ class TestDevScan:
     def test_csv_and_heatmap_exports(self):
         oracle = SyntheticTripleOracle({"A": 0.5, "B": 0.5, "C": 0.5}, {(5, 9): 0.2})
         scan = dev_scan(oracle, "A", "B", "C", 0.05, 12)
-        csv_text = scan_rows_to_csv(scan.rows)
+        csv_text = scan_rows_to_csv(scan)
         assert csv_text.splitlines()[0] == "z,w,correlation,product,defect"
         assert len(csv_text.splitlines()) == scan.q_size + 1
         svg = dev_heatmap_svg(scan)
         assert svg.startswith("<svg") and "</svg>" in svg
+
+    def test_rankone_scan_matches_sliding_counts_and_csv_writer(self):
+        eps, h = 0.07, 90
+        word = generate_word(preset_spec("chacon", 12), 1, 30000)
+        event = frozenset({0})
+        scan = dev_scan(WordOracle(word, seed=4), event, event, event, eps, h)
+        pairs = admissible_pairs(eps, h)
+        assert [tuple(p) for p in scan.pairs.tolist()] == pairs
+        corr = reference_correlation_grid(word, (event,) * 3, pairs)
+        assert scan.correlation.tolist() == corr
+        p = np.count_nonzero(word.symbols == 0) / word.length
+        prod = p * p * p
+        rows = [(z, w, c, prod, abs(c - prod)) for (z, w), c in zip(pairs, corr)]
+        assert scan.product == prod
+        assert len(scan.der_pairs) == 56
+        assert scan.der_pairs == [(z, w) for z, w, _, _, d in rows if d > eps]
+        assert scan_rows_to_csv(scan).splitlines(True) == \
+            reference_scan_rows_to_csv(rows).splitlines(True)
+
+    def test_bernoulli_scan_csv_matches_csv_writer(self):
+        eps, h = 0.1, 40
+        # sites 8 apart and more: admissible shifts overlap and contradict
+        events = (CylinderConstraint((0, 8), (0, 1)), CylinderConstraint((0, 3), (1, 1)),
+                  CylinderConstraint((0, 5, 11), (1, 1, 0)))
+        scan = dev_scan(BERN, *events, eps, h)
+        prod = 1 / 128
+        rows = [(z, w, BERN.intersection_measure((0, z, w), events).as_float(), prod)
+                for z, w in admissible_pairs(eps, h)]
+        rows = [(z, w, c, p, abs(c - p)) for z, w, c, p in rows]
+        assert {c for _, _, c, _, _ in rows} == {0.0, 1 / 128, 1 / 64, 1 / 32}
+        assert scan_rows_to_csv(scan).splitlines(True) == \
+            reference_scan_rows_to_csv(rows).splitlines(True)
+
+    def test_csv_keeps_negative_zero_apart(self):
+        # -0.0 and 0.0 compare equal but print as "-0" and "0"
+        oracle = SyntheticTripleOracle({"A": -0.0}, {(5, 9): -0.0})
+        lines = scan_rows_to_csv(dev_scan(oracle, "A", "A", "A", 0.05, 12)).splitlines()
+        assert "5,9,-0,-0,0" in lines and "5,8,0,-0,0" in lines
+
+    def test_each_distinct_event_measured_once(self):
+        class Counting(SyntheticTripleOracle):
+            calls = 0
+
+            def event_measure(self, event):
+                self.calls += 1
+                return super().event_measure(event)
+
+        oracle = Counting({"A": 0.5, "B": 0.25})
+        dev_scan(oracle, "A", "A", "A", 0.1, 10)
+        assert oracle.calls == 1
+        dev_scan(oracle, "A", "B", "A", 0.1, 10)
+        assert oracle.calls == 3
 
 
 class TestConstellationType:

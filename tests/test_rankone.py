@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from conftest import reference_correlation_grid, reference_rle_runs
+
 from mixlab.rankone import (
     PRESETS,
     SPACER,
     RankOneSpec,
+    SymbolicWord,
     WordOracle,
     chacon_spec,
     generate_word,
@@ -65,6 +68,45 @@ def test_rle_runs_reexpand_to_symbols():
     expanded = [sym for sym, count in rle["runs"] for _ in range(count)]
     assert expanded == word.symbols.tolist()
     assert all(a[0] != b[0] for a, b in zip(rle["runs"], rle["runs"][1:]))
+
+
+@pytest.mark.parametrize("name,stages", [("staircase", 10), ("chacon", 12),
+                                         ("single_spacer", 17)])
+def test_rle_matches_loop(name, stages):
+    word = generate_word(preset_spec(name, stages), 1, 5000)
+    assert word.to_rle_json()["runs"] == reference_rle_runs(word.symbols)
+
+
+@pytest.mark.parametrize("symbols", [[], [7], [2, 2, 2], [0, 1, 1, SPACER, SPACER, 0]])
+def test_rle_edge_words(symbols):
+    word = SymbolicWord(stage=0, height=1, symbols=np.array(symbols, dtype=np.int32))
+    assert word.to_rle_json()["runs"] == reference_rle_runs(word.symbols)
+
+
+GRID_EVENTS = {
+    "same": (frozenset({0}),) * 3,
+    "distinct": (frozenset({0}), frozenset({1, SPACER}), frozenset({SPACER, 2})),
+}
+
+
+@pytest.mark.parametrize("events", sorted(GRID_EVENTS))
+@pytest.mark.parametrize("name,stages,length,h", [
+    ("staircase", 10, 12000, 120),  # more than one 2,048-row block
+    ("chacon", 12, 6000, 80),
+    ("single_spacer", 17, 4000, 100),
+    ("chacon", 12, 130, 120),       # shifts reach the end of the word
+])
+def test_correlation_grid_matches_sliding_counts(name, stages, length, h, events):
+    word = generate_word(preset_spec(name, stages), 1, length)
+    pairs = [(z, w) for z in range(h + 1) for w in range(h + 1)]
+    grid = WordOracle(word).correlation_grid(GRID_EVENTS[events], np.array(pairs))
+    assert grid.tolist() == reference_correlation_grid(word, GRID_EVENTS[events], pairs)
+
+
+def test_correlation_grid_rejects_shifts_past_the_word():
+    oracle = WordOracle(generate_word(chacon_spec(3), 1, 40))
+    with pytest.raises(ValueError, match="grid shifts"):
+        oracle.correlation_grid((frozenset({0}),) * 3, np.array([[0, 40]]))
 
 
 def test_correlation_grid_matches_intersection_measure():
