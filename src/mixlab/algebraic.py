@@ -17,6 +17,10 @@ by square-and-multiply (Laurent-polynomial view of Ledrappier 1978 and of
 Schmidt, Dynamical Systems of Algebraic Origin, 1995).  Other patterns are
 sheared first so that one cell is topmost.  Relations among the sites come
 from one elimination of these masks, with no window and no scale limit.
+
+Torus kernels run the same recurrence (`RelationPattern.recurrence`) on
+rows that wrap around, and take their fixed states from the same
+elimination (`_relations`) of columns built by the row step itself.
 """
 
 from __future__ import annotations
@@ -28,8 +32,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from . import gf2
-from .gf2 import BitMatrix, BitVector
+from .gf2 import MAX_DIM, BitVector, DimensionError
 from .measure import MeasureValue
 from .rng import random_bits, substream
 
@@ -72,6 +75,17 @@ class RelationPattern:
         lattice row is determined by the previous ones."""
         _, jmax = self.j_range
         return sum(1 for p in self.support if p[1] == jmax) == 1
+
+    def recurrence(self) -> tuple[int, list[tuple[int, int]]]:
+        """The row recurrence of a propagating pattern: its depth (rows below
+        the topmost cell) and, for every other cell, its (column offset, rows
+        below) relative to the topmost one."""
+        if not self.is_propagating():
+            raise UnsupportedPatternError(
+                "transfer kernel needs a pattern with a single topmost cell")
+        ti, tj = self.top_offset()
+        rest = [(pi - ti, tj - pj) for pi, pj in self.support if (pi, pj) != (ti, tj)]
+        return tj - self.j_range[0], rest
 
 
 LEDRAPPIER_PATTERN = RelationPattern(
@@ -226,9 +240,7 @@ def _window_masks(pattern: RelationPattern,
         shear = j_hi - j_lo + 1
         pattern = RelationPattern(frozenset((i, j + shear * i) for i, j in pattern.support))
         sites = [(i, j + shear * i) for i, j in sites]
-    ti, tj = pattern.top_offset()
-    depth = tj - pattern.j_range[0]
-    rest = [(pi - ti, tj - pj) for pi, pj in pattern.support if (pi, pj) != (ti, tj)]
+    depth, rest = pattern.recurrence()
     e = max([0] + [-(d // m) for d, m in rest])
     taps = [(m, d + e * m) for d, m in rest]
     a0 = min(a for a, _ in sites)
@@ -353,72 +365,55 @@ class TorusKernel:
         return m
 
 
-def _row_taps(pattern: RelationPattern, w: int) -> tuple[int, list[tuple[int, int]]]:
-    """Depth and (block, shift) taps of the row step on width w.
-
-    The new row r[y] is the XOR over taps of rotr(r[y-depth+block], shift),
-    where rotr(x, s) has bit i equal to bit (i + s) mod w of x: one tap per
-    stencil cell other than the unique topmost one.
+def _run_rows(history: list[int], taps: Sequence[tuple[int, int]], w: int, n: int) -> list[int]:
+    """`history` (`depth` rows, oldest first, each a w-bit int) and the next
+    n rows: new row j is the XOR over taps (block, shift) of rotr(row j +
+    block, shift), rotr(x, s) having bit i equal to bit (i + s) mod w of x.
     """
-    if not pattern.is_propagating():
-        raise UnsupportedPatternError(
-            "transfer kernel needs a pattern with a single topmost cell"
-        )
-    ti, tj = pattern.top_offset()
-    j_lo, j_hi = pattern.j_range
-    depth = j_hi - j_lo
-    if depth == 0:
-        raise UnsupportedPatternError("pattern must span at least two rows")
-    taps = [(pj - j_lo, (pi - ti) % w)
-            for pi, pj in pattern.support if (pi, pj) != (ti, tj)]
-    return depth, taps
-
-
-def transfer_matrix(pattern: RelationPattern, w: int) -> BitMatrix:
-    """Row-to-row transfer map on `depth` stacked rows of width w.
-
-    State (r[y-depth], ..., r[y-1]) maps to (r[y-depth+1], ..., r[y]); the
-    new row is solved from the unique topmost stencil cell.
-    """
-    depth, taps = _row_taps(pattern, w)
-    rows = [1 << (w + k) for k in range((depth - 1) * w)]
-    for i in range(w):
-        acc = 0
+    wmask = (1 << w) - 1
+    rows = list(history)
+    for j in range(n):
+        new = 0
         for block, shift in taps:
-            acc ^= 1 << (block * w + (i + shift) % w)
-        rows.append(acc)
-    return BitMatrix(depth * w, depth * w, tuple(rows))
+            row = rows[j + block]
+            new ^= (row >> shift) | (row << (w - shift))
+        rows.append(new & wmask)
+    return rows
 
 
 def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
-    """Harmonic configurations of the w x h torus via the transfer matrix.
+    """Harmonic configurations of the w x h torus via the row recurrence.
 
-    Configurations correspond to fixed points of the h-th transfer power.
-    Each fixed state is expanded into h lattice rows, every row a w-bit int;
-    one row step is the XOR over the stencil taps of a whole earlier row
-    rotated by the tap's shift (see `_row_taps`), masked to w bits once.
+    A configuration is a state of `depth` rows (row k in bits k*w ..) that
+    h row steps (T^h, see `_run_rows`) bring back: a dependency among the
+    columns T^h e + e of the unit states e.  The step commutes with rotating
+    every row, so one run of h steps per row block gives the column of its
+    bit 0, and its other columns are that one with each row rotated.
+    `_relations` gives the dependencies ascending by highest state bit, each
+    expanded into h lattice rows.  A state wider than `gf2.MAX_DIM` bits is
+    refused before any row is built.
     """
     if w < 3 or h < 3:
         raise ValueError("torus dimensions must be at least 3")
     pattern = system.pattern
-    depth, taps = _row_taps(pattern, w)
-    t = transfer_matrix(pattern, w)
-    fixed = gf2.nullspace(gf2.mat_add(gf2.mat_pow(t, h), BitMatrix.identity(t.rows)))
+    depth, rest = pattern.recurrence()
+    if depth == 0:
+        raise UnsupportedPatternError("pattern must span at least two rows")
+    if depth * w > MAX_DIM:
+        raise DimensionError(f"torus state of {depth * w} bits exceeds the cap {MAX_DIM}")
+    taps = [(depth - m, d % w) for d, m in rest]
     wmask = (1 << w) - 1
+    columns = []
+    for b in range(depth):
+        image = _run_rows([int(k == b) for k in range(depth)], taps, w, h)[h:]
+        image[b] ^= 1
+        for i in range(w):
+            columns.append(sum((((r << i) | (r >> (w - i))) & wmask) << (k * w)
+                               for k, r in enumerate(image)))
     basis = []
-    for state in fixed:
-        history = [(state.bits >> (b * w)) & wmask for b in range(depth)]
-        bits = 0
-        for j in range(h):
-            new = 0
-            for block, shift in taps:
-                row = history[block]
-                new ^= (row >> shift) | (row << (w - shift))
-            new &= wmask
-            bits |= new << (j * w)
-            history = history[1:]
-            history.append(new)
-        basis.append(BitVector(w * h, bits))
+    for state in _relations(columns):
+        rows = _run_rows([(state >> (k * w)) & wmask for k in range(depth)], taps, w, h)
+        basis.append(BitVector(w * h, sum(r << (j * w) for j, r in enumerate(rows[depth:]))))
     return TorusKernel(w, h, tuple(basis), pattern)
 
 
@@ -524,9 +519,7 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKe
         if not sites:
             return kernel
         tmasks = [kernel.site_mask(s) for s in sites]
-        trank = gf2.rank(BitMatrix(len(tmasks), max(kernel.dim, 1),
-                                   tuple(tmasks)))
-        if trank == plane_rank:
+        if len(sites) - len(_relations(tmasks)) == plane_rank:
             return kernel
         size += 1
     raise RuntimeError(

@@ -267,6 +267,10 @@ def admissible_mask(epsilon: float, h: int) -> np.ndarray:
     return (z > cut) & (w > cut) & (np.abs(z - w) > cut)
 
 
+# (h+1)^2 grid cells: past this h the grid, dev.csv and heatmap pass tens of MB.
+MAX_DEV_H = 1024
+
+
 def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int) -> DevScan:
     """Count (z, w) pairs whose triple correlation strays from the product.
 
@@ -278,8 +282,8 @@ def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int) -> DevS
     """
     if not 0 < epsilon < Fraction(1, 3):
         raise ValueError("epsilon must lie in (0, 1/3)")
-    if h < 1:
-        raise ValueError("h must be at least 1")
+    if not 1 <= h <= MAX_DEV_H:
+        raise ValueError(f"h must lie in 1..{MAX_DEV_H}")
     pairs = np.argwhere(admissible_mask(epsilon, h))
     singles = {e: oracle.event_measure(e) for e in dict.fromkeys((a, b, c))}
     prod_f = product_of_measures([singles[e] for e in (a, b, c)]).as_float()

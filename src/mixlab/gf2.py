@@ -1,9 +1,10 @@
-"""Bit-packed linear algebra over GF(2).
+"""GF(2) bit vectors (ints as bit sets, bit j = coordinate j), the torus
+size cap, and a dense elimination that the library itself does not run.
 
-Rows are Python ints used as bit sets (bit j = column j).  Arbitrary-precision
-ints give word-packed XOR row operations for free, which is what elimination
-spends all its time on.  All values are immutable after construction and safe
-to share across threads.
+`BitMatrix` with `_rref`, `rank`, `nullspace`, `solve_affine`, `mat_mul` and
+`mat_pow` is the independent reference the tests check the row-transfer
+kernels against (`mixbench/tracing.py` wraps them by name); the library's
+one elimination is `algebraic._relations`.  Values are immutable.
 """
 
 from __future__ import annotations
@@ -11,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-# Dimension cap: protects the torus transfer matrices, whose size follows
-# the torus sizes given on the command line, from accidental blowup.
+# Cap on torus state bits (depth rows of a width given on the command line),
+# checked by `torus_kernel` before any row is built, and on `BitMatrix` sides.
 MAX_DIM = 1 << 16
 
 
@@ -171,12 +172,6 @@ def mat_mul(a: BitMatrix, b: BitMatrix) -> BitMatrix:
             row ^= low
         out.append(acc)
     return BitMatrix(a.rows, b.cols, tuple(out))
-
-
-def mat_add(a: BitMatrix, b: BitMatrix) -> BitMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise ValueError("shape mismatch")
-    return BitMatrix(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.data, b.data)))
 
 
 def mat_pow(m: BitMatrix, e: int) -> BitMatrix:

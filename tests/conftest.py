@@ -2,12 +2,13 @@
 
 The oracles deliberately avoid the library's fast paths: measures come from
 raw enumeration of window configurations, plane site functionals from the
-window method, torus kernels from a per-bit row step and from exhaustive
-enumeration, cluster structure from breadth-first search in the universal
-cover, and the joining calculus from explicit index loops over Fractions.
+window method, torus kernels from a per-bit row step with a dense
+transfer-matrix power and from exhaustive enumeration, cluster structure
+from breadth-first search in the universal cover, and the joining calculus
+from explicit index loops over Fractions.
 
 The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
-`transpose`, `mat_vec`), readers for the grid writers' round trips
+`transpose`, `mat_vec`, `mat_add`), readers for the grid writers' round trips
 (`grid_from_json`, `grid_from_pbm`), a triple-correlation oracle with planted
 spikes (`SyntheticTripleOracle`), example joinings and operators
 (`product_tensor`, `diagonal_tensor`, `group_sum_tensor`,
@@ -33,6 +34,7 @@ import numpy as np
 import pytest
 
 from mixlab import gf2
+from mixlab.algebraic import relation_space, torus_kernel
 from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
@@ -76,6 +78,12 @@ def mat_vec(m, v):
     for i, row in enumerate(m.data):
         bits |= ((row & v.bits).bit_count() & 1) << i
     return BitVector(m.rows, bits)
+
+
+def mat_add(a, b):
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("shape mismatch")
+    return BitMatrix(a.rows, a.cols, tuple(x ^ y for x, y in zip(a.data, b.data)))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +225,7 @@ def reference_torus_basis(pattern, w, h):
     matrix's h-th power, expanded row by row with the per-bit step."""
     t = reference_transfer_matrix(pattern, w)
     depth = t.rows // w
-    fixed = gf2.nullspace(gf2.mat_add(gf2.mat_pow(t, h), BitMatrix.identity(t.rows)))
+    fixed = gf2.nullspace(mat_add(gf2.mat_pow(t, h), BitMatrix.identity(t.rows)))
     wmask = (1 << w) - 1
     basis = []
     for state in fixed:
@@ -229,6 +237,24 @@ def reference_torus_basis(pattern, w, h):
             history = history[1:] + [new]
         basis.append(BitVector(w * h, bits))
     return tuple(basis)
+
+
+def reference_default_torus(system, c):
+    """Side of the torus `default_torus_for` should pick: the first size
+    from max(12, 4 x diameter) on, skipping powers of two, whose torus gives
+    the sites the plane rank, with the rank taken by dense elimination."""
+    sites = list(c.sites)
+    xs, ys = [s[0] for s in sites], [s[1] for s in sites]
+    size = max(12, 4 * max(max(xs) - min(xs), max(ys) - min(ys)))
+    plane_rank = len(sites) - len(relation_space(system, sites))
+    for _ in range(24):
+        if size & (size - 1):
+            kernel = torus_kernel(system, size, size)
+            masks = tuple(kernel.site_mask(s) for s in sites)
+            if gf2.rank(BitMatrix(len(masks), max(kernel.dim, 1), masks)) == plane_rank:
+                return size
+        size += 1
+    return None
 
 
 def kernel_dimension_bruteforce(system, w, h):

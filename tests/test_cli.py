@@ -60,6 +60,20 @@ def test_render_with_non_propagating_pattern_exits_3(tmp_path, capsys):
     assert "capability error" in capsys.readouterr().err
 
 
+def test_render_past_torus_cap_exits_2(tmp_path, capsys):
+    # 2 rows of width 32769 exceed the 2^16-bit state cap; refused before
+    # any row is built.
+    assert cli.main(["render", "--size", "32769", "--out", str(tmp_path / "out")]) == 2
+    assert "exceeds the cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("system", ["bernoulli", "rankone"])
+def test_dev_scan_past_h_bound_exits_2(tmp_path, capsys, system):
+    assert cli.main(["scan", "dev", "--system", system, "--h", "1025", "--epsilon", "0.1",
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "h must lie in 1..1024" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv,name,contents", [
     (["joining", "--tensor"], "t.json", {}),
     (["joining", "--tensor"], "t.json", [1, 2]),

@@ -18,6 +18,8 @@ SRC = ROOT / "src" / "mixlab"
 ALLOWED = {
     "main": "console-script entry point, called from outside the package",
     "solve_affine": "wrapped by name by the benchmark's tracer",
+    "mat_pow": "wrapped by name by the benchmark's tracer",
+    "rank": "wrapped by name by the benchmark's tracer",
     "marginal": "wrapped by name by the benchmark's tracer",
 }
 

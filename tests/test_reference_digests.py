@@ -1,0 +1,43 @@
+"""The last pool job of every band of every benchmark workload reproduces
+its recorded digest.
+
+The benchmark's own harness runs each job through `cli.main` in a fresh
+directory and digests the exit code and every artifact, so a change to an
+artifact's bytes or values (a torus basis order, a CSV line, a JSON value)
+fails here without a benchmark run.  `mixbench/` is loaded read-only, by
+file, the way `test_public_surface.py` loads its tracer.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from mixlab import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "mixbench"
+REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
+
+
+def _load(monkeypatch, name):
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE))
+def test_last_job_of_each_band_matches_reference(workload, monkeypatch, tmp_path):
+    jobs = _load(monkeypatch, "jobs")  # harness imports it by this name
+    harness = _load(monkeypatch, "harness")
+    pool, bands = jobs.pool(workload)
+    mismatched = []
+    for band in bands:
+        job = pool[band[-1]]
+        outcome = harness.run_job(job, cli.main, str(tmp_path))
+        if outcome.error or outcome.digest != REFERENCE[workload][job.key()]:
+            mismatched.append((job.key(), job.kind, outcome.error))
+    assert mismatched == []
