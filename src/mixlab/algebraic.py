@@ -43,6 +43,15 @@ Site = Union[int, tuple[int, int]]
 # before any memory is taken.
 MAX_GENERATORS = 1 << 26
 
+# Torus kernel time grows about as side^3.3 (257 takes 0.24 s, 1025 takes
+# 27 s); past this side a kernel would take minutes, so it is refused.
+MAX_TORUS_SIDE = 1024
+
+# Monte Carlo time grows linearly with the sample count, about 0.25 s per
+# million samples on a 44-generator kernel; this keeps a run near half a
+# minute there.
+MAX_MC_SAMPLES = 10 ** 8
+
 class UnsupportedPatternError(RuntimeError):
     """The relation pattern does not admit the requested kernel algorithm."""
 
@@ -390,11 +399,13 @@ def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
     every row, so one run of h steps per row block gives the column of its
     bit 0, and its other columns are that one with each row rotated.
     `_relations` gives the dependencies ascending by highest state bit, each
-    expanded into h lattice rows.  A state wider than `gf2.MAX_DIM` bits is
-    refused before any row is built.
+    expanded into h lattice rows.  A side above `MAX_TORUS_SIDE` or a state
+    wider than `gf2.MAX_DIM` bits is refused before any row is built.
     """
     if w < 3 or h < 3:
         raise ValueError("torus dimensions must be at least 3")
+    if max(w, h) > MAX_TORUS_SIDE:
+        raise DimensionError(f"torus side {max(w, h)} exceeds the cap {MAX_TORUS_SIDE}")
     pattern = system.pattern
     depth, rest = pattern.recurrence()
     if depth == 0:
@@ -448,40 +459,33 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
                         n: int, seed: int) -> MeasureValue:
     """Monte-Carlo estimate of the cylinder probability on the torus.
 
-    Deterministic for a given seed: samples are drawn in fixed-size chunks
-    from substreams keyed by (seed, chunk index) and reduced in order.
+    Each sample is a uniform 0/1 combination of the kernel's generators,
+    and its value at a site is the XOR of the combination's columns at the
+    generators in the site's mask; a sample hits when every site takes its
+    required bit.  Deterministic for a given seed: samples are drawn in
+    fixed-size chunks from substreams keyed by (seed, chunk index).
     """
-    if n < 1:
-        raise ValueError("need at least one sample")
+    if not 1 <= n <= MAX_MC_SAMPLES:
+        raise ValueError(f"sample count must lie in 1..{MAX_MC_SAMPLES}")
     sites = _normalized_2d_sites(c)
     wrapped = [(x % kernel.width, y % kernel.height) for x, y in sites]
     if len(set(wrapped)) != len(wrapped):
         raise ValueError("constellation does not embed in the torus")
     if not sites:
         return MeasureValue.of_estimate(1.0, 0.0, n)
-    dim = kernel.dim
-    masks = [kernel.site_mask(s) for s in sites]
-    site_mat = np.zeros((max(dim, 1), len(sites)), dtype=np.int32)
-    for col, m in enumerate(masks):
-        while m:
-            low = m & -m
-            site_mat[low.bit_length() - 1, col] = 1
-            m ^= low
-    target = np.asarray(c.bits, dtype=np.int32)
+    site_gens = []
+    for s in sites:
+        m = kernel.site_mask(s)
+        site_gens.append([g for g in range(m.bit_length()) if m >> g & 1])
     hits = 0
-    done = 0
-    chunk_idx = 0
-    while done < n:
-        count = min(_MC_CHUNK, n - done)
+    for chunk_idx, start in enumerate(range(0, n, _MC_CHUNK)):
+        count = min(_MC_CHUNK, n - start)
         gen = substream(seed, "mc", chunk_idx)
-        if dim == 0:
-            vals = np.zeros((count, len(sites)), dtype=np.int32)
-        else:
-            combos = gen.integers(0, 2, size=(count, dim), dtype=np.int8)
-            vals = (combos.astype(np.int32) @ site_mat) & 1
-        hits += int(np.count_nonzero(np.all(vals == target, axis=1)))
-        done += count
-        chunk_idx += 1
+        combos = gen.integers(0, 2, size=(count, kernel.dim), dtype=np.int8)
+        hit = np.ones(count, dtype=bool)
+        for gens, bit in zip(site_gens, c.bits):
+            hit &= np.bitwise_xor.reduce(combos[:, gens], axis=1) == bit
+        hits += int(np.count_nonzero(hit))
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return MeasureValue.of_estimate(p, stderr, n, torus=[kernel.width, kernel.height], seed=seed)

@@ -30,6 +30,7 @@ from .algebraic import (
     BernoulliOracle,
     CylinderConstraint,
     LedrappierOracle,
+    MAX_MC_SAMPLES,
     RelationPattern,
     UnsupportedPatternError,
     bernoulli_cylinder_measure,
@@ -185,6 +186,8 @@ def cmd_measure(params: dict) -> int:
     else:
         system = _make_system(params)
         if params.get("mc"):
+            if not 1 <= params["samples"] <= MAX_MC_SAMPLES:  # before any kernel is built
+                raise ValidationError(f"--samples must lie in 1..{MAX_MC_SAMPLES}")
             kernel = (torus_kernel(system, params["torus"], params["torus"])
                       if params.get("torus") else default_torus_for(system, constraint))
             result = mc_cylinder_measure(kernel, constraint, params["samples"], params["seed"])

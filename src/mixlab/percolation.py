@@ -1,16 +1,19 @@
 """Thread and cluster analysis of sampled lattice configurations.
 
 Connected components of a chosen bit value under 4- or 8-connectivity on the
-torus, found by one flood fill in the universal cover: each cell records the
-cover position at which the fill first reaches it, and reaching it again at
-a different position closes a cycle that winds around the torus, the
-standard finite-volume proxy for an infinite thread.  The analyzer is
-bit-symmetric; sweeps always report both bit values.
+torus, labelled on arrays: components of the open box come from pointer
+jumping over the edges that do not wrap, and a small union-find joins them
+across the seam edges that do.  Its nodes keep their position in the
+universal cover, so a seam edge that closes a cycle with a nonzero
+displacement winds around the torus, the standard finite-volume proxy for an
+infinite thread.  The analyzer is bit-symmetric; sweeps always report both
+bit values.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -18,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebraic import (AlgebraicSystem, TorusKernel, grid_satisfies_pattern,
-                        sample_configuration, torus_kernel)
+from .algebraic import (MAX_TORUS_SIDE, AlgebraicSystem, TorusKernel,
+                        grid_satisfies_pattern, sample_configuration, torus_kernel)
 from .rng import mix
 
 
@@ -27,8 +30,8 @@ from .rng import mix
 class ClusterReport:
     """Cluster statistics of one bit value on a torus grid.
 
-    `labels` numbers the clusters 0, 1, ... in the order the fill discovers
-    them (row-major order of each cluster's first cell); other cells are -1.
+    `labels` numbers the clusters 0, 1, ... in row-major order of each
+    cluster's first cell; other cells are -1.
     """
 
     target_bit: int
@@ -40,63 +43,143 @@ class ClusterReport:
     labels: np.ndarray = field(repr=False)
 
 
-# Cover steps to every neighbour, both directions, per connectivity.
+# One step per undirected edge, per connectivity: the forward half of the
+# neighbourhood (dy >= 0), so each edge is listed once from its lower end.
 _STEPS = {
-    4: ((1, 0), (-1, 0), (0, 1), (0, -1)),
-    8: ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1), (1, -1), (-1, 1)),
+    4: ((1, 0), (0, 1)),
+    8: ((1, 0), (0, 1), (1, 1), (-1, 1)),
 }
 
 
-def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> ClusterReport:
-    """Clusters of `target_bit` cells with torus wraparound, by flood fill.
+# Sweeps label many grids of one shape; an entry holds about one int64 pair
+# per edge, so only the last few shapes are kept.
+@functools.lru_cache(maxsize=4)
+def _torus_edges(h: int, w: int, connectivity: int) -> tuple[np.ndarray, ...]:
+    """Every edge of the h x w torus graph, as flat cell indices: (u, v) of
+    the edges inside the open box, then (u, v, code) of the seam edges that
+    wrap, from a cell to the copy of its neighbour (kx, ky) tori away, with
+    code = 3 (kx + 1) + ky + 1."""
+    ys, xs = np.indices((h, w)).reshape(2, -1)
+    cell = ys * w + xs
+    box_u, box_v, seam_u, seam_v, seam_code = [], [], [], [], []
+    for dx, dy in _STEPS[connectivity]:
+        kx, nx = np.divmod(xs + dx, w)
+        ky, ny = np.divmod(ys + dy, h)
+        nbr = ny * w + nx
+        wraps = (kx != 0) | (ky != 0)
+        box_u.append(cell[~wraps])
+        box_v.append(nbr[~wraps])
+        seam_u.append(cell[wraps])
+        seam_v.append(nbr[wraps])
+        seam_code.append((3 * (kx + 1) + ky + 1)[wraps])
+    edges = tuple(np.concatenate(a) for a in (box_u, box_v, seam_u, seam_v, seam_code))
+    for a in edges:
+        a.flags.writeable = False  # shared by every call for this shape
+    return edges
 
-    Each cell keeps the universal-cover position (x, y) at which the fill
-    first reached it.  Reaching it again from a neighbour at another cover
-    position closes a winding cycle; the horizontal / vertical wrap flag is
-    set when the two positions differ in x / y.
+
+def _box_roots(target: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Map each cell to the smallest flat index of its component under the
+    edges (u, v) joining target cells; non-target cells map to themselves.
+
+    Each round hooks the larger root of every edge to the smaller one with
+    `np.minimum.at`, jumps pointers among the hooked roots until each
+    reaches a root, then points every cell at its root again.
+    """
+    keep = target[u] & target[v]
+    u, v = u[keep], v[keep]
+    parent = np.arange(target.size)
+    while True:
+        ru, rv = parent[u], parent[v]
+        live = ru != rv
+        if not live.any():
+            return parent
+        # Edges whose ends share a root stay joined; only live ones hook.
+        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        hooked = np.maximum(ru, rv)
+        np.minimum.at(parent, hooked, np.minimum(ru, rv))
+        while True:
+            up = parent[hooked]
+            jumped = parent[up]
+            if np.array_equal(jumped, up):
+                break
+            parent[hooked] = jumped
+        parent = parent[parent]
+
+
+def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> ClusterReport:
+    """Clusters of `target_bit` cells with torus wraparound.
+
+    Components of the open box (`_box_roots`) are joined across the O(w+h)
+    seam edges in a union-find whose nodes keep their cover offset (dx, dy),
+    in tori, from their set's root.  A seam edge inside one set closes a
+    cycle winding dx times horizontally and dy times vertically.  The
+    fundamental cycles of this spanning forest generate each cluster's
+    winding lattice, so the horizontal / vertical wrap flag is set exactly
+    when some cluster winds in x / y.  Each set keeps its smallest root, its
+    first row-major cell, so sorted roots number the clusters in that order.
     """
     if connectivity not in _STEPS:
         raise ValueError("connectivity must be 4 or 8")
     if target_bit not in (0, 1):
         raise ValueError("target bit must be 0 or 1")
     h, w = grid.shape
-    steps = _STEPS[connectivity]
-    target = (grid == target_bit).ravel().tolist()
-    labels = [-1] * (w * h)
-    cover_x = [0] * (w * h)
-    cover_y = [0] * (w * h)
-    sizes: list[int] = []
+    box_u, box_v, seam_u, seam_v, seam_code = _torus_edges(h, w, connectivity)
+    target = np.asarray(grid == target_bit).ravel()
+    roots = _box_roots(target, box_u, box_v)
+    up: dict[int, tuple[int, int, int]] = {}  # node -> (parent, dx, dy)
+
+    def find(node: int) -> tuple[int, int, int]:
+        """Root of `node` and its offset from it, compressing the path."""
+        path = []
+        while node in up:
+            path.append(node)
+            node = up[node][0]
+        dx = dy = 0
+        for step in reversed(path):
+            _, ox, oy = up[step]
+            dx, dy = dx + ox, dy + oy
+            up[step] = (node, dx, dy)
+        return node, dx, dy
+
+    # Seam edges between the same two box components with the same step are
+    # one edge to the union-find: box components carry no offset.
+    keep = target[seam_u] & target[seam_v]
+    keys = (roots[seam_u[keep]] * (h * w) + roots[seam_v[keep]]) * 9 + seam_code[keep]
     wrap_h = wrap_v = False
-    for start, is_target in enumerate(target):
-        if not is_target or labels[start] >= 0:
-            continue
-        label = len(sizes)
-        labels[start] = label
-        cover_y[start], cover_x[start] = divmod(start, w)
-        stack = [start]
-        size = 0
-        while stack:
-            cell = stack.pop()
-            size += 1
-            x, y = cover_x[cell], cover_y[cell]
-            for dx, dy in steps:
-                nx, ny = x + dx, y + dy
-                n = (ny % h) * w + nx % w
-                if not target[n]:
-                    continue
-                if labels[n] < 0:
-                    labels[n] = label
-                    cover_x[n], cover_y[n] = nx, ny
-                    stack.append(n)
-                else:
-                    wrap_h = wrap_h or cover_x[n] != nx
-                    wrap_v = wrap_v or cover_y[n] != ny
-        sizes.append(size)
+    for key in np.unique(keys).tolist():
+        pair, code = divmod(key, 9)
+        a, b = divmod(pair, h * w)
+        ra, ax, ay = find(a)
+        rb, bx, by = find(b)
+        # The copy of b reached from a lies at ra + (ax + kx, ay + ky), and b
+        # itself at rb + (bx, by): dx, dy is the offset of rb from ra.
+        dx, dy = ax + code // 3 - 1 - bx, ay + code % 3 - 1 - by
+        if ra == rb:
+            wrap_h = wrap_h or dx != 0
+            wrap_v = wrap_v or dy != 0
+        elif ra < rb:
+            up[rb] = (ra, dx, dy)
+        else:
+            up[ra] = (rb, -dx, -dy)
+    if up:
+        merged = np.arange(h * w)
+        nodes = list(up)
+        merged[nodes] = [find(node)[0] for node in nodes]
+        roots = merged[roots]
+    firsts, inverse, sizes = np.unique(roots[target], return_inverse=True, return_counts=True)
+    labels = np.full(h * w, -1, dtype=np.int64)
+    labels[target] = inverse
     return ClusterReport(
-        target_bit=target_bit, cluster_count=len(sizes), target_cells=sum(sizes),
-        largest=max(sizes, default=0), wraps_horizontal=wrap_h, wraps_vertical=wrap_v,
-        labels=np.array(labels, dtype=np.int64).reshape(h, w),
+        target_bit=target_bit, cluster_count=len(firsts), target_cells=int(target.sum()),
+        largest=int(sizes.max(initial=0)), wraps_horizontal=wrap_h, wraps_vertical=wrap_v,
+        labels=labels.reshape(h, w),
     )
+
+
+# One sample costs a draw and two labellings, about 2 ms at side 65, so a
+# size of that scale stays under half a minute.
+MAX_SWEEP_SAMPLES = 10_000
 
 
 @dataclass
@@ -118,10 +201,10 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
     Fully seed-deterministic: sample s of size n uses the substream keyed by
     (seed, n, s), and per-size aggregation runs in fixed sample order.
     """
-    if any(s < 8 for s in sizes):
-        raise ValueError("lattice sizes must be at least 8")
-    if samples_per_size < 1:
-        raise ValueError("need at least one sample per size")
+    if not all(8 <= s <= MAX_TORUS_SIDE for s in sizes):
+        raise ValueError(f"lattice sizes must lie in 8..{MAX_TORUS_SIDE}")
+    if not 1 <= samples_per_size <= MAX_SWEEP_SAMPLES:
+        raise ValueError(f"samples per size must lie in 1..{MAX_SWEEP_SAMPLES}")
     rows: list[SweepRow] = []
 
     def analyze(kernel: TorusKernel, s_idx: int) -> tuple[dict, dict]:

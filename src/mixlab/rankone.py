@@ -28,6 +28,10 @@ SPACER = -1
 # is at most this, below 2^24, so float32 arithmetic stays exact.
 _GRAM_BLOCK = 2048
 
+# Longest word `generate_word` builds: 256 MB of int32 symbols, and the
+# expansion holds at most a few such blocks at once.
+MAX_WORD_LENGTH = 1 << 26
+
 
 @dataclass(frozen=True)
 class RankOneSpec:
@@ -133,9 +137,13 @@ def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWor
     """Deterministic concatenation expansion of the stage-`stage` block.
 
     Expands through later stages until the block covers `max_length`
-    symbols, then truncates.  Rejects lengths below the stage height and
-    lengths the spec's stages cannot reach.
+    symbols, then truncates; a stage's expansion stops as soon as its first
+    `max_length` symbols are built.  Rejects lengths above
+    `MAX_WORD_LENGTH` before any allocation, lengths below the stage height
+    and lengths the spec's stages cannot reach.
     """
+    if max_length > MAX_WORD_LENGTH:
+        raise ValueError(f"word length {max_length} exceeds the cap {MAX_WORD_LENGTH}")
     heights = tower_heights(spec)
     if not 0 <= stage <= spec.stages:
         raise ValueError(f"stage must be within 0..{spec.stages}")
@@ -146,11 +154,16 @@ def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWor
     for n in range(stage, spec.stages):
         if block.shape[0] >= max_length:
             break
-        parts = []
+        parts, size = [], 0
         for s in spec.spacers[n]:
+            if size >= max_length:
+                break
             parts.append(block)
+            size += block.shape[0]
             if s:
-                parts.append(np.full(s, SPACER, dtype=np.int32))
+                spacer = min(s, max_length)
+                parts.append(np.full(spacer, SPACER, dtype=np.int32))
+                size += spacer
         block = np.concatenate(parts)
     if block.shape[0] < max_length:
         raise ValueError(

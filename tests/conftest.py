@@ -3,7 +3,8 @@
 The oracles deliberately avoid the library's fast paths: measures come from
 raw enumeration of window configurations, plane site functionals from the
 window method, torus kernels from a per-bit row step with a dense
-transfer-matrix power and from exhaustive enumeration, cluster structure
+transfer-matrix power and from exhaustive enumeration, Monte Carlo hit
+counts from an int32 matrix product over the same draws, cluster structure
 from breadth-first search in the universal cover, and the joining calculus
 from explicit index loops over Fractions.
 
@@ -39,6 +40,7 @@ from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
 from mixlab.measure import MeasureValue
+from mixlab.rng import substream
 
 
 # ---------------------------------------------------------------------------
@@ -255,6 +257,31 @@ def reference_default_torus(system, c):
                 return size
         size += 1
     return None
+
+
+def reference_mc_hits(kernel, c, n, seed, chunk=8192):
+    """Hit count of `mc_cylinder_measure` from the same draws, by an int32
+    product of the sampled combinations with the generators-by-sites 0/1
+    matrix: chunk k draws (count, dim) int8 bits from substream (seed, "mc",
+    k), and a torus of dimension 0 gives every site the value 0."""
+    sites = list(c.sites)
+    site_mat = np.zeros((max(kernel.dim, 1), len(sites)), dtype=np.int32)
+    for col, site in enumerate(sites):
+        m = kernel.site_mask(site)
+        for g in range(kernel.dim):
+            site_mat[g, col] = (m >> g) & 1
+    target = np.asarray(c.bits, dtype=np.int32)
+    hits = 0
+    for k, start in enumerate(range(0, n, chunk)):
+        count = min(chunk, n - start)
+        if kernel.dim == 0:
+            vals = np.zeros((count, len(sites)), dtype=np.int32)
+        else:
+            combos = substream(seed, "mc", k).integers(0, 2, size=(count, kernel.dim),
+                                                       dtype=np.int8)
+            vals = (combos.astype(np.int32) @ site_mat) & 1
+        hits += int(np.count_nonzero(np.all(vals == target, axis=1)))
+    return hits
 
 
 def kernel_dimension_bruteforce(system, w, h):

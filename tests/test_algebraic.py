@@ -14,6 +14,7 @@ from mixlab.algebraic import (
     LEDRAPPIER_PATTERN,
     LedrappierOracle,
     RelationPattern,
+    TorusKernel,
     bernoulli_cylinder_measure,
     cylinder_measure,
     default_torus_for,
@@ -36,6 +37,7 @@ from conftest import (
     grid_from_pbm,
     kernel_dimension_bruteforce,
     reference_default_torus,
+    reference_mc_hits,
     reference_torus_basis,
     reference_window_masks,
     transpose,
@@ -431,6 +433,47 @@ class TestMonteCarlo:
             sites = _cross_sites(LEDRAPPIER_PATTERN, gen, trial)
             c = CylinderConstraint(tuple(sites), (0,) * len(sites))
             assert default_torus_for(SYS, c).width == reference_default_torus(SYS, c)
+
+    @staticmethod
+    def _assert_hits_match(kernel, c, n, seed):
+        mv = mc_cylinder_measure(kernel, c, n, seed)
+        assert round(mv.estimate * n) == reference_mc_hits(kernel, c, n, seed)
+
+    @pytest.mark.parametrize("bits", [(0, 0, 0), (0, 1, 0)])
+    def test_hits_on_dimension_zero_torus(self, bits):
+        kernel = torus_kernel(SYS, 28, 28)
+        assert kernel.dim == 0
+        c = CylinderConstraint(((0, 0), (3, 1), (-2, 5)), bits)
+        self._assert_hits_match(kernel, c, 1000, 3)
+        assert mc_cylinder_measure(kernel, c, 1000, 3).estimate == float(not any(bits))
+
+    @pytest.mark.parametrize("sites", [
+        ((0, 0), (10, 0), (0, 10), (3, 4)),
+        ((0, 0), (12, 5), (1, 12), (6, 6), (2, 1)),
+    ])
+    def test_hits_on_default_tori_of_dimension_64(self, sites):
+        gen = substream(77, "mc-oracle", len(sites))
+        c = CylinderConstraint(sites, tuple(int(b) for b in gen.integers(0, 2, size=len(sites))))
+        kernel = default_torus_for(SYS, c)
+        assert kernel.dim == 64
+        for seed in range(3):
+            self._assert_hits_match(kernel, c, 20000, seed)
+
+    def test_hits_over_a_partial_last_chunk(self):
+        kernel = torus_kernel(SYS, 21, 21)
+        c = CylinderConstraint(((0, 0), (1, 0), (0, 1)), (1, 0, 1))
+        for n in (1, 8191, 8193, 3 * 8192 + 77):
+            self._assert_hits_match(kernel, c, n, 11)
+
+    def test_hits_with_a_site_of_mask_zero(self):
+        # No generator touches site (0, 0), so it reads 0 in every sample.
+        kernel = TorusKernel(5, 5, (gf2.BitVector(25, 0b110), gf2.BitVector(25, (1 << 7) | 0b100)))
+        assert kernel.site_mask((0, 0)) == 0
+        for bits in [(0, 1, 1), (1, 1, 0), (0, 0, 0)]:
+            c = CylinderConstraint(((0, 0), (1, 0), (2, 0)), bits)
+            self._assert_hits_match(kernel, c, 5000, 2)
+        one = CylinderConstraint(((0, 0),), (1,))
+        assert mc_cylinder_measure(kernel, one, 5000, 2).estimate == 0.0
 
     def test_window_and_mc_agree_on_random_constellations(self):
         gen = substream(999, "consistency")

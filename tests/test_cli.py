@@ -1,10 +1,14 @@
 """Command line run in process: artifacts and the documented exit codes."""
 
 import json
+import time
 
 import pytest
 
 from mixlab import cli
+from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
+from mixlab.percolation import MAX_SWEEP_SAMPLES
+from mixlab.rankone import MAX_WORD_LENGTH
 
 NON_PROPAGATING = {"support": [[0, 0], [1, 0], [0, -1]]}
 
@@ -61,10 +65,37 @@ def test_render_with_non_propagating_pattern_exits_3(tmp_path, capsys):
 
 
 def test_render_past_torus_cap_exits_2(tmp_path, capsys):
-    # 2 rows of width 32769 exceed the 2^16-bit state cap; refused before
-    # any row is built.
+    # A side of 32769 is past the torus side cap (and 2 rows of it past the
+    # 2^16-bit state cap); refused before any row is built.
     assert cli.main(["render", "--size", "32769", "--out", str(tmp_path / "out")]) == 2
     assert "exceeds the cap" in capsys.readouterr().err
+
+
+_PAST_SIDE = str(MAX_TORUS_SIDE + 1)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["render", "--size", _PAST_SIDE], f"exceeds the cap {MAX_TORUS_SIDE}"),
+    (["measure", "--mc", "--torus", _PAST_SIDE, "--constellation", "c.json"],
+     f"exceeds the cap {MAX_TORUS_SIDE}"),
+    (["percolate", "--sizes", f"9,{_PAST_SIDE}"], f"lattice sizes must lie in 8..{MAX_TORUS_SIDE}"),
+    (["measure", "--mc", "--samples", str(MAX_MC_SAMPLES + 1), "--constellation", "c.json"],
+     f"--samples must lie in 1..{MAX_MC_SAMPLES}"),
+    (["percolate", "--sizes", "9", "--samples", str(MAX_SWEEP_SAMPLES + 1)],
+     f"samples per size must lie in 1..{MAX_SWEEP_SAMPLES}"),
+    (["rankone", "--stages", "12", "--word-length", str(MAX_WORD_LENGTH + 1)],
+     f"exceeds the cap {MAX_WORD_LENGTH}"),
+    (["scan", "dev", "--system", "rankone", "--h", "8", "--epsilon", "0.1", "--stages", "12",
+      "--word-length", str(MAX_WORD_LENGTH + 1)], f"exceeds the cap {MAX_WORD_LENGTH}"),
+])
+def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
+    # Each bound is checked before the work it limits starts.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "c.json", _five_point(1))
+    start = time.perf_counter()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system", ["bernoulli", "rankone"])

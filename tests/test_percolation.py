@@ -1,11 +1,14 @@
-"""Percolation: flood-fill clusters vs universal-cover BFS, winding cases
-with known answers, sweep determinism."""
+"""Percolation: array-labelled clusters vs universal-cover BFS (degenerate
+shapes included), winding cases with known answers, sweep determinism and
+bounds."""
 
 import numpy as np
 import pytest
 
-from mixlab.algebraic import grid_satisfies_pattern, ledrappier_system, sample_configuration, torus_kernel
-from mixlab.percolation import clusters, percolation_sweep
+from mixlab import percolation
+from mixlab.algebraic import (MAX_TORUS_SIDE, grid_satisfies_pattern, ledrappier_system,
+                              sample_configuration, torus_kernel)
+from mixlab.percolation import MAX_SWEEP_SAMPLES, clusters, percolation_sweep
 from mixlab.rng import mix
 
 from conftest import bfs_cover_clusters, partitions_equal
@@ -19,10 +22,20 @@ def _kernel_samples(w, h, count):
     return [sample_configuration(kernel, seed) for seed in range(count)]
 
 
+def _assert_discovery_order(labels):
+    """Labels are 0..k-1, and label i's first row-major cell comes before
+    label i+1's."""
+    flat = labels.ravel()
+    found, first = np.unique(flat[flat >= 0], return_index=True)
+    assert found.tolist() == list(range(len(found)))
+    assert np.all(np.diff(first) > 0)
+
+
 def _assert_matches_bfs(grid, connectivity, bit):
     rep = clusters(grid, connectivity, bit)
     labels, wrap_h, wrap_v = bfs_cover_clusters(grid, connectivity, bit)
     assert partitions_equal(rep.labels, labels)
+    _assert_discovery_order(rep.labels)
     assert (rep.wraps_horizontal, rep.wraps_vertical) == (wrap_h, wrap_v)
     sizes = np.unique(labels[labels >= 0], return_counts=True)[1]
     assert rep.cluster_count == len(sizes)
@@ -47,6 +60,34 @@ class TestClustersMatchBFS:
                 grid = (rng.random((h, w)) < density).astype(np.uint8)
                 for bit in (0, 1):
                     _assert_matches_bfs(grid, connectivity, bit)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("h,w", [(1, 1), (1, 2), (2, 1), (1, 6), (6, 1),
+                                     (2, 2), (2, 3), (3, 2)])
+    def test_degenerate_shapes(self, h, w, connectivity):
+        # Every 0/1 grid of the shape.  Here seam edges can be self-loops
+        # (a side of 1) or double a box edge (a side of 2).
+        for code in range(1 << (h * w)):
+            grid = ((code >> np.arange(h * w)) & 1).astype(np.uint8).reshape(h, w)
+            for bit in (0, 1):
+                _assert_matches_bfs(grid, connectivity, bit)
+
+    def test_eight_connected_diagonals_across_both_seams(self):
+        # All four corners are target cells, so the corner-to-corner
+        # diagonal wraps both seams at once.
+        rng = np.random.default_rng(11)
+        for h, w in [(3, 3), (4, 7), (9, 5), (12, 12), (17, 10)]:
+            for density in (0.35, 0.5, 0.65):
+                for bit in (0, 1):
+                    grid = (rng.random((h, w)) < density).astype(np.uint8)
+                    grid[[0, 0, -1, -1], [0, -1, 0, -1]] = bit
+                    _assert_matches_bfs(grid, 8, bit)
+
+    def test_ledrappier_sample_at_129(self):
+        grid = _kernel_samples(129, 129, 1)[0]
+        for connectivity in (4, 8):
+            for bit in (0, 1):
+                _assert_matches_bfs(grid, connectivity, bit)
 
     def test_full_grid_wraps_both_ways(self):
         grid = np.zeros((6, 8), dtype=np.uint8)
@@ -84,6 +125,13 @@ class TestWindingCases:
     def test_column_stripe_wraps_vertically_only(self, connectivity):
         column = [(3, y) for y in range(6)]
         assert _summary(column, 6, 8, connectivity) == (1, 6, 6, False, True)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_self_loop_and_double_edge_wrap(self, connectivity):
+        # On a 1 x 1 torus each step is a self-loop that winds once; on a
+        # 2 x 2 torus a row pair is joined by a box edge and a seam edge.
+        assert _summary([(0, 0)], 1, 1, connectivity) == (1, 1, 1, True, True)
+        assert _summary([(0, 0), (1, 0)], 2, 2, connectivity) == (1, 2, 2, True, False)
 
     def test_diagonal(self):
         diagonal = [(i, i) for i in range(7)]
@@ -127,6 +175,17 @@ class TestSweep:
             assert row.wrap_fraction == float(rep.wraps_horizontal or rep.wraps_vertical)
             assert row.largest_fraction_mean == (rep.largest / total if total else 0.0)
             assert row.stderr == 0.0
+
+    @pytest.mark.parametrize("sizes,samples", [
+        ([9, MAX_TORUS_SIDE + 1], 2),
+        ([9], MAX_SWEEP_SAMPLES + 1),
+    ])
+    def test_bounds_are_checked_before_any_kernel(self, monkeypatch, sizes, samples):
+        def no_kernel(*args):
+            raise AssertionError("a kernel was built")
+        monkeypatch.setattr(percolation, "torus_kernel", no_kernel)
+        with pytest.raises(ValueError, match="must lie in"):
+            percolation_sweep(SYS, sizes, samples, 4, seed=0)
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
 """Rank-one words: tower heights, word generation, RLE output, correlation grid."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import reference_correlation_grid, reference_rle_runs
 
 from mixlab.rankone import (
+    MAX_WORD_LENGTH,
     PRESETS,
     SPACER,
     RankOneSpec,
@@ -52,6 +55,23 @@ class TestGenerateWord:
     def test_rejects_unreachable_length(self):
         with pytest.raises(ValueError, match="reach only 40"):
             generate_word(chacon_spec(3), 0, 41)
+
+    def test_rejects_length_past_cap(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            generate_word(staircase_spec(12), 1, MAX_WORD_LENGTH + 1)
+
+    def test_expansion_stops_at_the_requested_length(self):
+        # Stage 2 ends in a spacer of 10^7 symbols (40 MB as int32); only
+        # the first 10 symbols of the word are built.
+        spec = RankOneSpec((2, 2), ((0, 0), (0, 10 ** 7)))
+        tracemalloc.start()
+        try:
+            word = generate_word(spec, 1, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert word.symbols.tolist() == [0, 1, 0, 1] + [SPACER] * 6
+        assert peak < 1 << 20
 
     def test_word_is_block_concatenation(self):
         word = generate_word(chacon_spec(3), 1, 40)
