@@ -17,6 +17,13 @@ by square-and-multiply (Laurent-polynomial view of Ledrappier 1978 and of
 Schmidt, Dynamical Systems of Algebraic Origin, 1995).  Other patterns are
 sheared first so that one cell is topmost.  Relations among the sites come
 from one elimination of these masks, with no window and no scale limit.
+Squaring is Frobenius, p(x)^2 = p(x^2): two byte-translate tables spread
+each byte's nibbles into the bytes of the square.
+
+`LedrappierOracle` merges the shifted event sites of a shift tuple once,
+into a plan that every entry differing only in its bits reads, and keeps
+relations per site tuple and the powers u^n per recurrence and n for its
+lifetime; nothing is cached beyond the oracle.
 
 Torus kernels run the same recurrence (`RelationPattern.recurrence`) on
 rows that wrap around, and take their fixed states from the same
@@ -171,41 +178,26 @@ class CylinderConstraint:
         return cls(tuple(sites), tuple(int(b) for b in obj["bits"]))
 
 
-def merge_site_bits(pairs: Iterable[tuple[Site, int]]) -> Optional[CylinderConstraint]:
-    """Combine (site, bit) requirements; None signals a contradiction
-    (the event is empty and has measure exactly 0)."""
-    seen: dict[Site, int] = {}
-    for site, bit in pairs:
-        site = tuple(site) if isinstance(site, (list, tuple)) else site
-        if site in seen:
-            if seen[site] != bit:
-                return None
-        else:
-            seen[site] = bit
-    return CylinderConstraint(tuple(seen.keys()), tuple(seen.values()))
-
-
-def merge_events(events: Sequence[CylinderConstraint],
-                 shifts: Sequence[Site]) -> Optional[CylinderConstraint]:
-    pairs = []
-    for ev, sh in zip(events, shifts):
-        for s, b in zip(ev.sites, ev.bits):
-            pairs.append((site_add(s, sh), b))
-    return merge_site_bits(pairs)
-
-
 # ---------------------------------------------------------------------------
 # Exact plane functionals: the row-transfer kernel
 
-# _SPREAD[b] has bit 2i set for every bit i set in the byte b.
-_SPREAD = np.array([sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)],
-                   dtype="<u2")
+def _spread_nibble(v: int) -> int:
+    return sum(((v >> i) & 1) << (2 * i) for i in range(4))
+
+
+# Byte b's two bytes under Frobenius: its low and its high nibble with bit i
+# moved to bit 2i.
+_SPREAD_LOW = bytes(_spread_nibble(b & 15) for b in range(256))
+_SPREAD_HIGH = bytes(_spread_nibble(b >> 4) for b in range(256))
 
 
 def _frobenius(p: int) -> int:
     """p(x)^2 = p(x^2) over GF(2): coefficient bit i moves to bit 2i."""
-    raw = np.frombuffer(p.to_bytes((p.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-    return int.from_bytes(_SPREAD[raw].tobytes(), "little")
+    raw = p.to_bytes((p.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LOW)
+    out[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
 
 
 def _u_power(n: int, depth: int, taps: Sequence[tuple[int, int]]) -> list[int]:
@@ -214,9 +206,12 @@ def _u_power(n: int, depth: int, taps: Sequence[tuple[int, int]]) -> list[int]:
     coefficient per tap (m, s) of u^depth = sum of x^s u^(depth-m)."""
     def reduce(poly: list[int]) -> list[int]:
         for d in range(len(poly) - 1, depth - 1, -1):
-            for m, s in taps:
-                poly[d - m] ^= poly[d] << s
-        return poly[:depth]
+            c = poly[d]
+            if c:
+                for m, s in taps:
+                    poly[d - m] ^= c << s
+        del poly[depth:]
+        return poly
 
     acc = reduce([1] + [0] * (depth - 1))
     for bit in bin(n)[2:]:
@@ -228,8 +223,8 @@ def _u_power(n: int, depth: int, taps: Sequence[tuple[int, int]]) -> list[int]:
     return acc
 
 
-def _window_masks(pattern: RelationPattern,
-                  sites: Sequence[tuple[int, int]]) -> tuple[list[int], int]:
+def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
+                  powers: Optional[dict] = None) -> tuple[list[int], int]:
     """Generator masks of the coordinate functionals at `sites`.
 
     A pattern without a single topmost cell is sheared first by
@@ -243,6 +238,10 @@ def _window_masks(pattern: RelationPattern,
     and t^n = x^(-e n) u^n.  Block k of a mask holds row k, all sites'
     row-k polynomials shifted alike to nonnegative exponents.  Returns
     (mask per site, generator count).
+
+    `powers`, when given, keeps every u^n computed here for later calls,
+    keyed by the recurrence (depth, taps) and n, so one dict may serve
+    several patterns.
     """
     if not pattern.is_propagating():
         j_lo, j_hi = pattern.j_range
@@ -260,14 +259,15 @@ def _window_masks(pattern: RelationPattern,
     if depth * stride > MAX_GENERATORS:
         raise ValueError(f"constellation spans {depth * stride} generator cells, "
                          f"more than {MAX_GENERATORS}")
-    powers: dict[int, list[int]] = {}
+    cache = {} if powers is None else powers.setdefault((depth, tuple(taps)), {})
     masks = []
     for a, b in sites:
         n = b - b0
-        if n not in powers:
-            powers[n] = _u_power(n, depth, taps)
+        coeffs = cache.get(n)
+        if coeffs is None:
+            coeffs = cache[n] = _u_power(n, depth, taps)
         base = a - a0 + e * (top - n)
-        masks.append(sum(c << (base + k * stride) for k, c in enumerate(powers[n])))
+        masks.append(sum(c << (base + k * stride) for k, c in enumerate(coeffs)))
     return masks, depth * stride
 
 
@@ -296,30 +296,28 @@ def _relations(masks: Sequence[int]) -> list[int]:
     return found
 
 
-def _normalized_2d_sites(c: CylinderConstraint) -> list[tuple[int, int]]:
-    sites = []
-    for s in c.sites:
-        if isinstance(s, int):
-            raise ValueError("algebraic constraints need (i, j) sites")
-        sites.append(s)
-    return sites
+def _plane_sites(sites: Sequence[Site]) -> list[tuple[int, int]]:
+    if any(isinstance(s, int) for s in sites):
+        raise ValueError("algebraic constraints need (i, j) sites")
+    return list(sites)
 
 
-def relation_space(system: AlgebraicSystem,
-                   sites: Sequence[tuple[int, int]]) -> list[BitVector]:
+def relation_space(system: AlgebraicSystem, sites: Sequence[tuple[int, int]],
+                   powers: Optional[dict] = None) -> list[BitVector]:
     """Basis of GF(2) dependencies among the coordinate functionals at
     `sites` that hold identically on the configuration group.
 
     Vectors are indexed by the order of `sites`.  The basis is the reduced
     echelon form by highest bit, ascending, of the dependencies among the
-    row-transfer masks (`_window_masks`), found in one elimination.
+    row-transfer masks (`_window_masks`, sharing `powers`), found in one
+    elimination.
     """
     sites = [tuple(s) for s in sites]
     if len(set(sites)) != len(sites):
         raise ValueError("sites must be distinct")
     if not sites:
         return []
-    masks, _ = _window_masks(system.pattern, sites)
+    masks, _ = _window_masks(system.pattern, sites, powers)
     return [BitVector(len(sites), v) for v in _relations(masks)]
 
 
@@ -338,7 +336,7 @@ def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint) -> MeasureV
     2^-(k - |R|) otherwise, k the number of sites.  Exact at every scale;
     meta["method"] is "window".
     """
-    return _measure_from_relations(relation_space(system, _normalized_2d_sites(c)), c.bits)
+    return _measure_from_relations(relation_space(system, _plane_sites(c.sites)), c.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,7 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
     """
     if not 1 <= n <= MAX_MC_SAMPLES:
         raise ValueError(f"sample count must lie in 1..{MAX_MC_SAMPLES}")
-    sites = _normalized_2d_sites(c)
+    sites = _plane_sites(c.sites)
     wrapped = [(x % kernel.width, y % kernel.height) for x, y in sites]
     if len(set(wrapped)) != len(wrapped):
         raise ValueError("constellation does not embed in the torus")
@@ -502,9 +500,10 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKe
     Power-of-two sizes carry extra wrapped relations, so the default has an
     odd factor and at least 4x the constellation diameter; the choice is
     validated by matching the evaluation rank at the sites against the
-    plane rank, bumping the size until they agree.
+    plane rank, bumping the size until they agree; `ValueError` when
+    `_TORUS_TRIES` sizes all fail.
     """
-    sites = _normalized_2d_sites(c)
+    sites = _plane_sites(c.sites)
     if sites:
         xs = [s[0] for s in sites]
         ys = [s[1] for s in sites]
@@ -526,7 +525,7 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKe
         if len(sites) - len(_relations(tmasks)) == plane_rank:
             return kernel
         size += 1
-    raise RuntimeError(
+    raise ValueError(
         f"no torus up to size {size} matches the plane rank for {c}; last dim {last.dim if last else '?'}"
     )
 
@@ -548,48 +547,94 @@ def bernoulli_cylinder_measure(pairs: Iterable[tuple[Site, int]]) -> MeasureValu
 # ---------------------------------------------------------------------------
 # Correlation oracles
 
+class _Plan:
+    """The intersection of one shift tuple's shifted event sites: the
+    distinct sites in first-seen order, the position of every event's sites
+    among them, and their relations once a consistent entry needs them."""
+
+    __slots__ = ("sites", "positions", "relations")
+
+    def __init__(self, sites: tuple, positions: tuple):
+        self.sites = sites
+        self.positions = positions
+        self.relations: Optional[list[BitVector]] = None
+
+
 class LedrappierOracle:
     """Exact k-fold correlation oracle for an algebraic plane system.
 
-    Relations are kept per merged site tuple for the oracle's lifetime: a
-    joining tensor asks for the same sites once per cell combination.
+    Three caches live as long as the oracle.  A plan per shift tuple and
+    tuple of event sites merges the shifted sites once: the 2^order entries
+    of a joining tensor member differ only in their bits, and a scan asks
+    for a tuple's measure and then its certificate.  Each entry reads its
+    bits through the plan's positions; two different bits at one position
+    make it a contradiction of measure 0.  Relations are kept per merged
+    site tuple, and the row powers u^n behind the site masks per recurrence
+    and n (`_window_masks`), so a job computes each of them once.
     """
 
     def __init__(self, system: Optional[AlgebraicSystem] = None):
         self.system = system or ledrappier_system()
         self._by_sites: dict[tuple, list[BitVector]] = {}
+        self._plans: dict[tuple, _Plan] = {}
+        self._powers: dict = {}
 
     def _relation_space(self, sites: list[tuple[int, int]]) -> list[BitVector]:
         key = tuple(sites)
         rels = self._by_sites.get(key)
         if rels is None:
-            rels = self._by_sites[key] = relation_space(self.system, sites)
+            rels = self._by_sites[key] = relation_space(self.system, sites, self._powers)
         return rels
 
-    def _measure(self, c: CylinderConstraint) -> MeasureValue:
-        return _measure_from_relations(self._relation_space(_normalized_2d_sites(c)), c.bits)
+    def _plan(self, shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
+        key = (tuple(shifts), tuple(ev.sites for ev in events))
+        plan = self._plans.get(key)
+        if plan is None:
+            index: dict[Site, int] = {}
+            positions = tuple(tuple(index.setdefault(site_add(s, sh), len(index))
+                                    for s in ev.sites)
+                              for ev, sh in zip(events, shifts))
+            plan = self._plans[key] = _Plan(tuple(index), positions)
+        return plan
+
+    @staticmethod
+    def _merged_bits(plan: _Plan, events: Sequence[CylinderConstraint]) -> Optional[list[int]]:
+        """The bit required at each plan site, or None on a contradiction."""
+        bits: list = [None] * len(plan.sites)
+        for ev, pos in zip(events, plan.positions):
+            for p, b in zip(pos, ev.bits):
+                if bits[p] is None:
+                    bits[p] = b
+                elif bits[p] != b:
+                    return None
+        return bits
+
+    def _plan_relations(self, plan: _Plan) -> list[BitVector]:
+        if plan.relations is None:
+            plan.relations = self._relation_space(_plane_sites(plan.sites))
+        return plan.relations
 
     def event_measure(self, event: CylinderConstraint) -> MeasureValue:
-        return self._measure(event)
+        return _measure_from_relations(self._relation_space(_plane_sites(event.sites)),
+                                       event.bits)
 
     def intersection_measure(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> MeasureValue:
-        merged = merge_events(events, shifts)
-        if merged is None:
+        plan = self._plan(shifts, events)
+        bits = self._merged_bits(plan, events)
+        if bits is None:
             return MeasureValue.of_exact(0, contradiction=True)
-        return self._measure(merged)
+        return _measure_from_relations(self._plan_relations(plan), bits)
 
     def relation_certificate(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> dict:
         """Explicit GF(2) relations among the merged constellation sites."""
-        merged = merge_events(events, shifts)
-        if merged is None:
+        plan = self._plan(shifts, events)
+        if self._merged_bits(plan, events) is None:
             return {"sites": [], "relations": [], "contradiction": True}
-        sites = _normalized_2d_sites(merged)
-        rels = self._relation_space(sites)
         return {
-            "sites": [list(s) for s in sites],
-            "relations": [v.to_list() for v in rels],
+            "sites": [list(s) for s in plan.sites],
+            "relations": [v.to_list() for v in self._plan_relations(plan)],
         }
 
 

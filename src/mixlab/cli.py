@@ -10,8 +10,10 @@ byte from any working directory (`mixlab replay CONFIG --out DIR`).  Replay
 fills every option the config leaves out with the parser's default, as the
 command line does.
 
-Exit codes: 0 success, 2 validation error, 3 capability error (a pattern
-the torus kernel cannot step, an oracle that cannot evaluate a request).
+Exit codes: 0 success, 2 validation error (including a shift box too small
+for its gap, no fitting torus, and a joining family that does not
+stabilize), 3 capability error (a pattern the torus kernel cannot step, an
+oracle that cannot evaluate a request).
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from .correlations import (
 )
 from .joinings import (
     JoiningTensor,
+    NonStabilizingError,
     chain_check,
     classify,
     limit_joining,
@@ -568,7 +571,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (OracleCapabilityError, UnsupportedPatternError) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, NonStabilizingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

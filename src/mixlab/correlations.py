@@ -187,15 +187,20 @@ def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
     """Random shift tuples with pairwise Chebyshev separation >= min_gap.
 
     On Z^2 at least one pairwise difference coordinate is odd, so the tuple
-    admits no dyadic rescaling.
+    admits no dyadic rescaling.  Raises `ValueError` when `min_gap` exceeds
+    `box` (no shift in the box is that far from the origin), or when 1000
+    draws per tuple find no tuple.
     """
+    if k >= 1 and min_gap > box:
+        raise ValueError(f"min gap {min_gap} exceeds the box radius {box}: "
+                         "no shift in the box is that far from the origin")
     gen = substream(seed, "separated", k, min_gap, box, dim)
     produced = 0
     attempts = 0
     while produced < count:
         attempts += 1
         if attempts > 1000 * count:
-            raise RuntimeError("cannot satisfy separation constraints in the box")
+            raise ValueError("cannot satisfy separation constraints in the box")
         pts: list[Site] = [(0, 0) if dim == 2 else 0]
         ok = True
         for _ in range(k):

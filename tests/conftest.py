@@ -2,11 +2,13 @@
 
 The oracles deliberately avoid the library's fast paths: measures come from
 raw enumeration of window configurations, plane site functionals from the
-window method, torus kernels from a per-bit row step with a dense
-transfer-matrix power and from exhaustive enumeration, Monte Carlo hit
-counts from an int32 matrix product over the same draws, cluster structure
-from breadth-first search in the universal cover, and the joining calculus
-from explicit index loops over Fractions.
+window method, intersections of shifted events from one merge of their
+(site, bit) requirements into a `CylinderConstraint` per entry, the row
+powers u^n from a numpy byte-spread Frobenius, torus kernels from a per-bit
+row step with a dense transfer-matrix power and from exhaustive
+enumeration, Monte Carlo hit counts from an int32 matrix product over the
+same draws, cluster structure from breadth-first search in the universal
+cover, and the joining calculus from explicit index loops over Fractions.
 
 The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
 `transpose`, `mat_vec`, `mat_add`), readers for the grid writers' round trips
@@ -35,7 +37,7 @@ import numpy as np
 import pytest
 
 from mixlab import gf2
-from mixlab.algebraic import relation_space, torus_kernel
+from mixlab.algebraic import CylinderConstraint, relation_space, site_add, torus_kernel
 from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
@@ -90,6 +92,59 @@ def mat_add(a, b):
 
 # ---------------------------------------------------------------------------
 # Plane and torus oracles
+
+def merge_site_bits(pairs):
+    """Combine (site, bit) requirements; None signals a contradiction
+    (the event is empty and has measure exactly 0)."""
+    seen = {}
+    for site, bit in pairs:
+        site = tuple(site) if isinstance(site, (list, tuple)) else site
+        if site in seen:
+            if seen[site] != bit:
+                return None
+        else:
+            seen[site] = bit
+    return CylinderConstraint(tuple(seen.keys()), tuple(seen.values()))
+
+
+def merge_events(events, shifts):
+    """The intersection of the events shifted by `shifts` as one constraint,
+    sites in first-seen order, or None on a contradiction."""
+    pairs = []
+    for ev, sh in zip(events, shifts):
+        for s, b in zip(ev.sites, ev.bits):
+            pairs.append((site_add(s, sh), b))
+    return merge_site_bits(pairs)
+
+
+# _SPREAD[b] has bit 2i set for every bit i set in the byte b.
+_SPREAD = np.array([sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)],
+                   dtype="<u2")
+
+
+def reference_frobenius(p):
+    """p(x)^2 = p(x^2) over GF(2), one numpy table lookup per byte."""
+    raw = np.frombuffer(p.to_bytes((p.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return int.from_bytes(_SPREAD[raw].tobytes(), "little")
+
+
+def reference_u_power(n, depth, taps):
+    """u^n mod chi by square-and-multiply with `reference_frobenius`,
+    reducing every coefficient at or above `depth` and copying the list."""
+    def reduce(poly):
+        for d in range(len(poly) - 1, depth - 1, -1):
+            for m, s in taps:
+                poly[d - m] ^= poly[d] << s
+        return poly[:depth]
+
+    acc = reduce([1] + [0] * (depth - 1))
+    for bit in bin(n)[2:]:
+        square = [0] * max(2 * depth - 1, 0)
+        square[::2] = map(reference_frobenius, acc)
+        acc = reduce(square)
+        if bit == "1":
+            acc = reduce([0] + acc)
+    return acc
 
 
 def enumerate_window_group(support, i0, i1, j0, j1):

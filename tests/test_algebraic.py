@@ -23,11 +23,14 @@ from mixlab.algebraic import (
     grid_to_pbm,
     ledrappier_system,
     mc_cylinder_measure,
-    merge_site_bits,
     relation_space,
     sample_configuration,
     torus_kernel,
+    _frobenius,
+    _u_power,
+    _window_masks,
 )
+from mixlab.measure import MeasureValue
 from mixlab.rng import substream
 
 from conftest import (
@@ -36,9 +39,13 @@ from conftest import (
     grid_from_json,
     grid_from_pbm,
     kernel_dimension_bruteforce,
+    merge_events,
+    merge_site_bits,
     reference_default_torus,
+    reference_frobenius,
     reference_mc_hits,
     reference_torus_basis,
+    reference_u_power,
     reference_window_masks,
     transpose,
 )
@@ -338,6 +345,120 @@ class TestPlaneIdentities:
             assert _in_span(rels, scaled)
             gained += len(scaled) > len(rels)
         assert gained > 0
+
+
+def _recurrence(pattern):
+    """(depth, taps) of the row recurrence `_window_masks` runs for
+    `pattern`, sheared first if need be: the key it files powers under."""
+    powers = {}
+    _window_masks(pattern, [(0, 0)], powers)
+    ((key, _),) = powers.items()
+    return key
+
+
+class TestRowPowers:
+    """The byte-translate Frobenius and the in-place reduction against the
+    numpy table lookup and the copying reduction in `conftest`."""
+
+    def test_frobenius_matches_reference(self):
+        rng = random.Random(613)
+        lengths = [0, 1, 7, 8, 9, 15, 16, 17, 70000] + [rng.randint(0, 70000) for _ in range(200)]
+        for n in lengths:
+            p = rng.getrandbits(n) | (1 << n >> 1)  # exactly n bits
+            assert p.bit_length() == n
+            assert _frobenius(p) == reference_frobenius(p)
+
+    def test_some_cross_pattern_is_sheared(self):
+        assert any(not p.is_propagating() for p in CROSS_PATTERNS)
+
+    @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    def test_u_power_matches_reference(self, pattern):
+        depth, taps = _recurrence(pattern)
+        rng = random.Random(str(sorted(pattern.support)))
+        ns = list(range(71)) + [rng.randint(0, 5000) for _ in range(40)] + [1 << j for j in range(1, 21)]
+        for n in ns:
+            assert _u_power(n, depth, taps) == reference_u_power(n, depth, taps)
+
+    def test_shared_powers_give_fresh_relations(self):
+        # One dict serves every pattern, filed by recurrence; the second
+        # pass finds its powers there.
+        powers = {}
+        for rounds in range(2):
+            for pattern in CROSS_PATTERNS:
+                system = AlgebraicSystem(pattern)
+                gen = substream(612, "shared-powers", rounds, str(sorted(pattern.support)))
+                for trial in range(15):
+                    sites = _cross_sites(pattern, gen, trial)
+                    assert relation_space(system, sites, powers) == relation_space(system, sites)
+        assert set(powers) == {_recurrence(p) for p in CROSS_PATTERNS}
+
+
+def _reference_measure(system, shifts, events):
+    merged = merge_events(events, shifts)
+    if merged is None:
+        return MeasureValue.of_exact(0, contradiction=True)
+    return cylinder_measure(system, merged)
+
+
+def _reference_certificate(system, shifts, events):
+    merged = merge_events(events, shifts)
+    if merged is None:
+        return {"sites": [], "relations": [], "contradiction": True}
+    return {"sites": [list(s) for s in merged.sites],
+            "relations": [v.to_list() for v in relation_space(system, merged.sites)]}
+
+
+_CELLS = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
+
+
+class TestIntersectionPlans:
+    @pytest.mark.parametrize("pattern", [LEDRAPPIER_PATTERN, CORNER, CROSS_PATTERNS[4]],
+                             ids=lambda p: str(sorted(p.support)))
+    def test_matches_merged_constraint(self, pattern):
+        # Events of 1-3 sites and shifts in [-2, 2]^2, so shifted sites often
+        # meet, with equal or with different bits.  One oracle answers every
+        # call: each shift tuple is asked with two site layouts, each layout
+        # with three bit choices, measure and certificate in either order,
+        # each twice.
+        system = AlgebraicSystem(pattern)
+        oracle = LedrappierOracle(system)
+        rng = random.Random(str(sorted(pattern.support)))
+        evaluated = equal = unequal = 0
+        for trial in range(40):
+            k = rng.randint(1, 4)
+            shifts = ((0, 0),) + tuple((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(k))
+            for layout in range(2):
+                site_sets = [tuple(rng.sample(_CELLS, rng.randint(1, 3))) for _ in range(k + 1)]
+                for _ in range(3):
+                    events = [CylinderConstraint(ss, tuple(rng.randint(0, 1) for _ in ss))
+                              for ss in site_sets]
+                    seen = {}
+                    for ev, sh in zip(events, shifts):
+                        for site, bit in zip(ev.sites, ev.bits):
+                            site = (site[0] + sh[0], site[1] + sh[1])
+                            if site in seen:
+                                equal += seen[site] == bit
+                                unequal += seen[site] != bit
+                            seen[site] = bit
+                    measure = _reference_measure(system, shifts, events)
+                    certificate = _reference_certificate(system, shifts, events)
+                    for _ in range(2):
+                        if rng.random() < 0.5:
+                            assert oracle.intersection_measure(shifts, events) == measure
+                            assert oracle.relation_certificate(shifts, events) == certificate
+                        else:
+                            assert oracle.relation_certificate(shifts, events) == certificate
+                            assert oracle.intersection_measure(shifts, events) == measure
+                    evaluated += 1
+        assert evaluated >= 200 and equal >= 50 and unequal >= 50
+
+    def test_z_sites_rejected_unless_contradictory(self):
+        oracle = LedrappierOracle()
+        ev0, ev1 = CylinderConstraint((0,), (0,)), CylinderConstraint((0,), (1,))
+        with pytest.raises(ValueError, match="need \\(i, j\\) sites"):
+            oracle.intersection_measure((0, 1), [ev0, ev1])
+        assert oracle.intersection_measure((0, 0), [ev0, ev1]) == \
+            MeasureValue.of_exact(0, contradiction=True)
 
 
 def _basis_grid(kernel, vec):

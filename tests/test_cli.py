@@ -5,10 +5,10 @@ import time
 
 import pytest
 
-from mixlab import cli
+from mixlab import algebraic, cli
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
 from mixlab.percolation import MAX_SWEEP_SAMPLES
-from mixlab.rankone import MAX_WORD_LENGTH
+from mixlab.rankone import MAX_STAGES, MAX_WORD_LENGTH
 
 NON_PROPAGATING = {"support": [[0, 0], [1, 0], [0, -1]]}
 
@@ -87,6 +87,12 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
      f"exceeds the cap {MAX_WORD_LENGTH}"),
     (["scan", "dev", "--system", "rankone", "--h", "8", "--epsilon", "0.1", "--stages", "12",
       "--word-length", str(MAX_WORD_LENGTH + 1)], f"exceeds the cap {MAX_WORD_LENGTH}"),
+    (["rankone", "--stages", str(MAX_STAGES + 1)], f"stages must lie in 0..{MAX_STAGES}"),
+    (["rankone", "--stages", str(10 ** 9)], f"stages must lie in 0..{MAX_STAGES}"),
+    (["scan", "dev", "--system", "rankone", "--h", "8", "--epsilon", "0.1",
+      "--stages", str(MAX_STAGES + 1)], f"stages must lie in 0..{MAX_STAGES}"),
+    (["scan", "dev", "--system", "rankone", "--h", "8", "--epsilon", "0.1",
+      "--stages", str(10 ** 9)], f"stages must lie in 0..{MAX_STAGES}"),
 ])
 def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
     # Each bound is checked before the work it limits starts.
@@ -96,6 +102,34 @@ def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsy
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    # No shift in a box of radius 5 is 50 from the origin: refused at once.
+    (["scan", "mix", "--order", "2", "--min-gap", "50", "--box", "5", "--budget", "1"],
+     "min gap 50 exceeds the box radius 5"),
+    # Nine points 5 apart fit in the box only as its 3 x 3 corner grid,
+    # which 1000 random draws do not find.
+    (["scan", "mix", "--order", "8", "--min-gap", "5", "--box", "5", "--budget", "1"],
+     "cannot satisfy separation constraints in the box"),
+    # Two members can never give three equal tensors in a row.
+    (["joining", "--scales", "1:3"],
+     "correlation family did not stabilize (2 consecutive matches, needed 3)"),
+])
+def test_unsatisfiable_request_exits_2_at_once(tmp_path, capsys, argv, message):
+    start = time.perf_counter()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert message in capsys.readouterr().err
+
+
+def test_no_fitting_default_torus_exits_2(tmp_path, monkeypatch, capsys):
+    # With no torus size to try, `default_torus_for` finds none.
+    monkeypatch.setattr(algebraic, "_TORUS_TRIES", 0)
+    c = _write(tmp_path / "c.json", _five_point(1))
+    assert cli.main(["measure", "--mc", "--constellation", c,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "no torus up to size 12 matches the plane rank" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("system", ["bernoulli", "rankone"])
