@@ -32,6 +32,7 @@ elimination (`_relations`) of columns built by the row step itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -321,11 +322,16 @@ def relation_space(system: AlgebraicSystem, sites: Sequence[tuple[int, int]],
     return [BitVector(len(sites), v) for v in _relations(masks)]
 
 
+@functools.lru_cache(maxsize=256)
+def _dyadic(r: int) -> Fraction:  # one shared, immutable 2^(-r) per exponent
+    return Fraction(1, 1 << r)
+
+
 def _measure_from_relations(relations: Sequence[BitVector], bits: Sequence[int]) -> MeasureValue:
     b = BitVector.from_bits(bits).bits
     if any((v.bits & b).bit_count() & 1 for v in relations):
         return MeasureValue.of_exact(0, method="window")
-    return MeasureValue.of_exact(Fraction(1, 1 << (len(bits) - len(relations))), method="window")
+    return MeasureValue.of_exact(_dyadic(len(bits) - len(relations)), method="window")
 
 
 def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint) -> MeasureValue:

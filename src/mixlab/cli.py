@@ -46,6 +46,7 @@ from .algebraic import (
     torus_kernel,
 )
 from .correlations import (
+    MAX_SCAN_ORDER,
     OracleCapabilityError,
     dev_heatmap_svg,
     dev_scan,
@@ -92,9 +93,7 @@ def _write_text(outdir: str, name: str, text: str) -> str:
 
 
 def _write_json(outdir: str, name: str, obj: dict) -> str:
-    """`obj` as one line of JSON with sorted keys.  No indent, so CPython
-    serializes it with its C encoder; `word.json` holds tens of thousands
-    of runs."""
+    """`obj` as one line of sorted-key JSON; no indent, so CPython's C encoder runs."""
     return _write_text(outdir, name,
                        json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
 
@@ -218,7 +217,7 @@ def cmd_scan_dev(params: dict) -> int:
         spec = _resolve_rankone_spec(params)
         word = generate_word(spec, params["stage"],
                              params.get("word_length", max(100 * h, 10000)))
-        oracle = WordOracle(word, seed=params["seed"])
+        oracle = WordOracle(word)
         a = b = c = frozenset({0})
     result = dev_scan(oracle, a, b, c, epsilon, h)
     _write_text(outdir, "dev.csv", scan_rows_to_csv(result))
@@ -231,6 +230,8 @@ def cmd_scan_mix(params: dict) -> int:
     outdir = _prepare_outdir(params)
     _emit_config(outdir, "scan-mix", params)
     k = params["order"]
+    if not 1 <= k <= MAX_SCAN_ORDER:  # before k + 1 default events are built
+        raise ValidationError(f"--order must lie in 1..{MAX_SCAN_ORDER}")
     system = params["system"]
     budget = params["budget"]
     if system == "ledrappier":
@@ -358,7 +359,7 @@ def cmd_rankone(params: dict) -> int:
     artifacts: dict = {"spec": spec.to_json(), "heights": tower_heights(spec)}
     if params.get("word_length"):
         word = generate_word(spec, params["stage"], params["word_length"])
-        _write_json(outdir, "word.json", word.to_rle_json())
+        _write_text(outdir, "word.json", word.to_rle_json())
         artifacts["word_length"] = word.length
     _write_json(outdir, "rankone.json", artifacts)
     return 0

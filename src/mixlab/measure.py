@@ -29,7 +29,7 @@ class MeasureValue:
 
     @classmethod
     def of_exact(cls, value: Fraction | int, **meta) -> "MeasureValue":
-        return cls(exact=Fraction(value), meta=meta)
+        return cls(exact=value if isinstance(value, Fraction) else Fraction(value), meta=meta)
 
     @classmethod
     def of_estimate(cls, mean: float, stderr: float, samples: int, **meta) -> "MeasureValue":

@@ -181,6 +181,10 @@ def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> Cl
 # size of that scale stays under half a minute.
 MAX_SWEEP_SAMPLES = 10_000
 
+# Each size builds its own kernel (0.26 s at side 257, 27 s at 1024), so
+# 64 sizes at side 257 stay under 20 s.
+MAX_SWEEP_SIZES = 64
+
 
 @dataclass
 class SweepRow:
@@ -201,6 +205,8 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
     Fully seed-deterministic: sample s of size n uses the substream keyed by
     (seed, n, s), and per-size aggregation runs in fixed sample order.
     """
+    if len(sizes) > MAX_SWEEP_SIZES:
+        raise ValueError(f"a sweep takes at most {MAX_SWEEP_SIZES} lattice sizes")
     if not all(8 <= s <= MAX_TORUS_SIDE for s in sizes):
         raise ValueError(f"lattice sizes must lie in 8..{MAX_TORUS_SIDE}")
     if not 1 <= samples_per_size <= MAX_SWEEP_SAMPLES:

@@ -6,21 +6,19 @@ through the stage-K tower yields a word over the stage-K level alphabet plus
 a spacer symbol; correlations are estimated as Birkhoff frequencies along
 that word.
 
-Measures here are always estimates with standard errors, never exact; the
-spacer symbols carry measure, so reported frequencies are relative to the
-full normalized space including spacers.
+Measures here are point estimates with their sample counts, never exact,
+and carry no standard error; the spacer symbols carry measure, so reported
+frequencies are relative to the full normalized space including spacers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .measure import MeasureValue
-from .rng import substream
 
 SPACER = -1
 
@@ -133,15 +131,23 @@ class SymbolicWord:
     def length(self) -> int:
         return int(self.symbols.shape[0])
 
-    def to_rle_json(self) -> dict:
+    def to_rle_json(self) -> str:
+        """word.json: the bytes of ``json.dumps`` of {"height", "length",
+        "runs", "stage"} with sorted keys plus a newline, where `runs` holds
+        [symbol, length] per maximal run, each distinct run formatted once."""
         sym = self.symbols
         starts = np.flatnonzero(sym[1:] != sym[:-1]) + 1
         if sym.size:
             starts = np.concatenate(([0], starts))
         lengths = np.diff(np.append(starts, sym.size))
-        runs = np.stack([sym[starts], lengths], axis=1).tolist()
-        return {"stage": self.stage, "height": self.height,
-                "length": self.length, "runs": runs}
+        # Run lengths lie in 1..length, so a key names one (symbol, length).
+        _, first, inverse = np.unique(sym[starts].astype(np.int64) * (sym.size + 1) + lengths,
+                                      return_index=True, return_inverse=True)
+        texts = np.array([f"[{s}, {n}]" for s, n in zip(
+            sym[starts[first]].tolist(), lengths[first].tolist())], dtype=object)
+        runs = ", ".join(texts[inverse.ravel()].tolist())
+        return (f'{{"height": {self.height}, "length": {self.length}, '
+                f'"runs": [{runs}], "stage": {self.stage}}}\n')
 
 
 def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWord:
@@ -187,63 +193,19 @@ def _indicator(word: SymbolicWord, levels: frozenset) -> np.ndarray:
     return np.isin(word.symbols, np.array(sorted(levels), dtype=np.int32))
 
 
-def _block_bootstrap_stderr(ind: np.ndarray, seed: int) -> float:
-    """Moving-block bootstrap standard error of the mean of a 0/1 series:
-    64 replicates of blocks of max(32, sqrt(m)) symbols."""
-    m = ind.shape[0]
-    if m < 4:
-        return 0.5
-    block = min(max(32, int(math.isqrt(m))), m)
-    nblocks = m // block
-    if nblocks < 2:
-        return float(ind.std() / math.sqrt(m))
-    # Partial sums let each moving block be summed in O(1).
-    csum = np.concatenate([[0], np.cumsum(ind, dtype=np.int64)])
-    starts_max = m - block
-    gen = substream(seed, "bootstrap", m, block)
-    means = np.empty(64)
-    for r in range(len(means)):
-        starts = gen.integers(0, starts_max + 1, size=nblocks)
-        total = int(np.sum(csum[starts + block] - csum[starts]))
-        means[r] = total / (nblocks * block)
-    return float(means.std(ddof=1))
-
-
 class WordOracle:
-    """Correlation oracle over a symbolic word; estimates only.
-
-    Shift tuples are normalized by subtracting the minimum shift, which the
-    stationarity of the word reading justifies; events are frozensets of
-    level symbols.
+    """Correlation oracle over a symbolic word: Birkhoff frequencies along
+    it, as point values with their sample counts and no standard error.
+    Events are frozensets of level symbols.
     """
 
-    def __init__(self, word: SymbolicWord, seed: int = 0):
+    def __init__(self, word: SymbolicWord):
         self.word = word
-        self.seed = seed
 
     def event_measure(self, event: frozenset) -> MeasureValue:
-        ind = _indicator(self.word, event)
-        count = int(np.count_nonzero(ind))
         n = self.word.length
-        p = count / n
-        stderr = 0.0 if count in (0, n) else _block_bootstrap_stderr(ind, self.seed)
-        return MeasureValue.of_estimate(p, stderr, n)
-
-    def intersection_measure(self, shifts: Sequence[int], events: Sequence[frozenset]) -> MeasureValue:
-        base = min(shifts)
-        offs = [s - base for s in shifts]
-        n = self.word.length
-        m = n - max(offs)
-        if m < 1:
-            raise ValueError("shifts too large for word length")
-        acc = None
-        for off, ev in zip(offs, events):
-            ind = _indicator(self.word, ev)[off:off + m]
-            acc = ind if acc is None else (acc & ind)
-        count = int(np.count_nonzero(acc))
-        p = count / m
-        stderr = 0.0 if count in (0, m) else _block_bootstrap_stderr(acc, self.seed)
-        return MeasureValue.of_estimate(p, stderr, m)
+        count = int(np.count_nonzero(_indicator(self.word, event)))
+        return MeasureValue(estimate=count / n, samples=n)
 
     def correlation_grid(self, events: Sequence[frozenset],
                          pairs: np.ndarray) -> np.ndarray:

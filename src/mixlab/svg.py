@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+import numpy as np
 
 DARK = "#1b1b1f"
 LIGHT = "#f4f1e8"
@@ -66,35 +66,39 @@ def cluster_svg(grid, labels, target_bit: int, title: str = "") -> str:
     return "\n".join(lines) + "\n"
 
 
-def heatmap_svg(field: Sequence[Sequence[Optional[float]]],
-                x_label: str = "x", y_label: str = "y", title: str = "") -> str:
-    """Scalar field as a grayscale-to-red heatmap; None cells render blank."""
-    h = len(field)
-    w = len(field[0]) if h else 0
+def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") -> str:
+    """Scalar field (2-D float array or nested lists, [row][column]) as a
+    grayscale-to-red heatmap; NaN cells, like None list entries, stay blank.
+    A value v is drawn in rgb(r, gb, gb): t = min(1, v / vmax) with vmax the
+    first largest value in row-major order, r = int(40 + 215 t), gb =
+    int(40 + 180 (1 - t)).  Each `<rect>` joins a column head, a row middle
+    and a colour tail, each formatted once, as object arrays."""
+    values = np.asarray(field, dtype=float)
+    if values.size == 0:
+        values = values.reshape(len(field), 0)
+    h, w = values.shape
     cell, margin = 6, 18
-    vals = [v for row in field for v in row if v is not None]
-    vmax = max(vals) if vals else 0.0
+    rows, cols = np.nonzero(~np.isnan(values))
+    vals = values[rows, cols]
+    vmax = float(vals[np.flatnonzero(vals == vals.max())[0]]) if vals.size else 0.0
+    ratio = vals / vmax if vmax != 0 else np.zeros_like(vals)
+    t = np.where(ratio < 1.0, ratio, 1.0)  # min(1.0, ratio), NaN included
+    r = (40 + 215 * t).astype(np.int64)  # truncated toward zero, as by int()
+    gb = (40 + 180 * (1 - t)).astype(np.int64)
+    gb_lo = int(gb.min(initial=0))
+    span = int(gb.max(initial=0)) - gb_lo + 1
+    _, first, inverse = np.unique(r * span + gb - gb_lo, return_index=True, return_inverse=True)
+    tails = np.array([f'fill="rgb({a},{b},{b})"/>\n'
+                      for a, b in zip(r[first].tolist(), gb[first].tolist())], dtype=object)
+    heads = np.array([f'<rect x="{margin + i * cell}" y="' for i in range(w)], dtype=object)
+    middles = np.array([f'{j * cell}" width="{cell}" height="{cell}" ' for j in range(h)],
+                       dtype=object)
+    parts = np.empty((rows.size, 3), dtype=object)
+    parts[:, 0], parts[:, 1], parts[:, 2] = heads[cols], middles[rows], tails[inverse.ravel()]
     lines = _header(w * cell + margin, h * cell + margin, title)
     lines.append(f'<rect width="{w * cell + margin}" height="{h * cell + margin}" fill="#ffffff"/>')
-    for j in range(h):
-        for i in range(w):
-            v = field[j][i]
-            if v is None:
-                continue
-            t = 0.0 if vmax == 0 else min(1.0, v / vmax)
-            r = int(40 + 215 * t)
-            gb = int(40 + 180 * (1 - t))
-            lines.append(
-                f'<rect x="{margin + i * cell}" y="{j * cell}" width="{cell}" height="{cell}" '
-                f'fill="rgb({r},{gb},{gb})"/>'
-            )
-    lines.append(
-        f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
-        f'text-anchor="middle">{x_label} (max {vmax:.6g})</text>'
-    )
-    lines.append(
-        f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '
-        f'transform="rotate(-90 10 {(h * cell) // 2})">{y_label}</text>'
-    )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n" + "".join(parts.ravel().tolist())
+            + f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
+            f'text-anchor="middle">{x_label} (max {vmax:.6g})</text>\n'
+            f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '
+            f'transform="rotate(-90 10 {(h * cell) // 2})">{y_label}</text>\n</svg>\n')

@@ -21,8 +21,12 @@ spikes (`SyntheticTripleOracle`), example joinings and operators
 The array paths of the word statistics have loop references here too: the
 sliding-count correlation grid (`reference_correlation_grid`), the
 csv.writer deviation CSV (`reference_scan_rows_to_csv`), the RLE scan
-(`reference_rle_runs`) and the admissible pairs as a list
-(`admissible_pairs`).
+(`reference_rle_runs`) and word.json from ``json.dumps`` of its dict
+(`reference_word_json`), the admissible pairs as a list
+(`admissible_pairs`), the per-cell heatmap loop (`reference_heatmap_svg`,
+`reference_dev_heatmap_svg`), and the Birkhoff frequency of one shift tuple
+along a word (`word_intersection_measure`), the point values the rank-one
+correlation grid must equal.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 from collections import deque
 from fractions import Fraction
 
@@ -43,6 +48,7 @@ from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
 from mixlab.measure import MeasureValue
 from mixlab.rng import substream
+from mixlab.svg import _header as svg_header
 
 
 # ---------------------------------------------------------------------------
@@ -509,6 +515,79 @@ def reference_rle_runs(symbols):
             runs.append([int(symbols[start]), i - start])
             start = i
     return runs
+
+
+def reference_word_json(word):
+    """word.json as ``json.dumps`` of the run-length dict with sorted keys,
+    plus a newline."""
+    obj = {"stage": word.stage, "height": word.height, "length": word.length,
+           "runs": reference_rle_runs(word.symbols)}
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def word_intersection_measure(word, shifts, events):
+    """Birkhoff frequency of the translated events along a symbolic word:
+    shifts are normalized by subtracting the smallest (the reading is
+    stationary), and the share of the m = n - max offset starting positions
+    where every event holds at its offset is the estimate, with m samples."""
+    base = min(shifts)
+    offs = [s - base for s in shifts]
+    n = word.length
+    m = n - max(offs)
+    if m < 1:
+        raise ValueError("shifts too large for word length")
+    acc = np.ones(m, dtype=bool)
+    for off, ev in zip(offs, events):
+        acc &= np.isin(word.symbols, sorted(ev))[off:off + m]
+    return MeasureValue(estimate=int(np.count_nonzero(acc)) / m, samples=m)
+
+
+# ---------------------------------------------------------------------------
+# SVG
+
+def reference_heatmap_svg(field, x_label="x", y_label="y", title=""):
+    """The heatmap written cell by cell from nested lists in which None is
+    a blank cell."""
+    h = len(field)
+    w = len(field[0]) if h else 0
+    cell, margin = 6, 18
+    vals = [v for row in field for v in row if v is not None]
+    vmax = max(vals) if vals else 0.0
+    lines = svg_header(w * cell + margin, h * cell + margin, title)
+    lines.append(f'<rect width="{w * cell + margin}" height="{h * cell + margin}" fill="#ffffff"/>')
+    for j in range(h):
+        for i in range(w):
+            v = field[j][i]
+            if v is None:
+                continue
+            t = 0.0 if vmax == 0 else min(1.0, v / vmax)
+            r = int(40 + 215 * t)
+            gb = int(40 + 180 * (1 - t))
+            lines.append(
+                f'<rect x="{margin + i * cell}" y="{j * cell}" width="{cell}" height="{cell}" '
+                f'fill="rgb({r},{gb},{gb})"/>'
+            )
+    lines.append(
+        f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
+        f'text-anchor="middle">{x_label} (max {vmax:.6g})</text>'
+    )
+    lines.append(
+        f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '
+        f'transform="rotate(-90 10 {(h * cell) // 2})">{y_label}</text>'
+    )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_dev_heatmap_svg(scan):
+    """The deviation heatmap through `reference_heatmap_svg`: row w, column
+    z, None off the admissible grid."""
+    size = scan.h + 1
+    field = [[None] * size for _ in range(size)]
+    for (z, w), d in zip(scan.pairs.tolist(), scan.defect.tolist()):
+        field[w][z] = d
+    return reference_heatmap_svg(field, x_label="z", y_label="w",
+                                 title=f"defect field, eps={scan.epsilon}, h={scan.h}")
 
 
 # ---------------------------------------------------------------------------

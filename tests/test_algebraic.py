@@ -124,6 +124,16 @@ class TestCylinderMeasure:
     def test_empty_constraint_has_full_measure(self):
         assert cylinder_measure(SYS, CylinderConstraint((), ())).exact == 1
 
+    def test_exact_values_are_shared_fractions(self):
+        # of_exact keeps a Fraction as it is; ints still become Fractions.
+        f = Fraction(3, 8)
+        assert MeasureValue.of_exact(f).exact is f
+        assert type(MeasureValue.of_exact(1).exact) is Fraction
+        # One Fraction per exponent serves every measure.
+        c = CylinderConstraint(((0, 0), (5, 3)), (0, 1))
+        a, b = cylinder_measure(SYS, c), cylinder_measure(SYS, c)
+        assert a.exact == Fraction(1, 4) and a.exact is b.exact
+
     def test_shift_invariance(self):
         gen = substream(11, "shift")
         for _ in range(10):

@@ -7,7 +7,9 @@ import pytest
 
 from mixlab import algebraic, cli
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
-from mixlab.percolation import MAX_SWEEP_SAMPLES
+from mixlab.correlations import MAX_DYADIC_SCALE, MAX_SCAN_BOX, MAX_SCAN_BUDGET, MAX_SCAN_ORDER
+from mixlab.joinings import MAX_JOINING_ORDER
+from mixlab.percolation import MAX_SWEEP_SAMPLES, MAX_SWEEP_SIZES
 from mixlab.rankone import MAX_STAGES, MAX_WORD_LENGTH
 
 NON_PROPAGATING = {"support": [[0, 0], [1, 0], [0, -1]]}
@@ -93,6 +95,23 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
       "--stages", str(MAX_STAGES + 1)], f"stages must lie in 0..{MAX_STAGES}"),
     (["scan", "dev", "--system", "rankone", "--h", "8", "--epsilon", "0.1",
       "--stages", str(10 ** 9)], f"stages must lie in 0..{MAX_STAGES}"),
+    (["scan", "mix", "--order", "2", "--budget", str(MAX_SCAN_BUDGET + 1)],
+     f"budget must lie in 1..{MAX_SCAN_BUDGET}"),
+    (["scan", "mix", "--order", "2", "--box", str(MAX_SCAN_BOX + 1)],
+     f"box radius must lie in 0..{MAX_SCAN_BOX}"),
+    (["scan", "mix", "--order", str(MAX_SCAN_ORDER + 1)],
+     f"--order must lie in 1..{MAX_SCAN_ORDER}"),
+    (["scan", "mix", "--order", str(10 ** 9)], f"--order must lie in 1..{MAX_SCAN_ORDER}"),
+    (["scan", "mix", "--order", "4", "--family", "dyadic",
+      "--scales", f"1:{MAX_DYADIC_SCALE + 2}"],
+     f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
+    (["joining", "--order", str(MAX_JOINING_ORDER + 1)],
+     f"joining order must lie in 2..{MAX_JOINING_ORDER}"),
+    (["joining", "--scales", f"{10 ** 9}:{10 ** 9 + 3}"],
+     f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
+    (["joining", "--scales=-1:3"], f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
+    (["percolate", "--sizes", ",".join(["9"] * (MAX_SWEEP_SIZES + 1))],
+     f"a sweep takes at most {MAX_SWEEP_SIZES} lattice sizes"),
 ])
 def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
     # Each bound is checked before the work it limits starts.

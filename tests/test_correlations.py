@@ -8,6 +8,7 @@ from conftest import (
     SyntheticTripleOracle,
     admissible_pairs,
     reference_correlation_grid,
+    reference_dev_heatmap_svg,
     reference_scan_rows_to_csv,
 )
 
@@ -167,7 +168,7 @@ class TestDevScan:
         eps, h = 0.07, 90
         word = generate_word(preset_spec("chacon", 12), 1, 30000)
         event = frozenset({0})
-        scan = dev_scan(WordOracle(word, seed=4), event, event, event, eps, h)
+        scan = dev_scan(WordOracle(word), event, event, event, eps, h)
         pairs = admissible_pairs(eps, h)
         assert [tuple(p) for p in scan.pairs.tolist()] == pairs
         corr = reference_correlation_grid(word, (event,) * 3, pairs)
@@ -214,6 +215,37 @@ class TestDevScan:
         assert oracle.calls == 1
         dev_scan(oracle, "A", "B", "A", 0.1, 10)
         assert oracle.calls == 3
+
+
+HEATMAP_EVENTS = (CylinderConstraint((0, 8), (0, 1)), CylinderConstraint((0, 3), (1, 1)),
+                  CylinderConstraint((0, 5, 11), (1, 1, 0)))
+
+
+class TestDevHeatmap:
+    """The array heatmap of a deviation scan writes the per-cell loop's bytes."""
+
+    @pytest.mark.parametrize("eps,h", [(0.05, 1), (0.1, 7), (0.13, 40), (0.3, 97)])
+    def test_bernoulli(self, eps, h):
+        for events in (HEATMAP_EVENTS, (B0, B0, B0)):
+            scan = dev_scan(BERN, *events, eps, h)
+            assert dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+
+    @pytest.mark.parametrize("name,stages,eps,h", [
+        ("staircase", 10, 0.05, 120), ("chacon", 12, 0.11, 64),
+        ("single_spacer", 17, 0.2, 33), ("doubling", 15, 0.07, 90),
+    ])
+    def test_rankone(self, name, stages, eps, h):
+        word = generate_word(preset_spec(name, stages), 1, 20000)
+        event = frozenset({0})
+        scan = dev_scan(WordOracle(word), event, event, event, eps, h)
+        assert dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+
+    def test_planted_spikes_and_zero_field(self):
+        spiked = SyntheticTripleOracle({"A": 0.5}, {(5, 9): 0.2, (9, 5): 0.2, (11, 3): -0.1})
+        flat = SyntheticTripleOracle({"A": 0.5})
+        for oracle in (spiked, flat):
+            scan = dev_scan(oracle, "A", "A", "A", 0.05, 12)
+            assert dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
 
 
 class TestConstellationType:

@@ -1,11 +1,17 @@
 """Rank-one words: tower heights, word generation, RLE output, correlation grid."""
 
+import json
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import reference_correlation_grid, reference_rle_runs
+from conftest import (
+    reference_correlation_grid,
+    reference_rle_runs,
+    reference_word_json,
+    word_intersection_measure,
+)
 
 from mixlab.rankone import (
     MAX_WORD_LENGTH,
@@ -83,7 +89,7 @@ class TestGenerateWord:
 
 def test_rle_runs_reexpand_to_symbols():
     word = generate_word(staircase_spec(5), 1, 500)
-    rle = word.to_rle_json()
+    rle = json.loads(word.to_rle_json())
     assert (rle["stage"], rle["height"], rle["length"]) == (1, 3, 500)
     expanded = [sym for sym, count in rle["runs"] for _ in range(count)]
     assert expanded == word.symbols.tolist()
@@ -94,13 +100,49 @@ def test_rle_runs_reexpand_to_symbols():
                                          ("single_spacer", 17)])
 def test_rle_matches_loop(name, stages):
     word = generate_word(preset_spec(name, stages), 1, 5000)
-    assert word.to_rle_json()["runs"] == reference_rle_runs(word.symbols)
+    assert json.loads(word.to_rle_json())["runs"] == reference_rle_runs(word.symbols)
 
 
 @pytest.mark.parametrize("symbols", [[], [7], [2, 2, 2], [0, 1, 1, SPACER, SPACER, 0]])
 def test_rle_edge_words(symbols):
     word = SymbolicWord(stage=0, height=1, symbols=np.array(symbols, dtype=np.int32))
-    assert word.to_rle_json()["runs"] == reference_rle_runs(word.symbols)
+    assert json.loads(word.to_rle_json())["runs"] == reference_rle_runs(word.symbols)
+
+
+WORD_JSON_CASES = {
+    "empty": SymbolicWord(stage=0, height=1, symbols=np.array([], dtype=np.int32)),
+    "single symbol": SymbolicWord(stage=0, height=1, symbols=np.array([0], dtype=np.int32)),
+    "all spacers": SymbolicWord(stage=2, height=5, symbols=np.full(37, SPACER, dtype=np.int32)),
+    # [1, 1] and [0, 1001] would share a key if keys were symbol * 1000 + length
+    "long runs": SymbolicWord(stage=1, height=3, symbols=np.repeat(
+        np.array([0, SPACER, 2, 0, 1, SPACER, 1, 0], dtype=np.int32),
+        [1, 10, 123, 9, 4567, 10, 1, 1001]).copy()),
+    "extreme symbols": SymbolicWord(stage=7, height=10 ** 60, symbols=np.array(
+        [2 ** 31 - 1, 2 ** 31 - 1, -2 ** 31, SPACER, 0], dtype=np.int32)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORD_JSON_CASES))
+def test_word_json_matches_json_dumps(name):
+    word = WORD_JSON_CASES[name]
+    assert word.to_rle_json() == reference_word_json(word)
+
+
+@pytest.mark.parametrize("name,stages,stage,length", [
+    ("staircase", 10, 1, 30000), ("chacon", 12, 2, 20000), ("single_spacer", 17, 3, 10000),
+    ("doubling", 14, 1, 16384), ("staircase", 12, 3, 100000),
+])
+def test_preset_word_json_matches_json_dumps(name, stages, stage, length):
+    word = generate_word(preset_spec(name, stages), stage, length)
+    assert word.to_rle_json() == reference_word_json(word)
+
+
+def test_event_measure_is_a_point_value_without_stderr():
+    word = generate_word(chacon_spec(8), 1, 5000)
+    for event in (frozenset({0}), frozenset({1, SPACER}), frozenset({99})):
+        mv = WordOracle(word).event_measure(event)
+        count = int(np.isin(word.symbols, sorted(event)).sum())
+        assert (mv.estimate, mv.stderr, mv.samples) == (count / 5000, None, 5000)
 
 
 GRID_EVENTS = {
@@ -131,12 +173,12 @@ def test_correlation_grid_rejects_shifts_past_the_word():
 
 def test_correlation_grid_matches_intersection_measure():
     word = generate_word(staircase_spec(6), 1, 3000)
-    oracle = WordOracle(word, seed=5)
+    oracle = WordOracle(word)
     events = [frozenset({0}), frozenset({1, SPACER}), frozenset({0, 2})]
     pairs = [(z, w) for z in range(6) for w in range(6)]
     grid = oracle.correlation_grid(events, pairs)
     for (z, w), value in zip(pairs, grid):
-        mv = oracle.intersection_measure((0, z, w), events)
+        mv = word_intersection_measure(word, (0, z, w), events)
         assert value == mv.estimate, (z, w)
     assert np.count_nonzero(grid) > 0
 
@@ -152,11 +194,10 @@ def test_spec_validation_and_json_round_trip():
 
 def test_negative_shifts_match_their_nonnegative_translate():
     spec = staircase_spec(8)
-    oracle = WordOracle(generate_word(spec, 1, 20000), seed=3)
+    word = generate_word(spec, 1, 20000)
     events = (frozenset({0}),) * 3
     for m in tower_heights(spec)[1:4]:
-        back = oracle.intersection_measure((0, -m, -3 * m), events)
-        ahead = oracle.intersection_measure((3 * m, 2 * m, 0), events)
-        assert (back.estimate, back.stderr, back.samples) == \
-            (ahead.estimate, ahead.stderr, ahead.samples)
-        assert 0.0 < back.estimate < 1.0 and back.stderr > 0.0
+        back = word_intersection_measure(word, (0, -m, -3 * m), events)
+        ahead = word_intersection_measure(word, (3 * m, 2 * m, 0), events)
+        assert (back.estimate, back.samples) == (ahead.estimate, ahead.samples)
+        assert 0.0 < back.estimate < 1.0
