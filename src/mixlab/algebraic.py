@@ -26,8 +26,10 @@ relations per site tuple and the powers u^n per recurrence and n for its
 lifetime; nothing is cached beyond the oracle.
 
 Torus kernels run the same recurrence (`RelationPattern.recurrence`) on
-rows that wrap around, and take their fixed states from the same
-elimination (`_relations`) of columns built by the row step itself.
+rows that wrap around, once per row block, and take their fixed states
+from the same elimination (`_relations`) of columns cut from those runs;
+the step commutes with rotating rows, so every column and basis
+configuration is a XOR of rotated copies of the few runs.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -51,8 +53,9 @@ Site = Union[int, tuple[int, int]]
 # before any memory is taken.
 MAX_GENERATORS = 1 << 26
 
-# Torus kernel time grows about as side^3.3 (257 takes 0.24 s, 1025 takes
-# 27 s); past this side a kernel would take minutes, so it is refused.
+# Torus kernel time grows about as side^4 past side 257 (257 takes 0.03 s,
+# 513 takes 0.35 s, 1023 takes 10 s); past this side a kernel would take
+# minutes, so it is refused.
 MAX_TORUS_SIDE = 1024
 
 # Monte Carlo time grows linearly with the sample count, about 0.25 s per
@@ -394,17 +397,34 @@ def _run_rows(history: list[int], taps: Sequence[tuple[int, int]], w: int, n: in
     return rows
 
 
+def _rotations(x: int, w: int, rows: int) -> Iterator[int]:
+    """`x`, then `x` with each of its `rows` w-bit rows rotated left by 1,
+    2, ...: each step moves the low w - 1 bits of every row up by one and
+    wraps the top bit to the bottom, with two shifts and two row masks."""
+    rep = sum(1 << (j * w) for j in range(rows))
+    keep = ((1 << (rows * w)) - 1) ^ (rep << (w - 1))
+    while True:
+        yield x
+        x = ((x & keep) << 1) | ((x >> (w - 1)) & rep)
+
+
 def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
     """Harmonic configurations of the w x h torus via the row recurrence.
 
     A configuration is a state of `depth` rows (row k in bits k*w ..) that
     h row steps (T^h, see `_run_rows`) bring back: a dependency among the
-    columns T^h e + e of the unit states e.  The step commutes with rotating
-    every row, so one run of h steps per row block gives the column of its
-    bit 0, and its other columns are that one with each row rotated.
-    `_relations` gives the dependencies ascending by highest state bit, each
-    expanded into h lattice rows.  A side above `MAX_TORUS_SIDE` or a state
-    wider than `gf2.MAX_DIM` bits is refused before any row is built.
+    columns T^h e + e of the unit states e.  The step is XOR-linear and
+    commutes with rotating every row, so one run from bit 0 of each row
+    block, its unit lattice, serves every unit state: the run from bit i of
+    block b is block b's lattice with every row rotated left by i.  Its last
+    `depth` rows, XOR the unit bit, are that state's column.  `_relations`
+    gives the dependencies ascending by highest state bit, and each basis
+    configuration is the XOR, over its state's bits, of the rotated
+    lattices, whose first `depth` rows are dropped.  The dependencies are
+    closed under rotation, so each block has all or none of its bits in
+    use; rotations are made one at a time, for blocks in use only.
+    A side above `MAX_TORUS_SIDE` or a state wider than `gf2.MAX_DIM` bits
+    is refused before any row is built.
     """
     if w < 3 or h < 3:
         raise ValueError("torus dimensions must be at least 3")
@@ -417,19 +437,28 @@ def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
     if depth * w > MAX_DIM:
         raise DimensionError(f"torus state of {depth * w} bits exceeds the cap {MAX_DIM}")
     taps = [(depth - m, d % w) for d, m in rest]
-    wmask = (1 << w) - 1
-    columns = []
+    lattices, columns = [], []
     for b in range(depth):
-        image = _run_rows([int(k == b) for k in range(depth)], taps, w, h)[h:]
-        image[b] ^= 1
-        for i in range(w):
-            columns.append(sum((((r << i) | (r >> (w - i))) & wmask) << (k * w)
-                               for k, r in enumerate(image)))
-    basis = []
-    for state in _relations(columns):
-        rows = _run_rows([(state >> (k * w)) & wmask for k in range(depth)], taps, w, h)
-        basis.append(BitVector(w * h, sum(r << (j * w) for j, r in enumerate(rows[depth:]))))
-    return TorusKernel(w, h, tuple(basis), pattern)
+        rows = _run_rows([int(k == b) for k in range(depth)], taps, w, h)
+        lattices.append(sum(r << (j * w) for j, r in enumerate(rows[depth:])))
+        image = sum(r << (k * w) for k, r in enumerate(rows[h:]))
+        columns.extend(col ^ (1 << k) for k, col in
+                       zip(range(b * w, (b + 1) * w), _rotations(image, w, depth)))
+    states = _relations(columns)
+    nbytes = (depth * w + 7) // 8
+    used = np.unpackbits(np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in states),
+                                       dtype=np.uint8).reshape(len(states), nbytes),
+                         axis=1, bitorder="little")
+    bits, users = np.nonzero(used.T)  # ascending state bit k = b * w + i
+    bounds = np.searchsorted(bits, np.arange(depth * w + 1)).tolist()
+    vecs = [0] * len(states)
+    for b, lattice in enumerate(lattices):
+        if bounds[b * w] == bounds[(b + 1) * w]:
+            continue
+        for k, rotated in zip(range(b * w, (b + 1) * w), _rotations(lattice, w, h)):
+            for r in users[bounds[k]:bounds[k + 1]].tolist():
+                vecs[r] ^= rotated
+    return TorusKernel(w, h, tuple(BitVector(w * h, v) for v in vecs), pattern)
 
 
 def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
@@ -459,15 +488,28 @@ def grid_satisfies_pattern(pattern: RelationPattern, grid: np.ndarray) -> bool:
 _MC_CHUNK = 8192
 
 
+def _mc_draw(gen: np.random.Generator, count: int, dim: int) -> np.ndarray:
+    """(count, dim) uint8 array whose top bits are the values that
+    `gen.integers(0, 2, size=(count, dim), dtype=np.int8)` would draw.
+
+    That call maps each byte of the generator's raw 64-bit words, taken
+    little-endian and in order, to its top bit (Lemire's method on a range
+    of two, with no rejection), so the raw words carry the same bits at a
+    fraction of the cost; `tests/test_algebraic.py` pins the identity."""
+    raw = gen.bit_generator.random_raw(-(-count * dim // 8))
+    return raw.astype("<u8", copy=False).view(np.uint8)[:count * dim].reshape(count, dim)
+
+
 def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
                         n: int, seed: int) -> MeasureValue:
     """Monte-Carlo estimate of the cylinder probability on the torus.
 
     Each sample is a uniform 0/1 combination of the kernel's generators,
-    and its value at a site is the XOR of the combination's columns at the
-    generators in the site's mask; a sample hits when every site takes its
-    required bit.  Deterministic for a given seed: samples are drawn in
-    fixed-size chunks from substreams keyed by (seed, chunk index).
+    one byte's top bit per generator (`_mc_draw`), and its value at a site
+    is the top bit of the XOR of the bytes at the generators in the site's
+    mask; a sample hits when every site takes its required bit.
+    Deterministic for a given seed: samples are drawn in fixed-size chunks
+    from substreams keyed by (seed, chunk index).
     """
     if not 1 <= n <= MAX_MC_SAMPLES:
         raise ValueError(f"sample count must lie in 1..{MAX_MC_SAMPLES}")
@@ -484,11 +526,10 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
     hits = 0
     for chunk_idx, start in enumerate(range(0, n, _MC_CHUNK)):
         count = min(_MC_CHUNK, n - start)
-        gen = substream(seed, "mc", chunk_idx)
-        combos = gen.integers(0, 2, size=(count, kernel.dim), dtype=np.int8)
+        by_gen = _mc_draw(substream(seed, "mc", chunk_idx), count, kernel.dim).T.copy()
         hit = np.ones(count, dtype=bool)
         for gens, bit in zip(site_gens, c.bits):
-            hit &= np.bitwise_xor.reduce(combos[:, gens], axis=1) == bit
+            hit &= (np.bitwise_xor.reduce(by_gen[gens], axis=0) >> 7) == bit
         hits += int(np.count_nonzero(hit))
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
@@ -704,15 +745,18 @@ class BernoulliOracle:
 # Grid export
 
 def grid_to_json(grid: np.ndarray) -> dict:
+    """Rows as strings of "0"/"1", cut from one character array."""
     h, w = grid.shape
-    rows = ["".join("1" if v else "0" for v in grid[j]) for j in range(h)]
-    return {"width": int(w), "height": int(h), "rows": rows}
+    text = np.where(grid != 0, ord("1"), ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    return {"width": int(w), "height": int(h), "rows": [text[j * w:(j + 1) * w] for j in range(h)]}
 
 
 def grid_to_pbm(grid: np.ndarray) -> str:
-    """Plain PBM; configuration bit 0 renders dark (PBM 1 = black)."""
+    """Plain PBM; configuration bit 0 renders dark (PBM 1 = black).  The
+    pixel rows are one character array: pixels at even columns, spaces
+    between them and a newline in the last column."""
     h, w = grid.shape
-    lines = [f"P1", f"# bit 0 = dark, bit 1 = light", f"{w} {h}"]
-    for j in range(h):
-        lines.append(" ".join("0" if v else "1" for v in grid[j]))
-    return "\n".join(lines) + "\n"
+    chars = np.full((h, max(2 * w, 1)), ord(" "), dtype=np.uint8)
+    chars[:, 0:2 * w:2] = np.where(grid != 0, ord("0"), ord("1"))
+    chars[:, -1] = ord("\n")
+    return f"P1\n# bit 0 = dark, bit 1 = light\n{w} {h}\n" + chars.tobytes().decode("ascii")

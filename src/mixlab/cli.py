@@ -330,12 +330,11 @@ def cmd_render(params: dict) -> int:
             if params.get("clusters"):
                 rep = clusters(grid, params["connectivity"], params["bit"])
                 _write_text(outdir, "grid.svg",
-                            svgmod.cluster_svg(grid.tolist(), rep.labels.tolist(),
-                                               rep.target_bit,
+                            svgmod.cluster_svg(grid, rep.labels, rep.target_bit,
                                                title=f"clusters size={size} seed={seed}"))
             else:
                 _write_text(outdir, "grid.svg",
-                            svgmod.grid_svg(grid.tolist(), title=f"size={size} seed={seed}"))
+                            svgmod.grid_svg(grid, title=f"size={size} seed={seed}"))
         elif f == "pbm":
             _write_text(outdir, "grid.pbm", grid_to_pbm(grid))
         elif f == "json":

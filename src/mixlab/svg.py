@@ -20,21 +20,36 @@ def _header(width: int, height: int, title: str = "") -> list[str]:
     return lines
 
 
+def _grid(field, dtype=None) -> np.ndarray:
+    """`field` ([row][column]) as a 2-D array; an empty list is 0 x 0."""
+    values = np.asarray(field, dtype=dtype)
+    return values.reshape(len(field), 0) if values.size == 0 else values
+
+
+def _rects(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], cell: int,
+           margin: int, fills) -> str:
+    """One `<rect>` line per (row, column) cell, in the order given: a
+    column head and a row middle, each formatted once per column or row,
+    then the cell's entry of `fills` (an array) or `fills` itself (a string)."""
+    h, w = shape
+    heads = np.array([f'<rect x="{margin + i * cell}" y="' for i in range(w)], dtype=object)
+    middles = np.array([f'{j * cell}" width="{cell}" height="{cell}" ' for j in range(h)],
+                       dtype=object)
+    parts = np.empty((rows.size, 3), dtype=object)
+    parts[:, 0], parts[:, 1], parts[:, 2] = heads[cols], middles[rows], fills
+    return "".join(parts.ravel().tolist())
+
+
 def grid_svg(grid, title: str = "") -> str:
-    """Bit grid as filled squares; bit 0 dark, bit 1 light."""
-    h = len(grid)
-    w = len(grid[0]) if h else 0
+    """Bit grid (2-D array or nested lists) as filled squares; bit 0 dark,
+    bit 1 light, one light `<rect>` per nonzero cell in row-major order."""
+    values = _grid(grid)
+    h, w = values.shape
+    rows, cols = np.nonzero(values)
     lines = _header(w * CELL, h * CELL, title)
     lines.append(f'<rect width="{w * CELL}" height="{h * CELL}" fill="{DARK}"/>')
-    for j in range(h):
-        for i in range(w):
-            if grid[j][i]:
-                lines.append(
-                    f'<rect x="{i * CELL}" y="{j * CELL}" width="{CELL}" height="{CELL}" '
-                    f'fill="{LIGHT}"/>'
-                )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n" + _rects(rows, cols, (h, w), CELL, 0, f'fill="{LIGHT}"/>\n')
+            + "</svg>\n")
 
 
 def _palette_color(k: int) -> str:
@@ -44,26 +59,23 @@ def _palette_color(k: int) -> str:
 
 
 def cluster_svg(grid, labels, target_bit: int, title: str = "") -> str:
-    """Grid with same-bit clusters tinted by label; other cells stay flat."""
-    h = len(grid)
-    w = len(grid[0]) if h else 0
+    """Grid with same-bit clusters tinted by label; other cells stay flat.
+    Cells of `target_bit` are drawn in row-major order, each label in the
+    palette colour of its rank in the order labels are first met."""
+    values = _grid(grid)
+    h, w = values.shape
+    rows, cols = np.nonzero(values == target_bit)
+    _, first, inverse = np.unique(_grid(labels)[rows, cols], return_index=True,
+                                  return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    tails = np.array([f'fill="{_palette_color(k)}"/>\n' for k in range(first.size)],
+                     dtype=object)
     lines = _header(w * CELL, h * CELL, title)
     base = DARK if target_bit == 1 else LIGHT
     lines.append(f'<rect width="{w * CELL}" height="{h * CELL}" fill="{base}"/>')
-    order: dict[int, int] = {}
-    for j in range(h):
-        for i in range(w):
-            if grid[j][i] != target_bit:
-                continue
-            lab = labels[j][i]
-            if lab not in order:
-                order[lab] = len(order)
-            lines.append(
-                f'<rect x="{i * CELL}" y="{j * CELL}" width="{CELL}" height="{CELL}" '
-                f'fill="{_palette_color(order[lab])}"/>'
-            )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    return ("\n".join(lines) + "\n"
+            + _rects(rows, cols, (h, w), CELL, 0, tails[rank[inverse.ravel()]]) + "</svg>\n")
 
 
 def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") -> str:
@@ -73,9 +85,7 @@ def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") 
     first largest value in row-major order, r = int(40 + 215 t), gb =
     int(40 + 180 (1 - t)).  Each `<rect>` joins a column head, a row middle
     and a colour tail, each formatted once, as object arrays."""
-    values = np.asarray(field, dtype=float)
-    if values.size == 0:
-        values = values.reshape(len(field), 0)
+    values = _grid(field, dtype=float)
     h, w = values.shape
     cell, margin = 6, 18
     rows, cols = np.nonzero(~np.isnan(values))
@@ -90,14 +100,10 @@ def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") 
     _, first, inverse = np.unique(r * span + gb - gb_lo, return_index=True, return_inverse=True)
     tails = np.array([f'fill="rgb({a},{b},{b})"/>\n'
                       for a, b in zip(r[first].tolist(), gb[first].tolist())], dtype=object)
-    heads = np.array([f'<rect x="{margin + i * cell}" y="' for i in range(w)], dtype=object)
-    middles = np.array([f'{j * cell}" width="{cell}" height="{cell}" ' for j in range(h)],
-                       dtype=object)
-    parts = np.empty((rows.size, 3), dtype=object)
-    parts[:, 0], parts[:, 1], parts[:, 2] = heads[cols], middles[rows], tails[inverse.ravel()]
     lines = _header(w * cell + margin, h * cell + margin, title)
     lines.append(f'<rect width="{w * cell + margin}" height="{h * cell + margin}" fill="#ffffff"/>')
-    return ("\n".join(lines) + "\n" + "".join(parts.ravel().tolist())
+    return ("\n".join(lines) + "\n" + _rects(rows, cols, (h, w), cell, margin,
+                                            tails[inverse.ravel()])
             + f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
             f'text-anchor="middle">{x_label} (max {vmax:.6g})</text>\n'
             f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '

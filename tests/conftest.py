@@ -26,7 +26,10 @@ csv.writer deviation CSV (`reference_scan_rows_to_csv`), the RLE scan
 (`admissible_pairs`), the per-cell heatmap loop (`reference_heatmap_svg`,
 `reference_dev_heatmap_svg`), and the Birkhoff frequency of one shift tuple
 along a word (`word_intersection_measure`), the point values the rank-one
-correlation grid must equal.
+correlation grid must equal.  So do the torus render writers: the per-cell
+grid and cluster SVG loops (`reference_grid_svg`, `reference_cluster_svg`)
+and grid.json and grid.pbm joined character by character
+(`reference_grid_to_json`, `reference_grid_to_pbm`).
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
 from mixlab.measure import MeasureValue
 from mixlab.rng import substream
+from mixlab.svg import CELL as SVG_CELL, DARK as SVG_DARK, LIGHT as SVG_LIGHT
 from mixlab.svg import _header as svg_header
 
 
@@ -368,6 +372,22 @@ def kernel_dimension_bruteforce(system, w, h):
     return count.bit_length() - 1  # count is a power of two
 
 
+def reference_grid_to_json(grid):
+    """grid.json's dict with each row joined character by character."""
+    h, w = grid.shape
+    rows = ["".join("1" if v else "0" for v in grid[j]) for j in range(h)]
+    return {"width": int(w), "height": int(h), "rows": rows}
+
+
+def reference_grid_to_pbm(grid):
+    """grid.pbm written pixel by pixel, one joined line per row."""
+    h, w = grid.shape
+    lines = ["P1", "# bit 0 = dark, bit 1 = light", f"{w} {h}"]
+    for j in range(h):
+        lines.append(" ".join("0" if v else "1" for v in grid[j]))
+    return "\n".join(lines) + "\n"
+
+
 def grid_from_json(obj: dict) -> np.ndarray:
     w, h = int(obj["width"]), int(obj["height"])
     rows = obj["rows"]
@@ -575,6 +595,48 @@ def reference_heatmap_svg(field, x_label="x", y_label="y", title=""):
         f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '
         f'transform="rotate(-90 10 {(h * cell) // 2})">{y_label}</text>'
     )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_grid_svg(grid, title=""):
+    """The bit grid written cell by cell from nested lists: one light
+    `<rect>` per true cell, row-major."""
+    h = len(grid)
+    w = len(grid[0]) if h else 0
+    lines = svg_header(w * SVG_CELL, h * SVG_CELL, title)
+    lines.append(f'<rect width="{w * SVG_CELL}" height="{h * SVG_CELL}" fill="{SVG_DARK}"/>')
+    for j in range(h):
+        for i in range(w):
+            if grid[j][i]:
+                lines.append(
+                    f'<rect x="{i * SVG_CELL}" y="{j * SVG_CELL}" width="{SVG_CELL}" '
+                    f'height="{SVG_CELL}" fill="{SVG_LIGHT}"/>'
+                )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def reference_cluster_svg(grid, labels, target_bit, title=""):
+    """The cluster picture written cell by cell from nested lists, each
+    label numbered by a dict in the order its first target cell is met."""
+    h = len(grid)
+    w = len(grid[0]) if h else 0
+    lines = svg_header(w * SVG_CELL, h * SVG_CELL, title)
+    base = SVG_DARK if target_bit == 1 else SVG_LIGHT
+    lines.append(f'<rect width="{w * SVG_CELL}" height="{h * SVG_CELL}" fill="{base}"/>')
+    order = {}
+    for j in range(h):
+        for i in range(w):
+            if grid[j][i] != target_bit:
+                continue
+            lab = labels[j][i]
+            if lab not in order:
+                order[lab] = len(order)
+            lines.append(
+                f'<rect x="{i * SVG_CELL}" y="{j * SVG_CELL}" width="{SVG_CELL}" '
+                f'height="{SVG_CELL}" fill="hsl({(order[lab] * 137) % 360},70%,55%)"/>'
+            )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 

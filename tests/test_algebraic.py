@@ -27,6 +27,7 @@ from mixlab.algebraic import (
     sample_configuration,
     torus_kernel,
     _frobenius,
+    _mc_draw,
     _u_power,
     _window_masks,
 )
@@ -43,6 +44,8 @@ from conftest import (
     merge_site_bits,
     reference_default_torus,
     reference_frobenius,
+    reference_grid_to_json,
+    reference_grid_to_pbm,
     reference_mc_hits,
     reference_torus_basis,
     reference_u_power,
@@ -502,12 +505,13 @@ class TestTorusKernel:
 
     @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
     @pytest.mark.parametrize("w,h", NONTRIVIAL_TORI + [(8, 8), (16, 12), (3, 64), (33, 32),
-                                                       (40, 7)])
+                                                       (40, 7), (65, 65), (63, 65), (45, 21)])
     def test_basis_matches_per_bit_expansion(self, pattern, w, h):
         # Asymmetric taps make a rotation in the wrong direction, or a row
         # read from the wrong depth, show up as a different basis.  Sides
         # with a power-of-two factor, or w != h, often leave a pattern only
-        # the zero configuration.
+        # the zero configuration.  65 is the largest side the benchmark
+        # renders, where states have up to 3 x 65 bits.
         k = torus_kernel(AlgebraicSystem(pattern), w, h)
         if (w, h) in NONTRIVIAL_TORI:
             assert k.dim > 0
@@ -564,6 +568,18 @@ class TestMonteCarlo:
             sites = _cross_sites(LEDRAPPIER_PATTERN, gen, trial)
             c = CylinderConstraint(tuple(sites), (0,) * len(sites))
             assert default_torus_for(SYS, c).width == reference_default_torus(SYS, c)
+
+    @pytest.mark.parametrize("dim", [0, 1, 7, 64])
+    @pytest.mark.parametrize("count", [1, 8191, 8192])
+    def test_raw_draw_bits_equal_int8_draws(self, dim, count):
+        # mc_cylinder_measure reads the top bit of each raw byte where the
+        # reference draws int8 values; a numpy that maps bytes to values
+        # differently must fail here, not move artifacts silently.
+        for key in [(5, "mc", 0), (2**64 - 1, "mc", 3), (12345, "mc", 17)]:
+            draws = _mc_draw(substream(*key), count, dim)
+            assert draws.dtype == np.uint8 and draws.shape == (count, dim)
+            expected = substream(*key).integers(0, 2, size=(count, dim), dtype=np.int8)
+            assert np.array_equal(draws >> 7, expected)
 
     @staticmethod
     def _assert_hits_match(kernel, c, n, seed):
@@ -691,6 +707,29 @@ class TestGridIO:
         first_row = pbm.splitlines()[3].split()
         assert first_row[0] == ("1" if grid[0, 0] == 0 else "0")
         assert np.array_equal(grid_from_pbm(pbm), grid)
+
+
+GRID_SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (1, 7), (7, 1), (4, 9), (65, 65)]
+
+
+class TestGridWriters:
+    """The array writers write the bytes of the per-cell reference loops."""
+
+    @pytest.mark.parametrize("shape", GRID_SHAPES)
+    @pytest.mark.parametrize("fill", ["zeros", "ones", "random"])
+    def test_match_cell_loops(self, shape, fill):
+        gen = np.random.default_rng(sum(shape))
+        grid = {"zeros": np.zeros(shape, dtype=np.uint8),
+                "ones": np.ones(shape, dtype=np.uint8),
+                "random": gen.integers(0, 2, size=shape, dtype=np.uint8)}[fill]
+        assert grid_to_json(grid) == reference_grid_to_json(grid)
+        assert grid_to_pbm(grid) == reference_grid_to_pbm(grid)
+
+    def test_sampled_configurations(self):
+        for w, h in [(9, 12), (21, 17), (65, 65)]:
+            grid = sample_configuration(torus_kernel(SYS, w, h), w * h)
+            assert grid_to_json(grid) == reference_grid_to_json(grid)
+            assert grid_to_pbm(grid) == reference_grid_to_pbm(grid)
 
 
 class TestValidation:

@@ -1,12 +1,13 @@
-"""SVG builders emit well-formed documents; the heatmap writes the bytes of
-the per-cell reference loop."""
+"""SVG builders emit well-formed documents; the heatmap, grid and cluster
+writers write the bytes of their per-cell reference loops."""
 
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import reference_heatmap_svg
+from conftest import reference_cluster_svg, reference_grid_svg, reference_heatmap_svg
 
+from mixlab.percolation import clusters
 from mixlab.svg import cluster_svg, grid_svg, heatmap_svg
 
 NS = "{http://www.w3.org/2000/svg}"
@@ -93,3 +94,79 @@ def test_heatmap_matches_cell_loop_on_random_fields(seed):
     field = gen.choice([0.0, 0.1, 0.3, 1 / 3, 0.7, 0.9], size=(h, w)) * gen.random((h, w)) ** seed
     field[gen.random((h, w)) < 0.3] = np.nan
     assert heatmap_svg(field) == reference_heatmap_svg(_lists(field))
+
+
+# ---------------------------------------------------------------------------
+# The array grid and cluster writers write the bytes of the per-cell loops
+
+BIT_GRIDS = {
+    "empty list": [],
+    "empty array": np.empty((0, 0), dtype=np.uint8),
+    "one empty row": [[]],
+    "one cell, 0": [[0]],
+    "one cell, 1": [[1]],
+    "all 0": np.zeros((4, 6), dtype=np.uint8),
+    "all 1": np.ones((5, 3), dtype=np.uint8),
+    "wide": np.array([[0, 1, 1, 0, 1, 0, 0, 1]] * 2, dtype=np.uint8),
+    "tall": np.array([[1], [0], [1], [1], [0]], dtype=np.uint8),
+    "non-square": (np.arange(35).reshape(5, 7) % 3 == 0).astype(np.uint8),
+}
+
+
+def _nested(a):
+    return np.asarray(a).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(BIT_GRIDS))
+def test_grid_svg_matches_cell_loop(name):
+    grid = BIT_GRIDS[name]
+    expected = reference_grid_svg(_nested(grid), title=name)
+    assert grid_svg(grid, title=name) == expected
+    assert grid_svg(_nested(grid), title=name) == expected
+
+
+@pytest.mark.parametrize("name", sorted(BIT_GRIDS))
+@pytest.mark.parametrize("target_bit", [0, 1])
+def test_cluster_svg_matches_cell_loop_on_cluster_labels(name, target_bit):
+    grid = np.asarray(BIT_GRIDS[name], dtype=np.uint8)
+    if grid.size == 0:
+        grid = grid.reshape(len(grid), 0)
+    labels = clusters(grid, 4, target_bit).labels if grid.size else np.full(grid.shape, -1)
+    expected = reference_cluster_svg(_nested(grid), _nested(labels), target_bit, title=name)
+    assert cluster_svg(grid, labels, target_bit, title=name) == expected
+    assert cluster_svg(_nested(grid), _nested(labels), target_bit, title=name) == expected
+
+
+LABELLED = {
+    # First met: 5, then 2, then 0; numeric order would colour 0 first.
+    "first-seen order is not numeric": ([[1, 1, 0], [1, 1, 1]], [[5, 2, -1], [0, 5, 2]]),
+    # Target cells labelled -1 get a colour like any other label.
+    "-1 on target cells": ([[0, 0, 1], [0, 1, 0]], [[-1, 3, 9], [3, 9, -1]]),
+    "one label": ([[0, 0], [0, 0]], [[7, 7], [7, 7]]),
+    "no target cells": ([[1, 1], [1, 1]], [[0, 0], [0, 0]]),
+    "many labels": (np.zeros((20, 20), dtype=np.uint8),
+                    (np.arange(400).reshape(20, 20) * 7919) % 401 - 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABELLED))
+def test_cluster_svg_matches_cell_loop_on_given_labels(name):
+    grid, labels = LABELLED[name]
+    expected = reference_cluster_svg(_nested(grid), _nested(labels), 0, title=name)
+    assert cluster_svg(np.asarray(grid), np.asarray(labels), 0, title=name) == expected
+    assert cluster_svg(grid, labels, 0, title=name) == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_grid_writers_match_cell_loops_on_random_grids(seed):
+    gen = np.random.default_rng(seed)
+    h, w = (int(v) for v in gen.integers(1, 40, size=2))
+    grid = (gen.random((h, w)) < gen.random()).astype(np.uint8)
+    assert grid_svg(grid) == reference_grid_svg(_nested(grid))
+    for target_bit in (0, 1):
+        labels = gen.integers(-1, 12, size=(h, w))
+        assert cluster_svg(grid, labels, target_bit) == \
+            reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
+        labels = clusters(grid, int(gen.choice([4, 8])), target_bit).labels
+        assert cluster_svg(grid, labels, target_bit) == \
+            reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
