@@ -20,8 +20,9 @@ operator.  For exact data num holds Python ints over their least common
 denominator den, so sums and products are integer arithmetic with no gcd
 per step; estimated (float) data is the same pair with float numerators over
 den = 1.  One reduction or contraction therefore serves both, and marginals
-are compared with product masses by cross-multiplying.  Fractions are built
-only for the public `entries` and `matrix` tuples.
+are compared with product masses by cross-multiplying.  Results pass (num,
+den) on, reduced by one gcd; tensor JSON is read and written from it, and the
+public `entries` and `matrix` tuples are built on first read.
 
 Function spaces here are finite-dimensional cell-indicator spaces; only
 tensor-level properties (marginals, independence classes) are claimed for
@@ -38,7 +39,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -106,9 +107,43 @@ def _scaled(values: Sequence, exact: bool) -> Scaled:
     common denominator when exact, the floats over 1 otherwise."""
     if not exact:
         return np.array(values, dtype=float), 1
-    ratios = [v.as_integer_ratio() for v in values]
+    return _over_lcm([v.as_integer_ratio() for v in values])
+
+
+def _over_lcm(ratios: Sequence[tuple[int, int]]) -> Scaled:
+    """Ratios p / q as integer numerators over the lcm of the q."""
     den = math.lcm(*(q for _, q in ratios))
     return np.array([p * (den // q) for p, q in ratios], dtype=object), den
+
+
+def _parsed(texts: Sequence[str]) -> Scaled:
+    """Entry strings as (num, den), flat.  Each distinct string is parsed once,
+    in first-seen order: plain ASCII "p" and "p/q" through int, any other
+    through parse_fraction, so the accepted language and errors are Fraction's."""
+    ratios = {}
+    for s in dict.fromkeys(texts):
+        p, slash, q = s.partition("/")
+        plain = s.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0"))
+        ratios[s] = (int(p), int(q or 1)) if plain else parse_fraction(s).as_integer_ratio()
+    return _over_lcm([ratios[s] for s in texts])
+
+
+def _reduced(num: np.ndarray, den, exact: bool) -> Scaled:
+    """(num, den) over the least common denominator of its values when
+    exact; estimates as given."""
+    g = math.gcd(den, *num.ravel().tolist()) if exact else 1
+    return (num // g, den // g) if g > 1 else (num, den)
+
+
+def _format(num: np.ndarray, den: int) -> list[str]:
+    """format_fraction(Fraction(x, den)) for every x of num, flat; each
+    distinct numerator is written once."""
+    flat = num.ravel().tolist()
+    texts = {}
+    for x in set(flat):
+        g = math.gcd(x, den)
+        texts[x] = str(x // g) if g == den else f"{x // g}/{den // g}"
+    return [texts[x] for x in flat]
 
 
 def _value(x, den: int, exact: bool) -> Number:
@@ -118,12 +153,6 @@ def _value(x, den: int, exact: bool) -> Number:
 
 def _values(num: np.ndarray, den: int, exact: bool) -> list[Number]:
     return [_value(x, den, exact) for x in num.ravel().tolist()]
-
-
-def _rows(num: np.ndarray, den: int, exact: bool) -> tuple[tuple[Number, ...], ...]:
-    width = num.shape[1]
-    flat = _values(num, den, exact)
-    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width))
 
 
 def _masses(x: Union["JoiningTensor", "LinearOperator"]) -> Scaled:
@@ -168,36 +197,45 @@ def _same(x: "JoiningTensor", y: "JoiningTensor") -> bool:
     return not _differs(a * db, b * da, x.exact and y.exact, FLOAT_TOL * da * db).any()
 
 
-@dataclass(frozen=True)
 class JoiningTensor:
     """Order-n tensor over partition cells; entries >= 0, total mass 1,
-    every one-axis marginal equal to the cell masses."""
+    every one-axis marginal equal to the cell masses.  Built from the flat
+    `entries` or from `scaled` (num, den) of any shape; validated once."""
 
-    order: int
-    dims: int
-    weights: tuple[Fraction, ...]
-    entries: tuple[Number, ...]
-    exact: bool = True
+    def __init__(self, order: int, dims: int, weights: tuple[Fraction, ...],
+                 entries: Sequence[Number] = (), exact: bool = True, *,
+                 scaled: Optional[Scaled] = None):
+        if scaled is None:
+            self.entries = tuple(entries)
+            scaled = _scaled(self.entries, exact)
+        self.order, self.dims, self.weights, self.exact = order, dims, weights, exact
+        self.scaled = _reduced(*scaled, exact)
+        self.__post_init__()
 
     @cached_property
-    def scaled(self) -> Scaled:
-        """(num, den): the entries are num / den, num a (dims,)*order array."""
-        num, den = _scaled(self.entries, self.exact)
-        return num.reshape((self.dims,) * self.order), den
+    def entries(self) -> tuple[Number, ...]:
+        """The values, flat in index order."""
+        return tuple(_values(*self.scaled, self.exact))
 
     @cached_property
     def classification(self) -> "Classification":
         return _classify(self)
 
     def __post_init__(self):
+        """Check the joining invariants and shape `scaled` as (dims,)*order."""
         if self.order < 1:
             raise JoiningError("tensor order must be at least 1")
         if len(self.weights) != self.dims:
             raise JoiningError("need one cell mass per cell")
-        n = len(self.entries)
-        if n != self.dims ** self.order:
+        if self.dims < 2:
+            raise JoiningError("a tensor needs at least two cells")
+        num, den = self.scaled
+        n = num.size
+        # dims >= 2, so past n's bit length no order fits: refused before the power.
+        if self.order > n.bit_length() or n != self.dims ** self.order:
             raise JoiningError("entry count does not match dims**order")
-        a, den = self.scaled
+        a = num.reshape((self.dims,) * self.order)
+        self.scaled = a, den
         if (a < (0 if self.exact else -FLOAT_TOL)).any():
             raise JoiningError("tensor entries must be nonnegative")
         total = a.sum()
@@ -205,7 +243,7 @@ class JoiningTensor:
             raise JoiningError(f"tensor mass is {_value(total, den, self.exact)}, not 1")
         w, wden = _masses(self)
         for axis in range(self.order):
-            marg = _sum_to(a, (axis,))
+            marg = a.sum(axis=tuple(x for x in range(self.order) if x != axis))
             bad = np.flatnonzero(_differs(marg * wden, w * den, self.exact, FLOAT_TOL * n))
             if bad.size:
                 cell = bad[0]
@@ -213,15 +251,12 @@ class JoiningTensor:
                                    f" != weight {self.weights[cell]}")
 
     def to_json(self) -> dict:
-        if self.exact:
-            entries = [format_fraction(e) for e in self.entries]
-        else:
-            entries = [float(e) for e in self.entries]
+        num, den = self.scaled
         return {
             "order": self.order,
             "dims": self.dims,
             "weights": [format_fraction(w) for w in self.weights],
-            "entries": entries,
+            "entries": _format(num, den) if self.exact else num.ravel().tolist(),
             "exact": self.exact,
         }
 
@@ -229,18 +264,13 @@ class JoiningTensor:
     def from_json(cls, obj: dict) -> "JoiningTensor":
         if not isinstance(obj, dict) or not {"order", "dims", "weights", "entries"} <= obj.keys():
             raise JoiningError("tensor JSON needs 'order', 'dims', 'weights' and 'entries'")
-        exact = bool(obj.get("exact", True))
-        if exact:
-            entries = tuple(parse_fraction(str(e)) for e in obj["entries"])
-        else:
-            entries = tuple(float(e) for e in obj["entries"])
-        return cls(
-            order=int(obj["order"]),
-            dims=int(obj["dims"]),
-            weights=tuple(parse_fraction(str(w)) for w in obj["weights"]),
-            entries=entries,
-            exact=exact,
-        )
+        order, dims, exact = obj["order"], obj["dims"], obj.get("exact", True)
+        if type(order) is not int or type(dims) is not int or type(exact) is not bool:
+            raise JoiningError("tensor 'order' and 'dims' must be integers, 'exact' a boolean")
+        weights = tuple(parse_fraction(str(w)) for w in obj["weights"])
+        if not exact:
+            return cls(order, dims, weights, [float(e) for e in obj["entries"]], exact=False)
+        return cls(order, dims, weights, scaled=_parsed([str(e) for e in obj["entries"]]))
 
 
 def parity_tensor(order: int) -> JoiningTensor:
@@ -266,10 +296,10 @@ def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list
     if len(set(axes)) != len(axes) or any(not 0 <= a < t.order for a in axes):
         raise ValueError("axes must be distinct and in range")
     a, den = t.scaled
-    out = _values(_sum_to(a, axes), den, t.exact)
+    kept = _sum_to(a, axes)
     if len(axes) == 1:
-        return out
-    return JoiningTensor(len(axes), t.dims, t.weights, tuple(out), exact=t.exact)
+        return _values(kept, den, t.exact)
+    return JoiningTensor(len(axes), t.dims, t.weights, exact=t.exact, scaled=(kept, den))
 
 
 @dataclass(frozen=True)
@@ -332,43 +362,47 @@ def _classify(t: JoiningTensor) -> Classification:
 # ---------------------------------------------------------------------------
 # Markov operators
 
-@dataclass(frozen=True)
 class LinearOperator:
     """Linear map from cell functions of `source_order` tensor arguments to
-    cell functions; no positivity or normalization is assumed."""
+    cell functions; no positivity or normalization is assumed.  Built from
+    the `matrix` rows or from `scaled` (num, den) of shape d x d**k."""
 
-    source_order: int
-    weights: tuple[Fraction, ...]
-    matrix: tuple[tuple[Number, ...], ...]  # d rows, d**source_order columns
-    exact: bool = True
+    def __init__(self, source_order: int, weights: tuple[Fraction, ...],
+                 matrix: Sequence[Sequence[Number]] = (), exact: bool = True, *,
+                 scaled: Optional[Scaled] = None):
+        if scaled is None:
+            self.matrix = tuple(tuple(row) for row in matrix)
+            width = len(weights) ** source_order
+            if len(self.matrix) != len(weights) or any(len(r) != width for r in self.matrix):
+                raise ValueError("operator needs one row per cell, dims**source_order wide")
+            num, den = _scaled([x for row in self.matrix for x in row], exact)
+            scaled = num.reshape(len(weights), width), den
+        self.source_order, self.weights, self.exact = source_order, weights, exact
+        self.scaled = _reduced(*scaled, exact)
+        self.__post_init__()
 
     @property
     def dims(self) -> int:
         return len(self.weights)
 
     @cached_property
-    def scaled(self) -> Scaled:
-        """(num, den): the matrix is num / den, num a d x d**source_order
-        array."""
-        num, den = _scaled([x for row in self.matrix for x in row], self.exact)
-        return num.reshape(len(self.matrix), -1), den
+    def matrix(self) -> tuple[tuple[Number, ...], ...]:
+        """d rows of d**source_order values."""
+        num, den = self.scaled
+        return tuple(tuple(_values(row, den, self.exact)) for row in num)
+
+    def __post_init__(self):
+        """Nothing to check for a general linear operator."""
 
 
-@dataclass(frozen=True)
 class MarkovOperator(LinearOperator):
     """Linear operator that is nonnegative and constants-preserving."""
 
     def __post_init__(self):
-        d = len(self.weights)
-        if len(self.matrix) != d:
-            raise ValueError("operator must have one row per cell")
-        width = d ** self.source_order
-        if any(len(row) != width for row in self.matrix):
-            raise ValueError("row width must be dims**source_order")
         a, den = self.scaled
         if (a < (0 if self.exact else -FLOAT_TOL)).any():
             raise ValueError("operator entries must be nonnegative")
-        if _differs(a.sum(axis=1), den, self.exact, FLOAT_TOL * width).any():
+        if _differs(a.sum(axis=1), den, self.exact, FLOAT_TOL * a.shape[1]).any():
             raise ValueError("operator must preserve constants")
 
 
@@ -381,8 +415,7 @@ def markov_from_joining(t: JoiningTensor) -> MarkovOperator:
     a, den = t.scaled
     inv, inv_den = _inverse_masses(t)
     rows = a.reshape(t.dims, -1) * inv[:, None]
-    return MarkovOperator(source_order=t.order - 1, weights=t.weights,
-                          matrix=_rows(rows, den * inv_den, t.exact), exact=t.exact)
+    return MarkovOperator(t.order - 1, t.weights, exact=t.exact, scaled=(rows, den * inv_den))
 
 
 def _pairing(p: LinearOperator) -> Scaled:
@@ -408,8 +441,7 @@ def pair_compose(p: LinearOperator) -> LinearOperator:
     paired = paired.reshape(d ** k, d ** (k - 1), d)
     inv, inv_den = _inverse_masses(p)
     rows = np.moveaxis(paired, 2, 0).reshape(d, -1) * inv[:, None]
-    return LinearOperator(2 * k - 1, p.weights, _rows(rows, den * inv_den, p.exact),
-                          exact=p.exact)
+    return LinearOperator(2 * k - 1, p.weights, exact=p.exact, scaled=(rows, den * inv_den))
 
 
 # ---------------------------------------------------------------------------
@@ -528,8 +560,7 @@ def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
     if p3.source_order != 3:
         raise ValueError("raise_order needs a source-order-3 operator")
     paired, den = _pairing(p3)
-    t = JoiningTensor(6, p3.dims, p3.weights, tuple(_values(paired, den, p3.exact)),
-                      exact=p3.exact)
+    t = JoiningTensor(6, p3.dims, p3.weights, exact=p3.exact, scaled=(paired, den))
     return t, tensor_report(t, 5)
 
 
@@ -552,9 +583,8 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
     inv, inv_den = _inverse_masses(t)
     flat = a.reshape(d * d, d ** p)
     paired = (flat * _mass_grid(inv, p).ravel()) @ flat.T
-    out = JoiningTensor(4, d, t.weights,
-                        tuple(_values(paired, den * den * inv_den ** p, t.exact)),
-                        exact=t.exact)
+    out = JoiningTensor(4, d, t.weights, exact=t.exact,
+                        scaled=(paired, den * den * inv_den ** p))
     return out, tensor_report(out, 3)
 
 

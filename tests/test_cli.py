@@ -2,6 +2,7 @@
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -112,11 +113,19 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
     (["joining", "--scales=-1:3"], f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
     (["percolate", "--sizes", ",".join(["9"] * (MAX_SWEEP_SIZES + 1))],
      f"a sweep takes at most {MAX_SWEEP_SIZES} lattice sizes"),
+    # A one-entry tensor file cannot have order 30000000 over three cells,
+    # nor be a tensor over one cell; refused before any power or shape.
+    (["joining", "--tensor", "order.json"], "entry count does not match dims**order"),
+    (["joining", "--tensor", "one-cell.json"], "a tensor needs at least two cells"),
 ])
 def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
     # Each bound is checked before the work it limits starts.
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "c.json", _five_point(1))
+    _write(tmp_path / "order.json", {"order": 30000000, "dims": 3,
+                                     "weights": ["1/3"] * 3, "entries": ["1"]})
+    _write(tmp_path / "one-cell.json", {"order": 10 ** 9, "dims": 1,
+                                        "weights": ["1"], "entries": ["1"]})
     start = time.perf_counter()
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
@@ -158,11 +167,20 @@ def test_dev_scan_past_h_bound_exits_2(tmp_path, capsys, system):
     assert "h must lie in 1..1024" in capsys.readouterr().err
 
 
+PRODUCT2 = {"order": 2, "dims": 2, "weights": ["1/2", "1/2"], "entries": ["1/4"] * 4}
+
+
 @pytest.mark.parametrize("argv,name,contents", [
     (["joining", "--tensor"], "t.json", {}),
     (["joining", "--tensor"], "t.json", [1, 2]),
     (["render", "--size", "9", "--pattern"], "p.json", {"support": [1, 2]}),
     (["rankone", "--spec"], "s.json", [[2, 3]]),
+    # order and dims must be JSON integers, exact a JSON boolean
+    (["joining", "--tensor"], "t.json", dict(PRODUCT2, order=2.9)),
+    (["joining", "--tensor"], "t.json", dict(PRODUCT2, order=True, entries=["1/2"] * 2)),
+    (["joining", "--tensor"], "t.json", dict(PRODUCT2, dims="2")),
+    (["joining", "--tensor"], "t.json", dict(PRODUCT2, exact="false")),
+    (["joining", "--tensor"], "t.json", dict(PRODUCT2, exact=0, entries=[0.25] * 4)),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, name, contents):
     path = _write(tmp_path / name, contents)
@@ -239,6 +257,50 @@ def _joining(tmp_path, tensor, *flags):
     assert set(_artifacts(out)) == {"config.json", "joining.json", "tensor.json",
                                     "classification.json"}
     return json.loads((out / "joining.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("entry", ["2/8", "0.25", "+1/4", " 1/4 ", "1_0/40", "٢/٨", "2.5e-1"])
+def test_entry_strings_read_as_their_fraction(tmp_path, entry):
+    # Entries are read as Fraction(entry) reads them; tensor.json writes
+    # each value reduced, as for the canonical "1/4".
+    assert Fraction(entry) == Fraction(1, 4)
+    canonical = _run(tmp_path / "canonical", ["joining", "--tensor",
+                                              _write(tmp_path / "c.json", PRODUCT2)])
+    variant = dict(PRODUCT2, entries=[entry] * 4)
+    out = _run(tmp_path / "variant", ["joining", "--tensor", _write(tmp_path / "v.json", variant)])
+    assert (out / "tensor.json").read_bytes() == (canonical / "tensor.json").read_bytes()
+
+
+@pytest.mark.parametrize("entry", ["1/0", "1/-4", "1 /4", "", "a"])
+def test_entry_string_fraction_rejects_exits_2(tmp_path, capsys, entry):
+    with pytest.raises((ValueError, ZeroDivisionError)) as exc:
+        Fraction(entry)
+    t = _write(tmp_path / "t.json", dict(PRODUCT2, entries=["1/4"] * 3 + [entry]))
+    assert cli.main(["joining", "--tensor", t, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: bad tensor input: {exc.value}" in capsys.readouterr().err
+
+
+def test_joining_keeps_entries_as_integer_numerators(tmp_path, monkeypatch):
+    # From tensor JSON to artifact text no Fraction is built per entry: the
+    # 128 entries of an order-7 tensor and the 16 of its lowered tensor stay
+    # integer numerators.  Only the cell masses and their sums become
+    # Fractions (6 of them; reading every entry would make 150).
+    order7 = {"order": 7, "dims": 2, "weights": ["1/2", "1/2"],
+              "entries": ["3/256" if bin(i).count("1") % 2 == 0 else "1/256"
+                          for i in range(128)]}
+    t = _write(tmp_path / "t.json", order7)
+    built = 0
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        nonlocal built
+        built += 1
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    _run(tmp_path, ["joining", "--tensor", t, "--lower"])
+    monkeypatch.undo()
+    assert built < 10, built
 
 
 def test_joining_tensor_is_classified(tmp_path):

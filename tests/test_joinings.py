@@ -4,6 +4,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import (
     adjoint_maps_mean_zero,
@@ -46,7 +47,7 @@ from mixlab.joinings import (
     raise_order,
     uniform_partition,
 )
-from mixlab.measure import MeasureValue
+from mixlab.measure import MeasureValue, format_fraction
 from mixlab.rng import substream
 
 U2 = uniform_partition(2)
@@ -196,15 +197,29 @@ class TestMarkovFromJoining:
             markov_from_joining(JoiningTensor(3, 2, U2.weights, mix_entries)))
 
     def test_degenerate_masses_rejected(self):
-        t = parity_tensor(3)
+        # Validation refuses a zero mass, so the broken tensor is a bare
+        # instance around the parity tensor's scaled view.
         broken = JoiningTensor.__new__(JoiningTensor)
-        object.__setattr__(broken, "order", 3)
-        object.__setattr__(broken, "dims", 2)
-        object.__setattr__(broken, "weights", (Fraction(0), Fraction(1)))
-        object.__setattr__(broken, "entries", t.entries)
-        object.__setattr__(broken, "exact", True)
-        with pytest.raises(ValueError):
+        broken.order, broken.dims, broken.exact = 3, 2, True
+        broken.weights = (Fraction(0), Fraction(1))
+        broken.scaled = parity_tensor(3).scaled
+        with pytest.raises(ValueError, match="degenerate cell masses"):
             markov_from_joining(broken)
+
+    @pytest.mark.parametrize("cls", [LinearOperator, MarkovOperator])
+    def test_operator_shape_checked(self, cls):
+        with pytest.raises(ValueError, match="one row per cell"):
+            cls(2, U2.weights, ((Fraction(1, 4),) * 4,))
+        with pytest.raises(ValueError, match="one row per cell"):
+            cls(1, U2.weights, ((Fraction(1),), (Fraction(1, 2), Fraction(1, 2), Fraction(0))))
+
+    def test_markov_operator_checked(self):
+        half = Fraction(1, 2)
+        with pytest.raises(ValueError, match="nonnegative"):
+            MarkovOperator(1, U2.weights, ((Fraction(3, 2), -half), (half, half)))
+        with pytest.raises(ValueError, match="preserve constants"):
+            MarkovOperator(1, U2.weights, ((half, Fraction(1, 4)), (half, half)))
+        LinearOperator(1, U2.weights, ((Fraction(3, 2), -half), (half, Fraction(1, 4))))
 
 
 class TestPairings:
@@ -625,3 +640,68 @@ def test_reductions_make_no_fraction_additions(monkeypatch):
     pair_compose(p3)
     raise_order(p3)
     assert additions < 100
+
+
+def test_each_tensor_and_markov_operator_validated_once(monkeypatch):
+    t = group_sum_tensor(2, (Fraction(3, 4), Fraction(1, 4)), order=4)
+    seen = []
+    for cls in (JoiningTensor, MarkovOperator):
+        monkeypatch.setattr(cls, "__post_init__", lambda self, real=cls.__post_init__:
+                            seen.append(type(self).__name__) or real(self))
+    t = JoiningTensor.from_json(t.to_json())
+    lower_order(t)
+    marginal(t, (0, 1))
+    p2 = markov_from_joining(marginal(t, (0, 1, 2)))
+    raise_order(pair_compose(p2))  # pair_compose validates nothing
+    assert seen == ["JoiningTensor"] * 4 + ["MarkovOperator", "JoiningTensor"]
+
+
+def test_entry_strings_read_as_fraction_reads_them():
+    """Random strings over digits, signs, separators and non-ASCII digits
+    parse to Fraction(s), or fail with Fraction's exception and message."""
+    gen = substream(11, "entry-strings")
+    alphabet = list("0123456789/+-_. eE") + ["\u0662", "\u00b2", "\u2212"]
+
+    def outcome(parse, s):
+        try:
+            return parse(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            return type(exc), str(exc)
+
+    def scaled_value(s):
+        num, den = joinings._parsed([s])
+        return Fraction(num[0], den)
+
+    for _ in range(4000):
+        picks = gen.integers(0, len(alphabet), size=int(gen.integers(0, 7)))
+        s = "".join(alphabet[i] for i in picks)
+        assert outcome(scaled_value, s) == outcome(Fraction, s), repr(s)
+
+
+def test_first_bad_entry_is_reported():
+    obj = dict(parity_tensor(3).to_json(), entries=[f"x{i}" for i in range(64)])
+    with pytest.raises(ValueError, match="'x0'"):
+        JoiningTensor.from_json(obj)
+
+
+def test_results_over_least_common_denominator():
+    # Entries written as 12/256 and 4/256 (for 3/64 and 1/64), and the result
+    # of every operation, carry (num, den) reduced as far as the values allow.
+    obj = group_sum_tensor(2, (Fraction(3, 4), Fraction(1, 4)), order=5).to_json()
+    t = JoiningTensor.from_json(dict(obj, entries=[f"{4 * Fraction(e).numerator}/"
+                                                   f"{4 * Fraction(e).denominator}"
+                                                   for e in obj["entries"]]))
+    p2 = markov_from_joining(marginal(t, (0, 1, 2)))
+    results = [t, lower_order(t)[0], marginal(t, (3, 1)), p2, pair_compose(p2),
+               raise_order(pair_compose(p2))[0]]
+    for x in results:
+        values = x.entries if isinstance(x, JoiningTensor) else [v for r in x.matrix for v in r]
+        assert x.scaled[1] == math.lcm(*(v.denominator for v in values))
+
+
+def test_entry_text_is_format_fraction():
+    gen = substream(12, "entry-text")
+    for den in [1, 2, 6, 2 ** 70, 3 ** 40 * 7]:
+        xs = [0, den, -den, 2 * den, 1, -1] + [int(x) for x in gen.integers(-10 ** 6, 10 ** 6, 50)]
+        num = np.array(xs * 2, dtype=object)
+        assert joinings._format(num, den) == [format_fraction(Fraction(x, den)) for x in xs * 2]

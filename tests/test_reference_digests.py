@@ -1,5 +1,6 @@
 """The last pool job of every band of every benchmark workload, and every
-`torus-lattice` pool job, reproduces its recorded digest.
+`torus-lattice` and `joining-calculus` pool job, reproduces its recorded
+digest.
 
 The benchmark's own harness runs each job through `cli.main` in a fresh
 directory and digests the exit code and every artifact, so a change to an
@@ -58,3 +59,10 @@ def test_every_torus_lattice_job_matches_reference(monkeypatch, tmp_path):
     # Monte Carlo draw or the array grid writers, so the whole pool runs.
     mismatched = _mismatched(monkeypatch, tmp_path, "torus-lattice", lambda pool, bands: pool)
     assert len(REFERENCE["torus-lattice"]) == 96 and mismatched == []
+
+
+def test_every_joining_calculus_job_matches_reference(monkeypatch, tmp_path):
+    # Every joining-calculus artifact is read from tensor JSON and written
+    # back from integer numerators, so the whole pool runs.
+    mismatched = _mismatched(monkeypatch, tmp_path, "joining-calculus", lambda pool, bands: pool)
+    assert len(REFERENCE["joining-calculus"]) == 80 and mismatched == []
