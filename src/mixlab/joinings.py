@@ -117,14 +117,9 @@ def _over_lcm(ratios: Sequence[tuple[int, int]]) -> Scaled:
 
 
 def _parsed(texts: Sequence[str]) -> Scaled:
-    """Entry strings as (num, den), flat.  Each distinct string is parsed once,
-    in first-seen order: plain ASCII "p" and "p/q" through int, any other
-    through parse_fraction, so the accepted language and errors are Fraction's."""
-    ratios = {}
-    for s in dict.fromkeys(texts):
-        p, slash, q = s.partition("/")
-        plain = s.isascii() and p.isdigit() and (not slash or q.isdigit() and q.strip("0"))
-        ratios[s] = (int(p), int(q or 1)) if plain else parse_fraction(s).as_integer_ratio()
+    """Entry strings as (num, den), flat; each distinct string is parsed
+    once, in first-seen order."""
+    ratios = {s: parse_fraction(s).as_integer_ratio() for s in dict.fromkeys(texts)}
     return _over_lcm([ratios[s] for s in texts])
 
 
@@ -208,8 +203,10 @@ class JoiningTensor:
         if scaled is None:
             self.entries = tuple(entries)
             scaled = _scaled(self.entries, exact)
+        else:
+            scaled = _reduced(*scaled, exact)
         self.order, self.dims, self.weights, self.exact = order, dims, weights, exact
-        self.scaled = _reduced(*scaled, exact)
+        self.scaled = scaled
         self.__post_init__()
 
     @cached_property
@@ -377,8 +374,10 @@ class LinearOperator:
                 raise ValueError("operator needs one row per cell, dims**source_order wide")
             num, den = _scaled([x for row in self.matrix for x in row], exact)
             scaled = num.reshape(len(weights), width), den
+        else:
+            scaled = _reduced(*scaled, exact)
         self.source_order, self.weights, self.exact = source_order, weights, exact
-        self.scaled = _reduced(*scaled, exact)
+        self.scaled = scaled
         self.__post_init__()
 
     @property

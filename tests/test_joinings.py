@@ -656,28 +656,6 @@ def test_each_tensor_and_markov_operator_validated_once(monkeypatch):
     assert seen == ["JoiningTensor"] * 4 + ["MarkovOperator", "JoiningTensor"]
 
 
-def test_entry_strings_read_as_fraction_reads_them():
-    """Random strings over digits, signs, separators and non-ASCII digits
-    parse to Fraction(s), or fail with Fraction's exception and message."""
-    gen = substream(11, "entry-strings")
-    alphabet = list("0123456789/+-_. eE") + ["\u0662", "\u00b2", "\u2212"]
-
-    def outcome(parse, s):
-        try:
-            return parse(s)
-        except (ValueError, ZeroDivisionError) as exc:
-            return type(exc), str(exc)
-
-    def scaled_value(s):
-        num, den = joinings._parsed([s])
-        return Fraction(num[0], den)
-
-    for _ in range(4000):
-        picks = gen.integers(0, len(alphabet), size=int(gen.integers(0, 7)))
-        s = "".join(alphabet[i] for i in picks)
-        assert outcome(scaled_value, s) == outcome(Fraction, s), repr(s)
-
-
 def test_first_bad_entry_is_reported():
     obj = dict(parity_tensor(3).to_json(), entries=[f"x{i}" for i in range(64)])
     with pytest.raises(ValueError, match="'x0'"):
