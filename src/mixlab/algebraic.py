@@ -26,10 +26,13 @@ relations per site tuple and the powers u^n per recurrence and n for its
 lifetime; nothing is cached beyond the oracle.
 
 Torus kernels run the same recurrence (`RelationPattern.recurrence`) on
-rows that wrap around, once per row block, and take their fixed states
-from the same elimination (`_relations`) of columns cut from those runs;
-the step commutes with rotating rows, so every column and basis
-configuration is a XOR of rotated copies of the few runs.
+rows that wrap around, once per row block.  The step commutes with
+rotating rows, so a state of `depth` rows is a vector over
+GF(2)[x]/(x^w - 1) and T^h + I is a depth x depth matrix over that ring
+(the additive cellular-automaton view of Martin, Odlyzko and Wolfram,
+1984).  The fixed states come from a Hermite basis over GF(2)[x], found
+by polynomial Euclid with no elimination of state bits, and each basis
+configuration is the previous one rotated, XOR a few fixed ones.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -53,9 +56,10 @@ Site = Union[int, tuple[int, int]]
 # before any memory is taken.
 MAX_GENERATORS = 1 << 26
 
-# Torus kernel time grows about as side^4 past side 257 (257 takes 0.03 s,
-# 513 takes 0.35 s, 1023 takes 10 s); past this side a kernel would take
-# minutes, so it is refused.
+# A torus kernel's explicit basis holds dim x side^2 bits: at side 1023
+# (dim 964) about 120 MB, built in 0.2 s (0.04 s at 513, 0.01 s at 257, on
+# one 2.0 GHz Xeon core).  At twice this side the basis alone would pass a
+# gigabyte, so a larger side is refused.
 MAX_TORUS_SIDE = 1024
 
 # Monte Carlo time grows linearly with the sample count, about 0.25 s per
@@ -397,34 +401,71 @@ def _run_rows(history: list[int], taps: Sequence[tuple[int, int]], w: int, n: in
     return rows
 
 
-def _rotations(x: int, w: int, rows: int) -> Iterator[int]:
-    """`x`, then `x` with each of its `rows` w-bit rows rotated left by 1,
-    2, ...: each step moves the low w - 1 bits of every row up by one and
-    wraps the top bit to the bottom, with two shifts and two row masks."""
-    rep = sum(1 << (j * w) for j in range(rows))
-    keep = ((1 << (rows * w)) - 1) ^ (rep << (w - 1))
-    while True:
-        yield x
-        x = ((x & keep) << 1) | ((x >> (w - 1)) & rep)
+def _reduce_rows(rows: Iterable[list[int]], pivot: list[int], col: int) -> None:
+    """XOR shifted copies of `pivot` into each row until its entry `col` has
+    lower degree than pivot[col] (polynomials over GF(2) as ints)."""
+    d = pivot[col].bit_length()
+    terms = [(i, p) for i, p in enumerate(pivot) if p]
+    for row in rows:
+        while (n := row[col].bit_length()) >= d:
+            for i, p in terms:
+                row[i] ^= p << (n - d)
+
+
+def _hermite_kernel(m: Sequence[Sequence[int]], w: int) -> list[list[int]]:
+    """Hermite basis h_0 .. h_(depth-1) of the states s in GF(2)[x]^depth
+    with m s = 0 mod x^w - 1: h_b has component b equal to d_b, a divisor
+    of x^w - 1, components above b equal to 0, and each component c below
+    b of degree less than deg d_c.
+
+    The rows (m e_b | e_b) and ((x^w - 1) e_k | 0) generate the pairs
+    (m s + (x^w - 1) t | s).  Euclid on the image columns, one at a time,
+    leaves `depth` rows of image 0, a basis of the states; Euclid on their
+    state columns from the last down makes it triangular, and each row's
+    lower components are then reduced by the rows below it.  Components
+    are kept as unbounded ints, since Euclid's cofactors grow past w bits.
+    """
+    depth = len(m)
+    rows = [[m[k][b] for k in range(depth)] + [int(c == b) for c in range(depth)]
+            for b in range(depth)]
+    rows += [[((1 << w) | 1) * (k == j) for k in range(depth)] + [0] * depth
+             for j in range(depth)]
+    pivots = {}
+    for col in [*range(depth), *range(2 * depth - 1, depth - 1, -1)]:
+        live = sorted((r for r in rows if r[col]), key=lambda r: r[col].bit_length())
+        while len(live) > 1:
+            _reduce_rows(live[1:], live[0], col)
+            live = sorted((r for r in live if r[col]), key=lambda r: r[col].bit_length())
+        pivots[col] = live[0]
+        rows = [r for r in rows if r is not live[0]]
+    basis = [pivots[depth + b][depth:] for b in range(depth)]
+    for b, row in enumerate(basis):
+        for c in range(b - 1, -1, -1):
+            _reduce_rows([row], basis[c], c)
+    return basis
 
 
 def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
     """Harmonic configurations of the w x h torus via the row recurrence.
 
-    A configuration is a state of `depth` rows (row k in bits k*w ..) that
-    h row steps (T^h, see `_run_rows`) bring back: a dependency among the
-    columns T^h e + e of the unit states e.  The step is XOR-linear and
-    commutes with rotating every row, so one run from bit 0 of each row
-    block, its unit lattice, serves every unit state: the run from bit i of
-    block b is block b's lattice with every row rotated left by i.  Its last
-    `depth` rows, XOR the unit bit, are that state's column.  `_relations`
-    gives the dependencies ascending by highest state bit, and each basis
-    configuration is the XOR, over its state's bits, of the rotated
-    lattices, whose first `depth` rows are dropped.  The dependencies are
-    closed under rotation, so each block has all or none of its bits in
-    use; rotations are made one at a time, for blocks in use only.
-    A side above `MAX_TORUS_SIDE` or a state wider than `gf2.MAX_DIM` bits
-    is refused before any row is built.
+    A configuration is the h rows that follow a state of `depth` rows that
+    h row steps (T^h, `_run_rows`) bring back.  The step commutes with
+    rotating rows, so a state is a vector s over GF(2)[x]/(x^w - 1), row b
+    the polynomial s_b (bit i the coefficient of x^i); rotating every row
+    left by one multiplies a state, and its configuration, by x; and
+    T^h + I is a depth x depth matrix M whose column b is the last `depth`
+    rows of the run from the unit state e_b, plus e_b.
+
+    With h_b the Hermite basis of {s : M s = 0 mod x^w - 1}
+    (`_hermite_kernel`), the basis is the reduced echelon form by highest
+    state bit b*w + p, ascending: the state with pivot (b, p),
+    deg d_b <= p < w, is x^p e_b + NF(x^p e_b), NF the normal form mod the
+    h_c; at p = deg d_b it is h_b.  NF at p + 1 is x times NF at p, with
+    h_c XORed in, c from b down, wherever component c reaches degree
+    deg d_c.  So each basis configuration is the one before rotated, XOR
+    the configurations of the h_c used, each from one run.  A side above
+    `MAX_TORUS_SIDE` or a state wider than `gf2.MAX_DIM` bits is refused
+    before any row is built.
     """
     if w < 3 or h < 3:
         raise ValueError("torus dimensions must be at least 3")
@@ -437,28 +478,34 @@ def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
     if depth * w > MAX_DIM:
         raise DimensionError(f"torus state of {depth * w} bits exceeds the cap {MAX_DIM}")
     taps = [(depth - m, d % w) for d, m in rest]
-    lattices, columns = [], []
-    for b in range(depth):
-        rows = _run_rows([int(k == b) for k in range(depth)], taps, w, h)
-        lattices.append(sum(r << (j * w) for j, r in enumerate(rows[depth:])))
-        image = sum(r << (k * w) for k, r in enumerate(rows[h:]))
-        columns.extend(col ^ (1 << k) for k, col in
-                       zip(range(b * w, (b + 1) * w), _rotations(image, w, depth)))
-    states = _relations(columns)
-    nbytes = (depth * w + 7) // 8
-    used = np.unpackbits(np.frombuffer(b"".join(s.to_bytes(nbytes, "little") for s in states),
-                                       dtype=np.uint8).reshape(len(states), nbytes),
-                         axis=1, bitorder="little")
-    bits, users = np.nonzero(used.T)  # ascending state bit k = b * w + i
-    bounds = np.searchsorted(bits, np.arange(depth * w + 1)).tolist()
-    vecs = [0] * len(states)
-    for b, lattice in enumerate(lattices):
-        if bounds[b * w] == bounds[(b + 1) * w]:
-            continue
-        for k, rotated in zip(range(b * w, (b + 1) * w), _rotations(lattice, w, h)):
-            for r in users[bounds[k]:bounds[k + 1]].tolist():
-                vecs[r] ^= rotated
-    return TorusKernel(w, h, tuple(BitVector(w * h, v) for v in vecs), pattern)
+    runs = [_run_rows([int(k == b) for k in range(depth)], taps, w, h) for b in range(depth)]
+    hermite = _hermite_kernel([[runs[b][h + k] ^ (k == b) for b in range(depth)]
+                               for k in range(depth)], w)
+    degs = [row[b].bit_length() - 1 for b, row in enumerate(hermite)]
+
+    def configuration(state: list[int]) -> int:  # row j in bits j*w ..
+        return sum(r << (j * w) for j, r in enumerate(_run_rows(state, taps, w, h)[depth:]))
+
+    # h_c = (x^w - 1) e_c, when d_c has degree w, has configuration 0, and
+    # every other h_c has components of degree < w.
+    h_configs = [configuration(row) if d < w else 0 for row, d in zip(hermite, degs)]
+    rep = ((1 << (w * h)) - 1) // ((1 << w) - 1)  # bit 0 of every row
+    keep = ((1 << (w * h)) - 1) ^ (rep << (w - 1))
+    vecs = []
+    for b, d in enumerate(degs):
+        nf = hermite[b][:b + 1]  # NF(x^d e_b) = h_b - x^d e_b
+        nf[b] ^= 1 << d
+        v = h_configs[b]  # configuration of x^p e_b + NF(x^p e_b)
+        for p in range(d, w):
+            if p > d:  # every row rotated left by one
+                v = ((v & keep) << 1) | ((v >> (w - 1)) & rep)
+                nf = [q << 1 for q in nf]
+                for c in range(b, -1, -1):
+                    if nf[c] >> degs[c] & 1:
+                        nf = [q ^ r for q, r in zip(nf, hermite[c])]
+                        v ^= h_configs[c]
+            vecs.append(BitVector(w * h, v))
+    return TorusKernel(w, h, tuple(vecs), pattern)
 
 
 def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
@@ -478,10 +525,14 @@ def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
 
 
 def grid_satisfies_pattern(pattern: RelationPattern, grid: np.ndarray) -> bool:
-    """Check the defining relation at every site (with wraparound)."""
+    """Check the defining relation at every site (with wraparound): the
+    grid tiled 2 x 2 holds every wrapped translate as one slice, taken at
+    the offsets mod (h, w)."""
+    h, w = grid.shape
+    tiled = np.tile(grid, (2, 2))
     acc = np.zeros_like(grid)
     for pi, pj in pattern.support:
-        acc ^= np.roll(grid, shift=(-pj, -pi), axis=(0, 1))
+        acc ^= tiled[pj % h:pj % h + h, pi % w:pi % w + w]
     return not acc.any()
 
 

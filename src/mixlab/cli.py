@@ -318,6 +318,10 @@ def cmd_percolate(params: dict) -> int:
 
 
 def cmd_render(params: dict) -> int:
+    formats = params["format"].split(",")
+    for f in formats:  # before any artifact is written or kernel built
+        if f not in ("svg", "pbm", "json"):
+            raise ValidationError(f"unknown render format {f!r}")
     outdir = _prepare_outdir(params)
     _emit_config(outdir, "render", params)
     system = _make_system(params)
@@ -325,7 +329,7 @@ def cmd_render(params: dict) -> int:
     seed = params["seed"]
     kernel = torus_kernel(system, size, size)
     grid = sample_configuration(kernel, seed)
-    for f in params["format"].split(","):
+    for f in formats:
         if f == "svg":
             if params.get("clusters"):
                 rep = clusters(grid, params["connectivity"], params["bit"])
@@ -337,10 +341,8 @@ def cmd_render(params: dict) -> int:
                             svgmod.grid_svg(grid, title=f"size={size} seed={seed}"))
         elif f == "pbm":
             _write_text(outdir, "grid.pbm", grid_to_pbm(grid))
-        elif f == "json":
-            _write_json(outdir, "grid.json", grid_to_json(grid))
         else:
-            raise ValidationError(f"unknown render format {f!r}")
+            _write_json(outdir, "grid.json", grid_to_json(grid))
     return 0
 
 

@@ -5,7 +5,8 @@ raw enumeration of window configurations, plane site functionals from the
 window method, intersections of shifted events from one merge of their
 (site, bit) requirements into a `CylinderConstraint` per entry, the row
 powers u^n from a numpy byte-spread Frobenius, torus kernels from a per-bit
-row step with a dense transfer-matrix power and from exhaustive
+row step with a dense transfer-matrix power, from the bit-by-bit
+elimination of the unit states' columns and from exhaustive
 enumeration, Monte Carlo hit counts from an int32 matrix product over the
 same draws, cluster structure from breadth-first search in the universal
 cover, and the joining calculus from explicit index loops over Fractions.
@@ -45,7 +46,8 @@ import numpy as np
 import pytest
 
 from mixlab import gf2
-from mixlab.algebraic import CylinderConstraint, relation_space, site_add, torus_kernel
+from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, relation_space, site_add,
+                              torus_kernel)
 from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
@@ -304,6 +306,44 @@ def reference_torus_basis(pattern, w, h):
             history = history[1:] + [new]
         basis.append(BitVector(w * h, bits))
     return tuple(basis)
+
+
+def row_rotations(x, w, rows):
+    """`x`, then `x` with each of its `rows` w-bit rows rotated left by 1,
+    2, ...: each step moves the low w - 1 bits of every row up by one and
+    wraps the top bit to the bottom."""
+    rep = sum(1 << (j * w) for j in range(rows))
+    keep = ((1 << (rows * w)) - 1) ^ (rep << (w - 1))
+    while True:
+        yield x
+        x = ((x & keep) << 1) | ((x >> (w - 1)) & rep)
+
+
+def reference_elimination_torus_basis(pattern, w, h):
+    """Torus kernel basis by eliminating the columns T^h e + e of the unit
+    states bit by bit (`_relations`), each basis configuration the XOR, over
+    its state's set bits, of the unit runs: the run from bit i of block b
+    is block b's run from bit 0 with every row rotated left by i.  The rows
+    come from `_run_rows`, so this checks the kernel's algebra at sides
+    where the dense transfer matrix of `reference_torus_basis` is too slow.
+    """
+    depth, rest = pattern.recurrence()
+    taps = [(depth - m, d % w) for d, m in rest]
+    lattices, columns = [], []
+    for b in range(depth):
+        rows = _run_rows([int(k == b) for k in range(depth)], taps, w, h)
+        lattices.append(sum(r << (j * w) for j, r in enumerate(rows[depth:])))
+        image = sum(r << (k * w) for k, r in enumerate(rows[h:]))
+        columns.extend(col ^ (1 << k) for k, col in
+                       zip(range(b * w, (b + 1) * w), row_rotations(image, w, depth)))
+    states = _relations(columns)
+    vecs = [0] * len(states)
+    for b, lattice in enumerate(lattices):
+        for k, rotated in zip(range(b * w, (b + 1) * w), row_rotations(lattice, w, h)):
+            for r, state in enumerate(states):
+                if state >> k & 1:
+                    vecs[r] ^= rotated
+    return tuple(BitVector(w * h, v) for v in vecs)
 
 
 def reference_default_torus(system, c):

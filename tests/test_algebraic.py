@@ -43,6 +43,7 @@ from conftest import (
     merge_events,
     merge_site_bits,
     reference_default_torus,
+    reference_elimination_torus_basis,
     reference_frobenius,
     reference_grid_to_json,
     reference_grid_to_pbm,
@@ -505,19 +506,34 @@ class TestTorusKernel:
 
     @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
     @pytest.mark.parametrize("w,h", NONTRIVIAL_TORI + [(8, 8), (16, 12), (3, 64), (33, 32),
-                                                       (40, 7), (65, 65), (63, 65), (45, 21)])
+                                                       (40, 7), (65, 65), (63, 65), (45, 21),
+                                                       (8, 5), (9, 5), (9, 10), (10, 4)])
     def test_basis_matches_per_bit_expansion(self, pattern, w, h):
         # Asymmetric taps make a rotation in the wrong direction, or a row
         # read from the wrong depth, show up as a different basis.  Sides
         # with a power-of-two factor, or w != h, often leave a pattern only
         # the zero configuration.  65 is the largest side the benchmark
-        # renders, where states have up to 3 x 65 bits.
+        # renders, where states have up to 3 x 65 bits.  On the last four
+        # tori the depth-3 pattern's Euclid cofactors grow past 5 x w bits.
         k = torus_kernel(AlgebraicSystem(pattern), w, h)
         if (w, h) in NONTRIVIAL_TORI:
             assert k.dim > 0
         assert k.basis == reference_torus_basis(pattern, w, h)
         for vec in k.basis:
             assert grid_satisfies_pattern(pattern, _basis_grid(k, vec))
+
+    @pytest.mark.parametrize("pattern", [LEDRAPPIER_PATTERN, KERNEL_PATTERNS[3]],
+                             ids=lambda p: str(sorted(p.support)))
+    @pytest.mark.parametrize("side", [129, 257])
+    def test_basis_matches_elimination_at_large_sides(self, pattern, side):
+        # The dense transfer matrix is too slow at these sides; the unit
+        # columns eliminated bit by bit are not.
+        k = torus_kernel(AlgebraicSystem(pattern), side, side)
+        assert k.dim > 0
+        assert k.basis == reference_elimination_torus_basis(pattern, side, side)
+
+    def test_dimension_at_side_513(self):
+        assert torus_kernel(SYS, 513, 513).dim == 508
 
     def test_small_dimensions_rejected(self):
         with pytest.raises(ValueError):

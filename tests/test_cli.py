@@ -74,6 +74,21 @@ def test_render_past_torus_cap_exits_2(tmp_path, capsys):
     assert "exceeds the cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("size,formats", [("33", "svg,bogus"), ("1023", "bogus")])
+def test_unknown_render_format_exits_2_before_any_grid(tmp_path, monkeypatch, capsys,
+                                                       size, formats):
+    # The format list is checked before the kernel is built, so a known
+    # format listed before the unknown one leaves no grid artifact.
+    def no_kernel(*args):
+        raise AssertionError("kernel built for a refused format")
+
+    monkeypatch.setattr(cli, "torus_kernel", no_kernel)
+    out = tmp_path / "out"
+    assert cli.main(["render", "--size", size, "--format", formats, "--out", str(out)]) == 2
+    assert "unknown render format 'bogus'" in capsys.readouterr().err
+    assert not list(out.glob("grid.*"))
+
+
 _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
 
 

@@ -1,6 +1,6 @@
-"""The last pool job of every band of every benchmark workload, and every
-`torus-lattice` and `joining-calculus` pool job, reproduces its recorded
-digest.
+"""Every pool job of every benchmark workload reproduces its recorded
+digest; the last job of each band is also checked on its own, as the
+quickest check per workload.
 
 The benchmark's own harness runs each job through `cli.main` in a fresh
 directory and digests the exit code and every artifact, so a change to an
@@ -66,3 +66,16 @@ def test_every_joining_calculus_job_matches_reference(monkeypatch, tmp_path):
     # back from integer numerators, so the whole pool runs.
     mismatched = _mismatched(monkeypatch, tmp_path, "joining-calculus", lambda pool, bands: pool)
     assert len(REFERENCE["joining-calculus"]) == 80 and mismatched == []
+
+
+def test_every_plane_exact_job_matches_reference(monkeypatch, tmp_path):
+    # Random and dyadic mix scans, exact measures and the parity joining
+    # pipeline: every artifact is exact.
+    mismatched = _mismatched(monkeypatch, tmp_path, "plane-exact", lambda pool, bands: pool)
+    assert len(REFERENCE["plane-exact"]) == 128 and mismatched == []
+
+
+def test_every_word_stats_job_matches_reference(monkeypatch, tmp_path):
+    # Rank-one words and rank-one and Bernoulli deviation scans.
+    mismatched = _mismatched(monkeypatch, tmp_path, "word-stats", lambda pool, bands: pool)
+    assert len(REFERENCE["word-stats"]) == 80 and mismatched == []
