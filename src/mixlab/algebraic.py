@@ -57,9 +57,9 @@ Site = Union[int, tuple[int, int]]
 MAX_GENERATORS = 1 << 26
 
 # A torus kernel's explicit basis holds dim x side^2 bits: at side 1023
-# (dim 964) about 120 MB, built in 0.2 s (0.04 s at 513, 0.01 s at 257, on
-# one 2.0 GHz Xeon core).  At twice this side the basis alone would pass a
-# gigabyte, so a larger side is refused.
+# (dim 964) about 120 MB, built in 0.2-0.3 s (0.04-0.05 s at 513, 0.01 s
+# at 257, on one 2.0 GHz Xeon core).  At twice this side the basis alone
+# would pass a gigabyte, so a larger side is refused.
 MAX_TORUS_SIDE = 1024
 
 # Monte Carlo time grows linearly with the sample count, about 0.25 s per

@@ -181,9 +181,9 @@ def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> Cl
 # size of that scale stays under half a minute.
 MAX_SWEEP_SAMPLES = 10_000
 
-# Each size builds its own kernel (0.01 s at side 257, 0.2 s and 120 MB
-# of basis at 1023), so 64 sizes take under a second of kernel time at
-# side 257 and about 13 s at 1023.
+# Each size builds its own kernel (0.01 s at side 257, 0.2-0.3 s and
+# 120 MB of basis at 1023), so 64 sizes take under a second of kernel
+# time at side 257 and under 20 s at 1023.
 MAX_SWEEP_SIZES = 64
 
 
