@@ -513,8 +513,9 @@ class TestTorusKernel:
         # read from the wrong depth, show up as a different basis.  Sides
         # with a power-of-two factor, or w != h, often leave a pattern only
         # the zero configuration.  65 is the largest side the benchmark
-        # renders, where states have up to 3 x 65 bits.  On the last four
-        # tori the depth-3 pattern's Euclid cofactors grow past 5 x w bits.
+        # renders, where states have up to 3 x 65 bits.  The last four tori
+        # give the depth-3 pattern a small nonzero kernel whose Euclid rows
+        # grow to 2-3 x w bits.
         k = torus_kernel(AlgebraicSystem(pattern), w, h)
         if (w, h) in NONTRIVIAL_TORI:
             assert k.dim > 0
