@@ -45,7 +45,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .gf2 import MAX_DIM, BitVector, DimensionError
+from .gf2 import MAX_DIM, DimensionError
 from .measure import MeasureValue
 from .rng import random_bits, substream
 
@@ -117,17 +117,6 @@ LEDRAPPIER_PATTERN = RelationPattern(
 )
 
 
-@dataclass(frozen=True)
-class AlgebraicSystem:
-    """The Z^2 shift action on the group of pattern-harmonic configurations."""
-
-    pattern: RelationPattern = LEDRAPPIER_PATTERN
-
-
-def ledrappier_system() -> AlgebraicSystem:
-    return AlgebraicSystem(LEDRAPPIER_PATTERN)
-
-
 def site_add(site: Site, shift: Site) -> Site:
     if isinstance(site, int):
         if not isinstance(shift, int):
@@ -177,13 +166,15 @@ class CylinderConstraint:
             raise ValueError("constellation JSON needs 'sites' and 'bits'")
         sites = []
         for s in obj["sites"]:
-            if isinstance(s, int):
+            if type(s) is int:
                 sites.append(s)
-            elif isinstance(s, (list, tuple)) and len(s) == 2:
-                sites.append((int(s[0]), int(s[1])))
+            elif isinstance(s, list) and len(s) == 2 and all(type(x) is int for x in s):
+                sites.append(tuple(s))
             else:
-                raise ValueError(f"bad site {s!r}")
-        return cls(tuple(sites), tuple(int(b) for b in obj["bits"]))
+                raise ValueError(f"bad site {s!r}: sites are JSON integers or pairs of them")
+        if not all(type(b) is int for b in obj["bits"]):
+            raise ValueError("bits must be JSON integers")
+        return cls(tuple(sites), tuple(obj["bits"]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,23 +301,23 @@ def _plane_sites(sites: Sequence[Site]) -> list[tuple[int, int]]:
     return list(sites)
 
 
-def relation_space(system: AlgebraicSystem, sites: Sequence[tuple[int, int]],
-                   powers: Optional[dict] = None) -> list[BitVector]:
+def relation_space(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
+                   powers: Optional[dict] = None) -> list[int]:
     """Basis of GF(2) dependencies among the coordinate functionals at
-    `sites` that hold identically on the configuration group.
+    `sites` that hold identically on the pattern's configuration group.
 
-    Vectors are indexed by the order of `sites`.  The basis is the reduced
-    echelon form by highest bit, ascending, of the dependencies among the
-    row-transfer masks (`_window_masks`, sharing `powers`), found in one
-    elimination.
+    Each relation is an int whose bit k is set when site k (in the order of
+    `sites`) takes part.  The basis is the reduced echelon form by highest
+    bit, ascending, of the dependencies among the row-transfer masks
+    (`_window_masks`, sharing `powers`), found in one elimination.
     """
     sites = [tuple(s) for s in sites]
     if len(set(sites)) != len(sites):
         raise ValueError("sites must be distinct")
     if not sites:
         return []
-    masks, _ = _window_masks(system.pattern, sites, powers)
-    return [BitVector(len(sites), v) for v in _relations(masks)]
+    masks, _ = _window_masks(pattern, sites, powers)
+    return _relations(masks)
 
 
 @functools.lru_cache(maxsize=256)
@@ -334,14 +325,14 @@ def _dyadic(r: int) -> Fraction:  # one shared, immutable 2^(-r) per exponent
     return Fraction(1, 1 << r)
 
 
-def _measure_from_relations(relations: Sequence[BitVector], bits: Sequence[int]) -> MeasureValue:
-    b = BitVector.from_bits(bits).bits
-    if any((v.bits & b).bit_count() & 1 for v in relations):
+def _measure_from_relations(relations: Sequence[int], bits: Sequence[int]) -> MeasureValue:
+    b = sum(bit << k for k, bit in enumerate(bits))
+    if any((v & b).bit_count() & 1 for v in relations):
         return MeasureValue.of_exact(0, method="window")
     return MeasureValue.of_exact(_dyadic(len(bits) - len(relations)), method="window")
 
 
-def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint) -> MeasureValue:
+def cylinder_measure(pattern: RelationPattern, c: CylinderConstraint) -> MeasureValue:
     """Exact Haar measure of the cylinder event prescribed by `c`.
 
     With R the relations among the site functionals (`relation_space`), the
@@ -349,7 +340,7 @@ def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint) -> MeasureV
     2^-(k - |R|) otherwise, k the number of sites.  Exact at every scale;
     meta["method"] is "window".
     """
-    return _measure_from_relations(relation_space(system, _plane_sites(c.sites)), c.bits)
+    return _measure_from_relations(relation_space(pattern, _plane_sites(c.sites)), c.bits)
 
 
 # ---------------------------------------------------------------------------
@@ -359,29 +350,25 @@ def cylinder_measure(system: AlgebraicSystem, c: CylinderConstraint) -> MeasureV
 class TorusKernel:
     """Basis of the pattern-harmonic subgroup of a w x h torus.
 
-    Basis elements are configurations flattened row-major: bit j*width + i
-    is the value at site (i, j).
+    Each basis element is a configuration as an int of width * height bits,
+    flattened row-major: bit j*width + i is the value at site (i, j).
     """
 
     width: int
     height: int
-    basis: tuple[BitVector, ...]
-    pattern: RelationPattern = LEDRAPPIER_PATTERN
+    basis: tuple[int, ...]
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def site_bit_index(self, site: tuple[int, int]) -> int:
-        i, j = site[0] % self.width, site[1] % self.height
-        return j * self.width + i
-
     def site_mask(self, site: tuple[int, int]) -> int:
-        """Generator mask of the coordinate functional at `site`."""
-        idx = self.site_bit_index(site)
+        """Generator mask of the coordinate functional at `site`: bit g is
+        the value of basis element g there."""
+        idx = site[1] % self.height * self.width + site[0] % self.width
         m = 0
         for g, vec in enumerate(self.basis):
-            m |= ((vec.bits >> idx) & 1) << g
+            m |= ((vec >> idx) & 1) << g
         return m
 
 
@@ -445,7 +432,7 @@ def _hermite_kernel(m: Sequence[Sequence[int]], w: int) -> list[list[int]]:
     return basis
 
 
-def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
+def torus_kernel(pattern: RelationPattern, w: int, h: int) -> TorusKernel:
     """Harmonic configurations of the w x h torus via the row recurrence.
 
     A configuration is the h rows that follow a state of `depth` rows that
@@ -471,7 +458,6 @@ def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
         raise ValueError("torus dimensions must be at least 3")
     if max(w, h) > MAX_TORUS_SIDE:
         raise DimensionError(f"torus side {max(w, h)} exceeds the cap {MAX_TORUS_SIDE}")
-    pattern = system.pattern
     depth, rest = pattern.recurrence()
     if depth == 0:
         raise UnsupportedPatternError("pattern must span at least two rows")
@@ -504,8 +490,8 @@ def torus_kernel(system: AlgebraicSystem, w: int, h: int) -> TorusKernel:
                     if nf[c] >> degs[c] & 1:
                         nf = [q ^ r for q, r in zip(nf, hermite[c])]
                         v ^= h_configs[c]
-            vecs.append(BitVector(w * h, v))
-    return TorusKernel(w, h, tuple(vecs), pattern)
+            vecs.append(v)
+    return TorusKernel(w, h, tuple(vecs))
 
 
 def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
@@ -516,7 +502,7 @@ def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
     bits = 0
     while combo:
         low = combo & -combo
-        bits ^= kernel.basis[low.bit_length() - 1].bits
+        bits ^= kernel.basis[low.bit_length() - 1]
         combo ^= low
     n = kernel.width * kernel.height
     raw = bits.to_bytes((n + 7) // 8, "little")
@@ -592,7 +578,7 @@ _TORUS_MIN_SIZE = 12
 _TORUS_TRIES = 24
 
 
-def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKernel:
+def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusKernel:
     """Pick a torus suitable for Monte-Carlo estimation of `c`.
 
     Power-of-two sizes carry extra wrapped relations, so the default has an
@@ -609,13 +595,13 @@ def default_torus_for(system: AlgebraicSystem, c: CylinderConstraint) -> TorusKe
     else:
         diam = 1
     size = max(_TORUS_MIN_SIZE, 4 * diam)
-    plane_rank = len(sites) - len(relation_space(system, sites))
+    plane_rank = len(sites) - len(relation_space(pattern, sites))
     last = None
     for _ in range(_TORUS_TRIES):
         if size & (size - 1) == 0:  # pure power of two
             size += 1
             continue
-        kernel = torus_kernel(system, size, size)
+        kernel = torus_kernel(pattern, size, size)
         last = kernel
         if not sites:
             return kernel
@@ -655,11 +641,11 @@ class _Plan:
     def __init__(self, sites: tuple, positions: tuple):
         self.sites = sites
         self.positions = positions
-        self.relations: Optional[list[BitVector]] = None
+        self.relations: Optional[list[int]] = None
 
 
 class LedrappierOracle:
-    """Exact k-fold correlation oracle for an algebraic plane system.
+    """Exact k-fold correlation oracle for the plane system of `pattern`.
 
     Three caches live as long as the oracle.  A plan per shift tuple and
     tuple of event sites merges the shifted sites once: the 2^order entries
@@ -671,17 +657,17 @@ class LedrappierOracle:
     and n (`_window_masks`), so a job computes each of them once.
     """
 
-    def __init__(self, system: Optional[AlgebraicSystem] = None):
-        self.system = system or ledrappier_system()
-        self._by_sites: dict[tuple, list[BitVector]] = {}
+    def __init__(self, pattern: RelationPattern = LEDRAPPIER_PATTERN):
+        self.pattern = pattern
+        self._by_sites: dict[tuple, list[int]] = {}
         self._plans: dict[tuple, _Plan] = {}
         self._powers: dict = {}
 
-    def _relation_space(self, sites: list[tuple[int, int]]) -> list[BitVector]:
+    def _relation_space(self, sites: list[tuple[int, int]]) -> list[int]:
         key = tuple(sites)
         rels = self._by_sites.get(key)
         if rels is None:
-            rels = self._by_sites[key] = relation_space(self.system, sites, self._powers)
+            rels = self._by_sites[key] = relation_space(self.pattern, sites, self._powers)
         return rels
 
     def _plan(self, shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
@@ -707,7 +693,7 @@ class LedrappierOracle:
                     return None
         return bits
 
-    def _plan_relations(self, plan: _Plan) -> list[BitVector]:
+    def _plan_relations(self, plan: _Plan) -> list[int]:
         if plan.relations is None:
             plan.relations = self._relation_space(_plane_sites(plan.sites))
         return plan.relations
@@ -732,7 +718,8 @@ class LedrappierOracle:
             return {"sites": [], "relations": [], "contradiction": True}
         return {
             "sites": [list(s) for s in plan.sites],
-            "relations": [v.to_list() for v in self._plan_relations(plan)],
+            "relations": [[v >> k & 1 for k in range(len(plan.sites))]
+                          for v in self._plan_relations(plan)],
         }
 
 

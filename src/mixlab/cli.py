@@ -28,9 +28,9 @@ from typing import Callable, Optional
 
 from . import __version__, svg as svgmod
 from .algebraic import (
-    AlgebraicSystem,
     BernoulliOracle,
     CylinderConstraint,
+    LEDRAPPIER_PATTERN,
     LedrappierOracle,
     MAX_MC_SAMPLES,
     RelationPattern,
@@ -40,7 +40,6 @@ from .algebraic import (
     default_torus_for,
     grid_to_json,
     grid_to_pbm,
-    ledrappier_system,
     mc_cylinder_measure,
     sample_configuration,
     torus_kernel,
@@ -150,13 +149,17 @@ def _load_events(params: dict, expected: int) -> list[CylinderConstraint]:
 def _pattern_from_json(obj: dict) -> RelationPattern:
     if not isinstance(obj, dict) or "support" not in obj:
         raise ValueError("pattern file needs 'support'")
-    return RelationPattern(frozenset((int(p[0]), int(p[1])) for p in obj["support"]))
+    support = obj["support"]
+    if not all(isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+               for p in support):
+        raise ValueError("pattern offsets must be pairs of JSON integers")
+    return RelationPattern(frozenset(map(tuple, support)))
 
 
-def _make_system(params: dict) -> AlgebraicSystem:
+def _pattern(params: dict) -> RelationPattern:
     if params.get("pattern") is None:
-        return ledrappier_system()
-    return AlgebraicSystem(_parse_input(params, "pattern", _pattern_from_json))
+        return LEDRAPPIER_PATTERN
+    return _parse_input(params, "pattern", _pattern_from_json)
 
 
 def _prepare_outdir(params: dict) -> str:
@@ -186,15 +189,15 @@ def cmd_measure(params: dict) -> int:
     if system_name == "bernoulli":
         result = bernoulli_cylinder_measure(zip(constraint.sites, constraint.bits))
     else:
-        system = _make_system(params)
+        pattern = _pattern(params)
         if params.get("mc"):
             if not 1 <= params["samples"] <= MAX_MC_SAMPLES:  # before any kernel is built
                 raise ValidationError(f"--samples must lie in 1..{MAX_MC_SAMPLES}")
-            kernel = (torus_kernel(system, params["torus"], params["torus"])
-                      if params.get("torus") else default_torus_for(system, constraint))
+            kernel = (torus_kernel(pattern, params["torus"], params["torus"])
+                      if params.get("torus") else default_torus_for(pattern, constraint))
             result = mc_cylinder_measure(kernel, constraint, params["samples"], params["seed"])
         else:
-            result = cylinder_measure(system, constraint)
+            result = cylinder_measure(pattern, constraint)
     # measure.json alone still repeats the config: the benchmark's own tests
     # (mixbench/test_mixbench.py) edit it there.
     _write_json(outdir, "measure.json", {"config": config, "result": result.to_json()})
@@ -235,7 +238,7 @@ def cmd_scan_mix(params: dict) -> int:
     system = params["system"]
     budget = params["budget"]
     if system == "ledrappier":
-        oracle = LedrappierOracle(_make_system(params))
+        oracle = LedrappierOracle(_pattern(params))
         default_event = CylinderConstraint(((0, 0),), (0,))
         dim = 2
     else:
@@ -277,7 +280,7 @@ def cmd_joining(params: dict) -> int:
     else:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
         # the 2-cell partition by the origin coordinate.
-        oracle = LedrappierOracle(_make_system(params))
+        oracle = LedrappierOracle(_pattern(params))
         lo, hi = params["scales"]
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
         tensor = limit_joining(oracle, uniform_partition(2), cells,
@@ -309,8 +312,7 @@ def cmd_joining(params: dict) -> int:
 def cmd_percolate(params: dict) -> int:
     outdir = _prepare_outdir(params)
     _emit_config(outdir, "percolate", params)
-    system = _make_system(params)
-    rows = percolation_sweep(system, params["sizes"], params["samples"],
+    rows = percolation_sweep(_pattern(params), params["sizes"], params["samples"],
                              params["connectivity"], params["seed"])
     _write_text(outdir, "percolation.csv", sweep_to_csv(rows))
     _write_json(outdir, "percolation.json", {"rows": [r.__dict__ for r in rows]})
@@ -324,10 +326,9 @@ def cmd_render(params: dict) -> int:
             raise ValidationError(f"unknown render format {f!r}")
     outdir = _prepare_outdir(params)
     _emit_config(outdir, "render", params)
-    system = _make_system(params)
     size = params["size"]
     seed = params["seed"]
-    kernel = torus_kernel(system, size, size)
+    kernel = torus_kernel(_pattern(params), size, size)
     grid = sample_configuration(kernel, seed)
     for f in formats:
         if f == "svg":
@@ -422,10 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mixlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_required: bool = True):
-        p.add_argument("--out", required=out_required, help="output directory")
+    def common(p: argparse.ArgumentParser, pattern: bool = True):
+        """--out and --seed, and --pattern for the commands that read one."""
+        p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-        p.add_argument("--pattern", help="JSON file with a custom relation pattern")
+        if pattern:
+            p.add_argument("--pattern", help="JSON file with a custom relation pattern")
 
     p = sub.add_parser("measure", help="exact or Monte-Carlo cylinder measure")
     common(p)
@@ -439,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_sub = p.add_subparsers(dest="scan_kind", required=True)
 
     pd = scan_sub.add_parser("dev", help="dev(h) statistics over the (z,w) grid")
-    common(pd)
+    common(pd, pattern=False)
     pd.add_argument("--system", choices=["bernoulli", "rankone"], default="bernoulli")
     pd.add_argument("--epsilon", type=float, required=True)
     pd.add_argument("--h", type=int, required=True, dest="h")
@@ -484,7 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit", type=int, choices=[0, 1], default=0)
 
     p = sub.add_parser("rankone", help="tower heights and symbolic words")
-    common(p)
+    common(p, pattern=False)
     p.add_argument("--spec", default="staircase")
     p.add_argument("--stages", type=int, default=10)
     p.add_argument("--stage", type=int, default=1)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -213,31 +214,15 @@ def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
         attempts += 1
         if attempts > 1000 * count:
             raise ValueError("cannot satisfy separation constraints in the box")
-        pts: list[Site] = [(0, 0) if dim == 2 else 0]
-        ok = True
-        for _ in range(k):
-            if dim == 2:
-                p: Site = (int(gen.integers(-box, box + 1)), int(gen.integers(-box, box + 1)))
-            else:
-                p = int(gen.integers(-box, box + 1))
-            pts.append(p)
-        for a in range(len(pts)):
-            for b in range(a + 1, len(pts)):
-                if dim == 2:
-                    gap = max(abs(pts[a][0] - pts[b][0]), abs(pts[a][1] - pts[b][1]))
-                else:
-                    gap = abs(pts[a] - pts[b])
-                if gap < min_gap:
-                    ok = False
-        if not ok:
+        # Points are dim-tuples, drawn coordinate by coordinate.
+        pts = [(0,) * dim] + [tuple(int(gen.integers(-box, box + 1)) for _ in range(dim))
+                              for _ in range(k)]
+        diffs = [[x - y for x, y in zip(p, q)] for p, q in itertools.combinations(pts, 2)]
+        if any(max(map(abs, d)) < min_gap for d in diffs):
             continue
-        if dim == 2:
-            odd = any((pts[a][0] - pts[b][0]) % 2 or (pts[a][1] - pts[b][1]) % 2
-                      for a in range(len(pts)) for b in range(a + 1, len(pts)))
-            if not odd:
-                x, y = pts[-1]
-                pts[-1] = (x + 1, y)
-        yield tuple(pts)
+        if dim == 2 and not any(x % 2 for d in diffs for x in d):
+            pts[-1] = (pts[-1][0] + 1, pts[-1][1])
+        yield tuple(pts) if dim == 2 else tuple(p for (p,) in pts)
         produced += 1
 
 

@@ -1,16 +1,19 @@
-"""GF(2) bit vectors (ints as bit sets, bit j = coordinate j), the torus
-size cap, and a dense elimination that the library itself does not run.
+"""The torus size cap and a dense GF(2) elimination that the library itself
+does not run.
 
-`BitMatrix` with `_rref`, `rank`, `nullspace`, `solve_affine`, `mat_mul` and
-`mat_pow` is the independent reference the tests check the row-transfer
-kernels against (`mixbench/tracing.py` wraps them by name); the library's
-one elimination is `algebraic._relations`.  Values are immutable.
+The library keeps GF(2) vectors as plain ints (bit j = coordinate j) and
+imports only `MAX_DIM` and `DimensionError` from here.  `BitMatrix` with
+`_rref`, `rank`, `nullspace`, `solve_affine`, `mat_mul` and `mat_pow`, and
+`BitVector`, the validated vector type of `nullspace` and `solve_affine`,
+are the independent reference the tests check the row-transfer kernels
+against (`mixbench/tracing.py` wraps them by name); the library's one
+elimination is `algebraic._relations`.  Values are immutable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 # Cap on torus state bits (depth rows of a width given on the command line),
 # checked by `torus_kernel` before any row is built, and on `BitMatrix` sides.
@@ -40,23 +43,6 @@ class BitVector:
             raise ValueError("negative length")
         if self.bits < 0 or self.bits >> self.length:
             raise ValueError("bits set beyond declared length")
-
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVector":
-        acc = 0
-        n = 0
-        for v in values:
-            if v not in (0, 1):
-                raise ValueError("bit values must be 0 or 1")
-            acc |= v << n
-            n += 1
-        return cls(n, acc)
-
-    def to_list(self) -> list[int]:
-        return [(self.bits >> i) & 1 for i in range(self.length)]
-
-    def __str__(self) -> str:
-        return "".join("1" if (self.bits >> i) & 1 else "0" for i in range(self.length))
 
 
 @dataclass(frozen=True)

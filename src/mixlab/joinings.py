@@ -172,14 +172,6 @@ def _mass_grid(masses: np.ndarray, order: int) -> np.ndarray:
     return grid
 
 
-def _sum_to(a: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Sum out every axis not in `axes`; the kept axes come first, in the
-    order given."""
-    m = len(axes)
-    kept = np.moveaxis(a, list(axes), list(range(m)))
-    return kept.reshape(kept.shape[:m] + (-1,)).sum(axis=-1)
-
-
 def _differs(a, b, exact: bool, slack: float):
     """Entrywise a != b: exactly, or by more than `slack` for estimates."""
     return a != b if exact else abs(a - b) > slack
@@ -293,7 +285,10 @@ def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list
     if len(set(axes)) != len(axes) or any(not 0 <= a < t.order for a in axes):
         raise ValueError("axes must be distinct and in range")
     a, den = t.scaled
-    kept = _sum_to(a, axes)
+    # The sum keeps `axes` in ascending order; put them in the order given.
+    ranks = sorted(axes)
+    kept = a.sum(axis=tuple(x for x in range(t.order) if x not in axes)) \
+        .transpose([ranks.index(x) for x in axes])
     if len(axes) == 1:
         return _values(kept, den, t.exact)
     return JoiningTensor(len(axes), t.dims, t.weights, exact=t.exact, scaled=(kept, den))

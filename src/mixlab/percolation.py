@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebraic import (MAX_TORUS_SIDE, AlgebraicSystem, TorusKernel,
+from .algebraic import (MAX_TORUS_SIDE, RelationPattern, TorusKernel,
                         grid_satisfies_pattern, sample_configuration, torus_kernel)
 from .rng import mix
 
@@ -198,7 +198,7 @@ class SweepRow:
     seed: int
 
 
-def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
+def percolation_sweep(pattern: RelationPattern, sizes: Sequence[int],
                       samples_per_size: int, connectivity: int, seed: int) -> list[SweepRow]:
     """Wrap fractions and largest-cluster fractions over sampled kernel
     configurations, per lattice size and bit value.
@@ -216,7 +216,7 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
 
     def analyze(kernel: TorusKernel, s_idx: int) -> tuple[dict, dict]:
         config = sample_configuration(kernel, mix(seed, "sweep", kernel.width, s_idx))
-        if not grid_satisfies_pattern(system.pattern, config):
+        if not grid_satisfies_pattern(pattern, config):
             raise AssertionError("sampled configuration violates the defining relation")
         out = {}
         for bit in (0, 1):
@@ -229,7 +229,7 @@ def percolation_sweep(system: AlgebraicSystem, sizes: Sequence[int],
         return out[0], out[1]
 
     for size in sizes:
-        kernel = torus_kernel(system, size, size)
+        kernel = torus_kernel(pattern, size, size)
         results = [analyze(kernel, s) for s in range(samples_per_size)]
         for bit in (0, 1):
             wraps = [res[bit]["wrap"] for res in results]

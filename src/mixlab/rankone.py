@@ -68,8 +68,11 @@ class RankOneSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "RankOneSpec":
-        return cls(tuple(int(c) for c in obj["cuts"]),
-                   tuple(tuple(int(s) for s in row) for row in obj["spacers"]))
+        cuts = tuple(obj["cuts"])
+        spacers = tuple(tuple(row) for row in obj["spacers"])
+        if not all(type(v) is int for row in (cuts, *spacers) for v in row):
+            raise ValueError("cuts and spacers must be JSON integers")
+        return cls(cuts, spacers)
 
 
 def staircase_spec(stages: int) -> RankOneSpec:

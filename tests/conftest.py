@@ -304,7 +304,7 @@ def reference_torus_basis(pattern, w, h):
             new = reference_next_row(pattern, w, history)
             bits |= new << (j * w)
             history = history[1:] + [new]
-        basis.append(BitVector(w * h, bits))
+        basis.append(bits)
     return tuple(basis)
 
 
@@ -343,20 +343,20 @@ def reference_elimination_torus_basis(pattern, w, h):
             for r, state in enumerate(states):
                 if state >> k & 1:
                     vecs[r] ^= rotated
-    return tuple(BitVector(w * h, v) for v in vecs)
+    return tuple(vecs)
 
 
-def reference_default_torus(system, c):
+def reference_default_torus(pattern, c):
     """Side of the torus `default_torus_for` should pick: the first size
     from max(12, 4 x diameter) on, skipping powers of two, whose torus gives
     the sites the plane rank, with the rank taken by dense elimination."""
     sites = list(c.sites)
     xs, ys = [s[0] for s in sites], [s[1] for s in sites]
     size = max(12, 4 * max(max(xs) - min(xs), max(ys) - min(ys)))
-    plane_rank = len(sites) - len(relation_space(system, sites))
+    plane_rank = len(sites) - len(relation_space(pattern, sites))
     for _ in range(24):
         if size & (size - 1):
-            kernel = torus_kernel(system, size, size)
+            kernel = torus_kernel(pattern, size, size)
             masks = tuple(kernel.site_mask(s) for s in sites)
             if gf2.rank(BitMatrix(len(masks), max(kernel.dim, 1), masks)) == plane_rank:
                 return size
@@ -389,11 +389,11 @@ def reference_mc_hits(kernel, c, n, seed, chunk=8192):
     return hits
 
 
-def kernel_dimension_bruteforce(system, w, h):
+def kernel_dimension_bruteforce(pattern, w, h):
     """Exhaustive kernel dimension for tiny tori (2^(w*h) enumeration)."""
     if w * h > 20:
         raise ValueError("brute force limited to w*h <= 20")
-    support = sorted(system.pattern.support)
+    support = sorted(pattern.support)
     count = 0
     for cfg in range(1 << (w * h)):
         ok = True

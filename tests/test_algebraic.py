@@ -8,7 +8,6 @@ import pytest
 
 from mixlab import gf2
 from mixlab.algebraic import (
-    AlgebraicSystem,
     BernoulliOracle,
     CylinderConstraint,
     LEDRAPPIER_PATTERN,
@@ -21,7 +20,6 @@ from mixlab.algebraic import (
     grid_satisfies_pattern,
     grid_to_json,
     grid_to_pbm,
-    ledrappier_system,
     mc_cylinder_measure,
     relation_space,
     sample_configuration,
@@ -54,7 +52,7 @@ from conftest import (
     transpose,
 )
 
-SYS = ledrappier_system()
+SYS = LEDRAPPIER_PATTERN
 FIVE = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))
 
 
@@ -106,7 +104,7 @@ class TestCylinderMeasure:
     def test_scale_2_to_20_single_relation(self):
         s = 1 << 20
         sites = ((0, 0), (s, 0), (-s, 0), (0, s), (0, -s))
-        assert [v.to_list() for v in relation_space(SYS, sites)] == [[1, 1, 1, 1, 1]]
+        assert relation_space(SYS, sites) == [0b11111]
         assert cylinder_measure(SYS, CylinderConstraint(sites, (1, 0, 0, 0, 0))).exact == 0
 
     def test_extent_past_generator_cap_refused(self):
@@ -121,8 +119,8 @@ class TestCylinderMeasure:
         # the three sites carry one relation.  Rescaling them to (0,0), (1,0),
         # (0,1), where they are free (1/8), is valid only for square-free
         # patterns.
-        system = AlgebraicSystem(RelationPattern(frozenset({(0, 0), (2, 0), (0, 2)})))
-        mv = cylinder_measure(system, CylinderConstraint(((0, 0), (s, 0), (0, s)), (0, 0, 0)))
+        pattern = RelationPattern(frozenset({(0, 0), (2, 0), (0, 2)}))
+        mv = cylinder_measure(pattern, CylinderConstraint(((0, 0), (s, 0), (0, s)), (0, 0, 0)))
         assert mv.exact == Fraction(1, 4)
 
     def test_empty_constraint_has_full_measure(self):
@@ -170,7 +168,7 @@ class TestCylinderMeasure:
 class TestRelationSpace:
     def test_five_point_single_relation(self, ledrappier_support):
         rels = relation_space(SYS, FIVE)
-        assert [v.to_list() for v in rels] == [[1, 1, 1, 1, 1]]
+        assert rels == [0b11111]
         assert enumeration_relations(ledrappier_support, list(FIVE)) == [0b11111]
 
     def test_generic_pair_no_relations(self):
@@ -185,7 +183,7 @@ class TestRelationSpace:
             s = 1 << k
             sites = [(0, 0), (s, 0), (-s, 0), (0, s), (0, -s)]
             rels = relation_space(SYS, sites)
-            assert [v.to_list() for v in rels] == [[1, 1, 1, 1, 1]]
+            assert rels == [0b11111]
 
     def test_dyadic_reduction_cross_validation(self):
         # reduction and window method agree for scales up to 128
@@ -195,7 +193,7 @@ class TestRelationSpace:
             via_window = relation_space(SYS, sites)
             reduced = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0)]
             via_reduction = relation_space(SYS, reduced)
-            assert [v.to_list() for v in via_window] == [v.to_list() for v in via_reduction]
+            assert via_window == via_reduction
 
 
 class TestLedrappierOracle:
@@ -263,21 +261,21 @@ class TestWindowMethodCrossCheck:
     def test_matches_window_method(self, pattern):
         # Rank, consistency and the relation basis, bit for bit, against the
         # window method.
-        system = AlgebraicSystem(pattern)
         gen = substream(404, "window-cross", str(sorted(pattern.support)))
         for trial in range(60):
             sites = _cross_sites(pattern, gen, trial)
             k = len(sites)
             masks, n_gens = reference_window_masks(pattern, sites)
             m = gf2.BitMatrix(k, n_gens, tuple(masks))
-            rels = relation_space(system, sites)
-            assert rels == gf2.nullspace(transpose(m))
+            rels = relation_space(pattern, sites)
+            assert rels == [v.bits for v in gf2.nullspace(transpose(m))]
             assert k - len(rels) == gf2.rank(m)
             for bits in [(0,) * k, tuple(int(b) for b in gen.integers(0, 2, size=k))]:
-                solvable = gf2.solve_affine(m, gf2.BitVector.from_bits(bits)) is not None
+                rhs = gf2.BitVector(k, sum(b << i for i, b in enumerate(bits)))
+                solvable = gf2.solve_affine(m, rhs) is not None
                 expected = Fraction(1, 1 << gf2.rank(m)) if solvable else 0
                 c = CylinderConstraint(tuple(sites), bits)
-                assert cylinder_measure(system, c).exact == expected
+                assert cylinder_measure(pattern, c).exact == expected
 
 
 SQUARED = RelationPattern(frozenset({(0, 0), (2, 0), (0, 2)}))  # (1+x+y)^2
@@ -304,11 +302,11 @@ def _product_sites(pattern, gen):
 
 
 def _in_span(vectors, basis):
-    """Every vector lies in the GF(2) span of `basis` (dense rank test)."""
-    n = max([v.length for v in vectors + basis] + [1])
-    rows = tuple(v.bits for v in basis)
-    return gf2.rank(gf2.BitMatrix(len(rows) + len(vectors), n,
-                                  rows + tuple(v.bits for v in vectors))) \
+    """Every vector (an int) lies in the GF(2) span of `basis` (dense rank
+    test)."""
+    n = max([v.bit_length() for v in vectors + basis] + [1])
+    rows = tuple(basis)
+    return gf2.rank(gf2.BitMatrix(len(rows) + len(vectors), n, rows + tuple(vectors))) \
         == gf2.rank(gf2.BitMatrix(len(rows), n, rows))
 
 
@@ -321,41 +319,38 @@ class TestPlaneIdentities:
 
     @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
     def test_translation(self, pattern):
-        system = AlgebraicSystem(pattern)
         gen = substream(606, "translation", str(sorted(pattern.support)))
         for trial in range(30):
             sites = _cross_sites(pattern, gen, trial)
             vx, vy = (int(v) for v in gen.integers(-(1 << 20), (1 << 20) + 1, size=2))
             moved = [(x + vx, y + vy) for x, y in sites]
-            assert relation_space(system, moved) == relation_space(system, sites)
+            assert relation_space(pattern, moved) == relation_space(pattern, sites)
 
     @pytest.mark.parametrize("pattern", SQUARE_FREE, ids=lambda p: str(sorted(p.support)))
     def test_frobenius_keeps_relations(self, pattern):
-        system = AlgebraicSystem(pattern)
         gen = substream(607, "frobenius", str(sorted(pattern.support)))
         with_relations = 0
         for trial in range(16):
             sites = _product_sites(pattern, gen)
             k = 20 if trial % 4 == 0 else int(gen.integers(1, 11))
-            rels = relation_space(system, sites)
-            assert relation_space(system, [(x << k, y << k) for x, y in sites]) == rels
+            rels = relation_space(pattern, sites)
+            assert relation_space(pattern, [(x << k, y << k) for x, y in sites]) == rels
             with_relations += bool(rels)
         assert with_relations >= 8
 
     def test_frobenius_squared_pattern_gains_relations(self):
-        system = AlgebraicSystem(SQUARED)
         shape = [(0, 0), (1, 0), (0, 1)]
-        assert relation_space(system, shape) == []
+        assert relation_space(SQUARED, shape) == []
         for k in (1, 20):
             scaled = [(x << k, y << k) for x, y in shape]
-            assert [v.to_list() for v in relation_space(system, scaled)] == [[1, 1, 1]]
+            assert relation_space(SQUARED, scaled) == [0b111]
         gen = substream(608, "frobenius-squared")
         gained = 0
         for trial in range(24):
             sites = _product_sites(SQUARED, gen)
             k = 20 if trial % 4 == 0 else int(gen.integers(1, 11))
-            rels = relation_space(system, sites)
-            scaled = relation_space(system, [(x << k, y << k) for x, y in sites])
+            rels = relation_space(SQUARED, sites)
+            scaled = relation_space(SQUARED, [(x << k, y << k) for x, y in sites])
             assert _in_span(rels, scaled)
             gained += len(scaled) > len(rels)
         assert gained > 0
@@ -399,27 +394,28 @@ class TestRowPowers:
         powers = {}
         for rounds in range(2):
             for pattern in CROSS_PATTERNS:
-                system = AlgebraicSystem(pattern)
                 gen = substream(612, "shared-powers", rounds, str(sorted(pattern.support)))
                 for trial in range(15):
                     sites = _cross_sites(pattern, gen, trial)
-                    assert relation_space(system, sites, powers) == relation_space(system, sites)
+                    assert relation_space(pattern, sites, powers) == relation_space(pattern, sites)
         assert set(powers) == {_recurrence(p) for p in CROSS_PATTERNS}
 
 
-def _reference_measure(system, shifts, events):
+def _reference_measure(pattern, shifts, events):
     merged = merge_events(events, shifts)
     if merged is None:
         return MeasureValue.of_exact(0, contradiction=True)
-    return cylinder_measure(system, merged)
+    return cylinder_measure(pattern, merged)
 
 
-def _reference_certificate(system, shifts, events):
+def _reference_certificate(pattern, shifts, events):
     merged = merge_events(events, shifts)
     if merged is None:
         return {"sites": [], "relations": [], "contradiction": True}
+    n = len(merged.sites)
     return {"sites": [list(s) for s in merged.sites],
-            "relations": [v.to_list() for v in relation_space(system, merged.sites)]}
+            "relations": [[v >> k & 1 for k in range(n)]
+                          for v in relation_space(pattern, merged.sites)]}
 
 
 _CELLS = [(i, j) for i in range(-1, 2) for j in range(-1, 2)]
@@ -434,8 +430,7 @@ class TestIntersectionPlans:
         # call: each shift tuple is asked with two site layouts, each layout
         # with three bit choices, measure and certificate in either order,
         # each twice.
-        system = AlgebraicSystem(pattern)
-        oracle = LedrappierOracle(system)
+        oracle = LedrappierOracle(pattern)
         rng = random.Random(str(sorted(pattern.support)))
         evaluated = equal = unequal = 0
         for trial in range(40):
@@ -454,8 +449,8 @@ class TestIntersectionPlans:
                                 equal += seen[site] == bit
                                 unequal += seen[site] != bit
                             seen[site] = bit
-                    measure = _reference_measure(system, shifts, events)
-                    certificate = _reference_certificate(system, shifts, events)
+                    measure = _reference_measure(pattern, shifts, events)
+                    certificate = _reference_certificate(pattern, shifts, events)
                     for _ in range(2):
                         if rng.random() < 0.5:
                             assert oracle.intersection_measure(shifts, events) == measure
@@ -478,7 +473,7 @@ class TestIntersectionPlans:
 def _basis_grid(kernel, vec):
     """(height, width) 0/1 array of one flattened basis configuration."""
     n = kernel.width * kernel.height
-    raw = vec.bits.to_bytes((n + 7) // 8, "little")
+    raw = vec.to_bytes((n + 7) // 8, "little")
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
                          bitorder="little")[:n].reshape(kernel.height, kernel.width)
 
@@ -494,15 +489,14 @@ class TestTorusKernel:
 
     @pytest.mark.parametrize("w,h", [(3, 3), (3, 4), (4, 3), (3, 5)])
     def test_asymmetric_dimension_matches_enumeration(self, w, h):
-        system = AlgebraicSystem(CORNER)
-        assert torus_kernel(system, w, h).dim == kernel_dimension_bruteforce(system, w, h)
+        assert torus_kernel(CORNER, w, h).dim == kernel_dimension_bruteforce(CORNER, w, h)
 
     def test_zero_configuration_always_present(self):
         k = torus_kernel(SYS, 6, 9)
         # The zero combination is in the span by construction; basis elements
         # must each satisfy the wrapped relations.
         for vec in k.basis:
-            assert grid_satisfies_pattern(SYS.pattern, _basis_grid(k, vec))
+            assert grid_satisfies_pattern(SYS, _basis_grid(k, vec))
 
     @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
     @pytest.mark.parametrize("w,h", NONTRIVIAL_TORI + [(8, 8), (16, 12), (3, 64), (33, 32),
@@ -516,7 +510,7 @@ class TestTorusKernel:
         # renders, where states have up to 3 x 65 bits.  The last four tori
         # give the depth-3 pattern a small nonzero kernel whose Euclid rows
         # grow to 2-3 x w bits.
-        k = torus_kernel(AlgebraicSystem(pattern), w, h)
+        k = torus_kernel(pattern, w, h)
         if (w, h) in NONTRIVIAL_TORI:
             assert k.dim > 0
         assert k.basis == reference_torus_basis(pattern, w, h)
@@ -529,7 +523,7 @@ class TestTorusKernel:
     def test_basis_matches_elimination_at_large_sides(self, pattern, side):
         # The dense transfer matrix is too slow at these sides; the unit
         # columns eliminated bit by bit are not.
-        k = torus_kernel(AlgebraicSystem(pattern), side, side)
+        k = torus_kernel(pattern, side, side)
         assert k.dim > 0
         assert k.basis == reference_elimination_torus_basis(pattern, side, side)
 
@@ -557,7 +551,7 @@ class TestSampling:
     def test_samples_satisfy_relations(self):
         k = torus_kernel(SYS, 12, 12)
         for seed in range(5):
-            assert grid_satisfies_pattern(SYS.pattern, sample_configuration(k, seed))
+            assert grid_satisfies_pattern(SYS, sample_configuration(k, seed))
 
 
 class TestMonteCarlo:
@@ -631,7 +625,7 @@ class TestMonteCarlo:
 
     def test_hits_with_a_site_of_mask_zero(self):
         # No generator touches site (0, 0), so it reads 0 in every sample.
-        kernel = TorusKernel(5, 5, (gf2.BitVector(25, 0b110), gf2.BitVector(25, (1 << 7) | 0b100)))
+        kernel = TorusKernel(5, 5, (0b110, (1 << 7) | 0b100))
         assert kernel.site_mask((0, 0)) == 0
         for bits in [(0, 1, 1), (1, 1, 0), (0, 0, 0)]:
             c = CylinderConstraint(((0, 0), (1, 0), (2, 0)), bits)

@@ -196,12 +196,43 @@ PRODUCT2 = {"order": 2, "dims": 2, "weights": ["1/2", "1/2"], "entries": ["1/4"]
     (["joining", "--tensor"], "t.json", dict(PRODUCT2, dims="2")),
     (["joining", "--tensor"], "t.json", dict(PRODUCT2, exact="false")),
     (["joining", "--tensor"], "t.json", dict(PRODUCT2, exact=0, entries=[0.25] * 4)),
+    # sites, bits, pattern offsets, cuts and spacers must be JSON integers,
+    # and 2-d sites and pattern offsets pairs of them
+    (["measure", "--constellation"], "c.json", {"sites": [[0, 0], [1.9, 0]], "bits": [0, 0]}),
+    (["measure", "--constellation"], "c.json", {"sites": [[0, 0], [1, 0]], "bits": [1.7, 0]}),
+    (["measure", "--constellation"], "c.json", {"sites": [[0, True]], "bits": [0]}),
+    (["measure", "--constellation"], "c.json", {"sites": [[0, 0]], "bits": [True]}),
+    (["measure", "--constellation"], "c.json", {"sites": [[0, 0]], "bits": ["1"]}),
+    (["render", "--size", "9", "--pattern"], "p.json",
+     {"support": [[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1.5]]}),
+    (["render", "--size", "9", "--pattern"], "p.json", {"support": [[0, 0], [1]]}),
+    (["render", "--size", "9", "--pattern"], "p.json",
+     {"support": [[0, 0], [1, 0, 7], [0, 1]]}),
+    (["render", "--size", "9", "--pattern"], "p.json", {"support": [[0, 0], ["1", 0]]}),
+    (["rankone", "--spec"], "s.json", {"cuts": [2.9, 2], "spacers": [[0, 1.8], [0, 0]]}),
+    (["rankone", "--spec"], "s.json", {"cuts": [2], "spacers": [[False, "1"]]}),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, name, contents):
     path = _write(tmp_path / name, contents)
     assert cli.main(argv + [path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines()), err
+
+
+@pytest.mark.parametrize("command,params", [
+    ("scan-dev", {"h": 5, "epsilon": 0.1}),
+    ("rankone", {}),
+])
+def test_pattern_given_to_a_command_that_reads_none_exits_2(tmp_path, capsys, command, params):
+    # Only measure, scan mix, joining, percolate and render read --pattern.
+    config = {"command": command, "params": dict(params, pattern=NON_PROPAGATING)}
+    path = _write(tmp_path / "config.json", config)
+    assert cli.main(["replay", path, "--out", str(tmp_path / "out")]) == 2
+    assert "error: config parameter 'pattern' cannot be" in capsys.readouterr().err
+    argv = command.split("-") + [x for k, v in params.items() for x in (f"--{k}", str(v))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--pattern", path, "--out", str(tmp_path / "cli")])
+    assert exc.value.code == 2
 
 
 def test_bernoulli_dev_scan_with_plane_events_exits_3(tmp_path, capsys):

@@ -1,0 +1,43 @@
+"""Measure values: validation, the JSON keys of both kinds, and the
+fraction text round trip."""
+
+from fractions import Fraction
+
+import pytest
+
+from mixlab.measure import MeasureValue, format_fraction, parse_fraction
+
+
+def test_value_needed():
+    with pytest.raises(ValueError, match="exact value or an estimate"):
+        MeasureValue()
+    with pytest.raises(ValueError, match="exact value or an estimate"):
+        MeasureValue(stderr=0.1, samples=10)
+
+
+@pytest.mark.parametrize("value", [Fraction(-1, 8), Fraction(9, 8), -1, 2])
+def test_exact_value_outside_unit_interval_raises(value):
+    with pytest.raises(ValueError, match="outside \\[0, 1\\]"):
+        MeasureValue.of_exact(value)
+
+
+def test_exact_to_json_keys():
+    assert MeasureValue.of_exact(Fraction(3, 8), method="window").to_json() == \
+        {"exact": "3/8", "value": 0.375, "meta": {"method": "window"}}
+    assert MeasureValue.of_exact(1).to_json() == {"exact": "1", "value": 1.0}
+
+
+def test_estimate_to_json_keys():
+    mv = MeasureValue.of_estimate(0.25, 0.01, 1000, torus=[21, 21], seed=3)
+    out = mv.to_json()
+    assert out == {"estimate": 0.25, "stderr": 0.01, "samples": 1000,
+                   "meta": {"seed": 3, "torus": [21, 21]}}
+    assert list(out["meta"]) == ["seed", "torus"]  # meta keys sorted
+
+
+@pytest.mark.parametrize("x,text", [(Fraction(0), "0"), (Fraction(1), "1"),
+                                    (Fraction(1, 2), "1/2"), (Fraction(3, 1024), "3/1024"),
+                                    (Fraction(7, 3), "7/3")])
+def test_fraction_text_round_trip(x, text):
+    assert format_fraction(x) == text
+    assert parse_fraction(text) == x

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from mixlab import percolation
-from mixlab.algebraic import (MAX_TORUS_SIDE, grid_satisfies_pattern, ledrappier_system,
+from mixlab.algebraic import (LEDRAPPIER_PATTERN, MAX_TORUS_SIDE, grid_satisfies_pattern,
                               sample_configuration, torus_kernel)
 from mixlab.percolation import MAX_SWEEP_SAMPLES, clusters, percolation_sweep
 from mixlab.rng import mix
 
 from conftest import bfs_cover_clusters, partitions_equal
 
-SYS = ledrappier_system()
+SYS = LEDRAPPIER_PATTERN
 
 
 def _kernel_samples(w, h, count):
@@ -49,7 +49,7 @@ class TestClustersMatchBFS:
     @pytest.mark.parametrize("w,h", [(9, 9), (12, 12), (6, 9), (15, 6)])
     def test_kernel_samples(self, w, h, connectivity, bit):
         for grid in _kernel_samples(w, h, 4):
-            assert grid_satisfies_pattern(SYS.pattern, grid)
+            assert grid_satisfies_pattern(SYS, grid)
             _assert_matches_bfs(grid, connectivity, bit)
 
     @pytest.mark.parametrize("connectivity", [4, 8])

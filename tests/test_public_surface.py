@@ -1,5 +1,6 @@
 """Every public function, class and method in `src/mixlab` is used there,
-and every function the benchmark's tracer wraps by name exists.
+every function the benchmark's tracer wraps by name exists, and the
+tracer's observers read the arguments they count.
 
 A name counts as used when `src/mixlab` mentions it as a name, as an
 attribute, or as an identifier-shaped string (as in `getattr(oracle,
@@ -9,8 +10,11 @@ attribute, or as an identifier-shaped string (as in `getattr(oracle,
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+from mixlab import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mixlab"
@@ -57,14 +61,20 @@ def test_allowlist_names_exist():
     assert set(ALLOWED) <= {q.rpartition(".")[2] for q in defined}
 
 
-def test_tracer_targets_resolve(monkeypatch):
-    # mixbench/tracing.py rebinds each target by module and name; a renamed
-    # target would only fail a traced benchmark run.
+def _tracing(monkeypatch):
+    """mixbench/tracing.py, loaded read-only by file."""
     spec = importlib.util.spec_from_file_location("mixbench_tracing",
                                                   ROOT / "mixbench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_tracer_targets_resolve(monkeypatch):
+    # mixbench/tracing.py rebinds each target by module and name; a renamed
+    # target would only fail a traced benchmark run.
+    tracing = _tracing(monkeypatch)
     missing = []
     for target in tracing.TARGETS:
         module = importlib.import_module(target.module)
@@ -74,3 +84,22 @@ def test_tracer_targets_resolve(monkeypatch):
         if not found:
             missing.append(target.name)
     assert tracing.TARGETS and missing == []
+
+
+def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path):
+    # The observers read torus_kernel's arguments 1 and 2 (w and h) and
+    # mc_cylinder_measure's argument 2 (the sample count) by position; a
+    # moved parameter would miscount a traced run without failing it.
+    tracing = _tracing(monkeypatch)
+    c = tmp_path / "c.json"
+    c.write_text(json.dumps({"sites": [[0, 0], [1, 0]], "bits": [0, 1]}), encoding="utf-8")
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        assert cli.main(["render", "--size", "9", "--out", str(tmp_path / "r")]) == 0
+        assert cli.main(["measure", "--mc", "--torus", "21", "--samples", "1000",
+                         "--constellation", str(c), "--out", str(tmp_path / "m")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["algebraic.torus_cells"] == 81 + 441
+    assert tracer.counts["algebraic.mc_samples"] == 1000
