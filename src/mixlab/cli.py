@@ -182,9 +182,11 @@ def _emit_config(outdir: str, command: str, params: dict) -> dict:
 # every parser default)
 
 def cmd_measure(params: dict) -> int:
+    system_name = params["system"]
+    if system_name == "bernoulli" and params.get("pattern") is not None:
+        raise ValidationError("--pattern is not read by measure --system bernoulli")
     outdir = _prepare_outdir(params)
     config = _emit_config(outdir, "measure", params)
-    system_name = params["system"]
     constraint = _parse_input(params, "constellation", CylinderConstraint.from_json)
     if system_name == "bernoulli":
         result = bernoulli_cylinder_measure(zip(constraint.sites, constraint.bits))
@@ -230,12 +232,14 @@ def cmd_scan_dev(params: dict) -> int:
 
 
 def cmd_scan_mix(params: dict) -> int:
+    system = params["system"]
+    if system == "bernoulli" and params.get("pattern") is not None:
+        raise ValidationError("--pattern is not read by scan mix --system bernoulli")
     outdir = _prepare_outdir(params)
     _emit_config(outdir, "scan-mix", params)
     k = params["order"]
     if not 1 <= k <= MAX_SCAN_ORDER:  # before k + 1 default events are built
         raise ValidationError(f"--order must lie in 1..{MAX_SCAN_ORDER}")
-    system = params["system"]
     budget = params["budget"]
     if system == "ledrappier":
         oracle = LedrappierOracle(_pattern(params))
@@ -273,6 +277,8 @@ def cmd_scan_mix(params: dict) -> int:
 
 
 def cmd_joining(params: dict) -> int:
+    if params.get("tensor") is not None and params.get("pattern") is not None:
+        raise ValidationError("--pattern is not read by joining --tensor")
     outdir = _prepare_outdir(params)
     _emit_config(outdir, "joining", params)
     if params.get("tensor") is not None:
@@ -333,7 +339,7 @@ def cmd_render(params: dict) -> int:
     for f in formats:
         if f == "svg":
             if params.get("clusters"):
-                rep = clusters(grid, params["connectivity"], params["bit"])
+                rep = clusters(grid, params["connectivity"])[params["bit"]]
                 _write_text(outdir, "grid.svg",
                             svgmod.cluster_svg(grid, rep.labels, rep.target_bit,
                                                title=f"clusters size={size} seed={seed}"))

@@ -1,13 +1,13 @@
 """Thread and cluster analysis of sampled lattice configurations.
 
-Connected components of a chosen bit value under 4- or 8-connectivity on the
-torus, labelled on arrays: components of the open box come from pointer
-jumping over the edges that do not wrap, and a small union-find joins them
-across the seam edges that do.  Its nodes keep their position in the
-universal cover, so a seam edge that closes a cycle with a nonzero
-displacement winds around the torus, the standard finite-volume proxy for an
-infinite thread.  The analyzer is bit-symmetric; sweeps always report both
-bit values.
+Connected components of equal-valued cells under 4- or 8-connectivity on the
+torus, labelled on arrays in one pass for both bit values: components of the
+open box come from pointer jumping over the edges that do not wrap, and a
+small union-find joins them across the seam edges that do.  Its nodes keep
+their position in the universal cover, so a seam edge that closes a cycle
+with a nonzero displacement winds around the torus, the standard
+finite-volume proxy for an infinite thread.  Every component has one colour,
+so the one labelling yields a report per bit value.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ _STEPS = {
 @functools.lru_cache(maxsize=4)
 def _torus_edges(h: int, w: int, connectivity: int) -> tuple[np.ndarray, ...]:
     """Every edge of the h x w torus graph, as flat cell indices: (u, v) of
-    the edges inside the open box, then (u, v, code) of the seam edges that
-    wrap, from a cell to the copy of its neighbour (kx, ky) tori away, with
+    the edges inside the open box except the row steps (`clusters` joins
+    those by runs), then (u, v, code) of the seam edges that wrap, from a
+    cell to the copy of its neighbour (kx, ky) tori away, with
     code = 3 (kx + 1) + ky + 1."""
     ys, xs = np.indices((h, w)).reshape(2, -1)
     cell = ys * w + xs
@@ -67,8 +68,9 @@ def _torus_edges(h: int, w: int, connectivity: int) -> tuple[np.ndarray, ...]:
         ky, ny = np.divmod(ys + dy, h)
         nbr = ny * w + nx
         wraps = (kx != 0) | (ky != 0)
-        box_u.append(cell[~wraps])
-        box_v.append(nbr[~wraps])
+        inside = ~wraps & (dy != 0)
+        box_u.append(cell[inside])
+        box_v.append(nbr[inside])
         seam_u.append(cell[wraps])
         seam_v.append(nbr[wraps])
         seam_code.append((3 * (kx + 1) + ky + 1)[wraps])
@@ -78,17 +80,16 @@ def _torus_edges(h: int, w: int, connectivity: int) -> tuple[np.ndarray, ...]:
     return edges
 
 
-def _box_roots(target: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _box_roots(parent: np.ndarray, joined: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Map each cell to the smallest flat index of its component under the
-    edges (u, v) joining target cells; non-target cells map to themselves.
+    edges (u, v) where `joined` is set, starting from `parent`, a forest in
+    which every cell points at its tree's smallest cell.
 
     Each round hooks the larger root of every edge to the smaller one with
     `np.minimum.at`, jumps pointers among the hooked roots until each
     reaches a root, then points every cell at its root again.
     """
-    keep = target[u] & target[v]
-    u, v = u[keep], v[keep]
-    parent = np.arange(target.size)
+    u, v = u[joined], v[joined]
     while True:
         ru, rv = parent[u], parent[v]
         live = ru != rv
@@ -101,32 +102,40 @@ def _box_roots(target: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         while True:
             up = parent[hooked]
             jumped = parent[up]
-            if np.array_equal(jumped, up):
+            if (jumped == up).all():
                 break
             parent[hooked] = jumped
         parent = parent[parent]
 
 
-def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> ClusterReport:
-    """Clusters of `target_bit` cells with torus wraparound.
+def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, ClusterReport]:
+    """(report for bit 0, report for bit 1) of the clusters with torus
+    wraparound, from one labelling that joins every pair of equal-valued
+    neighbours, so that each component has one colour.
 
     Components of the open box (`_box_roots`) are joined across the O(w+h)
     seam edges in a union-find whose nodes keep their cover offset (dx, dy),
     in tori, from their set's root.  A seam edge inside one set closes a
     cycle winding dx times horizontally and dy times vertically.  The
     fundamental cycles of this spanning forest generate each cluster's
-    winding lattice, so the horizontal / vertical wrap flag is set exactly
-    when some cluster winds in x / y.  Each set keeps its smallest root, its
-    first row-major cell, so sorted roots number the clusters in that order.
+    winding lattice, so a bit's horizontal / vertical wrap flag is set exactly
+    when one of its clusters winds in x / y.  Each set keeps its smallest
+    root, its first row-major cell, so a running count of the roots numbers
+    the clusters in that order.
     """
     if connectivity not in _STEPS:
         raise ValueError("connectivity must be 4 or 8")
-    if target_bit not in (0, 1):
-        raise ValueError("target bit must be 0 or 1")
     h, w = grid.shape
+    n = h * w
     box_u, box_v, seam_u, seam_v, seam_code = _torus_edges(h, w, connectivity)
-    target = np.asarray(grid == target_bit).ravel()
-    roots = _box_roots(target, box_u, box_v)
+    flat = np.asarray(grid).ravel()
+    # Each run of equal values along a row starts as one tree rooted at its
+    # first cell, so the row steps inside the box need no hooking.
+    run_start = np.ones(n, dtype=bool)
+    run_start[1:] = flat[1:] != flat[:-1]
+    run_start[::w or 1] = True
+    runs = np.maximum.accumulate(np.where(run_start, np.arange(n), 0))
+    roots = _box_roots(runs, flat[box_u] == flat[box_v], box_u, box_v)
     up: dict[int, tuple[int, int, int]] = {}  # node -> (parent, dx, dy)
 
     def find(node: int) -> tuple[int, int, int]:
@@ -144,41 +153,50 @@ def clusters(grid: np.ndarray, connectivity: int = 4, target_bit: int = 0) -> Cl
 
     # Seam edges between the same two box components with the same step are
     # one edge to the union-find: box components carry no offset.
-    keep = target[seam_u] & target[seam_v]
-    keys = (roots[seam_u[keep]] * (h * w) + roots[seam_v[keep]]) * 9 + seam_code[keep]
-    wrap_h = wrap_v = False
-    for key in np.unique(keys).tolist():
+    keep = flat[seam_u] == flat[seam_v]
+    keys = (roots[seam_u[keep]] * n + roots[seam_v[keep]]) * 9 + seam_code[keep]
+    winds_h, winds_v = set(), set()  # the bits of the clusters that wind in x / y
+    for key in set(keys.tolist()):
         pair, code = divmod(key, 9)
-        a, b = divmod(pair, h * w)
+        a, b = divmod(pair, n)
         ra, ax, ay = find(a)
         rb, bx, by = find(b)
         # The copy of b reached from a lies at ra + (ax + kx, ay + ky), and b
         # itself at rb + (bx, by): dx, dy is the offset of rb from ra.
         dx, dy = ax + code // 3 - 1 - bx, ay + code % 3 - 1 - by
         if ra == rb:
-            wrap_h = wrap_h or dx != 0
-            wrap_v = wrap_v or dy != 0
+            if dx:
+                winds_h.add(int(flat[ra]))
+            if dy:
+                winds_v.add(int(flat[ra]))
         elif ra < rb:
             up[rb] = (ra, dx, dy)
         else:
             up[ra] = (rb, -dx, -dy)
     if up:
-        merged = np.arange(h * w)
+        merged = np.arange(n)
         nodes = list(up)
         merged[nodes] = [find(node)[0] for node in nodes]
         roots = merged[roots]
-    firsts, inverse, sizes = np.unique(roots[target], return_inverse=True, return_counts=True)
-    labels = np.full(h * w, -1, dtype=np.int64)
-    labels[target] = inverse
-    return ClusterReport(
-        target_bit=target_bit, cluster_count=len(firsts), target_cells=int(target.sum()),
-        largest=int(sizes.max(initial=0)), wraps_horizontal=wrap_h, wraps_vertical=wrap_v,
-        labels=labels.reshape(h, w),
-    )
+    sizes = np.bincount(roots, minlength=n)
+    is_root = roots == np.arange(n)
+
+    def report(bit: int) -> ClusterReport:
+        cells = flat == bit
+        first = is_root & cells
+        return ClusterReport(
+            target_bit=bit, cluster_count=int(np.count_nonzero(first)),
+            target_cells=int(np.count_nonzero(cells)), largest=int(sizes[first].max(initial=0)),
+            wraps_horizontal=bit in winds_h, wraps_vertical=bit in winds_v,
+            labels=np.where(cells, np.cumsum(first)[roots] - 1, -1).reshape(h, w),
+        )
+
+    return report(0), report(1)
 
 
-# One sample costs a draw and two labellings, about 2 ms at side 65, so a
-# size of that scale stays under half a minute.
+# One sample costs a draw and one labelling, about 1 ms at side 65 (1.5 ms
+# with 8-connectivity) on a 2-vCPU Xeon VM, so a size of that scale stays
+# under 20 s.
 MAX_SWEEP_SAMPLES = 10_000
 
 # Each size builds its own kernel (0.01 s at side 257, 0.2-0.3 s and
@@ -218,15 +236,10 @@ def percolation_sweep(pattern: RelationPattern, sizes: Sequence[int],
         config = sample_configuration(kernel, mix(seed, "sweep", kernel.width, s_idx))
         if not grid_satisfies_pattern(pattern, config):
             raise AssertionError("sampled configuration violates the defining relation")
-        out = {}
-        for bit in (0, 1):
-            rep = clusters(config, connectivity, bit)
-            total = rep.target_cells
-            out[bit] = {
-                "wrap": rep.wraps_horizontal or rep.wraps_vertical,
-                "largest_fraction": rep.largest / total if total else 0.0,
-            }
-        return out[0], out[1]
+        # A bit with no cells has largest 0, so its fraction is 0.0.
+        return tuple({"wrap": rep.wraps_horizontal or rep.wraps_vertical,
+                      "largest_fraction": rep.largest / max(rep.target_cells, 1)}
+                     for rep in clusters(config, connectivity))
 
     for size in sizes:
         kernel = torus_kernel(pattern, size, size)

@@ -235,6 +235,30 @@ def test_pattern_given_to_a_command_that_reads_none_exits_2(tmp_path, capsys, co
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command,params,inputs,route", [
+    ("measure", {"system": "bernoulli"},
+     {"constellation": {"sites": [0, 1], "bits": [0, 1]}}, "measure --system bernoulli"),
+    ("scan-mix", {"system": "bernoulli", "order": 2}, {}, "scan mix --system bernoulli"),
+    ("joining", {}, {"tensor": PRODUCT2}, "joining --tensor"),
+])
+def test_pattern_on_a_route_that_reads_none_exits_2(tmp_path, capsys, command, params,
+                                                    inputs, route):
+    # These routes of measure, scan mix and joining never parse --pattern,
+    # so even a malformed one would be copied into config.json unread.
+    pattern = {"support": [[0, 0.5]]}
+    out = tmp_path / "out"
+    files = dict(params, **{k: _write(tmp_path / f"{k}.json", v) for k, v in inputs.items()},
+                 pattern=_write(tmp_path / "p.json", pattern))
+    argv = command.split("-") + [x for k, v in files.items() for x in (f"--{k}", str(v))]
+    assert cli.main(argv + ["--out", str(out)]) == 2
+    assert f"error: --pattern is not read by {route}" in capsys.readouterr().err
+    config = {"command": command, "params": dict(params, **inputs, pattern=pattern)}
+    path = _write(tmp_path / "config.json", config)
+    assert cli.main(["replay", path, "--out", str(out)]) == 2
+    assert f"error: --pattern is not read by {route}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bernoulli_dev_scan_with_plane_events_exits_3(tmp_path, capsys):
     e = _write(tmp_path / "e.json", {"events": [{"sites": [[0, 0]], "bits": [0]}] * 3})
     assert cli.main(["scan", "dev", "--events", e, "--h", "10", "--epsilon", "0.1",

@@ -32,7 +32,7 @@ def _assert_discovery_order(labels):
 
 
 def _assert_matches_bfs(grid, connectivity, bit):
-    rep = clusters(grid, connectivity, bit)
+    rep = clusters(grid, connectivity)[bit]
     labels, wrap_h, wrap_v = bfs_cover_clusters(grid, connectivity, bit)
     assert partitions_equal(rep.labels, labels)
     _assert_discovery_order(rep.labels)
@@ -91,17 +91,45 @@ class TestClustersMatchBFS:
 
     def test_full_grid_wraps_both_ways(self):
         grid = np.zeros((6, 8), dtype=np.uint8)
-        rep = clusters(grid, 4, 0)
+        rep = clusters(grid, 4)[0]
         assert rep.cluster_count == 1 and rep.largest == 48
         assert rep.wraps_horizontal and rep.wraps_vertical
-        assert clusters(grid, 4, 1).cluster_count == 0
+        assert clusters(grid, 4)[1].cluster_count == 0
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_complement_swaps_the_reports(self, connectivity):
+        # clusters(1 - g) is clusters(g) with the bit-0 and bit-1 reports
+        # swapped, labels included.
+        rng = np.random.default_rng(13)
+        grids = _kernel_samples(9, 9, 3) + _kernel_samples(15, 6, 3)
+        grids += [(rng.random((h, w)) < density).astype(np.uint8)
+                  for h, w in [(1, 1), (2, 3), (7, 5), (16, 9)] for density in (0.3, 0.7)]
+        for grid in grids:
+            zeros, ones = clusters(grid, connectivity)
+            flipped = clusters(1 - grid, connectivity)
+            for rep, mirror in ((zeros, flipped[1]), (ones, flipped[0])):
+                assert mirror.target_bit == 1 - rep.target_bit
+                for name in ("cluster_count", "target_cells", "largest",
+                             "wraps_horizontal", "wraps_vertical"):
+                    assert getattr(mirror, name) == getattr(rep, name), name
+                assert np.array_equal(mirror.labels, rep.labels)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_wrap_flags_belong_to_the_winding_bit(self, connectivity):
+        # Isolated zeros in a sea of ones: the ones wind both ways, the
+        # zeros neither way.
+        grid = np.ones((8, 10), dtype=np.uint8)
+        grid[[1, 1, 4, 6], [2, 7, 4, 8]] = 0
+        zeros, ones = clusters(grid, connectivity)
+        assert (zeros.target_bit, zeros.cluster_count, zeros.largest) == (0, 4, 1)
+        assert not zeros.wraps_horizontal and not zeros.wraps_vertical
+        assert (ones.target_bit, ones.cluster_count, ones.largest) == (1, 1, 76)
+        assert ones.wraps_horizontal and ones.wraps_vertical
 
     def test_invalid_arguments(self):
         grid = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
-            clusters(grid, 6, 0)
-        with pytest.raises(ValueError):
-            clusters(grid, 4, 2)
+            clusters(grid, 6)
 
 
 def _summary(cells, h, w, connectivity):
@@ -110,7 +138,7 @@ def _summary(cells, h, w, connectivity):
     grid = np.ones((h, w), dtype=np.uint8)
     for x, y in cells:
         grid[y, x] = 0
-    rep = clusters(grid, connectivity, 0)
+    rep = clusters(grid, connectivity)[0]
     return (rep.cluster_count, rep.largest, rep.target_cells,
             rep.wraps_horizontal, rep.wraps_vertical)
 
@@ -170,7 +198,7 @@ class TestSweep:
         kernel = torus_kernel(SYS, 9, 9)
         grid = sample_configuration(kernel, mix(5, "sweep", 9, 0))
         for row in rows:
-            rep = clusters(grid, 8, row.bit)
+            rep = clusters(grid, 8)[row.bit]
             total = rep.target_cells
             assert row.wrap_fraction == float(rep.wraps_horizontal or rep.wraps_vertical)
             assert row.largest_fraction_mean == (rep.largest / total if total else 0.0)

@@ -103,3 +103,18 @@ def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path):
         tracer.uninstall()
     assert tracer.counts["algebraic.torus_cells"] == 81 + 441
     assert tracer.counts["algebraic.mc_samples"] == 1000
+
+
+def test_sweep_labels_each_sample_once(monkeypatch, tmp_path):
+    # The cluster_cells observer reads clusters' argument 0 (the grid); one
+    # labelling per sample counts each sample's cells once.
+    tracing = _tracing(monkeypatch)
+    tracer = tracing.Tracer()
+    tracer.install(tracing.TARGETS)
+    try:
+        assert cli.main(["percolate", "--sizes", "9,11", "--samples", "2",
+                         "--out", str(tmp_path / "p")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["percolation.cluster_cells"] == 2 * 81 + 2 * 121
+    assert sum(span.name == "percolation.clusters" for span in tracer.spans) == 2 + 2
