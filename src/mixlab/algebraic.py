@@ -13,17 +13,21 @@ single topmost cell, a configuration's rows obey a linear recurrence over
 GF(2)[x, x^-1] (characteristic polynomial chi(t) from the stencil taps), so
 Haar measure projects onto `depth` consecutive free rows as the uniform
 measure and the functional at site (a, b0+n) is x^a t^n mod chi(t), computed
-by square-and-multiply (Laurent-polynomial view of Ledrappier 1978 and of
-Schmidt, Dynamical Systems of Algebraic Origin, 1995).  Other patterns are
-sheared first so that one cell is topmost.  Relations among the sites come
-from one elimination of these masks, with no window and no scale limit.
+by square-and-multiply from the longest binary prefix of n already computed
+(Laurent-polynomial view of Ledrappier 1978 and of Schmidt, Dynamical
+Systems of Algebraic Origin, 1995).  Other patterns are sheared first so
+that one cell is topmost.  Relations among the sites come from one
+elimination of these masks, with no window and no scale limit.
 Squaring is Frobenius, p(x)^2 = p(x^2): two byte-translate tables spread
 each byte's nibbles into the bytes of the square.
 
 `LedrappierOracle` merges the shifted event sites of a shift tuple once,
 into a plan that every entry differing only in its bits reads, and keeps
 relations per site tuple and the powers u^n per recurrence and n for its
-lifetime; nothing is cached beyond the oracle.
+lifetime.  The powers form a prefix ladder: with each u^n the oracle holds
+u^(n >> k) for every k, and a new n starts from its longest prefix held, so
+a dyadic family costs one squaring per scale.  Beyond the oracle only the
+exact values are kept: one shared `MeasureValue` per rank.
 
 Torus kernels run the same recurrence (`RelationPattern.recurrence`) on
 rows that wrap around, once per row block.  The step commutes with
@@ -199,26 +203,42 @@ def _frobenius(p: int) -> int:
     return int.from_bytes(out, "little")
 
 
-def _u_power(n: int, depth: int, taps: Sequence[tuple[int, int]]) -> list[int]:
-    """Coefficients of u^0 .. u^(depth-1) in u^n mod chi, by square-and-multiply:
-    squaring is Frobenius, and reducing u^d, d >= depth, XORs one shifted
-    coefficient per tap (m, s) of u^depth = sum of x^s u^(depth-m)."""
-    def reduce(poly: list[int]) -> list[int]:
-        for d in range(len(poly) - 1, depth - 1, -1):
-            c = poly[d]
-            if c:
-                for m, s in taps:
-                    poly[d - m] ^= c << s
-        del poly[depth:]
-        return poly
+def _reduce(poly: list[int], depth: int, taps: Sequence[tuple[int, int]]) -> list[int]:
+    """`poly` in u reduced mod chi in place: each coefficient u^d, d >= depth,
+    XORs one shifted copy per tap (m, s) of u^depth = sum of x^s u^(depth-m)."""
+    for d in range(len(poly) - 1, depth - 1, -1):
+        c = poly[d]
+        if c:
+            for m, s in taps:
+                poly[d - m] ^= c << s
+    del poly[depth:]
+    return poly
 
-    acc = reduce([1] + [0] * (depth - 1))
-    for bit in bin(n)[2:]:
+
+def _u_power(n: int, depth: int, taps: Sequence[tuple[int, int]], cache: dict) -> list[int]:
+    """Coefficients of u^0 .. u^(depth-1) in u^n mod chi, up a prefix ladder.
+
+    The binary prefixes of n are n >> k.  Starting from the longest one that
+    `cache` holds (u^0 when it holds none), each further bit of n squares
+    (Frobenius, coefficient by coefficient) and, for a 1, multiplies by u,
+    and every u^(n >> j) passed on the way goes into `cache`.  So the cache
+    holds every prefix of every power in it, and u^(2^s) after u^(2^(s-1))
+    costs one squaring.
+    """
+    k = 0
+    while (n >> k) not in cache:
+        if not n >> k:
+            cache[0] = _reduce([1] + [0] * (depth - 1), depth, taps)
+            break
+        k += 1
+    acc = cache[n >> k]
+    for j in range(k - 1, -1, -1):
         square = [0] * max(2 * depth - 1, 0)
         square[::2] = map(_frobenius, acc)
-        acc = reduce(square)
-        if bit == "1":
-            acc = reduce([0] + acc)
+        acc = _reduce(square, depth, taps)
+        if n >> j & 1:
+            acc = _reduce([0] + acc, depth, taps)
+        cache[n >> j] = acc
     return acc
 
 
@@ -238,9 +258,10 @@ def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
     row-k polynomials shifted alike to nonnegative exponents.  Returns
     (mask per site, generator count).
 
-    `powers`, when given, keeps every u^n computed here for later calls,
-    keyed by the recurrence (depth, taps) and n, so one dict may serve
-    several patterns.
+    The u^n come from `_u_power`'s prefix ladder over one dict per
+    recurrence (depth, taps), keyed by n, so the sites of a call share
+    prefixes.  `powers`, when given, keeps these dicts for later calls, and
+    one `powers` may serve several patterns.
     """
     if not pattern.is_propagating():
         j_lo, j_hi = pattern.j_range
@@ -262,9 +283,7 @@ def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
     masks = []
     for a, b in sites:
         n = b - b0
-        coeffs = cache.get(n)
-        if coeffs is None:
-            coeffs = cache[n] = _u_power(n, depth, taps)
+        coeffs = _u_power(n, depth, taps, cache)
         base = a - a0 + e * (top - n)
         masks.append(sum(c << (base + k * stride) for k, c in enumerate(coeffs)))
     return masks, depth * stride
@@ -320,16 +339,22 @@ def relation_space(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
     return _relations(masks)
 
 
+# Exact measures are immutable, so every result of one value is one object.
+_WINDOW_ZERO = MeasureValue.of_exact(0, method="window")
+_CONTRADICTION = MeasureValue.of_exact(0, contradiction=True)
+
+
 @functools.lru_cache(maxsize=256)
-def _dyadic(r: int) -> Fraction:  # one shared, immutable 2^(-r) per exponent
-    return Fraction(1, 1 << r)
+def _window_value(r: int) -> MeasureValue:
+    """The shared measure 2^(-r) of a cylinder of rank r."""
+    return MeasureValue.of_exact(Fraction(1, 1 << r), method="window")
 
 
 def _measure_from_relations(relations: Sequence[int], bits: Sequence[int]) -> MeasureValue:
     b = sum(bit << k for k, bit in enumerate(bits))
     if any((v & b).bit_count() & 1 for v in relations):
-        return MeasureValue.of_exact(0, method="window")
-    return MeasureValue.of_exact(_dyadic(len(bits) - len(relations)), method="window")
+        return _WINDOW_ZERO
+    return _window_value(len(bits) - len(relations))
 
 
 def cylinder_measure(pattern: RelationPattern, c: CylinderConstraint) -> MeasureValue:
@@ -654,7 +679,9 @@ class LedrappierOracle:
     bits through the plan's positions; two different bits at one position
     make it a contradiction of measure 0.  Relations are kept per merged
     site tuple, and the row powers u^n behind the site masks per recurrence
-    and n (`_window_masks`), so a job computes each of them once.
+    and n (`_window_masks`), so a job computes each of them once.  The
+    powers form a prefix ladder (`_u_power`): each u^n is kept with u^(n >> k)
+    for every k, and a new n starts from its longest prefix held.
     """
 
     def __init__(self, pattern: RelationPattern = LEDRAPPIER_PATTERN):
@@ -707,7 +734,7 @@ class LedrappierOracle:
         plan = self._plan(shifts, events)
         bits = self._merged_bits(plan, events)
         if bits is None:
-            return MeasureValue.of_exact(0, contradiction=True)
+            return _CONTRADICTION
         return _measure_from_relations(self._plan_relations(plan), bits)
 
     def relation_certificate(self, shifts: Sequence[Site],

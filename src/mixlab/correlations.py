@@ -173,8 +173,10 @@ def mix_defect_scan(oracle: CorrelationOracle, k: int, events: Sequence,
 # than algebraic.MAX_GENERATORS cells: no member could be measured, so its
 # 2^n-bit shifts are never built.
 MAX_DYADIC_SCALE = 24
-# An exact oracle keeps u^n, a few KB at this box, for every row offset
-# n <= 2 box a scan meets; a tuple takes about 1 ms here.
+# An exact oracle keeps u^n, up to 4 KB at this box, for every row offset
+# n <= 2 box a scan meets, with every binary prefix of n: 18 MB if it meets
+# them all, about 7 MB after 1,000 tuples of order 4.  A tuple takes about
+# 0.3 ms here at order 4 and 1.5 ms at order 16 (one 2-vCPU Xeon core).
 MAX_SCAN_BOX = 4096
 
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 
 @dataclass(frozen=True)
@@ -12,20 +13,23 @@ class MeasureValue:
     """Either an exact rational measure or an estimate with a standard error.
 
     At least one of `exact` / `estimate` is present.  Exact values come from
-    rank computations and never touch floating point.
+    rank computations and never touch floating point.  Values are shared
+    (the window method returns one object per rank), so `meta` is kept as a
+    read-only view of a copy of what was passed.
     """
 
     exact: Optional[Fraction] = None
     estimate: Optional[float] = None
     stderr: Optional[float] = None
     samples: Optional[int] = None
-    meta: dict = field(default_factory=dict, compare=False)
+    meta: Mapping = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.exact is None and self.estimate is None:
             raise ValueError("measure needs an exact value or an estimate")
         if self.exact is not None and not 0 <= self.exact <= 1:
             raise ValueError(f"exact measure {self.exact} outside [0, 1]")
+        object.__setattr__(self, "meta", MappingProxyType(dict(self.meta)))
 
     @classmethod
     def of_exact(cls, value: Fraction | int, **meta) -> "MeasureValue":

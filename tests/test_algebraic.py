@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mixlab import gf2
+from mixlab import algebraic, gf2
 from mixlab.algebraic import (
     BernoulliOracle,
     CylinderConstraint,
@@ -28,6 +28,7 @@ from mixlab.algebraic import (
     _mc_draw,
     _u_power,
     _window_masks,
+    _window_value,
 )
 from mixlab.measure import MeasureValue
 from mixlab.rng import substream
@@ -135,6 +136,31 @@ class TestCylinderMeasure:
         c = CylinderConstraint(((0, 0), (5, 3)), (0, 1))
         a, b = cylinder_measure(SYS, c), cylinder_measure(SYS, c)
         assert a.exact == Fraction(1, 4) and a.exact is b.exact
+
+    def test_window_values_are_shared_per_rank(self):
+        # 0..300 passes the lru size, so evicted ranks are built again.
+        for r in range(301):
+            mv = _window_value(r)
+            assert mv == MeasureValue.of_exact(Fraction(1, 2 ** r), method="window")
+            assert mv.meta == {"method": "window"}
+            assert _window_value(r) is mv
+        c = CylinderConstraint(((0, 0), (5, 3)), (0, 1))
+        assert cylinder_measure(SYS, c) is _window_value(2)
+        zero = cylinder_measure(SYS, CylinderConstraint(FIVE, (1, 0, 0, 0, 0)))
+        assert zero == MeasureValue.of_exact(0, method="window")
+        assert zero.meta == {"method": "window"}
+        assert cylinder_measure(SYS, CylinderConstraint(FIVE, (0, 1, 0, 0, 0))) is zero
+
+    def test_contradiction_value_is_shared(self):
+        oracle = LedrappierOracle()
+        a = CylinderConstraint(((0, 0),), (0,))
+        b = CylinderConstraint(((0, 0),), (1,))
+        mv = oracle.intersection_measure(((0, 0), (0, 0)), (a, b))
+        assert mv == MeasureValue.of_exact(0, contradiction=True)
+        assert mv.meta == {"contradiction": True}
+        assert oracle.intersection_measure(((3, 1), (3, 1)), (b, a)) is mv
+        with pytest.raises(TypeError):
+            mv.meta["contradiction"] = False
 
     def test_shift_invariance(self):
         gen = substream(11, "shift")
@@ -386,7 +412,48 @@ class TestRowPowers:
         rng = random.Random(str(sorted(pattern.support)))
         ns = list(range(71)) + [rng.randint(0, 5000) for _ in range(40)] + [1 << j for j in range(1, 21)]
         for n in ns:
-            assert _u_power(n, depth, taps) == reference_u_power(n, depth, taps)
+            assert _u_power(n, depth, taps, {}) == reference_u_power(n, depth, taps)
+
+    @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    def test_prefix_ladder_matches_reference(self, pattern):
+        # One cache for every query, in a seeded random order: each power
+        # starts from whatever prefix earlier queries left.
+        depth, taps = _recurrence(pattern)
+        rng = random.Random("ladder" + str(sorted(pattern.support)))
+        ns = list(range(71)) + [rng.randint(0, 5000) for _ in range(40)] + [1 << j for j in range(21)]
+        rng.shuffle(ns)
+        cache = {}
+        for n in ns:
+            got = _u_power(n, depth, taps, cache)
+            assert got == reference_u_power(n, depth, taps)
+            assert cache[n] is got
+            assert all(n >> k in cache for k in range(n.bit_length() + 1))
+        for m, coeffs in cache.items():
+            assert coeffs == reference_u_power(m, depth, taps)
+
+    @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    def test_dyadic_powers_cost_one_squaring_each(self, pattern, monkeypatch):
+        # u^(2^s) starts from the cached u^(2^(s-1)): one Frobenius per
+        # coefficient, never a full square-and-multiply.
+        depth, taps = _recurrence(pattern)
+        calls = []
+        monkeypatch.setattr(algebraic, "_frobenius", lambda p: calls.append(p) or _frobenius(p))
+        cache = {}
+        _u_power(2, depth, taps, cache)
+        for s in range(2, 21):
+            calls.clear()
+            assert _u_power(1 << s, depth, taps, cache) == reference_u_power(1 << s, depth, taps)
+            assert len(calls) == depth
+
+    def test_sites_of_one_call_share_prefixes(self, monkeypatch):
+        # Without `powers` the sites of one call still share a fresh dict:
+        # row 2^20 is one squaring past row 2^19, and row 2^19 reuses
+        # nothing, squaring once per bit.
+        depth, _ = _recurrence(SYS)
+        calls = []
+        monkeypatch.setattr(algebraic, "_frobenius", lambda p: calls.append(p) or _frobenius(p))
+        _window_masks(SYS, [(0, 0), (0, 1 << 19), (0, 1 << 20)])
+        assert len(calls) == 21 * depth
 
     def test_shared_powers_give_fresh_relations(self):
         # One dict serves every pattern, filed by recurrence; the second

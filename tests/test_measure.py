@@ -35,6 +35,18 @@ def test_estimate_to_json_keys():
     assert list(out["meta"]) == ["seed", "torus"]  # meta keys sorted
 
 
+def test_meta_is_a_read_only_copy():
+    # Measures are shared between callers, so no caller may change one.
+    meta = {"method": "window"}
+    mv = MeasureValue(exact=Fraction(1, 2), meta=meta)
+    meta["method"] = "changed"
+    assert mv.meta == {"method": "window"}
+    with pytest.raises(TypeError):
+        mv.meta["method"] = "changed"
+    with pytest.raises(TypeError):
+        MeasureValue.of_estimate(0.5, 0.1, 10, seed=1).meta["seed"] = 2
+
+
 @pytest.mark.parametrize("x,text", [(Fraction(0), "0"), (Fraction(1), "1"),
                                     (Fraction(1, 2), "1/2"), (Fraction(3, 1024), "3/1024"),
                                     (Fraction(7, 3), "7/3")])
