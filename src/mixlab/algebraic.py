@@ -16,20 +16,21 @@ measure and the functional at site (a, b0+n) is x^a t^n mod chi(t), computed
 by square-and-multiply from the longest binary prefix of n already computed
 (Laurent-polynomial view of Ledrappier 1978 and of Schmidt, Dynamical
 Systems of Algebraic Origin, 1995).  Other patterns are sheared first so
-that one cell is topmost.  Relations among the sites come from one
+that one cell is topmost.  Each pattern derives its shear and recurrence
+once (`RelationPattern.transfer`).  Relations among the sites come from one
 elimination of these masks, with no window and no scale limit.
 Squaring is Frobenius, p(x)^2 = p(x^2): two byte-translate tables spread
 each byte's nibbles into the bytes of the square.
 
 `LedrappierOracle` merges the shifted event sites of a shift tuple once,
-into a plan that every entry differing only in its bits reads, and keeps
-relations per site tuple and the powers u^n per recurrence and n for its
-lifetime.  The powers form a prefix ladder: with each u^n the oracle holds
+into a plan that every entry differing only in its bits reads and that
+keeps their relations, and it keeps the powers u^n per recurrence and n for
+its lifetime.  The powers form a prefix ladder: with each u^n the oracle holds
 u^(n >> k) for every k, and a new n starts from its longest prefix held, so
 a dyadic family costs one squaring per scale.  Beyond the oracle only the
 exact values are kept: one shared `MeasureValue` per rank.
 
-Torus kernels run the same recurrence (`RelationPattern.recurrence`) on
+Torus kernels run the same recurrence (`RelationPattern.transfer`) on
 rows that wrap around, once per row block.  The step commutes with
 rotating rows, so a state of `depth` rows is a vector over
 GF(2)[x]/(x^w - 1) and T^h + I is a depth x depth matrix over that ring
@@ -89,31 +90,26 @@ class RelationPattern:
             if not (isinstance(p, tuple) and len(p) == 2):
                 raise ValueError("pattern offsets must be (i, j) pairs")
 
-    @property
-    def j_range(self) -> tuple[int, int]:
-        ys = [p[1] for p in self.support]
-        return min(ys), max(ys)
+    @functools.cached_property
+    def transfer(self) -> tuple[int, int, tuple[tuple[int, int], ...]]:
+        """The row recurrence: (shear, depth, rest).
 
-    def top_offset(self) -> tuple[int, int]:
-        """Scan-order maximum of the support (row-major, j then i)."""
-        return max(self.support, key=lambda p: (p[1], p[0]))
-
-    def is_propagating(self) -> bool:
-        """True when the topmost support row holds a single cell, so a new
-        lattice row is determined by the previous ones."""
-        _, jmax = self.j_range
-        return sum(1 for p in self.support if p[1] == jmax) == 1
-
-    def recurrence(self) -> tuple[int, list[tuple[int, int]]]:
-        """The row recurrence of a propagating pattern: its depth (rows below
-        the topmost cell) and, for every other cell, its (column offset, rows
-        below) relative to the topmost one."""
-        if not self.is_propagating():
-            raise UnsupportedPatternError(
-                "transfer kernel needs a pattern with a single topmost cell")
-        ti, tj = self.top_offset()
-        rest = [(pi - ti, tj - pj) for pi, pj in self.support if (pi, pj) != (ti, tj)]
-        return tj - self.j_range[0], rest
+        When the topmost row of the support holds one cell, a new lattice
+        row is determined by the rows below it and the shear is 0.
+        Otherwise the support is sheared by (i, j) -> (i, j + shear*i),
+        shear = row span + 1, an automorphism of Z^2 after which the highest
+        of its rightmost cells is the only topmost one.  `depth` is the
+        number of rows below that cell in the (sheared) support, and `rest`
+        holds every other cell's (column offset, rows below) relative to
+        it, sorted.
+        """
+        ys = [j for _, j in self.support]
+        top = max(ys)
+        shear = 0 if ys.count(top) == 1 else top - min(ys) + 1
+        cells = [(i, j + shear * i) for i, j in self.support]
+        ti, tj = max(cells, key=lambda p: (p[1], p[0]))
+        rest = tuple(sorted((i - ti, tj - j) for i, j in cells if (i, j) != (ti, tj)))
+        return shear, tj - min(j for _, j in cells), rest
 
 
 LEDRAPPIER_PATTERN = RelationPattern(
@@ -246,29 +242,24 @@ def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
                   powers: Optional[dict] = None) -> tuple[list[int], int]:
     """Generator masks of the coordinate functionals at `sites`.
 
-    A pattern without a single topmost cell is sheared first by
-    (i, j) -> (i, j + m*i), m = row span + 1, an automorphism of Z^2 after
-    which the highest of its rightmost cells is the only topmost one.  The
-    generators are the cells of the `depth` free rows from the lowest site
-    row b0 up.  The functional at (a, b0+n) is x^a t^n mod chi(t), with
-    chi(t) = t^depth - sum of x^(pi-ti) t^(depth-tj+pj) over the stencil
-    cells other than the topmost (ti, tj); its t^k coefficient is free row
-    k's polynomial.  In u = x^e t every coefficient of chi is a polynomial,
-    and t^n = x^(-e n) u^n.  Block k of a mask holds row k, all sites'
-    row-k polynomials shifted alike to nonnegative exponents.  Returns
-    (mask per site, generator count).
+    The sites are sheared as the pattern's `transfer` says, and its
+    recurrence (depth, rest) runs on them.  The generators are the cells
+    of the `depth` free rows from the lowest site row b0 up.  The
+    functional at (a, b0+n) is x^a t^n mod chi(t), with chi(t) = t^depth -
+    sum of x^d t^(depth-m) over the pairs (d, m) of `rest`; its t^k
+    coefficient is free row k's polynomial.  In u = x^e t every
+    coefficient of chi is a polynomial, and t^n = x^(-e n) u^n.  Block k
+    of a mask holds row k, all sites' row-k polynomials shifted alike to
+    nonnegative exponents.  Returns (mask per site, generator count).
 
     The u^n come from `_u_power`'s prefix ladder over one dict per
     recurrence (depth, taps), keyed by n, so the sites of a call share
     prefixes.  `powers`, when given, keeps these dicts for later calls, and
     one `powers` may serve several patterns.
     """
-    if not pattern.is_propagating():
-        j_lo, j_hi = pattern.j_range
-        shear = j_hi - j_lo + 1
-        pattern = RelationPattern(frozenset((i, j + shear * i) for i, j in pattern.support))
+    shear, depth, rest = pattern.transfer
+    if shear:
         sites = [(i, j + shear * i) for i, j in sites]
-    depth, rest = pattern.recurrence()
     e = max([0] + [-(d // m) for d, m in rest])
     taps = [(m, d + e * m) for d, m in rest]
     a0 = min(a for a, _ in sites)
@@ -483,7 +474,9 @@ def torus_kernel(pattern: RelationPattern, w: int, h: int) -> TorusKernel:
         raise ValueError("torus dimensions must be at least 3")
     if max(w, h) > MAX_TORUS_SIDE:
         raise DimensionError(f"torus side {max(w, h)} exceeds the cap {MAX_TORUS_SIDE}")
-    depth, rest = pattern.recurrence()
+    shear, depth, rest = pattern.transfer
+    if shear:
+        raise UnsupportedPatternError("transfer kernel needs a pattern with a single topmost cell")
     if depth == 0:
         raise UnsupportedPatternError("pattern must span at least two rows")
     if depth * w > MAX_DIM:
@@ -672,30 +665,23 @@ class _Plan:
 class LedrappierOracle:
     """Exact k-fold correlation oracle for the plane system of `pattern`.
 
-    Three caches live as long as the oracle.  A plan per shift tuple and
-    tuple of event sites merges the shifted sites once: the 2^order entries
-    of a joining tensor member differ only in their bits, and a scan asks
-    for a tuple's measure and then its certificate.  Each entry reads its
-    bits through the plan's positions; two different bits at one position
-    make it a contradiction of measure 0.  Relations are kept per merged
-    site tuple, and the row powers u^n behind the site masks per recurrence
-    and n (`_window_masks`), so a job computes each of them once.  The
-    powers form a prefix ladder (`_u_power`): each u^n is kept with u^(n >> k)
-    for every k, and a new n starts from its longest prefix held.
+    Two caches live as long as the oracle: plans and powers.  A plan per
+    shift tuple and tuple of event sites merges the shifted sites once and
+    keeps their relations: the 2^order entries of a joining tensor member
+    differ only in their bits, and a scan asks for a tuple's measure and
+    then its certificate.  Each entry reads its bits through the plan's
+    positions; two different bits at one position make it a contradiction
+    of measure 0.  An event's own measure is a one-event plan at the zero
+    shift.  The row powers u^n behind the site masks are kept per
+    recurrence and n (`_window_masks`), so a job computes each of them
+    once.  They form a prefix ladder (`_u_power`): each u^n is kept with
+    u^(n >> k) for every k, and a new n starts from its longest prefix held.
     """
 
     def __init__(self, pattern: RelationPattern = LEDRAPPIER_PATTERN):
         self.pattern = pattern
-        self._by_sites: dict[tuple, list[int]] = {}
         self._plans: dict[tuple, _Plan] = {}
         self._powers: dict = {}
-
-    def _relation_space(self, sites: list[tuple[int, int]]) -> list[int]:
-        key = tuple(sites)
-        rels = self._by_sites.get(key)
-        if rels is None:
-            rels = self._by_sites[key] = relation_space(self.pattern, sites, self._powers)
-        return rels
 
     def _plan(self, shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
         key = (tuple(shifts), tuple(ev.sites for ev in events))
@@ -722,12 +708,12 @@ class LedrappierOracle:
 
     def _plan_relations(self, plan: _Plan) -> list[int]:
         if plan.relations is None:
-            plan.relations = self._relation_space(_plane_sites(plan.sites))
+            plan.relations = relation_space(self.pattern, _plane_sites(plan.sites), self._powers)
         return plan.relations
 
     def event_measure(self, event: CylinderConstraint) -> MeasureValue:
-        return _measure_from_relations(self._relation_space(_plane_sites(event.sites)),
-                                       event.bits)
+        _plane_sites(event.sites)  # a Z site is refused before it is shifted
+        return self.intersection_measure(((0, 0),), (event,))
 
     def intersection_measure(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> MeasureValue:

@@ -341,7 +341,7 @@ def cmd_render(params: dict) -> int:
             if params.get("clusters"):
                 rep = clusters(grid, params["connectivity"])[params["bit"]]
                 _write_text(outdir, "grid.svg",
-                            svgmod.cluster_svg(grid, rep.labels, rep.target_bit,
+                            svgmod.cluster_svg(grid, rep.roots, rep.target_bit,
                                                title=f"clusters size={size} seed={seed}"))
             else:
                 _write_text(outdir, "grid.svg",

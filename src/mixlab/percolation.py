@@ -7,7 +7,9 @@ small union-find joins them across the seam edges that do.  Its nodes keep
 their position in the universal cover, so a seam edge that closes a cycle
 with a nonzero displacement winds around the torus, the standard
 finite-volume proxy for an infinite thread.  Every component has one colour,
-so the one labelling yields a report per bit value.
+so the one labelling yields a report per bit value, and both reports share
+its root array: each cell holds the flat index of its cluster's first
+row-major cell.
 """
 
 from __future__ import annotations
@@ -30,8 +32,9 @@ from .rng import mix
 class ClusterReport:
     """Cluster statistics of one bit value on a torus grid.
 
-    `labels` numbers the clusters 0, 1, ... in row-major order of each
-    cluster's first cell; other cells are -1.
+    `roots` is the (h, w) view of the labelling both bits' reports share:
+    each cell holds the flat index of its cluster's first row-major cell,
+    cells of the other bit included.
     """
 
     target_bit: int
@@ -40,7 +43,7 @@ class ClusterReport:
     largest: int
     wraps_horizontal: bool
     wraps_vertical: bool
-    labels: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)
 
 
 # One step per undirected edge, per connectivity: the forward half of the
@@ -120,8 +123,7 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
     fundamental cycles of this spanning forest generate each cluster's
     winding lattice, so a bit's horizontal / vertical wrap flag is set exactly
     when one of its clusters winds in x / y.  Each set keeps its smallest
-    root, its first row-major cell, so a running count of the roots numbers
-    the clusters in that order.
+    root, its first row-major cell, which every cell of the set then holds.
     """
     if connectivity not in _STEPS:
         raise ValueError("connectivity must be 4 or 8")
@@ -180,6 +182,7 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
         roots = merged[roots]
     sizes = np.bincount(roots, minlength=n)
     is_root = roots == np.arange(n)
+    shared = roots.reshape(h, w)
 
     def report(bit: int) -> ClusterReport:
         cells = flat == bit
@@ -188,7 +191,7 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
             target_bit=bit, cluster_count=int(np.count_nonzero(first)),
             target_cells=int(np.count_nonzero(cells)), largest=int(sizes[first].max(initial=0)),
             wraps_horizontal=bit in winds_h, wraps_vertical=bit in winds_v,
-            labels=np.where(cells, np.cumsum(first)[roots] - 1, -1).reshape(h, w),
+            roots=shared,
         )
 
     return report(0), report(1)

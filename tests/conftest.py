@@ -220,6 +220,29 @@ def enumeration_relations(support, sites):
     return rels
 
 
+def pattern_rows_and_top(pattern):
+    """(lowest row, highest row, scan-order last cell) of the support, the
+    last cell taken row-major: highest j, then highest i."""
+    ys = [p[1] for p in pattern.support]
+    return min(ys), max(ys), max(pattern.support, key=lambda p: (p[1], p[0]))
+
+
+def reference_transfer(pattern):
+    """(shear, depth, rest) of the row recurrence, from its definition: a
+    support whose top row holds two or more cells is sheared by
+    (i, j) -> (i, j + (row span + 1) i); the (sheared) top row's one cell
+    is the topmost, depth is the row span, and rest lists every other
+    cell's (column offset, rows below) from the topmost, sorted."""
+    j_lo, j_hi, _ = pattern_rows_and_top(pattern)
+    tops = [p for p in pattern.support if p[1] == j_hi]
+    shear = 0 if len(tops) == 1 else j_hi - j_lo + 1
+    cells = {(i, j + shear * i) for i, j in pattern.support}
+    top_row = max(j for _, j in cells)
+    (top,) = [c for c in cells if c[1] == top_row]
+    rest = sorted((i - top[0], top[1] - j) for i, j in cells - {top})
+    return shear, top_row - min(j for _, j in cells), tuple(rest)
+
+
 def reference_window_masks(pattern, sites):
     """Generator masks of the site functionals by the window method.
 
@@ -231,13 +254,12 @@ def reference_window_masks(pattern, sites):
     """
     i_lo = min(p[0] for p in pattern.support)
     i_hi = max(p[0] for p in pattern.support)
-    j_lo, j_hi = pattern.j_range
+    j_lo, j_hi, (ti, tj) = pattern_rows_and_top(pattern)
     xs = [s[0] for s in sites]
     ys = [s[1] for s in sites]
     i0, i1 = min(xs) - (i_hi - i_lo), max(xs) + (i_hi - i_lo)
     j0, j1 = min(ys) - (j_hi - j_lo), max(ys) + (j_hi - j_lo)
     w = i1 - i0 + 1
-    ti, tj = pattern.top_offset()
     rest = sorted(p for p in pattern.support if p != (ti, tj))
     rows = {}
     gen = 0
@@ -261,8 +283,7 @@ def reference_next_row(pattern, w, history):
     """New torus row from the last `depth` rows (each a w-bit int), one bit
     at a time: bit i solves the stencil translate whose topmost cell sits
     at column i of the new row."""
-    ti, tj = pattern.top_offset()
-    j_lo, _ = pattern.j_range
+    j_lo, _, (ti, tj) = pattern_rows_and_top(pattern)
     out = 0
     for i in range(w):
         v = 0
@@ -277,7 +298,7 @@ def reference_next_row(pattern, w, history):
 def reference_transfer_matrix(pattern, w):
     """Transfer matrix built column by column from `reference_next_row`:
     column k is the image of the k-th unit state."""
-    j_lo, j_hi = pattern.j_range
+    j_lo, j_hi, _ = pattern_rows_and_top(pattern)
     depth = j_hi - j_lo
     n = depth * w
     wmask = (1 << w) - 1
@@ -327,8 +348,9 @@ def reference_elimination_torus_basis(pattern, w, h):
     come from `_run_rows`, so this checks the kernel's algebra at sides
     where the dense transfer matrix of `reference_torus_basis` is too slow.
     """
-    depth, rest = pattern.recurrence()
-    taps = [(depth - m, d % w) for d, m in rest]
+    j_lo, _, (ti, tj) = pattern_rows_and_top(pattern)
+    depth = tj - j_lo
+    taps = [(pj - j_lo, (pi - ti) % w) for pi, pj in pattern.support if (pi, pj) != (ti, tj)]
     lattices, columns = [], []
     for b in range(depth):
         rows = _run_rows([int(k == b) for k in range(depth)], taps, w, h)

@@ -48,6 +48,7 @@ from conftest import (
     reference_grid_to_pbm,
     reference_mc_hits,
     reference_torus_basis,
+    reference_transfer,
     reference_u_power,
     reference_window_masks,
     transpose,
@@ -233,6 +234,23 @@ class TestLedrappierOracle:
                 c = CylinderConstraint(order, bits)
                 assert oracle.event_measure(c) == cylinder_measure(SYS, c)
 
+    def test_event_measure_is_a_one_event_plan(self, monkeypatch):
+        # The oracle keeps two caches, plans and powers; an event's measure
+        # is its one-event plan at the zero shift, so repeats find its
+        # relations there.
+        c = CylinderConstraint(FIVE + ((5, 7),), (1, 0, 0, 0, 0, 1))
+        expected = cylinder_measure(SYS, c)
+        calls = []
+        monkeypatch.setattr(algebraic, "relation_space",
+                            lambda *a: calls.append(a) or relation_space(*a))
+        oracle = LedrappierOracle()
+        values = [oracle.event_measure(c) for _ in range(10)]
+        assert len(calls) == 1
+        assert values[0] == expected and all(v is values[0] for v in values)
+        assert oracle.intersection_measure(((0, 0),), (c,)) is values[0]
+        assert len(calls) == 1
+        assert set(vars(oracle)) == {"pattern", "_plans", "_powers"}
+
 
 CORNER = RelationPattern(frozenset({(0, 0), (1, 0), (0, 1)}))
 KERNEL_PATTERNS = [
@@ -280,6 +298,19 @@ def _cross_sites(pattern, gen, trial):
     while len(sites) < k:
         sites.add((dx + int(gen.integers(0, box + 1)), dy + int(gen.integers(0, box + 1))))
     return sorted(sites, key=lambda _: float(gen.random()))
+
+
+class TestTransfer:
+    @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    def test_matches_reference(self, pattern):
+        assert pattern.transfer == reference_transfer(pattern)
+        assert pattern.transfer is pattern.transfer
+
+    def test_literal_recurrences(self):
+        assert SYS.transfer == (0, 2, ((-1, 1), (0, 1), (0, 2), (1, 1)))
+        # (0, 0), (1, 0), (0, -1) sheared by 2: (1, 2) is the only topmost cell.
+        assert CROSS_PATTERNS[4].transfer == (2, 3, ((-1, 2), (-1, 3)))
+        assert CROSS_PATTERNS[7].transfer == (0, 0, ())
 
 
 class TestWindowMethodCrossCheck:
@@ -404,7 +435,20 @@ class TestRowPowers:
             assert _frobenius(p) == reference_frobenius(p)
 
     def test_some_cross_pattern_is_sheared(self):
-        assert any(not p.is_propagating() for p in CROSS_PATTERNS)
+        # Exactly the patterns with two or more topmost cells.
+        assert [p.transfer[0] > 0 for p in CROSS_PATTERNS] == [False] * 4 + [True] * 3 + [False]
+
+    def test_sheared_masks_build_no_pattern(self, monkeypatch):
+        # The shear moves the sites alone: the pattern is never rebuilt.
+        pattern = RelationPattern(frozenset({(0, 0), (1, 0), (0, -1)}))
+        built = []
+        post_init = RelationPattern.__post_init__
+        monkeypatch.setattr(RelationPattern, "__post_init__",
+                            lambda self: built.append(self) or post_init(self))
+        powers = {}
+        for k in range(200):
+            _window_masks(pattern, [(0, 0), (k, 1), (-k, k % 7)], powers)
+        assert built == []
 
     @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
     def test_u_power_matches_reference(self, pattern):
@@ -533,6 +577,9 @@ class TestIntersectionPlans:
         ev0, ev1 = CylinderConstraint((0,), (0,)), CylinderConstraint((0,), (1,))
         with pytest.raises(ValueError, match="need \\(i, j\\) sites"):
             oracle.intersection_measure((0, 1), [ev0, ev1])
+        # An event's own measure refuses a Z site before shifting it.
+        with pytest.raises(ValueError, match="need \\(i, j\\) sites"):
+            oracle.event_measure(ev0)
         assert oracle.intersection_measure((0, 0), [ev0, ev1]) == \
             MeasureValue.of_exact(0, contradiction=True)
 
@@ -600,6 +647,15 @@ class TestTorusKernel:
     def test_small_dimensions_rejected(self):
         with pytest.raises(ValueError):
             torus_kernel(SYS, 2, 5)
+
+    @pytest.mark.parametrize("pattern,message", [
+        (CROSS_PATTERNS[4], "single topmost cell"),
+        (CROSS_PATTERNS[5], "single topmost cell"),
+        (CROSS_PATTERNS[7], "at least two rows"),
+    ], ids=["sheared", "one row", "one cell"])
+    def test_unsupported_patterns_refused(self, pattern, message):
+        with pytest.raises(algebraic.UnsupportedPatternError, match=message):
+            torus_kernel(pattern, 9, 9)
 
 
 class TestSampling:

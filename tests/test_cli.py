@@ -266,6 +266,15 @@ def test_bernoulli_dev_scan_with_plane_events_exits_3(tmp_path, capsys):
     assert "Bernoulli events live on Z sites" in capsys.readouterr().err
 
 
+def test_plane_scan_with_z_events_exits_2(tmp_path, capsys):
+    e = _write(tmp_path / "e.json", {"events": [{"sites": [0, 1], "bits": [0, 1]},
+                                                {"sites": [0], "bits": [1]},
+                                                {"sites": [2], "bits": [0]}]})
+    assert cli.main(["scan", "mix", "--order", "2", "--events", e,
+                     "--out", str(tmp_path / "out")]) == 2
+    assert "error: algebraic constraints need (i, j) sites" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # One in-process case per command
 

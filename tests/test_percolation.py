@@ -22,20 +22,22 @@ def _kernel_samples(w, h, count):
     return [sample_configuration(kernel, seed) for seed in range(count)]
 
 
-def _assert_discovery_order(labels):
-    """Labels are 0..k-1, and label i's first row-major cell comes before
-    label i+1's."""
-    flat = labels.ravel()
-    found, first = np.unique(flat[flat >= 0], return_index=True)
-    assert found.tolist() == list(range(len(found)))
-    assert np.all(np.diff(first) > 0)
+def _assert_discovery_order(roots, labels):
+    """Each cell of a BFS cluster holds the flat index of the cluster's
+    first row-major cell."""
+    flat, found = roots.ravel(), labels.ravel()
+    for label in np.unique(found[found >= 0]):
+        cells = np.flatnonzero(found == label)
+        assert np.all(flat[cells] == cells[0])
 
 
 def _assert_matches_bfs(grid, connectivity, bit):
-    rep = clusters(grid, connectivity)[bit]
+    reports = clusters(grid, connectivity)
+    rep = reports[bit]
+    assert rep.roots is reports[1 - bit].roots and rep.roots.shape == grid.shape
     labels, wrap_h, wrap_v = bfs_cover_clusters(grid, connectivity, bit)
-    assert partitions_equal(rep.labels, labels)
-    _assert_discovery_order(rep.labels)
+    assert partitions_equal(np.where(grid == bit, rep.roots, -1), labels)
+    _assert_discovery_order(rep.roots, labels)
     assert (rep.wraps_horizontal, rep.wraps_vertical) == (wrap_h, wrap_v)
     sizes = np.unique(labels[labels >= 0], return_counts=True)[1]
     assert rep.cluster_count == len(sizes)
@@ -99,7 +101,7 @@ class TestClustersMatchBFS:
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_complement_swaps_the_reports(self, connectivity):
         # clusters(1 - g) is clusters(g) with the bit-0 and bit-1 reports
-        # swapped, labels included.
+        # swapped, roots included.
         rng = np.random.default_rng(13)
         grids = _kernel_samples(9, 9, 3) + _kernel_samples(15, 6, 3)
         grids += [(rng.random((h, w)) < density).astype(np.uint8)
@@ -112,7 +114,7 @@ class TestClustersMatchBFS:
                 for name in ("cluster_count", "target_cells", "largest",
                              "wraps_horizontal", "wraps_vertical"):
                     assert getattr(mirror, name) == getattr(rep, name), name
-                assert np.array_equal(mirror.labels, rep.labels)
+                assert np.array_equal(mirror.roots, rep.roots)
 
     @pytest.mark.parametrize("connectivity", [4, 8])
     def test_wrap_flags_belong_to_the_winding_bit(self, connectivity):

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from mixlab import cli
+from mixlab.algebraic import LEDRAPPIER_PATTERN, _window_masks
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mixlab"
@@ -87,22 +88,29 @@ def test_tracer_targets_resolve(monkeypatch):
 
 
 def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path):
-    # The observers read torus_kernel's arguments 1 and 2 (w and h) and
-    # mc_cylinder_measure's argument 2 (the sample count) by position; a
-    # moved parameter would miscount a traced run without failing it.
+    # The observers read torus_kernel's arguments 1 and 2 (w and h),
+    # mc_cylinder_measure's argument 2 (the sample count) and
+    # _window_masks' result 1 (the generator count) by position; a moved
+    # parameter would miscount a traced run without failing it.
     tracing = _tracing(monkeypatch)
     c = tmp_path / "c.json"
     c.write_text(json.dumps({"sites": [[0, 0], [1, 0]], "bits": [0, 1]}), encoding="utf-8")
+    sites = [(0, 0), (3, 2), (-1, 5), (4, 4)]
+    e = tmp_path / "e.json"
+    e.write_text(json.dumps({"sites": [list(s) for s in sites], "bits": [0, 1, 1, 0]}),
+                 encoding="utf-8")
     tracer = tracing.Tracer()
     tracer.install(tracing.TARGETS)
     try:
         assert cli.main(["render", "--size", "9", "--out", str(tmp_path / "r")]) == 0
         assert cli.main(["measure", "--mc", "--torus", "21", "--samples", "1000",
                          "--constellation", str(c), "--out", str(tmp_path / "m")]) == 0
+        assert cli.main(["measure", "--constellation", str(e), "--out", str(tmp_path / "x")]) == 0
     finally:
         tracer.uninstall()
     assert tracer.counts["algebraic.torus_cells"] == 81 + 441
     assert tracer.counts["algebraic.mc_samples"] == 1000
+    assert tracer.counts["algebraic.window_gens"] == _window_masks(LEDRAPPIER_PATTERN, sites)[1]
 
 
 def test_sweep_labels_each_sample_once(monkeypatch, tmp_path):

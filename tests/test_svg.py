@@ -131,7 +131,7 @@ def test_cluster_svg_matches_cell_loop_on_cluster_labels(name, target_bit):
     grid = np.asarray(BIT_GRIDS[name], dtype=np.uint8)
     if grid.size == 0:
         grid = grid.reshape(len(grid), 0)
-    labels = clusters(grid, 4)[target_bit].labels if grid.size else np.full(grid.shape, -1)
+    labels = clusters(grid, 4)[target_bit].roots if grid.size else np.full(grid.shape, -1)
     expected = reference_cluster_svg(_nested(grid), _nested(labels), target_bit, title=name)
     assert cluster_svg(grid, labels, target_bit, title=name) == expected
     assert cluster_svg(_nested(grid), _nested(labels), target_bit, title=name) == expected
@@ -167,6 +167,6 @@ def test_grid_writers_match_cell_loops_on_random_grids(seed):
         labels = gen.integers(-1, 12, size=(h, w))
         assert cluster_svg(grid, labels, target_bit) == \
             reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
-        labels = clusters(grid, int(gen.choice([4, 8])))[target_bit].labels
+        labels = clusters(grid, int(gen.choice([4, 8])))[target_bit].roots
         assert cluster_svg(grid, labels, target_bit) == \
             reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
