@@ -9,6 +9,15 @@ that word.
 Measures here are point estimates with their sample counts, never exact,
 and carry no standard error; the spacer symbols carry measure, so reported
 frequencies are relative to the full normalized space including spacers.
+
+`WordOracle.correlation_grid` counts every (z, w) of a grid at once as a
+float32 matrix product over the positions where the first event occurs.
+Rank-one words repeat few windows (their complexity is low), so the
+positions are grouped by their exact windows and each group enters the
+product once, weighted by its size: O(n + (h/64) R log R + D (h+1)^2) for R
+positions with D distinct windows per block, in place of R (h+1)^2.  Inside
+each block the float32 sums stay integers below 2^24, so every count is
+exact and every value is one correctly rounded division.
 """
 
 from __future__ import annotations
@@ -22,8 +31,14 @@ from .measure import MeasureValue
 
 SPACER = -1
 
-# Rows per float32 block of WordOracle.correlation_grid; each count it sums
-# is at most this, below 2^24, so float32 arithmetic stays exact.
+# Rows of WordOracle.correlation_grid keyed and grouped at once.  A block's
+# weighted counts are at most its row count, below 2^24, so its float32
+# products stay exact.  Its keys take at most 32,768 x 2 x 17 uint64 (8.9 MB)
+# at h = 1024.
+_KEY_BLOCK = 1 << 15
+
+# Distinct windows per float32 product: 2,048 x 1,025 float32 (8.4 MB) per
+# event at h = 1024.
 _GRAM_BLOCK = 2048
 
 # Longest word `generate_word` builds: 256 MB of int32 symbols, and the
@@ -193,7 +208,41 @@ def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWor
 
 
 def _indicator(word: SymbolicWord, levels: frozenset) -> np.ndarray:
-    return np.isin(word.symbols, np.array(sorted(levels), dtype=np.int32))
+    # "sort" compares element by element for small level sets, where the
+    # default takes the table path over the whole symbol range.
+    return np.isin(word.symbols, np.array(sorted(levels), dtype=np.int32), kind="sort")
+
+
+def _packed(ind: np.ndarray, words: int) -> np.ndarray:
+    """`ind` as little-endian uint64 words, bit i of the array being ind[i],
+    zero-padded to `words` words."""
+    out = np.zeros(8 * words, dtype=np.uint8)
+    bits = np.packbits(ind, bitorder="little")
+    out[:bits.size] = bits
+    return out.view("<u8")
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values, and how many there are."""
+    ordered = np.sort(values)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return np.searchsorted(distinct, values), len(distinct)
+
+
+def _distinct_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One copy of each distinct row of `key` and how often it occurs
+    (float32).  Rows are ranked column by column, by sorting: the column
+    ranks combine in mixed radix, re-ranked before the radix passes 2^62."""
+    ids, radix = np.zeros(len(key), dtype=np.int64), 1
+    for col in key.T:
+        rank, m = _ranks(col)
+        if radix * m > 1 << 62:
+            ids, radix = _ranks(ids)
+        ids, radix = ids * m + rank, radix * m
+    ids, d = _ranks(ids)
+    rep = np.empty(d, dtype=np.intp)
+    rep[ids] = np.arange(len(key))  # any row of a class will do: they are equal
+    return key[rep], np.bincount(ids, minlength=d).astype(np.float32)
 
 
 class WordOracle:
@@ -218,11 +267,17 @@ class WordOracle:
         The counts for every (z, w) in [0, h]^2 form the matrix B^T C, where
         B and C hold one row per position p with a[p] = 1: b[p..p+h] and
         c[p..p+h], zero past the end of the word (so terms with i + z or
-        i + w >= n drop out).  The product runs in float32 over blocks of
-        _GRAM_BLOCK rows; every partial sum is an integer of at most
-        _GRAM_BLOCK < 2^24, which float32 holds exactly in any summation
-        order, and the blocks add up in int64.  Each value is then one
-        correctly rounded division, as count / m is in Python.
+        i + w >= n drop out).  Rank-one words repeat few windows, so each
+        distinct row is multiplied once.  Over blocks of _KEY_BLOCK rows, a
+        row's key is its b-window and its c-window, ceil((h+1)/64) uint64
+        words each, cut from the packed indicators; `_distinct_rows` groups
+        equal keys by sorting, and each distinct key's windows enter the
+        float32 product once, weighted by its multiplicity.  Every partial
+        sum is an integer of at most _KEY_BLOCK < 2^24, which float32 holds
+        exactly in any summation order, and the blocks add up in int64.
+        Each value is then one correctly rounded division, as count / m is
+        in Python.  With R rows and D distinct keys in a block, the block
+        costs O((h/64) R log R + D (h+1)^2) in place of R (h+1)^2.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         n = self.word.length
@@ -230,17 +285,29 @@ class WordOracle:
             raise ValueError("grid shifts must lie in [0, word length)")
         h = int(pairs.max()) if pairs.size else 0
         ind = {e: _indicator(self.word, e) for e in set(events)}
-        pad = np.zeros(h, dtype=np.float32)
-        win = {e: np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([ind[e].astype(np.float32), pad]), h + 1) for e in set(events[1:])}
-        b_win, c_win = win[events[1]], win[events[2]]
+        cols = -(-(h + 1) // 64)
+        sides = [_packed(ind[e], n // 64 + cols + 1) for e in dict.fromkeys(events[1:])]
+        tail = np.uint64((1 << (h + 1 - 64 * (cols - 1))) - 1)
         rows = np.flatnonzero(ind[events[0]])
         counts = np.zeros((h + 1, h + 1), dtype=np.int64)
-        for lo in range(0, rows.size, _GRAM_BLOCK):
-            block = rows[lo:lo + _GRAM_BLOCK]
-            b_rows = b_win[block]
-            # With c = b, numpy runs b_rows.T @ b_rows as a symmetric update.
-            c_rows = b_rows if c_win is b_win else c_win[block]
-            counts += (b_rows.T @ c_rows).astype(np.int64)
+        for lo in range(0, rows.size, _KEY_BLOCK):
+            block = rows[lo:lo + _KEY_BLOCK]
+            q, r = block >> 6, (block & 63).astype(np.uint64)
+            key = np.empty((block.size, len(sides) * cols), dtype="<u8")
+            for k, bits in enumerate(sides):
+                low = bits[q]
+                for j in range(cols):
+                    high = bits[q + j + 1]
+                    # (high << 1) << (63 - r) is high << (64 - r), and 0 at r = 0.
+                    key[:, k * cols + j] = (low >> r) | ((high << 1) << (63 - r))
+                    low = high
+            key[:, cols - 1::cols] &= tail
+            key, mult = _distinct_rows(key)
+            for g in range(0, len(key), _GRAM_BLOCK):
+                # b's windows, then c's when c differs from b.
+                wins = [np.unpackbits(key[g:g + _GRAM_BLOCK, k:k + cols].view(np.uint8), axis=1,
+                                      count=h + 1, bitorder="little").astype(np.float32)
+                        for k in range(0, key.shape[1], cols)]
+                counts += ((wins[0].T * mult[g:g + _GRAM_BLOCK]) @ wins[-1]).astype(np.int64)
         z, w = pairs[:, 0], pairs[:, 1]
         return counts[z, w] / (n - np.maximum(z, w))

@@ -13,6 +13,7 @@ from conftest import (
     word_intersection_measure,
 )
 
+from mixlab import rankone
 from mixlab.rankone import (
     MAX_WORD_LENGTH,
     PRESETS,
@@ -145,24 +146,80 @@ def test_event_measure_is_a_point_value_without_stderr():
         assert (mv.estimate, mv.stderr, mv.samples) == (count / 5000, None, 5000)
 
 
+@pytest.mark.parametrize("levels", [set(), {0}, {SPACER}, {0, 2, 5}, {1, SPACER, 7, 99}])
+def test_indicator_matches_isin(levels):
+    word = generate_word(staircase_spec(10), 2, 20000)
+    assert np.array_equal(rankone._indicator(word, frozenset(levels)),
+                          np.isin(word.symbols, sorted(levels)))
+
+
 GRID_EVENTS = {
     "same": (frozenset({0}),) * 3,
     "distinct": (frozenset({0}), frozenset({1, SPACER}), frozenset({SPACER, 2})),
+    "absent": (frozenset({99}), frozenset({0}), frozenset({1})),  # no row: R = 0
+    # Rows with equal b-windows can differ in their c-windows.
+    "apart": (frozenset({0}), frozenset({1}), frozenset({SPACER})),
 }
+
+# Stage-0 words with one stage of 3,000 columns over random gaps of 0-3
+# spacers: every window of a position of level 0 is distinct (D = R), and the
+# 3,000 distinct windows need two float32 products of _GRAM_BLOCK rows.
+_GAPS = tuple(np.random.default_rng(5).integers(0, 4, 3000).tolist())
+NO_REPEAT = RankOneSpec((len(_GAPS),), (_GAPS,))
+
+
+def _grid_word(name, stages, length):
+    if name == "no_repeat":
+        return generate_word(NO_REPEAT, 0, length)
+    return generate_word(preset_spec(name, stages), 1, length)
+
+
+def _windows(word, event, rows, h):
+    """Rows of the (h + 1)-window of `event`'s indicator, zero past the end."""
+    ind = np.concatenate([np.isin(word.symbols, sorted(event)), np.zeros(h, dtype=bool)])
+    return np.lib.stride_tricks.sliding_window_view(ind, h + 1)[rows]
+
+
+KEY_EDGES = [("single_spacer", 17, 5000, h) for h in (63, 64, 65, 127, 128)]
+NO_REPEAT_CASE = ("no_repeat", 1, len(_GAPS) + sum(_GAPS), 64)
 
 
 @pytest.mark.parametrize("events", sorted(GRID_EVENTS))
 @pytest.mark.parametrize("name,stages,length,h", [
-    ("staircase", 10, 12000, 120),  # more than one 2,048-row block
+    ("staircase", 10, 12000, 120),
     ("chacon", 12, 6000, 80),
     ("single_spacer", 17, 4000, 100),
     ("chacon", 12, 130, 120),       # shifts reach the end of the word
+    ("chacon", 12, 160000, 40),     # 35,556 rows: more than one _KEY_BLOCK
+    *KEY_EDGES,                     # h + 1 around one and two 64-bit key words
+    NO_REPEAT_CASE,
 ])
 def test_correlation_grid_matches_sliding_counts(name, stages, length, h, events):
-    word = generate_word(preset_spec(name, stages), 1, length)
+    word = _grid_word(name, stages, length)
     pairs = [(z, w) for z in range(h + 1) for w in range(h + 1)]
     grid = WordOracle(word).correlation_grid(GRID_EVENTS[events], np.array(pairs))
     assert grid.tolist() == reference_correlation_grid(word, GRID_EVENTS[events], pairs)
+
+
+@pytest.mark.parametrize("events", ["same", "distinct", "apart"])
+@pytest.mark.parametrize("name,stages,length,h", [*KEY_EDGES, NO_REPEAT_CASE])
+def test_each_distinct_window_pair_is_multiplied_once(monkeypatch, name, stages, length, h,
+                                                      events):
+    """The product sees each distinct (b-window, c-window) once, weighted by
+    how many rows share it."""
+    seen = []
+    group = rankone._distinct_rows
+    monkeypatch.setattr(rankone, "_distinct_rows", lambda key: seen.append(group(key)) or seen[-1])
+    word = _grid_word(name, stages, length)
+    a, b, c = GRID_EVENTS[events]
+    WordOracle(word).correlation_grid((a, b, c), np.array([[h, h]]))
+    rows = np.flatnonzero(np.isin(word.symbols, sorted(a)))
+    _, mult = np.unique(np.hstack([_windows(word, b, rows, h), _windows(word, c, rows, h)]),
+                        axis=0, return_counts=True)
+    assert len(seen) == 1
+    assert sorted(seen[0][1].tolist()) == sorted(mult.tolist())
+    if name == "no_repeat":
+        assert len(mult) == len(rows) == len(_GAPS)
 
 
 def test_correlation_grid_rejects_shifts_past_the_word():
