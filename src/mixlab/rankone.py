@@ -223,7 +223,9 @@ def _packed(ind: np.ndarray, words: int) -> np.ndarray:
 
 
 def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct values, and how many there are."""
+    """Each value's rank among the distinct values, and how many there are.
+    On rank-one keys this beats np.unique with return_inverse, which
+    argsorts, and np.lexsort over the key columns."""
     ordered = np.sort(values)
     distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
     return np.searchsorted(distinct, values), len(distinct)
@@ -301,7 +303,7 @@ class WordOracle:
                     # (high << 1) << (63 - r) is high << (64 - r), and 0 at r = 0.
                     key[:, k * cols + j] = (low >> r) | ((high << 1) << (63 - r))
                     low = high
-            key[:, cols - 1::cols] &= tail
+            key[:, cols - 1::cols] &= tail  # bits past h would split equal windows
             key, mult = _distinct_rows(key)
             for g in range(0, len(key), _GRAM_BLOCK):
                 # b's windows, then c's when c differs from b.
