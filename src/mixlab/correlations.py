@@ -272,6 +272,9 @@ def admissible_mask(epsilon: float, h: int) -> np.ndarray:
 
 
 # (h+1)^2 grid cells: past this h the grid, dev.csv and heatmap pass tens of MB.
+# One `scan dev --system rankone --h 1024` on a 10^6-symbol stage-1 word takes
+# 1.5 s (Chacon) to 2.2 s (staircase) and peaks at 245 MB on a 2-vCPU Xeon VM,
+# writing a 36-39 MB dev.csv and a 47 MB heatmap.
 MAX_DEV_H = 1024
 
 
