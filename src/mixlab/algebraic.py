@@ -67,9 +67,11 @@ MAX_GENERATORS = 1 << 26
 # would pass a gigabyte, so a larger side is refused.
 MAX_TORUS_SIDE = 1024
 
-# Monte Carlo time grows linearly with the sample count, about 0.25 s per
-# million samples on a 44-generator kernel; this keeps a run near half a
-# minute there.
+# Monte Carlo time grows linearly with the sample count: per million
+# samples, 0.05-0.06 s for 3-5 sites that read 40-44 generators of the
+# 33 x 33 kernel (dimension 44), 0.09 s for 15 sites, on a 2-vCPU Xeon VM.
+# This keeps a run there under 10 s; one whose sites read no generator
+# draws no sample.
 MAX_MC_SAMPLES = 10 ** 8
 
 class UnsupportedPatternError(RuntimeError):
@@ -512,11 +514,16 @@ def torus_kernel(pattern: RelationPattern, w: int, h: int) -> TorusKernel:
     return TorusKernel(w, h, tuple(vecs))
 
 
-def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
-    """Uniform sample from the kernel subgroup; (height, width) uint8 array,
-    deterministic for a given seed."""
-    gen = substream(seed, "config")
-    combo = random_bits(gen, kernel.dim)
+def _draw_coefficients(kernel: TorusKernel, seed: int) -> int:
+    """The coefficient vector that `sample_configuration(kernel, seed)`
+    combines: bit g set when basis element g takes part.  It fixes the
+    sample, so samples with equal vectors are one configuration."""
+    return random_bits(substream(seed, "config"), kernel.dim)
+
+
+def _build_configuration(kernel: TorusKernel, combo: int) -> np.ndarray:
+    """The (height, width) uint8 grid of the XOR of the basis elements set
+    in `combo`."""
     bits = 0
     while combo:
         low = combo & -combo
@@ -526,6 +533,12 @@ def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
     raw = bits.to_bytes((n + 7) // 8, "little")
     arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n]
     return arr.reshape(kernel.height, kernel.width)
+
+
+def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:
+    """Uniform sample from the kernel subgroup; (height, width) uint8 array,
+    deterministic for a given seed."""
+    return _build_configuration(kernel, _draw_coefficients(kernel, seed))
 
 
 def grid_satisfies_pattern(pattern: RelationPattern, grid: np.ndarray) -> bool:
@@ -562,7 +575,10 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
     Each sample is a uniform 0/1 combination of the kernel's generators,
     one byte's top bit per generator (`_mc_draw`), and its value at a site
     is the top bit of the XOR of the bytes at the generators in the site's
-    mask; a sample hits when every site takes its required bit.
+    mask; a sample hits when every site takes its required bit.  Only the
+    generators that some site's mask reads are gathered from each chunk,
+    one row per generator.  When no site reads any, every sample takes the
+    value 0 at every site, so no chunk is drawn.
     Deterministic for a given seed: samples are drawn in fixed-size chunks
     from substreams keyed by (seed, chunk index).
     """
@@ -574,24 +590,28 @@ def mc_cylinder_measure(kernel: TorusKernel, c: CylinderConstraint,
         raise ValueError("constellation does not embed in the torus")
     if not sites:
         return MeasureValue.of_estimate(1.0, 0.0, n)
-    site_gens = []
-    for s in sites:
-        m = kernel.site_mask(s)
-        site_gens.append([g for g in range(m.bit_length()) if m >> g & 1])
-    hits = 0
-    for chunk_idx, start in enumerate(range(0, n, _MC_CHUNK)):
-        count = min(_MC_CHUNK, n - start)
-        by_gen = _mc_draw(substream(seed, "mc", chunk_idx), count, kernel.dim).T.copy()
-        hit = np.ones(count, dtype=bool)
-        for gens, bit in zip(site_gens, c.bits):
-            hit &= (np.bitwise_xor.reduce(by_gen[gens], axis=0) >> 7) == bit
-        hits += int(np.count_nonzero(hit))
+    masks = [kernel.site_mask(s) for s in sites]
+    read = functools.reduce(int.__or__, masks)
+    used = [g for g in range(read.bit_length()) if read >> g & 1]
+    site_rows = [[r for r, g in enumerate(used) if m >> g & 1] for m in masks]
+    if not used:
+        hits = 0 if any(c.bits) else n
+    else:
+        hits = 0
+        for chunk_idx, start in enumerate(range(0, n, _MC_CHUNK)):
+            count = min(_MC_CHUNK, n - start)
+            by_gen = _mc_draw(substream(seed, "mc", chunk_idx), count, kernel.dim).T[used]
+            hit = np.ones(count, dtype=bool)
+            for rows, bit in zip(site_rows, c.bits):
+                hit &= (np.bitwise_xor.reduce(by_gen[rows], axis=0) >> 7) == bit
+            hits += int(np.count_nonzero(hit))
     p = hits / n
     stderr = math.sqrt(p * (1.0 - p) / n)
     return MeasureValue.of_estimate(p, stderr, n, torus=[kernel.width, kernel.height], seed=seed)
 
 
-# default_torus_for starts at this size and tries this many sizes.
+# default_torus_for starts at this size and tries this many sizes, not
+# counting the powers of two it skips.
 _TORUS_MIN_SIZE = 12
 _TORUS_TRIES = 24
 
@@ -603,7 +623,7 @@ def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusK
     odd factor and at least 4x the constellation diameter; the choice is
     validated by matching the evaluation rank at the sites against the
     plane rank, bumping the size until they agree; `ValueError` when
-    `_TORUS_TRIES` sizes all fail.
+    `_TORUS_TRIES` sizes all fail.  Skipped powers of two use up no try.
     """
     sites = _plane_sites(c.sites)
     if sites:
@@ -618,9 +638,7 @@ def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusK
     for _ in range(_TORUS_TRIES):
         if size & (size - 1) == 0:  # pure power of two
             size += 1
-            continue
-        kernel = torus_kernel(pattern, size, size)
-        last = kernel
+        kernel = last = torus_kernel(pattern, size, size)
         if not sites:
             return kernel
         tmasks = [kernel.site_mask(s) for s in sites]
@@ -628,7 +646,8 @@ def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusK
             return kernel
         size += 1
     raise ValueError(
-        f"no torus up to size {size} matches the plane rank for {c}; last dim {last.dim if last else '?'}"
+        f"no torus up to size {last.width if last else size} matches the plane rank for {c}; "
+        f"last dim {last.dim if last else '?'}"
     )
 
 

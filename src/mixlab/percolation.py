@@ -9,7 +9,9 @@ with a nonzero displacement winds around the torus, the standard
 finite-volume proxy for an infinite thread.  Every component has one colour,
 so the one labelling yields a report per bit value, and both reports share
 its root array: each cell holds the flat index of its cluster's first
-row-major cell.
+row-major cell.  A sweep labels each distinct configuration of a size once:
+a sample is fixed by its coefficient vector over the kernel basis, so
+samples that repeat a vector share one build, check and labelling.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .algebraic import (MAX_TORUS_SIDE, RelationPattern, TorusKernel,
-                        grid_satisfies_pattern, sample_configuration, torus_kernel)
+from .algebraic import (MAX_TORUS_SIDE, RelationPattern, TorusKernel, _build_configuration,
+                        _draw_coefficients, grid_satisfies_pattern, torus_kernel)
 from .rng import mix
 
 
@@ -197,9 +199,9 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
     return report(0), report(1)
 
 
-# One sample costs a draw and one labelling, about 1 ms at side 65 (1.5 ms
-# with 8-connectivity) on a 2-vCPU Xeon VM, so a size of that scale stays
-# under 20 s.
+# A distinct sample costs a draw and one labelling, 0.6-1.0 ms at side 65
+# (1.0-1.5 ms with 8-connectivity) on a 2-vCPU Xeon VM, and a repeated one
+# only its draw, so a size of that scale stays under 20 s.
 MAX_SWEEP_SAMPLES = 10_000
 
 # Each size builds its own kernel (0.01 s at side 257, 0.2-0.3 s and
@@ -225,7 +227,10 @@ def percolation_sweep(pattern: RelationPattern, sizes: Sequence[int],
     configurations, per lattice size and bit value.
 
     Fully seed-deterministic: sample s of size n uses the substream keyed by
-    (seed, n, s), and per-size aggregation runs in fixed sample order.
+    (seed, n, s), and per-size aggregation runs in fixed sample order.  A
+    sample is fixed by its coefficient vector, so a size draws every
+    sample's vector first and builds, checks and labels one configuration
+    per distinct vector; a kernel of dimension 0 labels one all-zero grid.
     """
     if len(sizes) > MAX_SWEEP_SIZES:
         raise ValueError(f"a sweep takes at most {MAX_SWEEP_SIZES} lattice sizes")
@@ -235,8 +240,8 @@ def percolation_sweep(pattern: RelationPattern, sizes: Sequence[int],
         raise ValueError(f"samples per size must lie in 1..{MAX_SWEEP_SAMPLES}")
     rows: list[SweepRow] = []
 
-    def analyze(kernel: TorusKernel, s_idx: int) -> tuple[dict, dict]:
-        config = sample_configuration(kernel, mix(seed, "sweep", kernel.width, s_idx))
+    def analyze(kernel: TorusKernel, combo: int) -> tuple[dict, dict]:
+        config = _build_configuration(kernel, combo)
         if not grid_satisfies_pattern(pattern, config):
             raise AssertionError("sampled configuration violates the defining relation")
         # A bit with no cells has largest 0, so its fraction is 0.0.
@@ -246,7 +251,10 @@ def percolation_sweep(pattern: RelationPattern, sizes: Sequence[int],
 
     for size in sizes:
         kernel = torus_kernel(pattern, size, size)
-        results = [analyze(kernel, s) for s in range(samples_per_size)]
+        combos = [_draw_coefficients(kernel, mix(seed, "sweep", size, s))
+                  for s in range(samples_per_size)]
+        labelled = {combo: analyze(kernel, combo) for combo in dict.fromkeys(combos)}
+        results = [labelled[combo] for combo in combos]
         for bit in (0, 1):
             wraps = [res[bit]["wrap"] for res in results]
             fracs = [res[bit]["largest_fraction"] for res in results]

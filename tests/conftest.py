@@ -9,7 +9,9 @@ row step with a dense transfer-matrix power, from the bit-by-bit
 elimination of the unit states' columns and from exhaustive
 enumeration, Monte Carlo hit counts from an int32 matrix product over the
 same draws, cluster structure from breadth-first search in the universal
-cover, and the joining calculus from explicit index loops over Fractions.
+cover, percolation sweeps from one draw and labelling per sample
+(`reference_percolation_sweep`), and the joining calculus from explicit
+index loops over Fractions.
 
 The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
 `transpose`, `mat_vec`, `mat_add`), readers for the grid writers' round trips
@@ -39,6 +41,7 @@ import csv
 import io
 import itertools
 import json
+import math
 from collections import deque
 from fractions import Fraction
 
@@ -46,13 +49,14 @@ import numpy as np
 import pytest
 
 from mixlab import gf2
-from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, relation_space, site_add,
-                              torus_kernel)
+from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, grid_satisfies_pattern,
+                              relation_space, sample_configuration, site_add, torus_kernel)
 from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
 from mixlab.measure import MeasureValue
-from mixlab.rng import substream
+from mixlab.percolation import SweepRow, clusters
+from mixlab.rng import mix, substream
 from mixlab.svg import CELL as SVG_CELL, DARK as SVG_DARK, LIGHT as SVG_LIGHT
 from mixlab.svg import _header as svg_header
 
@@ -369,15 +373,18 @@ def reference_elimination_torus_basis(pattern, w, h):
 
 
 def reference_default_torus(pattern, c):
-    """Side of the torus `default_torus_for` should pick: the first size
-    from max(12, 4 x diameter) on, skipping powers of two, whose torus gives
-    the sites the plane rank, with the rank taken by dense elimination."""
+    """Side of the torus `default_torus_for` should pick: among the first
+    24 sizes from max(12, 4 x diameter) on that are not powers of two, the
+    first whose torus gives the sites the plane rank, with the rank taken by
+    dense elimination."""
     sites = list(c.sites)
     xs, ys = [s[0] for s in sites], [s[1] for s in sites]
     size = max(12, 4 * max(max(xs) - min(xs), max(ys) - min(ys)))
     plane_rank = len(sites) - len(relation_space(pattern, sites))
-    for _ in range(24):
+    tried = 0
+    while tried < 24:
         if size & (size - 1):
+            tried += 1
             kernel = torus_kernel(pattern, size, size)
             masks = tuple(kernel.site_mask(s) for s in sites)
             if gf2.rank(BitMatrix(len(masks), max(kernel.dim, 1), masks)) == plane_rank:
@@ -525,6 +532,32 @@ def partitions_equal(labels_a: np.ndarray, labels_b: np.ndarray) -> bool:
         if fwd.setdefault(x, y) != y or bwd.setdefault(y, x) != x:
             return False
     return True
+
+
+def reference_percolation_sweep(pattern, sizes, samples_per_size, connectivity, seed):
+    """`percolation_sweep`'s rows with every sample drawn, checked and
+    labelled on its own: sample s of size n is
+    `sample_configuration(kernel, mix(seed, "sweep", n, s))`, and each
+    size's sums run in sample order."""
+    rows = []
+    for size in sizes:
+        kernel = torus_kernel(pattern, size, size)
+        reports = []
+        for s in range(samples_per_size):
+            grid = sample_configuration(kernel, mix(seed, "sweep", size, s))
+            assert grid_satisfies_pattern(pattern, grid)
+            reports.append(clusters(grid, connectivity))
+        for bit in (0, 1):
+            wraps = [rep[bit].wraps_horizontal or rep[bit].wraps_vertical for rep in reports]
+            fracs = [rep[bit].largest / max(rep[bit].target_cells, 1) for rep in reports]
+            n = len(fracs)
+            mean = sum(fracs) / n
+            var = sum((f - mean) ** 2 for f in fracs) / (n - 1) if n > 1 else 0.0
+            rows.append(SweepRow(size=size, bit=bit, wrap_fraction=sum(wraps) / n,
+                                 largest_fraction_mean=mean,
+                                 stderr=math.sqrt(var / n) if n > 1 else 0.0,
+                                 samples=n, seed=seed))
+    return rows
 
 
 # ---------------------------------------------------------------------------

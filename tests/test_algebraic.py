@@ -1,6 +1,8 @@
 """Algebraic systems: exact measures vs enumeration, kernels, sampling."""
 
+import functools
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from mixlab.algebraic import (
     BernoulliOracle,
     CylinderConstraint,
     LEDRAPPIER_PATTERN,
+    MAX_MC_SAMPLES,
     LedrappierOracle,
     RelationPattern,
     TorusKernel,
@@ -703,6 +706,27 @@ class TestMonteCarlo:
             c = CylinderConstraint(tuple(sites), (0,) * len(sites))
             assert default_torus_for(SYS, c).width == reference_default_torus(SYS, c)
 
+    @pytest.mark.parametrize("sites,start,first", [(FIVE, 12, 12), (((0, 0), (4, 0)), 16, 17)],
+                             ids=["from 12", "from 16"])
+    def test_default_torus_tries_only_sizes_that_are_not_powers_of_two(
+            self, monkeypatch, sites, start, first):
+        # With a plane rank of -1 no torus matches, so every try is used up.
+        built = []
+        real = algebraic.torus_kernel
+        monkeypatch.setattr(algebraic, "torus_kernel",
+                            lambda pattern, w, h: built.append(w) or real(pattern, w, h))
+        monkeypatch.setattr(algebraic, "relation_space",
+                            lambda pattern, sites, powers=None: [0] * (len(sites) + 1))
+        c = CylinderConstraint(sites, (0,) * len(sites))
+        with pytest.raises(ValueError) as exc:
+            default_torus_for(SYS, c)
+        assert len(built) == algebraic._TORUS_TRIES == 24
+        assert built == [n for n in range(first, first + 26) if n & (n - 1)][:24]
+        assert f"no torus up to size {built[-1]} matches the plane rank" in str(exc.value)
+        monkeypatch.setattr(algebraic, "_TORUS_TRIES", 0)
+        with pytest.raises(ValueError, match=f"no torus up to size {start} matches"):
+            default_torus_for(SYS, c)
+
     @pytest.mark.parametrize("dim", [0, 1, 7, 64])
     @pytest.mark.parametrize("count", [1, 8191, 8192])
     def test_raw_draw_bits_equal_int8_draws(self, dim, count):
@@ -755,6 +779,56 @@ class TestMonteCarlo:
             self._assert_hits_match(kernel, c, 5000, 2)
         one = CylinderConstraint(((0, 0),), (1,))
         assert mc_cylinder_measure(kernel, one, 5000, 2).estimate == 0.0
+
+    @pytest.mark.parametrize("kernel,sites", [
+        (torus_kernel(SYS, 28, 28), ((0, 0), (3, 1), (-2, 5))),
+        (TorusKernel(5, 5, (0b110, (1 << 7) | 0b100)), ((0, 0), (3, 0), (4, 4))),
+    ], ids=["dimension 0", "masks 0"])
+    @pytest.mark.parametrize("bits", [(0, 0, 0), (0, 1, 0)])
+    def test_no_generator_read_draws_nothing(self, monkeypatch, kernel, sites, bits):
+        c = CylinderConstraint(sites, bits)
+        assert all(kernel.site_mask(s) == 0 for s in sites)
+        expected = reference_mc_hits(kernel, c, 5000, 3) / 5000
+
+        def no_draw(*args):
+            raise AssertionError("a chunk was drawn")
+        monkeypatch.setattr(algebraic, "substream", no_draw)
+        monkeypatch.setattr(algebraic, "_mc_draw", no_draw)
+        start = time.perf_counter()
+        mv = mc_cylinder_measure(kernel, c, MAX_MC_SAMPLES, 3)
+        assert time.perf_counter() - start < 1.0
+        assert mv.estimate == expected == float(not any(bits))
+        assert mv.stderr == 0.0 and mv.samples == MAX_MC_SAMPLES
+        assert mv.meta == {"torus": [kernel.width, kernel.height], "seed": 3}
+
+    def test_hits_when_some_generators_are_unread(self):
+        kernel = torus_kernel(SYS, 40, 40)
+        assert kernel.dim == 64
+        gen = substream(2024, "unread")
+        for trial in range(4):
+            sites = set()
+            while len(sites) < 3:
+                sites.add((int(gen.integers(-6, 7)), int(gen.integers(-6, 7))))
+            sites = tuple(sorted(sites))
+            read = functools.reduce(int.__or__, (kernel.site_mask(s) for s in sites))
+            assert 0 < read.bit_count() < kernel.dim
+            bits = tuple(int(b) for b in gen.integers(0, 2, size=3))
+            self._assert_hits_match(kernel, CylinderConstraint(sites, bits), 2 * 8192 + 77, trial)
+
+    def test_hits_with_a_mask_zero_site_among_unread_generators(self):
+        # 64 random generators on a 9 x 9 torus: none is nonzero at (0, 0),
+        # and only the first 20 are nonzero at (4, 4) or (7, 2).
+        gen = substream(2025, "unread")
+        origin = 1 << 0
+        late = (1 << 4 * 9 + 4) | (1 << 2 * 9 + 7)  # sites (4, 4) and (7, 2)
+        basis = tuple(int.from_bytes(gen.bytes(11), "little") % (1 << 81)
+                      & ~(origin | (late if g >= 20 else 0)) for g in range(64))
+        kernel = TorusKernel(9, 9, basis)
+        sites = ((4, 4), (0, 0), (7, 2))
+        assert kernel.site_mask((0, 0)) == 0
+        assert (kernel.site_mask((4, 4)) | kernel.site_mask((7, 2))) >> 20 == 0
+        for bits in [(0, 0, 1), (1, 0, 0), (1, 1, 1), (0, 0, 0)]:
+            self._assert_hits_match(kernel, CylinderConstraint(sites, bits), 2 * 8192 + 77, 5)
 
     def test_window_and_mc_agree_on_random_constellations(self):
         gen = substream(999, "consistency")

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from mixlab import percolation
-from mixlab.algebraic import (LEDRAPPIER_PATTERN, MAX_TORUS_SIDE, grid_satisfies_pattern,
-                              sample_configuration, torus_kernel)
+from mixlab.algebraic import (LEDRAPPIER_PATTERN, MAX_TORUS_SIDE, _draw_coefficients,
+                              grid_satisfies_pattern, sample_configuration, torus_kernel)
 from mixlab.percolation import MAX_SWEEP_SAMPLES, clusters, percolation_sweep
 from mixlab.rng import mix
 
-from conftest import bfs_cover_clusters, partitions_equal
+from conftest import bfs_cover_clusters, partitions_equal, reference_percolation_sweep
 
 SYS = LEDRAPPIER_PATTERN
 
@@ -205,6 +205,53 @@ class TestSweep:
             assert row.wrap_fraction == float(rep.wraps_horizontal or rep.wraps_vertical)
             assert row.largest_fraction_mean == (rep.largest / total if total else 0.0)
             assert row.stderr == 0.0
+
+    # Side -> kernel dimension of the Ledrappier torus.
+    DIMS = {11: 0, 9: 4, 18: 8, 12: 16, 31: 40}
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    @pytest.mark.parametrize("size", list(DIMS), ids=[f"dim{d}" for d in DIMS.values()])
+    def test_rows_match_per_sample_reference(self, size, connectivity):
+        assert torus_kernel(SYS, size, size).dim == self.DIMS[size]
+        for samples in range(1, 7):
+            seed = 1000 * size + 10 * samples + connectivity
+            rows = percolation_sweep(SYS, [size], samples, connectivity, seed)
+            expected = reference_percolation_sweep(SYS, [size], samples, connectivity, seed)
+            assert [r.__dict__ for r in rows] == [r.__dict__ for r in expected]
+
+    def test_sweep_over_sizes_matches_per_sample_reference(self):
+        sizes = list(self.DIMS)
+        assert [r.__dict__ for r in percolation_sweep(SYS, sizes, 6, 8, seed=77)] == \
+            [r.__dict__ for r in reference_percolation_sweep(SYS, sizes, 6, 8, 77)]
+
+    def test_each_distinct_vector_is_checked_and_labelled_once(self, monkeypatch):
+        checked, labelled = [], []
+        check, label = percolation.grid_satisfies_pattern, percolation.clusters
+        monkeypatch.setattr(percolation, "grid_satisfies_pattern",
+                            lambda pattern, grid: checked.append(grid.copy()) or check(pattern, grid))
+        monkeypatch.setattr(percolation, "clusters",
+                            lambda grid, conn: labelled.append(grid.copy()) or label(grid, conn))
+        sizes, samples, seed = list(self.DIMS), 6, 4
+        percolation_sweep(SYS, sizes, samples, 4, seed)
+        expected = []
+        for n in sizes:
+            kernel = torus_kernel(SYS, n, n)
+            first = {}  # vector -> its first sample
+            for s in range(samples):
+                first.setdefault(_draw_coefficients(kernel, mix(seed, "sweep", n, s)), s)
+            expected += [sample_configuration(kernel, mix(seed, "sweep", n, s))
+                         for s in first.values()]
+            # Dimension 0 has one vector, dimension 4 repeats one here, and
+            # the larger kernels draw six distinct vectors.
+            assert len(first) == {0: 1, 4: 5}.get(self.DIMS[n], samples)
+        assert len(checked) == len(labelled) == len(expected)
+        for a, b, grid in zip(checked, labelled, expected):
+            assert np.array_equal(a, grid) and np.array_equal(b, grid)
+
+    def test_violating_configuration_raises(self, monkeypatch):
+        monkeypatch.setattr(percolation, "grid_satisfies_pattern", lambda pattern, grid: False)
+        with pytest.raises(AssertionError, match="violates the defining relation"):
+            percolation_sweep(SYS, [11], 2, 4, seed=0)
 
     @pytest.mark.parametrize("sizes,samples", [
         ([9, MAX_TORUS_SIDE + 1], 2),

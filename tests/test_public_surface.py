@@ -15,7 +15,8 @@ import sys
 from pathlib import Path
 
 from mixlab import cli
-from mixlab.algebraic import LEDRAPPIER_PATTERN, _window_masks
+from mixlab.algebraic import LEDRAPPIER_PATTERN, _window_masks, torus_kernel
+from mixlab.rng import mix, random_bits, substream
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "mixlab"
@@ -114,15 +115,23 @@ def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path):
 
 
 def test_sweep_labels_each_sample_once(monkeypatch, tmp_path):
-    # The cluster_cells observer reads clusters' argument 0 (the grid); one
-    # labelling per sample counts each sample's cells once.
+    # The cluster_cells observer reads clusters' argument 0 (the grid).  A
+    # sweep labels one grid per distinct coefficient vector of a size, so
+    # size 11 (dimension 0) is labelled once, size 21 (dimension 4) repeats
+    # a vector, and sizes 9 and 31 label each of their samples.
     tracing = _tracing(monkeypatch)
+    sizes, samples = (9, 11, 21, 31), 3
+    distinct = {n: len({random_bits(substream(mix(0, "sweep", n, s), "config"),
+                                    torus_kernel(LEDRAPPIER_PATTERN, n, n).dim)
+                        for s in range(samples)}) for n in sizes}
+    assert distinct == {9: 3, 11: 1, 21: 2, 31: 3}
     tracer = tracing.Tracer()
     tracer.install(tracing.TARGETS)
     try:
-        assert cli.main(["percolate", "--sizes", "9,11", "--samples", "2",
-                         "--out", str(tmp_path / "p")]) == 0
+        assert cli.main(["percolate", "--sizes", ",".join(map(str, sizes)),
+                         "--samples", str(samples), "--out", str(tmp_path / "p")]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.counts["percolation.cluster_cells"] == 2 * 81 + 2 * 121
-    assert sum(span.name == "percolation.clusters" for span in tracer.spans) == 2 + 2
+    assert tracer.counts["percolation.cluster_cells"] == sum(d * n * n for n, d in distinct.items())
+    assert sum(span.name == "percolation.clusters" for span in tracer.spans) == \
+        sum(distinct.values())
