@@ -517,8 +517,9 @@ def torus_kernel(pattern: RelationPattern, w: int, h: int) -> TorusKernel:
 def _draw_coefficients(kernel: TorusKernel, seed: int) -> int:
     """The coefficient vector that `sample_configuration(kernel, seed)`
     combines: bit g set when basis element g takes part.  It fixes the
-    sample, so samples with equal vectors are one configuration."""
-    return random_bits(substream(seed, "config"), kernel.dim)
+    sample, so samples with equal vectors are one configuration.  A
+    dimension-0 kernel has only the zero vector and builds no stream."""
+    return random_bits(substream(seed, "config"), kernel.dim) if kernel.dim else 0
 
 
 def _build_configuration(kernel: TorusKernel, combo: int) -> np.ndarray:

@@ -1,14 +1,14 @@
 """Command-line front end: reproducible experiments with file outputs.
 
-Every command resolves its parameters into a JSON-serializable config,
-writes that config to config.json in the output directory (no other
-artifact repeats it, except measure.json), and derives all randomness from
-one explicit 64-bit seed.  The config holds the contents of every input
-file in place of its path and leaves out the output directory, so
-re-running a command from its config reproduces every artifact byte for
-byte from any working directory (`mixlab replay CONFIG --out DIR`).  Replay
-fills every option the config leaves out with the parser's default, as the
-command line does.
+Every command resolves its parameters into a JSON-serializable config and
+writes it to config.json in the output directory (no other artifact repeats
+it, except measure.json).  All randomness comes from one explicit 64-bit
+`--seed`, which measure, scan mix, percolate and render take (scan dev takes
+it unread).  The config holds the contents of every input file in place of
+its path and leaves out the output directory, so re-running a command from
+its config reproduces every artifact byte for byte from any working
+directory (`mixlab replay CONFIG --out DIR`).  Replay fills every option the
+config leaves out with the parser's default, as the command line does.
 
 Exit codes: 0 success, 2 validation error (including a shift box too small
 for its gap, no fitting torus, and a joining family that does not
@@ -262,7 +262,7 @@ def cmd_scan_mix(params: dict) -> int:
     else:
         family = random_separated_shifts(params["seed"], budget, k, params["min_gap"],
                                          params["box"], dim=dim)
-    result = mix_defect_scan(oracle, k, events, family, budget)
+    result = mix_defect_scan(oracle, events, family, budget)
     _write_text(outdir, "mix.csv", mix_rows_to_csv(result))
     summary = {
         "order": result.order,
@@ -290,8 +290,7 @@ def cmd_joining(params: dict) -> int:
         lo, hi = params["scales"]
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
         tensor = limit_joining(oracle, uniform_partition(2), cells,
-                               dyadic_family(range(lo, hi)),
-                               order=params["order"])
+                               dyadic_family(range(lo, hi)))
     cls = classify(tensor)
     artifacts = {"tensor": tensor.to_json(), "classification": cls.to_json()}
     if params.get("lower_order"):
@@ -429,15 +428,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"mixlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, pattern: bool = True):
-        """--out and --seed, and --pattern for the commands that read one."""
+    def common(p: argparse.ArgumentParser, *options: str):
+        """--out, and each of "seed" and "pattern" in `options`."""
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
-        if pattern:
+        if "seed" in options:
+            p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+        if "pattern" in options:
             p.add_argument("--pattern", help="JSON file with a custom relation pattern")
 
     p = sub.add_parser("measure", help="exact or Monte-Carlo cylinder measure")
-    common(p)
+    common(p, "seed", "pattern")
     p.add_argument("--system", choices=["ledrappier", "bernoulli"], default="ledrappier")
     p.add_argument("--constellation", required=True, help="JSON constellation file")
     p.add_argument("--mc", action="store_true", help="force the Monte-Carlo estimator")
@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     scan_sub = p.add_subparsers(dest="scan_kind", required=True)
 
     pd = scan_sub.add_parser("dev", help="dev(h) statistics over the (z,w) grid")
-    common(pd, pattern=False)
+    common(pd, "seed")  # unread, but mixbench/jobs.py passes it to every scan dev job
     pd.add_argument("--system", choices=["bernoulli", "rankone"], default="bernoulli")
     pd.add_argument("--epsilon", type=float, required=True)
     pd.add_argument("--h", type=int, required=True, dest="h")
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--word-length", type=int, dest="word_length")
 
     pm = scan_sub.add_parser("mix", help="k-fold mixing defect over shift families")
-    common(pm)
+    common(pm, "seed", "pattern")
     pm.add_argument("--system", choices=["ledrappier", "bernoulli"], default="ledrappier")
     pm.add_argument("--order", type=int, required=True)
     pm.add_argument("--family", choices=["dyadic", "random"], default="random")
@@ -470,22 +470,21 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--events", help="JSON file with k+1 events")
 
     p = sub.add_parser("joining", help="limiting joining tensor and operator calculus")
-    common(p)
+    common(p, "pattern")
     p.add_argument("--tensor", help="load a tensor JSON instead of the parity pipeline")
-    p.add_argument("--order", type=int, default=5)
     p.add_argument("--scales", type=_scale_range, default=[1, 6])
     p.add_argument("--chain", action="store_true", help="run the mean-zero norm chain")
     p.add_argument("--raise", action="store_true", dest="raise_order")
     p.add_argument("--lower", action="store_true", dest="lower_order")
 
     p = sub.add_parser("percolate", help="cluster/wrap sweep over lattice sizes")
-    common(p)
+    common(p, "seed", "pattern")
     p.add_argument("--sizes", type=_int_list, required=True)
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--connectivity", type=int, choices=[4, 8], default=4)
 
     p = sub.add_parser("render", help="sample a configuration and render it")
-    common(p)
+    common(p, "seed", "pattern")
     p.add_argument("--size", type=int, default=32)
     p.add_argument("--format", default="svg", help="comma list of svg,pbm,json")
     p.add_argument("--clusters", action="store_true", help="tint clusters in the SVG")
@@ -493,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bit", type=int, choices=[0, 1], default=0)
 
     p = sub.add_parser("rankone", help="tower heights and symbolic words")
-    common(p, pattern=False)
+    common(p)
     p.add_argument("--spec", default="staircase")
     p.add_argument("--stages", type=int, default=10)
     p.add_argument("--stage", type=int, default=1)
@@ -563,7 +562,8 @@ def _check_params(command: str, params: dict) -> None:
     actions = {a.dest: a for a in _command_parser(command)._actions}
     for key, value in params.items():
         if key not in actions or not _fits(actions[key], value):
-            raise ValidationError(f"config parameter {key!r} cannot be {value!r}")
+            unknown = "" if key in actions else f": {command} has no such option"
+            raise ValidationError(f"config parameter {key!r} cannot be {value!r}{unknown}")
     missing = [a.dest for a in actions.values() if a.required and a.dest not in params]
     if missing:
         raise ValidationError(f"config lacks required parameter {missing[0]!r}")

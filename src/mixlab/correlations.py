@@ -119,22 +119,21 @@ MAX_SCAN_ORDER = 16
 MAX_SCAN_BUDGET = 10_000
 
 
-def mix_defect_scan(oracle: CorrelationOracle, k: int, events: Sequence,
+def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
                     shift_tuples: Iterable[Sequence[Site]], budget: int) -> MixDefect:
     """Scan shift tuples, tracking max |correlation - product of measures|.
 
-    `events` holds k+1 events; each tuple from the generator supplies their
+    The k+1 `events` fix the order k; each tuple from the generator gives their
     shifts.  With an exact oracle every nonzero defect is accompanied by the
     oracle's relation certificate when it can produce one.  The intersection
     measure is also checked against the minimum single-event measure (exact
     oracles only), which every scan must satisfy.
     """
+    k = len(events) - 1
     if not 1 <= k <= MAX_SCAN_ORDER:
         raise ValueError(f"order k must lie in 1..{MAX_SCAN_ORDER}")
     if not 1 <= budget <= MAX_SCAN_BUDGET:
         raise ValueError(f"budget must lie in 1..{MAX_SCAN_BUDGET}")
-    if len(events) != k + 1:
-        raise ValueError(f"order {k} scan needs {k + 1} events")
     singles = [oracle.event_measure(e) for e in events]
     prod = product_of_measures(singles)
     min_single = min(s.exact for s in singles) if prod.is_exact else None

@@ -186,10 +186,10 @@ def _same(x: "JoiningTensor", y: "JoiningTensor") -> bool:
 
 class JoiningTensor:
     """Order-n tensor over partition cells; entries >= 0, total mass 1,
-    every one-axis marginal equal to the cell masses.  Built from the flat
-    `entries` or from `scaled` (num, den) of any shape; validated once."""
+    every one-axis marginal equal to the `dims` = len(weights) cell masses.
+    Built from flat `entries` or `scaled` (num, den) of any shape; validated once."""
 
-    def __init__(self, order: int, dims: int, weights: tuple[Fraction, ...],
+    def __init__(self, order: int, weights: tuple[Fraction, ...],
                  entries: Sequence[Number] = (), exact: bool = True, *,
                  scaled: Optional[Scaled] = None):
         if scaled is None:
@@ -197,7 +197,7 @@ class JoiningTensor:
             scaled = _scaled(self.entries, exact)
         else:
             scaled = _reduced(*scaled, exact)
-        self.order, self.dims, self.weights, self.exact = order, dims, weights, exact
+        self.order, self.dims, self.weights, self.exact = order, len(weights), weights, exact
         self.scaled = scaled
         self.__post_init__()
 
@@ -214,8 +214,6 @@ class JoiningTensor:
         """Check the joining invariants and shape `scaled` as (dims,)*order."""
         if self.order < 1:
             raise JoiningError("tensor order must be at least 1")
-        if len(self.weights) != self.dims:
-            raise JoiningError("need one cell mass per cell")
         if self.dims < 2:
             raise JoiningError("a tensor needs at least two cells")
         num, den = self.scaled
@@ -257,9 +255,11 @@ class JoiningTensor:
         if type(order) is not int or type(dims) is not int or type(exact) is not bool:
             raise JoiningError("tensor 'order' and 'dims' must be integers, 'exact' a boolean")
         weights = tuple(parse_fraction(str(w)) for w in obj["weights"])
+        if len(weights) != dims:
+            raise JoiningError("need one cell mass per cell")
         if not exact:
-            return cls(order, dims, weights, [float(e) for e in obj["entries"]], exact=False)
-        return cls(order, dims, weights, scaled=_parsed([str(e) for e in obj["entries"]]))
+            return cls(order, weights, [float(e) for e in obj["entries"]], exact=False)
+        return cls(order, weights, scaled=_parsed([str(e) for e in obj["entries"]]))
 
 
 def parity_tensor(order: int) -> JoiningTensor:
@@ -270,7 +270,7 @@ def parity_tensor(order: int) -> JoiningTensor:
     mass = Fraction(1, 1 << (order - 1))
     entries = tuple(mass if sum(idx) % 2 == 0 else Fraction(0)
                     for idx in _indices(2, order))
-    return JoiningTensor(order, 2, (Fraction(1, 2), Fraction(1, 2)), entries)
+    return JoiningTensor(order, (Fraction(1, 2), Fraction(1, 2)), entries)
 
 
 def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list[Number]]:
@@ -291,7 +291,7 @@ def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list
         .transpose([ranks.index(x) for x in axes])
     if len(axes) == 1:
         return _values(kept, den, t.exact)
-    return JoiningTensor(len(axes), t.dims, t.weights, exact=t.exact, scaled=(kept, den))
+    return JoiningTensor(len(axes), t.weights, exact=t.exact, scaled=(kept, den))
 
 
 @dataclass(frozen=True)
@@ -531,15 +531,15 @@ def chain_check(p2: LinearOperator) -> ChainReport:
 # ---------------------------------------------------------------------------
 # Order raising and lowering
 
-def tensor_report(t: JoiningTensor, product_marginal_order: int) -> dict:
+def tensor_report(t: JoiningTensor) -> dict:
     cls = classify(t)
     return {
         "order": t.order,
         "nonnegative": True,
         "normalized": True,
-        "marginals_product_order": product_marginal_order,
-        "marginals_product": cls.max_product_marginal_order >= product_marginal_order
-        or cls.is_product,
+        "marginals_product_order": t.order - 1,
+        # a product tensor has max_product_marginal_order == order
+        "marginals_product": cls.max_product_marginal_order >= t.order - 1,
         "class": cls.label,
     }
 
@@ -554,8 +554,8 @@ def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
     if p3.source_order != 3:
         raise ValueError("raise_order needs a source-order-3 operator")
     paired, den = _pairing(p3)
-    t = JoiningTensor(6, p3.dims, p3.weights, exact=p3.exact, scaled=(paired, den))
-    return t, tensor_report(t, 5)
+    t = JoiningTensor(6, p3.weights, exact=p3.exact, scaled=(paired, den))
+    return t, tensor_report(t)
 
 
 def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
@@ -577,42 +577,41 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
     inv, inv_den = _inverse_masses(t)
     flat = a.reshape(d * d, d ** p)
     paired = (flat * _mass_grid(inv, p).ravel()) @ flat.T
-    out = JoiningTensor(4, d, t.weights, exact=t.exact,
-                        scaled=(paired, den * den * inv_den ** p))
-    return out, tensor_report(out, 3)
+    out = JoiningTensor(4, t.weights, exact=t.exact, scaled=(paired, den * den * inv_den ** p))
+    return out, tensor_report(out)
 
 
 # ---------------------------------------------------------------------------
 # Limits of correlation families
 
 def limit_joining(oracle: CorrelationOracle, partition: Partition,
-                  cell_events: Sequence, family: Iterable[Sequence],
-                  order: int) -> JoiningTensor:
+                  cell_events: Sequence, family: Iterable[Sequence]) -> JoiningTensor:
     """Tensor of limiting intersection measures over all cell combinations.
 
-    Walks the shift family, recomputing the full tensor per member; returns
-    once `STABLE_MEMBERS` consecutive members agree (exactly for exact
-    oracles, within `FLOAT_TOL` otherwise).  Every member is validated as a joining, since
-    the correlations of a partition at any fixed shifts form one; an oracle
-    that yields anything else raises `JoiningError` at that member.
-    `NonStabilizingError`, carrying the observed trace, is raised only when
-    the family of genuine joinings is exhausted without stabilizing.  An
-    order outside 2..`MAX_JOINING_ORDER` is refused before any member.
+    The first member's length is the order.  Walks the family, recomputing the
+    full tensor per member; returns once `STABLE_MEMBERS` consecutive members
+    agree (exactly for exact oracles, within `FLOAT_TOL` otherwise).  Every
+    member is validated as a joining, since the correlations of a partition
+    at any fixed shifts form one; an oracle that yields anything else raises
+    `JoiningError` at that member.  `NonStabilizingError`, carrying the
+    observed trace, is raised only when the family of genuine joinings is
+    exhausted without stabilizing.  An order outside 2..`MAX_JOINING_ORDER`,
+    or a member of another length, is refused before it is measured.
     """
     if len(cell_events) != partition.cells:
         raise ValueError("one event per partition cell required")
-    if not 2 <= order <= MAX_JOINING_ORDER:
-        raise ValueError(f"joining order must lie in 2..{MAX_JOINING_ORDER}")
-    d = partition.cells
     trace: list[JoiningTensor] = []
     run = 0
     for shifts in family:
         shifts = tuple(shifts)
+        order = trace[0].order if trace else len(shifts)
+        if not 2 <= order <= MAX_JOINING_ORDER:
+            raise ValueError(f"joining order must lie in 2..{MAX_JOINING_ORDER}")
         if len(shifts) != order:
             raise ValueError(f"family member has {len(shifts)} shifts, need {order}")
         exact = True
         entries: list[Number] = []
-        for idx in _indices(d, order):
+        for idx in _indices(partition.cells, order):
             mv = kfold_correlation(
                 oracle, Constellation(shifts, tuple(cell_events[i] for i in idx)))
             if mv.is_exact:
@@ -620,7 +619,7 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
             else:
                 exact = False
                 entries.append(mv.as_float())
-        tensor = JoiningTensor(order, d, partition.weights, tuple(entries), exact=exact)
+        tensor = JoiningTensor(order, partition.weights, tuple(entries), exact=exact)
         if trace and _same(trace[-1], tensor):
             run += 1
         else:

@@ -14,8 +14,8 @@ class MeasureValue:
 
     At least one of `exact` / `estimate` is present.  Exact values come from
     rank computations and never touch floating point.  Values are shared
-    (the window method returns one object per rank), so `meta` is kept as a
-    read-only view of a copy of what was passed.
+    (the plane kernel's `_window_value` shares one value per rank), so
+    `meta` is kept as a read-only view of a copy of what was passed.
     """
 
     exact: Optional[Fraction] = None

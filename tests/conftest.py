@@ -848,15 +848,14 @@ def _cell_products(weights, order):
 
 
 def product_tensor(partition, order):
-    return JoiningTensor(order, partition.cells, partition.weights,
-                         _cell_products(partition.weights, order))
+    return JoiningTensor(order, partition.weights, _cell_products(partition.weights, order))
 
 
 def diagonal_tensor(partition, order):
     d = partition.cells
     entries = tuple(partition.weights[idx[0]] if len(set(idx)) == 1 else Fraction(0)
                     for idx in itertools.product(range(d), repeat=order))
-    return JoiningTensor(order, d, partition.weights, entries)
+    return JoiningTensor(order, partition.weights, entries)
 
 
 def group_sum_tensor(d, q, order=3):
@@ -867,7 +866,7 @@ def group_sum_tensor(d, q, order=3):
     denom = d ** (order - 1)
     entries = tuple(Fraction(q[sum(idx) % d], denom)
                     for idx in itertools.product(range(d), repeat=order))
-    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
+    return JoiningTensor(order, uniform_partition(d).weights, entries)
 
 
 def averaging_operator(partition, source_order):

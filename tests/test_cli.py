@@ -9,7 +9,6 @@ import pytest
 from mixlab import algebraic, cli
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
 from mixlab.correlations import MAX_DYADIC_SCALE, MAX_SCAN_BOX, MAX_SCAN_BUDGET, MAX_SCAN_ORDER
-from mixlab.joinings import MAX_JOINING_ORDER
 from mixlab.percolation import MAX_SWEEP_SAMPLES, MAX_SWEEP_SIZES
 from mixlab.rankone import MAX_STAGES, MAX_WORD_LENGTH
 
@@ -121,8 +120,7 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
     (["scan", "mix", "--order", "4", "--family", "dyadic",
       "--scales", f"1:{MAX_DYADIC_SCALE + 2}"],
      f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
-    (["joining", "--order", str(MAX_JOINING_ORDER + 1)],
-     f"joining order must lie in 2..{MAX_JOINING_ORDER}"),
+    (["scan", "mix", "--order", "0"], f"--order must lie in 1..{MAX_SCAN_ORDER}"),
     (["joining", "--scales", f"{10 ** 9}:{10 ** 9 + 3}"],
      f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
     (["joining", "--scales=-1:3"], f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
@@ -257,6 +255,54 @@ def test_pattern_on_a_route_that_reads_none_exits_2(tmp_path, capsys, command, p
     assert cli.main(["replay", path, "--out", str(out)]) == 2
     assert f"error: --pattern is not read by {route}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rankone", "--seed", "1"],
+    ["joining", "--seed", "1"],
+    ["joining", "--order", "5"],
+])
+def test_option_no_route_reads_is_refused(tmp_path, argv):
+    # rankone and joining draw nothing, and joining takes its order from
+    # the dyadic family or the tensor file.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_scan_dev_still_takes_a_seed(tmp_path):
+    assert cli.main(["scan", "dev", "--h", "6", "--epsilon", "0.1", "--seed", "7",
+                     "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command,params,key,value", [
+    ("rankone", {"word_length": 10}, "seed", 0),
+    ("joining", {"tensor": PRODUCT2}, "seed", 0),
+    ("joining", {"scales": [1, 6]}, "order", 5),
+])
+def test_replay_of_a_removed_option_exits_2(tmp_path, capsys, command, params, key, value):
+    # Configs written before rankone and joining lost --seed, and joining
+    # --order, hold "seed": 0 and "order": 5.
+    config = {"command": command, "params": dict(params, **{key: value})}
+    path = _write(tmp_path / "config.json", config)
+    assert cli.main(["replay", path, "--out", str(tmp_path / "out")]) == 2
+    assert (f"error: config parameter {key!r} cannot be {value!r}: "
+            f"{command} has no such option") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["rankone", "--word-length", "100"],
+    ["joining", "--scales", "1:6"],
+])
+def test_fresh_config_holds_no_removed_option_and_replays(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "first"]) == 0
+    params = json.loads((tmp_path / "first" / "config.json").read_text(encoding="utf-8"))["params"]
+    assert "seed" not in params and "order" not in params
+    assert cli.main(["replay", "first/config.json", "--out", "again"]) == 0
+    assert _artifacts(tmp_path / "again") == _artifacts(tmp_path / "first")
 
 
 def test_bernoulli_dev_scan_with_plane_events_exits_3(tmp_path, capsys):

@@ -66,7 +66,7 @@ class TestKfold:
 
 class TestMixDefectScan:
     def test_bernoulli_order2_exact_zero(self):
-        res = mix_defect_scan(BERN, 2, [B0] * 3,
+        res = mix_defect_scan(BERN, [B0] * 3,
                               random_separated_shifts(5, 60, 2, 8, 100, dim=1),
                               budget=60)
         assert res.max_abs_defect == 0
@@ -76,20 +76,20 @@ class TestMixDefectScan:
         # x0 = 0, (x1, x2) = (0, 1) shifted by s, x_t = 0: overlapping
         # shifts tie the events, disjoint ones make them independent
         b1 = CylinderConstraint((0, 1), (0, 1))
-        res = mix_defect_scan(BERN, 2, [B0, b1, B0], [(0, 0, 5), (0, 1, 9)], budget=2)
+        res = mix_defect_scan(BERN, [B0, b1, B0], [(0, 0, 5), (0, 1, 9)], budget=2)
         lines = mix_rows_to_csv(res).splitlines()
         assert lines[0] == "shifts,correlation,product,defect,has_certificate"
         assert lines[1] == '"[0, 0, 5]",1/8,1/16,1/16,0'
         assert lines[2] == '"[0, 1, 9]",1/16,1/16,0,0'
 
     def test_bernoulli_order1_exact_zero(self):
-        res = mix_defect_scan(BERN, 1, [B0] * 2,
+        res = mix_defect_scan(BERN, [B0] * 2,
                               random_separated_shifts(6, 40, 1, 8, 100, dim=1),
                               budget=40)
         assert res.max_abs_defect == 0
 
     def test_ledrappier_order4_dyadic_defect(self):
-        res = mix_defect_scan(LED, 4, [L0] * 5, dyadic_family(range(1, 8)), budget=7)
+        res = mix_defect_scan(LED, [L0] * 5, dyadic_family(range(1, 8)), budget=7)
         assert res.max_abs_defect == Fraction(1, 32)
         # every scanned scale realizes the defect
         assert all(row.defect == Fraction(1, 32) for row in res.rows)
@@ -97,18 +97,35 @@ class TestMixDefectScan:
 
     def test_ledrappier_order3_separated_zero(self):
         res = mix_defect_scan(
-            LED, 3, [L0] * 4,
+            LED, [L0] * 4,
             random_separated_shifts(7, 60, 3, 8, 128, dim=2),
             budget=60)
         assert res.max_abs_defect == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            mix_defect_scan(BERN, 0, [B0], [], budget=1)
+            mix_defect_scan(BERN, [B0], [], budget=1)
         with pytest.raises(ValueError):
-            mix_defect_scan(BERN, 1, [B0] * 2, [], budget=0)
+            mix_defect_scan(BERN, [B0] * 2, [], budget=0)
         with pytest.raises(ValueError):
-            mix_defect_scan(BERN, 2, [B0] * 2, [(0, 1, 2)], budget=1)
+            mix_defect_scan(BERN, [B0] * 2, [(0, 1, 2)], budget=1)
+
+    @pytest.mark.parametrize("count", [0, 1, 18])
+    def test_order_past_its_bound_is_refused_before_any_measure(self, count):
+        # The order is len(events) - 1, checked before any event is measured.
+        class SpyOracle:
+            def event_measure(self, event):
+                raise AssertionError("measured an event")
+
+            def intersection_measure(self, shifts, events):
+                raise AssertionError("measured an intersection")
+
+        with pytest.raises(ValueError, match="order k must lie in 1..16"):
+            mix_defect_scan(SpyOracle(), [B0] * count, [(0,) * count], budget=1)
+
+    def test_order_comes_from_the_events(self):
+        res = mix_defect_scan(BERN, [B0] * 4, [(0, 9, 18, 27)], budget=1)
+        assert res.order == 3 and res.scanned == 1
 
 
 class TestDevScan:
@@ -268,4 +285,4 @@ class TestConstellationType:
                 return MeasureValue.of_exact(Fraction(1, 2))  # exceeds the events
 
         with pytest.raises(AssertionError):
-            mix_defect_scan(BadOracle(), 1, ["a", "b"], [(0, 1)], budget=1)
+            mix_defect_scan(BadOracle(), ["a", "b"], [(0, 1)], budget=1)

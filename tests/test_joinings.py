@@ -28,6 +28,7 @@ from mixlab.algebraic import CylinderConstraint, LedrappierOracle
 from mixlab.correlations import dyadic_family
 from mixlab.joinings import (
     FLOAT_TOL,
+    MAX_JOINING_ORDER,
     STABLE_MEMBERS,
     JoiningError,
     JoiningTensor,
@@ -68,18 +69,23 @@ class TestTensors:
     def test_invariants_enforced(self):
         # marginals off: all mass on the first row
         with pytest.raises(JoiningError):
-            JoiningTensor(2, 2, U2.weights, (Fraction(1, 2), Fraction(1, 2),
-                                             Fraction(0), Fraction(0)))
+            JoiningTensor(2, U2.weights, (Fraction(1, 2), Fraction(1, 2),
+                                          Fraction(0), Fraction(0)))
         # negative entry
         with pytest.raises(JoiningError):
-            JoiningTensor(2, 2, U2.weights, (Fraction(3, 4), Fraction(-1, 4),
-                                             Fraction(-1, 4), Fraction(3, 4)))
+            JoiningTensor(2, U2.weights, (Fraction(3, 4), Fraction(-1, 4),
+                                          Fraction(-1, 4), Fraction(3, 4)))
         # wrong mass
         with pytest.raises(JoiningError):
-            JoiningTensor(2, 2, U2.weights, (Fraction(1, 4),) * 3 + (Fraction(1, 2),))
-        # one cell mass for two cells
+            JoiningTensor(2, U2.weights, (Fraction(1, 4),) * 3 + (Fraction(1, 2),))
+        # tensor JSON whose dims disagrees with its weights: one cell mass
+        # for two cells, and two for three
         with pytest.raises(JoiningError, match="one cell mass per cell"):
-            JoiningTensor(2, 2, (Fraction(1),), (Fraction(1, 4),) * 4)
+            JoiningTensor.from_json({"order": 2, "dims": 2, "weights": ["1"],
+                                     "entries": ["1/4"] * 4})
+        with pytest.raises(JoiningError, match="one cell mass per cell"):
+            JoiningTensor.from_json({"order": 2, "dims": 3, "weights": ["1/2", "1/2"],
+                                     "entries": ["1/4"] * 4})
 
     def test_partition_validation(self):
         with pytest.raises(ValueError):
@@ -136,7 +142,7 @@ class TestClassify:
         for idx in _tensor_indices(d, 3):
             sign = 1 if sum(idx) % 2 == 0 else -1
             entries.append(Fraction(1, 8) + sign * eps)
-        t = JoiningTensor(3, 2, U2.weights, tuple(entries))
+        t = JoiningTensor(3, U2.weights, tuple(entries))
         cls = classify(t)
         assert not cls.is_product
         assert cls.label == "M(2,3)"
@@ -144,7 +150,7 @@ class TestClassify:
     def test_matches_loop_reference(self):
         gen = substream(17, "classify")
         # parity on three axes times a free fourth axis: class M(2,4)
-        parity_x_free = JoiningTensor(4, 2, U2.weights, tuple(
+        parity_x_free = JoiningTensor(4, U2.weights, tuple(
             e * w for e in parity_tensor(3).entries for w in U2.weights))
         tensors = [_twisted_group_sum(gen, 3, 4), _graph_mixture(gen, 3, 4),
                    diagonal_tensor(U2, 4), parity_x_free, product_tensor(U2, 4),
@@ -194,7 +200,7 @@ class TestMarkovFromJoining:
             Fraction(1, 2) * a + Fraction(1, 2) * b
             for a, b in zip(parity_tensor(3).entries, product_tensor(U2, 3).entries))
         assert adjoint_maps_mean_zero(
-            markov_from_joining(JoiningTensor(3, 2, U2.weights, mix_entries)))
+            markov_from_joining(JoiningTensor(3, U2.weights, mix_entries)))
 
     def test_degenerate_masses_rejected(self):
         # Validation refuses a zero mass, so the broken tensor is a bare
@@ -382,7 +388,7 @@ class TestLimitJoining:
     def test_ledrappier_parity_pipeline(self):
         oracle = LedrappierOracle()
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
-        t = limit_joining(oracle, U2, cells, dyadic_family(range(1, 6)), order=5)
+        t = limit_joining(oracle, U2, cells, dyadic_family(range(1, 6)))
         assert t.entries == parity_tensor(5).entries
         assert classify(t).label == "M(4,5)"
 
@@ -391,7 +397,7 @@ class TestLimitJoining:
         oracle = BernoulliOracle()
         cells = [CylinderConstraint((0,), (b,)) for b in (0, 1)]
         family = [(0, 10 * s, 20 * s) for s in range(1, 6)]
-        t = limit_joining(oracle, U2, cells, family, order=3)
+        t = limit_joining(oracle, U2, cells, family)
         assert t.entries == product_tensor(U2, 3).entries
 
     def test_constant_synthetic_oracle_returns_own_tensor(self):
@@ -405,7 +411,7 @@ class TestLimitJoining:
                 return MeasureValue.of_exact(as_array(target)[tuple(events)])
 
         cells = [0, 1]
-        t = limit_joining(TensorOracle(), U2, cells, [(0, 1, 2)] * 4, order=3)
+        t = limit_joining(TensorOracle(), U2, cells, [(0, 1, 2)] * 4)
         assert t.entries == target.entries
 
     def test_non_stabilizing_family_fails_loudly(self):
@@ -424,7 +430,7 @@ class TestLimitJoining:
         cells = [0, 1]
         with pytest.raises(NonStabilizingError) as err:
             limit_joining(DriftingOracle(), U2, cells,
-                          [(0, s, 2 * s) for s in range(1, 8)], order=3)
+                          [(0, s, 2 * s) for s in range(1, 8)])
         assert len(err.value.trace) >= 2
 
     def test_non_joining_member_rejected(self):
@@ -442,7 +448,32 @@ class TestLimitJoining:
         cells = [0, 1]
         with pytest.raises(JoiningError, match="mass is 5/4"):
             limit_joining(MassiveOracle(), U2, cells,
-                          [(0, s, 2 * s) for s in range(1, 8)], order=3)
+                          [(0, s, 2 * s) for s in range(1, 8)])
+
+    def test_order_comes_from_the_first_member(self):
+        from mixlab.algebraic import BernoulliOracle
+        cells = [CylinderConstraint((0,), (b,)) for b in (0, 1)]
+        t = limit_joining(BernoulliOracle(), U2, cells, [(0, 10 * s, 20 * s) for s in range(1, 4)])
+        assert t.order == 3 and t.dims == 2
+        assert as_array(t).shape == (2, 2, 2)
+
+    def test_member_of_another_length_is_refused(self):
+        from mixlab.algebraic import BernoulliOracle
+        cells = [CylinderConstraint((0,), (b,)) for b in (0, 1)]
+        with pytest.raises(ValueError, match="family member has 4 shifts, need 3"):
+            limit_joining(BernoulliOracle(), U2, cells, [(0, 10, 20), (0, 10, 20, 30)])
+
+    @pytest.mark.parametrize("length", [0, 1, MAX_JOINING_ORDER + 1])
+    def test_order_past_its_bound_is_refused_before_any_measure(self, length):
+        class SpyOracle:
+            def event_measure(self, event):
+                raise AssertionError("measured an event")
+
+            def intersection_measure(self, shifts, events):
+                raise AssertionError("measured an intersection")
+
+        with pytest.raises(ValueError, match=f"joining order must lie in 2..{MAX_JOINING_ORDER}"):
+            limit_joining(SpyOracle(), U2, [0, 1], [tuple(range(length))] * STABLE_MEMBERS)
 
 
 def _random_q(gen, d):
@@ -459,7 +490,7 @@ def _twisted_group_sum(gen, d, order):
     coeffs = [units[int(x)] for x in gen.integers(0, len(units), size=order)]
     entries = tuple(q[sum(c * i for c, i in zip(coeffs, idx)) % d] / d ** (order - 1)
                     for idx in _tensor_indices(d, order))
-    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
+    return JoiningTensor(order, uniform_partition(d).weights, entries)
 
 
 def _graph_mixture(gen, d, order):
@@ -474,7 +505,7 @@ def _graph_mixture(gen, d, order):
                            else Fraction(0) for idx in _tensor_indices(d, order)))
     c1, c2 = (Fraction(int(x), 16) for x in gen.integers(1, 8, size=2))
     entries = tuple((1 - c1 - c2) * a + c1 * b + c2 * c for a, b, c in zip(*parts))
-    return JoiningTensor(order, d, uniform_partition(d).weights, entries)
+    return JoiningTensor(order, uniform_partition(d).weights, entries)
 
 
 def _random_stochastic(gen, d):
@@ -590,8 +621,7 @@ class TestFloatPath:
                 return MeasureValue.of_estimate(value, 0.0, 1000)
 
         t = limit_joining(EstimateOracle(), U2, [0, 1],
-                          [(0, s, 2 * s, 3 * s) for s in range(1, STABLE_MEMBERS + 1)],
-                          order=4)
+                          [(0, s, 2 * s, 3 * s) for s in range(1, STABLE_MEMBERS + 1)])
         assert not t.exact and _float_scaled(t)
         _assert_near(t.entries, target.entries)
         assert classify(t) == classify(target)

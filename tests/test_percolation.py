@@ -5,7 +5,7 @@ bounds."""
 import numpy as np
 import pytest
 
-from mixlab import percolation
+from mixlab import algebraic, percolation
 from mixlab.algebraic import (LEDRAPPIER_PATTERN, MAX_TORUS_SIDE, _draw_coefficients,
                               grid_satisfies_pattern, sample_configuration, torus_kernel)
 from mixlab.percolation import MAX_SWEEP_SAMPLES, clusters, percolation_sweep
@@ -247,6 +247,19 @@ class TestSweep:
         assert len(checked) == len(labelled) == len(expected)
         for a, b, grid in zip(checked, labelled, expected):
             assert np.array_equal(a, grid) and np.array_equal(b, grid)
+
+    def test_dimension_0_draws_build_no_stream(self, monkeypatch):
+        # A 22 x 22 Ledrappier torus has one configuration, all zeros: its
+        # samples read no random bit, so no substream is built for them.
+        kernel = torus_kernel(SYS, 22, 22)
+        assert kernel.dim == 0
+        expected = [r.__dict__ for r in reference_percolation_sweep(SYS, [22], 3, 4, 5)]
+
+        def no_stream(*args):
+            raise AssertionError("a substream was built")
+        monkeypatch.setattr(algebraic, "substream", no_stream)
+        assert not sample_configuration(kernel, 9).any()
+        assert [r.__dict__ for r in percolation_sweep(SYS, [22], 3, 4, seed=5)] == expected
 
     def test_violating_configuration_raises(self, monkeypatch):
         monkeypatch.setattr(percolation, "grid_satisfies_pattern", lambda pattern, grid: False)
