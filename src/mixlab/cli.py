@@ -1,19 +1,43 @@
 """Command-line front end: reproducible experiments with file outputs.
 
-Every command resolves its parameters into a JSON-serializable config and
-writes it to config.json in the output directory (no other artifact repeats
-it, except measure.json).  All randomness comes from one explicit 64-bit
-`--seed`, which measure, scan mix, percolate and render take (scan dev takes
-it unread).  The config holds the contents of every input file in place of
-its path and leaves out the output directory, so re-running a command from
-its config reproduces every artifact byte for byte from any working
-directory (`mixlab replay CONFIG --out DIR`).  Replay fills every option the
-config leaves out with the parser's default, as the command line does.
+Every command resolves its parameters into a JSON-serializable config.  All
+randomness comes from one explicit 64-bit `--seed`, which measure, scan mix,
+percolate and render take (scan dev takes it unread).  The config holds the
+contents of every input file in place of its path and leaves out the output
+directory, so re-running a command from its config reproduces every artifact
+byte for byte from any working directory (`mixlab replay CONFIG --out DIR`).
+Replay fills every option the config leaves out with the parser's default,
+as the command line does.
+
+Each command yields its artifacts; one runner, shared by the command line
+and replay, writes them.  It makes `--out` and writes config.json when the
+command yields its first artifact, so a run refused or failed before that
+writes nothing.  The files of each command, after config.json (the config;
+no other file repeats it, except measure.json):
+
+- measure: measure.json, the exact measure or Monte-Carlo estimate with how
+  it was computed, and a copy of the config.
+- scan dev: dev.csv, one row per admissible (z, w) pair with its
+  correlation, product and defect; dev.json, epsilon, h, the pair count,
+  the pairs whose defect exceeds epsilon and dev; dev_heatmap.svg, the
+  defect field.
+- scan mix: mix.csv, one row per scanned shift tuple; mix.json, the order,
+  the tuple count and the largest defect with its tuple and certificate.
+- joining: joining.json, the tensor, its class and the lowered, raised and
+  chain reports asked for; tensor.json and classification.json, the tensor
+  and its class alone.
+- percolate: percolation.csv and percolation.json, the same rows, one per
+  lattice size and bit.
+- render: grid.svg, grid.pbm and grid.json, the sampled configuration in
+  each format asked for (the SVG with its clusters tinted under --clusters).
+- rankone: word.json, the run-length-encoded word (with --word-length);
+  rankone.json, the spec, the tower heights and the word length.
 
 Exit codes: 0 success, 2 validation error (including a shift box too small
-for its gap, no fitting torus, and a joining family that does not
-stabilize), 3 capability error (a pattern the torus kernel cannot step, an
-oracle that cannot evaluate a request).
+for its gap, no fitting torus, a joining family that does not stabilize, an
+option that the run's route does not read, and an `--out` that cannot be
+made a directory), 3 capability error (a pattern the torus kernel cannot
+step, an oracle that cannot evaluate a request).
 """
 
 from __future__ import annotations
@@ -24,7 +48,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional, Union
 
 from . import __version__, svg as svgmod
 from .algebraic import (
@@ -84,17 +108,14 @@ class ValidationError(ValueError):
     pass
 
 
-def _write_text(outdir: str, name: str, text: str) -> str:
-    path = os.path.join(outdir, name)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def _write_text(outdir: str, name: str, text: str) -> None:
+    with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
-    return path
 
 
-def _write_json(outdir: str, name: str, obj: dict) -> str:
+def _json_line(obj: dict) -> str:
     """`obj` as one line of sorted-key JSON; no indent, so CPython's C encoder runs."""
-    return _write_text(outdir, name,
-                       json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n")
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False) + "\n"
 
 
 def _load_json(path: str) -> dict:
@@ -162,59 +183,40 @@ def _pattern(params: dict) -> RelationPattern:
     return _parse_input(params, "pattern", _pattern_from_json)
 
 
-def _prepare_outdir(params: dict) -> str:
-    outdir = params.get("out")
-    if not outdir:
-        raise ValidationError("--out DIR is required")
-    os.makedirs(outdir, exist_ok=True)
-    return outdir
-
-
-def _emit_config(outdir: str, command: str, params: dict) -> dict:
-    reproducible = {k: v for k, v in params.items() if k != "out"}
-    config = {"command": command, "params": reproducible, "version": __version__}
-    _write_json(outdir, "config.json", config)
-    return config
-
-
 # ---------------------------------------------------------------------------
-# Commands (each takes a resolved JSON-serializable params dict that holds
-# every parser default)
+# Commands (each takes the config of its run, whose params are resolved, hold
+# every parser default and leave out --out, and yields its artifacts in write
+# order as (file name, text or JSON object); none writes a file itself)
 
-def cmd_measure(params: dict) -> int:
-    system_name = params["system"]
-    if system_name == "bernoulli" and params.get("pattern") is not None:
-        raise ValidationError("--pattern is not read by measure --system bernoulli")
-    outdir = _prepare_outdir(params)
-    config = _emit_config(outdir, "measure", params)
+Artifacts = Iterator[tuple[str, Union[str, dict]]]
+
+
+def cmd_measure(config: dict) -> Artifacts:
+    params = config["params"]
     constraint = _parse_input(params, "constellation", CylinderConstraint.from_json)
-    if system_name == "bernoulli":
+    if params["system"] == "bernoulli":
         result = bernoulli_cylinder_measure(zip(constraint.sites, constraint.bits))
     else:
         pattern = _pattern(params)
-        if params.get("mc"):
+        if "mc" in params:
             if not 1 <= params["samples"] <= MAX_MC_SAMPLES:  # before any kernel is built
                 raise ValidationError(f"--samples must lie in 1..{MAX_MC_SAMPLES}")
             kernel = (torus_kernel(pattern, params["torus"], params["torus"])
-                      if params.get("torus") else default_torus_for(pattern, constraint))
+                      if "torus" in params else default_torus_for(pattern, constraint))
             result = mc_cylinder_measure(kernel, constraint, params["samples"], params["seed"])
         else:
             result = cylinder_measure(pattern, constraint)
     # measure.json alone still repeats the config: the benchmark's own tests
     # (mixbench/test_mixbench.py) edit it there.
-    _write_json(outdir, "measure.json", {"config": config, "result": result.to_json()})
-    return 0
+    yield "measure.json", {"config": config, "result": result.to_json()}
 
 
-def cmd_scan_dev(params: dict) -> int:
-    outdir = _prepare_outdir(params)
-    _emit_config(outdir, "scan-dev", params)
-    epsilon = params["epsilon"]
+def cmd_scan_dev(config: dict) -> Artifacts:
+    params = config["params"]
     h = params["h"]
-    system = params["system"]
-    if system == "bernoulli":
+    if params["system"] == "bernoulli":
         oracle = BernoulliOracle()
-        if params.get("events") is not None:
+        if "events" in params:
             a, b, c = _load_events(params, 3)
         else:
             a = b = c = CylinderConstraint((0,), (0,))
@@ -224,24 +226,19 @@ def cmd_scan_dev(params: dict) -> int:
                              params.get("word_length", max(100 * h, 10000)))
         oracle = WordOracle(word)
         a = b = c = frozenset({0})
-    result = dev_scan(oracle, a, b, c, epsilon, h)
-    _write_text(outdir, "dev.csv", scan_rows_to_csv(result))
-    _write_json(outdir, "dev.json", {"result": result.to_json()})
-    _write_text(outdir, "dev_heatmap.svg", dev_heatmap_svg(result))
-    return 0
+    result = dev_scan(oracle, a, b, c, params["epsilon"], h)
+    yield "dev.csv", scan_rows_to_csv(result)
+    yield "dev.json", {"result": result.to_json()}
+    yield "dev_heatmap.svg", dev_heatmap_svg(result)
 
 
-def cmd_scan_mix(params: dict) -> int:
-    system = params["system"]
-    if system == "bernoulli" and params.get("pattern") is not None:
-        raise ValidationError("--pattern is not read by scan mix --system bernoulli")
-    outdir = _prepare_outdir(params)
-    _emit_config(outdir, "scan-mix", params)
+def cmd_scan_mix(config: dict) -> Artifacts:
+    params = config["params"]
     k = params["order"]
     if not 1 <= k <= MAX_SCAN_ORDER:  # before k + 1 default events are built
         raise ValidationError(f"--order must lie in 1..{MAX_SCAN_ORDER}")
     budget = params["budget"]
-    if system == "ledrappier":
+    if params["system"] == "ledrappier":
         oracle = LedrappierOracle(_pattern(params))
         default_event = CylinderConstraint(((0, 0),), (0,))
         dim = 2
@@ -249,12 +246,11 @@ def cmd_scan_mix(params: dict) -> int:
         oracle = BernoulliOracle()
         default_event = CylinderConstraint((0,), (0,))
         dim = 1
-    if params.get("events") is not None:
+    if "events" in params:
         events = _load_events(params, k + 1)
     else:
         events = [default_event] * (k + 1)
-    family_name = params["family"]
-    if family_name == "dyadic":
+    if params["family"] == "dyadic":
         lo, hi = params["scales"]
         if dim != 2 or k != 4:
             raise ValidationError("the dyadic family is the 5-point Z^2 family (order 4)")
@@ -263,8 +259,8 @@ def cmd_scan_mix(params: dict) -> int:
         family = random_separated_shifts(params["seed"], budget, k, params["min_gap"],
                                          params["box"], dim=dim)
     result = mix_defect_scan(oracle, events, family, budget)
-    _write_text(outdir, "mix.csv", mix_rows_to_csv(result))
-    summary = {
+    yield "mix.csv", mix_rows_to_csv(result)
+    yield "mix.json", {
         "order": result.order,
         "scanned": result.scanned,
         "max_abs_defect": format_fraction(result.max_abs_defect)
@@ -272,16 +268,11 @@ def cmd_scan_mix(params: dict) -> int:
         "argmax": result.argmax.to_json() if result.argmax else None,
         "certificate": result.certificate,
     }
-    _write_json(outdir, "mix.json", summary)
-    return 0
 
 
-def cmd_joining(params: dict) -> int:
-    if params.get("tensor") is not None and params.get("pattern") is not None:
-        raise ValidationError("--pattern is not read by joining --tensor")
-    outdir = _prepare_outdir(params)
-    _emit_config(outdir, "joining", params)
-    if params.get("tensor") is not None:
+def cmd_joining(config: dict) -> Artifacts:
+    params = config["params"]
+    if "tensor" in params:
         tensor = _parse_input(params, "tensor", JoiningTensor.from_json)
     else:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
@@ -293,63 +284,55 @@ def cmd_joining(params: dict) -> int:
                                dyadic_family(range(lo, hi)))
     cls = classify(tensor)
     artifacts = {"tensor": tensor.to_json(), "classification": cls.to_json()}
-    if params.get("lower_order"):
+    if "lower_order" in params:
         lowered, report = lower_order(tensor)
         artifacts["lowered"] = lowered.to_json()
         artifacts["lowered_report"] = report
-    if params.get("chain") or params.get("raise_order"):
+    if "chain" in params or "raise_order" in params:
         base = parity_tensor(3) if tensor.dims == 2 else None
         if base is None:
             raise ValidationError("chain/raise need a 2-cell parity pipeline")
         p2 = markov_from_joining(base)
-        if params.get("raise_order"):
+        if "raise_order" in params:
             raised, report = raise_order(pair_compose(p2))
             artifacts["raised"] = raised.to_json()
             artifacts["raised_report"] = report
-        if params.get("chain"):
+        if "chain" in params:
             artifacts["chain"] = chain_check(p2).to_json()
-    _write_json(outdir, "joining.json", artifacts)
-    _write_json(outdir, "tensor.json", artifacts["tensor"])
-    _write_json(outdir, "classification.json", artifacts["classification"])
-    return 0
+    yield "joining.json", artifacts
+    yield "tensor.json", artifacts["tensor"]
+    yield "classification.json", artifacts["classification"]
 
 
-def cmd_percolate(params: dict) -> int:
-    outdir = _prepare_outdir(params)
-    _emit_config(outdir, "percolate", params)
+def cmd_percolate(config: dict) -> Artifacts:
+    params = config["params"]
     rows = percolation_sweep(_pattern(params), params["sizes"], params["samples"],
                              params["connectivity"], params["seed"])
-    _write_text(outdir, "percolation.csv", sweep_to_csv(rows))
-    _write_json(outdir, "percolation.json", {"rows": [r.__dict__ for r in rows]})
-    return 0
+    yield "percolation.csv", sweep_to_csv(rows)
+    yield "percolation.json", {"rows": [r.__dict__ for r in rows]}
 
 
-def cmd_render(params: dict) -> int:
+def cmd_render(config: dict) -> Artifacts:
+    params = config["params"]
     formats = params["format"].split(",")
-    for f in formats:  # before any artifact is written or kernel built
+    for f in formats:  # before any kernel is built
         if f not in ("svg", "pbm", "json"):
             raise ValidationError(f"unknown render format {f!r}")
-    outdir = _prepare_outdir(params)
-    _emit_config(outdir, "render", params)
     size = params["size"]
     seed = params["seed"]
     kernel = torus_kernel(_pattern(params), size, size)
     grid = sample_configuration(kernel, seed)
     for f in formats:
-        if f == "svg":
-            if params.get("clusters"):
-                rep = clusters(grid, params["connectivity"])[params["bit"]]
-                _write_text(outdir, "grid.svg",
-                            svgmod.cluster_svg(grid, rep.roots, rep.target_bit,
-                                               title=f"clusters size={size} seed={seed}"))
-            else:
-                _write_text(outdir, "grid.svg",
-                            svgmod.grid_svg(grid, title=f"size={size} seed={seed}"))
+        if f == "svg" and "clusters" in params:
+            rep = clusters(grid, params["connectivity"])[params["bit"]]
+            yield "grid.svg", svgmod.cluster_svg(grid, rep.roots, rep.target_bit,
+                                                 title=f"clusters size={size} seed={seed}")
+        elif f == "svg":
+            yield "grid.svg", svgmod.grid_svg(grid, title=f"size={size} seed={seed}")
         elif f == "pbm":
-            _write_text(outdir, "grid.pbm", grid_to_pbm(grid))
+            yield "grid.pbm", grid_to_pbm(grid)
         else:
-            _write_json(outdir, "grid.json", grid_to_json(grid))
-    return 0
+            yield "grid.json", grid_to_json(grid)
 
 
 def _resolve_rankone_spec(params: dict) -> RankOneSpec:
@@ -359,37 +342,18 @@ def _resolve_rankone_spec(params: dict) -> RankOneSpec:
     return _parse_input(params, "spec", RankOneSpec.from_json)
 
 
-def cmd_rankone(params: dict) -> int:
-    outdir = _prepare_outdir(params)
-    _emit_config(outdir, "rankone", params)
+def cmd_rankone(config: dict) -> Artifacts:
+    params = config["params"]
     spec = _resolve_rankone_spec(params)
     artifacts: dict = {"spec": spec.to_json(), "heights": tower_heights(spec)}
-    if params.get("word_length"):
+    if "word_length" in params:
         word = generate_word(spec, params["stage"], params["word_length"])
-        _write_text(outdir, "word.json", word.to_rle_json())
+        yield "word.json", word.to_rle_json()
         artifacts["word_length"] = word.length
-    _write_json(outdir, "rankone.json", artifacts)
-    return 0
+    yield "rankone.json", artifacts
 
 
-def cmd_replay(params: dict) -> int:
-    """Re-run a config's command on its own inlined inputs, into --out; an
-    option the config leaves out takes the parser's default."""
-    config = _load_json(params["config"])
-    if not isinstance(config, dict) or "command" not in config or "params" not in config:
-        raise ValidationError("config file lacks 'command'/'params'")
-    command = config["command"]
-    runner = _DISPATCH.get(command) if isinstance(command, str) else None
-    if runner is None:
-        raise ValidationError(f"unknown command {command!r} in config")
-    if not isinstance(config["params"], dict):
-        raise ValidationError("config 'params' must be an object")
-    replay_params = {**_parser_defaults(command), **config["params"], "out": params["out"]}
-    _check_params(command, replay_params)
-    return runner(replay_params)
-
-
-_DISPATCH: dict[str, Callable[[dict], int]] = {
+_COMMANDS: dict[str, Callable[[dict], Artifacts]] = {
     "measure": cmd_measure,
     "scan-dev": cmd_scan_dev,
     "scan-mix": cmd_scan_mix,
@@ -398,6 +362,69 @@ _DISPATCH: dict[str, Callable[[dict], int]] = {
     "render": cmd_render,
     "rankone": cmd_rankone,
 }
+
+
+def _system_is(name: str) -> Callable[[dict], bool]:
+    return lambda params: params["system"] == name
+
+
+# Per command, the routes that leave options unread, as (route, test,
+# options): a run whose params pass `test` and hold one of `options` is
+# refused before its command starts.  Only options that are absent unless
+# given are listed; one with a parser default is in every config, given or not.
+_UNREAD: dict[str, list[tuple[str, Callable[[dict], bool], tuple[str, ...]]]] = {
+    "measure": [("measure --system bernoulli", _system_is("bernoulli"),
+                 ("pattern", "mc", "torus")),
+                ("measure without --mc", lambda params: "mc" not in params, ("torus",))],
+    "scan-dev": [("scan dev --system bernoulli", _system_is("bernoulli"), ("word_length",)),
+                 ("scan dev --system rankone", _system_is("rankone"), ("events",))],
+    "scan-mix": [("scan mix --system bernoulli", _system_is("bernoulli"), ("pattern",))],
+    "joining": [("joining --tensor", lambda params: "tensor" in params, ("pattern",))],
+    "render": [("render without svg", lambda params: "svg" not in params["format"].split(","),
+                ("clusters",))],
+}
+
+
+def _run(command: str, params: dict) -> None:
+    """Refuse the options that `command`'s route leaves unread, then run it
+    and write config.json and each artifact it yields into --out.  The
+    directory is made when the command yields its first artifact, so a run
+    refused or failed before that writes nothing."""
+    for route, applies, options in _UNREAD.get(command, ()):
+        for key in options:
+            if key in params and applies(params):
+                raise ValidationError(f"--{key.replace('_', '-')} is not read by {route}")
+    outdir = params["out"]
+    config = {"command": command, "params": {k: v for k, v in params.items() if k != "out"},
+              "version": __version__}
+    made = False
+    for name, body in _COMMANDS[command](config):
+        if not made:  # the command has run up to its first artifact
+            try:
+                os.makedirs(outdir, exist_ok=True)
+            except OSError as exc:
+                raise ValidationError(f"cannot make --out directory {outdir!r}: {exc.strerror}")
+            _write_text(outdir, "config.json", _json_line(config))
+            made = True
+        _write_text(outdir, name, body if isinstance(body, str) else _json_line(body))
+        del body  # no artifact outlives its write while the command builds the next
+
+
+def _replayed(params: dict) -> tuple[str, dict]:
+    """The command of the config at `params["config"]` and its params, with
+    `params["out"]` as --out; an option the config leaves out takes the
+    parser's default."""
+    config = _load_json(params["config"])
+    if not isinstance(config, dict) or "command" not in config or "params" not in config:
+        raise ValidationError("config file lacks 'command'/'params'")
+    command = config["command"]
+    if not isinstance(command, str) or command not in _COMMANDS:
+        raise ValidationError(f"unknown command {command!r} in config")
+    if not isinstance(config["params"], dict):
+        raise ValidationError("config 'params' must be an object")
+    replay_params = {**_parser_defaults(command), **config["params"], "out": params["out"]}
+    _check_params(command, replay_params)
+    return command, replay_params
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +601,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     command, params = _params_from_args(args)
     try:
         if command == "replay":
-            return cmd_replay(params)
-        return _DISPATCH[command](_inline_inputs(params))
+            command, params = _replayed(params)
+        else:
+            params = _inline_inputs(params)
+        _run(command, params)
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

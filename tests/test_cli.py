@@ -2,6 +2,7 @@
 
 import json
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -85,7 +86,7 @@ def test_unknown_render_format_exits_2_before_any_grid(tmp_path, monkeypatch, ca
     out = tmp_path / "out"
     assert cli.main(["render", "--size", size, "--format", formats, "--out", str(out)]) == 2
     assert "unknown render format 'bogus'" in capsys.readouterr().err
-    assert not list(out.glob("grid.*"))
+    assert not out.exists()
 
 
 _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
@@ -132,7 +133,8 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
     (["joining", "--tensor", "one-cell.json"], "a tensor needs at least two cells"),
 ])
 def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
-    # Each bound is checked before the work it limits starts.
+    # Each bound is checked before the work it limits starts, and before the
+    # first artifact, so no output directory is made.
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "c.json", _five_point(1))
     _write(tmp_path / "order.json", {"order": 30000000, "dims": 3,
@@ -143,6 +145,10 @@ def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsy
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+THREE_CELL = {"order": 2, "dims": 3, "weights": ["1/3"] * 3, "entries": ["1/9"] * 9}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -156,12 +162,19 @@ def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsy
     # Two members can never give three equal tensors in a row.
     (["joining", "--scales", "1:3"],
      "correlation family did not stabilize (2 consecutive matches, needed 3)"),
+    # The chain runs only on 2 cells; a 3-cell tensor fails after it is classified.
+    (["joining", "--tensor", "three-cell.json", "--chain"],
+     "chain/raise need a 2-cell parity pipeline"),
 ])
-def test_unsatisfiable_request_exits_2_at_once(tmp_path, capsys, argv, message):
+def test_unsatisfiable_request_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
+    # Each fails before the first artifact, so no output directory is made.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "three-cell.json", THREE_CELL)
     start = time.perf_counter()
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_no_fitting_default_torus_exits_2(tmp_path, monkeypatch, capsys):
@@ -171,6 +184,7 @@ def test_no_fitting_default_torus_exits_2(tmp_path, monkeypatch, capsys):
     assert cli.main(["measure", "--mc", "--constellation", c,
                      "--out", str(tmp_path / "out")]) == 2
     assert "no torus up to size 12 matches the plane rank" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("system", ["bernoulli", "rankone"])
@@ -255,6 +269,60 @@ def test_pattern_on_a_route_that_reads_none_exits_2(tmp_path, capsys, command, p
     assert cli.main(["replay", path, "--out", str(out)]) == 2
     assert f"error: --pattern is not read by {route}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _argv(command, params):
+    """The command line that resolves to `params`: a True value is a flag."""
+    argv = command.split("-")
+    for key, value in params.items():
+        argv += [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+    return argv
+
+
+@pytest.mark.parametrize("command,params,inputs,message", [
+    ("measure", {"torus": 21}, {"constellation": _five_point(1)},
+     "--torus is not read by measure without --mc"),
+    ("measure", {"system": "bernoulli", "mc": True},
+     {"constellation": {"sites": [0, 1], "bits": [0, 1]}},
+     "--mc is not read by measure --system bernoulli"),
+    ("scan-dev", {"system": "rankone", "h": 5, "epsilon": 0.1},
+     {"events": {"events": [{"sites": [0], "bits": [0]}] * 3}},
+     "--events is not read by scan dev --system rankone"),
+    ("scan-dev", {"system": "bernoulli", "h": 5, "epsilon": 0.1, "word_length": 5}, {},
+     "--word-length is not read by scan dev --system bernoulli"),
+    ("render", {"size": 9, "format": "pbm,json", "clusters": True}, {},
+     "--clusters is not read by render without svg"),
+    # A given 0 is read, not taken for an absent option.
+    ("measure", {"mc": True, "torus": 0}, {"constellation": _five_point(1)},
+     "torus dimensions must be at least 3"),
+    ("rankone", {"word_length": 0}, {}, "max_length 0 is below the stage height 3"),
+])
+def test_refused_option_exits_2_on_command_line_and_replay(tmp_path, capsys, command, params,
+                                                           inputs, message):
+    # An option the route does not read is refused before its command starts,
+    # and a 0 before the first artifact, so no output directory is made.
+    out = tmp_path / "out"
+    files = {k: _write(tmp_path / f"{k}.json", v) for k, v in inputs.items()}
+    assert cli.main(_argv(command, dict(params, **files)) + ["--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    path = _write(tmp_path / "config.json", {"command": command, "params": dict(params, **inputs)})
+    assert cli.main(["replay", path, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_out_that_is_no_directory_exits_2(tmp_path, monkeypatch, capsys, out):
+    # An --out that names a file, or a path through one, is refused with its
+    # path, on the command line and on replay; the file is left as it was.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    assert cli.main(["rankone", "--word-length", "10", "--out", out]) == 2
+    assert f"error: cannot make --out directory {out!r}" in capsys.readouterr().err
+    path = _write(tmp_path / "config.json", {"command": "rankone", "params": {"word_length": 10}})
+    assert cli.main(["replay", path, "--out", out]) == 2
+    assert f"error: cannot make --out directory {out!r}" in capsys.readouterr().err
+    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
 
 
 @pytest.mark.parametrize("argv", [
@@ -345,35 +413,73 @@ def _artifacts(out):
 
 @pytest.mark.parametrize("argv,names", [
     (["scan", "dev", "--system", "bernoulli", "--h", "6", "--epsilon", "0.1"],
-     {"dev.csv", "dev.json", "dev_heatmap.svg"}),
+     ["dev.csv", "dev.json", "dev_heatmap.svg"]),
     (["scan", "dev", "--system", "rankone", "--h", "6", "--epsilon", "0.1",
       "--word-length", "2000"],
-     {"dev.csv", "dev.json", "dev_heatmap.svg"}),
+     ["dev.csv", "dev.json", "dev_heatmap.svg"]),
     (["scan", "mix", "--order", "2", "--family", "random", "--budget", "3", "--box", "32"],
-     {"mix.csv", "mix.json"}),
+     ["mix.csv", "mix.json"]),
     (["scan", "mix", "--order", "4", "--family", "dyadic", "--scales", "1:4"],
-     {"mix.csv", "mix.json"}),
-    (["joining", "--scales", "1:6"], {"joining.json", "tensor.json", "classification.json"}),
+     ["mix.csv", "mix.json"]),
+    (["joining", "--scales", "1:6"], ["joining.json", "tensor.json", "classification.json"]),
     (["percolate", "--sizes", "9,10", "--samples", "2"],
-     {"percolation.csv", "percolation.json"}),
+     ["percolation.csv", "percolation.json"]),
     (["render", "--size", "9", "--format", "svg,pbm,json", "--clusters"],
-     {"grid.svg", "grid.pbm", "grid.json"}),
-    (["rankone", "--word-length", "100"], {"rankone.json", "word.json"}),
+     ["grid.svg", "grid.pbm", "grid.json"]),
+    (["rankone", "--word-length", "100"], ["word.json", "rankone.json"]),
+    (["measure", "--constellation", "c.json"], ["measure.json"]),
 ])
-def test_command_writes_its_artifacts(tmp_path, argv, names):
+def test_command_writes_its_artifacts(tmp_path, monkeypatch, argv, names):
+    # Every file goes through the one writer: config.json first, then the
+    # command's artifacts in their order.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "c.json", _five_point(1))
+    written = []
+    write = cli._write_text
+    monkeypatch.setattr(cli, "_write_text",
+                        lambda outdir, name, text: (written.append(name), write(outdir, name, text)))
     out = _run(tmp_path, argv)
+    assert written == ["config.json"] + names
     artifacts = _artifacts(out)
-    assert set(artifacts) == names | {"config.json"}
-    # config.json is the one copy of the config; no other artifact repeats it
+    assert set(artifacts) == set(written)
+    # config.json is the one copy of the config; no other artifact repeats
+    # it, except measure.json
     for name in names:
         if name.endswith(".json"):
-            assert "config" not in json.loads(artifacts[name]), name
+            assert ("config" in json.loads(artifacts[name])) == (name == "measure.json"), name
+    if "measure.json" in artifacts:
+        assert (json.loads(artifacts["measure.json"])["config"]
+                == json.loads(artifacts["config.json"]))
     # JSON artifacts are one line with sorted keys and no indent
     for name, data in artifacts.items():
         if name.endswith(".json"):
             text = data.decode("utf-8")
             assert text == json.dumps(json.loads(text), sort_keys=True,
                                       ensure_ascii=False) + "\n", name
+
+
+def test_no_artifact_outlives_its_write(tmp_path, monkeypatch):
+    # dev.csv at h = 1024 is 35 MB: it must be freed before the heatmap is built.
+    class Artifact(dict):
+        pass
+
+    refs, freed = [], []
+
+    def tracked():
+        artifact = Artifact(n=len(refs))
+        refs.append(weakref.ref(artifact))
+        return artifact
+
+    def command(config):
+        yield "a.json", tracked()
+        freed.append(refs[-1]() is None)
+        yield "b.json", tracked()
+        freed.append(refs[-1]() is None)
+
+    monkeypatch.setitem(cli._COMMANDS, "rankone", command)
+    out = _run(tmp_path, ["rankone"])
+    assert freed == [True, True]
+    assert set(_artifacts(out)) == {"config.json", "a.json", "b.json"}
 
 
 def _joining(tmp_path, tensor, *flags):
