@@ -43,6 +43,7 @@ configuration is the previous one rotated, XOR a few fixed ones.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -784,32 +785,53 @@ class BernoulliOracle:
         z and events[2] shifted by w, for an (N, 2) array of (z, w) pairs;
         each float equals `intersection_measure((0, z, w), events)`.
 
-        A requirement (site s, bit v) of an event shifted by t is the key
-        2 (s + t) + v.  Sorted per pair, keys of one site sit side by side:
-        a site with two different keys must take both bits (measure 0);
-        otherwise the measure is 2^(-number of distinct sites).  Sites are
-        renumbered first, in order, with every gap wider than the span of
-        the shifts cut to span + 1: shifted sites coincide exactly as before,
-        and sites of any size give keys that fit in int64.
+        The shifted sites of two events can meet only where their shifts
+        differ (by z, w or w - z) by a difference of their sites.  So a pair
+        whose |z|, |w| and |w - z| all exceed the largest difference between
+        the sites of two events is far: no shifted sites meet, and every far
+        pair has one measure.  `_sorted_grid` runs on the near pairs and on
+        one far pair, whose value every far pair takes.
         """
         pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        shifts = (np.zeros(len(pairs), dtype=np.int64), pairs[:, 0], pairs[:, 1])
-        span = int(pairs.max(initial=0)) - int(pairs.min(initial=0))
-        rank: dict[int, int] = {}
-        pos, last = 0, None
-        for s in sorted({s for ev in events for s in _z_sites(ev)}):
-            if last is not None:
-                pos += min(s - last, span + 1)
-            rank[s], last = pos, s
-        keys = [2 * (rank[s] + t) + v
-                for ev, t in zip(events, shifts) for s, v in zip(ev.sites, ev.bits)]
-        if not keys:
-            return np.ones(len(pairs))
-        keys = np.sort(np.stack(keys, axis=1), axis=1)
-        new_site = (keys[:, 1:] >> 1) != (keys[:, :-1] >> 1)
-        clash = (~new_site & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
-        distinct = 1 + np.count_nonzero(new_site, axis=1)
-        return np.where(clash, 0.0, np.ldexp(1.0, -distinct))
+        sites = [_z_sites(ev) for ev in events if ev.sites]
+        reach = max((max(a) - min(b) for a, b in itertools.permutations(sites, 2)), default=-1)
+        z, w = pairs[:, 0], pairs[:, 1]
+        near = (np.abs(z) <= reach) | (np.abs(w) <= reach) | (np.abs(w - z) <= reach)
+        rows = np.flatnonzero(near)
+        slot = np.full(len(pairs), rows.size)  # every far pair reads the one far value
+        slot[rows] = np.arange(rows.size)
+        return _sorted_grid(events, pairs[np.append(rows, np.flatnonzero(~near)[:1])])[slot]
+
+
+def _sorted_grid(events: Sequence[CylinderConstraint], pairs: np.ndarray) -> np.ndarray:
+    """`BernoulliOracle.correlation_grid` of an (N, 2) int64 array of pairs,
+    each pair's keys sorted.
+
+    A requirement (site s, bit v) of an event shifted by t is the key
+    2 (s + t) + v.  Sorted per pair, keys of one site sit side by side: a
+    site with two different keys must take both bits (measure 0); otherwise
+    the measure is 2^(-number of distinct sites).  Sites are renumbered
+    first, in order, with every gap wider than the span of the shifts cut
+    to span + 1: shifted sites coincide exactly as before, and sites of any
+    size give keys that fit in int64.
+    """
+    shifts = (np.zeros(len(pairs), dtype=np.int64), pairs[:, 0], pairs[:, 1])
+    span = int(pairs.max(initial=0)) - int(pairs.min(initial=0))
+    rank: dict[int, int] = {}
+    pos, last = 0, None
+    for s in sorted({s for ev in events for s in _z_sites(ev)}):
+        if last is not None:
+            pos += min(s - last, span + 1)
+        rank[s], last = pos, s
+    keys = [2 * (rank[s] + t) + v
+            for ev, t in zip(events, shifts) for s, v in zip(ev.sites, ev.bits)]
+    if not keys:
+        return np.ones(len(pairs))
+    keys = np.sort(np.stack(keys, axis=1), axis=1)
+    new_site = (keys[:, 1:] >> 1) != (keys[:, :-1] >> 1)
+    clash = (~new_site & (keys[:, 1:] != keys[:, :-1])).any(axis=1)
+    distinct = 1 + np.count_nonzero(new_site, axis=1)
+    return np.where(clash, 0.0, np.ldexp(1.0, -distinct))
 
 
 # ---------------------------------------------------------------------------

@@ -36,8 +36,8 @@ no other file repeats it, except measure.json):
 Exit codes: 0 success, 2 validation error (including a shift box too small
 for its gap, no fitting torus, a joining family that does not stabilize, an
 option that the run's route does not read, and an `--out` that cannot be
-made a directory), 3 capability error (a pattern the torus kernel cannot
-step, an oracle that cannot evaluate a request).
+made a directory or cannot take an artifact), 3 capability error (a pattern
+the torus kernel cannot step, an oracle that cannot evaluate a request).
 """
 
 from __future__ import annotations
@@ -389,7 +389,9 @@ def _run(command: str, params: dict) -> None:
     """Refuse the options that `command`'s route leaves unread, then run it
     and write config.json and each artifact it yields into --out.  The
     directory is made when the command yields its first artifact, so a run
-    refused or failed before that writes nothing."""
+    refused or failed before that writes nothing.  A directory that cannot
+    be made, or a file that cannot be written in it, is a ValidationError
+    that names the file and --out."""
     for route, applies, options in _UNREAD.get(command, ()):
         for key in options:
             if key in params and applies(params):
@@ -404,10 +406,18 @@ def _run(command: str, params: dict) -> None:
                 os.makedirs(outdir, exist_ok=True)
             except OSError as exc:
                 raise ValidationError(f"cannot make --out directory {outdir!r}: {exc.strerror}")
-            _write_text(outdir, "config.json", _json_line(config))
+            _write_artifact(outdir, "config.json", _json_line(config))
             made = True
-        _write_text(outdir, name, body if isinstance(body, str) else _json_line(body))
+        _write_artifact(outdir, name, body if isinstance(body, str) else _json_line(body))
         del body  # no artifact outlives its write while the command builds the next
+
+
+def _write_artifact(outdir: str, name: str, text: str) -> None:
+    try:
+        _write_text(outdir, name, text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {name} in --out directory {outdir!r}: "
+                              f"{exc.strerror}")
 
 
 def _replayed(params: dict) -> tuple[str, dict]:

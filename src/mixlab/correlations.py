@@ -31,6 +31,7 @@ import numpy as np
 from .algebraic import Site
 from .measure import MeasureValue, format_fraction
 from .rng import substream
+from .text import join_rows
 from . import svg as svgmod
 
 
@@ -271,9 +272,11 @@ def admissible_mask(epsilon: float, h: int) -> np.ndarray:
 
 
 # (h+1)^2 grid cells: past this h the grid, dev.csv and heatmap pass tens of MB.
-# One `scan dev --system rankone --h 1024` on a 10^6-symbol stage-1 word takes
-# 1.5 s (Chacon) to 2.2 s (staircase) and peaks at 245 MB on a 2-vCPU Xeon VM,
-# writing a 36-39 MB dev.csv and a 47 MB heatmap.
+# One `scan dev --system rankone --h 1024 --epsilon 0.1` on a 10^6-symbol
+# stage-1 word takes 0.8 s (Chacon) to 1.3-1.5 s (staircase) in `main` and
+# peaks at 201 MB on a 2-vCPU Xeon VM, writing a 36-39 MB dev.csv and a 47 MB
+# heatmap.  The heatmap sets the peak: it holds its text twice, as blocks and
+# as their join, where the scan alone peaks at 82 MB.
 MAX_DEV_H = 1024
 
 
@@ -313,7 +316,8 @@ def scan_rows_to_csv(scan: DevScan) -> str:
 
     The defect is |correlation - product|, so the line tail is formatted
     once per distinct correlation (distinct by bit pattern, so -0.0 and 0.0
-    stay apart); labels and tails are interleaved as object arrays, one join.
+    stay apart), and each label once per value of z or w; the lines are
+    joined with the header a block of rows at a time (`text.join_rows`).
     """
     prod = f"{scan.product:.12g}"
     corr = np.ascontiguousarray(scan.correlation, dtype=np.float64)
@@ -322,10 +326,9 @@ def scan_rows_to_csv(scan: DevScan) -> str:
     tails = np.array([f"{c:.12g},{prod},{d:.12g}\n" for c, d in zip(
         corr[first].tolist(), scan.defect[first].tolist())], dtype=object)
     labels = np.array([f"{i}," for i in range(scan.h + 1)], dtype=object)
-    parts = np.empty((len(scan.pairs), 3), dtype=object)
-    parts[:, :2] = labels[scan.pairs]
-    parts[:, 2] = tails[inverse.ravel()]
-    return "z,w,correlation,product,defect\n" + "".join(parts.ravel().tolist())
+    return join_rows("z,w,correlation,product,defect\n",
+                     [(labels, scan.pairs[:, 0]), (labels, scan.pairs[:, 1]),
+                      (tails, inverse.ravel())], "")
 
 
 def mix_rows_to_csv(result: MixDefect) -> str:

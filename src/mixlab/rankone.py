@@ -28,6 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureValue
+from .text import join_rows
 
 SPACER = -1
 
@@ -152,20 +153,24 @@ class SymbolicWord:
     def to_rle_json(self) -> str:
         """word.json: the bytes of ``json.dumps`` of {"height", "length",
         "runs", "stage"} with sorted keys plus a newline, where `runs` holds
-        [symbol, length] per maximal run, each distinct run formatted once."""
+        [symbol, length] per maximal run.  Each distinct run is formatted
+        once (ranked by `_ranks`), with its ", " separator, and the runs
+        are joined with the rest a block at a time (`text.join_rows`)."""
         sym = self.symbols
         starts = np.flatnonzero(sym[1:] != sym[:-1]) + 1
         if sym.size:
             starts = np.concatenate(([0], starts))
         lengths = np.diff(np.append(starts, sym.size))
         # Run lengths lie in 1..length, so a key names one (symbol, length).
-        _, first, inverse = np.unique(sym[starts].astype(np.int64) * (sym.size + 1) + lengths,
-                                      return_index=True, return_inverse=True)
-        texts = np.array([f"[{s}, {n}]" for s, n in zip(
-            sym[starts[first]].tolist(), lengths[first].tolist())], dtype=object)
-        runs = ", ".join(texts[inverse.ravel()].tolist())
-        return (f'{{"height": {self.height}, "length": {self.length}, '
-                f'"runs": [{runs}], "stage": {self.stage}}}\n')
+        which, d = _ranks(sym[starts].astype(np.int64) * (sym.size + 1) + lengths)
+        rep = np.empty(d, dtype=np.intp)
+        rep[which] = np.arange(which.size)  # any run of a class will do: they are equal
+        texts = np.array([f", [{s}, {n}]" for s, n in zip(
+            sym[starts[rep]].tolist(), lengths[rep].tolist())], dtype=object)
+        head = f'{{"height": {self.height}, "length": {self.length}, "runs": ['
+        if which.size:
+            head += texts[which[0]][2:]
+        return join_rows(head, [(texts, which[1:])], f'], "stage": {self.stage}}}\n')
 
 
 def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWord:
@@ -227,7 +232,10 @@ def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
     On rank-one keys this beats np.unique with return_inverse, which
     argsorts, and np.lexsort over the key columns."""
     ordered = np.sort(values)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    first = np.empty(ordered.size, dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    distinct = ordered[first]
     return np.searchsorted(distinct, values), len(distinct)
 
 

@@ -1,8 +1,18 @@
-"""Minimal deterministic SVG builders for grids and heatmaps."""
+"""Minimal deterministic SVG builders for grids and heatmaps.
+
+Each picture is one `<rect>` line per drawn cell.  A line is a column
+head, a row middle and a fill tail, each formatted once per distinct value,
+and the lines are joined a block of rows at a time (`text.join_rows`)
+together with the document's header and footer: no object array or list
+of pieces the size of the picture is built, and the text is not copied
+after its join.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+from .text import join_rows
 
 DARK = "#1b1b1f"
 LIGHT = "#f4f1e8"
@@ -26,18 +36,18 @@ def _grid(field, dtype=None) -> np.ndarray:
     return values.reshape(len(field), 0) if values.size == 0 else values
 
 
-def _rects(rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int], cell: int,
-           margin: int, fills) -> str:
-    """One `<rect>` line per (row, column) cell, in the order given: a
-    column head and a row middle, each formatted once per column or row,
-    then the cell's entry of `fills` (an array) or `fills` itself (a string)."""
+def _rects(lines: list[str], rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int],
+           cell: int, margin: int, tails: np.ndarray, which: np.ndarray, foot: str) -> str:
+    """The opening `lines`, one `<rect>` line per (row, column) cell in the
+    order given, then `foot`, in one join (`text.join_rows`).  A cell's line
+    is a column head and a row middle, each formatted once per column or
+    row, then its tail `tails[which]`."""
     h, w = shape
     heads = np.array([f'<rect x="{margin + i * cell}" y="' for i in range(w)], dtype=object)
     middles = np.array([f'{j * cell}" width="{cell}" height="{cell}" ' for j in range(h)],
                        dtype=object)
-    parts = np.empty((rows.size, 3), dtype=object)
-    parts[:, 0], parts[:, 1], parts[:, 2] = heads[cols], middles[rows], fills
-    return "".join(parts.ravel().tolist())
+    return join_rows("\n".join(lines) + "\n", [(heads, cols), (middles, rows), (tails, which)],
+                     foot)
 
 
 def grid_svg(grid, title: str = "") -> str:
@@ -48,8 +58,9 @@ def grid_svg(grid, title: str = "") -> str:
     rows, cols = np.nonzero(values)
     lines = _header(w * CELL, h * CELL, title)
     lines.append(f'<rect width="{w * CELL}" height="{h * CELL}" fill="{DARK}"/>')
-    return ("\n".join(lines) + "\n" + _rects(rows, cols, (h, w), CELL, 0, f'fill="{LIGHT}"/>\n')
-            + "</svg>\n")
+    fill = np.array([f'fill="{LIGHT}"/>\n'], dtype=object)
+    return _rects(lines, rows, cols, (h, w), CELL, 0, fill, np.zeros(rows.size, dtype=np.intp),
+                  "</svg>\n")
 
 
 def _palette_color(k: int) -> str:
@@ -74,8 +85,7 @@ def cluster_svg(grid, labels, target_bit: int, title: str = "") -> str:
     lines = _header(w * CELL, h * CELL, title)
     base = DARK if target_bit == 1 else LIGHT
     lines.append(f'<rect width="{w * CELL}" height="{h * CELL}" fill="{base}"/>')
-    return ("\n".join(lines) + "\n"
-            + _rects(rows, cols, (h, w), CELL, 0, tails[rank[inverse.ravel()]]) + "</svg>\n")
+    return _rects(lines, rows, cols, (h, w), CELL, 0, tails, rank[inverse.ravel()], "</svg>\n")
 
 
 def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") -> str:
@@ -83,8 +93,8 @@ def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") 
     grayscale-to-red heatmap; NaN cells, like None list entries, stay blank.
     A value v is drawn in rgb(r, gb, gb): t = min(1, v / vmax) with vmax the
     first largest value in row-major order, r = int(40 + 215 t), gb =
-    int(40 + 180 (1 - t)).  Each `<rect>` joins a column head, a row middle
-    and a colour tail, each formatted once, as object arrays."""
+    int(40 + 180 (1 - t)).  Each colour tail is formatted once per distinct
+    colour."""
     values = _grid(field, dtype=float)
     h, w = values.shape
     cell, margin = 6, 18
@@ -102,9 +112,8 @@ def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") 
                       for a, b in zip(r[first].tolist(), gb[first].tolist())], dtype=object)
     lines = _header(w * cell + margin, h * cell + margin, title)
     lines.append(f'<rect width="{w * cell + margin}" height="{h * cell + margin}" fill="#ffffff"/>')
-    return ("\n".join(lines) + "\n" + _rects(rows, cols, (h, w), cell, margin,
-                                            tails[inverse.ravel()])
-            + f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
+    foot = (f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
             f'text-anchor="middle">{x_label} (max {vmax:.6g})</text>\n'
             f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '
             f'transform="rotate(-90 10 {(h * cell) // 2})">{y_label}</text>\n</svg>\n')
+    return _rects(lines, rows, cols, (h, w), cell, margin, tails, inverse.ravel(), foot)

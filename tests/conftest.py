@@ -32,7 +32,10 @@ along a word (`word_intersection_measure`), the point values the rank-one
 correlation grid must equal.  So do the torus render writers: the per-cell
 grid and cluster SVG loops (`reference_grid_svg`, `reference_cluster_svg`)
 and grid.json and grid.pbm joined character by character
-(`reference_grid_to_json`, `reference_grid_to_pbm`).
+(`reference_grid_to_json`, `reference_grid_to_pbm`).  The `small_blocks`
+fixture cuts the block of `text.join_rows` to `SMALL_BLOCK` rows, so that
+these exports can be checked at the row counts `BLOCK_ROW_COUNTS` around
+its boundaries.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mixlab import gf2
+from mixlab import gf2, text
 from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, grid_satisfies_pattern,
                               relation_space, sample_configuration, site_add, torus_kernel)
 from mixlab.correlations import admissible_mask
@@ -655,6 +658,21 @@ def word_intersection_measure(word, shifts, events):
     for off, ev in zip(offs, events):
         acc &= np.isin(word.symbols, sorted(ev))[off:off + m]
     return MeasureValue(estimate=int(np.count_nonzero(acc)) / m, samples=m)
+
+
+# ---------------------------------------------------------------------------
+# Block joins
+
+# A block of 4 rows, and the row counts around its boundaries at which every
+# export joined a block at a time is checked against its reference.
+SMALL_BLOCK = 4
+BLOCK_ROW_COUNTS = (0, 1, SMALL_BLOCK - 1, SMALL_BLOCK, SMALL_BLOCK + 1, 3 * SMALL_BLOCK + 2)
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    """`text.BLOCK_ROWS` cut to `SMALL_BLOCK` for one test."""
+    monkeypatch.setattr(text, "BLOCK_ROWS", SMALL_BLOCK)
 
 
 # ---------------------------------------------------------------------------

@@ -848,6 +848,41 @@ class TestMonteCarlo:
             assert abs(est.estimate - float(exact)) <= 4 * est.stderr + 1e-9
 
 
+def _ev(sites, bits):
+    return CylinderConstraint(tuple(sites), tuple(bits))
+
+
+def _square(lo, hi):
+    return [(z, w) for z in range(lo, hi) for w in range(lo, hi)]
+
+
+# (events, (z, w) pairs) for the Bernoulli grid's split into near and far pairs.
+BERNOULLI_GRIDS = {
+    # sites 9 apart, wider than many shifts: near and far pairs, with
+    # negative and zero shifts among both
+    "wide sites": ([_ev((0, 9), (0, 1)), _ev((-2, 5), (1, 1)), _ev((3,), (0,))], _square(-14, 15)),
+    # the reach is 3, and z = 3 makes two sites meet with different bits
+    "meet at the reach": ([_ev((0, 3), (0, 1)), _ev((0,), (0,)), _ev((0,), (1,))],
+                          _square(-6, 7)),
+    # the reach is 3 and every |z| and |w| exceeds it, so events[1] and
+    # events[2] meet only where w - z is 2 (bits differ) or -1 (bits agree)
+    "meet through w - z": ([_ev((0, 1), (0, 0)), _ev((0, 3), (1, 0)), _ev((1,), (1,))],
+                           _square(8, 14)),
+    "an empty event": ([_ev((), ()), _ev((0, 2), (1, 0)), _ev((1, 4), (1, 1))], _square(-8, 9)),
+    "all empty": ([_ev((), ())] * 3, _square(-2, 3)),
+    # the reach is 1, and every |z|, |w| and |w - z| is at least 3
+    "no near pair": ([_ev((0, 1), (0, 1)), _ev((0,), (0,)), _ev((1,), (1,))],
+                     [(z, w) for z in (5, -7, 20) for w in (-3, 12, 40)]),
+}
+
+
+def _reach(events):
+    """The largest difference between the sites of two events, -1 if no
+    two events have sites."""
+    return max((abs(a - b) for i, x in enumerate(events) for j, y in enumerate(events)
+                if i != j for a in x.sites for b in y.sites), default=-1)
+
+
 class TestBernoulli:
     def test_single_site(self):
         assert bernoulli_cylinder_measure([(0, 0)]).exact == Fraction(1, 2)
@@ -882,6 +917,53 @@ class TestBernoulli:
             zeros += expected.count(0.0)
             contradictions += any(v == 0.0 for v in expected)
         assert zeros > 0 and contradictions > 50
+
+    @pytest.mark.parametrize("name", sorted(BERNOULLI_GRIDS))
+    def test_grid_matches_intersection_measure_near_and_far(self, name):
+        events, pairs = BERNOULLI_GRIDS[name]
+        oracle = BernoulliOracle()
+        expected = [oracle.intersection_measure((0, z, w), events).as_float() for z, w in pairs]
+        assert oracle.correlation_grid(events, np.array(pairs)).tolist() == expected
+
+    def test_grid_matches_intersection_measure_past_the_reach(self):
+        # 200 random triples of up to 3 requirements on sites in [-4, 4], all
+        # pairs with shifts in [-12, 12]: most pairs are far, and the near
+        # ones merge sites or contradict
+        rng = random.Random(25)
+        oracle = BernoulliOracle()
+        pairs = np.array([(z, w) for z in range(-12, 13) for w in range(-12, 13)])
+        near = far = 0
+        for _ in range(200):
+            events = []
+            for _ in range(3):
+                sites = rng.sample(range(-4, 5), rng.randint(0, 3))
+                events.append(CylinderConstraint(tuple(sites),
+                                                 tuple(rng.randint(0, 1) for _ in sites)))
+            grid = oracle.correlation_grid(events, pairs)
+            assert grid.tolist() == [oracle.intersection_measure((0, z, w), events).as_float()
+                                     for z, w in pairs.tolist()]
+            reach = _reach(events)
+            count = sum(min(abs(z), abs(w), abs(w - z)) <= reach for z, w in pairs.tolist())
+            near, far = near + count, far + len(pairs) - count
+        assert near > 10_000 and far > 10_000
+
+    def test_grid_sorts_only_the_near_pairs_and_one_far_pair(self, monkeypatch):
+        seen = []
+        sort = algebraic._sorted_grid
+
+        def spy(events, pairs):
+            seen.append(pairs.tolist())
+            return sort(events, pairs)
+
+        monkeypatch.setattr(algebraic, "_sorted_grid", spy)
+        for name, (events, pairs) in sorted(BERNOULLI_GRIDS.items()):
+            reach = _reach(events)
+            near = [list(p) for p in pairs if min(abs(p[0]), abs(p[1]), abs(p[1] - p[0])) <= reach]
+            far = [list(p) for p in pairs if list(p) not in near]
+            seen.clear()
+            BernoulliOracle().correlation_grid(events, np.array(pairs))
+            assert seen == [near + far[:1]], name
+            assert (name in ("all empty", "no near pair")) == (near == [])
 
     def test_grid_with_sites_beyond_int64(self):
         # shifts span 16; sites 100 and 117 sit one more than that apart

@@ -311,18 +311,36 @@ def test_refused_option_exits_2_on_command_line_and_replay(tmp_path, capsys, com
     assert not out.exists()
 
 
-@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+# --out -> (the path in the way, the error it gives).  "d" and "e" hold a
+# directory where rankone writes its first and its last file.
+BLOCKED_OUT = {
+    "afile": ("afile", "cannot make --out directory 'afile'"),
+    "afile/sub": ("afile", "cannot make --out directory 'afile/sub'"),
+    "d": ("d/config.json", "cannot write config.json in --out directory 'd'"),
+    "e": ("e/rankone.json", "cannot write rankone.json in --out directory 'e'"),
+}
+
+
+@pytest.mark.parametrize("out", sorted(BLOCKED_OUT))
 def test_out_that_is_no_directory_exits_2(tmp_path, monkeypatch, capsys, out):
     # An --out that names a file, or a path through one, is refused with its
-    # path, on the command line and on replay; the file is left as it was.
+    # path, on the command line and on replay, and so is an --out that holds
+    # a directory in an artifact's place; what is in the way is left as it was.
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    blocker, message = BLOCKED_OUT[out]
+    if blocker == "afile":
+        (tmp_path / "afile").write_text("kept", encoding="utf-8")
+    else:
+        (tmp_path / blocker).mkdir(parents=True)
     assert cli.main(["rankone", "--word-length", "10", "--out", out]) == 2
-    assert f"error: cannot make --out directory {out!r}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     path = _write(tmp_path / "config.json", {"command": "rankone", "params": {"word_length": 10}})
     assert cli.main(["replay", path, "--out", out]) == 2
-    assert f"error: cannot make --out directory {out!r}" in capsys.readouterr().err
-    assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+    assert f"error: {message}" in capsys.readouterr().err
+    if blocker == "afile":
+        assert (tmp_path / "afile").read_text(encoding="utf-8") == "kept"
+    else:
+        assert list((tmp_path / blocker).iterdir()) == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    BLOCK_ROW_COUNTS,
     SyntheticTripleOracle,
     admissible_pairs,
     reference_correlation_grid,
@@ -16,6 +17,8 @@ from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOrac
 from mixlab.rankone import WordOracle, generate_word, preset_spec
 from mixlab.correlations import (
     Constellation,
+    DevScan,
+    admissible_mask,
     OracleCapabilityError,
     dev_scan,
     dev_heatmap_svg,
@@ -212,6 +215,18 @@ class TestDevScan:
         assert {c for _, _, c, _, _ in rows} == {0.0, 1 / 128, 1 / 64, 1 / 32}
         assert scan_rows_to_csv(scan).splitlines(True) == \
             reference_scan_rows_to_csv(rows).splitlines(True)
+
+    @pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
+    def test_csv_matches_csv_writer_at_block_boundaries(self, small_blocks, rows):
+        gen = np.random.default_rng(rows)
+        pairs = np.argwhere(admissible_mask(0.1, 12))[:rows]
+        corr = gen.choice([0.0, 1 / 8, 1 / 3, 0.5], size=rows)
+        prod = 1 / 8
+        scan = DevScan(epsilon=0.1, h=12, q_size=rows, der_pairs=[], dev=Fraction(0),
+                       dev_h2=Fraction(0), pairs=pairs, correlation=corr, product=prod,
+                       defect=np.abs(corr - prod))
+        expected = [(z, w, c, prod, abs(c - prod)) for (z, w), c in zip(pairs.tolist(), corr)]
+        assert scan_rows_to_csv(scan) == reference_scan_rows_to_csv(expected)
 
     def test_csv_keeps_negative_zero_apart(self):
         # -0.0 and 0.0 compare equal but print as "-0" and "0"

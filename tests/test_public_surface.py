@@ -88,11 +88,15 @@ def test_tracer_targets_resolve(monkeypatch):
     assert tracing.TARGETS and missing == []
 
 
-def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path):
+def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path, small_blocks):
     # The observers read torus_kernel's arguments 1 and 2 (w and h),
     # mc_cylinder_measure's argument 2 (the sample count) and
     # _window_masks' result 1 (the generator count) by position; a moved
-    # parameter would miscount a traced run without failing it.
+    # parameter would miscount a traced run without failing it.  svg.bytes
+    # takes len() of each SVG builder's result and cli.write_bytes encodes
+    # _write_text's argument 2, so both must stay one str: an export that
+    # returned chunks would break them.  Small blocks give every export
+    # several.
     tracing = _tracing(monkeypatch)
     c = tmp_path / "c.json"
     c.write_text(json.dumps({"sites": [[0, 0], [1, 0]], "bits": [0, 1]}), encoding="utf-8")
@@ -100,18 +104,30 @@ def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path):
     e = tmp_path / "e.json"
     e.write_text(json.dumps({"sites": [list(s) for s in sites], "bits": [0, 1, 1, 0]}),
                  encoding="utf-8")
+    z = tmp_path / "z.json"
+    z.write_text(json.dumps({"events": [{"sites": [0, 3], "bits": [0, 1]}] * 3}), encoding="utf-8")
+    out = tmp_path / "out"
     tracer = tracing.Tracer()
     tracer.install(tracing.TARGETS)
     try:
-        assert cli.main(["render", "--size", "9", "--out", str(tmp_path / "r")]) == 0
+        assert cli.main(["render", "--size", "9", "--out", str(out / "r")]) == 0
         assert cli.main(["measure", "--mc", "--torus", "21", "--samples", "1000",
-                         "--constellation", str(c), "--out", str(tmp_path / "m")]) == 0
-        assert cli.main(["measure", "--constellation", str(e), "--out", str(tmp_path / "x")]) == 0
+                         "--constellation", str(c), "--out", str(out / "m")]) == 0
+        assert cli.main(["measure", "--constellation", str(e), "--out", str(out / "x")]) == 0
+        assert cli.main(["scan", "dev", "--system", "bernoulli", "--events", str(z),
+                         "--h", "40", "--epsilon", "0.05", "--out", str(out / "b")]) == 0
+        assert cli.main(["scan", "dev", "--system", "rankone", "--h", "50", "--epsilon", "0.1",
+                         "--out", str(out / "w")]) == 0
     finally:
         tracer.uninstall()
     assert tracer.counts["algebraic.torus_cells"] == 81 + 441
     assert tracer.counts["algebraic.mc_samples"] == 1000
     assert tracer.counts["algebraic.window_gens"] == _window_masks(LEDRAPPIER_PATTERN, sites)[1]
+    written = [p for p in out.rglob("*") if p.is_file()]
+    assert {p.name for p in written if p.suffix == ".svg"} == {"grid.svg", "dev_heatmap.svg"}
+    assert tracer.counts["svg.bytes"] == sum(p.stat().st_size for p in written
+                                             if p.suffix == ".svg")
+    assert tracer.counts["cli.write_bytes"] == sum(p.stat().st_size for p in written)
 
 
 def test_sweep_labels_each_sample_once(monkeypatch, tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    BLOCK_ROW_COUNTS,
     reference_correlation_grid,
     reference_rle_runs,
     reference_word_json,
@@ -126,6 +127,16 @@ WORD_JSON_CASES = {
 @pytest.mark.parametrize("name", sorted(WORD_JSON_CASES))
 def test_word_json_matches_json_dumps(name):
     word = WORD_JSON_CASES[name]
+    assert word.to_rle_json() == reference_word_json(word)
+
+
+@pytest.mark.parametrize("runs", BLOCK_ROW_COUNTS)
+def test_word_json_matches_json_dumps_at_block_boundaries(small_blocks, runs):
+    # Exactly `runs` maximal runs (neighbours differ), some of them equal.
+    gen = np.random.default_rng(runs)
+    symbols = np.repeat(np.arange(runs) % 3 - 1, gen.integers(1, 4, runs)).astype(np.int32)
+    word = SymbolicWord(stage=1, height=3, symbols=symbols)
+    assert len(reference_rle_runs(symbols)) == runs
     assert word.to_rle_json() == reference_word_json(word)
 
 

@@ -1,11 +1,13 @@
 """SVG builders emit well-formed documents; the heatmap, grid and cluster
-writers write the bytes of their per-cell reference loops."""
+writers write the bytes of their per-cell reference loops, also when their
+lines end before, on and after a block boundary."""
 
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from conftest import reference_cluster_svg, reference_grid_svg, reference_heatmap_svg
+from conftest import (BLOCK_ROW_COUNTS, reference_cluster_svg, reference_grid_svg,
+                      reference_heatmap_svg)
 
 from mixlab.percolation import clusters
 from mixlab.svg import cluster_svg, grid_svg, heatmap_svg
@@ -170,3 +172,20 @@ def test_grid_writers_match_cell_loops_on_random_grids(seed):
         labels = clusters(grid, int(gen.choice([4, 8])))[target_bit].roots
         assert cluster_svg(grid, labels, target_bit) == \
             reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
+
+
+@pytest.mark.parametrize("cells", BLOCK_ROW_COUNTS)
+def test_writers_match_cell_loops_at_block_boundaries(small_blocks, cells):
+    # Exactly `cells` drawn cells in a 4 x 5 grid: one <rect> line each.
+    gen = np.random.default_rng(cells)
+    drawn = np.zeros(20, dtype=bool)
+    drawn[gen.permutation(20)[:cells]] = True
+    drawn = drawn.reshape(4, 5)
+    grid = drawn.astype(np.uint8)
+    labels = gen.integers(-1, 6, size=grid.shape)
+    field = np.where(drawn, gen.choice([0.1, 0.5, 0.9], size=grid.shape), np.nan)
+    assert grid_svg(grid) == reference_grid_svg(_nested(grid))
+    assert cluster_svg(grid, labels, 1) == reference_cluster_svg(_nested(grid), _nested(labels), 1)
+    assert cluster_svg(1 - grid, labels, 0) == \
+        reference_cluster_svg(_nested(1 - grid), _nested(labels), 0)
+    assert heatmap_svg(field, title="t") == reference_heatmap_svg(_lists(field), title="t")
