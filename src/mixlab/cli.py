@@ -1,13 +1,13 @@
 """Command-line front end: reproducible experiments with file outputs.
 
 Every command resolves its parameters into a JSON-serializable config.  All
-randomness comes from one explicit 64-bit `--seed`, which measure, scan mix,
-percolate and render take (scan dev takes it unread).  The config holds the
-contents of every input file in place of its path and leaves out the output
-directory, so re-running a command from its config reproduces every artifact
-byte for byte from any working directory (`mixlab replay CONFIG --out DIR`).
-Replay fills every option the config leaves out with the parser's default,
-as the command line does.
+randomness comes from one explicit 64-bit `--seed`, which measure --mc, scan
+mix --family random, percolate and render read (scan dev takes it unread).
+The config holds what the run read, defaults included, with each input
+file's contents in place of its path and without the output directory, so
+re-running a command from its config reproduces every artifact byte for byte
+from any working directory (`mixlab replay CONFIG --out DIR`).  An option
+the run does not read is refused, on the command line and on replay.
 
 Each command yields its artifacts; one runner, shared by the command line
 and replay, writes them.  It makes `--out` and writes config.json when the
@@ -35,9 +35,9 @@ no other file repeats it, except measure.json):
 
 Exit codes: 0 success, 2 validation error (including a shift box too small
 for its gap, no fitting torus, a joining family that does not stabilize, an
-option that the run's route does not read, and an `--out` that cannot be
-made a directory or cannot take an artifact), 3 capability error (a pattern
-the torus kernel cannot step, an oracle that cannot evaluate a request).
+option the run does not read, and an `--out` that cannot be made a directory
+or cannot take an artifact), 3 capability error (a pattern the torus kernel
+cannot step, an oracle that cannot evaluate a request).
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def _pattern(params: dict) -> RelationPattern:
 
 
 # ---------------------------------------------------------------------------
-# Commands (each takes the config of its run, whose params are resolved, hold
-# every parser default and leave out --out, and yields its artifacts in write
-# order as (file name, text or JSON object); none writes a file itself)
+# Commands: each takes its run's config (resolved params, no --out), reads
+# every option, taking its default there, before its first artifact, and
+# yields its artifacts in write order as (file name, text or JSON object).
 
 Artifacts = Iterator[tuple[str, Union[str, dict]]]
 
@@ -194,16 +194,17 @@ Artifacts = Iterator[tuple[str, Union[str, dict]]]
 def cmd_measure(config: dict) -> Artifacts:
     params = config["params"]
     constraint = _parse_input(params, "constellation", CylinderConstraint.from_json)
-    if params["system"] == "bernoulli":
+    if params.setdefault("system", "ledrappier") == "bernoulli":
         result = bernoulli_cylinder_measure(zip(constraint.sites, constraint.bits))
     else:
         pattern = _pattern(params)
         if "mc" in params:
-            if not 1 <= params["samples"] <= MAX_MC_SAMPLES:  # before any kernel is built
+            samples = params.setdefault("samples", 100000)
+            if not 1 <= samples <= MAX_MC_SAMPLES:  # before any kernel is built
                 raise ValidationError(f"--samples must lie in 1..{MAX_MC_SAMPLES}")
             kernel = (torus_kernel(pattern, params["torus"], params["torus"])
                       if "torus" in params else default_torus_for(pattern, constraint))
-            result = mc_cylinder_measure(kernel, constraint, params["samples"], params["seed"])
+            result = mc_cylinder_measure(kernel, constraint, samples, params.setdefault("seed", 0))
         else:
             result = cylinder_measure(pattern, constraint)
     # measure.json alone still repeats the config: the benchmark's own tests
@@ -214,7 +215,7 @@ def cmd_measure(config: dict) -> Artifacts:
 def cmd_scan_dev(config: dict) -> Artifacts:
     params = config["params"]
     h = params["h"]
-    if params["system"] == "bernoulli":
+    if params.setdefault("system", "bernoulli") == "bernoulli":
         oracle = BernoulliOracle()
         if "events" in params:
             a, b, c = _load_events(params, 3)
@@ -222,10 +223,11 @@ def cmd_scan_dev(config: dict) -> Artifacts:
             a = b = c = CylinderConstraint((0,), (0,))
     else:
         spec = _resolve_rankone_spec(params)
-        word = generate_word(spec, params["stage"],
-                             params.get("word_length", max(100 * h, 10000)))
+        word = generate_word(spec, params.setdefault("stage", 1),
+                             params.setdefault("word_length", max(100 * h, 10000)))
         oracle = WordOracle(word)
         a = b = c = frozenset({0})
+    params.get("seed")  # taken unread: mixbench/jobs.py passes it to every scan dev job
     result = dev_scan(oracle, a, b, c, params["epsilon"], h)
     yield "dev.csv", scan_rows_to_csv(result)
     yield "dev.json", {"result": result.to_json()}
@@ -237,8 +239,8 @@ def cmd_scan_mix(config: dict) -> Artifacts:
     k = params["order"]
     if not 1 <= k <= MAX_SCAN_ORDER:  # before k + 1 default events are built
         raise ValidationError(f"--order must lie in 1..{MAX_SCAN_ORDER}")
-    budget = params["budget"]
-    if params["system"] == "ledrappier":
+    budget = params.setdefault("budget", 100)
+    if params.setdefault("system", "ledrappier") == "ledrappier":
         oracle = LedrappierOracle(_pattern(params))
         default_event = CylinderConstraint(((0, 0),), (0,))
         dim = 2
@@ -250,14 +252,15 @@ def cmd_scan_mix(config: dict) -> Artifacts:
         events = _load_events(params, k + 1)
     else:
         events = [default_event] * (k + 1)
-    if params["family"] == "dyadic":
-        lo, hi = params["scales"]
+    if params.setdefault("family", "random") == "dyadic":
+        lo, hi = params.setdefault("scales", [1, 8])
         if dim != 2 or k != 4:
             raise ValidationError("the dyadic family is the 5-point Z^2 family (order 4)")
         family = dyadic_family(range(lo, hi))
     else:
-        family = random_separated_shifts(params["seed"], budget, k, params["min_gap"],
-                                         params["box"], dim=dim)
+        family = random_separated_shifts(params.setdefault("seed", 0), budget, k,
+                                         params.setdefault("min_gap", 8),
+                                         params.setdefault("box", 128), dim=dim)
     result = mix_defect_scan(oracle, events, family, budget)
     yield "mix.csv", mix_rows_to_csv(result)
     yield "mix.json", {
@@ -278,7 +281,7 @@ def cmd_joining(config: dict) -> Artifacts:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
         # the 2-cell partition by the origin coordinate.
         oracle = LedrappierOracle(_pattern(params))
-        lo, hi = params["scales"]
+        lo, hi = params.setdefault("scales", [1, 6])
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
         tensor = limit_joining(oracle, uniform_partition(2), cells,
                                dyadic_family(range(lo, hi)))
@@ -306,25 +309,31 @@ def cmd_joining(config: dict) -> Artifacts:
 
 def cmd_percolate(config: dict) -> Artifacts:
     params = config["params"]
-    rows = percolation_sweep(_pattern(params), params["sizes"], params["samples"],
-                             params["connectivity"], params["seed"])
+    rows = percolation_sweep(_pattern(params), params["sizes"], params.setdefault("samples", 20),
+                             params.setdefault("connectivity", 4), params.setdefault("seed", 0))
     yield "percolation.csv", sweep_to_csv(rows)
     yield "percolation.json", {"rows": [r.__dict__ for r in rows]}
 
 
 def cmd_render(config: dict) -> Artifacts:
     params = config["params"]
-    formats = params["format"].split(",")
-    for f in formats:  # before any kernel is built
+    formats = params.setdefault("format", "svg").split(",")
+    for i, f in enumerate(formats):  # before any kernel is built
         if f not in ("svg", "pbm", "json"):
             raise ValidationError(f"unknown render format {f!r}")
-    size = params["size"]
-    seed = params["seed"]
+        if f in formats[:i]:
+            raise ValidationError(f"render format {f!r} given twice")
+    size, seed = params.setdefault("size", 32), params.setdefault("seed", 0)
+    tint = "svg" in formats and "clusters" in params
+    if tint:
+        connectivity, bit = params.setdefault("connectivity", 4), params.setdefault("bit", 0)
+    else:  # taken unread: mixbench/jobs.py passes both to render jobs without --clusters
+        connectivity, bit = params.get("connectivity"), params.get("bit")
     kernel = torus_kernel(_pattern(params), size, size)
     grid = sample_configuration(kernel, seed)
     for f in formats:
-        if f == "svg" and "clusters" in params:
-            rep = clusters(grid, params["connectivity"])[params["bit"]]
+        if f == "svg" and tint:
+            rep = clusters(grid, connectivity)[bit]
             yield "grid.svg", svgmod.cluster_svg(grid, rep.roots, rep.target_bit,
                                                  title=f"clusters size={size} seed={seed}")
         elif f == "svg":
@@ -336,9 +345,9 @@ def cmd_render(config: dict) -> Artifacts:
 
 
 def _resolve_rankone_spec(params: dict) -> RankOneSpec:
-    spec = params["spec"]
+    spec = params.setdefault("spec", "staircase")
     if isinstance(spec, str):
-        return preset_spec(spec, params["stages"])
+        return preset_spec(spec, params.setdefault("stages", 10))
     return _parse_input(params, "spec", RankOneSpec.from_json)
 
 
@@ -347,7 +356,7 @@ def cmd_rankone(config: dict) -> Artifacts:
     spec = _resolve_rankone_spec(params)
     artifacts: dict = {"spec": spec.to_json(), "heights": tower_heights(spec)}
     if "word_length" in params:
-        word = generate_word(spec, params["stage"], params["word_length"])
+        word = generate_word(spec, params.setdefault("stage", 1), params["word_length"])
         yield "word.json", word.to_rle_json()
         artifacts["word_length"] = word.length
     yield "rankone.json", artifacts
@@ -364,44 +373,46 @@ _COMMANDS: dict[str, Callable[[dict], Artifacts]] = {
 }
 
 
-def _system_is(name: str) -> Callable[[dict], bool]:
-    return lambda params: params["system"] == name
+class _Params(dict):
+    """A run's params, which record in `read` each key read by [], in, get or setdefault."""
 
+    def __init__(self, params: dict):
+        super().__init__(params)
+        self.read: set = set()
 
-# Per command, the routes that leave options unread, as (route, test,
-# options): a run whose params pass `test` and hold one of `options` is
-# refused before its command starts.  Only options that are absent unless
-# given are listed; one with a parser default is in every config, given or not.
-_UNREAD: dict[str, list[tuple[str, Callable[[dict], bool], tuple[str, ...]]]] = {
-    "measure": [("measure --system bernoulli", _system_is("bernoulli"),
-                 ("pattern", "mc", "torus")),
-                ("measure without --mc", lambda params: "mc" not in params, ("torus",))],
-    "scan-dev": [("scan dev --system bernoulli", _system_is("bernoulli"), ("word_length",)),
-                 ("scan dev --system rankone", _system_is("rankone"), ("events",))],
-    "scan-mix": [("scan mix --system bernoulli", _system_is("bernoulli"), ("pattern",))],
-    "joining": [("joining --tensor", lambda params: "tensor" in params, ("pattern",))],
-    "render": [("render without svg", lambda params: "svg" not in params["format"].split(","),
-                ("clusters",))],
-}
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.read.add(key)
+        return super().__contains__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def setdefault(self, key, default=None):
+        self.read.add(key)
+        return super().setdefault(key, default)
 
 
 def _run(command: str, params: dict) -> None:
-    """Refuse the options that `command`'s route leaves unread, then run it
-    and write config.json and each artifact it yields into --out.  The
-    directory is made when the command yields its first artifact, so a run
-    refused or failed before that writes nothing.  A directory that cannot
-    be made, or a file that cannot be written in it, is a ValidationError
-    that names the file and --out."""
-    for route, applies, options in _UNREAD.get(command, ()):
-        for key in options:
-            if key in params and applies(params):
-                raise ValidationError(f"--{key.replace('_', '-')} is not read by {route}")
+    """Run `command` and write config.json and each artifact it yields into
+    --out.  At the first artifact, an option the run has not read is refused;
+    then the directory is made, so a run refused or failed before that writes
+    nothing.  A directory that cannot be made, or a file that cannot be
+    written in it, is a ValidationError that names the file and --out."""
     outdir = params["out"]
-    config = {"command": command, "params": {k: v for k, v in params.items() if k != "out"},
-              "version": __version__}
+    params = _Params({k: v for k, v in params.items() if k != "out"})
+    config = {"command": command, "params": params, "version": __version__}
     made = False
     for name, body in _COMMANDS[command](config):
-        if not made:  # the command has run up to its first artifact
+        if not made:  # the command has read its options and run up to its first artifact
+            unread = [key for key in params if key not in params.read]
+            if unread:
+                raise ValidationError(f"--{unread[0].replace('_', '-')} is not read by this "
+                                      f"{command.replace('-', ' ')} run")
             try:
                 os.makedirs(outdir, exist_ok=True)
             except OSError as exc:
@@ -422,8 +433,8 @@ def _write_artifact(outdir: str, name: str, text: str) -> None:
 
 def _replayed(params: dict) -> tuple[str, dict]:
     """The command of the config at `params["config"]` and its params, with
-    `params["out"]` as --out; an option the config leaves out takes the
-    parser's default."""
+    `params["out"]` as --out; an option the config leaves out is absent, as
+    on the command line."""
     config = _load_json(params["config"])
     if not isinstance(config, dict) or "command" not in config or "params" not in config:
         raise ValidationError("config file lacks 'command'/'params'")
@@ -432,7 +443,7 @@ def _replayed(params: dict) -> tuple[str, dict]:
         raise ValidationError(f"unknown command {command!r} in config")
     if not isinstance(config["params"], dict):
         raise ValidationError("config 'params' must be an object")
-    replay_params = {**_parser_defaults(command), **config["params"], "out": params["out"]}
+    replay_params = {**config["params"], "out": params["out"]}
     _check_params(command, replay_params)
     return command, replay_params
 
@@ -449,15 +460,15 @@ def _int_list(text: str) -> list[int]:
 
 def _scale_range(text: str) -> list[int]:
     parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError("expected LO:HI")
+    if len(parts) != 2 or int(parts[0]) >= int(parts[1]):
+        raise argparse.ArgumentTypeError(f"expected LO:HI with LO < HI, got {text!r}")
     return [int(parts[0]), int(parts[1])]
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared after that; no
-    command may mutate the params (or argparse defaults) it is given."""
+    """The argument parser, built on first use and shared after that; it sets
+    no defaults, as each command takes its own where it reads the option."""
     parser = argparse.ArgumentParser(
         prog="mixlab",
         description="Computational laboratory for multiple-mixing phenomena",
@@ -469,47 +480,47 @@ def build_parser() -> argparse.ArgumentParser:
         """--out, and each of "seed" and "pattern" in `options`."""
         p.add_argument("--out", required=True, help="output directory")
         if "seed" in options:
-            p.add_argument("--seed", type=int, default=0, help="64-bit experiment seed")
+            p.add_argument("--seed", type=int, help="64-bit experiment seed")
         if "pattern" in options:
             p.add_argument("--pattern", help="JSON file with a custom relation pattern")
 
     p = sub.add_parser("measure", help="exact or Monte-Carlo cylinder measure")
     common(p, "seed", "pattern")
-    p.add_argument("--system", choices=["ledrappier", "bernoulli"], default="ledrappier")
+    p.add_argument("--system", choices=["ledrappier", "bernoulli"])
     p.add_argument("--constellation", required=True, help="JSON constellation file")
     p.add_argument("--mc", action="store_true", help="force the Monte-Carlo estimator")
-    p.add_argument("--samples", type=int, default=100000)
+    p.add_argument("--samples", type=int)
     p.add_argument("--torus", type=int, help="torus size for the estimator")
 
     p = sub.add_parser("scan", help="deviation and mixing-defect scans")
     scan_sub = p.add_subparsers(dest="scan_kind", required=True)
 
     pd = scan_sub.add_parser("dev", help="dev(h) statistics over the (z,w) grid")
-    common(pd, "seed")  # unread, but mixbench/jobs.py passes it to every scan dev job
-    pd.add_argument("--system", choices=["bernoulli", "rankone"], default="bernoulli")
+    common(pd, "seed")  # taken unread (see cmd_scan_dev)
+    pd.add_argument("--system", choices=["bernoulli", "rankone"])
     pd.add_argument("--epsilon", type=float, required=True)
     pd.add_argument("--h", type=int, required=True, dest="h")
     pd.add_argument("--events", help="JSON file with the three events")
-    pd.add_argument("--spec", default="staircase", help="rank-one preset or spec file")
-    pd.add_argument("--stage", type=int, default=1)
-    pd.add_argument("--stages", type=int, default=10)
+    pd.add_argument("--spec", help="rank-one preset or spec file")
+    pd.add_argument("--stage", type=int)
+    pd.add_argument("--stages", type=int)
     pd.add_argument("--word-length", type=int, dest="word_length")
 
     pm = scan_sub.add_parser("mix", help="k-fold mixing defect over shift families")
     common(pm, "seed", "pattern")
-    pm.add_argument("--system", choices=["ledrappier", "bernoulli"], default="ledrappier")
+    pm.add_argument("--system", choices=["ledrappier", "bernoulli"])
     pm.add_argument("--order", type=int, required=True)
-    pm.add_argument("--family", choices=["dyadic", "random"], default="random")
-    pm.add_argument("--budget", type=int, default=100)
-    pm.add_argument("--min-gap", type=int, default=8, dest="min_gap")
-    pm.add_argument("--box", type=int, default=128)
-    pm.add_argument("--scales", type=_scale_range, default=[1, 8])
+    pm.add_argument("--family", choices=["dyadic", "random"])
+    pm.add_argument("--budget", type=int)
+    pm.add_argument("--min-gap", type=int, dest="min_gap")
+    pm.add_argument("--box", type=int)
+    pm.add_argument("--scales", type=_scale_range)
     pm.add_argument("--events", help="JSON file with k+1 events")
 
     p = sub.add_parser("joining", help="limiting joining tensor and operator calculus")
     common(p, "pattern")
     p.add_argument("--tensor", help="load a tensor JSON instead of the parity pipeline")
-    p.add_argument("--scales", type=_scale_range, default=[1, 6])
+    p.add_argument("--scales", type=_scale_range)
     p.add_argument("--chain", action="store_true", help="run the mean-zero norm chain")
     p.add_argument("--raise", action="store_true", dest="raise_order")
     p.add_argument("--lower", action="store_true", dest="lower_order")
@@ -517,22 +528,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("percolate", help="cluster/wrap sweep over lattice sizes")
     common(p, "seed", "pattern")
     p.add_argument("--sizes", type=_int_list, required=True)
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--connectivity", type=int, choices=[4, 8], default=4)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--connectivity", type=int, choices=[4, 8])
 
     p = sub.add_parser("render", help="sample a configuration and render it")
     common(p, "seed", "pattern")
-    p.add_argument("--size", type=int, default=32)
-    p.add_argument("--format", default="svg", help="comma list of svg,pbm,json")
+    p.add_argument("--size", type=int)
+    p.add_argument("--format", help="comma list of svg,pbm,json")
     p.add_argument("--clusters", action="store_true", help="tint clusters in the SVG")
-    p.add_argument("--connectivity", type=int, choices=[4, 8], default=4)
-    p.add_argument("--bit", type=int, choices=[0, 1], default=0)
+    p.add_argument("--connectivity", type=int, choices=[4, 8])
+    p.add_argument("--bit", type=int, choices=[0, 1])
 
     p = sub.add_parser("rankone", help="tower heights and symbolic words")
     common(p)
-    p.add_argument("--spec", default="staircase")
-    p.add_argument("--stages", type=int, default=10)
-    p.add_argument("--stage", type=int, default=1)
+    p.add_argument("--spec")
+    p.add_argument("--stages", type=int)
+    p.add_argument("--stage", type=int)
     p.add_argument("--word-length", type=int, dest="word_length")
 
     p = sub.add_parser("replay", help="re-run a command from an embedded config")
@@ -547,7 +558,6 @@ def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
     command = ns.pop("command")
     if command == "scan":
         command = f"scan-{ns.pop('scan_kind')}"
-    ns.pop("version", None)
     params = {k: v for k, v in ns.items() if v is not None and v is not False}
     return command, params
 
@@ -562,7 +572,8 @@ _VALUE_CHECKS: dict[object, Callable[[object], bool]] = {
     int: _is_int,
     float: lambda v: _is_int(v) or isinstance(v, float),
     _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    _scale_range: lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    _scale_range: lambda v: (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
+                             and v[0] < v[1]),
 }
 
 
@@ -582,14 +593,6 @@ def _command_parser(command: str) -> argparse.ArgumentParser:
         sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
         parser = sub.choices[word]
     return parser
-
-
-def _parser_defaults(command: str) -> dict:
-    """The defaults the command line would put in `command`'s params (the
-    ones `_params_from_args` keeps)."""
-    return {a.dest: a.default for a in _command_parser(command)._actions
-            if a.default is not None and a.default is not False
-            and a.default is not argparse.SUPPRESS}
 
 
 def _check_params(command: str, params: dict) -> None:
@@ -616,13 +619,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             params = _inline_inputs(params)
         _run(command, params)
         return 0
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OracleCapabilityError, UnsupportedPatternError) as exc:
         print(f"capability error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, NonStabilizingError) as exc:
+    except (ValueError, NonStabilizingError) as exc:  # ValidationError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

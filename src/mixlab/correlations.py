@@ -31,7 +31,7 @@ import numpy as np
 from .algebraic import Site
 from .measure import MeasureValue, format_fraction
 from .rng import substream
-from .text import join_rows
+from .text import classes, join_rows
 from . import svg as svgmod
 
 
@@ -321,14 +321,13 @@ def scan_rows_to_csv(scan: DevScan) -> str:
     """
     prod = f"{scan.product:.12g}"
     corr = np.ascontiguousarray(scan.correlation, dtype=np.float64)
-    _, first, inverse = np.unique(corr.view(np.uint64), return_index=True,
-                                  return_inverse=True)
+    which, member = classes(corr.view(np.uint64))
     tails = np.array([f"{c:.12g},{prod},{d:.12g}\n" for c, d in zip(
-        corr[first].tolist(), scan.defect[first].tolist())], dtype=object)
+        corr[member].tolist(), scan.defect[member].tolist())], dtype=object)
     labels = np.array([f"{i}," for i in range(scan.h + 1)], dtype=object)
     return join_rows("z,w,correlation,product,defect\n",
                      [(labels, scan.pairs[:, 0]), (labels, scan.pairs[:, 1]),
-                      (tails, inverse.ravel())], "")
+                      (tails, which)], "")
 
 
 def mix_rows_to_csv(result: MixDefect) -> str:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .measure import MeasureValue
-from .text import join_rows
+from .text import classes, join_rows
 
 SPACER = -1
 
@@ -154,7 +154,7 @@ class SymbolicWord:
         """word.json: the bytes of ``json.dumps`` of {"height", "length",
         "runs", "stage"} with sorted keys plus a newline, where `runs` holds
         [symbol, length] per maximal run.  Each distinct run is formatted
-        once (ranked by `_ranks`), with its ", " separator, and the runs
+        once (grouped by `text.classes`), with its ", " separator, and the runs
         are joined with the rest a block at a time (`text.join_rows`)."""
         sym = self.symbols
         starts = np.flatnonzero(sym[1:] != sym[:-1]) + 1
@@ -162,9 +162,7 @@ class SymbolicWord:
             starts = np.concatenate(([0], starts))
         lengths = np.diff(np.append(starts, sym.size))
         # Run lengths lie in 1..length, so a key names one (symbol, length).
-        which, d = _ranks(sym[starts].astype(np.int64) * (sym.size + 1) + lengths)
-        rep = np.empty(d, dtype=np.intp)
-        rep[which] = np.arange(which.size)  # any run of a class will do: they are equal
+        which, rep = classes(sym[starts].astype(np.int64) * (sym.size + 1) + lengths)
         texts = np.array([f", [{s}, {n}]" for s, n in zip(
             sym[starts[rep]].tolist(), lengths[rep].tolist())], dtype=object)
         head = f'{{"height": {self.height}, "length": {self.length}, "runs": ['
@@ -227,32 +225,20 @@ def _packed(ind: np.ndarray, words: int) -> np.ndarray:
     return out.view("<u8")
 
 
-def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each value's rank among the distinct values, and how many there are.
-    On rank-one keys this beats np.unique with return_inverse, which
-    argsorts, and np.lexsort over the key columns."""
-    ordered = np.sort(values)
-    first = np.empty(ordered.size, dtype=bool)
-    first[:1] = True
-    first[1:] = ordered[1:] != ordered[:-1]
-    distinct = ordered[first]
-    return np.searchsorted(distinct, values), len(distinct)
-
-
 def _distinct_rows(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One copy of each distinct row of `key` and how often it occurs
-    (float32).  Rows are ranked column by column, by sorting: the column
-    ranks combine in mixed radix, re-ranked before the radix passes 2^62."""
+    (float32).  Rows are ranked column by column (`text.classes`; this beats
+    np.lexsort over the key columns): the column ranks combine in mixed
+    radix, re-ranked before the radix passes 2^62."""
     ids, radix = np.zeros(len(key), dtype=np.int64), 1
     for col in key.T:
-        rank, m = _ranks(col)
-        if radix * m > 1 << 62:
-            ids, radix = _ranks(ids)
-        ids, radix = ids * m + rank, radix * m
-    ids, d = _ranks(ids)
-    rep = np.empty(d, dtype=np.intp)
-    rep[ids] = np.arange(len(key))  # any row of a class will do: they are equal
-    return key[rep], np.bincount(ids, minlength=d).astype(np.float32)
+        rank, members = classes(col)
+        if radix * len(members) > 1 << 62:
+            ids, seen = classes(ids)
+            radix = len(seen)
+        ids, radix = ids * len(members) + rank, radix * len(members)
+    ids, rep = classes(ids)
+    return key[rep], np.bincount(ids, minlength=len(rep)).astype(np.float32)
 
 
 class WordOracle:

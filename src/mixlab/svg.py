@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .text import join_rows
+from .text import classes, join_rows
 
 DARK = "#1b1b1f"
 LIGHT = "#f4f1e8"
@@ -107,13 +107,13 @@ def heatmap_svg(field, x_label: str = "x", y_label: str = "y", title: str = "") 
     gb = (40 + 180 * (1 - t)).astype(np.int64)
     gb_lo = int(gb.min(initial=0))
     span = int(gb.max(initial=0)) - gb_lo + 1
-    _, first, inverse = np.unique(r * span + gb - gb_lo, return_index=True, return_inverse=True)
+    which, member = classes(r * span + gb - gb_lo)
     tails = np.array([f'fill="rgb({a},{b},{b})"/>\n'
-                      for a, b in zip(r[first].tolist(), gb[first].tolist())], dtype=object)
+                      for a, b in zip(r[member].tolist(), gb[member].tolist())], dtype=object)
     lines = _header(w * cell + margin, h * cell + margin, title)
     lines.append(f'<rect width="{w * cell + margin}" height="{h * cell + margin}" fill="#ffffff"/>')
     foot = (f'<text x="{margin + (w * cell) // 2}" y="{h * cell + 14}" font-size="10" '
             f'text-anchor="middle">{x_label} (max {vmax:.6g})</text>\n'
             f'<text x="10" y="{(h * cell) // 2}" font-size="10" text-anchor="middle" '
             f'transform="rotate(-90 10 {(h * cell) // 2})">{y_label}</text>\n</svg>\n')
-    return _rects(lines, rows, cols, (h, w), cell, margin, tails, inverse.ravel(), foot)
+    return _rects(lines, rows, cols, (h, w), cell, margin, tails, which, foot)

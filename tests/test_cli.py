@@ -247,60 +247,84 @@ def test_pattern_given_to_a_command_that_reads_none_exits_2(tmp_path, capsys, co
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("command,params,inputs,route", [
+@pytest.mark.parametrize("command,params,inputs,message", [
     ("measure", {"system": "bernoulli"},
-     {"constellation": {"sites": [0, 1], "bits": [0, 1]}}, "measure --system bernoulli"),
-    ("scan-mix", {"system": "bernoulli", "order": 2}, {}, "scan mix --system bernoulli"),
-    ("joining", {}, {"tensor": PRODUCT2}, "joining --tensor"),
+     {"constellation": {"sites": [0, 1], "bits": [0, 1]}},
+     "--pattern is not read by this measure run"),
+    ("scan-mix", {"system": "bernoulli", "order": 2}, {},
+     "--pattern is not read by this scan mix run"),
+    ("joining", {}, {"tensor": PRODUCT2}, "--pattern is not read by this joining run"),
 ])
 def test_pattern_on_a_route_that_reads_none_exits_2(tmp_path, capsys, command, params,
-                                                    inputs, route):
-    # These routes of measure, scan mix and joining never parse --pattern,
-    # so even a malformed one would be copied into config.json unread.
+                                                    inputs, message):
+    # measure --system bernoulli, scan mix --system bernoulli and joining
+    # --tensor never parse --pattern, so even a malformed one is refused, at
+    # the first artifact, rather than copied into config.json unread.
     pattern = {"support": [[0, 0.5]]}
     out = tmp_path / "out"
     files = dict(params, **{k: _write(tmp_path / f"{k}.json", v) for k, v in inputs.items()},
                  pattern=_write(tmp_path / "p.json", pattern))
     argv = command.split("-") + [x for k, v in files.items() for x in (f"--{k}", str(v))]
     assert cli.main(argv + ["--out", str(out)]) == 2
-    assert f"error: --pattern is not read by {route}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     config = {"command": command, "params": dict(params, **inputs, pattern=pattern)}
     path = _write(tmp_path / "config.json", config)
     assert cli.main(["replay", path, "--out", str(out)]) == 2
-    assert f"error: --pattern is not read by {route}" in capsys.readouterr().err
+    assert f"error: {message}" in capsys.readouterr().err
     assert not out.exists()
 
 
 def _argv(command, params):
-    """The command line that resolves to `params`: a True value is a flag."""
+    """The command line that resolves to `params`: a True value is a flag,
+    a list the LO:HI of --scales."""
     argv = command.split("-")
     for key, value in params.items():
-        argv += [f"--{key.replace('_', '-')}"] + ([] if value is True else [str(value)])
+        text = ":".join(map(str, value)) if isinstance(value, list) else str(value)
+        argv += [f"--{key.replace('_', '-')}"] + ([] if value is True else [text])
     return argv
 
 
 @pytest.mark.parametrize("command,params,inputs,message", [
+    # measure without --mc, measure --system bernoulli
     ("measure", {"torus": 21}, {"constellation": _five_point(1)},
-     "--torus is not read by measure without --mc"),
+     "--torus is not read by this measure run"),
     ("measure", {"system": "bernoulli", "mc": True},
      {"constellation": {"sites": [0, 1], "bits": [0, 1]}},
-     "--mc is not read by measure --system bernoulli"),
+     "--mc is not read by this measure run"),
+    # scan dev --system rankone, scan dev --system bernoulli
     ("scan-dev", {"system": "rankone", "h": 5, "epsilon": 0.1},
      {"events": {"events": [{"sites": [0], "bits": [0]}] * 3}},
-     "--events is not read by scan dev --system rankone"),
+     "--events is not read by this scan dev run"),
     ("scan-dev", {"system": "bernoulli", "h": 5, "epsilon": 0.1, "word_length": 5}, {},
-     "--word-length is not read by scan dev --system bernoulli"),
+     "--word-length is not read by this scan dev run"),
+    # render without svg
     ("render", {"size": 9, "format": "pbm,json", "clusters": True}, {},
-     "--clusters is not read by render without svg"),
+     "--clusters is not read by this render run"),
     # A given 0 is read, not taken for an absent option.
     ("measure", {"mc": True, "torus": 0}, {"constellation": _five_point(1)},
      "torus dimensions must be at least 3"),
     ("rankone", {"word_length": 0}, {}, "max_length 0 is below the stage height 3"),
+    # Options that have a default where another route reads them.
+    ("measure", {"samples": 7}, {"constellation": _five_point(1)},
+     "--samples is not read by this measure run"),
+    ("measure", {"seed": 5}, {"constellation": _five_point(1)},
+     "--seed is not read by this measure run"),
+    ("scan-mix", {"order": 4, "family": "dyadic", "seed": 3}, {},
+     "--seed is not read by this scan mix run"),
+    ("scan-mix", {"order": 4, "family": "dyadic", "box": 5}, {},
+     "--box is not read by this scan mix run"),
+    ("scan-mix", {"order": 2, "budget": 3, "scales": [1, 3]}, {},
+     "--scales is not read by this scan mix run"),
+    ("scan-dev", {"h": 5, "epsilon": 0.1, "stage": 3}, {},
+     "--stage is not read by this scan dev run"),
+    ("rankone", {"stage": 2}, {}, "--stage is not read by this rankone run"),
+    ("joining", {"scales": [1, 3]}, {"tensor": PRODUCT2},
+     "--scales is not read by this joining run"),
 ])
 def test_refused_option_exits_2_on_command_line_and_replay(tmp_path, capsys, command, params,
                                                            inputs, message):
-    # An option the route does not read is refused before its command starts,
-    # and a 0 before the first artifact, so no output directory is made.
+    # An option the run does not read is refused at its first artifact, and
+    # a 0 before it, so no output directory is made.
     out = tmp_path / "out"
     files = {k: _write(tmp_path / f"{k}.json", v) for k, v in inputs.items()}
     assert cli.main(_argv(command, dict(params, **files)) + ["--out", str(out)]) == 2
@@ -308,6 +332,44 @@ def test_refused_option_exits_2_on_command_line_and_replay(tmp_path, capsys, com
     path = _write(tmp_path / "config.json", {"command": command, "params": dict(params, **inputs)})
     assert cli.main(["replay", path, "--out", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_replay_of_a_config_holding_unread_defaults_exits_2(tmp_path, capsys):
+    # Configs of exact measures written while every default was filled in
+    # hold "samples" and "seed", which no exact measure reads.
+    config = {"command": "measure", "version": "0.1.0",
+              "params": {"constellation": _five_point(1), "samples": 100000, "seed": 0,
+                         "system": "ledrappier"}}
+    path = _write(tmp_path / "config.json", config)
+    assert cli.main(["replay", path, "--out", str(tmp_path / "out")]) == 2
+    assert "error: --samples is not read by this measure run" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_scale_range_exits_2(tmp_path, capsys):
+    # 5:3 holds no scale: refused as the option is parsed, and in a config.
+    for argv in (["scan", "mix", "--order", "4", "--family", "dyadic"], ["joining"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--scales", "5:3", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "expected LO:HI with LO < HI, got '5:3'" in capsys.readouterr().err
+    for command, params in (("scan-mix", {"order": 4, "family": "dyadic"}), ("joining", {})):
+        path = _write(tmp_path / "config.json",
+                      {"command": command, "params": dict(params, scales=[5, 3])})
+        assert cli.main(["replay", path, "--out", str(tmp_path / "out")]) == 2
+        assert "error: config parameter 'scales' cannot be [5, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_repeated_render_format_exits_2_before_any_grid(tmp_path, monkeypatch, capsys):
+    def no_kernel(*args):
+        raise AssertionError("kernel built for a refused format")
+
+    monkeypatch.setattr(cli, "torus_kernel", no_kernel)
+    out = tmp_path / "out"
+    assert cli.main(["render", "--format", "svg,pbm,svg", "--out", str(out)]) == 2
+    assert "error: render format 'svg' given twice" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -360,6 +422,79 @@ def test_option_no_route_reads_is_refused(tmp_path, argv):
 def test_scan_dev_still_takes_a_seed(tmp_path):
     assert cli.main(["scan", "dev", "--h", "6", "--epsilon", "0.1", "--seed", "7",
                      "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--size", "9", "--bit", "1"],
+    ["render", "--size", "9", "--format", "pbm,svg", "--connectivity", "8", "--bit", "1"],
+    ["scan", "dev", "--system", "rankone", "--h", "6", "--epsilon", "0.1", "--seed", "7"],
+])
+def test_options_the_benchmark_pool_passes_unread_are_taken(tmp_path, monkeypatch, argv):
+    # mixbench/jobs.py passes --bit and --connectivity to render jobs without
+    # --clusters, and --seed to scan dev jobs: each run takes them unread,
+    # records them as given, and replays.
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv + ["--out", "first"]) == 0
+    params = json.loads((tmp_path / "first" / "config.json").read_text(encoding="utf-8"))["params"]
+    given = {argv[i][2:] for i in range(len(argv)) if argv[i].startswith("--")}
+    assert given <= set(params)
+    assert cli.main(["replay", "first/config.json", "--out", "again"]) == 0
+    assert _artifacts(tmp_path / "again") == _artifacts(tmp_path / "first")
+
+
+Z_EVENT = {"sites": [0, 1], "bits": [0, 1]}
+
+# (argv, the params its config.json holds): one case per route; the input
+# files are c.json (_five_point(1)), z.json (Z_EVENT) and t.json (PRODUCT2).
+ROUTE_PARAMS = {
+    "measure": (["measure", "--constellation", "c.json"],
+                {"constellation": _five_point(1), "system": "ledrappier"}),
+    "measure-mc": (["measure", "--mc", "--samples", "1000", "--constellation", "c.json"],
+                   {"constellation": _five_point(1), "system": "ledrappier", "mc": True,
+                    "samples": 1000, "seed": 0}),
+    "measure-bernoulli": (["measure", "--system", "bernoulli", "--constellation", "z.json"],
+                          {"constellation": Z_EVENT, "system": "bernoulli"}),
+    "scan-dev": (["scan", "dev", "--h", "6", "--epsilon", "0.1"],
+                 {"h": 6, "epsilon": 0.1, "system": "bernoulli"}),
+    "scan-dev-rankone": (["scan", "dev", "--system", "rankone", "--h", "6", "--epsilon", "0.1"],
+                         {"h": 6, "epsilon": 0.1, "system": "rankone", "spec": "staircase",
+                          "stages": 10, "stage": 1, "word_length": 10000}),
+    "scan-mix": (["scan", "mix", "--order", "2", "--budget", "3"],
+                 {"order": 2, "budget": 3, "system": "ledrappier", "family": "random",
+                  "seed": 0, "min_gap": 8, "box": 128}),
+    "scan-mix-dyadic": (["scan", "mix", "--order", "4", "--family", "dyadic"],
+                        {"order": 4, "family": "dyadic", "budget": 100,
+                         "system": "ledrappier", "scales": [1, 8]}),
+    "joining": (["joining"], {"scales": [1, 6]}),
+    "joining-tensor": (["joining", "--tensor", "t.json", "--chain"],
+                       {"tensor": PRODUCT2, "chain": True}),
+    "percolate": (["percolate", "--sizes", "9", "--samples", "2"],
+                  {"sizes": [9], "samples": 2, "connectivity": 4, "seed": 0}),
+    "render": (["render", "--size", "9"], {"size": 9, "format": "svg", "seed": 0}),
+    # --clusters is read before grid.pbm, the first artifact
+    "render-clusters": (["render", "--size", "9", "--format", "pbm,svg", "--clusters"],
+                        {"size": 9, "format": "pbm,svg", "seed": 0, "clusters": True,
+                         "connectivity": 4, "bit": 0}),
+    "rankone": (["rankone"], {"spec": "staircase", "stages": 10}),
+    "rankone-word": (["rankone", "--word-length", "100"],
+                     {"spec": "staircase", "stages": 10, "word_length": 100, "stage": 1}),
+}
+
+
+@pytest.mark.parametrize("route", sorted(ROUTE_PARAMS))
+def test_config_holds_exactly_what_the_run_read(tmp_path, monkeypatch, route):
+    # Each default is taken where the command reads it, so config.json holds
+    # the given options and the defaults the route read, and nothing else;
+    # replaying it gives the same files.
+    monkeypatch.chdir(tmp_path)
+    for name, obj in (("c.json", _five_point(1)), ("z.json", Z_EVENT), ("t.json", PRODUCT2)):
+        _write(tmp_path / name, obj)
+    argv, expected = ROUTE_PARAMS[route]
+    assert cli.main(argv + ["--out", "first"]) == 0
+    config = json.loads((tmp_path / "first" / "config.json").read_text(encoding="utf-8"))
+    assert config["params"] == expected
+    assert cli.main(["replay", "first/config.json", "--out", "again"]) == 0
+    assert _artifacts(tmp_path / "again") == _artifacts(tmp_path / "first")
 
 
 @pytest.mark.parametrize("command,params,key,value", [
@@ -576,8 +711,8 @@ def test_joining_chain_and_raise(tmp_path):
 
 
 def test_main_twice_gives_equal_artifacts(tmp_path):
-    # The parser is built once; its default --scales list is shared by both
-    # runs and must come back unchanged.
+    # The parser is built once and shared by both runs; the --scales each run
+    # takes by default must come back unchanged.
     argv = ["scan", "mix", "--order", "4", "--family", "dyadic"]
     first = _artifacts(_run(tmp_path / "a", argv))
     second = _artifacts(_run(tmp_path / "b", argv))
@@ -632,8 +767,9 @@ def test_replay_elsewhere_without_inputs(tmp_path, monkeypatch, argv, inputs):
 
 
 def test_replay_fills_parser_defaults(tmp_path, monkeypatch):
-    # A config without "family" scans the parser's default family (random),
-    # exactly as the command line without --family does.
+    # A config without "family" scans the default family (random) that
+    # scan mix takes where it reads it, exactly as the command line without
+    # --family does.
     monkeypatch.chdir(tmp_path)
     assert cli.main(["scan", "mix", "--order", "4", "--budget", "2", "--out", "cli"]) == 0
     _write(tmp_path / "config.json",

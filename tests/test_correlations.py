@@ -199,8 +199,10 @@ class TestDevScan:
         assert scan.product == prod
         assert len(scan.der_pairs) == 56
         assert scan.der_pairs == [(z, w) for z, w, _, _, d in rows if d > eps]
-        assert scan_rows_to_csv(scan).splitlines(True) == \
+        # outside the assert: a failed == of long texts is diffed for minutes
+        same = scan_rows_to_csv(scan).splitlines(True) == \
             reference_scan_rows_to_csv(rows).splitlines(True)
+        assert same
 
     def test_bernoulli_scan_csv_matches_csv_writer(self):
         eps, h = 0.1, 40
@@ -213,8 +215,9 @@ class TestDevScan:
                 for z, w in admissible_pairs(eps, h)]
         rows = [(z, w, c, p, abs(c - p)) for z, w, c, p in rows]
         assert {c for _, _, c, _, _ in rows} == {0.0, 1 / 128, 1 / 64, 1 / 32}
-        assert scan_rows_to_csv(scan).splitlines(True) == \
+        same = scan_rows_to_csv(scan).splitlines(True) == \
             reference_scan_rows_to_csv(rows).splitlines(True)
+        assert same
 
     @pytest.mark.parametrize("rows", BLOCK_ROW_COUNTS)
     def test_csv_matches_csv_writer_at_block_boundaries(self, small_blocks, rows):
@@ -226,7 +229,8 @@ class TestDevScan:
                        dev_h2=Fraction(0), pairs=pairs, correlation=corr, product=prod,
                        defect=np.abs(corr - prod))
         expected = [(z, w, c, prod, abs(c - prod)) for (z, w), c in zip(pairs.tolist(), corr)]
-        assert scan_rows_to_csv(scan) == reference_scan_rows_to_csv(expected)
+        same = scan_rows_to_csv(scan) == reference_scan_rows_to_csv(expected)
+        assert same
 
     def test_csv_keeps_negative_zero_apart(self):
         # -0.0 and 0.0 compare equal but print as "-0" and "0"
@@ -260,7 +264,8 @@ class TestDevHeatmap:
     def test_bernoulli(self, eps, h):
         for events in (HEATMAP_EVENTS, (B0, B0, B0)):
             scan = dev_scan(BERN, *events, eps, h)
-            assert dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+            same = dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+            assert same
 
     @pytest.mark.parametrize("name,stages,eps,h", [
         ("staircase", 10, 0.05, 120), ("chacon", 12, 0.11, 64),
@@ -270,14 +275,16 @@ class TestDevHeatmap:
         word = generate_word(preset_spec(name, stages), 1, 20000)
         event = frozenset({0})
         scan = dev_scan(WordOracle(word), event, event, event, eps, h)
-        assert dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+        same = dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+        assert same
 
     def test_planted_spikes_and_zero_field(self):
         spiked = SyntheticTripleOracle({"A": 0.5}, {(5, 9): 0.2, (9, 5): 0.2, (11, 3): -0.1})
         flat = SyntheticTripleOracle({"A": 0.5})
         for oracle in (spiked, flat):
             scan = dev_scan(oracle, "A", "A", "A", 0.05, 12)
-            assert dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+            same = dev_heatmap_svg(scan) == reference_dev_heatmap_svg(scan)
+            assert same
 
 
 class TestConstellationType:

@@ -127,7 +127,9 @@ WORD_JSON_CASES = {
 @pytest.mark.parametrize("name", sorted(WORD_JSON_CASES))
 def test_word_json_matches_json_dumps(name):
     word = WORD_JSON_CASES[name]
-    assert word.to_rle_json() == reference_word_json(word)
+    # outside the assert: a failed == of long strings is diffed for minutes
+    same = word.to_rle_json() == reference_word_json(word)
+    assert same
 
 
 @pytest.mark.parametrize("runs", BLOCK_ROW_COUNTS)
@@ -137,7 +139,8 @@ def test_word_json_matches_json_dumps_at_block_boundaries(small_blocks, runs):
     symbols = np.repeat(np.arange(runs) % 3 - 1, gen.integers(1, 4, runs)).astype(np.int32)
     word = SymbolicWord(stage=1, height=3, symbols=symbols)
     assert len(reference_rle_runs(symbols)) == runs
-    assert word.to_rle_json() == reference_word_json(word)
+    same = word.to_rle_json() == reference_word_json(word)
+    assert same
 
 
 @pytest.mark.parametrize("name,stages,stage,length", [
@@ -146,7 +149,8 @@ def test_word_json_matches_json_dumps_at_block_boundaries(small_blocks, runs):
 ])
 def test_preset_word_json_matches_json_dumps(name, stages, stage, length):
     word = generate_word(preset_spec(name, stages), stage, length)
-    assert word.to_rle_json() == reference_word_json(word)
+    same = word.to_rle_json() == reference_word_json(word)
+    assert same
 
 
 def test_event_measure_is_a_point_value_without_stderr():

@@ -45,8 +45,9 @@ def test_heatmap_svg_parses():
 
 def test_nan_cells_render_blank():
     field = np.array([[0.5, np.nan], [np.nan, 0.25]])
-    assert heatmap_svg(field, x_label="z", y_label="w", title="defects") == \
+    same = heatmap_svg(field, x_label="z", y_label="w", title="defects") == \
         heatmap_svg([[0.5, None], [None, 0.25]], x_label="z", y_label="w", title="defects")
+    assert same
 
 
 def test_empty_inputs_parse():
@@ -84,9 +85,12 @@ def test_heatmap_matches_cell_loop(name):
     field = HEATMAP_FIELDS[name]
     expected = reference_heatmap_svg(_lists(field) if isinstance(field, np.ndarray) else field,
                                      x_label="z", y_label="w", title=name)
-    assert heatmap_svg(field, x_label="z", y_label="w", title=name) == expected
+    # outside the assert: a failed == of long strings is diffed for minutes
+    same = heatmap_svg(field, x_label="z", y_label="w", title=name) == expected
+    assert same
     if isinstance(field, np.ndarray):
-        assert heatmap_svg(_lists(field), x_label="z", y_label="w", title=name) == expected
+        same = heatmap_svg(_lists(field), x_label="z", y_label="w", title=name) == expected
+        assert same
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -95,7 +99,8 @@ def test_heatmap_matches_cell_loop_on_random_fields(seed):
     h, w = gen.integers(1, 40, size=2)
     field = gen.choice([0.0, 0.1, 0.3, 1 / 3, 0.7, 0.9], size=(h, w)) * gen.random((h, w)) ** seed
     field[gen.random((h, w)) < 0.3] = np.nan
-    assert heatmap_svg(field) == reference_heatmap_svg(_lists(field))
+    same = heatmap_svg(field) == reference_heatmap_svg(_lists(field))
+    assert same
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +128,10 @@ def _nested(a):
 def test_grid_svg_matches_cell_loop(name):
     grid = BIT_GRIDS[name]
     expected = reference_grid_svg(_nested(grid), title=name)
-    assert grid_svg(grid, title=name) == expected
-    assert grid_svg(_nested(grid), title=name) == expected
+    same = grid_svg(grid, title=name) == expected
+    assert same
+    same = grid_svg(_nested(grid), title=name) == expected
+    assert same
 
 
 @pytest.mark.parametrize("name", sorted(BIT_GRIDS))
@@ -135,8 +142,10 @@ def test_cluster_svg_matches_cell_loop_on_cluster_labels(name, target_bit):
         grid = grid.reshape(len(grid), 0)
     labels = clusters(grid, 4)[target_bit].roots if grid.size else np.full(grid.shape, -1)
     expected = reference_cluster_svg(_nested(grid), _nested(labels), target_bit, title=name)
-    assert cluster_svg(grid, labels, target_bit, title=name) == expected
-    assert cluster_svg(_nested(grid), _nested(labels), target_bit, title=name) == expected
+    same = cluster_svg(grid, labels, target_bit, title=name) == expected
+    assert same
+    same = cluster_svg(_nested(grid), _nested(labels), target_bit, title=name) == expected
+    assert same
 
 
 LABELLED = {
@@ -155,8 +164,10 @@ LABELLED = {
 def test_cluster_svg_matches_cell_loop_on_given_labels(name):
     grid, labels = LABELLED[name]
     expected = reference_cluster_svg(_nested(grid), _nested(labels), 0, title=name)
-    assert cluster_svg(np.asarray(grid), np.asarray(labels), 0, title=name) == expected
-    assert cluster_svg(grid, labels, 0, title=name) == expected
+    same = cluster_svg(np.asarray(grid), np.asarray(labels), 0, title=name) == expected
+    assert same
+    same = cluster_svg(grid, labels, 0, title=name) == expected
+    assert same
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -164,14 +175,17 @@ def test_grid_writers_match_cell_loops_on_random_grids(seed):
     gen = np.random.default_rng(seed)
     h, w = (int(v) for v in gen.integers(1, 40, size=2))
     grid = (gen.random((h, w)) < gen.random()).astype(np.uint8)
-    assert grid_svg(grid) == reference_grid_svg(_nested(grid))
+    same = grid_svg(grid) == reference_grid_svg(_nested(grid))
+    assert same
     for target_bit in (0, 1):
         labels = gen.integers(-1, 12, size=(h, w))
-        assert cluster_svg(grid, labels, target_bit) == \
+        same = cluster_svg(grid, labels, target_bit) == \
             reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
+        assert same
         labels = clusters(grid, int(gen.choice([4, 8])))[target_bit].roots
-        assert cluster_svg(grid, labels, target_bit) == \
+        same = cluster_svg(grid, labels, target_bit) == \
             reference_cluster_svg(_nested(grid), _nested(labels), target_bit)
+        assert same
 
 
 @pytest.mark.parametrize("cells", BLOCK_ROW_COUNTS)
@@ -184,8 +198,12 @@ def test_writers_match_cell_loops_at_block_boundaries(small_blocks, cells):
     grid = drawn.astype(np.uint8)
     labels = gen.integers(-1, 6, size=grid.shape)
     field = np.where(drawn, gen.choice([0.1, 0.5, 0.9], size=grid.shape), np.nan)
-    assert grid_svg(grid) == reference_grid_svg(_nested(grid))
-    assert cluster_svg(grid, labels, 1) == reference_cluster_svg(_nested(grid), _nested(labels), 1)
-    assert cluster_svg(1 - grid, labels, 0) == \
+    same = grid_svg(grid) == reference_grid_svg(_nested(grid))
+    assert same
+    same = cluster_svg(grid, labels, 1) == reference_cluster_svg(_nested(grid), _nested(labels), 1)
+    assert same
+    same = cluster_svg(1 - grid, labels, 0) == \
         reference_cluster_svg(_nested(1 - grid), _nested(labels), 0)
-    assert heatmap_svg(field, title="t") == reference_heatmap_svg(_lists(field), title="t")
+    assert same
+    same = heatmap_svg(field, title="t") == reference_heatmap_svg(_lists(field), title="t")
+    assert same

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from conftest import BLOCK_ROW_COUNTS
 
-from mixlab.text import join_rows
+from mixlab.text import classes, join_rows
 
 
 def _loop(head, columns, tail):
@@ -43,3 +43,18 @@ def test_join_holds_no_array_the_size_of_the_text():
     same = text == _loop("z,w\n", columns, "")  # a failed == of 1.6 MB strings diffs them
     assert same
     assert peak < 2 * len(text) + (1 << 19)
+
+
+@pytest.mark.parametrize("values", [
+    np.array([], dtype=np.int64),
+    np.array([7]),
+    np.array([3, 1, 3, 3, 0, 1]),
+    np.array([2 ** 64 - 1, 0, 2 ** 63, 2 ** 64 - 1], dtype=np.uint64),
+    np.array([0.0, -0.0, 0.5, 0.0]).view(np.uint64),  # -0.0 and 0.0 stay apart
+    np.random.default_rng(0).integers(-50, 50, 10_000),
+])
+def test_classes_rank_as_unique_and_name_a_member_of_each(values):
+    _, inverse = np.unique(values, return_inverse=True)
+    rank, member = classes(values)
+    assert rank.tolist() == inverse.ravel().tolist()
+    assert values[member].tolist() == np.unique(values).tolist()
