@@ -25,9 +25,11 @@ each byte's nibbles into the bytes of the square.
 `LedrappierOracle` merges the shifted event sites of a shift tuple once,
 into a plan that every entry differing only in its bits reads and that
 keeps their relations, and it keeps the powers u^n per recurrence and n for
-its lifetime.  The powers form a prefix ladder: with each u^n the oracle holds
-u^(n >> k) for every k, and a new n starts from its longest prefix held, so
-a dyadic family costs one squaring per scale.  Beyond the oracle only the
+its lifetime.  A joining member's entries that share a plan are decided
+together, as arrays over their index grid (`_member`).  The powers form a
+prefix ladder: with each u^n the oracle holds u^(n >> k) for every k, and a
+new n starts from its longest prefix held, so a dyadic family costs one
+squaring per scale.  Beyond the oracle only the
 exact values are kept: one shared `MeasureValue` per rank.
 
 Torus kernels run the same recurrence (`RelationPattern.transfer`) on
@@ -47,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -683,20 +685,87 @@ class _Plan:
         self.relations: Optional[list[int]] = None
 
 
+def _merge(shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
+    """The plan of `events` shifted by `shifts`."""
+    index: dict[Site, int] = {}
+    positions = tuple(tuple(index.setdefault(site_add(s, sh), len(index)) for s in ev.sites)
+                      for ev, sh in zip(events, shifts))
+    return _Plan(tuple(index), positions)
+
+
+def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
+            plan_of: Callable[[Sequence[Site], Sequence[CylinderConstraint]], _Plan],
+            relations_of: Callable[[_Plan], list[int]]) -> tuple[tuple[np.ndarray, int], bool]:
+    """The d^k entries of a joining member: entry (i_1, ..., i_k) is the
+    measure of the intersection of cells[i_j] shifted by shifts[j], for d
+    cells and k shifts.  Returns ((num, den), True), num the flat Python-int
+    numerators in index order over den, a power of two.
+
+    Cells with equal sites form a class, and the entries whose cells have
+    one class at each position share one plan (`plan_of`).  Over that plan's
+    index grid, the bit each plan site demands is taken from the first
+    position that reads the site.  An entry is 0 where a later position
+    demands the other bit there (a contradiction) or where a relation of the
+    plan (`relations_of`, asked only when some entry is consistent) has odd
+    parity on the bits; every other entry is 2^-(sites - relations).
+    """
+    k = len(shifts)
+    classes: dict[tuple, list[int]] = {}
+    for i, ev in enumerate(cells):
+        classes.setdefault(ev.sites, []).append(i)
+    # demand[sites][q, c]: the bit that the class's c-th cell demands at its q-th site
+    demand = {sites: np.array([cells[i].bits for i in m], dtype=np.uint8)
+              .reshape(len(m), len(sites)).T for sites, m in classes.items()}
+    exponent = np.full((len(cells),) * k, -1)  # entry 2^-exponent; -1 for 0
+    for members in itertools.product(classes.values(), repeat=k):
+        events = [cells[m[0]] for m in members]
+        plan = plan_of(shifts, events)
+        shape = tuple(map(len, members))
+        n = len(plan.sites)
+        bits = np.empty((n,) + shape, dtype=np.uint8)
+        clash = np.False_
+        read = 0  # plan sites are numbered in the order they are first read
+        for axis, (ev, m, pos) in enumerate(zip(events, members, plan.positions)):
+            along = demand[ev.sites].reshape(
+                (len(pos),) + tuple(len(m) if a == axis else 1 for a in range(k)))
+            for p, column in zip(pos, along):
+                if p < read:
+                    clash = clash | (bits[p] != column)
+                else:
+                    bits[p] = column
+                    read += 1
+        if clash.all():
+            block = np.full(shape, -1)
+        else:
+            relations = relations_of(plan)
+            rows = np.array([[v >> s & 1 for s in range(n)] for v in relations],
+                            dtype=np.int64).reshape(len(relations), n)
+            odd = (rows @ bits.reshape(n, math.prod(shape)) & 1).any(axis=0).reshape(shape)
+            block = np.where(clash | odd, -1, n - len(relations))
+        if len(classes) == 1:  # one plan holds every entry
+            exponent = block
+        else:
+            exponent[np.ix_(*members)] = block
+    top = max(int(exponent.max()), 0)
+    num = [1 << (top - e) if e >= 0 else 0 for e in exponent.ravel().tolist()]
+    return (np.array(num, dtype=object), 1 << top), True
+
+
 class LedrappierOracle:
     """Exact k-fold correlation oracle for the plane system of `pattern`.
 
     Two caches live as long as the oracle: plans and powers.  A plan per
     shift tuple and tuple of event sites merges the shifted sites once and
-    keeps their relations: the 2^order entries of a joining tensor member
-    differ only in their bits, and a scan asks for a tuple's measure and
-    then its certificate.  Each entry reads its bits through the plan's
-    positions; two different bits at one position make it a contradiction
-    of measure 0.  An event's own measure is a one-event plan at the zero
-    shift.  The row powers u^n behind the site masks are kept per
-    recurrence and n (`_window_masks`), so a job computes each of them
-    once.  They form a prefix ladder (`_u_power`): each u^n is kept with
-    u^(n >> k) for every k, and a new n starts from its longest prefix held.
+    keeps their relations: its plans serve the 2^order entries of a member
+    (`joining_member`, which decides the entries of one plan at once), and a
+    scan asks for a tuple's measure and then its certificate.  An entry
+    reads its bits through the plan's positions; two different bits at one
+    position make it a contradiction of measure 0.  An event's own measure
+    is a one-event plan at the zero shift.  The row powers u^n behind the
+    site masks are kept per recurrence and n (`_window_masks`), so a job
+    computes each of them once.  They form a prefix ladder (`_u_power`):
+    each u^n is kept with u^(n >> k) for every k, and a new n starts from
+    its longest prefix held.
     """
 
     def __init__(self, pattern: RelationPattern = LEDRAPPIER_PATTERN):
@@ -708,11 +777,7 @@ class LedrappierOracle:
         key = (tuple(shifts), tuple(ev.sites for ev in events))
         plan = self._plans.get(key)
         if plan is None:
-            index: dict[Site, int] = {}
-            positions = tuple(tuple(index.setdefault(site_add(s, sh), len(index))
-                                    for s in ev.sites)
-                              for ev, sh in zip(events, shifts))
-            plan = self._plans[key] = _Plan(tuple(index), positions)
+            plan = self._plans[key] = _merge(shifts, events)
         return plan
 
     @staticmethod
@@ -744,6 +809,12 @@ class LedrappierOracle:
             return _CONTRADICTION
         return _measure_from_relations(self._plan_relations(plan), bits)
 
+    def joining_member(self, shifts: Sequence[Site], cells: Sequence[CylinderConstraint]
+                       ) -> tuple[tuple[np.ndarray, int], bool]:
+        """Every entry of the joining member of `cells` at `shifts` at once
+        (`_member`), from this oracle's plans and relations."""
+        return _member(shifts, cells, self._plan, self._plan_relations)
+
     def relation_certificate(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> dict:
         """Explicit GF(2) relations among the merged constellation sites."""
@@ -764,6 +835,12 @@ def _z_sites(event: CylinderConstraint) -> tuple[int, ...]:
     return event.sites
 
 
+def _z_shift(shift) -> int:
+    if not isinstance(shift, int):
+        raise TypeError(f"Bernoulli shifts are integers, got {shift!r}")
+    return shift
+
+
 class BernoulliOracle:
     """Exact oracle for the full 2-shift; supports negative shifts."""
 
@@ -774,10 +851,19 @@ class BernoulliOracle:
                              events: Sequence[CylinderConstraint]) -> MeasureValue:
         pairs = []
         for ev, sh in zip(events, shifts):
-            if not isinstance(sh, int):
-                raise TypeError(f"Bernoulli shifts are integers, got {sh!r}")
+            sh = _z_shift(sh)
             pairs.extend((s + sh, b) for s, b in zip(_z_sites(ev), ev.bits))
         return bernoulli_cylinder_measure(pairs)
+
+    def joining_member(self, shifts: Sequence[int], cells: Sequence[CylinderConstraint]
+                       ) -> tuple[tuple[np.ndarray, int], bool]:
+        """Every entry of the joining member of `cells` at `shifts` at once
+        (`_member`): the full shift has no relations."""
+        for sh in shifts:
+            _z_shift(sh)
+        for ev in cells:
+            _z_sites(ev)
+        return _member(shifts, cells, _merge, lambda plan: [])
 
     def correlation_grid(self, events: Sequence[CylinderConstraint],
                          pairs: np.ndarray) -> np.ndarray:

@@ -7,7 +7,8 @@ The config holds what the run read, defaults included, with each input
 file's contents in place of its path and without the output directory, so
 re-running a command from its config reproduces every artifact byte for byte
 from any working directory (`mixlab replay CONFIG --out DIR`).  An option
-the run does not read is refused, on the command line and on replay.
+the run does not read is refused before the run's work, on the command line
+and on replay.
 
 Each command yields its artifacts; one runner, shared by the command line
 and replay, writes them.  It makes `--out` and writes config.json when the
@@ -184,9 +185,11 @@ def _pattern(params: dict) -> RelationPattern:
 
 
 # ---------------------------------------------------------------------------
-# Commands: each takes its run's config (resolved params, no --out), reads
-# every option, taking its default there, before its first artifact, and
-# yields its artifacts in write order as (file name, text or JSON object).
+# Commands: each takes its run's config (resolved params, no --out) and reads
+# every option its route takes, taking its default there.  Then, before any
+# work, it yields once with no value (a bare `yield`), and the runner refuses
+# an option left unread.  After that it yields its artifacts in write order as
+# (file name, text or JSON object).
 
 Artifacts = Iterator[tuple[str, Union[str, dict]]]
 
@@ -195,18 +198,22 @@ def cmd_measure(config: dict) -> Artifacts:
     params = config["params"]
     constraint = _parse_input(params, "constellation", CylinderConstraint.from_json)
     if params.setdefault("system", "ledrappier") == "bernoulli":
+        yield
         result = bernoulli_cylinder_measure(zip(constraint.sites, constraint.bits))
+    elif "mc" in params:
+        pattern = _pattern(params)
+        samples = params.setdefault("samples", 100000)
+        if not 1 <= samples <= MAX_MC_SAMPLES:  # before any kernel is built
+            raise ValidationError(f"--samples must lie in 1..{MAX_MC_SAMPLES}")
+        torus, seed = params.get("torus"), params.setdefault("seed", 0)
+        yield
+        kernel = (torus_kernel(pattern, torus, torus) if torus is not None
+                  else default_torus_for(pattern, constraint))
+        result = mc_cylinder_measure(kernel, constraint, samples, seed)
     else:
         pattern = _pattern(params)
-        if "mc" in params:
-            samples = params.setdefault("samples", 100000)
-            if not 1 <= samples <= MAX_MC_SAMPLES:  # before any kernel is built
-                raise ValidationError(f"--samples must lie in 1..{MAX_MC_SAMPLES}")
-            kernel = (torus_kernel(pattern, params["torus"], params["torus"])
-                      if "torus" in params else default_torus_for(pattern, constraint))
-            result = mc_cylinder_measure(kernel, constraint, samples, params.setdefault("seed", 0))
-        else:
-            result = cylinder_measure(pattern, constraint)
+        yield
+        result = cylinder_measure(pattern, constraint)
     # measure.json alone still repeats the config: the benchmark's own tests
     # (mixbench/test_mixbench.py) edit it there.
     yield "measure.json", {"config": config, "result": result.to_json()}
@@ -214,21 +221,23 @@ def cmd_measure(config: dict) -> Artifacts:
 
 def cmd_scan_dev(config: dict) -> Artifacts:
     params = config["params"]
-    h = params["h"]
+    h, epsilon = params["h"], params["epsilon"]
+    params.get("seed")  # taken unread: mixbench/jobs.py passes it to every scan dev job
     if params.setdefault("system", "bernoulli") == "bernoulli":
-        oracle = BernoulliOracle()
         if "events" in params:
             a, b, c = _load_events(params, 3)
         else:
             a = b = c = CylinderConstraint((0,), (0,))
+        yield
+        oracle = BernoulliOracle()
     else:
         spec = _resolve_rankone_spec(params)
-        word = generate_word(spec, params.setdefault("stage", 1),
-                             params.setdefault("word_length", max(100 * h, 10000)))
-        oracle = WordOracle(word)
+        stage = params.setdefault("stage", 1)
+        length = params.setdefault("word_length", max(100 * h, 10000))
+        yield
+        oracle = WordOracle(generate_word(spec, stage, length))
         a = b = c = frozenset({0})
-    params.get("seed")  # taken unread: mixbench/jobs.py passes it to every scan dev job
-    result = dev_scan(oracle, a, b, c, params["epsilon"], h)
+    result = dev_scan(oracle, a, b, c, epsilon, h)
     yield "dev.csv", scan_rows_to_csv(result)
     yield "dev.json", {"result": result.to_json()}
     yield "dev_heatmap.svg", dev_heatmap_svg(result)
@@ -261,6 +270,7 @@ def cmd_scan_mix(config: dict) -> Artifacts:
         family = random_separated_shifts(params.setdefault("seed", 0), budget, k,
                                          params.setdefault("min_gap", 8),
                                          params.setdefault("box", 128), dim=dim)
+    yield
     result = mix_defect_scan(oracle, events, family, budget)
     yield "mix.csv", mix_rows_to_csv(result)
     yield "mix.json", {
@@ -275,32 +285,35 @@ def cmd_scan_mix(config: dict) -> Artifacts:
 
 def cmd_joining(config: dict) -> Artifacts:
     params = config["params"]
+    asked = {key for key in ("lower_order", "chain", "raise_order") if key in params}
     if "tensor" in params:
         tensor = _parse_input(params, "tensor", JoiningTensor.from_json)
+        yield
     else:
         # Parity pipeline: limiting tensor of the 5-point dyadic family for
         # the 2-cell partition by the origin coordinate.
         oracle = LedrappierOracle(_pattern(params))
         lo, hi = params.setdefault("scales", [1, 6])
+        yield
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
         tensor = limit_joining(oracle, uniform_partition(2), cells,
                                dyadic_family(range(lo, hi)))
     cls = classify(tensor)
     artifacts = {"tensor": tensor.to_json(), "classification": cls.to_json()}
-    if "lower_order" in params:
+    if "lower_order" in asked:
         lowered, report = lower_order(tensor)
         artifacts["lowered"] = lowered.to_json()
         artifacts["lowered_report"] = report
-    if "chain" in params or "raise_order" in params:
+    if asked & {"chain", "raise_order"}:
         base = parity_tensor(3) if tensor.dims == 2 else None
         if base is None:
             raise ValidationError("chain/raise need a 2-cell parity pipeline")
         p2 = markov_from_joining(base)
-        if "raise_order" in params:
+        if "raise_order" in asked:
             raised, report = raise_order(pair_compose(p2))
             artifacts["raised"] = raised.to_json()
             artifacts["raised_report"] = report
-        if "chain" in params:
+        if "chain" in asked:
             artifacts["chain"] = chain_check(p2).to_json()
     yield "joining.json", artifacts
     yield "tensor.json", artifacts["tensor"]
@@ -309,8 +322,10 @@ def cmd_joining(config: dict) -> Artifacts:
 
 def cmd_percolate(config: dict) -> Artifacts:
     params = config["params"]
-    rows = percolation_sweep(_pattern(params), params["sizes"], params.setdefault("samples", 20),
-                             params.setdefault("connectivity", 4), params.setdefault("seed", 0))
+    pattern, sizes, samples = _pattern(params), params["sizes"], params.setdefault("samples", 20)
+    connectivity, seed = params.setdefault("connectivity", 4), params.setdefault("seed", 0)
+    yield
+    rows = percolation_sweep(pattern, sizes, samples, connectivity, seed)
     yield "percolation.csv", sweep_to_csv(rows)
     yield "percolation.json", {"rows": [r.__dict__ for r in rows]}
 
@@ -329,7 +344,9 @@ def cmd_render(config: dict) -> Artifacts:
         connectivity, bit = params.setdefault("connectivity", 4), params.setdefault("bit", 0)
     else:  # taken unread: mixbench/jobs.py passes both to render jobs without --clusters
         connectivity, bit = params.get("connectivity"), params.get("bit")
-    kernel = torus_kernel(_pattern(params), size, size)
+    pattern = _pattern(params)
+    yield
+    kernel = torus_kernel(pattern, size, size)
     grid = sample_configuration(kernel, seed)
     for f in formats:
         if f == "svg" and tint:
@@ -354,9 +371,12 @@ def _resolve_rankone_spec(params: dict) -> RankOneSpec:
 def cmd_rankone(config: dict) -> Artifacts:
     params = config["params"]
     spec = _resolve_rankone_spec(params)
+    length = params.get("word_length")
+    stage = params.setdefault("stage", 1) if length is not None else None
+    yield
     artifacts: dict = {"spec": spec.to_json(), "heights": tower_heights(spec)}
-    if "word_length" in params:
-        word = generate_word(spec, params.setdefault("stage", 1), params["word_length"])
+    if length is not None:
+        word = generate_word(spec, stage, length)
         yield "word.json", word.to_rle_json()
         artifacts["word_length"] = word.length
     yield "rankone.json", artifacts
@@ -399,20 +419,28 @@ class _Params(dict):
 
 def _run(command: str, params: dict) -> None:
     """Run `command` and write config.json and each artifact it yields into
-    --out.  At the first artifact, an option the run has not read is refused;
-    then the directory is made, so a run refused or failed before that writes
-    nothing.  A directory that cannot be made, or a file that cannot be
-    written in it, is a ValidationError that names the file and --out."""
+    --out.  At the command's first yield, which comes once its route has
+    read its options and before its work, an option the run has not read is
+    refused.  At its first artifact the directory is made, so a run refused
+    or failed before that writes nothing.  A directory that cannot be made,
+    or a file that cannot be written in it, is a ValidationError that names
+    the file and --out."""
     outdir = params["out"]
     params = _Params({k: v for k, v in params.items() if k != "out"})
     config = {"command": command, "params": params, "version": __version__}
-    made = False
-    for name, body in _COMMANDS[command](config):
-        if not made:  # the command has read its options and run up to its first artifact
+    checked = made = False
+    for artifact in _COMMANDS[command](config):
+        if not checked:
             unread = [key for key in params if key not in params.read]
             if unread:
                 raise ValidationError(f"--{unread[0].replace('_', '-')} is not read by this "
                                       f"{command.replace('-', ' ')} run")
+            checked = True
+        if artifact is None:  # the bare yield before the command's work
+            continue
+        name, body = artifact
+        del artifact
+        if not made:
             try:
                 os.makedirs(outdir, exist_ok=True)
             except OSError as exc:

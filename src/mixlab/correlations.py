@@ -36,9 +36,20 @@ from . import svg as svgmod
 
 
 class CorrelationOracle(Protocol):
+    """What scans and limits ask of an oracle.  `event_measure` and
+    `intersection_measure` give one measure each; the scans read them (a
+    deviation scan reads `correlation_grid` instead).  `joining_member`
+    gives every entry of a joining member at once, for `limit_joining`:
+    entry (i_1, ..., i_k) is the measure of the intersection of cells[i_j]
+    shifted by shifts[j], returned as ((num, den), exact) with num flat in
+    index order, Python ints over den when exact, floats over 1 otherwise."""
+
     def event_measure(self, event) -> MeasureValue: ...
 
     def intersection_measure(self, shifts: Sequence[Site], events: Sequence) -> MeasureValue: ...
+
+    def joining_member(self, shifts: Sequence[Site],
+                       cells: Sequence) -> tuple[tuple[np.ndarray, int], bool]: ...
 
 
 class OracleCapabilityError(RuntimeError):

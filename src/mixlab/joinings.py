@@ -43,7 +43,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .correlations import Constellation, CorrelationOracle, kfold_correlation
+from .correlations import CorrelationOracle, OracleCapabilityError
 from .measure import format_fraction, parse_fraction
 
 Number = Union[Fraction, float]
@@ -58,8 +58,9 @@ FLOAT_TOL = 1e-9
 STABLE_MEMBERS = 3
 # Additive slack in the chain inequalities, for the float singular values.
 CHAIN_DELTA = 1e-9
-# A member costs d^order intersection measures: six 2-cell order-14 members
-# take 0.9 s on a 2-vCPU Xeon VM, and each further order doubles that.
+# A member's d^order entries are decided together, per plan: three 2-cell
+# order-16 members (65,536 entries each) take 0.12-0.13 s on a 2-vCPU Xeon
+# VM, where one intersection measure per entry took 3.1 s.
 MAX_JOINING_ORDER = 16
 
 
@@ -96,10 +97,6 @@ class Partition:
 
 def uniform_partition(d: int) -> Partition:
     return Partition(tuple(Fraction(1, d) for _ in range(d)))
-
-
-def _indices(d: int, order: int):
-    return itertools.product(range(d), repeat=order)
 
 
 def _scaled(values: Sequence, exact: bool) -> Scaled:
@@ -269,7 +266,7 @@ def parity_tensor(order: int) -> JoiningTensor:
         raise ValueError("parity tensor needs order >= 2")
     mass = Fraction(1, 1 << (order - 1))
     entries = tuple(mass if sum(idx) % 2 == 0 else Fraction(0)
-                    for idx in _indices(2, order))
+                    for idx in itertools.product((0, 1), repeat=order))
     return JoiningTensor(order, (Fraction(1, 2), Fraction(1, 2)), entries)
 
 
@@ -588,15 +585,18 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
                   cell_events: Sequence, family: Iterable[Sequence]) -> JoiningTensor:
     """Tensor of limiting intersection measures over all cell combinations.
 
-    The first member's length is the order.  Walks the family, recomputing the
-    full tensor per member; returns once `STABLE_MEMBERS` consecutive members
-    agree (exactly for exact oracles, within `FLOAT_TOL` otherwise).  Every
-    member is validated as a joining, since the correlations of a partition
-    at any fixed shifts form one; an oracle that yields anything else raises
-    `JoiningError` at that member.  `NonStabilizingError`, carrying the
-    observed trace, is raised only when the family of genuine joinings is
-    exhausted without stabilizing.  An order outside 2..`MAX_JOINING_ORDER`,
-    or a member of another length, is refused before it is measured.
+    The first member's length is the order.  Walks the family, asking the
+    oracle once per member for all its entries (`joining_member`, as (num,
+    den) with their exactness); returns once `STABLE_MEMBERS` consecutive
+    members agree (exactly for exact oracles, within `FLOAT_TOL` otherwise).
+    An oracle's `TypeError` or `ValueError` becomes `OracleCapabilityError`,
+    as in `kfold_correlation`.  Every member is validated as a joining,
+    since the correlations of a partition at any fixed shifts form one; an
+    oracle that yields anything else raises `JoiningError` at that member.
+    `NonStabilizingError`, carrying the observed trace, is raised only when
+    the family of genuine joinings is exhausted without stabilizing.  An
+    order outside 2..`MAX_JOINING_ORDER`, or a member of another length, is
+    refused before it is measured.
     """
     if len(cell_events) != partition.cells:
         raise ValueError("one event per partition cell required")
@@ -609,17 +609,11 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
             raise ValueError(f"joining order must lie in 2..{MAX_JOINING_ORDER}")
         if len(shifts) != order:
             raise ValueError(f"family member has {len(shifts)} shifts, need {order}")
-        exact = True
-        entries: list[Number] = []
-        for idx in _indices(partition.cells, order):
-            mv = kfold_correlation(
-                oracle, Constellation(shifts, tuple(cell_events[i] for i in idx)))
-            if mv.is_exact:
-                entries.append(mv.exact)
-            else:
-                exact = False
-                entries.append(mv.as_float())
-        tensor = JoiningTensor(order, partition.weights, tuple(entries), exact=exact)
+        try:
+            scaled, exact = oracle.joining_member(shifts, tuple(cell_events))
+        except (TypeError, ValueError) as exc:
+            raise OracleCapabilityError(f"oracle cannot evaluate constellation: {exc}") from exc
+        tensor = JoiningTensor(order, partition.weights, exact=exact, scaled=scaled)
         if trace and _same(trace[-1], tensor):
             run += 1
         else:

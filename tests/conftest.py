@@ -10,8 +10,10 @@ elimination of the unit states' columns and from exhaustive
 enumeration, Monte Carlo hit counts from an int32 matrix product over the
 same draws, cluster structure from breadth-first search in the universal
 cover, percolation sweeps from one draw and labelling per sample
-(`reference_percolation_sweep`), and the joining calculus from explicit
-index loops over Fractions.
+(`reference_percolation_sweep`), joining members one intersection measure
+per entry (`reference_joining_member`, which the synthetic oracles inherit
+from `PerEntryMember`), and the joining calculus from explicit index loops
+over Fractions.
 
 The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
 `transpose`, `mat_vec`, `mat_add`), readers for the grid writers' round trips
@@ -591,6 +593,31 @@ class SyntheticTripleOracle:
     def correlation_grid(self, events, pairs):
         return [self.intersection_measure((0, z, w), events).estimate
                 for z, w in np.asarray(pairs).tolist()]
+
+
+def reference_joining_member(oracle, shifts, cells):
+    """The entries of a joining member one at a time, as `limit_joining` once
+    measured them: entry (i_1, ..., i_k) is the oracle's
+    `intersection_measure` of cells[i_1], ..., cells[i_k] at `shifts`, in
+    index order.  Returns ((num, den), exact): integer numerators over the
+    lcm of the denominators when every entry is exact, floats over 1
+    otherwise."""
+    values = [oracle.intersection_measure(shifts, [cells[i] for i in idx])
+              for idx in itertools.product(range(len(cells)), repeat=len(shifts))]
+    if not all(v.is_exact for v in values):
+        return (np.array([v.as_float() for v in values]), 1), False
+    ratios = [v.exact.as_integer_ratio() for v in values]
+    den = math.lcm(*(q for _, q in ratios))
+    return (np.array([p * (den // q) for p, q in ratios], dtype=object), den), True
+
+
+class PerEntryMember:
+    """Base of synthetic oracles that define only `intersection_measure`:
+    `joining_member` measures each entry on its own
+    (`reference_joining_member`)."""
+
+    def joining_member(self, shifts, cells):
+        return reference_joining_member(self, shifts, cells)
 
 
 def admissible_pairs(epsilon, h):

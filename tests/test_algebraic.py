@@ -1,6 +1,7 @@
 """Algebraic systems: exact measures vs enumeration, kernels, sampling."""
 
 import functools
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -33,6 +34,8 @@ from mixlab.algebraic import (
     _window_masks,
     _window_value,
 )
+from mixlab.correlations import ledrappier_dyadic_shifts
+from mixlab.joinings import JoiningTensor
 from mixlab.measure import MeasureValue
 from mixlab.rng import substream
 
@@ -49,6 +52,7 @@ from conftest import (
     reference_frobenius,
     reference_grid_to_json,
     reference_grid_to_pbm,
+    reference_joining_member,
     reference_mc_hits,
     reference_torus_basis,
     reference_transfer,
@@ -224,6 +228,40 @@ class TestRelationSpace:
             reduced = [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (2, 0)]
             via_reduction = relation_space(SYS, reduced)
             assert via_window == via_reduction
+
+
+def _shapes(points, box):
+    """The `points`-point shapes in the box of radius `box`, each once up to
+    translation: the origin first, then points - 1 of the box points that
+    come after it in lexicographic order."""
+    after = [(x, y) for x in range(-box, box + 1) for y in range(-box, box + 1) if (x, y) > (0, 0)]
+    return [((0, 0),) + rest for rest in itertools.combinations(after, points - 1)]
+
+
+class TestRelationCensus:
+    """The smallest shapes that carry a relation, from one elimination per
+    shape with one shared powers dict."""
+
+    @pytest.fixture(scope="class")
+    def powers(self):
+        return {}
+
+    def _carrying(self, pattern, points, box, powers, count):
+        shapes = _shapes(points, box)
+        assert len(shapes) == count
+        return [s for s in shapes if relation_space(pattern, s, powers)]
+
+    def test_corner_pattern_triangles_at_dyadic_scales(self, powers):
+        assert self._carrying(CORNER, 3, 8, powers, 10_296) == [
+            ((0, 0), (0, 1 << n), (1 << n, 0)) for n in range(4)]
+
+    @pytest.mark.parametrize("points,box,count", [(3, 8, 10_296), (4, 3, 2_024)])
+    def test_default_pattern_has_none_below_five_points(self, powers, points, box, count):
+        assert self._carrying(SYS, points, box, powers, count) == []
+
+    def test_default_pattern_five_points_only_the_stencil(self, powers):
+        assert self._carrying(SYS, 5, 3, powers, 10_626) == [
+            ((0, 0), (1, -1), (1, 0), (1, 1), (2, 0))]
 
 
 class TestLedrappierOracle:
@@ -416,6 +454,13 @@ class TestPlaneIdentities:
         assert gained > 0
 
 
+def test_squared_pattern_triangle_relations_at_powers_of_two_only():
+    # (1 + x + y)^2 = 1 + x^2 + y^2: the triangle {0, (s, 0), (0, s)} carries
+    # a relation at s = 2, 4 and 8, and at no other s up to 8.
+    assert [s for s in range(1, 9)
+            if relation_space(SQUARED, [(0, 0), (s, 0), (0, s)])] == [2, 4, 8]
+
+
 def _recurrence(pattern):
     """(depth, taps) of the row recurrence `_window_masks` runs for
     `pattern`, sheared first if need be: the key it files powers under."""
@@ -585,6 +630,66 @@ class TestIntersectionPlans:
             oracle.event_measure(ev0)
         assert oracle.intersection_measure((0, 0), [ev0, ev1]) == \
             MeasureValue.of_exact(0, contradiction=True)
+
+
+def _partition(layout, a, b):
+    """(cells, masses) of a partition into cylinders at the sites a and b,
+    which carry no relation: two cells over a, four over a and b, or three
+    over different sites ({a: 0}, {a: 1, b: 0}, {a: 1, b: 1})."""
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    if layout == "one site":
+        return [CylinderConstraint((a,), (v,)) for v in (0, 1)], (half, half)
+    if layout == "two sites":
+        return ([CylinderConstraint((a, b), (u, v)) for u in (0, 1) for v in (0, 1)],
+                (quarter,) * 4)
+    return ([CylinderConstraint((a,), (0,))]
+            + [CylinderConstraint((a, b), (1, v)) for v in (0, 1)]), (half, quarter, quarter)
+
+
+class TestJoiningMember:
+    @pytest.mark.parametrize("layout", ["one site", "two sites", "different sites"])
+    @pytest.mark.parametrize("system", ["ledrappier", "corner", "bernoulli"])
+    def test_member_matches_per_entry_reference(self, system, layout):
+        # Random shift tuples in a small box, half of them with a repeated
+        # shift, so shifted cells often meet with equal or different bits;
+        # the plane ones also take dyadic stencils, which carry a relation.
+        rng = random.Random(f"member {system} {layout}")
+        if system == "bernoulli":
+            oracle, a, b = BernoulliOracle(), 0, 1
+
+            def draw():
+                return rng.randint(-3, 3)
+        else:
+            oracle = LedrappierOracle(SYS if system == "ledrappier" else CORNER)
+            a, b = (0, 0), (1, 0)
+
+            def draw():
+                return rng.randint(-2, 2), rng.randint(-2, 2)
+        cells, masses = _partition(layout, a, b)
+        contradictions = relation_zeros = 0
+        for trial in range(30):
+            if system == "bernoulli" or trial % 6:
+                k = rng.randint(2, 3 if len(cells) == 4 else 5)
+                shifts = [draw() for _ in range(k)]
+                if trial % 2:
+                    shifts[rng.randrange(1, k)] = shifts[rng.randrange(k)]
+                shifts = tuple(shifts)
+            else:
+                shifts = ledrappier_dyadic_shifts(trial % 3)
+            (num, den), exact = oracle.joining_member(shifts, cells)
+            (ref_num, ref_den), ref_exact = reference_joining_member(oracle, shifts, cells)
+            assert exact and ref_exact
+            assert den == ref_den and num.tolist() == ref_num.tolist()
+            tensor = JoiningTensor(len(shifts), masses, exact=True, scaled=(num, den))
+            assert list(tensor.entries) == [Fraction(x, ref_den) for x in ref_num.tolist()]
+            for idx, x in zip(itertools.product(range(len(cells)), repeat=len(shifts)),
+                              ref_num.tolist()):
+                if x == 0 and merge_events([cells[i] for i in idx], shifts) is None:
+                    contradictions += 1
+                elif x == 0:
+                    relation_zeros += 1
+        assert contradictions >= 20
+        assert relation_zeros >= (0 if system == "bernoulli" else 20)
 
 
 def _basis_grid(kernel, vec):

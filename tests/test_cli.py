@@ -335,6 +335,43 @@ def test_refused_option_exits_2_on_command_line_and_replay(tmp_path, capsys, com
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command,params,inputs,work,message", [
+    ("scan-dev", {"h": 1024, "epsilon": 0.1, "stage": 3}, {}, "dev_scan",
+     "--stage is not read by this scan dev run"),
+    ("measure", {"samples": 7}, {"constellation": _five_point(1)}, "cylinder_measure",
+     "--samples is not read by this measure run"),
+    ("measure", {"system": "bernoulli", "seed": 5},
+     {"constellation": {"sites": [0, 1], "bits": [0, 1]}}, "bernoulli_cylinder_measure",
+     "--seed is not read by this measure run"),
+    ("scan-dev", {"system": "rankone", "h": 5, "epsilon": 0.1},
+     {"events": {"events": [{"sites": [0], "bits": [0]}] * 3}}, "generate_word",
+     "--events is not read by this scan dev run"),
+    ("scan-mix", {"order": 4, "family": "dyadic", "seed": 3}, {}, "mix_defect_scan",
+     "--seed is not read by this scan mix run"),
+    ("joining", {"scales": [1, 3]}, {"tensor": PRODUCT2}, "classify",
+     "--scales is not read by this joining run"),
+    ("render", {"size": 9, "format": "pbm,json", "clusters": True}, {}, "torus_kernel",
+     "--clusters is not read by this render run"),
+    ("rankone", {"stage": 2}, {}, "tower_heights", "--stage is not read by this rankone run"),
+])
+def test_unread_option_is_refused_before_the_work(tmp_path, monkeypatch, capsys, command,
+                                                  params, inputs, work, message):
+    # The route reads its options and the run is refused before its work
+    # starts: the spied function that does the work is never called.
+    def spy(*args, **kwargs):
+        raise AssertionError(f"{work} was called")
+
+    monkeypatch.setattr(cli, work, spy)
+    out = tmp_path / "out"
+    files = {k: _write(tmp_path / f"{k}.json", v) for k, v in inputs.items()}
+    assert cli.main(_argv(command, dict(params, **files)) + ["--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    path = _write(tmp_path / "config.json", {"command": command, "params": dict(params, **inputs)})
+    assert cli.main(["replay", path, "--out", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_replay_of_a_config_holding_unread_defaults_exits_2(tmp_path, capsys):
     # Configs of exact measures written while every default was filled in
     # hold "samples" and "seed", which no exact measure reads.

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from conftest import (
+    PerEntryMember,
     adjoint_maps_mean_zero,
     apply,
     as_array,
@@ -24,8 +25,8 @@ from conftest import (
 )
 
 from mixlab import joinings
-from mixlab.algebraic import CylinderConstraint, LedrappierOracle
-from mixlab.correlations import dyadic_family
+from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOracle
+from mixlab.correlations import OracleCapabilityError, dyadic_family
 from mixlab.joinings import (
     FLOAT_TOL,
     MAX_JOINING_ORDER,
@@ -403,7 +404,7 @@ class TestLimitJoining:
     def test_constant_synthetic_oracle_returns_own_tensor(self):
         target = parity_tensor(3)
 
-        class TensorOracle:
+        class TensorOracle(PerEntryMember):
             def event_measure(self, event):
                 return MeasureValue.of_exact(Fraction(1, 2))
 
@@ -415,7 +416,7 @@ class TestLimitJoining:
         assert t.entries == target.entries
 
     def test_non_stabilizing_family_fails_loudly(self):
-        class DriftingOracle:
+        class DriftingOracle(PerEntryMember):
             def event_measure(self, event):
                 return MeasureValue.of_exact(Fraction(1, 2))
 
@@ -434,7 +435,7 @@ class TestLimitJoining:
         assert len(err.value.trace) >= 2
 
     def test_non_joining_member_rejected(self):
-        class MassiveOracle:
+        class MassiveOracle(PerEntryMember):
             def event_measure(self, event):
                 return MeasureValue.of_exact(Fraction(1, 2))
 
@@ -463,9 +464,22 @@ class TestLimitJoining:
         with pytest.raises(ValueError, match="family member has 4 shifts, need 3"):
             limit_joining(BernoulliOracle(), U2, cells, [(0, 10, 20), (0, 10, 20, 30)])
 
+    @pytest.mark.parametrize("oracle,sites,family,message", [
+        (LedrappierOracle(), [0], [(0, 1, 2)], "need \\(i, j\\) sites"),
+        (LedrappierOracle(), [0], [((0, 0), (1, 0))], "1-d site shifted by non-integer"),
+        (LedrappierOracle(), [(0, 0)], [((0, 0), (1 << 26, 0))], "generator cells"),
+        (BernoulliOracle(), [0], [((0, 0), (1, 0))], "Bernoulli shifts are integers"),
+        (BernoulliOracle(), [(0, 0)], [(0, 1)], "Bernoulli events live on Z sites"),
+    ], ids=["z-sites", "z-sites-plane-shifts", "generator-cap", "plane-shifts", "plane-sites"])
+    def test_member_the_oracle_cannot_evaluate_is_a_capability_error(self, oracle, sites,
+                                                                     family, message):
+        cells = [CylinderConstraint(tuple(sites), (b,)) for b in (0, 1)]
+        with pytest.raises(OracleCapabilityError, match=message):
+            limit_joining(oracle, U2, cells, family * STABLE_MEMBERS)
+
     @pytest.mark.parametrize("length", [0, 1, MAX_JOINING_ORDER + 1])
     def test_order_past_its_bound_is_refused_before_any_measure(self, length):
-        class SpyOracle:
+        class SpyOracle(PerEntryMember):
             def event_measure(self, event):
                 raise AssertionError("measured an event")
 
@@ -611,7 +625,7 @@ class TestFloatPath:
     def test_limit_joining_with_estimate_oracle(self):
         target = parity_tensor(4)
 
-        class EstimateOracle:
+        class EstimateOracle(PerEntryMember):
             def event_measure(self, event):
                 return MeasureValue.of_estimate(0.5, 0.0, 1000)
 
