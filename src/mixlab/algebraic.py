@@ -26,7 +26,9 @@ each byte's nibbles into the bytes of the square.
 into a plan that every entry differing only in its bits reads and that
 keeps their relations, and it keeps the powers u^n per recurrence and n for
 its lifetime.  A joining member's entries that share a plan are decided
-together, as arrays over their index grid (`_member`).  The powers form a
+together, as arrays over their index grid, and the relations of all its
+plans come from one elimination of the member's shifted sites (`_member`).
+The powers form a
 prefix ladder: with each u^n the oracle holds u^(n >> k) for every k, and a
 new n starts from its longest prefix held, so a dyadic family costs one
 squaring per scale.  Beyond the oracle only the
@@ -693,21 +695,47 @@ def _merge(shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Pla
     return _Plan(tuple(index), positions)
 
 
+def _supported(relations: Sequence[int], inside: int) -> list[int]:
+    """Basis of the span of `relations` (site bit masks) restricted to the
+    relations that involve only the sites of the mask `inside`.
+
+    Each relation's part outside `inside` is reduced against pivots keyed by
+    its lowest set bit; a relation whose outside part vanishes is then a
+    combination supported inside, and these are independent and span every
+    such combination, since the pivots' outside parts are independent.
+    """
+    pivots: dict[int, int] = {}
+    found = []
+    for v in relations:
+        while out := v & ~inside:
+            low = out & -out
+            if low not in pivots:
+                pivots[low] = v
+                break
+            v ^= pivots[low]
+        else:
+            found.append(v)
+    return found
+
+
 def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
-            plan_of: Callable[[Sequence[Site], Sequence[CylinderConstraint]], _Plan],
-            relations_of: Callable[[_Plan], list[int]]) -> tuple[tuple[np.ndarray, int], bool]:
+            relations_of: Callable[[list], list[int]]) -> tuple[tuple[np.ndarray, int], bool]:
     """The d^k entries of a joining member: entry (i_1, ..., i_k) is the
     measure of the intersection of cells[i_j] shifted by shifts[j], for d
     cells and k shifts.  Returns ((num, den), True), num the flat Python-int
     numerators in index order over den, a power of two.
 
-    Cells with equal sites form a class, and the entries whose cells have
-    one class at each position share one plan (`plan_of`).  Over that plan's
-    index grid, the bit each plan site demands is taken from the first
-    position that reads the site.  An entry is 0 where a later position
-    demands the other bit there (a contradiction) or where a relation of the
-    plan (`relations_of`, asked only when some entry is consistent) has odd
-    parity on the bits; every other entry is 2^-(sites - relations).
+    Cells with equal sites form a class.  The member's union holds each
+    class's sites at each shift, in first-seen order, and its relations are
+    found once (`relations_of`, one elimination, asked only when some entry
+    is consistent).  The entries whose cells have one class at each position
+    share one plan: the union sites those classes read, in the order first
+    read, with the union's relations supported on them (`_supported`).  Over
+    a plan's index grid, the bit each plan site demands is taken from the
+    first position that reads the site.  An entry is 0 where a later
+    position demands the other bit there (a contradiction) or where a
+    relation of the plan has odd parity on the bits; every other entry is
+    2^-(sites - relations).  With one class the union is the one plan.
     """
     k = len(shifts)
     classes: dict[tuple, list[int]] = {}
@@ -716,19 +744,34 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
     # demand[sites][q, c]: the bit that the class's c-th cell demands at its q-th site
     demand = {sites: np.array([cells[i].bits for i in m], dtype=np.uint8)
               .reshape(len(m), len(sites)).T for sites, m in classes.items()}
+    union: dict[Site, int] = {}
+    # reads[j][sites]: the union index of each site of that class at shift j,
+    # and its demands shaped along axis j of the index grid; along[j][sites]:
+    # its cells along axis j, which place a plan's entries in the member
+    reads: list[dict] = []
+    along: list[dict] = []
+    for j, sh in enumerate(shifts):
+        reads.append({})
+        along.append({})
+        for sites, m in classes.items():
+            shape = tuple(len(m) if a == j else 1 for a in range(k))
+            reads[j][sites] = ([union.setdefault(site_add(s, sh), len(union)) for s in sites],
+                               demand[sites].reshape((len(sites),) + shape))
+            if len(classes) > 1:
+                along[j][sites] = np.array(m).reshape(shape)
+    relations: Optional[list[int]] = None
     exponent = np.full((len(cells),) * k, -1)  # entry 2^-exponent; -1 for 0
-    for members in itertools.product(classes.values(), repeat=k):
-        events = [cells[m[0]] for m in members]
-        plan = plan_of(shifts, events)
-        shape = tuple(map(len, members))
-        n = len(plan.sites)
+    for combo in itertools.product(classes, repeat=k):
+        shape = tuple(len(classes[sites]) for sites in combo)
+        plan: dict[int, int] = {}  # union index -> plan site, in first-read order
+        positions = [[plan.setdefault(u, len(plan)) for u in reads[j][sites][0]]
+                     for j, sites in enumerate(combo)]
+        n = len(plan)
         bits = np.empty((n,) + shape, dtype=np.uint8)
         clash = np.False_
-        read = 0  # plan sites are numbered in the order they are first read
-        for axis, (ev, m, pos) in enumerate(zip(events, members, plan.positions)):
-            along = demand[ev.sites].reshape(
-                (len(pos),) + tuple(len(m) if a == axis else 1 for a in range(k)))
-            for p, column in zip(pos, along):
+        read = 0
+        for j, (sites, pos) in enumerate(zip(combo, positions)):
+            for p, column in zip(pos, reads[j][sites][1]):
                 if p < read:
                     clash = clash | (bits[p] != column)
                 else:
@@ -737,15 +780,17 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
         if clash.all():
             block = np.full(shape, -1)
         else:
-            relations = relations_of(plan)
-            rows = np.array([[v >> s & 1 for s in range(n)] for v in relations],
-                            dtype=np.int64).reshape(len(relations), n)
+            if relations is None:
+                relations = relations_of(list(union))
+            own = _supported(relations, sum(1 << u for u in plan))
+            rows = np.array([[v >> u & 1 for u in plan] for v in own],
+                            dtype=np.int64).reshape(len(own), n)
             odd = (rows @ bits.reshape(n, math.prod(shape)) & 1).any(axis=0).reshape(shape)
-            block = np.where(clash | odd, -1, n - len(relations))
+            block = np.where(clash | odd, -1, n - len(own))
         if len(classes) == 1:  # one plan holds every entry
             exponent = block
         else:
-            exponent[np.ix_(*members)] = block
+            exponent[tuple(along[j][sites] for j, sites in enumerate(combo))] = block
     top = max(int(exponent.max()), 0)
     num = [1 << (top - e) if e >= 0 else 0 for e in exponent.ravel().tolist()]
     return (np.array(num, dtype=object), 1 << top), True
@@ -756,9 +801,10 @@ class LedrappierOracle:
 
     Two caches live as long as the oracle: plans and powers.  A plan per
     shift tuple and tuple of event sites merges the shifted sites once and
-    keeps their relations: its plans serve the 2^order entries of a member
-    (`joining_member`, which decides the entries of one plan at once), and a
-    scan asks for a tuple's measure and then its certificate.  An entry
+    keeps their relations, since a scan asks for a tuple's measure and then
+    its certificate.  A joining member (`joining_member`) decides the
+    entries of each of its plans at once, from one elimination of the
+    member's shifted sites, and keeps no plan.  An entry
     reads its bits through the plan's positions; two different bits at one
     position make it a contradiction of measure 0.  An event's own measure
     is a one-event plan at the zero shift.  The row powers u^n behind the
@@ -812,8 +858,9 @@ class LedrappierOracle:
     def joining_member(self, shifts: Sequence[Site], cells: Sequence[CylinderConstraint]
                        ) -> tuple[tuple[np.ndarray, int], bool]:
         """Every entry of the joining member of `cells` at `shifts` at once
-        (`_member`), from this oracle's plans and relations."""
-        return _member(shifts, cells, self._plan, self._plan_relations)
+        (`_member`), from one elimination of the member's shifted sites."""
+        return _member(shifts, cells, lambda sites: relation_space(
+            self.pattern, _plane_sites(sites), self._powers))
 
     def relation_certificate(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> dict:
@@ -863,7 +910,7 @@ class BernoulliOracle:
             _z_shift(sh)
         for ev in cells:
             _z_sites(ev)
-        return _member(shifts, cells, _merge, lambda plan: [])
+        return _member(shifts, cells, lambda sites: [])
 
     def correlation_grid(self, events: Sequence[CylinderConstraint],
                          pairs: np.ndarray) -> np.ndarray:

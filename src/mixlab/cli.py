@@ -309,12 +309,13 @@ def cmd_joining(config: dict) -> Artifacts:
         if base is None:
             raise ValidationError("chain/raise need a 2-cell parity pipeline")
         p2 = markov_from_joining(base)
+        p3 = pair_compose(p2)
         if "raise_order" in asked:
-            raised, report = raise_order(pair_compose(p2))
+            raised, report = raise_order(p3)
             artifacts["raised"] = raised.to_json()
             artifacts["raised_report"] = report
         if "chain" in asked:
-            artifacts["chain"] = chain_check(p2).to_json()
+            artifacts["chain"] = chain_check(p2, p3).to_json()
     yield "joining.json", artifacts
     yield "tensor.json", artifacts["tensor"]
     yield "classification.json", artifacts["classification"]

@@ -20,9 +20,16 @@ operator.  For exact data num holds Python ints over their least common
 denominator den, so sums and products are integer arithmetic with no gcd
 per step; estimated (float) data is the same pair with float numerators over
 den = 1.  One reduction or contraction therefore serves both, and marginals
-are compared with product masses by cross-multiplying.  Results pass (num,
-den) on, reduced by one gcd; tensor JSON is read and written from it, and the
-public `entries` and `matrix` tuples are built on first read.
+are compared with product masses by cross-multiplying.  The checks of an
+exact tensor (validation and classification) run on an int64 copy of its
+numerators whenever den * wden**order < 2**63, wden the common denominator
+of the cell masses: nonnegative entries summing to den bound every marginal
+by den and every mass product by wden**m, so no compared value overflows.
+Past that bound they run on the Python ints.  `lower_order` contracts in
+int64 under its own bound, computed before the product.  Results pass (num,
+den) on as Python ints, reduced by one gcd; tensor JSON is read and written
+from it, and the public `entries` and `matrix` tuples are built on first
+read.
 
 Function spaces here are finite-dimensional cell-indicator spaces; only
 tensor-level properties (marginals, independence classes) are claimed for
@@ -58,9 +65,12 @@ FLOAT_TOL = 1e-9
 STABLE_MEMBERS = 3
 # Additive slack in the chain inequalities, for the float singular values.
 CHAIN_DELTA = 1e-9
-# A member's d^order entries are decided together, per plan: three 2-cell
-# order-16 members (65,536 entries each) take 0.12-0.13 s on a 2-vCPU Xeon
-# VM, where one intersection measure per entry took 3.1 s.
+# A member's d^order entries are decided together, per plan, from one
+# elimination of its shifted sites: three 2-cell order-16 members (65,536
+# entries each) take 0.12-0.13 s on a 2-vCPU Xeon VM, where one intersection
+# measure per entry took 3.1 s.  Two site classes give 2^order plans: three
+# members of {a: 0}, {a: 1, b: 0}, {a: 1, b: 1} take 0.03-0.05 s at order 8,
+# 0.16-0.26 s at order 10 and 1.1-1.2 s at order 12 (3^12 entries each).
 MAX_JOINING_ORDER = 16
 
 
@@ -115,9 +125,11 @@ def _over_lcm(ratios: Sequence[tuple[int, int]]) -> Scaled:
 
 def _parsed(texts: Sequence[str]) -> Scaled:
     """Entry strings as (num, den), flat; each distinct string is parsed
-    once, in first-seen order."""
-    ratios = {s: parse_fraction(s).as_integer_ratio() for s in dict.fromkeys(texts)}
-    return _over_lcm([ratios[s] for s in texts])
+    and scaled once, in first-seen order."""
+    distinct = dict.fromkeys(texts)
+    num, den = _over_lcm([parse_fraction(s).as_integer_ratio() for s in distinct])
+    scaled = dict(zip(distinct, num.tolist()))
+    return np.array([scaled[s] for s in texts], dtype=object), den
 
 
 def _reduced(num: np.ndarray, den, exact: bool) -> Scaled:
@@ -159,6 +171,13 @@ def _inverse_masses(x: Union["JoiningTensor", "LinearOperator"]) -> Scaled:
         return 1 / w, 1
     lcm = math.lcm(*w.tolist())
     return np.array([wden * (lcm // wi) for wi in w.tolist()], dtype=object), lcm
+
+
+def _fixed_width(num: np.ndarray, bound: int) -> np.ndarray:
+    """An int64 copy of the integer array `num` when `bound`, a bound on
+    the magnitude of every value the caller computes from it, is below
+    2**63; `num` itself otherwise."""
+    return num.astype(np.int64) if bound < 1 << 63 else num
 
 
 def _mass_grid(masses: np.ndarray, order: int) -> np.ndarray:
@@ -207,8 +226,28 @@ class JoiningTensor:
     def classification(self) -> "Classification":
         return _classify(self)
 
+    @cached_property
+    def _checked(self) -> tuple[np.ndarray, np.ndarray, int]:
+        """(num, masses, wden) as the marginal checks compare them: for exact
+        data int64 copies when den * M**order < 2**63, M the largest of wden
+        and the mass numerators (wden itself for masses in [0, 1]), Python
+        ints otherwise.  Read only once the entries are known to be
+        nonnegative and to sum to den: then every marginal is at most den
+        and every mass product at most M**m, so under the bound no marginal,
+        product or cross-multiple of them overflows."""
+        (num, den), (w, wden) = self.scaled, _masses(self)
+        if not self.exact:
+            return num, w, wden
+        bound = den * max(wden, *map(abs, w.tolist())) ** self.order
+        return _fixed_width(num, bound), _fixed_width(w, bound), wden
+
     def __post_init__(self):
-        """Check the joining invariants and shape `scaled` as (dims,)*order."""
+        """Check the joining invariants and shape `scaled` as (dims,)*order.
+
+        The sign and the total are checked on the exact values.  The one-axis
+        marginals are then stacked and compared with the cell masses in one
+        comparison, on `_checked`'s int64 copy when it fits; a failure names
+        the first axis, and the first cell on it, whose marginal differs."""
         if self.order < 1:
             raise JoiningError("tensor order must be at least 1")
         if self.dims < 2:
@@ -220,19 +259,25 @@ class JoiningTensor:
             raise JoiningError("entry count does not match dims**order")
         a = num.reshape((self.dims,) * self.order)
         self.scaled = a, den
-        if (a < (0 if self.exact else -FLOAT_TOL)).any():
+        if self.exact:
+            flat = a.ravel().tolist()
+            low, total = min(flat), sum(flat)
+        else:
+            low, total = a.min(), a.sum()
+        if low < (0 if self.exact else -FLOAT_TOL):
             raise JoiningError("tensor entries must be nonnegative")
-        total = a.sum()
         if _differs(total, den, self.exact, FLOAT_TOL * n):
             raise JoiningError(f"tensor mass is {_value(total, den, self.exact)}, not 1")
-        w, wden = _masses(self)
+        c, w, wden = self._checked
+        margs = np.empty((self.order, self.dims), dtype=c.dtype)
         for axis in range(self.order):
-            marg = a.sum(axis=tuple(x for x in range(self.order) if x != axis))
-            bad = np.flatnonzero(_differs(marg * wden, w * den, self.exact, FLOAT_TOL * n))
-            if bad.size:
-                cell = bad[0]
-                raise JoiningError(f"axis {axis} marginal {_value(marg[cell], den, self.exact)}"
-                                   f" != weight {self.weights[cell]}")
+            margs[axis] = c.sum(axis=tuple(x for x in range(self.order) if x != axis))
+        bad = _differs(margs * wden, w * den, self.exact, FLOAT_TOL * n)
+        if bad.any():
+            axis, cell = np.argwhere(bad)[0].tolist()
+            raise JoiningError(f"axis {axis} marginal "
+                               f"{_value(margs[axis].tolist()[cell], den, self.exact)}"
+                               f" != weight {self.weights[cell]}")
 
     def to_json(self) -> dict:
         num, den = self.scaled
@@ -319,31 +364,38 @@ def classify(t: JoiningTensor) -> Classification:
 
 
 def _classify(t: JoiningTensor) -> Classification:
+    """The class of a validated tensor, level by level from the top.
+
+    Each level's marginals are stacked and compared with the mass grid in
+    one comparison, on the tensor's `_checked` numerators: an int64 copy
+    when den * wden**order < 2**63, Python ints otherwise."""
     Partition(t.weights)  # product masses need a genuine partition
     n = t.order
-    a, den = t.scaled
-    w, wden = _masses(t)
+    c, w, wden = t._checked
+    den = t.scaled[1]
 
-    def product(margs: Iterable[np.ndarray], m: int) -> bool:
-        # marg / den == grid / wden**m, cross-multiplied
-        scale, grid = wden ** m, _mass_grid(w, m) * den
-        return not any(_differs(marg * scale, grid, t.exact, FLOAT_TOL).any()
-                       for marg in margs)
+    def product(margs: np.ndarray, m: int) -> bool:
+        # marg / den == grid / wden**m, cross-multiplied; margs holds the
+        # level's marginals along a leading axis, or is the tensor itself
+        return not _differs(margs * wden ** m, _mass_grid(w, m) * den, t.exact,
+                            FLOAT_TOL).any()
 
-    if product([a], n):
+    if product(c, n):
         return Classification(n, is_product=True, max_product_marginal_order=n)
     # Marginals of a product are product, so the answer is the first level,
     # from the top, whose marginals are all product.  Each m-marginal sums
     # one axis of an (m+1)-marginal of the level above.
-    level = {tuple(range(n)): a}
+    level = {tuple(range(n)): c}
     for m in range(n - 1, 1, -1):
         below = {}
-        for axes in itertools.combinations(range(n), m):
+        margs = np.empty((math.comb(n, m),) + (t.dims,) * m, dtype=c.dtype)
+        for i, axes in enumerate(itertools.combinations(range(n), m)):
             extra = next(x for x in range(n) if x not in axes)
             parent = tuple(sorted(axes + (extra,)))
-            below[axes] = level[parent].sum(axis=parent.index(extra))
+            margs[i] = level[parent].sum(axis=parent.index(extra))
+            below[axes] = margs[i]
         level = below
-        if product(level.values(), m):
+        if product(margs, m):
             return Classification(n, is_product=False, max_product_marginal_order=m)
     return Classification(n, is_product=False, max_product_marginal_order=1)
 
@@ -459,12 +511,22 @@ def _mean_zero_onb(weights: Sequence[Fraction]) -> np.ndarray:
     return np.stack(basis, axis=1)
 
 
-def mean_zero_restricted_norm(p: LinearOperator) -> float:
-    """Operator norm of p restricted to the mean-zero tensor subspace."""
-    u1 = _mean_zero_onb(p.weights)
-    u = u1
-    for _ in range(p.source_order - 1):
-        u = np.kron(u, u1)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two matrices by broadcasting: the same products."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def mean_zero_restricted_norm(p: LinearOperator, u: Optional[np.ndarray] = None) -> float:
+    """Operator norm of p restricted to the mean-zero tensor subspace.
+
+    `u` holds an orthonormal basis of that subspace as columns: the
+    (source_order)-fold Kronecker power of `_mean_zero_onb(p.weights)`, which
+    is built here when not given."""
+    if u is None:
+        u = u1 = _mean_zero_onb(p.weights)
+        for _ in range(p.source_order - 1):
+            u = _kron(u, u1)
     w_out = np.sqrt(np.array([float(x) for x in p.weights]))
     num, den = p.scaled
     m = (w_out[:, None] * (num / den).astype(float)) @ u
@@ -503,23 +565,29 @@ class ChainReport:
         return self.norm_p3 ** 2 <= self.constant_p3 * self.norm_p5 + CHAIN_DELTA
 
 
-def chain_check(p2: LinearOperator) -> ChainReport:
+def chain_check(p2: LinearOperator, p3: LinearOperator) -> ChainReport:
     """Norms of P5, P3, P2 on mean-zero tensor subspaces and the chain
     ||P3|H3||^2 <= c3 ||P5|H5|| and ||P2|H2||^2 <= c2 ||P3|H3||.
+
+    `p3` is `pair_compose(p2)`, composed once by the caller, which may also
+    raise it; P5 is `pair_compose(p3)`.  The one-cell mean-zero basis is
+    built once, and its Kronecker powers 2, 3 and 5 serve the three norms.
 
     The constants come from expanding the extremal tensor in the simple
     orthonormal basis of the mean-zero subspace and applying the defining
     pairings term by term: c_k = (d-1)^k for the step ending at order k+...
     in particular a vanishing P5 on mean-zero forces P2 = 0 on mean-zero.
     """
-    if p2.source_order != 2:
-        raise ValueError("chain check starts from a source-order-2 operator")
+    if p2.source_order != 2 or p3.source_order != 3:
+        raise ValueError("chain check starts from source-order-2 and -3 operators")
     d = p2.dims
-    p3 = pair_compose(p2)
     p5 = pair_compose(p3)
-    n2 = mean_zero_restricted_norm(p2)
-    n3 = mean_zero_restricted_norm(p3)
-    n5 = mean_zero_restricted_norm(p5)
+    u1 = _mean_zero_onb(p2.weights)
+    u2 = _kron(u1, u1)
+    u3 = _kron(u2, u1)
+    n2 = mean_zero_restricted_norm(p2, u2)
+    n3 = mean_zero_restricted_norm(p3, u3)
+    n5 = mean_zero_restricted_norm(p5, _kron(_kron(u3, u1), u1))
     return ChainReport(dims=d, norm_p2=n2, norm_p3=n3, norm_p5=n5,
                        constant_p2=float((d - 1) ** 2),
                        constant_p3=float((d - 1) ** 3))
@@ -572,8 +640,14 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
     d = t.dims
     a, den = t.scaled
     inv, inv_den = _inverse_masses(t)
-    flat = a.reshape(d * d, d ** p)
-    paired = (flat * _mass_grid(inv, p).ravel()) @ flat.T
+    flat, grid = a.reshape(d * d, d ** p), _mass_grid(inv, p).ravel()
+    if t.exact:
+        # Each product of two entries and a grid value is at most den *
+        # den * max(inv)**p, and so is each sum of them, since every row of
+        # entries sums to at most den.
+        bound = den * den * max(inv.tolist()) ** p
+        flat, grid = _fixed_width(flat, bound), _fixed_width(grid, bound)
+    paired = ((flat * grid) @ flat.T).astype(a.dtype, copy=False)
     out = JoiningTensor(4, t.weights, exact=t.exact, scaled=(paired, den * den * inv_den ** p))
     return out, tensor_report(out)
 

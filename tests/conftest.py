@@ -12,8 +12,10 @@ same draws, cluster structure from breadth-first search in the universal
 cover, percolation sweeps from one draw and labelling per sample
 (`reference_percolation_sweep`), joining members one intersection measure
 per entry (`reference_joining_member`, which the synthetic oracles inherit
-from `PerEntryMember`), and the joining calculus from explicit index loops
-over Fractions.
+from `PerEntryMember`), the joining calculus from explicit index loops
+over Fractions (validation's message in `reference_joining_error`), and
+mean-zero norms from `np.kron` powers of the basis
+(`reference_restricted_norm`).
 
 The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
 `transpose`, `mat_vec`, `mat_add`), readers for the grid writers' round trips
@@ -58,7 +60,8 @@ from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, grid_sa
                               relation_space, sample_configuration, site_add, torus_kernel)
 from mixlab.correlations import admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
-from mixlab.joinings import FLOAT_TOL, JoiningTensor, MarkovOperator, uniform_partition
+from mixlab.joinings import (FLOAT_TOL, JoiningTensor, MarkovOperator, _mean_zero_onb,
+                             uniform_partition)
 from mixlab.measure import MeasureValue
 from mixlab.percolation import SweepRow, clusters
 from mixlab.rng import mix, substream
@@ -837,6 +840,40 @@ def reference_classify(t):
             break
         max_m = m
     return False, max_m
+
+
+def reference_joining_error(order, weights, entries):
+    """The `JoiningError` text that validation gives the exact flat
+    `entries`, or None for a joining: the sign, the total, then each axis's
+    marginal, axis by axis and cell by cell, summed as Fractions one entry
+    at a time."""
+    d = len(weights)
+    if any(e < 0 for e in entries):
+        return "tensor entries must be nonnegative"
+    total = sum(entries, Fraction(0))
+    if total != 1:
+        return f"tensor mass is {total}, not 1"
+    for axis in range(order):
+        marg = [Fraction(0)] * d
+        for idx, e in zip(itertools.product(range(d), repeat=order), entries):
+            marg[idx[axis]] += e
+        for cell in range(d):
+            if marg[cell] != weights[cell]:
+                return f"axis {axis} marginal {marg[cell]} != weight {weights[cell]}"
+    return None
+
+
+def reference_restricted_norm(p):
+    """Norm of operator `p` on the mean-zero tensor subspace, its basis the
+    source_order-fold `np.kron` power of the one-cell mean-zero basis."""
+    u1 = _mean_zero_onb(p.weights)
+    u = u1
+    for _ in range(p.source_order - 1):
+        u = np.kron(u, u1)
+    w_out = np.sqrt(np.array([float(x) for x in p.weights]))
+    num, den = p.scaled
+    m = (w_out[:, None] * (num / den).astype(float)) @ u
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def reference_pair_compose(p):

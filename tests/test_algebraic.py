@@ -691,6 +691,32 @@ class TestJoiningMember:
         assert contradictions >= 20
         assert relation_zeros >= (0 if system == "bernoulli" else 20)
 
+    def test_two_class_partition_at_order_8_eliminates_once_per_member(self, monkeypatch):
+        # {a: 0}, {a: 1, b: 0}, {a: 1, b: 1}: two site classes, so 2**8 plans
+        # per member, whose relations all come from one elimination of the
+        # member's shifted sites.
+        oracle = LedrappierOracle(SYS)
+        cells, masses = _partition("different sites", (0, 0), (1, 0))
+        rng = random.Random("member order 8")
+        members = [tuple((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(8))
+                   for _ in range(2)]
+        members.append(ledrappier_dyadic_shifts(1) + ledrappier_dyadic_shifts(0)[:3])
+        calls = []
+        real = algebraic._relations
+        monkeypatch.setattr(algebraic, "_relations", lambda m: calls.append(m) or real(m))
+        relation_zeros = 0
+        for shifts in members:
+            calls.clear()
+            (num, den), _ = oracle.joining_member(shifts, cells)
+            assert len(calls) == 1
+            (ref_num, ref_den), _ = reference_joining_member(oracle, shifts, cells)
+            assert den == ref_den and num.tolist() == ref_num.tolist()
+            JoiningTensor(8, masses, exact=True, scaled=(num, den))
+            for idx, x in zip(itertools.product(range(3), repeat=8), ref_num.tolist()):
+                if x == 0 and merge_events([cells[i] for i in idx], shifts) is not None:
+                    relation_zeros += 1
+        assert relation_zeros > 0
+
 
 def _basis_grid(kernel, vec):
     """(height, width) 0/1 array of one flattened basis configuration."""

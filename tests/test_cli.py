@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from mixlab import algebraic, cli
+from mixlab import algebraic, cli, joinings
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
 from mixlab.correlations import MAX_DYADIC_SCALE, MAX_SCAN_BOX, MAX_SCAN_BUDGET, MAX_SCAN_ORDER
 from mixlab.percolation import MAX_SWEEP_SAMPLES, MAX_SWEEP_SIZES
@@ -745,6 +745,19 @@ def test_joining_chain_and_raise(tmp_path):
     norms = result["chain"]["norms"]
     assert norms["p2"] == pytest.approx(1.0) and norms["p5"] == pytest.approx(1.0)
     assert result["raised_report"]["class"] == "M(5,6)"
+
+
+def test_chain_and_raise_compose_each_operator_once(tmp_path, monkeypatch):
+    # P3 is composed once and serves both --raise and --chain, which
+    # composes P5 from it: two compositions per run, not three.
+    composed = []
+    real = joinings.pair_compose
+    spy = lambda p: composed.append(p.source_order) or real(p)  # noqa: E731
+    monkeypatch.setattr(joinings, "pair_compose", spy)
+    monkeypatch.setattr(cli, "pair_compose", spy)
+    result = _joining(tmp_path, GROUP_SUM4, "--chain", "--raise")
+    assert composed == [2, 3]
+    assert set(result) >= {"chain", "raised", "raised_report"}
 
 
 def test_main_twice_gives_equal_artifacts(tmp_path):

@@ -18,10 +18,12 @@ from conftest import (
     pair,
     product_tensor,
     reference_classify,
+    reference_joining_error,
     reference_lower_order,
     reference_marginal,
     reference_pair_compose,
     reference_raise_order,
+    reference_restricted_norm,
 )
 
 from mixlab import joinings
@@ -299,11 +301,13 @@ class TestPairings:
 
 class TestChain:
     def test_averaging_all_norms_zero(self):
-        rep = chain_check(averaging_operator(U2, 2))
+        p2 = averaging_operator(U2, 2)
+        rep = chain_check(p2, pair_compose(p2))
         assert rep.norm_p2 == rep.norm_p3 == rep.norm_p5 == 0.0
 
     def test_parity_norms_positive_and_chain_holds(self):
-        rep = chain_check(markov_from_joining(parity_tensor(3)))
+        p2 = markov_from_joining(parity_tensor(3))
+        rep = chain_check(p2, pair_compose(p2))
         assert min(rep.norm_p2, rep.norm_p3, rep.norm_p5) > 0.5
         assert rep.holds_p2() and rep.holds_p3()
 
@@ -320,7 +324,7 @@ class TestChain:
             wt = sum(weights_raw)
             weights = tuple(Fraction(x, wt) for x in weights_raw)
             p2 = MarkovOperator(2, weights, tuple(rows))
-            rep = chain_check(p2)
+            rep = chain_check(p2, pair_compose(p2))
             assert rep.holds_p2(), f"seed {seed}: {rep.to_json()}"
             assert rep.holds_p3(), f"seed {seed}: {rep.to_json()}"
 
@@ -616,7 +620,8 @@ class TestFloatPath:
     def test_chain_on_estimate_matches_exact(self, t):
         pf = markov_from_joining(_estimated(t))
         assert not pf.exact and _float_scaled(pf)
-        rf, rt = chain_check(pf), chain_check(markov_from_joining(t))
+        pt = markov_from_joining(t)
+        rf, rt = chain_check(pf, pair_compose(pf)), chain_check(pt, pair_compose(pt))
         for key in ("norm_p2", "norm_p3", "norm_p5"):
             assert abs(getattr(rf, key) - getattr(rt, key)) <= FLOAT_TOL
         assert rf.to_json()["inequalities"] == rt.to_json()["inequalities"]
@@ -656,6 +661,142 @@ class TestFloatPath:
             else:
                 with pytest.raises(JoiningError, match="marginal"):
                     JoiningTensor.from_json(candidate)
+
+
+# den * wden**order against 2**63 for the order-3 tensors of `_near_bound`
+# (weights 1/2, 1/2, so wden**order = 8): just below, at and just above.
+NEAR_BOUND = {"below": (1 << 60) - 4, "at": 1 << 60, "above": (1 << 60) + 4}
+
+
+def _near_bound(den, move=0):
+    """Order-3 tensor over 1/2, 1/2 with den exactly `den` (divisible by 4):
+    1/den at even parity, 1/4 - 1/den at odd parity, so every 2-marginal is
+    product and the tensor is not (class M(2,3)).  `move` numerator units
+    go from entry (0, 0, 1) to (0, 0, 0): only axis 2's marginal changes."""
+    num = [1 if sum(idx) % 2 == 0 else den // 4 - 1 for idx in _tensor_indices(2, 3)]
+    num[0] += move
+    num[1] -= move
+    return num
+
+
+def _checked_dtypes(monkeypatch):
+    """The dtypes `_fixed_width` returns, in call order."""
+    seen = []
+    real = joinings._fixed_width
+    monkeypatch.setattr(joinings, "_fixed_width",
+                        lambda num, bound: seen.append((out := real(num, bound)).dtype) or out)
+    return seen
+
+
+class TestFixedWidthChecks:
+    """Validation and classification run on int64 copies exactly when
+    den * wden**order < 2**63, and agree with the Python-int loops on
+    either side of that bound."""
+
+    @pytest.mark.parametrize("side", sorted(NEAR_BOUND))
+    def test_near_bound_agrees_with_python_ints(self, side, monkeypatch):
+        den = NEAR_BOUND[side]
+        num = _near_bound(den)
+        dtypes = _checked_dtypes(monkeypatch)
+        t = JoiningTensor(3, U2.weights, scaled=(np.array(num, dtype=object), den))
+        assert t.scaled[1] == den and (den * 8 < 1 << 63) == (side == "below")
+        assert dtypes == [np.int64 if side == "below" else object] * 2  # entries, masses
+        assert reference_joining_error(3, U2.weights, list(t.entries)) is None
+        cls = classify(t)
+        assert (cls.is_product, cls.max_product_marginal_order) == reference_classify(t)
+        assert cls.label == "M(2,3)"
+        assert all(x == y for x, y in zip(t.scaled[0].ravel().tolist(), num))
+
+    @pytest.mark.parametrize("side", sorted(NEAR_BOUND))
+    def test_one_bad_marginal_names_it_as_python_ints_do(self, side):
+        den = NEAR_BOUND[side]
+        num = _near_bound(den, move=1)
+        want = reference_joining_error(3, U2.weights, [Fraction(x, den) for x in num])
+        assert want.startswith("axis 2 marginal ")
+        with pytest.raises(JoiningError) as err:
+            JoiningTensor(3, U2.weights, scaled=(np.array(num, dtype=object), den))
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("scale", [1, 1 << 62])
+    def test_first_bad_axis_then_cell_is_named(self, scale):
+        # One unit moves from (1, 0) to (2, 1) of a uniform 3 x 3 tensor: axis 0
+        # is off at cells 1 and 2, axis 1 at cells 0 and 1, so the first in
+        # axis order is (0, 1) and the first in cell order would be (1, 0).
+        # scale 2**62 puts den * wden**2 past 2**63.
+        den = 18 * scale
+        num = [2 * scale] * 9
+        num[3] -= 1
+        num[7] += 1
+        weights = uniform_partition(3).weights
+        want = reference_joining_error(2, weights, [Fraction(x, den) for x in num])
+        assert want == f"axis 0 marginal {Fraction(6 * scale - 1, den)} != weight 1/3"
+        with pytest.raises(JoiningError) as err:
+            JoiningTensor(2, weights, scaled=(np.array(num, dtype=object), den))
+        assert str(err.value) == want
+
+    def test_no_int64_past_the_bound_where_it_would_wrap(self):
+        # Masses 1/q, (q-1)/q with q = 2**10 and den = q**2 * K: the numerators
+        # fit in int64, but each entry times q**2 differs from its mass product
+        # times den by exactly +-2**64, so int64 products would call this
+        # tensor product.
+        q, k = 1 << 10, (1 << 42) + 1
+        den, step = q * q * k, 1 << 44
+        num = [k + step, (q - 1) * k - step, (q - 1) * k - step, (q - 1) ** 2 * k + step]
+        weights = (Fraction(1, q), Fraction(q - 1, q))
+        assert max(num) < 1 << 63 <= den * q ** 2
+        t = JoiningTensor(2, weights, scaled=(np.array(num, dtype=object), den))
+        assert reference_joining_error(2, weights, list(t.entries)) is None
+        assert reference_classify(t) == (False, 1)
+        assert not classify(t).is_product
+
+    def test_masses_outside_unit_interval_count_in_the_bound(self):
+        # Masses 1000 and -999 over wden = 1, order 1: den * wden < 2**63 but
+        # 1000 * den is not, and wraps in int64 to exactly the first entry,
+        # and -999 * den to the second.  Python ints refuse the tensor.
+        den = 18446744073709553
+        num = [1000 * den % (1 << 64), den - 1000 * den % (1 << 64)]
+        assert 0 < num[0] < den and math.gcd(den, num[0]) == 1
+        weights = (Fraction(1000), Fraction(-999))
+        want = reference_joining_error(1, weights, [Fraction(x, den) for x in num])
+        assert want == f"axis 0 marginal {Fraction(num[0], den)} != weight 1000"
+        with pytest.raises(JoiningError) as err:
+            JoiningTensor(1, weights, scaled=(np.array(num, dtype=object), den))
+        assert str(err.value) == want
+
+    @pytest.mark.parametrize("den,fixed", [((1 << 31) - 4, True), (1 << 31, False),
+                                           (1 << 40, False)])
+    def test_lower_order_int64_only_under_its_bound(self, den, fixed, monkeypatch):
+        # lower_order's bound is den**2 * max(inverse mass)**p = 2 * den**2 here.
+        t = JoiningTensor(3, U2.weights, scaled=(np.array(_near_bound(den), dtype=object), den))
+        dtypes = _checked_dtypes(monkeypatch)
+        lowered, _ = lower_order(t)
+        assert dtypes[:2] == [np.int64 if fixed else object] * 2
+        assert lowered.entries == tuple(reference_lower_order(t))
+        assert lowered.scaled[0].dtype == object
+
+
+class TestChainBases:
+    """The Kronecker powers built by broadcasting give the np.kron norms
+    bit for bit."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("masses", ["uniform", "nonuniform"])
+    def test_norms_equal_kron_reference(self, d, masses):
+        gen = substream(d, f"kron {masses}")
+        if masses == "uniform":
+            p2 = markov_from_joining(_graph_mixture(gen, d, 3))
+        else:
+            raw = gen.integers(1, 9, size=(d, d * d))
+            rows = tuple(tuple(Fraction(int(x), int(r.sum())) for x in r) for r in raw)
+            p2 = MarkovOperator(2, tuple(Fraction(2 * i + 2, d * (d + 1)) for i in range(d)),
+                                rows)
+        p3 = pair_compose(p2)
+        p5 = pair_compose(p3)
+        for p in (p2, p3, p5):
+            assert mean_zero_restricted_norm(p) == reference_restricted_norm(p)
+        rep = chain_check(p2, p3)
+        assert (rep.norm_p2, rep.norm_p3, rep.norm_p5) == tuple(
+            reference_restricted_norm(p) for p in (p2, p3, p5))
 
 
 def test_reductions_make_no_fraction_additions(monkeypatch):
