@@ -180,10 +180,13 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
 # ---------------------------------------------------------------------------
 # Shift families
 
-# Past this scale the 5-point constellation spans 2^(n+1) + 1 columns, more
-# than algebraic.MAX_GENERATORS cells: no member could be measured, so its
+# At scale n the 5-point constellation spans 2^(n+1) + 1 columns and as many
+# rows, and under the default pattern (depth 2, u^n of degree at most 3n)
+# each of its 2 free rows holds 2^(n+1) + 3 * 2^(n+1) + 1 cells: 2^(n+4) + 2
+# generator cells in all.  Past this scale that is more than
+# algebraic.MAX_GENERATORS = 2^26 cells: no member could be measured, so its
 # 2^n-bit shifts are never built.
-MAX_DYADIC_SCALE = 24
+MAX_DYADIC_SCALE = 21
 # An exact oracle keeps u^n, up to 4 KB at this box, for every row offset
 # n <= 2 box a scan meets, with every binary prefix of n: 18 MB if it meets
 # them all, about 7 MB after 1,000 tuples of order 4.  A tuple takes about

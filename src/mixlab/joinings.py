@@ -72,10 +72,28 @@ CHAIN_DELTA = 1e-9
 # members of {a: 0}, {a: 1, b: 0}, {a: 1, b: 1} take 0.03-0.05 s at order 8,
 # 0.16-0.26 s at order 10 and 1.1-1.2 s at order 12 (3^12 entries each).
 MAX_JOINING_ORDER = 16
+# A member's or a tensor file's d^order entries are refused past this cap,
+# before any grid is built or any entry parsed.  Classification walks levels
+# of C(order, m) d^m marginals, (d + 1)^order entries in all, so at the cap
+# the costliest case is 2 cells at order 16: a member of class M(1, 16) takes
+# 0.06 s to measure, and `joining --tensor` on it 1.2 s and 180 MB peak, on
+# a 2-vCPU Xeon VM.  The cap admits 2 cells at every order up to
+# MAX_JOINING_ORDER.
+MAX_JOINING_ENTRIES = 1 << 16
 
 
 class JoiningError(ValueError):
     """Tensor violates a joining invariant."""
+
+
+def _check_entries(d: int, order: int) -> None:
+    """Refuse d >= 2 cells at `order` >= 1 when d**order passes
+    `MAX_JOINING_ENTRIES`; past the cap's bit length no order fits, so the
+    power is never taken there."""
+    if d >= 2 and order >= 1 and (order >= MAX_JOINING_ENTRIES.bit_length()
+                                  or d ** order > MAX_JOINING_ENTRIES):
+        raise ValueError(f"a joining of {d} cells at order {order} has {d}^{order} "
+                         f"entries, more than the cap {MAX_JOINING_ENTRIES}")
 
 
 class NonStabilizingError(RuntimeError):
@@ -296,6 +314,7 @@ class JoiningTensor:
         order, dims, exact = obj["order"], obj["dims"], obj.get("exact", True)
         if type(order) is not int or type(dims) is not int or type(exact) is not bool:
             raise JoiningError("tensor 'order' and 'dims' must be integers, 'exact' a boolean")
+        _check_entries(dims, order)
         weights = tuple(parse_fraction(str(w)) for w in obj["weights"])
         if len(weights) != dims:
             raise JoiningError("need one cell mass per cell")
@@ -669,8 +688,9 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
     oracle that yields anything else raises `JoiningError` at that member.
     `NonStabilizingError`, carrying the observed trace, is raised only when
     the family of genuine joinings is exhausted without stabilizing.  An
-    order outside 2..`MAX_JOINING_ORDER`, or a member of another length, is
-    refused before it is measured.
+    order outside 2..`MAX_JOINING_ORDER`, a member of more than
+    `MAX_JOINING_ENTRIES` entries, or a member of another length, is refused
+    before it is measured.
     """
     if len(cell_events) != partition.cells:
         raise ValueError("one event per partition cell required")
@@ -681,6 +701,7 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
         order = trace[0].order if trace else len(shifts)
         if not 2 <= order <= MAX_JOINING_ORDER:
             raise ValueError(f"joining order must lie in 2..{MAX_JOINING_ORDER}")
+        _check_entries(partition.cells, order)
         if len(shifts) != order:
             raise ValueError(f"family member has {len(shifts)} shifts, need {order}")
         try:

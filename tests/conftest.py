@@ -291,6 +291,23 @@ def reference_window_masks(pattern, sites):
     return [rows[y][x - i0] for x, y in sites], gen
 
 
+def reference_peel(normals, sites):
+    """How many sites the peel leaves, from its definition: while some
+    normal has exactly one maximiser of <normal, site> among the sites
+    left, drop it, rescanning every site each time."""
+    left = set(sites)
+    while left:
+        for a, b in normals:
+            top = max(a * x + b * y for x, y in left)
+            tops = [(x, y) for x, y in left if a * x + b * y == top]
+            if len(tops) == 1:
+                left.remove(tops[0])
+                break
+        else:
+            break
+    return len(left)
+
+
 def reference_next_row(pattern, w, history):
     """New torus row from the last `depth` rows (each a w-bit int), one bit
     at a time: bit i solves the stencil translate whose topmost cell sits

@@ -27,6 +27,7 @@ from mixlab.algebraic import (
     mc_cylinder_measure,
     relation_space,
     sample_configuration,
+    site_add,
     torus_kernel,
     _frobenius,
     _mc_draw,
@@ -34,7 +35,7 @@ from mixlab.algebraic import (
     _window_masks,
     _window_value,
 )
-from mixlab.correlations import ledrappier_dyadic_shifts
+from mixlab.correlations import ledrappier_dyadic_shifts, random_separated_shifts
 from mixlab.joinings import JoiningTensor
 from mixlab.measure import MeasureValue
 from mixlab.rng import substream
@@ -54,6 +55,7 @@ from conftest import (
     reference_grid_to_pbm,
     reference_joining_member,
     reference_mc_hits,
+    reference_peel,
     reference_torus_basis,
     reference_transfer,
     reference_u_power,
@@ -454,6 +456,92 @@ class TestPlaneIdentities:
         assert gained > 0
 
 
+VERTICAL = RelationPattern(frozenset({(0, 0), (0, 1), (0, 2)}))
+SEGMENT = RelationPattern(frozenset({(0, 0), (1, 1)}))
+
+
+def _random_support(rng, sheared):
+    """3-5 cells in the box [-2, 2]^2; when `sheared`, two or more of them
+    in the top row, so that `transfer` shears the support."""
+    cells = set()
+    while len(cells) < rng.randint(3, 5):
+        cells.add((rng.randint(-2, 2), rng.randint(-2, 2)))
+    if sheared:
+        top = max(j for _, j in cells)
+        cells.add((max(i for i, j in cells if j == top) + 1, top))
+    return RelationPattern(frozenset(cells))
+
+
+class TestPeel:
+    """Sites that the peel by the edge normals of the pattern's Newton
+    polygon empties carry no relation, so no mask is built for them."""
+
+    @pytest.mark.parametrize("support,normals", [
+        (SYS.support, {(1, 1), (1, -1), (-1, 1), (-1, -1)}),
+        (CORNER.support, {(-1, 0), (0, -1), (1, 1)}),
+        ({(0, 0), (1, 1)}, {(1, -1), (-1, 1)}),
+        ({(0, 0)}, set()),
+        (VERTICAL.support, {(1, 0), (-1, 0)}),
+        # A cell inside an edge adds no normal.
+        ({(0, 0), (1, 0), (2, 0), (0, 1)}, {(0, -1), (1, 2), (-1, 0)}),
+        # Patterns that `transfer` shears keep the normals of their own support.
+        ({(0, 0), (1, 0)}, {(0, 1), (0, -1)}),
+        ({(0, 0), (1, 0), (0, -1)}, {(1, -1), (0, 1), (-1, 0)}),
+    ])
+    def test_normals(self, support, normals):
+        pattern = RelationPattern(frozenset(support))
+        assert set(pattern.normals) == normals and len(pattern.normals) == len(normals)
+        assert pattern.normals is pattern.normals
+        for a, b in normals:
+            values = [a * x + b * y for x, y in support]
+            assert values.count(max(values)) >= 2  # outward: an edge attains the maximum
+
+    def test_peel_agrees_with_the_elimination(self):
+        # Planted relations: translates of the support dilated by 2^j, the
+        # polynomial f^(2^j) in the ideal (f), summed mod 2.  Random sites
+        # fill each set up to 2-9 sites.
+        rng = random.Random("peel cross-check")
+        patterns = [SYS, CORNER, SQUARED, VERTICAL, SEGMENT] + \
+            [_random_support(rng, sheared=i % 2) for i in range(6)]
+        carrying = peeled = 0
+        for pattern in patterns:
+            support = sorted(pattern.support)
+            for trial in range(160):
+                sites = set()
+                for _ in range(trial % 3):
+                    j, dx, dy = rng.randint(0, 2), rng.randint(-6, 6), rng.randint(-6, 6)
+                    sites ^= {(dx + (x << j), dy + (y << j)) for x, y in support}
+                k = max(len(sites), rng.randint(2, 9))
+                while len(sites) < k:
+                    sites.add((rng.randint(-8, 8), rng.randint(-8, 8)))
+                sites = sorted(sites)
+                rng.shuffle(sites)
+                expected = algebraic._relations(_window_masks(pattern, sites)[0])
+                assert relation_space(pattern, sites) == expected
+                left = algebraic._peel(pattern.normals, sites)
+                assert left == reference_peel(pattern.normals, sites)
+                carrying += bool(expected)
+                peeled += not left
+        assert sum(p.transfer[0] > 0 for p in patterns) == 3
+        # Of the 1,760 sets, 1,204 carry a relation, 539 peel empty and 17
+        # carry none but survive the peel.
+        assert (carrying, peeled) == (1204, 539)
+
+    def test_only_plans_that_survive_the_peel_build_masks(self, monkeypatch):
+        calls = []
+        real = algebraic._window_masks
+        monkeypatch.setattr(algebraic, "_window_masks",
+                            lambda *a: calls.append(a[1]) or real(*a))
+        oracle = LedrappierOracle()
+        events = [CylinderConstraint(((0, 0),), (0,))] * 5
+        separated = next(random_separated_shifts(7, 1, 4, 8, 128))
+        assert oracle.intersection_measure(separated, events).exact == Fraction(1, 32)
+        assert calls == []
+        dyadic = ledrappier_dyadic_shifts(3)
+        assert oracle.intersection_measure(dyadic, events).exact == Fraction(1, 16)
+        assert calls == [list(dyadic)]
+
+
 def test_squared_pattern_triangle_relations_at_powers_of_two_only():
     # (1 + x + y)^2 = 1 + x^2 + y^2: the triangle {0, (s, 0), (0, s)} carries
     # a relation at s = 2, 4 and 8, and at no other s up to 8.
@@ -694,7 +782,7 @@ class TestJoiningMember:
     def test_two_class_partition_at_order_8_eliminates_once_per_member(self, monkeypatch):
         # {a: 0}, {a: 1, b: 0}, {a: 1, b: 1}: two site classes, so 2**8 plans
         # per member, whose relations all come from one elimination of the
-        # member's shifted sites.
+        # member's shifted sites, or from none when they peel empty.
         oracle = LedrappierOracle(SYS)
         cells, masses = _partition("different sites", (0, 0), (1, 0))
         rng = random.Random("member order 8")
@@ -705,10 +793,13 @@ class TestJoiningMember:
         real = algebraic._relations
         monkeypatch.setattr(algebraic, "_relations", lambda m: calls.append(m) or real(m))
         relation_zeros = 0
+        eliminations = []
         for shifts in members:
             calls.clear()
             (num, den), _ = oracle.joining_member(shifts, cells)
-            assert len(calls) == 1
+            union = sorted({site_add(s, sh) for sh in shifts for s in [(0, 0), (1, 0)]})
+            assert len(calls) == (1 if algebraic._peel(SYS.normals, union) else 0)
+            eliminations.append(len(calls))
             (ref_num, ref_den), _ = reference_joining_member(oracle, shifts, cells)
             assert den == ref_den and num.tolist() == ref_num.tolist()
             JoiningTensor(8, masses, exact=True, scaled=(num, den))
@@ -716,6 +807,7 @@ class TestJoiningMember:
                 if x == 0 and merge_events([cells[i] for i in idx], shifts) is not None:
                     relation_zeros += 1
         assert relation_zeros > 0
+        assert eliminations == [0, 0, 1]  # only the dyadic member's sites survive the peel
 
 
 def _basis_grid(kernel, vec):

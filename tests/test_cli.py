@@ -10,6 +10,7 @@ import pytest
 from mixlab import algebraic, cli, joinings
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
 from mixlab.correlations import MAX_DYADIC_SCALE, MAX_SCAN_BOX, MAX_SCAN_BUDGET, MAX_SCAN_ORDER
+from mixlab.joinings import MAX_JOINING_ENTRIES
 from mixlab.percolation import MAX_SWEEP_SAMPLES, MAX_SWEEP_SIZES
 from mixlab.rankone import MAX_STAGES, MAX_WORD_LENGTH
 
@@ -127,18 +128,33 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
     (["joining", "--scales=-1:3"], f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
     (["percolate", "--sizes", ",".join(["9"] * (MAX_SWEEP_SIZES + 1))],
      f"a sweep takes at most {MAX_SWEEP_SIZES} lattice sizes"),
-    # A one-entry tensor file cannot have order 30000000 over three cells,
-    # nor be a tensor over one cell; refused before any power or shape.
+    # A one-entry tensor file cannot have order 5 over three cells, nor be
+    # a tensor over one cell; refused before any power or shape.
     (["joining", "--tensor", "order.json"], "entry count does not match dims**order"),
     (["joining", "--tensor", "one-cell.json"], "a tensor needs at least two cells"),
+    # Order 30000000 over three cells, or 3^16 entries, pass the entries
+    # cap: refused before the power and before any entry is parsed.
+    (["joining", "--tensor", "huge.json"],
+     f"a joining of 3 cells at order 30000000 has 3^30000000 entries, "
+     f"more than the cap {MAX_JOINING_ENTRIES}"),
+    (["joining", "--tensor", "cap.json"],
+     f"a joining of 3 cells at order 16 has 3^16 entries, more than the cap {MAX_JOINING_ENTRIES}"),
+    # Scale 22 would span 2^26 + 2 generator cells: refused at the bound.
+    (["scan", "mix", "--order", "4", "--family", "dyadic", "--scales", "22:23"],
+     f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
+    (["joining", "--scales", "20:23"], f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
 ])
 def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
     # Each bound is checked before the work it limits starts, and before the
     # first artifact, so no output directory is made.
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "c.json", _five_point(1))
-    _write(tmp_path / "order.json", {"order": 30000000, "dims": 3,
+    _write(tmp_path / "order.json", {"order": 5, "dims": 3,
                                      "weights": ["1/3"] * 3, "entries": ["1"]})
+    _write(tmp_path / "huge.json", {"order": 30000000, "dims": 3,
+                                    "weights": ["1/3"] * 3, "entries": ["1"]})
+    _write(tmp_path / "cap.json", {"order": 16, "dims": 3, "weights": ["1/3"] * 3,
+                                   "entries": ["not an entry"]})
     _write(tmp_path / "one-cell.json", {"order": 10 ** 9, "dims": 1,
                                         "weights": ["1"], "entries": ["1"]})
     start = time.perf_counter()
@@ -146,6 +162,19 @@ def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsy
     assert time.perf_counter() - start < 1.0
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_dyadic_scale_at_its_bound_runs(tmp_path):
+    # Scale 21 spans 2^25 + 2 generator cells, inside the cap, and carries
+    # the 5-point relation as every dyadic scale does.
+    out = tmp_path / "out"
+    assert cli.main(["scan", "mix", "--order", "4", "--family", "dyadic", "--scales",
+                     f"{MAX_DYADIC_SCALE}:{MAX_DYADIC_SCALE + 1}", "--out", str(out)]) == 0
+    result = json.loads((out / "mix.json").read_text(encoding="utf-8"))
+    s = 1 << MAX_DYADIC_SCALE
+    assert result["certificate"] == {"sites": [[0, 0], [s, 0], [-s, 0], [0, s], [0, -s]],
+                                     "relations": [[1] * 5]}
+    assert result["max_abs_defect"] == "1/32"
 
 
 THREE_CELL = {"order": 2, "dims": 3, "weights": ["1/3"] * 3, "entries": ["1/9"] * 9}

@@ -31,6 +31,7 @@ from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOrac
 from mixlab.correlations import OracleCapabilityError, dyadic_family
 from mixlab.joinings import (
     FLOAT_TOL,
+    MAX_JOINING_ENTRIES,
     MAX_JOINING_ORDER,
     STABLE_MEMBERS,
     JoiningError,
@@ -492,6 +493,39 @@ class TestLimitJoining:
 
         with pytest.raises(ValueError, match=f"joining order must lie in 2..{MAX_JOINING_ORDER}"):
             limit_joining(SpyOracle(), U2, [0, 1], [tuple(range(length))] * STABLE_MEMBERS)
+
+    @pytest.mark.parametrize("cells,order", [(3, 16), (3, 11), (5, 7)])
+    def test_entries_past_their_cap_are_refused_before_any_member(self, cells, order):
+        class SpyOracle:
+            def joining_member(self, shifts, events):
+                raise AssertionError("measured a member")
+
+        assert cells ** order > MAX_JOINING_ENTRIES
+        with pytest.raises(ValueError, match=f"a joining of {cells} cells at order {order} has "
+                           f"{cells}\\^{order} entries, more than the cap {MAX_JOINING_ENTRIES}"):
+            limit_joining(SpyOracle(), uniform_partition(cells), list(range(cells)),
+                          [tuple(range(order))] * STABLE_MEMBERS)
+
+    @pytest.mark.parametrize("bits,order", [
+        ([(0,), (1,)], MAX_JOINING_ORDER),
+        ([(0,), (1, 0), (1, 1)], 10),
+        ([(0, 0), (0, 1), (1, 0), (1, 1)], 8),
+    ])
+    def test_entries_at_most_their_cap_are_measured(self, bits, order):
+        # Cells of the full shift read bits at sites 0, 1, ...; shifts 10
+        # apart make every member the product tensor.
+        assert len(bits) ** order <= MAX_JOINING_ENTRIES
+        events = [CylinderConstraint(tuple(range(len(b))), b) for b in bits]
+        partition = Partition(tuple(Fraction(1, 2 ** len(b)) for b in bits))
+        t = limit_joining(BernoulliOracle(), partition, events,
+                          [tuple(range(0, 10 * order, 10))] * STABLE_MEMBERS)
+        assert (t.order, t.dims) == (order, len(bits)) and classify(t).is_product
+
+    def test_huge_order_is_refused_before_the_power(self):
+        # Past the entry count's bit length no order fits: refused at once.
+        with pytest.raises(JoiningError, match="entry count does not match dims\\*\\*order"):
+            JoiningTensor(30_000_000, uniform_partition(3).weights,
+                          scaled=(np.array([1], dtype=object), 1))
 
 
 def _random_q(gen, d):

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from mixlab import cli
-from mixlab.algebraic import LEDRAPPIER_PATTERN, _window_masks, torus_kernel
+from mixlab.algebraic import LEDRAPPIER_PATTERN, _window_masks, relation_space, torus_kernel
 from mixlab.rng import mix, random_bits, substream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -96,13 +96,15 @@ def test_tracer_observers_read_their_arguments(monkeypatch, tmp_path, small_bloc
     # takes len() of each SVG builder's result and cli.write_bytes encodes
     # _write_text's argument 2, so both must stay one str: an export that
     # returned chunks would break them.  Small blocks give every export
-    # several.
+    # several.  The exact measure's sites hold the stencil at scale 2, which
+    # carries a relation, so they survive the peel and their masks are built.
     tracing = _tracing(monkeypatch)
     c = tmp_path / "c.json"
     c.write_text(json.dumps({"sites": [[0, 0], [1, 0]], "bits": [0, 1]}), encoding="utf-8")
-    sites = [(0, 0), (3, 2), (-1, 5), (4, 4)]
+    sites = [(0, 0), (3, 2), (2, 0), (-2, 0), (0, 2), (0, -2), (-1, 5)]
+    assert relation_space(LEDRAPPIER_PATTERN, sites) == [0b0111101]
     e = tmp_path / "e.json"
-    e.write_text(json.dumps({"sites": [list(s) for s in sites], "bits": [0, 1, 1, 0]}),
+    e.write_text(json.dumps({"sites": [list(s) for s in sites], "bits": [0, 1, 1, 0, 1, 0, 1]}),
                  encoding="utf-8")
     z = tmp_path / "z.json"
     z.write_text(json.dumps({"events": [{"sites": [0, 3], "bits": [0, 1]}] * 3}), encoding="utf-8")
