@@ -32,16 +32,24 @@ maximum of <nu, s>.  A site that is the only such site among the remaining
 ones is therefore in no relation and is dropped, again and again; when no
 site is left, the relation space is {0} and no mask is built.
 
+The peel, the masks and the elimination all run on the sites' normal form
+(`_normal_form`): the sites translated by their first site and, when the
+pattern is square-free (`RelationPattern.square_free`), halved while every
+coordinate difference is even.  A monomial is a unit of the Laurent ring,
+and over GF(2) g(x^2, y^2) = g(x, y)^2, which a square-free f divides only
+when f divides g; so the normal form has the relations of the sites, in
+the same order.  Ledrappier's 5-point stencil at every dyadic scale 2^n
+has the stencil itself as normal form: one elimination for the family.
+
 `LedrappierOracle` merges the shifted event sites of a shift tuple once,
 into a plan that every entry differing only in its bits reads and that
-keeps their relations, and it keeps the powers u^n per recurrence and n for
-its lifetime.  A joining member's entries that share a plan are decided
-together, as arrays over their index grid, and the relations of all its
-plans come from one elimination of the member's shifted sites (`_member`).
-The powers form a
+keeps their relations, and it keeps, for its lifetime, the relations of
+every normal form it met and the powers u^n per recurrence and n.  A joining member's entries that share a
+plan are decided together, as arrays over their index grid, and the
+relations of all its plans come from those of the member's shifted sites
+(`_member`).  The powers form a
 prefix ladder: with each u^n the oracle holds u^(n >> k) for every k, and a
-new n starts from its longest prefix held, so a dyadic family costs one
-squaring per scale.  Beyond the oracle only the
+new n starts from its longest prefix held.  Beyond the oracle only the
 exact values are kept: one shared `MeasureValue` per rank.
 
 Torus kernels run the same recurrence (`RelationPattern.transfer`) on
@@ -73,8 +81,9 @@ Site = Union[int, tuple[int, int]]
 
 # Exact plane masks grow with the extent of a constellation, not with its
 # site count; past this many generator cells (8 MB per mask) it is refused
-# before any memory is taken.  The cap is checked on the sites' extents
-# before the peel, so a constellation is refused whether or not it peels.
+# before any memory is taken.  The cap is checked on the extents of the
+# sites as given, before their normal form and the peel, so a constellation
+# is refused whether or not it peels or halves to a small normal form.
 MAX_GENERATORS = 1 << 26
 
 # A torus kernel's explicit basis holds dim x side^2 bits: at side 1023
@@ -170,6 +179,76 @@ class RelationPattern:
             g = math.gcd(x1 - x0, y1 - y0)
             normals.append(((y1 - y0) // g, (x0 - x1) // g))
         return tuple(normals)
+
+    @functools.cached_property
+    def square_free(self) -> bool:
+        """A sound certificate that the pattern's polynomial f, shifted to
+        nonnegative exponents, has no square factor over GF(2).
+
+        True when, with f read as a polynomial in y over GF(2)[x], or with
+        x and y swapped, gcd(f, df/dy) over GF(2)(x)[y] has degree 0 in y
+        and the content c(x) has gcd(c, c') = 1 (`_certified`).  Sound: if
+        p^2 divides f = p^2 h and p has positive degree in y, then p
+        divides df/dy = p^2 dh/dy (characteristic 2); if p lies in
+        GF(2)[x], p^2 divides c, so p divides c'.  It holds for the default
+        and the corner pattern and fails for (1 + x + y)^2 = 1 + x^2 + y^2;
+        on the supports of a 3 x 3 box it misses no square-free one.
+        """
+        i0 = min(i for i, _ in self.support)
+        j0 = min(j for _, j in self.support)
+        cells = [(i - i0, j - j0) for i, j in self.support]
+        return any(_certified([sum(1 << c[1 - axis] for c in cells if c[axis] == d)
+                               for d in range(max(c[axis] for c in cells) + 1)])
+                   for axis in (1, 0))
+
+
+# Polynomials over GF(2) as ints, bit i the coefficient of x^i.
+
+def _pdivmod(a: int, b: int) -> tuple[int, int]:
+    q, db = 0, b.bit_length()
+    while (s := a.bit_length() - db) >= 0:
+        q ^= 1 << s
+        a ^= b << s
+    return q, a
+
+
+def _pgcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _pdivmod(a, b)[1]
+    return a
+
+
+def _pmul(a: int, b: int) -> int:
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a, b = a << 1, b >> 1
+    return out
+
+
+def _certified(f: list[int]) -> bool:
+    """f = sum of f[j] y^j, coefficients in GF(2)[x] and f[-1] nonzero:
+    True when the content c = gcd of the f[j] has gcd(c, c') = 1 and
+    gcd(f, df/dy) over GF(2)(x)[y] has degree 0, found by Euclid on
+    primitive pseudo-remainders."""
+    c = functools.reduce(_pgcd, f)
+    if _pgcd(c, (c >> 1) & ((1 << 2 * c.bit_length()) - 1) // 3) != 1:  # c' keeps odd powers
+        return False
+    a, b = f, [v if j & 1 else 0 for j, v in enumerate(f)][1:]
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        while len(a) >= len(b):  # a <- lc(b) a - lc(a) y^s b: its top term cancels
+            s, la, lb = len(a) - len(b), a[-1], b[-1]
+            a = [_pmul(lb, v) ^ (_pmul(la, b[j - s]) if j >= s else 0) for j, v in enumerate(a)]
+            while a and not a[-1]:
+                a.pop()
+        if a:
+            g = functools.reduce(_pgcd, a)
+            a = [_pdivmod(v, g)[0] for v in a]
+        a, b = b, a
+    return len(a) == 1
 
 
 LEDRAPPIER_PATTERN = RelationPattern(
@@ -435,8 +514,25 @@ def _peel(normals: Sequence[tuple[int, int]], sites: Sequence[tuple[int, int]]) 
     return left
 
 
+def _normal_form(pattern: RelationPattern, sites: tuple[tuple[int, int], ...]
+                 ) -> tuple[tuple[int, int], ...]:
+    """`sites` translated by their first site and, when the pattern is
+    `square_free`, divided by 2^v, 2^v the largest power of two dividing
+    every coordinate difference: sites whose relations are those of
+    `sites`, in the same order (`relation_space`)."""
+    x0, y0 = sites[0]
+    if x0 or y0:
+        sites = tuple([(x - x0, y - y0) for x, y in sites])
+    if pattern.square_free:
+        g = math.gcd(*itertools.chain.from_iterable(sites))
+        v = (g & -g).bit_length() - 1
+        if v > 0:
+            sites = tuple([(x >> v, y >> v) for x, y in sites])
+    return sites
+
+
 def relation_space(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
-                   powers: Optional[dict] = None) -> list[int]:
+                   powers: Optional[dict] = None, memo: Optional[dict] = None) -> list[int]:
     """Basis of GF(2) dependencies among the coordinate functionals at
     `sites` that hold identically on the pattern's configuration group.
 
@@ -445,27 +541,51 @@ def relation_space(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
     bit, ascending, of the dependencies among the row-transfer masks
     (`_window_masks`, sharing `powers`), found in one elimination.
 
-    The generator cap is checked first (`_frame`); then, when the peel by
-    the pattern's edge normals leaves no site (`_peel`), the basis is empty
-    and no mask is built.  That is exact: a relation is a polynomial h f in
-    the ideal of the pattern's f (Schmidt, Dynamical Systems of Algebraic
-    Origin, 1995).  For an edge normal nu, in_nu(h f) = in_nu(h) in_nu(f)
-    (Ostrowski 1921) and in_nu(f) has two or more terms, so the support of
-    every relation has two or more maximisers of <nu, s>.  A site that is
-    the only maximiser among a superset of that support would be the
-    support's only one too, so it is in no relation among the superset,
-    and the peel drops only such sites.
+    The generator cap is checked first, on the sites as given (`_frame`).
+    The relations are then those of the sites' normal form
+    (`_normal_form`), which `memo`, when given, keeps by normal form; only
+    a normal form it does not hold is peeled, and only one that survives
+    the peel has its masks built and eliminated.  The reduced echelon form
+    of a space in a fixed site order is unique, so the basis is the same
+    list whichever sites with those relations it was found on.
+
+    A relation is a polynomial g = sum of u^s over its sites that lies in
+    the ideal (f) of the pattern's polynomial f, in the Laurent ring
+    GF(2)[x^+-1, y^+-1] (Schmidt, Dynamical Systems of Algebraic Origin,
+    1995).  A monomial is a unit there, so translated sites have the
+    relations of the sites.  Over GF(2), g(x^2, y^2) = g(x, y)^2.  When f
+    is square-free (`RelationPattern.square_free`) it is a product of
+    distinct primes, each of which divides g once it divides g^2, so f
+    divides g^2 only when it divides g: sites 2S have the relations of S,
+    and the normal form halves as long as every coordinate difference is
+    even.  A pattern with a square factor is only translated: the squared
+    pattern 1 + x^2 + y^2 relates {0, (2, 0), (0, 2)} but not {0, (1, 0),
+    (0, 1)}.
+
+    When the peel by the pattern's edge normals leaves no site (`_peel`),
+    the basis is empty and no mask is built.  For an edge normal nu,
+    in_nu(h f) = in_nu(h) in_nu(f) (Ostrowski 1921) and in_nu(f) has two or
+    more terms, so the support of every relation has two or more
+    maximisers of <nu, s>.  A site that is the only maximiser among a
+    superset of that support would be the support's only one too, so it is
+    in no relation among the superset, and the peel drops only such sites.
+    Translation and halving keep every <nu, s> in its order, so the peel of
+    the normal form is the peel of the sites.
     """
-    sites = [tuple(s) for s in sites]
+    sites = tuple(map(tuple, sites))
     if len(set(sites)) != len(sites):
         raise ValueError("sites must be distinct")
     if not sites:
         return []
-    _frame(pattern, sites)  # the generator cap, whether or not the sites peel
-    if not _peel(pattern.normals, sites):
-        return []
-    masks, _ = _window_masks(pattern, sites, powers)
-    return _relations(masks)
+    _frame(pattern, sites)  # the generator cap, on the sites as given
+    key = _normal_form(pattern, sites)
+    found = None if memo is None else memo.get(key)
+    if found is None:
+        found = _relations(_window_masks(pattern, key, powers)[0]) \
+            if _peel(pattern.normals, key) else []
+        if memo is not None:
+            memo[key] = found
+    return found
 
 
 # Exact measures are immutable, so every result of one value is one object.
@@ -858,10 +978,11 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
 
     Cells with equal sites form a class.  The member's union holds each
     class's sites at each shift, in first-seen order, and its relations are
-    found once (`relations_of`, one elimination, asked only when some entry
-    is consistent).  The entries whose cells have one class at each position
-    share one plan: the union sites those classes read, in the order first
-    read, with the union's relations supported on them (`_supported`).  Over
+    asked for once (`relations_of`, at most one elimination, and only when
+    some entry is consistent).  The entries whose cells have one class at
+    each position share one plan: the union sites those classes read, in
+    the order first read, with the union's relations supported on them
+    (`_supported`).  Over
     a plan's index grid, the bit each plan site demands is taken from the
     first position that reads the site.  An entry is 0 where a later
     position demands the other bit there (a contradiction) or where a
@@ -930,25 +1051,32 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
 class LedrappierOracle:
     """Exact k-fold correlation oracle for the plane system of `pattern`.
 
-    Two caches live as long as the oracle: plans and powers.  A plan per
-    shift tuple and tuple of event sites merges the shifted sites once and
-    keeps their relations, since a scan asks for a tuple's measure and then
-    its certificate.  A joining member (`joining_member`) decides the
-    entries of each of its plans at once, from one elimination of the
-    member's shifted sites, and keeps no plan.  An entry
-    reads its bits through the plan's positions; two different bits at one
-    position make it a contradiction of measure 0.  An event's own measure
-    is a one-event plan at the zero shift.  The row powers u^n behind the
-    site masks are kept per recurrence and n (`_window_masks`), so a job
-    computes each of them once.  They form a prefix ladder (`_u_power`):
-    each u^n is kept with u^(n >> k) for every k, and a new n starts from
-    its longest prefix held.
+    Three caches live as long as the oracle: plans, relations and powers.
+    A plan per shift tuple and tuple of event sites merges the shifted
+    sites once.  The relations of sites are kept by their normal form
+    (`relation_space`'s `memo`), which the measures, the certificates and
+    the joining members all read: every scale of a dyadic family has one
+    normal form, so the family costs one elimination.  A plan also keeps a
+    reference to its relations, since a scan asks for a tuple's measure
+    and then its certificate, and for each of its k + 1 events' measures,
+    often one event repeated: a repeat then pays no generator check and no
+    normal form, which cost about 5 us a call.  A joining member
+    (`joining_member`) decides the entries of each of its plans at once,
+    from the relations of the member's shifted sites, and keeps no plan.
+    An entry reads its bits through the plan's positions; two different
+    bits at one position make it a contradiction of measure 0.  An event's
+    own measure is a one-event plan at the zero shift.  The row powers u^n
+    behind the site masks are kept per recurrence and n (`_window_masks`),
+    so a job computes each of them once.  They form a prefix ladder
+    (`_u_power`): each u^n is kept with u^(n >> k) for every k, and a new n
+    starts from its longest prefix held.
     """
 
     def __init__(self, pattern: RelationPattern = LEDRAPPIER_PATTERN):
         self.pattern = pattern
         self._plans: dict[tuple, _Plan] = {}
         self._powers: dict = {}
+        self._memo: dict[tuple, list[int]] = {}
 
     def _plan(self, shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
         key = (tuple(shifts), tuple(ev.sites for ev in events))
@@ -969,9 +1097,12 @@ class LedrappierOracle:
                     return None
         return bits
 
+    def _relations_of(self, sites: Sequence[Site]) -> list[int]:
+        return relation_space(self.pattern, _plane_sites(sites), self._powers, self._memo)
+
     def _plan_relations(self, plan: _Plan) -> list[int]:
         if plan.relations is None:
-            plan.relations = relation_space(self.pattern, _plane_sites(plan.sites), self._powers)
+            plan.relations = self._relations_of(plan.sites)
         return plan.relations
 
     def event_measure(self, event: CylinderConstraint) -> MeasureValue:
@@ -989,9 +1120,8 @@ class LedrappierOracle:
     def joining_member(self, shifts: Sequence[Site], cells: Sequence[CylinderConstraint]
                        ) -> tuple[tuple[np.ndarray, int], bool]:
         """Every entry of the joining member of `cells` at `shifts` at once
-        (`_member`), from one elimination of the member's shifted sites."""
-        return _member(shifts, cells, lambda sites: relation_space(
-            self.pattern, _plane_sites(sites), self._powers))
+        (`_member`), from the relations of the member's shifted sites."""
+        return _member(shifts, cells, self._relations_of)
 
     def relation_certificate(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> dict:

@@ -123,10 +123,12 @@ class MixDefect:
     rows: list[ScanRow] = field(default_factory=list)
 
 
-# A tuple costs one elimination of its k+1 shifted events (1.25 ms at order
-# 16 in a box of 4096 on a 2-vCPU Xeon VM), and an exact oracle keeps its
-# plan and relations while the scan keeps its row: 10,000 order-2 tuples in
-# that box take 1.7 s and hold about 29 MB.
+# A tuple costs at most one elimination of its k+1 shifted events, and
+# none when they peel empty, as random separated tuples do (0.27 ms a tuple
+# at order 16 in a box of 4096 on a 2-vCPU Xeon VM).  An exact oracle keeps
+# each plan and the relations of each normal form while the scan keeps its
+# row: 10,000 order-2 tuples in that box take 0.7 s and peak at 58 MB,
+# 26 MB above the interpreter with mixlab loaded.
 MAX_SCAN_ORDER = 16
 MAX_SCAN_BUDGET = 10_000
 
@@ -185,7 +187,9 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
 # each of its 2 free rows holds 2^(n+1) + 3 * 2^(n+1) + 1 cells: 2^(n+4) + 2
 # generator cells in all.  Past this scale that is more than
 # algebraic.MAX_GENERATORS = 2^26 cells: no member could be measured, so its
-# 2^n-bit shifts are never built.
+# 2^n-bit shifts are never built.  The cap reads the extents of the
+# constellation as given, not those of its normal form (the stencil itself
+# at every scale, whose masks are the only ones built), so the bound stays.
 MAX_DYADIC_SCALE = 21
 # An exact oracle keeps u^n, up to 4 KB at this box, for every row offset
 # n <= 2 box a scan meets, with every binary prefix of n: 18 MB if it meets
@@ -230,9 +234,8 @@ def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
         attempts += 1
         if attempts > 1000 * count:
             raise ValueError("cannot satisfy separation constraints in the box")
-        # Points are dim-tuples, drawn coordinate by coordinate.
-        pts = [(0,) * dim] + [tuple(int(gen.integers(-box, box + 1)) for _ in range(dim))
-                              for _ in range(k)]
+        # One draw per attempt: the stream of k * dim scalar draws, in order.
+        pts = [(0,) * dim] + list(map(tuple, gen.integers(-box, box + 1, size=(k, dim)).tolist()))
         diffs = [[x - y for x, y in zip(p, q)] for p, q in itertools.combinations(pts, 2)]
         if any(max(map(abs, d)) < min_gap for d in diffs):
             continue

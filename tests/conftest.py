@@ -2,7 +2,10 @@
 
 The oracles deliberately avoid the library's fast paths: measures come from
 raw enumeration of window configurations, plane site functionals from the
-window method, intersections of shifted events from one merge of their
+window method, a pattern's square-freeness from trial division by every
+square that fits (`reference_square_free`), random separated shift tuples
+from one scalar draw per coordinate (`reference_random_separated_shifts`),
+intersections of shifted events from one merge of their
 (site, bit) requirements into a `CylinderConstraint` per entry, the row
 powers u^n from a numpy byte-spread Frobenius, torus kernels from a per-bit
 row step with a dense transfer-matrix power, from the bit-by-bit
@@ -58,7 +61,7 @@ import pytest
 from mixlab import gf2, text
 from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, grid_satisfies_pattern,
                               relation_space, sample_configuration, site_add, torus_kernel)
-from mixlab.correlations import admissible_mask
+from mixlab.correlations import MAX_SCAN_BOX, admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
 from mixlab.joinings import (FLOAT_TOL, JoiningTensor, MarkovOperator, _mean_zero_onb,
                              uniform_partition)
@@ -306,6 +309,61 @@ def reference_peel(normals, sites):
         else:
             break
     return len(left)
+
+
+def reference_square_free(support):
+    """Whether the polynomial of `support`, shifted to nonnegative
+    exponents, has no square factor g^2 with g not a constant, by trial
+    division of it by g(x^2, y^2) = g^2 for every g whose square fits in
+    its degrees.  A g divisible by x or y cannot divide twice, so g is
+    taken from the box [0, deg_x f / 2] x [0, deg_y f / 2].  Polynomials are
+    sets of cells; division peels the leading cell, highest j then i."""
+    i0 = min(i for i, _ in support)
+    j0 = min(j for _, j in support)
+    f = frozenset((i - i0, j - j0) for i, j in support)
+    box = [(i, j) for i in range(max(i for i, _ in f) // 2 + 1)
+           for j in range(max(j for _, j in f) // 2 + 1)]
+
+    def divides(d, rest):
+        rest = set(rest)
+        li, lj = max(d, key=lambda c: (c[1], c[0]))
+        while rest:
+            ti, tj = max(rest, key=lambda c: (c[1], c[0]))
+            if ti < li or tj < lj:
+                return False
+            rest ^= {(i + ti - li, j + tj - lj) for i, j in d}
+        return True
+
+    for n in range(1, len(box) + 1):
+        for g in itertools.combinations(box, n):
+            if g != ((0, 0),) and divides({(2 * i, 2 * j) for i, j in g}, f):
+                return False
+    return True
+
+
+def reference_random_separated_shifts(seed, count, k, min_gap, box, dim=2):
+    """`correlations.random_separated_shifts` drawing one scalar
+    `integers` per coordinate, with its bounds and its separation rule."""
+    if not 0 <= box <= MAX_SCAN_BOX:
+        raise ValueError(f"box radius must lie in 0..{MAX_SCAN_BOX}")
+    if k >= 1 and min_gap > box:
+        raise ValueError(f"min gap {min_gap} exceeds the box radius {box}: "
+                         "no shift in the box is that far from the origin")
+    gen = substream(seed, "separated", k, min_gap, box, dim)
+    produced = attempts = 0
+    while produced < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise ValueError("cannot satisfy separation constraints in the box")
+        pts = [(0,) * dim] + [tuple(int(gen.integers(-box, box + 1)) for _ in range(dim))
+                              for _ in range(k)]
+        diffs = [[x - y for x, y in zip(p, q)] for p, q in itertools.combinations(pts, 2)]
+        if any(max(map(abs, d)) < min_gap for d in diffs):
+            continue
+        if dim == 2 and not any(x % 2 for d in diffs for x in d):
+            pts[-1] = (pts[-1][0] + 1, pts[-1][1])
+        yield tuple(pts) if dim == 2 else tuple(p for (p,) in pts)
+        produced += 1
 
 
 def reference_next_row(pattern, w, history):

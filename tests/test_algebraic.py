@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mixlab import algebraic, gf2
+from mixlab import algebraic, cli, gf2
 from mixlab.algebraic import (
     BernoulliOracle,
     CylinderConstraint,
@@ -31,12 +31,14 @@ from mixlab.algebraic import (
     torus_kernel,
     _frobenius,
     _mc_draw,
+    _normal_form,
+    _relations,
     _u_power,
     _window_masks,
     _window_value,
 )
 from mixlab.correlations import ledrappier_dyadic_shifts, random_separated_shifts
-from mixlab.joinings import JoiningTensor
+from mixlab.joinings import JoiningTensor, classify
 from mixlab.measure import MeasureValue
 from mixlab.rng import substream
 
@@ -56,6 +58,7 @@ from conftest import (
     reference_joining_member,
     reference_mc_hits,
     reference_peel,
+    reference_square_free,
     reference_torus_basis,
     reference_transfer,
     reference_u_power,
@@ -278,9 +281,9 @@ class TestLedrappierOracle:
                 assert oracle.event_measure(c) == cylinder_measure(SYS, c)
 
     def test_event_measure_is_a_one_event_plan(self, monkeypatch):
-        # The oracle keeps two caches, plans and powers; an event's measure
-        # is its one-event plan at the zero shift, so repeats find its
-        # relations there.
+        # The oracle keeps three caches, plans, powers and relations by
+        # normal form; an event's measure is its one-event plan at the zero
+        # shift, so repeats find its relations there.
         c = CylinderConstraint(FIVE + ((5, 7),), (1, 0, 0, 0, 0, 1))
         expected = cylinder_measure(SYS, c)
         calls = []
@@ -292,7 +295,7 @@ class TestLedrappierOracle:
         assert values[0] == expected and all(v is values[0] for v in values)
         assert oracle.intersection_measure(((0, 0),), (c,)) is values[0]
         assert len(calls) == 1
-        assert set(vars(oracle)) == {"pattern", "_plans", "_powers"}
+        assert set(vars(oracle)) == {"pattern", "_plans", "_powers", "_memo"}
 
 
 CORNER = RelationPattern(frozenset({(0, 0), (1, 0), (0, 1)}))
@@ -412,29 +415,42 @@ def _in_span(vectors, basis):
 
 class TestPlaneIdentities:
     """Identities of the plane relations that hold at every scale, checked
-    up to 2^20, where no enumeration or window oracle reaches.  Translation:
-    the relations of S + v are those of S.  Frobenius: g(x^2, y^2) = g(x, y)^2
-    over GF(2), so the relations of 2S contain those of S, and equal them
-    when the pattern is square-free."""
+    up to 2^20, where no enumeration reaches.  Translation: the relations of
+    S + v are those of S.  Frobenius: g(x^2, y^2) = g(x, y)^2 over GF(2), so
+    the relations of 2S contain those of S, and equal them when the pattern
+    is square-free.  `relation_space` relies on both, through its normal
+    form, so each side is found by an elimination that takes none: the
+    window method on the sites themselves, or the row-transfer masks of the
+    scaled sites."""
 
     @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
     def test_translation(self, pattern):
+        # Against the window method's elimination on the moved sites
+        # themselves, which takes no normal form.
         gen = substream(606, "translation", str(sorted(pattern.support)))
         for trial in range(30):
             sites = _cross_sites(pattern, gen, trial)
             vx, vy = (int(v) for v in gen.integers(-(1 << 20), (1 << 20) + 1, size=2))
             moved = [(x + vx, y + vy) for x, y in sites]
-            assert relation_space(pattern, moved) == relation_space(pattern, sites)
+            rels = _relations(reference_window_masks(pattern, sites)[0])
+            assert _relations(reference_window_masks(pattern, moved)[0]) == rels
+            assert relation_space(pattern, moved) == rels
 
     @pytest.mark.parametrize("pattern", SQUARE_FREE, ids=lambda p: str(sorted(p.support)))
     def test_frobenius_keeps_relations(self, pattern):
+        # The window method on the sites, against the row-transfer masks of
+        # the scaled sites themselves, which take no normal form; then the
+        # normal form, which halves the scaled sites back.
+        assert pattern.square_free
         gen = substream(607, "frobenius", str(sorted(pattern.support)))
         with_relations = 0
         for trial in range(16):
             sites = _product_sites(pattern, gen)
             k = 20 if trial % 4 == 0 else int(gen.integers(1, 11))
-            rels = relation_space(pattern, sites)
-            assert relation_space(pattern, [(x << k, y << k) for x, y in sites]) == rels
+            rels = _relations(reference_window_masks(pattern, sites)[0])
+            scaled = [(x << k, y << k) for x, y in sites]
+            assert _relations(_window_masks(pattern, scaled)[0]) == rels
+            assert relation_space(pattern, scaled) == rels
             with_relations += bool(rels)
         assert with_relations >= 8
 
@@ -503,7 +519,8 @@ class TestPeel:
         rng = random.Random("peel cross-check")
         patterns = [SYS, CORNER, SQUARED, VERTICAL, SEGMENT] + \
             [_random_support(rng, sheared=i % 2) for i in range(6)]
-        carrying = peeled = 0
+        moves = random.Random("peel copies")
+        carrying = peeled = gained = 0
         for pattern in patterns:
             support = sorted(pattern.support)
             for trial in range(160):
@@ -522,10 +539,24 @@ class TestPeel:
                 assert left == reference_peel(pattern.normals, sites)
                 carrying += bool(expected)
                 peeled += not left
+                # A translated and a 2^j-dilated copy, each against the masks
+                # of the copy itself: a dilation keeps the relations when the
+                # pattern is square-free and may gain some when it is not.
+                j, dx, dy = moves.randint(1, 3), moves.randint(-99, 99), moves.randint(-99, 99)
+                for copy in ([(x + dx, y + dy) for x, y in sites],
+                             [(dx + (x << j), dy + (y << j)) for x, y in sites]):
+                    own = algebraic._relations(_window_masks(pattern, copy)[0])
+                    assert relation_space(pattern, copy) == own
+                    if pattern.square_free:
+                        assert own == expected
+                    else:
+                        gained += own != expected
         assert sum(p.transfer[0] > 0 for p in patterns) == 3
+        assert [p.square_free for p in patterns] == [True] * 2 + [False] + [True] * 8
         # Of the 1,760 sets, 1,204 carry a relation, 539 peel empty and 17
-        # carry none but survive the peel.
-        assert (carrying, peeled) == (1204, 539)
+        # carry none but survive the peel.  The dilated copy of one of the
+        # squared pattern's 160 sets gains a relation.
+        assert (carrying, peeled, gained) == (1204, 539, 1)
 
     def test_only_plans_that_survive_the_peel_build_masks(self, monkeypatch):
         calls = []
@@ -539,7 +570,7 @@ class TestPeel:
         assert calls == []
         dyadic = ledrappier_dyadic_shifts(3)
         assert oracle.intersection_measure(dyadic, events).exact == Fraction(1, 16)
-        assert calls == [list(dyadic)]
+        assert calls == [FIVE]  # built on the normal form of the plan's sites
 
 
 def test_squared_pattern_triangle_relations_at_powers_of_two_only():
@@ -547,6 +578,94 @@ def test_squared_pattern_triangle_relations_at_powers_of_two_only():
     # a relation at s = 2, 4 and 8, and at no other s up to 8.
     assert [s for s in range(1, 9)
             if relation_space(SQUARED, [(0, 0), (s, 0), (0, s)])] == [2, 4, 8]
+
+
+class TestSquareFree:
+    """The certificate that lets the normal form halve: sound on every
+    support of a 3 x 3 box, against trial division."""
+
+    def test_never_certifies_a_support_with_a_square_factor(self):
+        cells = [(i, j) for i in range(3) for j in range(3)]
+        square_free = missed = 0
+        for n in range(1, len(cells) + 1):
+            for support in itertools.combinations(cells, n):
+                truth = reference_square_free(support)
+                certified = RelationPattern(frozenset(support)).square_free
+                assert truth or not certified, support
+                square_free += truth
+                missed += truth and not certified
+        # Of the 511 supports, 492 are square-free; the certificate misses none.
+        assert (square_free, missed) == (492, 0)
+
+    def test_patterns(self):
+        assert SYS.square_free and CORNER.square_free
+        assert not SQUARED.square_free and SQUARED.square_free is False
+        # 1 + y^2 = (1 + y)^2 in either orientation; y + x^2 is square-free
+        # though its derivative in x vanishes.
+        assert not RelationPattern(frozenset({(0, 0), (0, 2)})).square_free
+        assert RelationPattern(frozenset({(0, 1), (2, 0)})).square_free
+
+    def test_squared_pattern_is_not_halved(self):
+        scaled = ((5, 5), (7, 5), (5, 7))
+        assert _normal_form(SQUARED, scaled) == ((0, 0), (2, 0), (0, 2))
+        assert _normal_form(CORNER, scaled) == ((0, 0), (1, 0), (0, 1))
+        assert relation_space(SQUARED, scaled) == [0b111]
+        assert relation_space(SQUARED, [(0, 0), (1, 0), (0, 1)]) == []
+
+
+class TestNormalForm:
+    """Relations are found once per normal form: the sites translated by
+    their first site and, for a square-free pattern, halved while every
+    coordinate difference is even."""
+
+    def test_translation_then_halving(self):
+        assert _normal_form(SYS, ((7, -2),)) == ((0, 0),)
+        stencil = tuple((3 + 8 * x, 5 + 8 * y) for x, y in FIVE)
+        assert _normal_form(SYS, stencil) == FIVE
+        # The first site leads: the same sites in another order have another key.
+        assert _normal_form(SYS, stencil[::-1]) == tuple((x, y + 1) for x, y in FIVE[::-1])
+        # One odd difference stops the halving at once; 6 = 2 * 3 halves once.
+        assert _normal_form(SYS, ((0, 0), (8, 0), (8, 1))) == ((0, 0), (8, 0), (8, 1))
+        assert _normal_form(SYS, ((1, 1), (7, 1), (1, -11))) == ((0, 0), (3, 0), (0, -6))
+
+    def test_cap_reads_the_sites_as_given(self):
+        # Scale 21 is under the cap and scale 22 past it, though both have
+        # the stencil as normal form, which the memo already holds.
+        memo = {}
+        assert relation_space(SYS, FIVE, memo=memo) == [0b11111]
+        assert relation_space(SYS, ledrappier_dyadic_shifts(21), memo=memo) == [0b11111]
+        with pytest.raises(ValueError, match="generator cells, more than"):
+            relation_space(SYS, ledrappier_dyadic_shifts(22), memo=memo)
+        assert list(memo) == [FIVE]
+
+    def test_one_memo_serves_measures_certificates_and_members(self, monkeypatch):
+        built = []
+        real = algebraic._window_masks
+        monkeypatch.setattr(algebraic, "_window_masks",
+                            lambda *a: built.append(tuple(a[1])) or real(*a))
+        oracle = LedrappierOracle()
+        events = [CylinderConstraint(((0, 0),), (0,))] * 5
+        cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]
+        for n in range(1, 13):
+            shifts = ledrappier_dyadic_shifts(n)
+            assert oracle.intersection_measure(shifts, events).exact == Fraction(1, 16)
+            assert oracle.relation_certificate(shifts, events)["relations"] == [[1] * 5]
+            (num, den), _ = oracle.joining_member(shifts, cells)
+            assert den == 16 and sum(x == 0 for x in num.tolist()) == 16
+        assert built == [FIVE]
+        assert oracle._memo == {FIVE: [0b11111]}
+
+    @pytest.mark.parametrize("argv", [
+        ["scan", "mix", "--family", "dyadic", "--order", "4", "--scales", "1:12"],
+        ["joining", "--scales", "8:13"],
+    ], ids=["scan-mix", "joining"])
+    def test_dyadic_runs_build_masks_once(self, monkeypatch, tmp_path, argv):
+        built = []
+        real = algebraic._window_masks
+        monkeypatch.setattr(algebraic, "_window_masks",
+                            lambda *a: built.append(tuple(a[1])) or real(*a))
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        assert built == [FIVE]
 
 
 def _recurrence(pattern):
@@ -778,6 +897,43 @@ class TestJoiningMember:
                     relation_zeros += 1
         assert contradictions >= 20
         assert relation_zeros >= (0 if system == "bernoulli" else 20)
+
+    @pytest.mark.parametrize("pattern,carrying,keys", [(SYS, 27, 82), (CORNER, 47, 82)],
+                             ids=["default", "corner"])
+    def test_single_class_members_follow_their_relation_code(self, pattern, carrying, keys):
+        # Two cells on one site, at k distinct shifts: `classify` gives
+        # product exactly when the shifts carry no relation, and otherwise
+        # M(w - 1, k), w the least weight of a nonzero relation.  One oracle
+        # measures every member; every other member with room for it holds
+        # the pattern's own support first, scaled by 2^s and moved, so that
+        # normal forms repeat and the oracle's memo gives their relations.
+        rng = random.Random(f"relation code {sorted(pattern.support)}")
+        oracle = LedrappierOracle(pattern)
+        cells, masses = _partition("one site", (0, 0), None)
+        support = sorted(pattern.support)
+        with_relation = 0
+        for trial in range(90):
+            k = 3 + trial % 5
+            shifts = []
+            if trial % 2 == 0 and k >= len(support):
+                s, dx, dy = 1 << rng.randint(0, 6), rng.randint(-3, 3), rng.randint(-3, 3)
+                shifts = [(dx + s * x, dy + s * y) for x, y in support]
+            while len(shifts) < k:
+                site = (rng.randint(-3, 3), rng.randint(-3, 3))
+                if site not in shifts:
+                    shifts.append(site)
+            (num, den), _ = oracle.joining_member(shifts, cells)
+            cls = classify(JoiningTensor(k, masses, exact=True, scaled=(num, den)))
+            span = {0}
+            for v in relation_space(pattern, shifts):
+                span |= {u ^ v for u in span}
+            w = min((v.bit_count() for v in span if v), default=None)
+            assert cls.order == k
+            assert cls.is_product == (w is None)
+            assert cls.max_product_marginal_order == (k if w is None else w - 1)
+            with_relation += w is not None
+        # The scaled supports share normal forms: fewer keys than members.
+        assert (with_relation, len(oracle._memo)) == (carrying, keys)
 
     def test_two_class_partition_at_order_8_eliminates_once_per_member(self, monkeypatch):
         # {a: 0}, {a: 1, b: 0}, {a: 1, b: 1}: two site classes, so 2**8 plans

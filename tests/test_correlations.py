@@ -10,6 +10,7 @@ from conftest import (
     admissible_pairs,
     reference_correlation_grid,
     reference_dev_heatmap_svg,
+    reference_random_separated_shifts,
     reference_scan_rows_to_csv,
 )
 
@@ -129,6 +130,43 @@ class TestMixDefectScan:
     def test_order_comes_from_the_events(self):
         res = mix_defect_scan(BERN, [B0] * 4, [(0, 9, 18, 27)], budget=1)
         assert res.order == 3 and res.scanned == 1
+
+
+def _drawn(shifts, count):
+    """The tuples a shift generator yields before it stops, and the message
+    of the ValueError it stops with, if any."""
+    out = []
+    try:
+        for t in shifts:
+            out.append(t)
+    except ValueError as exc:
+        return out, str(exc)
+    assert len(out) == count
+    return out, None
+
+
+class TestSeparatedShifts:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("box", [4, 5, 16, 100, 1000, 4096])
+    def test_one_draw_per_attempt_is_the_scalar_stream(self, dim, box):
+        # An attempt draws its k * dim coordinates in one call; the stream is
+        # the one that k * dim scalar calls would draw, in the same order.
+        for seed in range(12):
+            count = 1 + seed % 3
+            args = (seed, count, 1 + seed % 5, (box, box // 2, 1, 0)[seed % 4], box, dim)
+            assert _drawn(random_separated_shifts(*args), count) == \
+                _drawn(reference_random_separated_shifts(*args), count)
+
+    @pytest.mark.parametrize("dim,k,box", [(1, 3, 6), (2, 9, 2)])
+    def test_cannot_satisfy_after_the_same_draws(self, dim, k, box):
+        # With gaps of the whole box, shifts fit only at the multiples of
+        # the box other than the origin: 2 of them on Z, 8 on Z^2.  So k of
+        # them never fit, and both raise after the same draws.
+        for seed in range(4):
+            args = (seed, 2, k, box, box, dim)
+            got = _drawn(random_separated_shifts(*args), 2)
+            assert got == ([], "cannot satisfy separation constraints in the box")
+            assert got == _drawn(reference_random_separated_shifts(*args), 2)
 
 
 class TestDevScan:
