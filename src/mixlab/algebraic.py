@@ -41,16 +41,14 @@ when f divides g; so the normal form has the relations of the sites, in
 the same order.  Ledrappier's 5-point stencil at every dyadic scale 2^n
 has the stencil itself as normal form: one elimination for the family.
 
-`LedrappierOracle` merges the shifted event sites of a shift tuple once,
-into a plan that every entry differing only in its bits reads and that
-keeps their relations, and it keeps, for its lifetime, the relations of
-every normal form it met and the powers u^n per recurrence and n.  A joining member's entries that share a
-plan are decided together, as arrays over their index grid, and the
-relations of all its plans come from those of the member's shifted sites
-(`_member`).  The powers form a
-prefix ladder: with each u^n the oracle holds u^(n >> k) for every k, and a
-new n starts from its longest prefix held.  Beyond the oracle only the
-exact values are kept: one shared `MeasureValue` per rank.
+`LedrappierOracle` keeps one cache for its lifetime: the nonempty
+relations of every normal form it met.  A measure merges the shifted
+(site, bit) requirements of its events on each call, and the row powers
+u^n of a mask build live only for that call.  A joining member's entries
+that share a plan are decided together, as arrays over their index grid,
+and the relations of all its plans come from those of the member's shifted
+sites (`_member`).  Beyond the oracle only the exact values are kept: one
+shared `MeasureValue` per rank.
 
 Torus kernels run the same recurrence (`RelationPattern.transfer`) on
 rows that wrap around, once per row block.  The step commutes with
@@ -69,7 +67,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Collection, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -397,8 +395,8 @@ def _frame(pattern: RelationPattern, sites: Sequence[tuple[int, int]]
     return sites, a0, b0, top, stride
 
 
-def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
-                  powers: Optional[dict] = None) -> tuple[list[int], int]:
+def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]]
+                  ) -> tuple[list[int], int]:
     """Generator masks of the coordinate functionals at `sites`.
 
     The sites are sheared as the pattern's `transfer` says, and its
@@ -412,15 +410,14 @@ def _window_masks(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
     polynomials shifted alike to nonnegative exponents.  Returns (mask per
     site, generator count).
 
-    The u^n come from `_u_power`'s prefix ladder over one dict per
-    recurrence (depth, taps), keyed by n, so the sites of a call share
-    prefixes.  `powers`, when given, keeps these dicts for later calls, and
-    one `powers` may serve several patterns.
+    The u^n come from `_u_power`'s prefix ladder over one dict for the
+    call, keyed by n, so the sites of a call share prefixes.  No power
+    outlives the call: the caller's memo keeps the relations instead.
     """
     depth = pattern.transfer[1]
     e, taps, _ = pattern.row_taps
     sites, a0, b0, top, stride = _frame(pattern, sites)
-    cache = {} if powers is None else powers.setdefault((depth, taps), {})
+    cache: dict = {}
     masks = []
     for a, b in sites:
         n = b - b0
@@ -455,7 +452,7 @@ def _relations(masks: Sequence[int]) -> list[int]:
     return found
 
 
-def _plane_sites(sites: Sequence[Site]) -> list[tuple[int, int]]:
+def _plane_sites(sites: Collection[Site]) -> list[tuple[int, int]]:
     if any(isinstance(s, int) for s in sites):
         raise ValueError("algebraic constraints need (i, j) sites")
     return list(sites)
@@ -475,10 +472,10 @@ def _peel(normals: Sequence[tuple[int, int]], sites: Sequence[tuple[int, int]]) 
     forward, so for e normals and n sites the peel costs at most e sorts,
     O(e n log n), and O(e n) steps after them.  Sites in general position
     are all dropped on the first normal's turn, after one sort.  At the
-    largest plan of a default scan, order 16 in box 4096 (17 sites), the
-    peel took 0.016 ms where the masks and their elimination took 0.20 ms
-    with every row power already held; 17 five-site events (85 sites),
-    which do not peel, took 0.06 ms against 1.4 ms (2-vCPU Xeon VM).
+    largest tuple of a default scan, order 16 in box 4096 (17 sites), the
+    peel took 0.018 ms where the masks and their elimination took 1.7-1.9
+    ms; 17 five-site events (85 sites), which do not peel, took 0.06 ms
+    against 2.3-4.1 ms (2-vCPU Xeon VM).
     """
     n = left = len(sites)
     alive = [True] * n
@@ -532,22 +529,24 @@ def _normal_form(pattern: RelationPattern, sites: tuple[tuple[int, int], ...]
 
 
 def relation_space(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
-                   powers: Optional[dict] = None, memo: Optional[dict] = None) -> list[int]:
+                   memo: Optional[dict] = None) -> list[int]:
     """Basis of GF(2) dependencies among the coordinate functionals at
     `sites` that hold identically on the pattern's configuration group.
 
     Each relation is an int whose bit k is set when site k (in the order of
     `sites`) takes part.  The basis is the reduced echelon form by highest
     bit, ascending, of the dependencies among the row-transfer masks
-    (`_window_masks`, sharing `powers`), found in one elimination.
+    (`_window_masks`), found in one elimination.
 
     The generator cap is checked first, on the sites as given (`_frame`).
     The relations are then those of the sites' normal form
-    (`_normal_form`), which `memo`, when given, keeps by normal form; only
-    a normal form it does not hold is peeled, and only one that survives
-    the peel has its masks built and eliminated.  The reduced echelon form
-    of a space in a fixed site order is unique, so the basis is the same
-    list whichever sites with those relations it was found on.
+    (`_normal_form`).  `memo`, when given, keeps every nonempty basis by
+    normal form; an empty one is not kept, as a set that peels empty is
+    settled again by its peel.  A normal form the memo does not hold is
+    peeled, and only one that survives the peel has its masks built and
+    eliminated.  The reduced echelon form of a space in a
+    fixed site order is unique, so the basis is the same list whichever
+    sites with those relations it was found on.
 
     A relation is a polynomial g = sum of u^s over its sites that lies in
     the ideal (f) of the pattern's polynomial f, in the Laurent ring
@@ -581,9 +580,8 @@ def relation_space(pattern: RelationPattern, sites: Sequence[tuple[int, int]],
     key = _normal_form(pattern, sites)
     found = None if memo is None else memo.get(key)
     if found is None:
-        found = _relations(_window_masks(pattern, key, powers)[0]) \
-            if _peel(pattern.normals, key) else []
-        if memo is not None:
+        found = _relations(_window_masks(pattern, key)[0]) if _peel(pattern.normals, key) else []
+        if found and memo is not None:
             memo[key] = found
     return found
 
@@ -599,7 +597,7 @@ def _window_value(r: int) -> MeasureValue:
     return MeasureValue.of_exact(Fraction(1, 1 << r), method="window")
 
 
-def _measure_from_relations(relations: Sequence[int], bits: Sequence[int]) -> MeasureValue:
+def _measure_from_relations(relations: Sequence[int], bits: Collection[int]) -> MeasureValue:
     b = sum(bit << k for k, bit in enumerate(bits))
     if any((v & b).bit_count() & 1 for v in relations):
         return _WINDOW_ZERO
@@ -911,40 +909,27 @@ def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusK
 # ---------------------------------------------------------------------------
 # Bernoulli shift on Z (Haar measure on {0,1}^Z)
 
-def bernoulli_cylinder_measure(pairs: Iterable[tuple[Site, int]]) -> MeasureValue:
-    """Exact measure of the cylinder of the full 2-shift given by (site, bit)
-    requirements: 2^(-#distinct sites), or 0 when one site is required to
+def _requirements(pairs: Iterable[tuple[Site, int]]) -> Optional[dict[Site, int]]:
+    """The bit that (site, bit) requirements demand at each distinct site,
+    the sites in first-seen order, or None when one site is required to
     take both values."""
     bits: dict[Site, int] = {}
     for site, bit in pairs:
         if bits.setdefault(site, bit) != bit:
-            return MeasureValue.of_exact(0)
-    return MeasureValue.of_exact(Fraction(1, 1 << len(bits)))
+            return None
+    return bits
+
+
+def bernoulli_cylinder_measure(pairs: Iterable[tuple[Site, int]]) -> MeasureValue:
+    """Exact measure of the cylinder of the full 2-shift given by (site, bit)
+    requirements: 2^(-#distinct sites), or 0 when one site is required to
+    take both values."""
+    bits = _requirements(pairs)
+    return MeasureValue.of_exact(0 if bits is None else Fraction(1, 1 << len(bits)))
 
 
 # ---------------------------------------------------------------------------
 # Correlation oracles
-
-class _Plan:
-    """The intersection of one shift tuple's shifted event sites: the
-    distinct sites in first-seen order, the position of every event's sites
-    among them, and their relations once a consistent entry needs them."""
-
-    __slots__ = ("sites", "positions", "relations")
-
-    def __init__(self, sites: tuple, positions: tuple):
-        self.sites = sites
-        self.positions = positions
-        self.relations: Optional[list[int]] = None
-
-
-def _merge(shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
-    """The plan of `events` shifted by `shifts`."""
-    index: dict[Site, int] = {}
-    positions = tuple(tuple(index.setdefault(site_add(s, sh), len(index)) for s in ev.sites)
-                      for ev, sh in zip(events, shifts))
-    return _Plan(tuple(index), positions)
-
 
 def _supported(relations: Sequence[int], inside: int) -> list[int]:
     """Basis of the span of `relations` (site bit masks) restricted to the
@@ -1051,59 +1036,32 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
 class LedrappierOracle:
     """Exact k-fold correlation oracle for the plane system of `pattern`.
 
-    Three caches live as long as the oracle: plans, relations and powers.
-    A plan per shift tuple and tuple of event sites merges the shifted
-    sites once.  The relations of sites are kept by their normal form
+    Its one cache is the memo of relations by normal form
     (`relation_space`'s `memo`), which the measures, the certificates and
     the joining members all read: every scale of a dyadic family has one
-    normal form, so the family costs one elimination.  A plan also keeps a
-    reference to its relations, since a scan asks for a tuple's measure
-    and then its certificate, and for each of its k + 1 events' measures,
-    often one event repeated: a repeat then pays no generator check and no
-    normal form, which cost about 5 us a call.  A joining member
-    (`joining_member`) decides the entries of each of its plans at once,
-    from the relations of the member's shifted sites, and keeps no plan.
-    An entry reads its bits through the plan's positions; two different
-    bits at one position make it a contradiction of measure 0.  An event's
-    own measure is a one-event plan at the zero shift.  The row powers u^n
-    behind the site masks are kept per recurrence and n (`_window_masks`),
-    so a job computes each of them once.  They form a prefix ladder
-    (`_u_power`): each u^n is kept with u^(n >> k) for every k, and a new n
-    starts from its longest prefix held.
+    normal form, so the family costs one elimination.  The memo keeps only
+    nonempty bases; a site set that peels empty, as every random separated
+    tuple of one-site events does, is settled by its peel on each call and
+    leaves nothing behind.  A measure or a certificate merges the shifted
+    (site, bit) requirements of its events (`_requirements`); two
+    different bits at one site make a contradiction of measure 0.  An
+    event's own measure is its intersection at the zero shift.  A joining
+    member (`joining_member`) decides all its entries at once, from the
+    relations of the member's shifted sites (`_member`).
     """
 
     def __init__(self, pattern: RelationPattern = LEDRAPPIER_PATTERN):
         self.pattern = pattern
-        self._plans: dict[tuple, _Plan] = {}
-        self._powers: dict = {}
         self._memo: dict[tuple, list[int]] = {}
 
-    def _plan(self, shifts: Sequence[Site], events: Sequence[CylinderConstraint]) -> _Plan:
-        key = (tuple(shifts), tuple(ev.sites for ev in events))
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = self._plans[key] = _merge(shifts, events)
-        return plan
-
     @staticmethod
-    def _merged_bits(plan: _Plan, events: Sequence[CylinderConstraint]) -> Optional[list[int]]:
-        """The bit required at each plan site, or None on a contradiction."""
-        bits: list = [None] * len(plan.sites)
-        for ev, pos in zip(events, plan.positions):
-            for p, b in zip(pos, ev.bits):
-                if bits[p] is None:
-                    bits[p] = b
-                elif bits[p] != b:
-                    return None
-        return bits
+    def _merged(shifts: Sequence[Site], events: Sequence[CylinderConstraint]
+                ) -> Optional[dict[Site, int]]:
+        return _requirements((site_add(s, sh), b) for ev, sh in zip(events, shifts)
+                             for s, b in zip(ev.sites, ev.bits))
 
-    def _relations_of(self, sites: Sequence[Site]) -> list[int]:
-        return relation_space(self.pattern, _plane_sites(sites), self._powers, self._memo)
-
-    def _plan_relations(self, plan: _Plan) -> list[int]:
-        if plan.relations is None:
-            plan.relations = self._relations_of(plan.sites)
-        return plan.relations
+    def _relations_of(self, sites: Collection[Site]) -> list[int]:
+        return relation_space(self.pattern, _plane_sites(sites), self._memo)
 
     def event_measure(self, event: CylinderConstraint) -> MeasureValue:
         _plane_sites(event.sites)  # a Z site is refused before it is shifted
@@ -1111,11 +1069,10 @@ class LedrappierOracle:
 
     def intersection_measure(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> MeasureValue:
-        plan = self._plan(shifts, events)
-        bits = self._merged_bits(plan, events)
+        bits = self._merged(shifts, events)
         if bits is None:
             return _CONTRADICTION
-        return _measure_from_relations(self._plan_relations(plan), bits)
+        return _measure_from_relations(self._relations_of(bits), bits.values())
 
     def joining_member(self, shifts: Sequence[Site], cells: Sequence[CylinderConstraint]
                        ) -> tuple[tuple[np.ndarray, int], bool]:
@@ -1126,13 +1083,13 @@ class LedrappierOracle:
     def relation_certificate(self, shifts: Sequence[Site],
                              events: Sequence[CylinderConstraint]) -> dict:
         """Explicit GF(2) relations among the merged constellation sites."""
-        plan = self._plan(shifts, events)
-        if self._merged_bits(plan, events) is None:
+        bits = self._merged(shifts, events)
+        if bits is None:
             return {"sites": [], "relations": [], "contradiction": True}
         return {
-            "sites": [list(s) for s in plan.sites],
-            "relations": [[v >> k & 1 for k in range(len(plan.sites))]
-                          for v in self._plan_relations(plan)],
+            "sites": [list(s) for s in bits],
+            "relations": [[v >> k & 1 for k in range(len(bits))]
+                          for v in self._relations_of(bits)],
         }
 
 

@@ -123,12 +123,11 @@ class MixDefect:
     rows: list[ScanRow] = field(default_factory=list)
 
 
-# A tuple costs at most one elimination of its k+1 shifted events, and
-# none when they peel empty, as random separated tuples do (0.27 ms a tuple
-# at order 16 in a box of 4096 on a 2-vCPU Xeon VM).  An exact oracle keeps
-# each plan and the relations of each normal form while the scan keeps its
-# row: 10,000 order-2 tuples in that box take 0.7 s and peak at 58 MB,
-# 26 MB above the interpreter with mixlab loaded.
+# A tuple costs at most one elimination of its k+1 shifted events, and none
+# when they peel empty, as random tuples of one-site events do.  An exact
+# oracle keeps only nonempty relations, and the scan its rows: 10,000
+# order-2 tuples in a box of 4096 take 0.5 s and peak 12 MB above the
+# interpreter with mixlab loaded (7.3 MB by tracemalloc; 2-vCPU Xeon VM).
 MAX_SCAN_ORDER = 16
 MAX_SCAN_BUDGET = 10_000
 
@@ -141,14 +140,16 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
     shifts.  With an exact oracle every nonzero defect is accompanied by the
     oracle's relation certificate when it can produce one.  The intersection
     measure is also checked against the minimum single-event measure (exact
-    oracles only), which every scan must satisfy.
+    oracles only), which every scan must satisfy.  Each distinct event is
+    measured once.
     """
     k = len(events) - 1
     if not 1 <= k <= MAX_SCAN_ORDER:
         raise ValueError(f"order k must lie in 1..{MAX_SCAN_ORDER}")
     if not 1 <= budget <= MAX_SCAN_BUDGET:
         raise ValueError(f"budget must lie in 1..{MAX_SCAN_BUDGET}")
-    singles = [oracle.event_measure(e) for e in events]
+    measured = {e: oracle.event_measure(e) for e in dict.fromkeys(events)}
+    singles = [measured[e] for e in events]
     prod = product_of_measures(singles)
     min_single = min(s.exact for s in singles) if prod.is_exact else None
     best: Union[Fraction, float] = Fraction(0) if prod.is_exact else 0.0
@@ -191,10 +192,10 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
 # constellation as given, not those of its normal form (the stencil itself
 # at every scale, whose masks are the only ones built), so the bound stays.
 MAX_DYADIC_SCALE = 21
-# An exact oracle keeps u^n, up to 4 KB at this box, for every row offset
-# n <= 2 box a scan meets, with every binary prefix of n: 18 MB if it meets
-# them all, about 7 MB after 1,000 tuples of order 4.  A tuple takes about
-# 0.3 ms here at order 4 and 1.5 ms at order 16 (one 2-vCPU Xeon core).
+# No row power outlives a call.  A tuple takes 0.07-0.08 ms at this box at
+# order 4 and 0.24-0.31 ms at order 16 with one-site events, which peel
+# empty, and 0.72-0.74 ms and 2.8-2.9 ms with the 5-point stencil as every
+# event, whose masks hold u^n of up to 4 KB (CPU time, 2-vCPU Xeon VM).
 MAX_SCAN_BOX = 4096
 
 

@@ -244,28 +244,24 @@ def _shapes(points, box):
 
 
 class TestRelationCensus:
-    """The smallest shapes that carry a relation, from one elimination per
-    shape with one shared powers dict."""
+    """The smallest shapes that carry a relation, from at most one
+    elimination per shape."""
 
-    @pytest.fixture(scope="class")
-    def powers(self):
-        return {}
-
-    def _carrying(self, pattern, points, box, powers, count):
+    def _carrying(self, pattern, points, box, count):
         shapes = _shapes(points, box)
         assert len(shapes) == count
-        return [s for s in shapes if relation_space(pattern, s, powers)]
+        return [s for s in shapes if relation_space(pattern, s)]
 
-    def test_corner_pattern_triangles_at_dyadic_scales(self, powers):
-        assert self._carrying(CORNER, 3, 8, powers, 10_296) == [
+    def test_corner_pattern_triangles_at_dyadic_scales(self):
+        assert self._carrying(CORNER, 3, 8, 10_296) == [
             ((0, 0), (0, 1 << n), (1 << n, 0)) for n in range(4)]
 
     @pytest.mark.parametrize("points,box,count", [(3, 8, 10_296), (4, 3, 2_024)])
-    def test_default_pattern_has_none_below_five_points(self, powers, points, box, count):
-        assert self._carrying(SYS, points, box, powers, count) == []
+    def test_default_pattern_has_none_below_five_points(self, points, box, count):
+        assert self._carrying(SYS, points, box, count) == []
 
-    def test_default_pattern_five_points_only_the_stencil(self, powers):
-        assert self._carrying(SYS, 5, 3, powers, 10_626) == [
+    def test_default_pattern_five_points_only_the_stencil(self):
+        assert self._carrying(SYS, 5, 3, 10_626) == [
             ((0, 0), (1, -1), (1, 0), (1, 1), (2, 0))]
 
 
@@ -281,21 +277,22 @@ class TestLedrappierOracle:
                 assert oracle.event_measure(c) == cylinder_measure(SYS, c)
 
     def test_event_measure_is_a_one_event_plan(self, monkeypatch):
-        # The oracle keeps three caches, plans, powers and relations by
-        # normal form; an event's measure is its one-event plan at the zero
-        # shift, so repeats find its relations there.
+        # The oracle keeps one cache, the relations by normal form; an
+        # event's measure is its intersection at the zero shift, so repeats
+        # find its relations there and build no mask again.
         c = CylinderConstraint(FIVE + ((5, 7),), (1, 0, 0, 0, 0, 1))
         expected = cylinder_measure(SYS, c)
-        calls = []
-        monkeypatch.setattr(algebraic, "relation_space",
-                            lambda *a: calls.append(a) or relation_space(*a))
+        built = []
+        real = algebraic._window_masks
+        monkeypatch.setattr(algebraic, "_window_masks",
+                            lambda *a: built.append(tuple(a[1])) or real(*a))
         oracle = LedrappierOracle()
         values = [oracle.event_measure(c) for _ in range(10)]
-        assert len(calls) == 1
         assert values[0] == expected and all(v is values[0] for v in values)
         assert oracle.intersection_measure(((0, 0),), (c,)) is values[0]
-        assert len(calls) == 1
-        assert set(vars(oracle)) == {"pattern", "_plans", "_powers", "_memo"}
+        assert len(built) == 1
+        assert set(vars(oracle)) == {"pattern", "_memo"}
+        assert list(oracle._memo.values()) == [relation_space(SYS, c.sites)]
 
 
 CORNER = RelationPattern(frozenset({(0, 0), (1, 0), (0, 1)}))
@@ -655,6 +652,23 @@ class TestNormalForm:
         assert built == [FIVE]
         assert oracle._memo == {FIVE: [0b11111]}
 
+    def test_random_scan_stores_no_empty_relations(self, monkeypatch, tmp_path):
+        # Every random separated tuple of one-site events peels empty, and
+        # so does the event itself: the memo keeps no empty list, so it
+        # keeps nothing.
+        oracles = []
+
+        class Kept(LedrappierOracle):
+            def __init__(self, *args):
+                super().__init__(*args)
+                oracles.append(self)
+
+        monkeypatch.setattr(cli, "LedrappierOracle", Kept)
+        argv = ["scan", "mix", "--family", "random", "--order", "3", "--budget", "40"]
+        assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 0
+        (oracle,) = oracles
+        assert oracle._memo == {}
+
     @pytest.mark.parametrize("argv", [
         ["scan", "mix", "--family", "dyadic", "--order", "4", "--scales", "1:12"],
         ["joining", "--scales", "8:13"],
@@ -670,11 +684,8 @@ class TestNormalForm:
 
 def _recurrence(pattern):
     """(depth, taps) of the row recurrence `_window_masks` runs for
-    `pattern`, sheared first if need be: the key it files powers under."""
-    powers = {}
-    _window_masks(pattern, [(0, 0)], powers)
-    ((key, _),) = powers.items()
-    return key
+    `pattern`, sheared first if need be."""
+    return pattern.transfer[1], pattern.row_taps[1]
 
 
 class TestRowPowers:
@@ -700,9 +711,8 @@ class TestRowPowers:
         post_init = RelationPattern.__post_init__
         monkeypatch.setattr(RelationPattern, "__post_init__",
                             lambda self: built.append(self) or post_init(self))
-        powers = {}
         for k in range(200):
-            _window_masks(pattern, [(0, 0), (k, 1), (-k, k % 7)], powers)
+            _window_masks(pattern, [(0, 0), (k, 1), (-k, k % 7)])
         assert built == []
 
     @pytest.mark.parametrize("pattern", CROSS_PATTERNS, ids=lambda p: str(sorted(p.support)))
@@ -745,26 +755,15 @@ class TestRowPowers:
             assert len(calls) == depth
 
     def test_sites_of_one_call_share_prefixes(self, monkeypatch):
-        # Without `powers` the sites of one call still share a fresh dict:
-        # row 2^20 is one squaring past row 2^19, and row 2^19 reuses
-        # nothing, squaring once per bit.
+        # The sites of one call share a fresh dict: row 2^20 is one
+        # squaring past row 2^19, and row 2^19 reuses nothing, squaring
+        # once per bit.
         depth, _ = _recurrence(SYS)
         calls = []
         monkeypatch.setattr(algebraic, "_frobenius", lambda p: calls.append(p) or _frobenius(p))
         _window_masks(SYS, [(0, 0), (0, 1 << 19), (0, 1 << 20)])
         assert len(calls) == 21 * depth
 
-    def test_shared_powers_give_fresh_relations(self):
-        # One dict serves every pattern, filed by recurrence; the second
-        # pass finds its powers there.
-        powers = {}
-        for rounds in range(2):
-            for pattern in CROSS_PATTERNS:
-                gen = substream(612, "shared-powers", rounds, str(sorted(pattern.support)))
-                for trial in range(15):
-                    sites = _cross_sites(pattern, gen, trial)
-                    assert relation_space(pattern, sites, powers) == relation_space(pattern, sites)
-        assert set(powers) == {_recurrence(p) for p in CROSS_PATTERNS}
 
 
 def _reference_measure(pattern, shifts, events):
@@ -826,6 +825,35 @@ class TestIntersectionPlans:
                             assert oracle.intersection_measure(shifts, events) == measure
                     evaluated += 1
         assert evaluated >= 200 and equal >= 50 and unequal >= 50
+
+    @pytest.mark.parametrize("pattern", [LEDRAPPIER_PATTERN, CORNER],
+                             ids=lambda p: str(sorted(p.support)))
+    def test_certificate_needs_no_measure_first(self, pattern):
+        # An oracle that is only ever asked for certificates: of random small
+        # tuples, where shifted sites meet, and of the pattern's own support
+        # at a scale 2^s, which carries a relation since every event holds
+        # the origin; each is asked twice.
+        oracle = LedrappierOracle(pattern)
+        rng = random.Random(f"certificates only {sorted(pattern.support)}")
+        support = sorted(pattern.support)
+        contradictions = carrying = 0
+        for trial in range(90):
+            if trial % 3 == 0:
+                s = 1 << rng.randint(0, 5)
+                shifts = tuple((s * x, s * y) for x, y in support)
+            else:
+                shifts = ((0, 0),) + tuple((rng.randint(-2, 2), rng.randint(-2, 2))
+                                           for _ in range(rng.randint(1, 4)))
+            events = []
+            for _ in shifts:
+                ss = ((0, 0),) + rng.choice([(), ((0, 1),), ((1, 0),)])
+                events.append(CylinderConstraint(ss, tuple(rng.randint(0, 1) for _ in ss)))
+            expected = _reference_certificate(pattern, shifts, events)
+            for _ in range(2):
+                assert oracle.relation_certificate(shifts, events) == expected
+            contradictions += "contradiction" in expected
+            carrying += bool(expected["relations"])
+        assert contradictions >= 10 and carrying >= 20
 
     def test_z_sites_rejected_unless_contradictory(self):
         oracle = LedrappierOracle()
@@ -898,7 +926,7 @@ class TestJoiningMember:
         assert contradictions >= 20
         assert relation_zeros >= (0 if system == "bernoulli" else 20)
 
-    @pytest.mark.parametrize("pattern,carrying,keys", [(SYS, 27, 82), (CORNER, 47, 82)],
+    @pytest.mark.parametrize("pattern,carrying,keys", [(SYS, 27, 19), (CORNER, 47, 39)],
                              ids=["default", "corner"])
     def test_single_class_members_follow_their_relation_code(self, pattern, carrying, keys):
         # Two cells on one site, at k distinct shifts: `classify` gives
@@ -932,7 +960,8 @@ class TestJoiningMember:
             assert cls.is_product == (w is None)
             assert cls.max_product_marginal_order == (k if w is None else w - 1)
             with_relation += w is not None
-        # The scaled supports share normal forms: fewer keys than members.
+        # The memo keeps only the normal forms that carry a relation, and the
+        # scaled supports share them: fewer keys than members that carry one.
         assert (with_relation, len(oracle._memo)) == (carrying, keys)
 
     def test_two_class_partition_at_order_8_eliminates_once_per_member(self, monkeypatch):
@@ -1095,7 +1124,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(algebraic, "torus_kernel",
                             lambda pattern, w, h: built.append(w) or real(pattern, w, h))
         monkeypatch.setattr(algebraic, "relation_space",
-                            lambda pattern, sites, powers=None: [0] * (len(sites) + 1))
+                            lambda pattern, sites: [0] * (len(sites) + 1))
         c = CylinderConstraint(sites, (0,) * len(sites))
         with pytest.raises(ValueError) as exc:
             default_torus_for(SYS, c)

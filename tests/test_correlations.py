@@ -127,6 +127,26 @@ class TestMixDefectScan:
         with pytest.raises(ValueError, match="order k must lie in 1..16"):
             mix_defect_scan(SpyOracle(), [B0] * count, [(0,) * count], budget=1)
 
+    def test_each_distinct_event_measured_once(self):
+        # k + 1 default events are one event, measured once; two distinct
+        # events, each repeated, are measured once each, in first-seen order.
+        class Counting(LedrappierOracle):
+            def __init__(self):
+                super().__init__()
+                self.measured = []
+
+            def event_measure(self, event):
+                self.measured.append(event)
+                return super().event_measure(event)
+
+        oracle = Counting()
+        res = mix_defect_scan(oracle, [L0] * 5, dyadic_family(range(1, 4)), budget=3)
+        assert oracle.measured == [L0] and res.max_abs_defect == Fraction(1, 32)
+        l1 = CylinderConstraint(((0, 0),), (1,))
+        oracle = Counting()
+        mix_defect_scan(oracle, [L0, l1, L0, l1], [((0, 0), (9, 1), (0, 18), (27, 3))], budget=1)
+        assert oracle.measured == [L0, l1]
+
     def test_order_comes_from_the_events(self):
         res = mix_defect_scan(BERN, [B0] * 4, [(0, 9, 18, 27)], budget=1)
         assert res.order == 3 and res.scanned == 1
