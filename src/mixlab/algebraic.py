@@ -47,8 +47,9 @@ relations of every normal form it met.  A measure merges the shifted
 u^n of a mask build live only for that call.  A joining member's entries
 that share a plan are decided together, as arrays over their index grid,
 and the relations of all its plans come from those of the member's shifted
-sites (`_member`).  Beyond the oracle only the exact values are kept: one
-shared `MeasureValue` per rank.
+sites, through the same elimination (`_relations`) run on their parts
+outside the plan (`_member`).  Beyond the oracle only the exact values are
+kept: one shared `MeasureValue` per rank.
 
 Torus kernels run the same recurrence (`RelationPattern.transfer`) on
 rows that wrap around, once per row block.  The step commutes with
@@ -65,6 +66,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Collection, Iterable, Optional, Sequence, Union
@@ -466,16 +468,17 @@ def _peel(normals: Sequence[tuple[int, int]], sites: Sequence[tuple[int, int]]) 
     holds it, so what is left does not depend on the order of the drops.
 
     The normals take turns until each in a row has dropped nothing.  A
-    normal sorts the sites by <nu, s>, descending, on its first turn, and
-    keeps a pointer to its first site left and one to its second; it drops
-    the first while the two differ in value.  Both pointers only move
-    forward, so for e normals and n sites the peel costs at most e sorts,
-    O(e n log n), and O(e n) steps after them.  Sites in general position
-    are all dropped on the first normal's turn, after one sort.  At the
-    largest tuple of a default scan, order 16 in box 4096 (17 sites), the
-    peel took 0.018 ms where the masks and their elimination took 1.7-1.9
-    ms; 17 five-site events (85 sites), which do not peel, took 0.06 ms
-    against 2.3-4.1 ms (2-vCPU Xeon VM).
+    normal sorts the sites by <nu, s>, descending, only when its first turn
+    comes, and keeps a pointer to its first site left and one to its
+    second; it drops the first while the two differ in value.  Both
+    pointers only move forward, so for e normals and n sites the peel costs
+    at most e sorts, O(e n log n), and O(e n) steps after them.  Sites in
+    general position are all dropped on the first normal's turn, so the
+    other normals are never sorted.  At the largest tuple of a default
+    scan, order 16 in box 4096 (17 sites), the peel took 0.018 ms where the
+    masks and their elimination took 1.7-1.9 ms; 17 five-site events (85
+    sites), which do not peel, took 0.06 ms against 2.3-4.1 ms (2-vCPU Xeon
+    VM).
     """
     n = left = len(sites)
     alive = [True] * n
@@ -485,10 +488,6 @@ def _peel(normals: Sequence[tuple[int, int]], sites: Sequence[tuple[int, int]]) 
         if heads[r] is None:
             a, b = normals[r]
             value = [a * x + b * y for x, y in sites]
-            if left == n and value.count(max(value)) > 1:  # a tie at the top, and no drop yet
-                stable += 1
-                r = (r + 1) % len(normals)
-                continue
             order = sorted(range(n), key=value.__getitem__, reverse=True)
             heads[r] = [order, [value[k] for k in order], 0, 1]
         order, value, p, q = heads[r]
@@ -931,29 +930,6 @@ def bernoulli_cylinder_measure(pairs: Iterable[tuple[Site, int]]) -> MeasureValu
 # ---------------------------------------------------------------------------
 # Correlation oracles
 
-def _supported(relations: Sequence[int], inside: int) -> list[int]:
-    """Basis of the span of `relations` (site bit masks) restricted to the
-    relations that involve only the sites of the mask `inside`.
-
-    Each relation's part outside `inside` is reduced against pivots keyed by
-    its lowest set bit; a relation whose outside part vanishes is then a
-    combination supported inside, and these are independent and span every
-    such combination, since the pivots' outside parts are independent.
-    """
-    pivots: dict[int, int] = {}
-    found = []
-    for v in relations:
-        while out := v & ~inside:
-            low = out & -out
-            if low not in pivots:
-                pivots[low] = v
-                break
-            v ^= pivots[low]
-        else:
-            found.append(v)
-    return found
-
-
 def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
             relations_of: Callable[[list], list[int]]) -> tuple[tuple[np.ndarray, int], bool]:
     """The d^k entries of a joining member: entry (i_1, ..., i_k) is the
@@ -966,13 +942,16 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
     asked for once (`relations_of`, at most one elimination, and only when
     some entry is consistent).  The entries whose cells have one class at
     each position share one plan: the union sites those classes read, in
-    the order first read, with the union's relations supported on them
-    (`_supported`).  Over
-    a plan's index grid, the bit each plan site demands is taken from the
-    first position that reads the site.  An entry is 0 where a later
-    position demands the other bit there (a contradiction) or where a
-    relation of the plan has odd parity on the bits; every other entry is
-    2^-(sites - relations).  With one class the union is the one plan.
+    the order first read, with the union's relations supported on them.
+    These are the combinations of the union's relations whose sites
+    outside the plan cancel: `_relations` on the relations' outside parts
+    names each combination by a tag, and the plan relation is the XOR of
+    the union relations its tag names.  Over a plan's index grid, the bit
+    each plan site demands is taken from the first position that reads the
+    site.  An entry is 0 where a later position demands the other bit there
+    (a contradiction) or where a relation of the plan has odd parity on the
+    bits; every other entry is 2^-(sites - relations).  With one class the
+    union is the one plan, and it keeps every relation.
     """
     k = len(shifts)
     classes: dict[tuple, list[int]] = {}
@@ -1019,7 +998,10 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
         else:
             if relations is None:
                 relations = relations_of(list(union))
-            own = _supported(relations, sum(1 << u for u in plan))
+            outside = ~sum(1 << u for u in plan)
+            own = [functools.reduce(operator.xor,
+                                    (v for i, v in enumerate(relations) if t >> i & 1))
+                   for t in _relations([v & outside for v in relations])]
             rows = np.array([[v >> u & 1 for u in plan] for v in own],
                             dtype=np.int64).reshape(len(own), n)
             odd = (rows @ bits.reshape(n, math.prod(shape)) & 1).any(axis=0).reshape(shape)

@@ -110,8 +110,15 @@ class ValidationError(ValueError):
 
 
 def _write_text(outdir: str, name: str, text: str) -> None:
-    with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write `text` to the file `name` in `outdir`, the one writer of every
+    artifact; a file that cannot be written is a ValidationError naming it
+    and --out."""
+    try:
+        with open(os.path.join(outdir, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ValidationError(f"cannot write {name} in --out directory {outdir!r}: "
+                              f"{exc.strerror}")
 
 
 def _json_line(obj: dict) -> str:
@@ -446,18 +453,10 @@ def _run(command: str, params: dict) -> None:
                 os.makedirs(outdir, exist_ok=True)
             except OSError as exc:
                 raise ValidationError(f"cannot make --out directory {outdir!r}: {exc.strerror}")
-            _write_artifact(outdir, "config.json", _json_line(config))
+            _write_text(outdir, "config.json", _json_line(config))
             made = True
-        _write_artifact(outdir, name, body if isinstance(body, str) else _json_line(body))
+        _write_text(outdir, name, body if isinstance(body, str) else _json_line(body))
         del body  # no artifact outlives its write while the command builds the next
-
-
-def _write_artifact(outdir: str, name: str, text: str) -> None:
-    try:
-        _write_text(outdir, name, text)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {name} in --out directory {outdir!r}: "
-                              f"{exc.strerror}")
 
 
 def _replayed(params: dict) -> tuple[str, dict]:

@@ -215,13 +215,18 @@ def dyadic_family(scales: range) -> Iterator[tuple[tuple[int, int], ...]]:
 
 def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
                             box: int, dim: int = 2) -> Iterator[tuple[Site, ...]]:
-    """Random shift tuples with pairwise Chebyshev separation >= min_gap.
+    """Random shift tuples in the box [-box, box]^dim, with pairwise
+    Chebyshev separation >= min_gap.
 
     On Z^2 at least one pairwise difference coordinate is odd, so the tuple
-    admits no dyadic rescaling.  Raises `ValueError` before the first draw
-    when `box` lies outside 0..`MAX_SCAN_BOX` or `min_gap` exceeds it (no
-    shift in the box is that far from the origin), or when 1000 draws per
-    tuple find no tuple.
+    admits no dyadic rescaling.  The origin is one of the points, so every
+    difference is even exactly when every coordinate is; such a draw has
+    its last point moved one step along the first axis, the only move that
+    can leave the box, before the box and the separation are checked, and
+    a draw that fails either is drawn again.  Raises `ValueError` before
+    the first draw when `box` lies outside 0..`MAX_SCAN_BOX` or `min_gap`
+    exceeds it (no shift in the box is that far from the origin), or when
+    1000 draws per tuple find no tuple.
     """
     if not 0 <= box <= MAX_SCAN_BOX:
         raise ValueError(f"box radius must lie in 0..{MAX_SCAN_BOX}")
@@ -237,11 +242,11 @@ def random_separated_shifts(seed: int, count: int, k: int, min_gap: int,
             raise ValueError("cannot satisfy separation constraints in the box")
         # One draw per attempt: the stream of k * dim scalar draws, in order.
         pts = [(0,) * dim] + list(map(tuple, gen.integers(-box, box + 1, size=(k, dim)).tolist()))
-        diffs = [[x - y for x, y in zip(p, q)] for p, q in itertools.combinations(pts, 2)]
-        if any(max(map(abs, d)) < min_gap for d in diffs):
-            continue
-        if dim == 2 and not any(x % 2 for d in diffs for x in d):
+        if dim == 2 and not any(x % 2 for p in pts for x in p):
             pts[-1] = (pts[-1][0] + 1, pts[-1][1])
+        if pts[-1][0] > box or any(max(abs(x - y) for x, y in zip(p, q)) < min_gap
+                                   for p, q in itertools.combinations(pts, 2)):
+            continue
         yield tuple(pts) if dim == 2 else tuple(p for (p,) in pts)
         produced += 1
 

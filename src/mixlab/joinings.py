@@ -549,8 +549,6 @@ def mean_zero_restricted_norm(p: LinearOperator, u: Optional[np.ndarray] = None)
     w_out = np.sqrt(np.array([float(x) for x in p.weights]))
     num, den = p.scaled
     m = (w_out[:, None] * (num / den).astype(float)) @ u
-    if m.size == 0:
-        return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
 
 

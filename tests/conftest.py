@@ -357,11 +357,11 @@ def reference_random_separated_shifts(seed, count, k, min_gap, box, dim=2):
             raise ValueError("cannot satisfy separation constraints in the box")
         pts = [(0,) * dim] + [tuple(int(gen.integers(-box, box + 1)) for _ in range(dim))
                               for _ in range(k)]
-        diffs = [[x - y for x, y in zip(p, q)] for p, q in itertools.combinations(pts, 2)]
-        if any(max(map(abs, d)) < min_gap for d in diffs):
-            continue
-        if dim == 2 and not any(x % 2 for d in diffs for x in d):
+        if dim == 2 and not any(x % 2 for p in pts for x in p):
             pts[-1] = (pts[-1][0] + 1, pts[-1][1])
+        if pts[-1][0] > box or any(max(abs(x - y) for x, y in zip(p, q)) < min_gap
+                                   for p, q in itertools.combinations(pts, 2)):
+            continue
         yield tuple(pts) if dim == 2 else tuple(p for (p,) in pts)
         produced += 1
 

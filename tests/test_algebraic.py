@@ -967,7 +967,9 @@ class TestJoiningMember:
     def test_two_class_partition_at_order_8_eliminates_once_per_member(self, monkeypatch):
         # {a: 0}, {a: 1, b: 0}, {a: 1, b: 1}: two site classes, so 2**8 plans
         # per member, whose relations all come from one elimination of the
-        # member's shifted sites, or from none when they peel empty.
+        # member's shifted site masks, or from none when they peel empty.
+        # Each plan restricts those relations with `_relations` on their
+        # outside parts, which builds no mask, so the spy counts mask builds.
         oracle = LedrappierOracle(SYS)
         cells, masses = _partition("different sites", (0, 0), (1, 0))
         rng = random.Random("member order 8")
@@ -975,8 +977,9 @@ class TestJoiningMember:
                    for _ in range(2)]
         members.append(ledrappier_dyadic_shifts(1) + ledrappier_dyadic_shifts(0)[:3])
         calls = []
-        real = algebraic._relations
-        monkeypatch.setattr(algebraic, "_relations", lambda m: calls.append(m) or real(m))
+        real = algebraic._window_masks
+        monkeypatch.setattr(algebraic, "_window_masks",
+                            lambda pattern, sites: calls.append(sites) or real(pattern, sites))
         relation_zeros = 0
         eliminations = []
         for shifts in members:

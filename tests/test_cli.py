@@ -216,6 +216,35 @@ def test_no_fitting_default_torus_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# argv -> the error it exits 2 with; the files it names are written by the test.
+REFUSED_INPUTS = [
+    (["measure", "--constellation", "missing.json"], "file not found: missing.json"),
+    (["scan", "mix", "--order", "2", "--events", "no-events.json"],
+     "bad events input: events file needs an 'events' array"),
+    (["scan", "mix", "--order", "2", "--events", "two-events.json"],
+     "expected 3 events, found 2"),
+    (["render", "--size", "9", "--pattern", "no-support.json"],
+     "bad pattern input: pattern file needs 'support'"),
+    (["scan", "mix", "--order", "3", "--family", "dyadic"],
+     "the dyadic family is the 5-point Z^2 family (order 4)"),
+    (["replay", "bare-config.json"], "config file lacks 'command'/'params'"),
+    (["replay", "bogus-config.json"], "unknown command 'bogus' in config"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSED_INPUTS)
+def test_refused_input_exits_2_with_its_message(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "no-events.json", {"cells": []})
+    _write(tmp_path / "two-events.json", {"events": [{"sites": [[0, 0]], "bits": [0]}] * 2})
+    _write(tmp_path / "no-support.json", {"offsets": [[0, 0]]})
+    _write(tmp_path / "bare-config.json", {"command": "rankone"})
+    _write(tmp_path / "bogus-config.json", {"command": "bogus", "params": {}})
+    assert cli.main(argv + ["--out", "out"]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("system", ["bernoulli", "rankone"])
 def test_dev_scan_past_h_bound_exits_2(tmp_path, capsys, system):
     assert cli.main(["scan", "dev", "--system", system, "--h", "1025", "--epsilon", "0.1",

@@ -1,5 +1,6 @@
 """Correlation scans: frozen examples, Q/Der bookkeeping, oracles."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -187,6 +188,20 @@ class TestSeparatedShifts:
             got = _drawn(random_separated_shifts(*args), 2)
             assert got == ([], "cannot satisfy separation constraints in the box")
             assert got == _drawn(reference_random_separated_shifts(*args), 2)
+
+    @pytest.mark.parametrize("k,min_gap,box", [(3, 4, 6), (2, 2, 3), (2, 4, 4), (4, 3, 7)])
+    def test_every_tuple_keeps_its_gap_and_its_box(self, k, min_gap, box):
+        # An all-even draw has its last point moved one step before the
+        # check, so in a small box the moved point can land too close to
+        # another or past the edge; such a draw is drawn again.  Seed 98 of
+        # the first case draws (0, 0), (-2, -6), (0, 6), (-4, 2), whose moved
+        # last point (-3, 2) is 3 from the origin.
+        for seed in range(250):
+            for pts in random_separated_shifts(seed, 4, k, min_gap, box):
+                assert all(abs(x) <= box for p in pts for x in p), pts
+                assert all(max(abs(x - y) for x, y in zip(p, q)) >= min_gap
+                           for p, q in itertools.combinations(pts, 2)), pts
+                assert any(x % 2 for p in pts for x in p), pts
 
 
 class TestDevScan:

@@ -237,6 +237,24 @@ def test_each_distinct_window_pair_is_multiplied_once(monkeypatch, name, stages,
         assert len(mult) == len(rows) == len(_GAPS)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_distinct_rows_of_wide_keys_match_unique(monkeypatch, seed):
+    """Keys of many wide random columns push the mixed radix past 2^62, so
+    the row ids are re-ranked; the rows and counts are still np.unique's."""
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 1 << 63, size=(2000, 9), dtype=np.uint64)
+    rows[:, 0] %= 3  # a narrow column among the wide ones
+    key = rows[rng.integers(0, len(rows), size=5000)]
+    calls = []
+    rank = rankone.classes
+    monkeypatch.setattr(rankone, "classes", lambda v: calls.append(len(v)) or rank(v))
+    got, counts = rankone._distinct_rows(key)
+    assert len(calls) > key.shape[1] + 1  # one per column, one at the end, and re-ranks
+    want, want_counts = np.unique(key, axis=0, return_counts=True)
+    assert sorted(zip(map(tuple, got.tolist()), counts.tolist())) == \
+        list(zip(map(tuple, want.tolist()), want_counts.tolist()))
+
+
 def test_correlation_grid_rejects_shifts_past_the_word():
     oracle = WordOracle(generate_word(chacon_spec(3), 1, 40))
     with pytest.raises(ValueError, match="grid shifts"):
