@@ -172,8 +172,6 @@ class RelationPattern:
             return out[:-1]
 
         hull = chain(cells) + chain(cells[::-1])
-        if len(hull) < 2:
-            return ()
         normals = []
         for (x0, y0), (x1, y1) in zip(hull, hull[1:] + hull[:1]):
             g = math.gcd(x1 - x0, y1 - y0)
@@ -880,12 +878,7 @@ def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusK
     `_TORUS_TRIES` sizes all fail.  Skipped powers of two use up no try.
     """
     sites = _plane_sites(c.sites)
-    if sites:
-        xs = [s[0] for s in sites]
-        ys = [s[1] for s in sites]
-        diam = max(max(xs) - min(xs), max(ys) - min(ys))
-    else:
-        diam = 1
+    diam = max((max(axis) - min(axis) for axis in zip(*sites)), default=0)
     size = max(_TORUS_MIN_SIZE, 4 * diam)
     plane_rank = len(sites) - len(relation_space(pattern, sites))
     last = None
@@ -893,8 +886,6 @@ def default_torus_for(pattern: RelationPattern, c: CylinderConstraint) -> TorusK
         if size & (size - 1) == 0:  # pure power of two
             size += 1
         kernel = last = torus_kernel(pattern, size, size)
-        if not sites:
-            return kernel
         tmasks = [kernel.site_mask(s) for s in sites]
         if len(sites) - len(_relations(tmasks)) == plane_rank:
             return kernel

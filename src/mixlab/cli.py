@@ -194,9 +194,9 @@ def _pattern(params: dict) -> RelationPattern:
 # ---------------------------------------------------------------------------
 # Commands: each takes its run's config (resolved params, no --out) and reads
 # every option its route takes, taking its default there.  Then, before any
-# work, it yields once with no value (a bare `yield`), and the runner refuses
-# an option left unread.  After that it yields its artifacts in write order as
-# (file name, text or JSON object).
+# work, it yields once with no value (a bare `yield`), exactly once and first;
+# the runner takes it with next() and refuses an option left unread.  After
+# that it yields its artifacts in write order as (file name, text or JSON).
 
 Artifacts = Iterator[tuple[str, Union[str, dict]]]
 
@@ -312,10 +312,9 @@ def cmd_joining(config: dict) -> Artifacts:
         artifacts["lowered"] = lowered.to_json()
         artifacts["lowered_report"] = report
     if asked & {"chain", "raise_order"}:
-        base = parity_tensor(3) if tensor.dims == 2 else None
-        if base is None:
+        if tensor.dims != 2:
             raise ValidationError("chain/raise need a 2-cell parity pipeline")
-        p2 = markov_from_joining(base)
+        p2 = markov_from_joining(parity_tensor(3))
         p3 = pair_compose(p2)
         if "raise_order" in asked:
             raised, report = raise_order(p3)
@@ -427,27 +426,23 @@ class _Params(dict):
 
 def _run(command: str, params: dict) -> None:
     """Run `command` and write config.json and each artifact it yields into
-    --out.  At the command's first yield, which comes once its route has
-    read its options and before its work, an option the run has not read is
-    refused.  At its first artifact the directory is made, so a run refused
-    or failed before that writes nothing.  A directory that cannot be made,
-    or a file that cannot be written in it, is a ValidationError that names
-    the file and --out."""
+    --out.  The command's first yield is its one bare `yield`, which comes
+    once its route has read its options and before its work; after it, an
+    option the run has not read is refused.  At its first artifact the
+    directory is made, so a run refused or failed before that writes
+    nothing.  A directory that cannot be made, or a file that cannot be
+    written in it, is a ValidationError that names the file and --out."""
     outdir = params["out"]
     params = _Params({k: v for k, v in params.items() if k != "out"})
     config = {"command": command, "params": params, "version": __version__}
-    checked = made = False
-    for artifact in _COMMANDS[command](config):
-        if not checked:
-            unread = [key for key in params if key not in params.read]
-            if unread:
-                raise ValidationError(f"--{unread[0].replace('_', '-')} is not read by this "
-                                      f"{command.replace('-', ' ')} run")
-            checked = True
-        if artifact is None:  # the bare yield before the command's work
-            continue
-        name, body = artifact
-        del artifact
+    artifacts = _COMMANDS[command](config)
+    next(artifacts)  # the bare yield before the command's work
+    unread = [key for key in params if key not in params.read]
+    if unread:
+        raise ValidationError(f"--{unread[0].replace('_', '-')} is not read by this "
+                              f"{command.replace('-', ' ')} run")
+    made = False
+    for name, body in artifacts:
         if not made:
             try:
                 os.makedirs(outdir, exist_ok=True)

@@ -198,10 +198,9 @@ def generate_word(spec: RankOneSpec, stage: int, max_length: int) -> SymbolicWor
                 break
             parts.append(block)
             size += block.shape[0]
-            if s:
-                spacer = min(s, max_length)
-                parts.append(np.full(spacer, SPACER, dtype=np.int32))
-                size += spacer
+            spacer = min(s, max_length)
+            parts.append(np.full(spacer, SPACER, dtype=np.int32))
+            size += spacer
         block = np.concatenate(parts)
     if block.shape[0] < max_length:
         raise ValueError(

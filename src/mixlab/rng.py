@@ -47,8 +47,6 @@ def substream(seed: int, *parts: Part) -> np.random.Generator:
 
 def random_bits(gen: np.random.Generator, n: int) -> int:
     """n random bits packed into an int, drawn from the generator."""
-    if n <= 0:
-        return 0
     nbytes = (n + 7) // 8
     raw = int.from_bytes(gen.bytes(nbytes), "little")
     return raw & ((1 << n) - 1)

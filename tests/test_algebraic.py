@@ -1108,6 +1108,9 @@ class TestMonteCarlo:
         k = default_torus_for(SYS, CylinderConstraint(FIVE, (0,) * 5))
         assert mc_cylinder_measure(k, c, 20000, 7).estimate == 0.0
 
+    def test_empty_constellation_takes_the_smallest_default_torus(self):
+        assert default_torus_for(SYS, CylinderConstraint((), ())).width == 12
+
     def test_default_torus_matches_dense_rank_rule(self):
         # In 11 of these 50 constellations the first candidate torus gives
         # the sites a lower rank than the plane, so the size is bumped.
@@ -1448,3 +1451,25 @@ class TestValidation:
     def test_pattern_needs_support(self):
         with pytest.raises(ValueError):
             RelationPattern(frozenset())
+
+    @pytest.mark.parametrize("sites,bits,message", [
+        (((0, 0), (1, 0)), (0,), "sites and bits must have equal length"),
+        (((0, 0), (1, 0.5)), (0, 0), r"site \(1, 0.5\) is neither an int nor an \(i, j\) pair"),
+        (((0, 0), 1), (0, 0), "sites must share one dimension"),
+    ])
+    def test_constraint_refusals(self, sites, bits, message):
+        with pytest.raises(ValueError, match=message):
+            CylinderConstraint(sites, bits)
+
+    @pytest.mark.parametrize("obj", [{"sites": [[0, 0]]}, {"bits": [0]}, [[0, 0]]])
+    def test_constraint_json_needs_sites_and_bits(self, obj):
+        with pytest.raises(ValueError, match="constellation JSON needs 'sites' and 'bits'"):
+            CylinderConstraint.from_json(obj)
+
+    def test_pattern_offsets_are_pairs(self):
+        with pytest.raises(ValueError, match=r"pattern offsets must be \(i, j\) pairs"):
+            RelationPattern(frozenset({(0, 0), (1, 0, 0)}))
+
+    def test_relation_space_needs_distinct_sites(self):
+        with pytest.raises(ValueError, match="sites must be distinct"):
+            relation_space(SYS, [(0, 0), (1, 0), (0, 0)])

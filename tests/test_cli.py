@@ -229,6 +229,13 @@ REFUSED_INPUTS = [
      "the dyadic family is the 5-point Z^2 family (order 4)"),
     (["replay", "bare-config.json"], "config file lacks 'command'/'params'"),
     (["replay", "bogus-config.json"], "unknown command 'bogus' in config"),
+    (["measure", "--mc", "--torus", "21", "--constellation", "wraps.json"],
+     "constellation does not embed in the torus"),
+    (["measure", "--mc", "--torus", "1000", "--pattern", "tall.json",
+      "--constellation", "origin.json"], "torus state of 70000 bits exceeds the cap 65536"),
+    (["joining", "--tensor", "order-0.json"], "bad tensor input: tensor order must be at least 1"),
+    (["joining", "--tensor", "product2.json", "--lower"],
+     "lower_order needs a tensor of order at least 3"),
 ]
 
 
@@ -240,6 +247,13 @@ def test_refused_input_exits_2_with_its_message(tmp_path, monkeypatch, capsys, a
     _write(tmp_path / "no-support.json", {"offsets": [[0, 0]]})
     _write(tmp_path / "bare-config.json", {"command": "rankone"})
     _write(tmp_path / "bogus-config.json", {"command": "bogus", "params": {}})
+    # (21, 0) wraps onto (0, 0) on the 21-torus
+    _write(tmp_path / "wraps.json", {"sites": [[0, 0], [21, 0]], "bits": [0, 0]})
+    # 70 rows below the top cell of a 1000-wide torus
+    _write(tmp_path / "tall.json", {"support": [[0, 0], [0, 70]]})
+    _write(tmp_path / "origin.json", {"sites": [[0, 0]], "bits": [0]})
+    _write(tmp_path / "order-0.json", dict(PRODUCT2, order=0, entries=["1"]))
+    _write(tmp_path / "product2.json", PRODUCT2)
     assert cli.main(argv + ["--out", "out"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -454,6 +468,14 @@ def test_empty_scale_range_exits_2(tmp_path, capsys):
                       {"command": command, "params": dict(params, scales=[5, 3])})
         assert cli.main(["replay", path, "--out", str(tmp_path / "out")]) == 2
         assert "error: config parameter 'scales' cannot be [5, 3]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_size_list_that_is_not_ints_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["percolate", "--sizes", "9,x", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "expected comma-separated ints, got '9,x'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -719,6 +741,7 @@ def test_no_artifact_outlives_its_write(tmp_path, monkeypatch):
         return artifact
 
     def command(config):
+        yield
         yield "a.json", tracked()
         freed.append(refs[-1]() is None)
         yield "b.json", tracked()
@@ -728,6 +751,36 @@ def test_no_artifact_outlives_its_write(tmp_path, monkeypatch):
     out = _run(tmp_path, ["rankone"])
     assert freed == [True, True]
     assert set(_artifacts(out)) == {"config.json", "a.json", "b.json"}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_route_yields_once_bare_then_only_artifacts(command):
+    # The runner takes a command's first yield with next() and writes every
+    # later one, so a route whose first yield were an artifact would lose it.
+    # A command with no route in ROUTE_PARAMS fails here.
+    routes = [params for route, (_, params) in ROUTE_PARAMS.items()
+              if route == command or route.startswith(command + "-")]
+    assert routes
+    for params in routes:
+        yields = list(cli._COMMANDS[command]({"command": command, "params": dict(params)}))
+        assert yields[0] is None and len(yields) > 1
+        assert all(isinstance(y, tuple) and isinstance(y[0], str) for y in yields[1:])
+
+
+def test_mc_measure_of_the_empty_constellation_is_one(tmp_path):
+    # No site to meet: every sample on the default torus hits.
+    c = _write(tmp_path / "c.json", {"sites": [], "bits": []})
+    out = _run(tmp_path, ["measure", "--mc", "--constellation", c])
+    result = json.loads((out / "measure.json").read_text(encoding="utf-8"))["result"]
+    assert result["estimate"] == 1.0 and result["stderr"] == 0.0
+
+
+def test_dyadic_scan_stops_at_its_budget(tmp_path):
+    # Scales 1..8 give eight tuples; a budget of 2 scans the first two.
+    out = _run(tmp_path, ["scan", "mix", "--family", "dyadic", "--order", "4",
+                          "--budget", "2", "--scales", "1:9"])
+    assert json.loads((out / "mix.json").read_text(encoding="utf-8"))["scanned"] == 2
+    assert len((out / "mix.csv").read_text(encoding="utf-8").splitlines()) == 3
 
 
 def _joining(tmp_path, tensor, *flags):

@@ -96,6 +96,12 @@ class TestTensors:
             Partition((Fraction(1, 2), Fraction(1, 3)))
         with pytest.raises(ValueError):
             Partition((Fraction(3, 2), Fraction(-1, 2)))
+        with pytest.raises(ValueError, match="partition needs at least two cells"):
+            Partition((Fraction(1),))
+
+    def test_parity_tensor_needs_order_2(self):
+        with pytest.raises(ValueError, match="parity tensor needs order >= 2"):
+            parity_tensor(1)
 
 
 class TestMarginal:
@@ -121,6 +127,9 @@ class TestMarginal:
             marginal(t, ())
         with pytest.raises(ValueError):
             marginal(t, (0, 1, 2))
+        for axes in ((1, 1), (0, 3), (-1,)):
+            with pytest.raises(ValueError, match="axes must be distinct and in range"):
+                marginal(t, axes)
 
 
 class TestClassify:
@@ -178,6 +187,10 @@ class TestClassify:
 
 
 class TestMarkovFromJoining:
+    def test_order_1_tensor_is_refused(self):
+        with pytest.raises(ValueError, match="need a tensor of order at least 2"):
+            markov_from_joining(JoiningTensor(1, U2.weights, (Fraction(1, 2),) * 2))
+
     def test_product_gives_averaging(self):
         part = Partition((Fraction(1, 3), Fraction(2, 3)))
         p = markov_from_joining(product_tensor(part, 3))
@@ -301,6 +314,15 @@ class TestPairings:
 
 
 class TestChain:
+    def test_source_orders_checked(self):
+        p2 = averaging_operator(U2, 2)
+        p3 = pair_compose(p2)
+        for a, b in ((p2, p2), (p3, p3), (p3, p2)):
+            with pytest.raises(ValueError, match="chain check starts from source-order-2 and -3"):
+                chain_check(a, b)
+        with pytest.raises(ValueError, match="raise_order needs a source-order-3 operator"):
+            raise_order(p2)
+
     def test_averaging_all_norms_zero(self):
         p2 = averaging_operator(U2, 2)
         rep = chain_check(p2, pair_compose(p2))
@@ -391,6 +413,11 @@ class TestRaiseLower:
 
 
 class TestLimitJoining:
+    def test_one_event_per_cell(self):
+        cells = [CylinderConstraint(((0, 0),), (0,))] * 3
+        with pytest.raises(ValueError, match="one event per partition cell required"):
+            limit_joining(LedrappierOracle(), U2, cells, dyadic_family(range(1, 6)))
+
     def test_ledrappier_parity_pipeline(self):
         oracle = LedrappierOracle()
         cells = [CylinderConstraint(((0, 0),), (b,)) for b in (0, 1)]

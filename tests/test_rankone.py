@@ -280,6 +280,12 @@ def test_spec_validation_and_json_round_trip():
         RankOneSpec((1,), ((0,),))
     with pytest.raises(ValueError):
         RankOneSpec((2,), ((0, -1),))
+    with pytest.raises(ValueError, match="one spacer row per stage required"):
+        RankOneSpec((2, 3), ((0, 1),))
+    with pytest.raises(ValueError, match="spacer row length must equal the cut count"):
+        RankOneSpec((3,), ((0, 1),))
+    with pytest.raises(ValueError, match="unknown preset 'bogus'"):
+        preset_spec("bogus", 3)
 
 
 def test_negative_shifts_match_their_nonnegative_translate():
