@@ -34,22 +34,34 @@ no other file repeats it, except measure.json):
 - rankone: word.json, the run-length-encoded word (with --word-length);
   rankone.json, the spec, the tower heights and the word length.
 
-Exit codes: 0 success, 2 validation error (including a shift box too small
-for its gap, no fitting torus, a joining family that does not stabilize, an
-option the run does not read, and an `--out` that cannot be made a directory
-or cannot take an artifact), 3 capability error (a pattern the torus kernel
-cannot step, an oracle that cannot evaluate a request).
+One module-level table, `_TABLE`, lists each command's options in the order
+its params are written, with each one's dest, value kind, choices, whether
+it is required and its help text.  The command line is parsed and a replayed
+config checked through it alone, so the two cannot drift apart.  An option
+is written in full, as `--opt value` or `--opt=value`; the word after it is
+its value even when it starts with `-`, and a repeated option keeps its last
+value.  `-h`/`--help` prints the options of each command the words before it
+name (every command at the top level) and exits 0; `--version` prints
+`mixlab <version>`.  A bad command line exits 2 with `mixlab <command>:
+error: ...` on stderr.  `build_parser` returns the table: it keeps the name
+of the parser it replaced because the benchmark's tracer wraps it by name.
+
+Exit codes: 0 success, 2 validation error (including a bad command line, a
+shift box too small for its gap, no fitting torus, a joining family that
+does not stabilize, an option the run does not read, and an `--out` that
+cannot be made a directory or cannot take an artifact), 3 capability error
+(a pattern the torus kernel cannot step, an oracle that cannot evaluate a
+request).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import __version__, svg as svgmod
 from .algebraic import (
@@ -138,19 +150,16 @@ def _load_json(path: str) -> dict:
         )
 
 
-# Parameters that name an input file.  Resolving a command line replaces each
-# path by the file's JSON contents, so a config needs no other file to replay.
-INPUT_FILES = ("constellation", "events", "pattern", "spec", "tensor")
-
-
-def _inline_inputs(params: dict) -> dict:
-    """`params` with every input file path replaced by the file's JSON; a
-    rank-one preset name stays a name."""
+def _inline_inputs(command: str, params: dict) -> dict:
+    """`params` with the path of every "file" option replaced by the file's
+    JSON, and of a "spec" option too unless it names a rank-one preset, so
+    a config needs no other file to replay."""
     resolved = dict(params)
-    for key in INPUT_FILES:
-        path = params.get(key)
-        if path is not None and not (key == "spec" and path in PRESETS):
-            resolved[key] = _load_json(path)
+    for option in _TABLE[command].options.values():
+        path = params.get(option.dest)
+        if path is not None and (option.kind == "file"
+                                 or option.kind == "spec" and path not in PRESETS):
+            resolved[option.dest] = _load_json(path)
     return resolved
 
 
@@ -472,174 +481,226 @@ def _replayed(params: dict) -> tuple[str, dict]:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}")
-
-
-def _scale_range(text: str) -> list[int]:
-    parts = text.split(":")
-    if len(parts) != 2 or int(parts[0]) >= int(parts[1]):
-        raise argparse.ArgumentTypeError(f"expected LO:HI with LO < HI, got {text!r}")
-    return [int(parts[0]), int(parts[1])]
-
-
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared after that; it sets
-    no defaults, as each command takes its own where it reads the option."""
-    parser = argparse.ArgumentParser(
-        prog="mixlab",
-        description="Computational laboratory for multiple-mixing phenomena",
-    )
-    parser.add_argument("--version", action="version", version=f"mixlab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, *options: str):
-        """--out, and each of "seed" and "pattern" in `options`."""
-        p.add_argument("--out", required=True, help="output directory")
-        if "seed" in options:
-            p.add_argument("--seed", type=int, help="64-bit experiment seed")
-        if "pattern" in options:
-            p.add_argument("--pattern", help="JSON file with a custom relation pattern")
-
-    p = sub.add_parser("measure", help="exact or Monte-Carlo cylinder measure")
-    common(p, "seed", "pattern")
-    p.add_argument("--system", choices=["ledrappier", "bernoulli"])
-    p.add_argument("--constellation", required=True, help="JSON constellation file")
-    p.add_argument("--mc", action="store_true", help="force the Monte-Carlo estimator")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--torus", type=int, help="torus size for the estimator")
-
-    p = sub.add_parser("scan", help="deviation and mixing-defect scans")
-    scan_sub = p.add_subparsers(dest="scan_kind", required=True)
-
-    pd = scan_sub.add_parser("dev", help="dev(h) statistics over the (z,w) grid")
-    common(pd, "seed")  # taken unread (see cmd_scan_dev)
-    pd.add_argument("--system", choices=["bernoulli", "rankone"])
-    pd.add_argument("--epsilon", type=float, required=True)
-    pd.add_argument("--h", type=int, required=True, dest="h")
-    pd.add_argument("--events", help="JSON file with the three events")
-    pd.add_argument("--spec", help="rank-one preset or spec file")
-    pd.add_argument("--stage", type=int)
-    pd.add_argument("--stages", type=int)
-    pd.add_argument("--word-length", type=int, dest="word_length")
-
-    pm = scan_sub.add_parser("mix", help="k-fold mixing defect over shift families")
-    common(pm, "seed", "pattern")
-    pm.add_argument("--system", choices=["ledrappier", "bernoulli"])
-    pm.add_argument("--order", type=int, required=True)
-    pm.add_argument("--family", choices=["dyadic", "random"])
-    pm.add_argument("--budget", type=int)
-    pm.add_argument("--min-gap", type=int, dest="min_gap")
-    pm.add_argument("--box", type=int)
-    pm.add_argument("--scales", type=_scale_range)
-    pm.add_argument("--events", help="JSON file with k+1 events")
-
-    p = sub.add_parser("joining", help="limiting joining tensor and operator calculus")
-    common(p, "pattern")
-    p.add_argument("--tensor", help="load a tensor JSON instead of the parity pipeline")
-    p.add_argument("--scales", type=_scale_range)
-    p.add_argument("--chain", action="store_true", help="run the mean-zero norm chain")
-    p.add_argument("--raise", action="store_true", dest="raise_order")
-    p.add_argument("--lower", action="store_true", dest="lower_order")
-
-    p = sub.add_parser("percolate", help="cluster/wrap sweep over lattice sizes")
-    common(p, "seed", "pattern")
-    p.add_argument("--sizes", type=_int_list, required=True)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--connectivity", type=int, choices=[4, 8])
-
-    p = sub.add_parser("render", help="sample a configuration and render it")
-    common(p, "seed", "pattern")
-    p.add_argument("--size", type=int)
-    p.add_argument("--format", help="comma list of svg,pbm,json")
-    p.add_argument("--clusters", action="store_true", help="tint clusters in the SVG")
-    p.add_argument("--connectivity", type=int, choices=[4, 8])
-    p.add_argument("--bit", type=int, choices=[0, 1])
-
-    p = sub.add_parser("rankone", help="tower heights and symbolic words")
-    common(p)
-    p.add_argument("--spec")
-    p.add_argument("--stages", type=int)
-    p.add_argument("--stage", type=int)
-    p.add_argument("--word-length", type=int, dest="word_length")
-
-    p = sub.add_parser("replay", help="re-run a command from an embedded config")
-    p.add_argument("config", help="path to a config.json")
-    p.add_argument("--out", required=True, help="output directory")
-
-    return parser
-
-
-def _params_from_args(args: argparse.Namespace) -> tuple[str, dict]:
-    ns = vars(args).copy()
-    command = ns.pop("command")
-    if command == "scan":
-        command = f"scan-{ns.pop('scan_kind')}"
-    params = {k: v for k, v in ns.items() if v is not None and v is not False}
-    return command, params
-
+# Options: one table parses the command line and checks a replayed config
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# JSON value check for each argparse `type` (None: a plain string option).
-_VALUE_CHECKS: dict[object, Callable[[object], bool]] = {
-    None: lambda v: isinstance(v, str),
-    int: _is_int,
-    float: lambda v: _is_int(v) or isinstance(v, float),
-    _int_list: lambda v: isinstance(v, list) and all(map(_is_int, v)),
-    _scale_range: lambda v: (isinstance(v, list) and len(v) == 2 and all(map(_is_int, v))
-                             and v[0] < v[1]),
+def _sizes(text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]  # an empty item is no int
+    except ValueError:
+        raise ValueError(f"expected comma-separated ints, got {text!r}") from None
+
+
+def _scales(text: str) -> list[int]:
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo < hi:
+            return [lo, hi]
+    except ValueError:
+        pass
+    raise ValueError(f"expected LO:HI with LO < HI, got {text!r}")
+
+
+# Each value kind: (the parse of a command-line text, which raises ValueError
+# on a bad one; the check that a config value is one the kind resolves to).
+# A "file" is a path whose JSON replaces it, a "spec" a rank-one preset name
+# or such a path, and a "flag" takes no text and is True when given.
+_KINDS: dict[str, tuple[Callable, Callable]] = {
+    "str": (str, lambda v: isinstance(v, str)),
+    "int": (int, _is_int),
+    "float": (float, lambda v: _is_int(v) or isinstance(v, float)),
+    "sizes": (_sizes, lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "scales": (_scales, lambda v: isinstance(v, list) and len(v) == 2
+               and all(map(_is_int, v)) and v[0] < v[1]),
+    "file": (str, lambda v: isinstance(v, (dict, list))),
+    "spec": (str, lambda v: isinstance(v, (dict, list)) or v in PRESETS),
+    "flag": (lambda text: True, lambda v: v is True),
 }
 
 
-def _fits(action: argparse.Action, value) -> bool:
-    """`value` is one the option behind `action` could have resolved to."""
-    if action.dest in INPUT_FILES:
-        return isinstance(value, (dict, list)) or (action.dest == "spec" and value in PRESETS)
-    if action.nargs == 0:  # a store_true flag; False values are dropped
-        return action.const is True and value is True
-    return (_VALUE_CHECKS[action.type](value)
-            and (action.choices is None or value in action.choices))
+class _Option(NamedTuple):
+    dest: str
+    kind: str
+    help: str
+    choices: tuple = ()
+    required: bool = False
 
 
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    parser = build_parser()
-    for word in command.split("-"):  # "scan-mix" is "scan", then "mix"
-        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        parser = sub.choices[word]
-    return parser
+class _Command(NamedTuple):
+    help: str
+    options: dict[str, _Option]  # flag, or a positional's name -> option, in params order
+
+
+_OUT = {"--out": _Option("out", "str", "output directory", required=True)}
+_SEED = {"--seed": _Option("seed", "int", "64-bit experiment seed")}
+_PATTERN = {"--pattern": _Option("pattern", "file", "JSON file with a custom relation pattern")}
+_SCALES = {"--scales": _Option("scales", "scales", "dyadic scales LO:HI")}
+_CONNECTIVITY = {"--connectivity": _Option("connectivity", "int", "neighbours", (4, 8))}
+
+_TABLE: dict[str, _Command] = {
+    "measure": _Command("exact or Monte-Carlo cylinder measure", {
+        **_OUT, **_SEED, **_PATTERN,
+        "--system": _Option("system", "str", "dynamical system", ("ledrappier", "bernoulli")),
+        "--constellation": _Option("constellation", "file", "JSON constellation file",
+                                   required=True),
+        "--mc": _Option("mc", "flag", "force the Monte-Carlo estimator"),
+        "--samples": _Option("samples", "int", "Monte-Carlo samples"),
+        "--torus": _Option("torus", "int", "torus size for the estimator"),
+    }),
+    "scan-dev": _Command("dev(h) statistics over the (z,w) grid", {
+        **_OUT, **_SEED,  # --seed is taken unread (see cmd_scan_dev)
+        "--system": _Option("system", "str", "dynamical system", ("bernoulli", "rankone")),
+        "--epsilon": _Option("epsilon", "float", "defect threshold", required=True),
+        "--h": _Option("h", "int", "grid radius", required=True),
+        "--events": _Option("events", "file", "JSON file with the three events"),
+        "--spec": _Option("spec", "spec", "rank-one preset or spec file"),
+        "--stage": _Option("stage", "int", "stage of the rank-one word"),
+        "--stages": _Option("stages", "int", "stages of the rank-one preset"),
+        "--word-length": _Option("word_length", "int", "length of the rank-one word"),
+    }),
+    "scan-mix": _Command("k-fold mixing defect over shift families", {
+        **_OUT, **_SEED, **_PATTERN,
+        "--system": _Option("system", "str", "dynamical system", ("ledrappier", "bernoulli")),
+        "--order": _Option("order", "int", "mixing order k", required=True),
+        "--family": _Option("family", "str", "shift family", ("dyadic", "random")),
+        "--budget": _Option("budget", "int", "most shift tuples scanned"),
+        "--min-gap": _Option("min_gap", "int", "least gap between random shifts"),
+        "--box": _Option("box", "int", "box radius of random shifts"),
+        **_SCALES,
+        "--events": _Option("events", "file", "JSON file with k+1 events"),
+    }),
+    "joining": _Command("limiting joining tensor and operator calculus", {
+        **_OUT, **_PATTERN,
+        "--tensor": _Option("tensor", "file", "load a tensor JSON instead of the parity pipeline"),
+        **_SCALES,
+        "--chain": _Option("chain", "flag", "run the mean-zero norm chain"),
+        "--raise": _Option("raise_order", "flag", "raise the order of the operator"),
+        "--lower": _Option("lower_order", "flag", "lower the order of the tensor"),
+    }),
+    "percolate": _Command("cluster/wrap sweep over lattice sizes", {
+        **_OUT, **_SEED, **_PATTERN,
+        "--sizes": _Option("sizes", "sizes", "comma list of lattice sizes", required=True),
+        "--samples": _Option("samples", "int", "samples per size"),
+        **_CONNECTIVITY,
+    }),
+    "render": _Command("sample a configuration and render it", {
+        **_OUT, **_SEED, **_PATTERN,
+        "--size": _Option("size", "int", "torus side"),
+        "--format": _Option("format", "str", "comma list of svg,pbm,json"),
+        "--clusters": _Option("clusters", "flag", "tint clusters in the SVG"),
+        **_CONNECTIVITY,
+        "--bit": _Option("bit", "int", "bit whose clusters are tinted", (0, 1)),
+    }),
+    "rankone": _Command("tower heights and symbolic words", {
+        **_OUT,
+        "--spec": _Option("spec", "spec", "rank-one preset or spec file"),
+        "--stages": _Option("stages", "int", "stages of the preset"),
+        "--stage": _Option("stage", "int", "stage of the word"),
+        "--word-length": _Option("word_length", "int", "length of the word"),
+    }),
+    "replay": _Command("re-run a command from an embedded config", {
+        "config": _Option("config", "str", "path to a config.json", required=True), **_OUT,
+    }),
+}
+
+
+@functools.cache
+def build_parser() -> dict[str, _Command]:
+    """The option table (see the module docstring for why it has this name)."""
+    return _TABLE
+
+
+def _under(command: str) -> list[str]:
+    """The commands that `command` names: itself, a group's ("scan") or all ("")."""
+    return [name for name in _TABLE if f"{name}-".startswith(f"{command}-".lstrip("-"))]
+
+
+def _exit(command: str, error: str = ""):
+    """Exit 2 with `error` on stderr, or without one, 0 with the help of
+    every command that `command` names."""
+    prog = f"mixlab {command.replace('-', ' ')}".rstrip()
+    if error:
+        print(f"{prog}: error: {error}", file=sys.stderr)
+        raise SystemExit(2)
+    print(f"usage: {prog} [-h] ...\nComputational laboratory for multiple-mixing phenomena")
+    for name in _under(command):
+        print(f"\nmixlab {name.replace('-', ' ')}: {_TABLE[name].help}")
+        for flag, o in _TABLE[name].options.items():
+            kind = "|".join(map(str, o.choices)) or o.kind
+            print(f"  {flag:<15} {kind:<20} {o.help}{' (required)' * o.required}")
+    raise SystemExit(0)
+
+
+def _parse(argv: list[str]) -> tuple[str, dict]:
+    """The command `argv` names and its params, in the table's option order."""
+    table, args, command = build_parser(), iter(argv), ""
+    while command not in table:  # "measure", or "scan" and then "dev"
+        word = next(args, None)
+        if word == "--version" and not command:
+            print(f"mixlab {__version__}")
+            raise SystemExit(0)
+        if word in ("-h", "--help"):
+            _exit(command)
+        name = f"{command}-{word}".lstrip("-")
+        if word is None or "-" in word or not _under(name):
+            _exit(command, f"unknown command {word!r}" if word else "a command is required")
+        command = name
+    options = table[command].options
+    positional = [flag for flag in options if not flag.startswith("-")]
+    given: dict = {}
+    for arg in args:
+        if arg in ("-h", "--help"):
+            _exit(command)
+        flag, eq, text = arg.partition("=")
+        if not arg.startswith("-") and positional:
+            flag, text = positional.pop(0), arg
+        elif not flag.startswith("--") or flag not in options:
+            _exit(command, f"unrecognized argument {arg!r}")
+        elif options[flag].kind == "flag" and eq:
+            _exit(command, f"argument {flag} takes no value")
+        elif options[flag].kind != "flag" and not eq:
+            text = next(args, None)
+            if text is None:
+                _exit(command, f"argument {flag} expects a value")
+        option = options[flag]
+        try:
+            given[option.dest] = value = _KINDS[option.kind][0](text)
+        except ValueError as exc:
+            _exit(command, f"argument {flag}: {exc}")
+        if option.choices and value not in option.choices:
+            _exit(command, f"argument {flag}: {value!r} is not one of {option.choices}")
+    missing = [flag for flag, o in options.items() if o.required and o.dest not in given]
+    if missing:
+        _exit(command, f"the following arguments are required: {', '.join(missing)}")
+    return command, {o.dest: given[o.dest] for o in options.values() if o.dest in given}
 
 
 def _check_params(command: str, params: dict) -> None:
-    """Reject params that the command's own parser could not have produced:
-    unknown keys, values of the wrong type or choice, missing required
+    """Reject params that the command's own options could not have resolved
+    to: unknown keys, values of the wrong kind or choice, missing required
     options."""
-    actions = {a.dest: a for a in _command_parser(command)._actions}
+    options = {o.dest: o for o in _TABLE[command].options.values()}
     for key, value in params.items():
-        if key not in actions or not _fits(actions[key], value):
-            unknown = "" if key in actions else f": {command} has no such option"
+        option = options.get(key)
+        if option is None or not (_KINDS[option.kind][1](value)
+                                  and (not option.choices or value in option.choices)):
+            unknown = "" if option else f": {command} has no such option"
             raise ValidationError(f"config parameter {key!r} cannot be {value!r}{unknown}")
-    missing = [a.dest for a in actions.values() if a.required and a.dest not in params]
+    missing = [dest for dest, o in options.items() if o.required and dest not in params]
     if missing:
         raise ValidationError(f"config lacks required parameter {missing[0]!r}")
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    command, params = _params_from_args(args)
+    command, params = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if command == "replay":
             command, params = _replayed(params)
         else:
-            params = _inline_inputs(params)
+            params = _inline_inputs(command, params)
         _run(command, params)
         return 0
     except (OracleCapabilityError, UnsupportedPatternError) as exc:

@@ -234,6 +234,8 @@ def percolation_sweep(pattern: RelationPattern, sizes: Sequence[int],
     """
     if len(sizes) > MAX_SWEEP_SIZES:
         raise ValueError(f"a sweep takes at most {MAX_SWEEP_SIZES} lattice sizes")
+    if not sizes or len(set(sizes)) < len(sizes):
+        raise ValueError("a sweep takes one or more distinct lattice sizes")
     if not all(8 <= s <= MAX_TORUS_SIDE for s in sizes):
         raise ValueError(f"lattice sizes must lie in 8..{MAX_TORUS_SIDE}")
     if not 1 <= samples_per_size <= MAX_SWEEP_SAMPLES:

@@ -42,18 +42,22 @@ and grid.json and grid.pbm joined character by character
 (`reference_grid_to_json`, `reference_grid_to_pbm`).  The `small_blocks`
 fixture cuts the block of `text.join_rows` to `SMALL_BLOCK` rows, so that
 these exports can be checked at the row counts `BLOCK_ROW_COUNTS` around
-its boundaries.
+its boundaries.  `bench_module` loads a module of the benchmark's
+`mixbench/` read-only, by file.
 """
 
 from __future__ import annotations
 
 import csv
+import importlib.util
 import io
 import itertools
 import json
 import math
+import sys
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -70,6 +74,18 @@ from mixlab.percolation import SweepRow, clusters
 from mixlab.rng import mix, substream
 from mixlab.svg import CELL as SVG_CELL, DARK as SVG_DARK, LIGHT as SVG_LIGHT
 from mixlab.svg import _header as svg_header
+
+BENCH = Path(__file__).resolve().parent.parent / "mixbench"
+
+
+def bench_module(monkeypatch, name):
+    """mixbench/`name`.py, loaded by file under `name`, the name its
+    siblings import it by, for the length of one test."""
+    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,18 @@
 """Command line run in process: artifacts and the documented exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from mixlab import algebraic, cli, joinings
+from conftest import bench_module
+from mixlab import __version__, algebraic, cli, joinings
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
 from mixlab.correlations import MAX_DYADIC_SCALE, MAX_SCAN_BOX, MAX_SCAN_BUDGET, MAX_SCAN_ORDER
 from mixlab.joinings import MAX_JOINING_ENTRIES
@@ -236,6 +241,7 @@ REFUSED_INPUTS = [
     (["joining", "--tensor", "order-0.json"], "bad tensor input: tensor order must be at least 1"),
     (["joining", "--tensor", "product2.json", "--lower"],
      "lower_order needs a tensor of order at least 3"),
+    (["percolate", "--sizes", "9,12,9"], "a sweep takes one or more distinct lattice sizes"),
 ]
 
 
@@ -472,10 +478,12 @@ def test_empty_scale_range_exits_2(tmp_path, capsys):
 
 
 def test_size_list_that_is_not_ints_exits_2(tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["percolate", "--sizes", "9,x", "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert "expected comma-separated ints, got '9,x'" in capsys.readouterr().err
+    # An empty item is no int either, so no list of sizes is empty.
+    for text in ("9,x", ",", "9,,9", "9,", ""):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["percolate", "--sizes", text, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert f"expected comma-separated ints, got {text!r}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -944,9 +952,150 @@ def test_replay_fills_parser_defaults(tmp_path, monkeypatch):
     {"command": "scan-mix", "params": {"order": "4", "out": "o"}},
     {"command": "scan-mix", "params": {"family": "dyadic"}},
     {"command": "measure", "params": {"constellation": "c.json"}},
+    {"command": "percolate", "params": {"sizes": []}},
+    {"command": "percolate", "params": {"sizes": [9, 9]}},
 ])
 def test_malformed_replay_config_exits_2(tmp_path, capsys, config):
     path = _write(tmp_path / "config.json", config)
     assert cli.main(["replay", path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:"), err
+
+
+# ---------------------------------------------------------------------------
+# The option table: one parse of the command line, one check of a config
+
+@pytest.mark.parametrize("words", [[], ["scan"]] + [name.split("-") for name in cli._TABLE])
+def test_help_names_every_option_below_it_and_exits_0(tmp_path, capsys, words):
+    # --help comes after --out and before any required option: it exits
+    # before the work and before the check for what is missing.
+    command = "-".join(words)
+    out = ["--out", str(tmp_path / "out")] if command in cli._TABLE else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main(words + out + ["--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert text.startswith(f"usage: {' '.join(['mixlab', *words])} [-h]")
+    named = [name for name in cli._TABLE if name.startswith(command)]
+    assert len(named) == {"": len(cli._TABLE), "scan": 2}.get(command, 1)
+    for name in named:
+        assert f"mixlab {name.replace('-', ' ')}: {cli._TABLE[name].help}" in text
+        assert [flag for flag in cli._TABLE[name].options if f"  {flag} " not in text] == []
+    assert not (tmp_path / "out").exists()
+
+
+def test_version_prints_mixlab_and_its_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"mixlab {__version__}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "mix", "--order", "4", "--family", "dyadic", "--scales", "-1:5"],
+    ["percolate", "--sizes", "9,12", "--samples", "3", "--connectivity", "8"],
+    ["scan", "dev", "--h", "6", "--epsilon", "0.25", "--spec", "s.json"],
+    ["replay", "config.json", "--out", "o"],
+])
+def test_option_equals_value_gives_the_same_params(argv):
+    first = next(i for i, arg in enumerate(argv) if arg.startswith("--"))
+    joined = argv[:first] + [f"{argv[i]}={argv[i + 1]}" for i in range(first, len(argv), 2)]
+    assert cli._parse(joined + ["--out=o"]) == cli._parse(argv + ["--out", "o"])
+
+
+def test_repeated_option_keeps_its_last_value_and_params_keep_table_order():
+    command, params = cli._parse(["render", "--size", "9", "--out", "a", "--clusters",
+                                  "--size=11", "--out", "b", "--seed", "-4", "--clusters"])
+    assert command == "render"
+    assert list(params.items()) == [("out", "b"), ("seed", -4), ("size", 11), ("clusters", True)]
+
+
+@pytest.mark.parametrize("argv,error", [
+    (["render", "--out", "OUT", "--colour", "red"],
+     "mixlab render: error: unrecognized argument '--colour'"),
+    # An abbreviation is no option: --word is not --word-length.
+    (["rankone", "--out", "OUT", "--word", "10"],
+     "mixlab rankone: error: unrecognized argument '--word'"),
+    (["render", "--out", "OUT", "--size"], "mixlab render: error: argument --size expects a value"),
+    (["render", "--out", "OUT", "--size", "nine"],
+     "argument --size: invalid literal for int() with base 10: 'nine'"),
+    (["scan", "dev", "--out", "OUT", "--h", "6", "--epsilon", "tenth"],
+     "mixlab scan dev: error: argument --epsilon: could not convert string to float: 'tenth'"),
+    (["render", "--out", "OUT", "--connectivity", "6"],
+     "argument --connectivity: 6 is not one of (4, 8)"),
+    (["measure", "--out", "OUT", "--constellation", "c.json", "--system", "torus"],
+     "argument --system: 'torus' is not one of ('ledrappier', 'bernoulli')"),
+    (["render", "--out", "OUT", "--clusters=yes"], "argument --clusters takes no value"),
+    (["measure", "--out", "OUT"],
+     "mixlab measure: error: the following arguments are required: --constellation"),
+    (["scan", "mix", "--seed", "3"], "the following arguments are required: --out, --order"),
+    (["replay", "--out", "OUT"],
+     "mixlab replay: error: the following arguments are required: config"),
+    (["replay", "a.json", "b.json", "--out", "OUT"], "unrecognized argument 'b.json'"),
+    (["scan"], "mixlab scan: error: a command is required"),
+    ([], "mixlab: error: a command is required"),
+    (["bogus", "--out", "OUT"], "mixlab: error: unknown command 'bogus'"),
+    (["scan-mix", "--order", "2", "--out", "OUT"], "mixlab: error: unknown command 'scan-mix'"),
+    (["scan", "--version"], "mixlab scan: error: unknown command '--version'"),
+])
+def test_bad_command_line_exits_2_before_any_work(tmp_path, monkeypatch, capsys, argv, error):
+    # Each is refused while the command line is parsed: no input file is
+    # read, no command runs and no --out is made.
+    monkeypatch.setattr(cli, "_load_json", None)
+    monkeypatch.setattr(cli, "_run", None)
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([out if arg == "OUT" else arg for arg in argv])
+    assert exc.value.code == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_replay_check_accepts_what_every_pool_command_line_parses_to(tmp_path, monkeypatch):
+    # Parsing and replay read one table, so neither can drift from the
+    # other: every command line of the benchmark's pools, its input files
+    # inlined, is a config that replay accepts as it is.
+    jobs = bench_module(monkeypatch, "jobs")
+    monkeypatch.chdir(tmp_path)
+    checked = 0
+    for workload in jobs.WORKLOADS:
+        for job in jobs.pool(workload)[0]:
+            for name, text in job.inputs.items():
+                (tmp_path / name).write_text(text, encoding="utf-8")
+            command, params = cli._parse(list(job.argv))
+            config = cli._inline_inputs(command, params)
+            cli._check_params(command, config)
+            assert list(config) == list(params)
+            checked += 1
+    assert checked == 384
+
+
+# Command-line texts of each value kind; "t.json" is a file the test writes.
+KIND_TEXTS = {"str": ["out", "-"], "int": ["-3", "0"], "float": ["0.25", "-1", "1e-3"],
+              "sizes": ["9", "12,9"], "scales": ["-1:3", "1:2"], "flag": [""],
+              "file": ["t.json"], "spec": ["staircase", "t.json"]}
+
+
+def test_each_option_parses_to_a_value_its_replay_check_accepts(tmp_path, monkeypatch):
+    # Every option of every command at once, so the required ones are there:
+    # each text a kind parses, its file inlined, is a value replay accepts.
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "t.json", PRODUCT2)
+    assert {o.kind for c in cli._TABLE.values() for o in c.options.values()} == set(cli._KINDS)
+    for command, entry in cli._TABLE.items():
+        for i in range(max(map(len, KIND_TEXTS.values()))):
+            params = {}
+            for option in entry.options.values():
+                texts = [str(c) for c in option.choices] or KIND_TEXTS[option.kind]
+                params[option.dest] = cli._KINDS[option.kind][0](texts[i % len(texts)])
+            cli._check_params(command, cli._inline_inputs(command, params))
+
+
+def test_importing_cli_loads_no_argparse_or_gettext():
+    # argparse and the gettext it imports would add to every process's
+    # import time; the option table needs neither.
+    src = Path(cli.__file__).resolve().parent.parent
+    code = "import sys, mixlab.cli; print(sorted({'argparse', 'gettext'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert result.stdout == "[]\n"

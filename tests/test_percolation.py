@@ -282,3 +282,6 @@ class TestSweep:
             percolation_sweep(SYS, [7], 2, 4, seed=0)
         with pytest.raises(ValueError):
             percolation_sweep(SYS, [9], 0, 4, seed=0)
+        for sizes in ([], [9, 12, 9]):
+            with pytest.raises(ValueError, match="one or more distinct lattice sizes"):
+                percolation_sweep(SYS, sizes, 2, 4, seed=0)

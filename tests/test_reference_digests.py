@@ -5,33 +5,22 @@ The benchmark's own harness runs each job through `cli.main` in a fresh
 directory and digests the exit code and every artifact, so a change to an
 artifact's bytes or values (a torus basis order, a CSV line, a JSON value)
 fails here without a benchmark run.  `mixbench/` is loaded read-only, by
-file, the way `test_public_surface.py` loads its tracer.
+file (`conftest.bench_module`).
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
+from conftest import BENCH, bench_module
 from mixlab import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "mixbench"
 REFERENCE = json.loads((BENCH / "reference.json").read_text(encoding="utf-8"))
-
-
-def _load(monkeypatch, name):
-    spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, name, module)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _mismatched(monkeypatch, tmp_path, workload):
     """(key, kind, error) of each job of `workload`'s pool that fails or
     does not reproduce its recorded digest."""
-    jobs = _load(monkeypatch, "jobs")  # harness imports it by this name
-    harness = _load(monkeypatch, "harness")
+    jobs = bench_module(monkeypatch, "jobs")  # harness imports it by this name
+    harness = bench_module(monkeypatch, "harness")
     # The harness collects garbage before each job so that no job is timed
     # collecting another's; under pytest's heap that costs about 15 ms a
     # job, and no digest depends on it.
