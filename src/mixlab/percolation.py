@@ -3,21 +3,23 @@
 Connected components of equal-valued cells under 4- or 8-connectivity on the
 torus, labelled on arrays in one pass for both bit values: components of the
 open box come from pointer jumping over the edges that do not wrap, and a
-small union-find joins them across the seam edges that do.  Its nodes keep
-their position in the universal cover, so a seam edge that closes a cycle
-with a nonzero displacement winds around the torus, the standard
-finite-volume proxy for an infinite thread.  Every component has one colour,
-so the one labelling yields a report per bit value, and both reports share
-its root array: each cell holds the flat index of its cluster's first
-row-major cell.  A sweep labels each distinct configuration of a size once:
-a sample is fixed by its coefficient vector over the kernel basis, so
-samples that repeat a vector share one build, check and labelling.
+small union-find joins them across the seam edges that do.  Each call reads
+both edge sets off the grid itself, the box edges as the equal pairs of
+shifted views and the seam edges from index ranges of the border, so no
+table is kept per shape.  The union-find's nodes keep their position in the
+universal cover, so a seam edge that closes a cycle with a nonzero
+displacement winds around the torus, the standard finite-volume proxy for
+an infinite thread.  Every component has one colour, so the one labelling
+yields a report per bit value, and both reports share its root array: each
+cell holds the flat index of its cluster's first row-major cell.  A sweep
+labels each distinct configuration of a size once: a sample is fixed by its
+coefficient vector over the kernel basis, so samples that repeat a vector
+share one build, check and labelling.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -48,53 +50,15 @@ class ClusterReport:
     roots: np.ndarray = field(repr=False)
 
 
-# One step per undirected edge, per connectivity: the forward half of the
-# neighbourhood (dy >= 0), so each edge is listed once from its lower end.
-_STEPS = {
-    4: ((1, 0), (0, 1)),
-    8: ((1, 0), (0, 1), (1, 1), (-1, 1)),
-}
-
-
-# Sweeps label many grids of one shape; an entry holds about one int64 pair
-# per edge, so only the last few shapes are kept.
-@functools.lru_cache(maxsize=4)
-def _torus_edges(h: int, w: int, connectivity: int) -> tuple[np.ndarray, ...]:
-    """Every edge of the h x w torus graph, as flat cell indices: (u, v) of
-    the edges inside the open box except the row steps (`clusters` joins
-    those by runs), then (u, v, code) of the seam edges that wrap, from a
-    cell to the copy of its neighbour (kx, ky) tori away, with
-    code = 3 (kx + 1) + ky + 1."""
-    ys, xs = np.indices((h, w)).reshape(2, -1)
-    cell = ys * w + xs
-    box_u, box_v, seam_u, seam_v, seam_code = [], [], [], [], []
-    for dx, dy in _STEPS[connectivity]:
-        kx, nx = np.divmod(xs + dx, w)
-        ky, ny = np.divmod(ys + dy, h)
-        nbr = ny * w + nx
-        wraps = (kx != 0) | (ky != 0)
-        inside = ~wraps & (dy != 0)
-        box_u.append(cell[inside])
-        box_v.append(nbr[inside])
-        seam_u.append(cell[wraps])
-        seam_v.append(nbr[wraps])
-        seam_code.append((3 * (kx + 1) + ky + 1)[wraps])
-    edges = tuple(np.concatenate(a) for a in (box_u, box_v, seam_u, seam_v, seam_code))
-    for a in edges:
-        a.flags.writeable = False  # shared by every call for this shape
-    return edges
-
-
-def _box_roots(parent: np.ndarray, joined: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _box_roots(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Map each cell to the smallest flat index of its component under the
-    edges (u, v) where `joined` is set, starting from `parent`, a forest in
-    which every cell points at its tree's smallest cell.
+    edges (u, v), starting from `parent`, a forest in which every cell points
+    at its tree's smallest cell.
 
     Each round hooks the larger root of every edge to the smaller one with
     `np.minimum.at`, jumps pointers among the hooked roots until each
     reaches a root, then points every cell at its root again.
     """
-    u, v = u[joined], v[joined]
     while True:
         ru, rv = parent[u], parent[v]
         live = ru != rv
@@ -118,28 +82,57 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
     wraparound, from one labelling that joins every pair of equal-valued
     neighbours, so that each component has one colour.
 
-    Components of the open box (`_box_roots`) are joined across the O(w+h)
-    seam edges in a union-find whose nodes keep their cover offset (dx, dy),
-    in tori, from their set's root.  A seam edge inside one set closes a
+    Components of the open box come from row runs and `_box_roots` over the
+    equal neighbours one row down (and, with 8-connectivity, one row down
+    and one column across).  They are joined across the O(w+h) seam edges
+    in a union-find whose nodes keep their cover offset (dx, dy), in tori,
+    from their set's root.  A seam edge inside one set closes a
     cycle winding dx times horizontally and dy times vertically.  The
     fundamental cycles of this spanning forest generate each cluster's
     winding lattice, so a bit's horizontal / vertical wrap flag is set exactly
     when one of its clusters winds in x / y.  Each set keeps its smallest
     root, its first row-major cell, which every cell of the set then holds.
     """
-    if connectivity not in _STEPS:
+    if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     h, w = grid.shape
     n = h * w
-    box_u, box_v, seam_u, seam_v, seam_code = _torus_edges(h, w, connectivity)
     flat = np.asarray(grid).ravel()
+    g = flat.reshape(h, w)
     # Each run of equal values along a row starts as one tree rooted at its
     # first cell, so the row steps inside the box need no hooking.
+    index = np.arange(n)
     run_start = np.ones(n, dtype=bool)
     run_start[1:] = flat[1:] != flat[:-1]
     run_start[::w or 1] = True
-    runs = np.maximum.accumulate(np.where(run_start, np.arange(n), 0))
-    roots = _box_roots(runs, flat[box_u] == flat[box_v], box_u, box_v)
+    runs = np.maximum.accumulate(np.where(run_start, index, 0))
+    # The other joined box edges, from their upper end u: a cell of the top
+    # h - 1 rows has the same flat index there as in the grid.
+    down = np.flatnonzero(g[:-1] == g[1:])
+    box_u, box_v = down, down + w
+    if connectivity == 8:
+        right, left = np.zeros((2, *g[1:].shape), dtype=bool)
+        np.equal(g[:-1, :-1], g[1:, 1:], out=right[:, :-1])
+        np.equal(g[:-1, 1:], g[1:, :-1], out=left[:, 1:])
+        right, left = np.flatnonzero(right), np.flatnonzero(left)
+        box_u = np.concatenate((down, right, left))
+        box_v = np.concatenate((box_v, right + w + 1, left + w - 1))
+        del down, right, left  # freed before `_box_roots` allocates its own
+    roots = _box_roots(runs, box_u, box_v)
+    # The seam edges, from a border cell to the copy of its neighbour (kx, ky)
+    # tori away, as (u, v, code) with code = 3 (kx + 1) + ky + 1: rightward
+    # from the last column, downward from the bottom row and, with
+    # 8-connectivity, both diagonals from each, each corner a piece of its own.
+    top, bottom, first = index[:w], index[n - w:], index[::w or 1]
+    last = first + w - 1
+    seams = [(last, first, 7), (bottom, top, 5)]
+    if connectivity == 8:
+        seams += [(last[:-1], first[1:], 7), (bottom[:-1], top[1:], 5),
+                  (first[:-1], last[1:], 1), (bottom[1:], top[:-1], 5),
+                  (bottom[-1:], top[:1], 8), (bottom[:1], top[-1:], 2)]
+    seam_u = np.concatenate([u for u, _, _ in seams])
+    seam_v = np.concatenate([v for _, v, _ in seams])
+    seam_code = np.repeat([code for _, _, code in seams], [len(u) for u, _, _ in seams])
     up: dict[int, tuple[int, int, int]] = {}  # node -> (parent, dx, dy)
 
     def find(node: int) -> tuple[int, int, int]:
@@ -178,12 +171,12 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
         else:
             up[ra] = (rb, -dx, -dy)
     if up:
-        merged = np.arange(n)
+        merged = index.copy()
         nodes = list(up)
         merged[nodes] = [find(node)[0] for node in nodes]
         roots = merged[roots]
     sizes = np.bincount(roots, minlength=n)
-    is_root = roots == np.arange(n)
+    is_root = roots == index
     shared = roots.reshape(h, w)
 
     def report(bit: int) -> ClusterReport:
@@ -199,14 +192,17 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
     return report(0), report(1)
 
 
-# A distinct sample costs a draw and one labelling, 0.6-1.0 ms at side 65
-# (1.0-1.5 ms with 8-connectivity) on a 2-vCPU Xeon VM, and a repeated one
+# A distinct sample costs a draw and one labelling, 0.6-0.9 ms at side 65
+# (0.9-1.4 ms with 8-connectivity) on a 2-vCPU Xeon VM, and a repeated one
 # only its draw, so a size of that scale stays under 20 s.
 MAX_SWEEP_SAMPLES = 10_000
 
-# Each size builds its own kernel (0.01 s at side 257, 0.2-0.3 s and
-# 120 MB of basis at 1023), so 64 sizes take under a second of kernel
-# time at side 257 and under 20 s at 1023.
+# Each size builds its own kernel (0.01 s at side 257, 0.25 s and 128 MB
+# of basis at 1023), so 64 sizes take under a second of kernel time at side
+# 257 and under 20 s at 1023.  There one labelling takes 0.1-0.2 s (0.3 s
+# with 8-connectivity), and `percolate --sizes 1023 --samples 2` runs in
+# 0.5-0.7 s with a peak resident set of 240 MB (0.8-1.0 s and 330-340 MB
+# with 8-connectivity) on the same VM.
 MAX_SWEEP_SIZES = 64
 
 

@@ -2,6 +2,9 @@
 shapes included), winding cases with known answers, sweep determinism and
 bounds."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,22 @@ class TestClustersMatchBFS:
         grid = np.zeros((4, 4), dtype=np.uint8)
         with pytest.raises(ValueError):
             clusters(grid, 6)
+
+    @pytest.mark.parametrize("connectivity", [4, 8])
+    def test_labelling_keeps_nothing_per_shape(self, connectivity):
+        # Each call reads its edges off the grid: once its result is dropped,
+        # a labelling at side 255 leaves no edge table (1-3 MB) behind.
+        grid = _kernel_samples(255, 255, 1)[0]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            clusters(grid, connectivity)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert kept < 64 * 1024
 
 
 def _summary(cells, h, w, connectivity):

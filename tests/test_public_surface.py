@@ -63,6 +63,23 @@ def test_allowlist_names_exist():
     assert set(ALLOWED) <= {q.rpartition(".")[2] for q in defined}
 
 
+def test_module_level_caches_are_the_known_two():
+    # A cache at module level outlives every call and holds on to the inputs
+    # a process has seen, so each one is named here: the one exact value per
+    # cylinder rank, and the option table that the tracer wraps by name.
+    cached = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for dec in node.decorator_list:
+                dec = dec.func if isinstance(dec, ast.Call) else dec
+                name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
+                if name in ("lru_cache", "cache"):
+                    cached.add(f"{path.stem}.{node.name}")
+    assert cached == {"algebraic._window_value", "cli.build_parser"}
+
+
 def _tracing(monkeypatch):
     """mixbench/tracing.py, loaded read-only by file."""
     spec = importlib.util.spec_from_file_location("mixbench_tracing",
