@@ -922,10 +922,10 @@ def bernoulli_cylinder_measure(pairs: Iterable[tuple[Site, int]]) -> MeasureValu
 # Correlation oracles
 
 def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
-            relations_of: Callable[[list], list[int]]) -> tuple[tuple[np.ndarray, int], bool]:
+            relations_of: Callable[[list], list[int]]) -> tuple[np.ndarray, int]:
     """The d^k entries of a joining member: entry (i_1, ..., i_k) is the
     measure of the intersection of cells[i_j] shifted by shifts[j], for d
-    cells and k shifts.  Returns ((num, den), True), num the flat Python-int
+    cells and k shifts.  Returns (num, den), num the flat Python-int
     numerators in index order over den, a power of two.
 
     Cells with equal sites form a class.  The member's union holds each
@@ -1003,7 +1003,7 @@ def _member(shifts: Sequence[Site], cells: Sequence[CylinderConstraint],
             exponent[tuple(along[j][sites] for j, sites in enumerate(combo))] = block
     top = max(int(exponent.max()), 0)
     num = [1 << (top - e) if e >= 0 else 0 for e in exponent.ravel().tolist()]
-    return (np.array(num, dtype=object), 1 << top), True
+    return np.array(num, dtype=object), 1 << top
 
 
 class LedrappierOracle:
@@ -1048,7 +1048,7 @@ class LedrappierOracle:
         return _measure_from_relations(self._relations_of(bits), bits.values())
 
     def joining_member(self, shifts: Sequence[Site], cells: Sequence[CylinderConstraint]
-                       ) -> tuple[tuple[np.ndarray, int], bool]:
+                       ) -> tuple[np.ndarray, int]:
         """Every entry of the joining member of `cells` at `shifts` at once
         (`_member`), from the relations of the member's shifted sites."""
         return _member(shifts, cells, self._relations_of)
@@ -1094,7 +1094,7 @@ class BernoulliOracle:
         return bernoulli_cylinder_measure(pairs)
 
     def joining_member(self, shifts: Sequence[int], cells: Sequence[CylinderConstraint]
-                       ) -> tuple[tuple[np.ndarray, int], bool]:
+                       ) -> tuple[np.ndarray, int]:
         """Every entry of the joining member of `cells` at `shifts` at once
         (`_member`): the full shift has no relations."""
         for sh in shifts:

@@ -26,7 +26,8 @@ no other file repeats it, except measure.json):
   the tuple count and the largest defect with its tuple and certificate.
 - joining: joining.json, the tensor, its class and the lowered, raised and
   chain reports asked for; tensor.json and classification.json, the tensor
-  and its class alone.
+  and its class alone.  A --tensor file holds exact fractions, as
+  tensor.json writes them; one with "exact": false exits 2.
 - percolate: percolation.csv and percolation.json, the same rows, one per
   lattice size and bit.
 - render: grid.svg, grid.pbm and grid.json, the sampled configuration in
@@ -574,7 +575,8 @@ _TABLE: dict[str, _Command] = {
     }),
     "joining": _Command("limiting joining tensor and operator calculus", {
         **_OUT, **_PATTERN,
-        "--tensor": _Option("tensor", "file", "load a tensor JSON instead of the parity pipeline"),
+        "--tensor": _Option("tensor", "file", "load a tensor JSON of exact fractions instead "
+                            'of the parity pipeline ("exact": false exits 2)'),
         **_SCALES,
         "--chain": _Option("chain", "flag", "run the mean-zero norm chain"),
         "--raise": _Option("raise_order", "flag", "raise the order of the operator"),

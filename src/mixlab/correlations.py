@@ -41,15 +41,15 @@ class CorrelationOracle(Protocol):
     deviation scan reads `correlation_grid` instead).  `joining_member`
     gives every entry of a joining member at once, for `limit_joining`:
     entry (i_1, ..., i_k) is the measure of the intersection of cells[i_j]
-    shifted by shifts[j], returned as ((num, den), exact) with num flat in
-    index order, Python ints over den when exact, floats over 1 otherwise."""
+    shifted by shifts[j], returned exactly as (num, den): num the Python-int
+    numerators, flat in index order, over the common denominator den."""
 
     def event_measure(self, event) -> MeasureValue: ...
 
     def intersection_measure(self, shifts: Sequence[Site], events: Sequence) -> MeasureValue: ...
 
     def joining_member(self, shifts: Sequence[Site],
-                       cells: Sequence) -> tuple[tuple[np.ndarray, int], bool]: ...
+                       cells: Sequence) -> tuple[np.ndarray, int]: ...
 
 
 class OracleCapabilityError(RuntimeError):

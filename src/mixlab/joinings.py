@@ -16,20 +16,19 @@ product (p+1)-marginals down to order 4.
 
 Every operation works on one scaled view, `scaled`: a pair (num, den) with
 entry == num / den, num of shape (d,)*order for a tensor and d x d**k for an
-operator.  For exact data num holds Python ints over their least common
+operator.  Values are exact: num holds Python ints over their least common
 denominator den, so sums and products are integer arithmetic with no gcd
-per step; estimated (float) data is the same pair with float numerators over
-den = 1.  One reduction or contraction therefore serves both, and marginals
-are compared with product masses by cross-multiplying.  The checks of an
-exact tensor (validation and classification) run on an int64 copy of its
-numerators whenever den * wden**order < 2**63, wden the common denominator
-of the cell masses: nonnegative entries summing to den bound every marginal
-by den and every mass product by wden**m, so no compared value overflows.
-Past that bound they run on the Python ints.  `lower_order` contracts in
-int64 under its own bound, computed before the product.  Results pass (num,
-den) on as Python ints, reduced by one gcd; tensor JSON is read and written
-from it, and the public `entries` and `matrix` tuples are built on first
-read.
+per step, and marginals are compared with product masses by
+cross-multiplying.  The checks of a tensor (validation and classification)
+run on an int64 copy of its numerators whenever den * wden**order < 2**63,
+wden the common denominator of the cell masses: nonnegative entries summing
+to den bound every marginal by den and every mass product by wden**m, so no
+compared value overflows.  Past that bound they run on the Python ints.
+`lower_order` contracts in int64 under its own bound, computed before the
+product.  Results pass (num, den) on as Python ints, reduced by one gcd;
+tensor JSON (fraction strings, and `"exact": true` or no such key) is read
+and written from it, and the public `entries` and `matrix` tuples of
+Fractions are built on first read.
 
 Function spaces here are finite-dimensional cell-indicator spaces; only
 tensor-level properties (marginals, independence classes) are claimed for
@@ -53,14 +52,9 @@ import numpy as np
 from .correlations import CorrelationOracle, OracleCapabilityError
 from .measure import format_fraction, parse_fraction
 
-Number = Union[Fraction, float]
-# (num, den): values num / den, num an array of Python ints (exact) or
-# floats (estimated, den == 1).
+# (num, den): values num / den, num an array of Python ints.
 Scaled = tuple[np.ndarray, int]
 
-# Slack for estimated (float) tensors and operators; validation scales it by
-# the number of entries summed.
-FLOAT_TOL = 1e-9
 # Consecutive equal members after which a correlation family has stabilized.
 STABLE_MEMBERS = 3
 # Additive slack in the chain inequalities, for the float singular values.
@@ -127,16 +121,10 @@ def uniform_partition(d: int) -> Partition:
     return Partition(tuple(Fraction(1, d) for _ in range(d)))
 
 
-def _scaled(values: Sequence, exact: bool) -> Scaled:
-    """`values` as (num, den), flat: integer numerators over their least
-    common denominator when exact, the floats over 1 otherwise."""
-    if not exact:
-        return np.array(values, dtype=float), 1
-    return _over_lcm([v.as_integer_ratio() for v in values])
-
-
-def _over_lcm(ratios: Sequence[tuple[int, int]]) -> Scaled:
-    """Ratios p / q as integer numerators over the lcm of the q."""
+def _scaled(values: Sequence) -> Scaled:
+    """Rational `values` as (num, den), flat: integer numerators over their
+    least common denominator."""
+    ratios = [v.as_integer_ratio() for v in values]
     den = math.lcm(*(q for _, q in ratios))
     return np.array([p * (den // q) for p, q in ratios], dtype=object), den
 
@@ -145,15 +133,14 @@ def _parsed(texts: Sequence[str]) -> Scaled:
     """Entry strings as (num, den), flat; each distinct string is parsed
     and scaled once, in first-seen order."""
     distinct = dict.fromkeys(texts)
-    num, den = _over_lcm([parse_fraction(s).as_integer_ratio() for s in distinct])
+    num, den = _scaled([parse_fraction(s) for s in distinct])
     scaled = dict(zip(distinct, num.tolist()))
     return np.array([scaled[s] for s in texts], dtype=object), den
 
 
-def _reduced(num: np.ndarray, den, exact: bool) -> Scaled:
-    """(num, den) over the least common denominator of its values when
-    exact; estimates as given."""
-    g = math.gcd(den, *num.ravel().tolist()) if exact else 1
+def _reduced(num: np.ndarray, den: int) -> Scaled:
+    """(num, den) over the least common denominator of its values."""
+    g = math.gcd(den, *num.ravel().tolist())
     return (num // g, den // g) if g > 1 else (num, den)
 
 
@@ -168,25 +155,14 @@ def _format(num: np.ndarray, den: int) -> list[str]:
     return [texts[x] for x in flat]
 
 
-def _value(x, den: int, exact: bool) -> Number:
-    """x / den: a reduced Fraction when exact, a float otherwise."""
-    return Fraction(x, den) if exact else x / den
-
-
-def _values(num: np.ndarray, den: int, exact: bool) -> list[Number]:
-    return [_value(x, den, exact) for x in num.ravel().tolist()]
-
-
-def _masses(x: Union["JoiningTensor", "LinearOperator"]) -> Scaled:
-    return _scaled(x.weights, x.exact)
+def _values(num: np.ndarray, den: int) -> list[Fraction]:
+    return [Fraction(x, den) for x in num.ravel().tolist()]
 
 
 def _inverse_masses(x: Union["JoiningTensor", "LinearOperator"]) -> Scaled:
-    """(inv, den) with 1 / w_i == inv[i] / den: over the lcm of the mass
-    numerators when exact, 1 / w over 1 otherwise."""
-    w, wden = _masses(x)
-    if not x.exact:
-        return 1 / w, 1
+    """(inv, den) with 1 / w_i == inv[i] / den, over the lcm of the mass
+    numerators."""
+    w, wden = _scaled(x.weights)
     lcm = math.lcm(*w.tolist())
     return np.array([wden * (lcm // wi) for wi in w.tolist()], dtype=object), lcm
 
@@ -206,16 +182,10 @@ def _mass_grid(masses: np.ndarray, order: int) -> np.ndarray:
     return grid
 
 
-def _differs(a, b, exact: bool, slack: float):
-    """Entrywise a != b: exactly, or by more than `slack` for estimates."""
-    return a != b if exact else abs(a - b) > slack
-
-
 def _same(x: "JoiningTensor", y: "JoiningTensor") -> bool:
-    """Equal entries: exactly when both are exact, within FLOAT_TOL
-    otherwise."""
+    """Equal entries."""
     (a, da), (b, db) = x.scaled, y.scaled
-    return not _differs(a * db, b * da, x.exact and y.exact, FLOAT_TOL * da * db).any()
+    return not (a * db != b * da).any()
 
 
 class JoiningTensor:
@@ -224,21 +194,20 @@ class JoiningTensor:
     Built from flat `entries` or `scaled` (num, den) of any shape; validated once."""
 
     def __init__(self, order: int, weights: tuple[Fraction, ...],
-                 entries: Sequence[Number] = (), exact: bool = True, *,
-                 scaled: Optional[Scaled] = None):
+                 entries: Sequence[Fraction] = (), *, scaled: Optional[Scaled] = None):
         if scaled is None:
             self.entries = tuple(entries)
-            scaled = _scaled(self.entries, exact)
+            scaled = _scaled(self.entries)
         else:
-            scaled = _reduced(*scaled, exact)
-        self.order, self.dims, self.weights, self.exact = order, len(weights), weights, exact
+            scaled = _reduced(*scaled)
+        self.order, self.dims, self.weights = order, len(weights), weights
         self.scaled = scaled
         self.__post_init__()
 
     @cached_property
-    def entries(self) -> tuple[Number, ...]:
+    def entries(self) -> tuple[Fraction, ...]:
         """The values, flat in index order."""
-        return tuple(_values(*self.scaled, self.exact))
+        return tuple(_values(*self.scaled))
 
     @cached_property
     def classification(self) -> "Classification":
@@ -246,23 +215,21 @@ class JoiningTensor:
 
     @cached_property
     def _checked(self) -> tuple[np.ndarray, np.ndarray, int]:
-        """(num, masses, wden) as the marginal checks compare them: for exact
-        data int64 copies when den * M**order < 2**63, M the largest of wden
-        and the mass numerators (wden itself for masses in [0, 1]), Python
-        ints otherwise.  Read only once the entries are known to be
-        nonnegative and to sum to den: then every marginal is at most den
-        and every mass product at most M**m, so under the bound no marginal,
-        product or cross-multiple of them overflows."""
-        (num, den), (w, wden) = self.scaled, _masses(self)
-        if not self.exact:
-            return num, w, wden
+        """(num, masses, wden) as the marginal checks compare them: int64
+        copies when den * M**order < 2**63, M the largest of wden and the
+        mass numerators (wden itself for masses in [0, 1]), Python ints
+        otherwise.  Read only once the entries are known to be nonnegative
+        and to sum to den: then every marginal is at most den and every mass
+        product at most M**m, so under the bound no marginal, product or
+        cross-multiple of them overflows."""
+        (num, den), (w, wden) = self.scaled, _scaled(self.weights)
         bound = den * max(wden, *map(abs, w.tolist())) ** self.order
         return _fixed_width(num, bound), _fixed_width(w, bound), wden
 
     def __post_init__(self):
         """Check the joining invariants and shape `scaled` as (dims,)*order.
 
-        The sign and the total are checked on the exact values.  The one-axis
+        The sign and the total are checked on the Python ints.  The one-axis
         marginals are then stacked and compared with the cell masses in one
         comparison, on `_checked`'s int64 copy when it fits; a failure names
         the first axis, and the first cell on it, whose marginal differs."""
@@ -277,24 +244,20 @@ class JoiningTensor:
             raise JoiningError("entry count does not match dims**order")
         a = num.reshape((self.dims,) * self.order)
         self.scaled = a, den
-        if self.exact:
-            flat = a.ravel().tolist()
-            low, total = min(flat), sum(flat)
-        else:
-            low, total = a.min(), a.sum()
-        if low < (0 if self.exact else -FLOAT_TOL):
+        flat = a.ravel().tolist()
+        low, total = min(flat), sum(flat)
+        if low < 0:
             raise JoiningError("tensor entries must be nonnegative")
-        if _differs(total, den, self.exact, FLOAT_TOL * n):
-            raise JoiningError(f"tensor mass is {_value(total, den, self.exact)}, not 1")
+        if total != den:
+            raise JoiningError(f"tensor mass is {Fraction(total, den)}, not 1")
         c, w, wden = self._checked
         margs = np.empty((self.order, self.dims), dtype=c.dtype)
         for axis in range(self.order):
             margs[axis] = c.sum(axis=tuple(x for x in range(self.order) if x != axis))
-        bad = _differs(margs * wden, w * den, self.exact, FLOAT_TOL * n)
+        bad = margs * wden != w * den
         if bad.any():
             axis, cell = np.argwhere(bad)[0].tolist()
-            raise JoiningError(f"axis {axis} marginal "
-                               f"{_value(margs[axis].tolist()[cell], den, self.exact)}"
+            raise JoiningError(f"axis {axis} marginal {Fraction(margs[axis].tolist()[cell], den)}"
                                f" != weight {self.weights[cell]}")
 
     def to_json(self) -> dict:
@@ -303,23 +266,23 @@ class JoiningTensor:
             "order": self.order,
             "dims": self.dims,
             "weights": [format_fraction(w) for w in self.weights],
-            "entries": _format(num, den) if self.exact else num.ravel().tolist(),
-            "exact": self.exact,
+            "entries": _format(num, den),
+            "exact": True,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "JoiningTensor":
         if not isinstance(obj, dict) or not {"order", "dims", "weights", "entries"} <= obj.keys():
             raise JoiningError("tensor JSON needs 'order', 'dims', 'weights' and 'entries'")
-        order, dims, exact = obj["order"], obj["dims"], obj.get("exact", True)
-        if type(order) is not int or type(dims) is not int or type(exact) is not bool:
-            raise JoiningError("tensor 'order' and 'dims' must be integers, 'exact' a boolean")
+        order, dims = obj["order"], obj["dims"]
+        if type(order) is not int or type(dims) is not int:
+            raise JoiningError("tensor 'order' and 'dims' must be integers")
+        if obj.get("exact", True) is not True:
+            raise JoiningError("tensor 'exact' must be true: entries are exact fractions")
         _check_entries(dims, order)
         weights = tuple(parse_fraction(str(w)) for w in obj["weights"])
         if len(weights) != dims:
             raise JoiningError("need one cell mass per cell")
-        if not exact:
-            return cls(order, weights, [float(e) for e in obj["entries"]], exact=False)
         return cls(order, weights, scaled=_parsed([str(e) for e in obj["entries"]]))
 
 
@@ -334,7 +297,7 @@ def parity_tensor(order: int) -> JoiningTensor:
     return JoiningTensor(order, (Fraction(1, 2), Fraction(1, 2)), entries)
 
 
-def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list[Number]]:
+def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list[Fraction]]:
     """Sum out the complementary axes; order = len(axes), axes kept in the
     order given.
 
@@ -351,8 +314,8 @@ def marginal(t: JoiningTensor, axes: Sequence[int]) -> Union[JoiningTensor, list
     kept = a.sum(axis=tuple(x for x in range(t.order) if x not in axes)) \
         .transpose([ranks.index(x) for x in axes])
     if len(axes) == 1:
-        return _values(kept, den, t.exact)
-    return JoiningTensor(len(axes), t.weights, exact=t.exact, scaled=(kept, den))
+        return _values(kept, den)
+    return JoiningTensor(len(axes), t.weights, scaled=(kept, den))
 
 
 @dataclass(frozen=True)
@@ -396,8 +359,7 @@ def _classify(t: JoiningTensor) -> Classification:
     def product(margs: np.ndarray, m: int) -> bool:
         # marg / den == grid / wden**m, cross-multiplied; margs holds the
         # level's marginals along a leading axis, or is the tensor itself
-        return not _differs(margs * wden ** m, _mass_grid(w, m) * den, t.exact,
-                            FLOAT_TOL).any()
+        return not (margs * wden ** m != _mass_grid(w, m) * den).any()
 
     if product(c, n):
         return Classification(n, is_product=True, max_product_marginal_order=n)
@@ -428,18 +390,18 @@ class LinearOperator:
     the `matrix` rows or from `scaled` (num, den) of shape d x d**k."""
 
     def __init__(self, source_order: int, weights: tuple[Fraction, ...],
-                 matrix: Sequence[Sequence[Number]] = (), exact: bool = True, *,
+                 matrix: Sequence[Sequence[Fraction]] = (), *,
                  scaled: Optional[Scaled] = None):
         if scaled is None:
             self.matrix = tuple(tuple(row) for row in matrix)
             width = len(weights) ** source_order
             if len(self.matrix) != len(weights) or any(len(r) != width for r in self.matrix):
                 raise ValueError("operator needs one row per cell, dims**source_order wide")
-            num, den = _scaled([x for row in self.matrix for x in row], exact)
+            num, den = _scaled([x for row in self.matrix for x in row])
             scaled = num.reshape(len(weights), width), den
         else:
-            scaled = _reduced(*scaled, exact)
-        self.source_order, self.weights, self.exact = source_order, weights, exact
+            scaled = _reduced(*scaled)
+        self.source_order, self.weights = source_order, weights
         self.scaled = scaled
         self.__post_init__()
 
@@ -448,10 +410,10 @@ class LinearOperator:
         return len(self.weights)
 
     @cached_property
-    def matrix(self) -> tuple[tuple[Number, ...], ...]:
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """d rows of d**source_order values."""
         num, den = self.scaled
-        return tuple(tuple(_values(row, den, self.exact)) for row in num)
+        return tuple(tuple(_values(row, den)) for row in num)
 
     def __post_init__(self):
         """Nothing to check for a general linear operator."""
@@ -462,9 +424,9 @@ class MarkovOperator(LinearOperator):
 
     def __post_init__(self):
         a, den = self.scaled
-        if (a < (0 if self.exact else -FLOAT_TOL)).any():
+        if (a < 0).any():
             raise ValueError("operator entries must be nonnegative")
-        if _differs(a.sum(axis=1), den, self.exact, FLOAT_TOL * a.shape[1]).any():
+        if (a.sum(axis=1) != den).any():
             raise ValueError("operator must preserve constants")
 
 
@@ -477,14 +439,14 @@ def markov_from_joining(t: JoiningTensor) -> MarkovOperator:
     a, den = t.scaled
     inv, inv_den = _inverse_masses(t)
     rows = a.reshape(t.dims, -1) * inv[:, None]
-    return MarkovOperator(t.order - 1, t.weights, exact=t.exact, scaled=(rows, den * inv_den))
+    return MarkovOperator(t.order - 1, t.weights, scaled=(rows, den * inv_den))
 
 
 def _pairing(p: LinearOperator) -> Scaled:
     """<P(e_a), P(e_b)> for every pair of source cell tuples a, b:
     a d**k x d**k array over one denominator."""
     m, den = p.scaled
-    w, wden = _masses(p)
+    w, wden = _scaled(p.weights)
     return (w[:, None] * m).T @ m, wden * den * den
 
 
@@ -503,7 +465,7 @@ def pair_compose(p: LinearOperator) -> LinearOperator:
     paired = paired.reshape(d ** k, d ** (k - 1), d)
     inv, inv_den = _inverse_masses(p)
     rows = np.moveaxis(paired, 2, 0).reshape(d, -1) * inv[:, None]
-    return LinearOperator(2 * k - 1, p.weights, exact=p.exact, scaled=(rows, den * inv_den))
+    return LinearOperator(2 * k - 1, p.weights, scaled=(rows, den * inv_den))
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +598,7 @@ def raise_order(p3: LinearOperator) -> tuple[JoiningTensor, dict]:
     if p3.source_order != 3:
         raise ValueError("raise_order needs a source-order-3 operator")
     paired, den = _pairing(p3)
-    t = JoiningTensor(6, p3.weights, exact=p3.exact, scaled=(paired, den))
+    t = JoiningTensor(6, p3.weights, scaled=(paired, den))
     return t, tensor_report(t)
 
 
@@ -657,15 +619,14 @@ def lower_order(t: JoiningTensor) -> tuple[JoiningTensor, dict]:
     d = t.dims
     a, den = t.scaled
     inv, inv_den = _inverse_masses(t)
-    flat, grid = a.reshape(d * d, d ** p), _mass_grid(inv, p).ravel()
-    if t.exact:
-        # Each product of two entries and a grid value is at most den *
-        # den * max(inv)**p, and so is each sum of them, since every row of
-        # entries sums to at most den.
-        bound = den * den * max(inv.tolist()) ** p
-        flat, grid = _fixed_width(flat, bound), _fixed_width(grid, bound)
+    # Each product of two entries and a grid value is at most den * den *
+    # max(inv)**p, and so is each sum of them, since every row of entries
+    # sums to at most den.
+    bound = den * den * max(inv.tolist()) ** p
+    flat = _fixed_width(a.reshape(d * d, d ** p), bound)
+    grid = _fixed_width(_mass_grid(inv, p).ravel(), bound)
     paired = ((flat * grid) @ flat.T).astype(a.dtype, copy=False)
-    out = JoiningTensor(4, t.weights, exact=t.exact, scaled=(paired, den * den * inv_den ** p))
+    out = JoiningTensor(4, t.weights, scaled=(paired, den * den * inv_den ** p))
     return out, tensor_report(out)
 
 
@@ -677,9 +638,9 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
     """Tensor of limiting intersection measures over all cell combinations.
 
     The first member's length is the order.  Walks the family, asking the
-    oracle once per member for all its entries (`joining_member`, as (num,
-    den) with their exactness); returns once `STABLE_MEMBERS` consecutive
-    members agree (exactly for exact oracles, within `FLOAT_TOL` otherwise).
+    oracle once per member for all its entries (`joining_member`, as exact
+    (num, den) with num flat); returns once `STABLE_MEMBERS` consecutive
+    members are equal.
     An oracle's `TypeError` or `ValueError` becomes `OracleCapabilityError`,
     as in `kfold_correlation`.  Every member is validated as a joining,
     since the correlations of a partition at any fixed shifts form one; an
@@ -703,10 +664,10 @@ def limit_joining(oracle: CorrelationOracle, partition: Partition,
         if len(shifts) != order:
             raise ValueError(f"family member has {len(shifts)} shifts, need {order}")
         try:
-            scaled, exact = oracle.joining_member(shifts, tuple(cell_events))
+            scaled = oracle.joining_member(shifts, tuple(cell_events))
         except (TypeError, ValueError) as exc:
             raise OracleCapabilityError(f"oracle cannot evaluate constellation: {exc}") from exc
-        tensor = JoiningTensor(order, partition.weights, exact=exact, scaled=scaled)
+        tensor = JoiningTensor(order, partition.weights, scaled=scaled)
         if trace and _same(trace[-1], tensor):
             run += 1
         else:

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
+
+# Fraction("1e-10000000") spends seconds on 10**10000000; a larger exponent
+# than this is refused, as int() refuses a string of over 4,300 digits.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction reads it
 
 
 @dataclass(frozen=True)
@@ -65,4 +71,8 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
+    """Fraction(s), refusing an exponent of magnitude past `MAX_EXPONENT`."""
+    exponent = _EXPONENT.search(s)
+    if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
+        raise ValueError(f"exponent of {s!r} passes {MAX_EXPONENT}")
     return Fraction(s)

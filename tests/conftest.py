@@ -67,8 +67,7 @@ from mixlab.algebraic import (CylinderConstraint, _relations, _run_rows, grid_sa
                               relation_space, sample_configuration, site_add, torus_kernel)
 from mixlab.correlations import MAX_SCAN_BOX, admissible_mask
 from mixlab.gf2 import BitMatrix, BitVector
-from mixlab.joinings import (FLOAT_TOL, JoiningTensor, MarkovOperator, _mean_zero_onb,
-                             uniform_partition)
+from mixlab.joinings import JoiningTensor, MarkovOperator, _mean_zero_onb, uniform_partition
 from mixlab.measure import MeasureValue
 from mixlab.percolation import SweepRow, clusters
 from mixlab.rng import mix, substream
@@ -693,16 +692,14 @@ def reference_joining_member(oracle, shifts, cells):
     """The entries of a joining member one at a time, as `limit_joining` once
     measured them: entry (i_1, ..., i_k) is the oracle's
     `intersection_measure` of cells[i_1], ..., cells[i_k] at `shifts`, in
-    index order.  Returns ((num, den), exact): integer numerators over the
-    lcm of the denominators when every entry is exact, floats over 1
-    otherwise."""
+    index order.  Every entry must be exact; returns (num, den), integer
+    numerators over the lcm of the denominators."""
     values = [oracle.intersection_measure(shifts, [cells[i] for i in idx])
               for idx in itertools.product(range(len(cells)), repeat=len(shifts))]
-    if not all(v.is_exact for v in values):
-        return (np.array([v.as_float() for v in values]), 1), False
+    assert all(v.is_exact for v in values)
     ratios = [v.exact.as_integer_ratio() for v in values]
     den = math.lcm(*(q for _, q in ratios))
-    return (np.array([p * (den // q) for p, q in ratios], dtype=object), den), True
+    return np.array([p * (den // q) for p, q in ratios], dtype=object), den
 
 
 class PerEntryMember:
@@ -907,7 +904,7 @@ def reference_marginal(t, axes):
     """Flat entries of the marginal of joining tensor `t` on `axes`, kept in
     the order given, one tensor entry at a time."""
     d = t.dims
-    out = [Fraction(0) if t.exact else 0.0] * (d ** len(axes))
+    out = [Fraction(0)] * (d ** len(axes))
     for idx in itertools.product(range(d), repeat=t.order):
         out[_ravel([idx[a] for a in axes], d)] += t.entries[_ravel(idx, d)]
     return out
@@ -1006,7 +1003,7 @@ def reference_lower_order(t):
     p = t.order - 2
     entries = []
     for a1, a2, b1, b2 in itertools.product(range(d), repeat=4):
-        acc = Fraction(0) if t.exact else 0.0
+        acc = Fraction(0)
         for rest in itertools.product(range(d), repeat=p):
             acc += (t.entries[_ravel((a1, a2) + rest, d)]
                     * t.entries[_ravel((b1, b2) + rest, d)] / _wprod(t.weights, rest))
@@ -1050,8 +1047,7 @@ def averaging_operator(partition, source_order):
 
 def apply(p, f):
     """P(f) for a tensor function f, a flat list over d**source_order cells."""
-    zero = Fraction(0) if p.exact else 0.0
-    return [sum((row[pos] * x for pos, x in enumerate(f) if x), zero) for row in p.matrix]
+    return [sum((row[pos] * x for pos, x in enumerate(f) if x), Fraction(0)) for row in p.matrix]
 
 
 def image(p, cells):
@@ -1067,18 +1063,16 @@ def pair(p, out_cell, cells):
 
 def as_array(x):
     """The public entries of tensor `x` as a (dims,)*order array, or the
-    matrix of operator `x`: Fractions when exact, floats otherwise."""
-    dtype = object if x.exact else float
+    matrix of operator `x`, as Fractions."""
     if isinstance(x, JoiningTensor):
-        return np.array(x.entries, dtype=dtype).reshape((x.dims,) * x.order)
-    return np.array(x.matrix, dtype=dtype)
+        return np.array(x.entries, dtype=object).reshape((x.dims,) * x.order)
+    return np.array(x.matrix, dtype=object)
 
 
 def adjoint_of(p, g):
     """P* g as a flat tensor function over d**source_order cells."""
-    dtype = object if p.exact else float
-    w = np.array(p.weights, dtype=dtype)
-    grid = np.array(_cell_products(p.weights, p.source_order), dtype=dtype)
+    w = np.array(p.weights, dtype=object)
+    grid = np.array(_cell_products(p.weights, p.source_order), dtype=object)
     return (w * np.asarray(g)) @ as_array(p) / grid
 
 
@@ -1086,13 +1080,12 @@ def adjoint_maps_mean_zero(p):
     """Exact check that P* sends mean-zero functions into tensors all of
     whose one-axis partial integrals vanish."""
     d, k = p.dims, p.source_order
-    w = np.array(p.weights, dtype=object if p.exact else float)
-    slack = 0 if p.exact else FLOAT_TOL * d ** k
+    w = np.array(p.weights, dtype=object)
     for m in range(d - 1):
         g = [int(i == m) - p.weights[m] for i in range(d)]  # e_m minus its integral
         img = adjoint_of(p, g).reshape((d,) * k)
         for axis in range(k):
-            if (abs(np.moveaxis(img, axis, -1) @ w) > slack).any():
+            if (np.moveaxis(img, axis, -1) @ w != 0).any():
                 return False
     return True
 

@@ -647,7 +647,7 @@ class TestNormalForm:
             shifts = ledrappier_dyadic_shifts(n)
             assert oracle.intersection_measure(shifts, events).exact == Fraction(1, 16)
             assert oracle.relation_certificate(shifts, events)["relations"] == [[1] * 5]
-            (num, den), _ = oracle.joining_member(shifts, cells)
+            num, den = oracle.joining_member(shifts, cells)
             assert den == 16 and sum(x == 0 for x in num.tolist()) == 16
         assert built == [FIVE]
         assert oracle._memo == {FIVE: [0b11111]}
@@ -911,11 +911,10 @@ class TestJoiningMember:
                 shifts = tuple(shifts)
             else:
                 shifts = ledrappier_dyadic_shifts(trial % 3)
-            (num, den), exact = oracle.joining_member(shifts, cells)
-            (ref_num, ref_den), ref_exact = reference_joining_member(oracle, shifts, cells)
-            assert exact and ref_exact
+            num, den = oracle.joining_member(shifts, cells)
+            ref_num, ref_den = reference_joining_member(oracle, shifts, cells)
             assert den == ref_den and num.tolist() == ref_num.tolist()
-            tensor = JoiningTensor(len(shifts), masses, exact=True, scaled=(num, den))
+            tensor = JoiningTensor(len(shifts), masses, scaled=(num, den))
             assert list(tensor.entries) == [Fraction(x, ref_den) for x in ref_num.tolist()]
             for idx, x in zip(itertools.product(range(len(cells)), repeat=len(shifts)),
                               ref_num.tolist()):
@@ -950,8 +949,8 @@ class TestJoiningMember:
                 site = (rng.randint(-3, 3), rng.randint(-3, 3))
                 if site not in shifts:
                     shifts.append(site)
-            (num, den), _ = oracle.joining_member(shifts, cells)
-            cls = classify(JoiningTensor(k, masses, exact=True, scaled=(num, den)))
+            num, den = oracle.joining_member(shifts, cells)
+            cls = classify(JoiningTensor(k, masses, scaled=(num, den)))
             span = {0}
             for v in relation_space(pattern, shifts):
                 span |= {u ^ v for u in span}
@@ -984,13 +983,13 @@ class TestJoiningMember:
         eliminations = []
         for shifts in members:
             calls.clear()
-            (num, den), _ = oracle.joining_member(shifts, cells)
+            num, den = oracle.joining_member(shifts, cells)
             union = sorted({site_add(s, sh) for sh in shifts for s in [(0, 0), (1, 0)]})
             assert len(calls) == (1 if algebraic._peel(SYS.normals, union) else 0)
             eliminations.append(len(calls))
-            (ref_num, ref_den), _ = reference_joining_member(oracle, shifts, cells)
+            ref_num, ref_den = reference_joining_member(oracle, shifts, cells)
             assert den == ref_den and num.tolist() == ref_num.tolist()
-            JoiningTensor(8, masses, exact=True, scaled=(num, den))
+            JoiningTensor(8, masses, scaled=(num, den))
             for idx, x in zip(itertools.product(range(3), repeat=8), ref_num.tolist()):
                 if x == 0 and merge_events([cells[i] for i in idx], shifts) is not None:
                     relation_zeros += 1

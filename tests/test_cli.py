@@ -16,6 +16,7 @@ from mixlab import __version__, algebraic, cli, joinings
 from mixlab.algebraic import MAX_MC_SAMPLES, MAX_TORUS_SIDE
 from mixlab.correlations import MAX_DYADIC_SCALE, MAX_SCAN_BOX, MAX_SCAN_BUDGET, MAX_SCAN_ORDER
 from mixlab.joinings import MAX_JOINING_ENTRIES
+from mixlab.measure import MAX_EXPONENT
 from mixlab.percolation import MAX_SWEEP_SAMPLES, MAX_SWEEP_SIZES
 from mixlab.rankone import MAX_STAGES, MAX_WORD_LENGTH
 
@@ -148,6 +149,8 @@ _PAST_SIDE = str(MAX_TORUS_SIDE + 1)
     (["scan", "mix", "--order", "4", "--family", "dyadic", "--scales", "22:23"],
      f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
     (["joining", "--scales", "20:23"], f"dyadic scales must lie in 0..{MAX_DYADIC_SCALE}"),
+    # Fraction("1e-10000000") alone would take seconds: the exponent is refused first.
+    (["joining", "--tensor", "exponent.json"], f"passes {MAX_EXPONENT}"),
 ])
 def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsys, argv, message):
     # Each bound is checked before the work it limits starts, and before the
@@ -162,6 +165,7 @@ def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsy
                                    "entries": ["not an entry"]})
     _write(tmp_path / "one-cell.json", {"order": 10 ** 9, "dims": 1,
                                         "weights": ["1"], "entries": ["1"]})
+    _write(tmp_path / "exponent.json", dict(PRODUCT2, entries=["1e-10000000"] + ["1/4"] * 3))
     start = time.perf_counter()
     assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert time.perf_counter() - start < 1.0
@@ -280,7 +284,7 @@ PRODUCT2 = {"order": 2, "dims": 2, "weights": ["1/2", "1/2"], "entries": ["1/4"]
     (["joining", "--tensor"], "t.json", [1, 2]),
     (["render", "--size", "9", "--pattern"], "p.json", {"support": [1, 2]}),
     (["rankone", "--spec"], "s.json", [[2, 3]]),
-    # order and dims must be JSON integers, exact a JSON boolean
+    # order and dims must be JSON integers, and exact, when given, JSON true
     (["joining", "--tensor"], "t.json", dict(PRODUCT2, order=2.9)),
     (["joining", "--tensor"], "t.json", dict(PRODUCT2, order=True, entries=["1/2"] * 2)),
     (["joining", "--tensor"], "t.json", dict(PRODUCT2, dims="2")),
@@ -301,12 +305,15 @@ PRODUCT2 = {"order": 2, "dims": 2, "weights": ["1/2", "1/2"], "entries": ["1/4"]
     (["render", "--size", "9", "--pattern"], "p.json", {"support": [[0, 0], ["1", 0]]}),
     (["rankone", "--spec"], "s.json", {"cuts": [2.9, 2], "spacers": [[0, 1.8], [0, 0]]}),
     (["rankone", "--spec"], "s.json", {"cuts": [2], "spacers": [[False, "1"]]}),
+    # a tensor file holds exact fractions only (last, so the cases above keep their ids)
+    (["joining", "--tensor"], "t.json", dict(PRODUCT2, exact=False, entries=[0.25] * 4)),
 ])
 def test_malformed_input_file_exits_2(tmp_path, capsys, argv, name, contents):
     path = _write(tmp_path / name, contents)
     assert cli.main(argv + [path, "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert any(line.startswith("error:") for line in err.splitlines()), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,params", [

@@ -30,7 +30,6 @@ from mixlab import joinings
 from mixlab.algebraic import BernoulliOracle, CylinderConstraint, LedrappierOracle
 from mixlab.correlations import OracleCapabilityError, dyadic_family
 from mixlab.joinings import (
-    FLOAT_TOL,
     MAX_JOINING_ENTRIES,
     MAX_JOINING_ORDER,
     STABLE_MEMBERS,
@@ -223,7 +222,7 @@ class TestMarkovFromJoining:
         # Validation refuses a zero mass, so the broken tensor is a bare
         # instance around the parity tensor's scaled view.
         broken = JoiningTensor.__new__(JoiningTensor)
-        broken.order, broken.dims, broken.exact = 3, 2, True
+        broken.order, broken.dims = 3, 2
         broken.weights = (Fraction(0), Fraction(1))
         broken.scaled = parity_tensor(3).scaled
         with pytest.raises(ValueError, match="degenerate cell masses"):
@@ -635,93 +634,6 @@ class TestContractionsMatchLoops:
         p3 = pair_compose(markov_from_joining(_graph_mixture(substream(d, "raise"), d, 3)))
         raised, _ = raise_order(p3)
         assert raised.entries == tuple(reference_raise_order(p3))
-
-
-def _estimated(t):
-    """`t` read back from JSON as an estimated (float) tensor."""
-    obj = t.to_json()
-    obj.update(exact=False, entries=[float(e) for e in t.entries])
-    return JoiningTensor.from_json(obj)
-
-
-def _float_scaled(x):
-    """`x` is held as float numerators over the denominator 1."""
-    num, den = x.scaled
-    return num.dtype == float and den == 1
-
-
-def _assert_near(floats, exact):
-    assert len(floats) == len(exact)
-    assert all(abs(x - float(y)) <= FLOAT_TOL for x, y in zip(floats, exact))
-
-
-class TestFloatPath:
-    """Estimated tensors give the exact path's results as floats."""
-
-    def test_json_estimate_matches_exact(self):
-        t = _twisted_group_sum(substream(7, "float"), 3, 5)
-        f = _estimated(t)
-        assert not f.exact and _float_scaled(f)
-        assert classify(f) == classify(t)
-        for axes in [(1,), (2, 0), (4, 1, 3), (0, 1, 2, 3)]:
-            got, want = marginal(f, axes), marginal(t, axes)
-            if len(axes) == 1:
-                _assert_near(got, want)
-            else:
-                assert not got.exact
-                _assert_near(got.entries, want.entries)
-        (lf, rf), (lt, rt) = lower_order(f), lower_order(t)
-        assert not lf.exact
-        _assert_near(lf.entries, lt.entries)
-        assert rf == rt
-
-    @pytest.mark.parametrize("t", [parity_tensor(3),
-                                   group_sum_tensor(3, (Fraction(1, 2), Fraction(1, 3),
-                                                        Fraction(1, 6)))])
-    def test_chain_on_estimate_matches_exact(self, t):
-        pf = markov_from_joining(_estimated(t))
-        assert not pf.exact and _float_scaled(pf)
-        pt = markov_from_joining(t)
-        rf, rt = chain_check(pf, pair_compose(pf)), chain_check(pt, pair_compose(pt))
-        for key in ("norm_p2", "norm_p3", "norm_p5"):
-            assert abs(getattr(rf, key) - getattr(rt, key)) <= FLOAT_TOL
-        assert rf.to_json()["inequalities"] == rt.to_json()["inequalities"]
-        assert adjoint_maps_mean_zero(pf)
-
-    def test_limit_joining_with_estimate_oracle(self):
-        target = parity_tensor(4)
-
-        class EstimateOracle(PerEntryMember):
-            def event_measure(self, event):
-                return MeasureValue.of_estimate(0.5, 0.0, 1000)
-
-            def intersection_measure(self, shifts, events):
-                # jitter far below the tolerance: members still agree
-                value = float(as_array(target)[tuple(events)]) + 1e-12 * shifts[1]
-                return MeasureValue.of_estimate(value, 0.0, 1000)
-
-        t = limit_joining(EstimateOracle(), U2, [0, 1],
-                          [(0, s, 2 * s, 3 * s) for s in range(1, STABLE_MEMBERS + 1)])
-        assert not t.exact and _float_scaled(t)
-        _assert_near(t.entries, target.entries)
-        assert classify(t) == classify(target)
-        _assert_near(marginal(t, (3, 1)).entries, marginal(target, (3, 1)).entries)
-        _assert_near(lower_order(t)[0].entries, lower_order(target)[0].entries)
-
-    def test_out_of_tolerance_marginal_rejected(self):
-        # moving mass from (0, 1, 1) to (0, 0, 0) keeps the total and the
-        # axis-0 marginal but shifts the axis-1 and axis-2 marginals
-        obj = _estimated(parity_tensor(3)).to_json()
-        for shift, ok in [(1e-12, True), (1e-3, False)]:
-            entries = list(obj["entries"])
-            entries[0] += shift
-            entries[3] -= shift
-            candidate = dict(obj, entries=entries)
-            if ok:
-                JoiningTensor.from_json(candidate)
-            else:
-                with pytest.raises(JoiningError, match="marginal"):
-                    JoiningTensor.from_json(candidate)
 
 
 # den * wden**order against 2**63 for the order-3 tensors of `_near_bound`

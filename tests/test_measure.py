@@ -1,11 +1,11 @@
-"""Measure values: validation, the JSON keys of both kinds, and the
-fraction text round trip."""
+"""Measure values: validation, the JSON keys of both kinds, the fraction
+text round trip and the bound on an exponent in fraction text."""
 
 from fractions import Fraction
 
 import pytest
 
-from mixlab.measure import MeasureValue, format_fraction, parse_fraction
+from mixlab.measure import MAX_EXPONENT, MeasureValue, format_fraction, parse_fraction
 
 
 def test_value_needed():
@@ -53,3 +53,14 @@ def test_meta_is_a_read_only_copy():
 def test_fraction_text_round_trip(x, text):
     assert format_fraction(x) == text
     assert parse_fraction(text) == x
+
+
+def test_exponent_notation_parses_within_its_bound():
+    assert parse_fraction("1e-3") == Fraction(1, 1000)
+    assert parse_fraction(f"1e{MAX_EXPONENT}") == 10 ** MAX_EXPONENT
+
+
+@pytest.mark.parametrize("text", ["1e-5000", f"2.5E+{MAX_EXPONENT + 1}", "1e1_0000_000 "])
+def test_exponent_past_its_bound_is_refused(text):
+    with pytest.raises(ValueError, match=f"passes {MAX_EXPONENT}"):
+        parse_fraction(text)

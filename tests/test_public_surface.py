@@ -80,6 +80,16 @@ def test_module_level_caches_are_the_known_two():
     assert cached == {"algebraic._window_value", "cli.build_parser"}
 
 
+def test_joinings_keep_no_float_path():
+    # Joinings hold exact rationals only: no float tolerance at module level
+    # and no function or method that takes an `exact` flag.
+    tree = ast.parse((SRC / "joinings.py").read_text(encoding="utf-8"))
+    assert "FLOAT_TOL" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    flagged = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and "exact" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
+    assert flagged == []
+
+
 def _tracing(monkeypatch):
     """mixbench/tracing.py, loaded read-only by file."""
     spec = importlib.util.spec_from_file_location("mixbench_tracing",
