@@ -57,11 +57,9 @@ request).
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from . import __version__, svg as svgmod
@@ -293,8 +291,7 @@ def cmd_scan_mix(config: dict) -> Artifacts:
     yield "mix.json", {
         "order": result.order,
         "scanned": result.scanned,
-        "max_abs_defect": format_fraction(result.max_abs_defect)
-        if isinstance(result.max_abs_defect, Fraction) else result.max_abs_defect,
+        "max_abs_defect": format_fraction(result.max_abs_defect),
         "argmax": result.argmax.to_json() if result.argmax else None,
         "certificate": result.certificate,
     }
@@ -609,7 +606,6 @@ _TABLE: dict[str, _Command] = {
 }
 
 
-@functools.cache
 def build_parser() -> dict[str, _Command]:
     """The option table (see the module docstring for why it has this name)."""
     return _TABLE

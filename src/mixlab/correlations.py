@@ -1,15 +1,14 @@
 """k-fold correlation scans and deviation-from-mixing statistics.
 
 A correlation oracle returns the measure of an intersection of translated
-events, exactly (rational) or as an estimate.  The
-scans in this module sample shift families, compare intersection measures
-against products of single-event measures, and collect the deviation
-statistics dev(h) = |Der| / h over the admissible grid
-Q = {(z, w) in [0,h]^2 : |z|, |w|, |z-w| > eps*h}.  A deviation scan runs
-on arrays: Q is a boolean mask, the oracle's `correlation_grid` returns the
-correlation of every pair of Q in one call, and `DevScan` keeps the pairs,
-correlations and defects as aligned arrays that the CSV and heatmap
-exports read.
+events.  A mixing scan samples shift families and compares exact (rational)
+intersection measures against the product of the single-event measures; it
+refuses estimates.  A deviation scan reads the measures as floats and
+collects the statistics dev(h) = |Der| / h over the admissible grid
+Q = {(z, w) in [0,h]^2 : |z|, |w|, |z-w| > eps*h}.  It runs on arrays: Q
+is a boolean mask, the oracle's `correlation_grid` returns the correlation
+of every pair of Q in one call, and `DevScan` keeps the pairs, correlations
+and defects as aligned arrays that the CSV and heatmap exports read.
 
 Scans provide evidence and exact witnesses only; no scan proves a mixing
 property.
@@ -24,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union
+from typing import Iterable, Iterator, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -37,12 +36,13 @@ from . import svg as svgmod
 
 class CorrelationOracle(Protocol):
     """What scans and limits ask of an oracle.  `event_measure` and
-    `intersection_measure` give one measure each; the scans read them (a
-    deviation scan reads `correlation_grid` instead).  `joining_member`
-    gives every entry of a joining member at once, for `limit_joining`:
-    entry (i_1, ..., i_k) is the measure of the intersection of cells[i_j]
-    shifted by shifts[j], returned exactly as (num, den): num the Python-int
-    numerators, flat in index order, over the common denominator den."""
+    `intersection_measure` give one measure each, which a mixing scan takes
+    only when exact (a deviation scan reads `correlation_grid` instead, as
+    floats).  `joining_member` gives every entry of a joining member at
+    once, for `limit_joining`: entry (i_1, ..., i_k) is the measure of the
+    intersection of cells[i_j] shifted by shifts[j], returned exactly as
+    (num, den): num the Python-int numerators, flat in index order, over the
+    common denominator den."""
 
     def event_measure(self, event) -> MeasureValue: ...
 
@@ -88,26 +88,18 @@ def kfold_correlation(oracle: CorrelationOracle, c: Constellation) -> MeasureVal
         raise OracleCapabilityError(f"oracle cannot evaluate constellation: {exc}") from exc
 
 
-def product_of_measures(values: Sequence[MeasureValue]) -> MeasureValue:
-    """Product measure; exact when every factor is exact, otherwise a point
-    estimate (no scan reads a standard error of it)."""
-    if all(v.is_exact for v in values):
-        return MeasureValue.of_exact(math.prod((v.exact for v in values), start=Fraction(1)))
-    return MeasureValue(estimate=math.prod((v.as_float() for v in values), start=1.0))
-
-
-def _defect(corr: MeasureValue, prod: MeasureValue) -> Union[Fraction, float]:
-    if corr.is_exact and prod.is_exact:
-        return abs(corr.exact - prod.exact)
-    return abs(corr.as_float() - prod.as_float())
+def _exact(value: MeasureValue) -> Fraction:
+    """The exact measure of `value`; an estimate is refused."""
+    if value.exact is None:
+        raise OracleCapabilityError("mixing scans take exact measures, not estimates")
+    return value.exact
 
 
 @dataclass
 class ScanRow:
     constellation: Constellation
-    correlation: MeasureValue
-    product: MeasureValue
-    defect: Union[Fraction, float]
+    correlation: Fraction
+    defect: Fraction
     certificate: Optional[dict] = None
 
 
@@ -117,7 +109,8 @@ class MixDefect:
 
     order: int
     scanned: int
-    max_abs_defect: Union[Fraction, float]
+    product: Fraction
+    max_abs_defect: Fraction
     argmax: Optional[Constellation]
     certificate: Optional[dict] = None
     rows: list[ScanRow] = field(default_factory=list)
@@ -137,22 +130,22 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
     """Scan shift tuples, tracking max |correlation - product of measures|.
 
     The k+1 `events` fix the order k; each tuple from the generator gives their
-    shifts.  With an exact oracle every nonzero defect is accompanied by the
+    shifts.  Every measure must be exact: an estimate is refused with
+    `OracleCapabilityError`.  Every nonzero defect is accompanied by the
     oracle's relation certificate when it can produce one.  The intersection
-    measure is also checked against the minimum single-event measure (exact
-    oracles only), which every scan must satisfy.  Each distinct event is
-    measured once.
+    measure is also checked against the smallest single-event measure, which
+    every scan must satisfy.  Each distinct event is measured once.
     """
     k = len(events) - 1
     if not 1 <= k <= MAX_SCAN_ORDER:
         raise ValueError(f"order k must lie in 1..{MAX_SCAN_ORDER}")
     if not 1 <= budget <= MAX_SCAN_BUDGET:
         raise ValueError(f"budget must lie in 1..{MAX_SCAN_BUDGET}")
-    measured = {e: oracle.event_measure(e) for e in dict.fromkeys(events)}
+    measured = {e: _exact(oracle.event_measure(e)) for e in dict.fromkeys(events)}
     singles = [measured[e] for e in events]
-    prod = product_of_measures(singles)
-    min_single = min(s.exact for s in singles) if prod.is_exact else None
-    best: Union[Fraction, float] = Fraction(0) if prod.is_exact else 0.0
+    prod = math.prod(singles, start=Fraction(1))
+    min_single = min(singles)
+    best = Fraction(0)
     argmax = None
     cert = None
     rows: list[ScanRow] = []
@@ -162,13 +155,13 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
             break
         scanned += 1
         c = Constellation(tuple(shifts), tuple(events))
-        corr = kfold_correlation(oracle, c)
-        if corr.is_exact and min_single is not None and corr.exact > min_single:
+        corr = _exact(kfold_correlation(oracle, c))
+        if corr > min_single:
             raise AssertionError(
-                f"intersection measure {corr.exact} exceeds smallest event measure {min_single}"
+                f"intersection measure {corr} exceeds smallest event measure {min_single}"
             )
-        d = _defect(corr, prod)
-        row = ScanRow(c, corr, prod, d)
+        d = abs(corr - prod)
+        row = ScanRow(c, corr, d)
         if d != 0 and hasattr(oracle, "relation_certificate"):
             row.certificate = oracle.relation_certificate(c.shifts, c.events)
         rows.append(row)
@@ -176,7 +169,7 @@ def mix_defect_scan(oracle: CorrelationOracle, events: Sequence,
             best = d
             argmax = c
             cert = row.certificate
-    return MixDefect(order=k, scanned=scanned, max_abs_defect=best,
+    return MixDefect(order=k, scanned=scanned, product=prod, max_abs_defect=best,
                      argmax=argmax, certificate=cert, rows=rows)
 
 
@@ -318,7 +311,7 @@ def dev_scan(oracle: CorrelationOracle, a, b, c, epsilon: float, h: int) -> DevS
         raise ValueError(f"h must lie in 1..{MAX_DEV_H}")
     pairs = np.argwhere(admissible_mask(epsilon, h))
     singles = {e: oracle.event_measure(e) for e in dict.fromkeys((a, b, c))}
-    prod_f = product_of_measures([singles[e] for e in (a, b, c)]).as_float()
+    prod_f = math.prod(singles[e].as_float() for e in (a, b, c))
     try:
         values = np.asarray(oracle.correlation_grid((a, b, c), pairs), dtype=float)
     except TypeError as exc:
@@ -357,16 +350,11 @@ def mix_rows_to_csv(result: MixDefect) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["shifts", "correlation", "product", "defect", "has_certificate"])
+    prod = format_fraction(result.product)
     for row in result.rows:
-        corr = row.correlation
-        prod = row.product
-        writer.writerow([
-            json.dumps(row.constellation.to_json()["shifts"]),
-            format_fraction(corr.exact) if corr.is_exact else f"{corr.as_float():.12g}",
-            format_fraction(prod.exact) if prod.is_exact else f"{prod.as_float():.12g}",
-            format_fraction(row.defect) if isinstance(row.defect, Fraction) else f"{row.defect:.12g}",
-            int(bool(row.certificate and row.certificate.get("relations"))),
-        ])
+        writer.writerow([json.dumps(row.constellation.shifts), format_fraction(row.correlation),
+                         prod, format_fraction(row.defect),
+                         int(bool(row.certificate and row.certificate.get("relations")))])
     return buf.getvalue()
 
 

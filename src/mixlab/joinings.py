@@ -155,6 +155,14 @@ def _format(num: np.ndarray, den: int) -> list[str]:
     return [texts[x] for x in flat]
 
 
+def _brief(x: Fraction) -> str:
+    """format_fraction(x) when its terms take 192 bits together (at most 59
+    digits), else their bit lengths, so that a refusal stays short (str() of
+    an int past 4,300 digits raises)."""
+    n, d = abs(x.numerator).bit_length(), x.denominator.bit_length()
+    return format_fraction(x) if n + d <= 192 else f"a {n}-bit/{d}-bit fraction"
+
+
 def _values(num: np.ndarray, den: int) -> list[Fraction]:
     return [Fraction(x, den) for x in num.ravel().tolist()]
 
@@ -249,7 +257,7 @@ class JoiningTensor:
         if low < 0:
             raise JoiningError("tensor entries must be nonnegative")
         if total != den:
-            raise JoiningError(f"tensor mass is {Fraction(total, den)}, not 1")
+            raise JoiningError(f"tensor mass is {_brief(Fraction(total, den))}, not 1")
         c, w, wden = self._checked
         margs = np.empty((self.order, self.dims), dtype=c.dtype)
         for axis in range(self.order):
@@ -257,8 +265,9 @@ class JoiningTensor:
         bad = margs * wden != w * den
         if bad.any():
             axis, cell = np.argwhere(bad)[0].tolist()
-            raise JoiningError(f"axis {axis} marginal {Fraction(margs[axis].tolist()[cell], den)}"
-                               f" != weight {self.weights[cell]}")
+            got = Fraction(margs[axis].tolist()[cell], den)
+            raise JoiningError(f"axis {axis} marginal {_brief(got)}"
+                               f" != weight {_brief(self.weights[cell])}")
 
     def to_json(self) -> dict:
         num, den = self.scaled

@@ -45,10 +45,6 @@ class MeasureValue:
     def of_estimate(cls, mean: float, stderr: float, samples: int, **meta) -> "MeasureValue":
         return cls(estimate=float(mean), stderr=float(stderr), samples=samples, meta=meta)
 
-    @property
-    def is_exact(self) -> bool:
-        return self.exact is not None
-
     def as_float(self) -> float:
         return float(self.exact) if self.exact is not None else float(self.estimate)
 
@@ -71,8 +67,10 @@ def format_fraction(x: Fraction) -> str:
 
 
 def parse_fraction(s: str) -> Fraction:
-    """Fraction(s), refusing an exponent of magnitude past `MAX_EXPONENT`."""
+    """Fraction(s), refusing an exponent of magnitude past `MAX_EXPONENT`
+    with a message that quotes at most the first 20 characters of `s`."""
     exponent = _EXPONENT.search(s)
     if exponent and abs(int(exponent[1])) > MAX_EXPONENT:
-        raise ValueError(f"exponent of {s!r} passes {MAX_EXPONENT}")
+        shown = repr(s[:20]) + ("..." if len(s) > 20 else "")
+        raise ValueError(f"exponent of {shown} passes {MAX_EXPONENT}")
     return Fraction(s)

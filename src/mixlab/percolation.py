@@ -50,22 +50,23 @@ class ClusterReport:
     roots: np.ndarray = field(repr=False)
 
 
-def _box_roots(parent: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _box_roots(parent: np.ndarray, ru: np.ndarray, rv: np.ndarray) -> np.ndarray:
     """Map each cell to the smallest flat index of its component under the
-    edges (u, v), starting from `parent`, a forest in which every cell points
-    at its tree's smallest cell.
+    edges (ru, rv), starting from `parent`, a forest in which every cell
+    points at its tree's smallest cell.
 
-    Each round hooks the larger root of every edge to the smaller one with
-    `np.minimum.at`, jumps pointers among the hooked roots until each
-    reaches a root, then points every cell at its root again.
+    Each round keeps only the roots of the live edges' ends, hooks the
+    larger root of each to the smaller with `np.minimum.at`, jumps pointers
+    among the hooked roots until each reaches a root, then points every
+    cell, and so every old root, at its root again.
     """
     while True:
-        ru, rv = parent[u], parent[v]
+        ru, rv = parent[ru], parent[rv]
         live = ru != rv
         if not live.any():
             return parent
         # Edges whose ends share a root stay joined; only live ones hook.
-        u, v, ru, rv = u[live], v[live], ru[live], rv[live]
+        ru, rv = ru[live], rv[live]
         hooked = np.maximum(ru, rv)
         np.minimum.at(parent, hooked, np.minimum(ru, rv))
         while True:

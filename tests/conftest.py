@@ -696,7 +696,7 @@ def reference_joining_member(oracle, shifts, cells):
     numerators over the lcm of the denominators."""
     values = [oracle.intersection_measure(shifts, [cells[i] for i in idx])
               for idx in itertools.product(range(len(cells)), repeat=len(shifts))]
-    assert all(v.is_exact for v in values)
+    assert all(v.exact is not None for v in values)
     ratios = [v.exact.as_integer_ratio() for v in values]
     den = math.lcm(*(q for _, q in ratios))
     return np.array([p * (den // q) for p, q in ratios], dtype=object), den

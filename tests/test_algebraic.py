@@ -113,7 +113,7 @@ class TestCylinderMeasure:
         sites = ((0, 0), (s, 0), (-s, 0), (0, s), (0, -s))
         for bits in [(0,) * 5, (1, 0, 0, 0, 0)]:
             mv = cylinder_measure(SYS, CylinderConstraint(sites, bits))
-            assert mv.is_exact and mv.exact == Fraction(1, 32)
+            assert mv.exact is not None and mv.exact == Fraction(1, 32)
 
     def test_scale_2_to_20_single_relation(self):
         s = 1 << 20

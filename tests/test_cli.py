@@ -173,6 +173,26 @@ def test_size_option_past_its_bound_exits_2_at_once(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("weights,entries,named", [
+    # Mass 1 + 10^-4000, whose exact text takes 8 KB.
+    (["1e-4000", "1"], ["1e-4000", "1"], "tensor mass"),
+    # Mass 10^4300, whose 4,301 digits str() refuses to write.
+    (["1/2", "1/2"], ["1e4300", "0"], "tensor mass"),
+    # A 100,000-digit entry with an exponent past the bound.
+    (["1/2", "1/2"], ["1" * 100_000 + "e9999", "0"], "exponent"),
+], ids=["8kb-mass", "4301-digit-mass", "long-entry"])
+def test_refused_tensor_has_a_short_message(tmp_path, capsys, weights, entries, named):
+    # A refusal describes a long fraction by its size and quotes only the
+    # start of a long entry: one error line, whatever the input's length.
+    path = tmp_path / "tensor.json"
+    _write(path, {"order": 1, "dims": 2, "weights": weights, "entries": entries})
+    assert cli.main(["joining", "--tensor", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode()) <= 200 and named in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dyadic_scale_at_its_bound_runs(tmp_path):
     # Scale 21 spans 2^25 + 2 generator cells, inside the cap, and carries
     # the 5-point relation as every dyadic scale does.

@@ -148,14 +148,12 @@ class TestMixDefectScan:
         mix_defect_scan(oracle, [L0, l1, L0, l1], [((0, 0), (9, 1), (0, 18), (27, 3))], budget=1)
         assert oracle.measured == [L0, l1]
 
-    def test_estimate_oracle_gives_float_defects(self):
-        # With an estimate the defect is a float, as are the largest one
-        # and the product; the spike at (1, 2) is the only defect.
+    def test_estimate_oracle_is_refused(self):
+        # A mixing scan compares exact fractions; an oracle that returns
+        # estimates cannot take part in it.
         oracle = SyntheticTripleOracle({B0: 0.5}, {(1, 2): 0.125})
-        res = mix_defect_scan(oracle, [B0] * 3, [(0, 1, 2), (0, 5, 9)], budget=2)
-        assert [row.defect for row in res.rows] == [0.125, 0.0]
-        assert type(res.max_abs_defect) is float and res.max_abs_defect == 0.125
-        assert res.argmax.shifts == (0, 1, 2)
+        with pytest.raises(OracleCapabilityError, match="exact"):
+            mix_defect_scan(oracle, [B0] * 3, [(0, 1, 2), (0, 5, 9)], budget=2)
 
     def test_order_comes_from_the_events(self):
         res = mix_defect_scan(BERN, [B0] * 4, [(0, 9, 18, 27)], budget=1)

@@ -63,10 +63,10 @@ def test_allowlist_names_exist():
     assert set(ALLOWED) <= {q.rpartition(".")[2] for q in defined}
 
 
-def test_module_level_caches_are_the_known_two():
+def test_module_level_caches_are_the_known_one():
     # A cache at module level outlives every call and holds on to the inputs
     # a process has seen, so each one is named here: the one exact value per
-    # cylinder rank, and the option table that the tracer wraps by name.
+    # cylinder rank.
     cached = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -77,7 +77,7 @@ def test_module_level_caches_are_the_known_two():
                 name = dec.attr if isinstance(dec, ast.Attribute) else getattr(dec, "id", None)
                 if name in ("lru_cache", "cache"):
                     cached.add(f"{path.stem}.{node.name}")
-    assert cached == {"algebraic._window_value", "cli.build_parser"}
+    assert cached == {"algebraic._window_value"}
 
 
 def test_joinings_keep_no_float_path():
@@ -88,6 +88,16 @@ def test_joinings_keep_no_float_path():
     flagged = [node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
                and "exact" in {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}]
     assert flagged == []
+
+
+def test_mixing_scans_keep_no_float_path():
+    # Mixing scans hold exact rationals only: in `correlations`, only the
+    # deviation scan reads a measure as a float.
+    tree = ast.parse((SRC / "correlations.py").read_text(encoding="utf-8"))
+    readers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "as_float"}
+    assert readers == {"dev_scan"}
 
 
 def _tracing(monkeypatch):
