@@ -57,8 +57,9 @@ rotating rows, so a state of `depth` rows is a vector over
 GF(2)[x]/(x^w - 1) and T^h + I is a depth x depth matrix over that ring
 (the additive cellular-automaton view of Martin, Odlyzko and Wolfram,
 1984).  The fixed states come from a Hermite basis over GF(2)[x], found
-by polynomial Euclid with no elimination of state bits, and each basis
-configuration is the previous one rotated, XOR a few fixed ones.
+by polynomial Euclid with no elimination of state bits.  The kernel keeps
+these states: a sample runs its rows from the XOR of the chosen ones, and
+a site's value is their parity with a functional read off the unit runs.
 """
 
 from __future__ import annotations
@@ -86,10 +87,10 @@ Site = Union[int, tuple[int, int]]
 # is refused whether or not it peels or halves to a small normal form.
 MAX_GENERATORS = 1 << 26
 
-# A torus kernel's explicit basis holds dim x side^2 bits: at side 1023
-# (dim 964) about 120 MB, built in 0.2-0.3 s (0.04-0.05 s at 513, 0.01 s
-# at 257, on one 2.0 GHz Xeon core).  At twice this side the basis alone
-# would pass a gigabyte, so a larger side is refused.
+# A torus kernel takes 0.55 MB at side 1023 (dim 964), built in 6-12 ms; a
+# sample runs its rows in 3 ms and its labelling takes 0.1-0.2 s (0.3 s with
+# 8-connectivity) on a 2-vCPU Xeon VM.  The cap bounds these grids, which
+# grow with side^2: `percolate --sizes 1023` peaks at 104 MB resident.
 MAX_TORUS_SIDE = 1024
 
 # Monte Carlo time grows linearly with the sample count: per million
@@ -617,28 +618,35 @@ def cylinder_measure(pattern: RelationPattern, c: CylinderConstraint) -> Measure
 
 @dataclass(frozen=True)
 class TorusKernel:
-    """Basis of the pattern-harmonic subgroup of a w x h torus.
-
-    Each basis element is a configuration as an int of width * height bits,
-    flattened row-major: bit j*width + i is the value at site (i, j).
+    """Basis of the pattern-harmonic subgroup of a w x h torus, as states:
+    `depth` rows packed in one int, row b in bits b*width ..  A state's
+    configuration is the `height` rows after it in its run (`_run_rows`
+    with `taps`); `runs[b]` is the run from the unit state e_b.
     """
 
     width: int
     height: int
-    basis: tuple[int, ...]
+    taps: tuple[tuple[int, int], ...]
+    runs: tuple[list[int], ...]
+    states: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.states)
 
     def site_mask(self, site: tuple[int, int]) -> int:
-        """Generator mask of the coordinate functional at `site`: bit g is
-        the value of basis element g there."""
-        idx = site[1] % self.height * self.width + site[0] % self.width
-        m = 0
-        for g, vec in enumerate(self.basis):
-            m |= ((vec >> idx) & 1) << g
-        return m
+        """Generator mask of the coordinate functional at `site` = (a, j):
+        bit g is the value there of basis state g's configuration.  Row j
+        of the run from s is the sum of s_b runs[b][depth + j] over b in
+        GF(2)[x]/(x^w - 1), so that value is the parity of s with the
+        functional whose block b is that row reflected about column a."""
+        w, depth = self.width, len(self.runs)
+        j, cut = site[1] % self.height, site[0] % w + 1
+        functional = 0
+        for b, run in enumerate(self.runs):
+            bits = f"{run[depth + j]:0{w}b}"[::-1]  # bits[k] is the row's bit k
+            functional |= int(bits[cut:] + bits[:cut], 2) << (b * w)
+        return sum(((s & functional).bit_count() & 1) << g for g, s in enumerate(self.states))
 
 
 def _run_rows(history: list[int], taps: Sequence[tuple[int, int]], w: int, n: int) -> list[int]:
@@ -718,10 +726,9 @@ def torus_kernel(pattern: RelationPattern, w: int, h: int) -> TorusKernel:
     deg d_b <= p < w, is x^p e_b + NF(x^p e_b), NF the normal form mod the
     h_c; at p = deg d_b it is h_b.  NF at p + 1 is x times NF at p, with
     h_c XORed in, c from b down, wherever component c reaches degree
-    deg d_c.  So each basis configuration is the one before rotated, XOR
-    the configurations of the h_c used, each from one run.  A side above
-    `MAX_TORUS_SIDE` or a state wider than `gf2.MAX_DIM` bits is refused
-    before any row is built.
+    deg d_c.  The kernel keeps these states and the unit runs.  A side
+    above `MAX_TORUS_SIDE` or a state wider than `gf2.MAX_DIM` bits is
+    refused before any row is built.
     """
     if w < 3 or h < 3:
         raise ValueError("torus dimensions must be at least 3")
@@ -734,35 +741,22 @@ def torus_kernel(pattern: RelationPattern, w: int, h: int) -> TorusKernel:
         raise UnsupportedPatternError("pattern must span at least two rows")
     if depth * w > MAX_DIM:
         raise DimensionError(f"torus state of {depth * w} bits exceeds the cap {MAX_DIM}")
-    taps = [(depth - m, d % w) for d, m in rest]
-    runs = [_run_rows([int(k == b) for k in range(depth)], taps, w, h) for b in range(depth)]
+    taps = tuple((depth - m, d % w) for d, m in rest)
+    runs = tuple(_run_rows([int(k == b) for k in range(depth)], taps, w, h) for b in range(depth))
     hermite = _hermite_kernel([[runs[b][h + k] ^ (k == b) for b in range(depth)]
                                for k in range(depth)], w)
     degs = [row[b].bit_length() - 1 for b, row in enumerate(hermite)]
-
-    def configuration(state: list[int]) -> int:  # row j in bits j*w ..
-        return sum(r << (j * w) for j, r in enumerate(_run_rows(state, taps, w, h)[depth:]))
-
-    # h_c = (x^w - 1) e_c, when d_c has degree w, has configuration 0, and
-    # every other h_c has components of degree < w.
-    h_configs = [configuration(row) if d < w else 0 for row, d in zip(hermite, degs)]
-    rep = ((1 << (w * h)) - 1) // ((1 << w) - 1)  # bit 0 of every row
-    keep = ((1 << (w * h)) - 1) ^ (rep << (w - 1))
-    vecs = []
+    states = []
     for b, d in enumerate(degs):
         nf = hermite[b][:b + 1]  # NF(x^d e_b) = h_b - x^d e_b
         nf[b] ^= 1 << d
-        v = h_configs[b]  # configuration of x^p e_b + NF(x^p e_b)
         for p in range(d, w):
-            if p > d:  # every row rotated left by one
-                v = ((v & keep) << 1) | ((v >> (w - 1)) & rep)
-                nf = [q << 1 for q in nf]
-                for c in range(b, -1, -1):
-                    if nf[c] >> degs[c] & 1:
-                        nf = [q ^ r for q, r in zip(nf, hermite[c])]
-                        v ^= h_configs[c]
-            vecs.append(v)
-    return TorusKernel(w, h, tuple(vecs))
+            states.append(sum(q << (c * w) for c, q in enumerate(nf)) ^ 1 << (b * w + p))
+            nf = [q << 1 for q in nf]  # NF(x^(p+1) e_b)
+            for c in range(b, -1, -1):
+                if nf[c] >> degs[c] & 1:
+                    nf = [q ^ r for q, r in zip(nf, hermite[c])]
+    return TorusKernel(w, h, taps, runs, tuple(states))
 
 
 def _draw_coefficients(kernel: TorusKernel, seed: int) -> int:
@@ -774,17 +768,19 @@ def _draw_coefficients(kernel: TorusKernel, seed: int) -> int:
 
 
 def _build_configuration(kernel: TorusKernel, combo: int) -> np.ndarray:
-    """The (height, width) uint8 grid of the XOR of the basis elements set
-    in `combo`."""
-    bits = 0
+    """The (height, width) uint8 grid of the configuration of the XOR of
+    the basis states set in `combo`, run from that state."""
+    state = 0
     while combo:
         low = combo & -combo
-        bits ^= kernel.basis[low.bit_length() - 1]
+        state ^= kernel.states[low.bit_length() - 1]
         combo ^= low
-    n = kernel.width * kernel.height
-    raw = bits.to_bytes((n + 7) // 8, "little")
-    arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:n]
-    return arr.reshape(kernel.height, kernel.width)
+    w, h, depth = kernel.width, kernel.height, len(kernel.runs)
+    rows = _run_rows([state >> (b * w) & ((1 << w) - 1) for b in range(depth)], kernel.taps, w, h)
+    nbytes = (w + 7) // 8
+    raw = b"".join(r.to_bytes(nbytes, "little") for r in rows[depth:])
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8).reshape(h, nbytes), axis=1,
+                         count=w, bitorder="little")
 
 
 def sample_configuration(kernel: TorusKernel, seed: int) -> np.ndarray:

@@ -49,14 +49,15 @@ of the parser it replaced because the benchmark's tracer wraps it by name.
 
 Exit codes: 0 success, 2 validation error (including a bad command line, a
 shift box too small for its gap, no fitting torus, a joining family that
-does not stabilize, an option the run does not read, and an `--out` that
-cannot be made a directory or cannot take an artifact), 3 capability error
-(a pattern the torus kernel cannot step, an oracle that cannot evaluate a
-request).
+does not stabilize, an option the run does not read, a rank-one tower too
+tall to print, and an `--out` that cannot be made a directory or cannot
+take an artifact), 3 capability error (a pattern the torus kernel cannot
+step, an oracle that cannot evaluate a request).
 """
 
 from __future__ import annotations
 
+import bisect
 import json
 import os
 import sys
@@ -138,11 +139,17 @@ def _json_line(obj: dict) -> str:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON in the file at `path`; a file that is missing, cannot be
+    read, is not UTF-8 or is not JSON is a ValidationError naming it."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}")
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: not UTF-8 text ({exc.reason})")
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -388,7 +395,15 @@ def cmd_rankone(config: dict) -> Artifacts:
     length = params.get("word_length")
     stage = params.setdefault("stage", 1) if length is not None else None
     yield
-    artifacts: dict = {"spec": spec.to_json(), "heights": tower_heights(spec)}
+    heights = tower_heights(spec)
+    # 0 digits: no limit.  Heights strictly increase, and one of at most
+    # 3 * digits bits is below 10 ** digits, so most runs build no bound.
+    digits = sys.get_int_max_str_digits()
+    if (digits and heights[-1].bit_length() > 3 * digits
+            and (tall := bisect.bisect_left(heights, 10 ** digits)) < len(heights)):
+        raise ValidationError(f"the stage-{tall} tower height has more than {digits} digits, "
+                              "too many to print")
+    artifacts: dict = {"spec": spec.to_json(), "heights": heights}
     if length is not None:
         word = generate_word(spec, stage, length)
         yield "word.json", word.to_rle_json()

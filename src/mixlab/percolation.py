@@ -198,12 +198,11 @@ def clusters(grid: np.ndarray, connectivity: int = 4) -> tuple[ClusterReport, Cl
 # only its draw, so a size of that scale stays under 20 s.
 MAX_SWEEP_SAMPLES = 10_000
 
-# Each size builds its own kernel (0.01 s at side 257, 0.25 s and 128 MB
-# of basis at 1023), so 64 sizes take under a second of kernel time at side
-# 257 and under 20 s at 1023.  There one labelling takes 0.1-0.2 s (0.3 s
-# with 8-connectivity), and `percolate --sizes 1023 --samples 2` runs in
-# 0.5-0.7 s with a peak resident set of 240 MB (0.8-1.0 s and 330-340 MB
-# with 8-connectivity) on the same VM.
+# Each size builds its own kernel (2 ms at side 257, 6-12 ms at 1023), so
+# kernels take under a second of a 64-size sweep.  Labelling costs more:
+# 0.1-0.2 s per sample at 1023 (0.3 s with 8-connectivity), and
+# `percolate --sizes 1023 --samples 2` runs in 0.6 s with a peak resident
+# set of 104 MB (0.8-0.9 s and 184 MB with 8-connectivity) on the same VM.
 MAX_SWEEP_SIZES = 64
 
 

@@ -22,8 +22,9 @@ mean-zero norms from `np.kron` powers of the basis
 
 The fixtures are what only tests need: GF(2) matrix helpers (`bit_matrix`,
 `transpose`, `mat_vec`, `mat_add`), readers for the grid writers' round trips
-(`grid_from_json`, `grid_from_pbm`), a triple-correlation oracle with planted
-spikes (`SyntheticTripleOracle`), example joinings and operators
+(`grid_from_json`, `grid_from_pbm`), a torus kernel given by its basis
+configurations (`ConfigurationKernel`), a triple-correlation oracle with
+planted spikes (`SyntheticTripleOracle`), example joinings and operators
 (`product_tensor`, `diagonal_tensor`, `group_sum_tensor`,
 `averaging_operator`), and operator evaluation on cell functions (`apply`,
 `image`, `pair`, `adjoint_of`, `adjoint_maps_mean_zero`).
@@ -429,6 +430,21 @@ def reference_torus_basis(pattern, w, h):
             history = history[1:] + [new]
         basis.append(bits)
     return tuple(basis)
+
+
+class ConfigurationKernel:
+    """Stand-in for a `TorusKernel` given by basis configurations, each an
+    int of width * height bits, bit j*width + i the value at site (i, j).
+    It has what `mc_cylinder_measure` reads: `width`, `height`, `dim` and
+    `site_mask`, here one bit lookup per configuration."""
+
+    def __init__(self, width, height, basis):
+        self.width, self.height, self.basis = width, height, tuple(basis)
+        self.dim = len(self.basis)
+
+    def site_mask(self, site):
+        idx = site[1] % self.height * self.width + site[0] % self.width
+        return sum(((vec >> idx) & 1) << g for g, vec in enumerate(self.basis))
 
 
 def row_rotations(x, w, rows):

@@ -1,9 +1,11 @@
 """Algebraic systems: exact measures vs enumeration, kernels, sampling."""
 
 import functools
+import gc
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +19,6 @@ from mixlab.algebraic import (
     MAX_MC_SAMPLES,
     LedrappierOracle,
     RelationPattern,
-    TorusKernel,
     bernoulli_cylinder_measure,
     cylinder_measure,
     default_torus_for,
@@ -29,6 +30,8 @@ from mixlab.algebraic import (
     sample_configuration,
     site_add,
     torus_kernel,
+    _build_configuration,
+    _draw_coefficients,
     _frobenius,
     _mc_draw,
     _normal_form,
@@ -43,6 +46,7 @@ from mixlab.measure import MeasureValue
 from mixlab.rng import substream
 
 from conftest import (
+    ConfigurationKernel,
     enumeration_measure,
     enumeration_relations,
     grid_from_json,
@@ -997,12 +1001,16 @@ class TestJoiningMember:
         assert eliminations == [0, 0, 1]  # only the dyadic member's sites survive the peel
 
 
-def _basis_grid(kernel, vec):
-    """(height, width) 0/1 array of one flattened basis configuration."""
-    n = kernel.width * kernel.height
-    raw = vec.to_bytes((n + 7) // 8, "little")
-    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8),
-                         bitorder="little")[:n].reshape(kernel.height, kernel.width)
+def _basis_grids(kernel):
+    """The (height, width) 0/1 grid of each basis state's configuration."""
+    return [_build_configuration(kernel, 1 << g) for g in range(kernel.dim)]
+
+
+def _flattened(grids):
+    """Each grid as an int, bit j*width + i its cell (i, j): the layout of
+    the conftest reference bases."""
+    return tuple(int.from_bytes(np.packbits(g.ravel(), bitorder="little").tobytes(), "little")
+                 for g in grids)
 
 
 # Tori on which every one of KERNEL_PATTERNS has a nonzero configuration.
@@ -1022,8 +1030,8 @@ class TestTorusKernel:
         k = torus_kernel(SYS, 6, 9)
         # The zero combination is in the span by construction; basis elements
         # must each satisfy the wrapped relations.
-        for vec in k.basis:
-            assert grid_satisfies_pattern(SYS, _basis_grid(k, vec))
+        for grid in _basis_grids(k):
+            assert grid_satisfies_pattern(SYS, grid)
 
     @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
     @pytest.mark.parametrize("w,h", NONTRIVIAL_TORI + [(8, 8), (16, 12), (3, 64), (33, 32),
@@ -1040,9 +1048,10 @@ class TestTorusKernel:
         k = torus_kernel(pattern, w, h)
         if (w, h) in NONTRIVIAL_TORI:
             assert k.dim > 0
-        assert k.basis == reference_torus_basis(pattern, w, h)
-        for vec in k.basis:
-            assert grid_satisfies_pattern(pattern, _basis_grid(k, vec))
+        grids = _basis_grids(k)
+        assert _flattened(grids) == reference_torus_basis(pattern, w, h)
+        for grid in grids:
+            assert grid_satisfies_pattern(pattern, grid)
 
     @pytest.mark.parametrize("pattern", [LEDRAPPIER_PATTERN, KERNEL_PATTERNS[3]],
                              ids=lambda p: str(sorted(p.support)))
@@ -1052,7 +1061,44 @@ class TestTorusKernel:
         # columns eliminated bit by bit are not.
         k = torus_kernel(pattern, side, side)
         assert k.dim > 0
-        assert k.basis == reference_elimination_torus_basis(pattern, side, side)
+        assert _flattened(_basis_grids(k)) == reference_elimination_torus_basis(pattern, side, side)
+
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    @pytest.mark.parametrize("w,h", NONTRIVIAL_TORI + [(8, 5), (9, 10), (10, 4)])
+    def test_site_masks_match_grids(self, pattern, w, h):
+        # Sites outside the box check the wraparound.  (8, 5) and (10, 4)
+        # leave every pattern but the depth-3 one a kernel of dimension 0.
+        k = torus_kernel(pattern, w, h)
+        grids = _basis_grids(k)
+        for i, j in itertools.product(range(-1, w + 2), range(-2, h + 1)):
+            mask = k.site_mask((i, j))
+            assert mask >> k.dim == 0
+            assert [mask >> g & 1 for g in range(k.dim)] == [g[j % h, i % w] for g in grids]
+
+    @pytest.mark.parametrize("pattern", KERNEL_PATTERNS, ids=lambda p: str(sorted(p.support)))
+    @pytest.mark.parametrize("w,h", NONTRIVIAL_TORI + [(9, 10), (8, 5)])
+    def test_samples_match_reference_basis(self, pattern, w, h):
+        k = torus_kernel(pattern, w, h)
+        basis = reference_torus_basis(pattern, w, h)
+        for seed in range(4):
+            combo = _draw_coefficients(k, seed)
+            bits = functools.reduce(int.__xor__,
+                                    (v for g, v in enumerate(basis) if combo >> g & 1), 0)
+            assert _flattened([sample_configuration(k, seed)]) == (bits,)
+
+    def test_kernel_memory_at_side_1023(self):
+        # The kernel holds its states and unit runs, not a configuration per
+        # basis element (964 of them, about 134 MB, at this side).
+        gc.collect()
+        tracemalloc.start()
+        try:
+            k = torus_kernel(SYS, 1023, 1023)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert k.dim == 964
+        assert held < 2 << 20
 
     def test_dimension_at_side_513(self):
         assert torus_kernel(SYS, 513, 513).dim == 508
@@ -1185,7 +1231,7 @@ class TestMonteCarlo:
 
     def test_hits_with_a_site_of_mask_zero(self):
         # No generator touches site (0, 0), so it reads 0 in every sample.
-        kernel = TorusKernel(5, 5, (0b110, (1 << 7) | 0b100))
+        kernel = ConfigurationKernel(5, 5, (0b110, (1 << 7) | 0b100))
         assert kernel.site_mask((0, 0)) == 0
         for bits in [(0, 1, 1), (1, 1, 0), (0, 0, 0)]:
             c = CylinderConstraint(((0, 0), (1, 0), (2, 0)), bits)
@@ -1195,7 +1241,7 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("kernel,sites", [
         (torus_kernel(SYS, 28, 28), ((0, 0), (3, 1), (-2, 5))),
-        (TorusKernel(5, 5, (0b110, (1 << 7) | 0b100)), ((0, 0), (3, 0), (4, 4))),
+        (ConfigurationKernel(5, 5, (0b110, (1 << 7) | 0b100)), ((0, 0), (3, 0), (4, 4))),
     ], ids=["dimension 0", "masks 0"])
     @pytest.mark.parametrize("bits", [(0, 0, 0), (0, 1, 0)])
     def test_no_generator_read_draws_nothing(self, monkeypatch, kernel, sites, bits):
@@ -1236,7 +1282,7 @@ class TestMonteCarlo:
         late = (1 << 4 * 9 + 4) | (1 << 2 * 9 + 7)  # sites (4, 4) and (7, 2)
         basis = tuple(int.from_bytes(gen.bytes(11), "little") % (1 << 81)
                       & ~(origin | (late if g >= 20 else 0)) for g in range(64))
-        kernel = TorusKernel(9, 9, basis)
+        kernel = ConfigurationKernel(9, 9, basis)
         sites = ((4, 4), (0, 0), (7, 2))
         assert kernel.site_mask((0, 0)) == 0
         assert (kernel.site_mask((4, 4)) | kernel.site_mask((7, 2))) >> 20 == 0

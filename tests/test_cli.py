@@ -266,6 +266,11 @@ REFUSED_INPUTS = [
     (["joining", "--tensor", "product2.json", "--lower"],
      "lower_order needs a tensor of order at least 3"),
     (["percolate", "--sizes", "9,12,9"], "a sweep takes one or more distinct lattice sizes"),
+    # an input path that names a directory, or a file that is not UTF-8
+    (["measure", "--constellation", "a-dir"], "cannot read a-dir: Is a directory"),
+    (["replay", "a-dir"], "cannot read a-dir: Is a directory"),
+    (["render", "--size", "9", "--pattern", "latin-1.json"],
+     "cannot read latin-1.json: not UTF-8 text (invalid continuation byte)"),
 ]
 
 
@@ -284,8 +289,28 @@ def test_refused_input_exits_2_with_its_message(tmp_path, monkeypatch, capsys, a
     _write(tmp_path / "origin.json", {"sites": [[0, 0]], "bits": [0]})
     _write(tmp_path / "order-0.json", dict(PRODUCT2, order=0, entries=["1"]))
     _write(tmp_path / "product2.json", PRODUCT2)
+    (tmp_path / "a-dir").mkdir()
+    (tmp_path / "latin-1.json").write_bytes('{"support": [[0, 0]], "name": "Ledrappier à 5"}'
+                                            .encode("latin-1"))
     assert cli.main(argv + ["--out", "out"]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stages,word", [(16000, []), (14300, ["--word-length", "10"])])
+def test_spec_too_tall_to_print_exits_2_before_any_file(tmp_path, capsys, stages, word):
+    # Doubling heights are 2^n, and 2^14285 is the first with more than
+    # 4300 digits; a spec file's stage count has no cap of its own.
+    spec = _write(tmp_path / "tall.json", {"cuts": [2] * stages, "spacers": [[0, 0]] * stages})
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code = cli.main(["rankone", "--spec", spec, *word, "--out", str(tmp_path / "out")])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2
+    assert capsys.readouterr().err == ("error: the stage-14285 tower height has more than "
+                                       "4300 digits, too many to print\n")
     assert not (tmp_path / "out").exists()
 
 
